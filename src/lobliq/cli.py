@@ -26,7 +26,7 @@ from .extensions import (
     two_exchange_patch,
 )
 from .fluid import exp_fluid_infinite, fluid_solution, power_fluid
-from .intensity import PowerLawIntensity
+from .intensity import PowerLawIntensity, UnsupportedCaseError
 from .numerics import NonFiniteStateError
 from .reports import write_csv, write_json, write_manifest, write_schema_sidecar
 from .simulate import (
@@ -175,18 +175,15 @@ def _cmd_simulate(cfg: RunConfig, artifacts: list) -> None:
         }, artifacts)
 
     if paths is not None:
-        pid, idx, times, spreads, cash = [], [], [], [], []
-        for p in paths:
-            for i, (t, s) in enumerate(zip(p.fill_times, p.fill_spreads)):
-                pid.append(p.path_id)
-                idx.append(i)
-                times.append(t)
-                spreads.append(s)
-                cash.append(math.exp(-cfg.market.r * t) * s * sec["delta"])
+        counts = np.array([len(p.fill_times) for p in paths])
+        times = np.concatenate([p.fill_times for p in paths])
+        spreads = np.concatenate([p.fill_spreads for p in paths])
+        first_row = np.repeat(np.cumsum(counts) - counts, counts)
         _emit_table(cfg, "paths", {
-            "path_id": np.asarray(pid), "fill_index": np.asarray(idx),
-            "time": np.asarray(times), "spread": np.asarray(spreads),
-            "discounted_cash": np.asarray(cash),
+            "path_id": np.repeat([p.path_id for p in paths], counts),
+            "fill_index": np.arange(len(times)) - first_row,
+            "time": times, "spread": spreads,
+            "discounted_cash": np.exp(-cfg.market.r * times) * spreads * sec["delta"],
         }, {
             "path_id": "simulation path index",
             "fill_index": "fill counter within the path",
@@ -323,7 +320,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="root RNG seed (overrides config)")
-        p.add_argument("--threads", type=int, help="worker threads (overrides config)")
+        p.add_argument("--threads", type=int,
+                       help="simulate: path-block groups, no effect on results "
+                            "or speed (overrides config)")
         p.add_argument("--format", choices=("csv", "json", "both"),
                        help="artifact formats (overrides config)")
     return parser
@@ -354,7 +353,7 @@ def main(argv=None) -> int:
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
         _HANDLERS[cfg.command](cfg, artifacts)
-    except ConfigError as exc:
+    except (ConfigError, UnsupportedCaseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, NonFiniteStateError, ValueError) as exc:

@@ -83,6 +83,13 @@ def _choice(section, key, path, choices, *, default=None):
     return raw
 
 
+def _boolean(section, key, path, *, default):
+    raw = section.get(key, default)
+    if not isinstance(raw, bool):
+        raise ConfigError(f"{path}.{key}: expected true or false, got {raw!r}")
+    return raw
+
+
 def _grid(section, key, path, *, default=None):
     """{start, stop, count, spacing: linear|log} -> numpy array."""
     if key not in section:
@@ -192,7 +199,7 @@ def _validate_section(command: str, section: dict) -> dict:
             raise ConfigError(f"{command}.constant_spread: only valid for policy: constant")
         out["curve_points"] = _integer(section, "curve_points", command,
                                        default=0, minimum=0)
-        out["dump_paths"] = bool(section.get("dump_paths", False))
+        out["dump_paths"] = _boolean(section, "dump_paths", command, default=False)
         out["method"] = _choice(section, "method", command,
                                 ("auto", "inversion", "thinning"), default="auto")
     elif command == "curves":

@@ -20,9 +20,15 @@ __all__ = [
     "ExpDecayIntensity",
     "GenericIntensity",
     "MarketParams",
+    "UnsupportedCaseError",
     "concavity_condition",
     "ConcavityReport",
 ]
+
+
+class UnsupportedCaseError(ValueError):
+    """A model/market pair outside the cases a routine solves: the input, not
+    the numerics, is at fault."""
 
 
 class IntensityModel:

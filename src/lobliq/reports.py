@@ -58,10 +58,18 @@ def write_csv(path: str, columns: Mapping[str, Sequence]) -> None:
     for name, arr in zip(names, arrays):
         if len(arr) != length:
             raise ValueError(f"column {name!r} has length {len(arr)}, expected {length}")
-    lines = [",".join(names)]
-    for i in range(length):
-        lines.append(",".join(format_number(arr[i]) for arr in arrays))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = map(",".join, zip(*map(_formatted, arrays)))
+    atomic_write_text(path, "\n".join([",".join(names), *rows]) + "\n")
+
+
+def _formatted(arr: np.ndarray):
+    """``format_number`` over a 1-d column, lazily, in one pass."""
+    values = arr.tolist()
+    if arr.dtype.kind in "iu":
+        return map(str, values)
+    if arr.dtype.kind == "f" and np.isfinite(arr).all():
+        return map("{:.17g}".format, values)
+    return map(format_number, values)
 
 
 def _jsonable(obj):
@@ -70,6 +78,8 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)

@@ -1,21 +1,24 @@
 """Monte Carlo simulation of the controlled inventory process.
 
 Fill times are sampled exactly by inverting the integrated hazard: in closed
-form for the power-law optimal policy (whose fill rate diverges at maturity,
-guaranteeing full liquidation), as plain exponential clocks for stationary
-policies, and by quadrature plus root solving (or thinning with a piecewise
-bound) for generic time-dependent policies.
+form for the power-law optimal policies (whose fill rate factors as a level
+constant times a time profile that diverges at maturity, guaranteeing full
+liquidation), as plain exponential clocks for stationary policies, and by
+quadrature plus root solving (or thinning with a piecewise bound) for
+generic time-dependent policies.
 
-Each path draws from its own substream spawned from the root seed, and the
-ensemble reducers aggregate in path order, so the statistics are identical
-for any worker-thread count.
+Paths are simulated in fixed-size blocks.  Block b draws one matrix of
+standard exponentials, row by row, from a stream keyed on (seed, b), and
+every live path of the block advances one fill per NumPy step.  A path's
+draws therefore depend only on the seed, its index and the unit count,
+never on the ensemble size; ``threads`` only partitions the block range and
+changes neither the results nor the speed.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -39,6 +42,7 @@ from .intensity import (
     IntensityModel,
     MarketParams,
     PowerLawIntensity,
+    UnsupportedCaseError,
 )
 
 __all__ = [
@@ -49,6 +53,7 @@ __all__ = [
     "StationarySpreadPolicy",
     "TimeDependentPolicy",
     "OptimalPowerPolicy",
+    "ZeroRatePowerPolicy",
     "optimal_policy",
     "fluid_spread_policy",
     "simulate_policy",
@@ -56,6 +61,10 @@ __all__ = [
     "evaluate_fluid_policy_exact",
     "execution_curve_ode",
 ]
+
+# paths per random-stream block; results never depend on it beyond the
+# stream layout, so it is not a setting
+_BLOCK_PATHS = 8192
 
 
 # --------------------------------------------------------------------------
@@ -69,6 +78,12 @@ class SpreadPolicy:
 
     def spread(self, n_units: int, t_to_go: float) -> float:
         raise NotImplementedError
+
+    def spreads_at(self, n_units: int, t_to_go: np.ndarray) -> np.ndarray:
+        """``spread`` at one level for an array of times to go."""
+        if self.time_homogeneous:
+            return np.full(t_to_go.shape, self.spread(n_units, math.inf))
+        return np.array([self.spread(n_units, t) for t in t_to_go.tolist()], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -107,7 +122,7 @@ class OptimalPowerPolicy(SpreadPolicy):
 
     The fill rate along this policy factorizes as k_n / (1 - e^(-a*(T-t)))
     with a = alpha*r, so the integrated hazard inverts in closed form; the
-    simulator exploits that for exact, vectorizable fill times.
+    simulator exploits that for exact, vectorized fill times.
     """
 
     lam: float
@@ -125,9 +140,38 @@ class OptimalPowerPolicy(SpreadPolicy):
         t = min(t_to_go, self.horizon)
         return float(self.spread_scales[n_units]) * horizon_factor(t, self.alpha, self.r)
 
+    def spreads_at(self, n_units, t_to_go):
+        t = np.minimum(t_to_go, self.horizon)
+        factor = (-np.expm1(-self.r * self.alpha * t)) ** (1.0 / self.alpha)
+        return float(self.spread_scales[n_units]) * factor
+
     def hazard_scale(self, n_units: int) -> float:
         """k_n: fill intensity of the Delta-problem net of the time factor."""
         return (self.lam / self.delta) * float(self.spread_scales[n_units]) ** (-self.alpha)
+
+
+@dataclass(frozen=True)
+class ZeroRatePowerPolicy(SpreadPolicy):
+    """Optimal spreads for an undiscounted power-law book with horizon T.
+
+    The spread is c_n * (T-t)**(1/alpha), so the fill rate is k_n / (T-t)
+    and the integrated hazard from t0 to t is k_n * log((T-t0)/(T-t)).
+    """
+
+    lam: float
+    alpha: float
+    delta: float
+    horizon: float
+    spread_coefs: np.ndarray  # c_n, spread per unit of (time to go)**(1/alpha)
+
+    def spread(self, n_units, t_to_go):
+        return float(self.spread_coefs[n_units]) * t_to_go ** (1.0 / self.alpha)
+
+    spreads_at = spread  # elementwise in t_to_go
+
+    def hazard_scale(self, n_units: int) -> float:
+        """k_n in the fill rate k_n / (T - t)."""
+        return (self.lam / self.delta) * float(self.spread_coefs[n_units]) ** (-self.alpha)
 
 
 def optimal_policy(model: IntensityModel, market: MarketParams, delta: float,
@@ -144,12 +188,10 @@ def optimal_policy(model: IntensityModel, market: MarketParams, delta: float,
                                       delta=delta, horizon=market.horizon,
                                       spread_scales=scales)
         d = solve_power_zero_rate(model.lam, model.alpha, n_max, delta)
-        coef = (model.alpha / (model.alpha - 1.0)) * np.diff(d) / delta
-
-        def zr_spread(n, t_to_go, _c=coef, _a=model.alpha):
-            return float(_c[n - 1]) * t_to_go ** (1.0 / _a)
-
-        return TimeDependentPolicy(zr_spread)
+        coefs = np.concatenate(([math.nan],
+                                (model.alpha / (model.alpha - 1.0)) * np.diff(d) / delta))
+        return ZeroRatePowerPolicy(lam=model.lam, alpha=model.alpha, delta=delta,
+                                   horizon=market.horizon, spread_coefs=coefs)
 
     if isinstance(model, ExpDecayIntensity):
         if market.infinite_horizon:
@@ -162,20 +204,22 @@ def optimal_policy(model: IntensityModel, market: MarketParams, delta: float,
                 return float(spreads[n, 0])
 
             return TimeDependentPolicy(exp_spread)
-        raise ValueError("no closed-form optimal policy: exponential book with "
-                         "r > 0 and finite horizon")
+        raise UnsupportedCaseError("no closed-form optimal policy: exponential book "
+                                   "with r > 0 and finite horizon")
 
     if market.infinite_horizon:
         sol = solve_generic_stationary(model, delta, market.r, n_max)
         return StationarySpreadPolicy(spreads=sol.spreads)
-    raise ValueError("generic optimal policies are available on the infinite horizon only")
+    raise UnsupportedCaseError("generic optimal policies are available on the "
+                               "infinite horizon only")
 
 
 def fluid_spread_policy(model: IntensityModel, market: MarketParams, delta: float,
                         n_max: int) -> StationarySpreadPolicy:
     """Stationary policy that posts the fluid-limit spread at x = n*delta."""
     if not market.infinite_horizon:
-        raise ValueError("the fluid spread policy is stationary; use an infinite horizon")
+        raise UnsupportedCaseError("the fluid spread policy is stationary; use an "
+                                   "infinite horizon")
     fl = fluid_solution(model, market)
     spreads = np.full(n_max + 1, math.nan)
     for n in range(1, n_max + 1):
@@ -184,40 +228,47 @@ def fluid_spread_policy(model: IntensityModel, market: MarketParams, delta: floa
 
 
 # --------------------------------------------------------------------------
-# fill-time samplers: (level, t0, rng) -> fill time or None (no fill by T)
+# fill-time samplers: (level, t0, draws) -> fill times, one per live path.
+# ``draws`` holds each path's standard exponential for this level (its
+# generator, for thinning).  NaN or a time past the horizon means no fill.
 
 
-def _analytic_power_sampler(policy: OptimalPowerPolicy, horizon: float):
+def _power_sampler(policy: OptimalPowerPolicy, horizon: float):
     a = policy.alpha * policy.r
 
-    def sample(level, t0, rng):
-        e = rng.exponential()
-        k = policy.hazard_scale(level)
-        z = math.expm1(a * (horizon - t0)) * math.exp(-a * e / k)
-        t_next = horizon - math.log1p(z) / a
-        # exact inversion keeps t_next < horizon in exact arithmetic; clamp
-        # roundoff so times stay strictly increasing and never exceed T
-        return min(max(t_next, np.nextafter(t0, math.inf)), horizon)
+    def sample(level, t0, e):
+        z = np.expm1(a * (horizon - t0)) * np.exp(-a * e / policy.hazard_scale(level))
+        return horizon - np.log1p(z) / a
 
     return sample
 
 
-def _stationary_sampler(model, policy, delta, horizon):
-    def sample(level, t0, rng):
-        rate = model.rate(policy.spread(level, math.inf)) / delta
-        t_next = t0 + rng.exponential() / rate
-        if t_next > horizon:
-            return None
-        return t_next
+def _zero_rate_sampler(policy: ZeroRatePowerPolicy, horizon: float):
+    def sample(level, t0, e):
+        return horizon - (horizon - t0) * np.exp(-e / policy.hazard_scale(level))
+
+    return sample
+
+
+def _stationary_sampler(model, policy, delta):
+    def sample(level, t0, e):
+        return t0 + e / (model.rate(policy.spread(level, math.inf)) / delta)
+
+    return sample
+
+
+def _per_path(fill_time):
+    """Lift a scalar ``(level, t0, draw) -> time`` sampler to the array form."""
+    def sample(level, t0, draws):
+        return np.array([fill_time(level, t, d)
+                         for t, d in zip(t0.tolist(), draws.tolist())], dtype=float)
 
     return sample
 
 
 def _inversion_sampler(model, policy, delta, horizon):
     """Exact inversion of a numerically integrated hazard."""
-    def sample(level, t0, rng):
-        e = rng.exponential()
-
+    def fill_time(level, t0, e):
         def hazard(u):
             return model.rate(policy.spread(level, horizon - u)) / delta
 
@@ -232,15 +283,12 @@ def _inversion_sampler(model, policy, delta, horizon):
             return val
 
         t_hi = horizon - max(1e-12 * horizon, 1e-15)
-        if t_hi <= t0:
-            return None
-        if cumulative(t_hi) < e:
-            return None
-        t_next = brentq(lambda t: cumulative(t) - e, t0, t_hi,
-                        xtol=1e-14 * horizon, rtol=8.882e-16, maxiter=200)
-        return max(t_next, np.nextafter(t0, math.inf))
+        if t_hi <= t0 or cumulative(t_hi) < e:
+            return math.nan
+        return brentq(lambda t: cumulative(t) - e, t0, t_hi,
+                      xtol=1e-14 * horizon, rtol=8.882e-16, maxiter=200)
 
-    return sample
+    return _per_path(fill_time)
 
 
 def _thinning_sampler(model, policy, delta, horizon, cells: int = 64):
@@ -250,15 +298,16 @@ def _thinning_sampler(model, policy, delta, horizon, cells: int = 64):
     near maturity rejects policies (like the power-law optimum) whose fill
     rate blows up there, since no finite envelope covers the last cell.
     Envelope proposals restart at each cell boundary, which is exact by
-    memorylessness.
+    memorylessness.  Each path consumes a variable number of draws from its
+    own generator.
     """
-    def sample(level, t0, rng):
+    def fill_time(level, t0, rng):
         def hazard(u):
             return model.rate(policy.spread(level, horizon - u)) / delta
 
         span = horizon - t0
         if span <= 0.0:
-            return None
+            return math.nan
         near, nearer = hazard(horizon - 1e-2 * span), hazard(horizon - 1e-8 * span)
         if not math.isfinite(nearer) or nearer > 100.0 * max(near, 1e-300):
             raise ArithmeticError("hazard is unbounded near maturity; "
@@ -280,22 +329,27 @@ def _thinning_sampler(model, policy, delta, horizon, cells: int = 64):
                     raise ArithmeticError(f"hazard bound violated at t = {t}")
                 if rng.uniform() <= ratio:
                     return t
-        return None
+        return math.nan
 
-    return sample
+    return _per_path(fill_time)
 
 
 def _pick_sampler(model, policy, delta, market, method):
+    horizon = market.horizon
     if method == "auto":
         if isinstance(policy, OptimalPowerPolicy) and not market.infinite_horizon:
-            return _analytic_power_sampler(policy, market.horizon)
+            return _power_sampler(policy, horizon)
+        if isinstance(policy, ZeroRatePowerPolicy):
+            return _zero_rate_sampler(policy, horizon)
         if policy.time_homogeneous:
-            return _stationary_sampler(model, policy, delta, market.horizon)
-        return _inversion_sampler(model, policy, delta, market.horizon)
+            return _stationary_sampler(model, policy, delta)
+        return _inversion_sampler(model, policy, delta, horizon)
+    if method in ("inversion", "thinning") and market.infinite_horizon:
+        raise UnsupportedCaseError(f"sampling method {method!r} needs a finite horizon")
     if method == "inversion":
-        return _inversion_sampler(model, policy, delta, market.horizon)
+        return _inversion_sampler(model, policy, delta, horizon)
     if method == "thinning":
-        return _thinning_sampler(model, policy, delta, market.horizon)
+        return _thinning_sampler(model, policy, delta, horizon)
     raise ValueError(f"unknown sampling method {method!r}")
 
 
@@ -324,10 +378,9 @@ class EnsembleStats:
     curve_std_error: Optional[np.ndarray] = None
 
 
-def _path_rng(seed: int, path_id: int) -> np.random.Generator:
-    # spawn-key derivation: path streams are independent of execution order
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                        spawn_key=(path_id,)))
+def _stream(seed: int, key: int) -> np.random.Generator:
+    # spawn-key derivation: streams are independent of execution order
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
 
 
 def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
@@ -339,7 +392,8 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
     Returns :class:`EnsembleStats` (and the per-path records when
     ``keep_paths``).  The sample mean of discounted revenue is an unbiased
     estimate of the policy's value; one unit ``delta`` is sold per fill at
-    the spread posted at that instant.
+    the spread posted at that instant.  ``threads`` splits the path blocks
+    into that many contiguous groups; the results are the same for any value.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -347,7 +401,7 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
         raise ValueError("n_units must be >= 0")
     horizon = market.horizon
     r = market.r
-    sampler = _pick_sampler(model, policy, delta, market, method)
+    sample = _pick_sampler(model, policy, delta, market, method)
 
     revenues = np.zeros(n_paths)
     emptied = np.zeros(n_paths, dtype=bool)
@@ -356,52 +410,71 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
     if curve_times is not None:
         ct = np.asarray(curve_times, dtype=float)
         inventory_at = np.empty((n_paths, len(ct)), dtype=np.int32)
-    paths: list[Optional[SimPath]] = [None] * n_paths if keep_paths else []
+    paths: list[SimPath] = []
 
-    def run_range(lo, hi):
-        for pid in range(lo, hi):
-            rng = _path_rng(seed, pid)
-            t = 0.0
-            revenue = 0.0
-            fill_times: list[float] = []
-            fill_spreads: list[float] = []
-            for level in range(n_units, 0, -1):
-                spread_now = policy.spread(level, horizon - t)
-                if not math.isfinite(spread_now):
-                    raise ArithmeticError(f"non-finite spread at level {level}")
-                t_next = sampler(level, t, rng)
-                if t_next is None:
-                    break
-                t = t_next
-                s = policy.spread(level, horizon - t)
-                revenue += math.exp(-r * t) * s * delta
-                fill_times.append(t)
-                fill_spreads.append(s)
-            revenues[pid] = revenue
-            emptied[pid] = len(fill_times) == n_units
-            if inventory_at is not None:
-                counts = np.searchsorted(np.asarray(fill_times), ct, side="right")
-                inventory_at[pid] = n_units - counts
+    def run_block(block):
+        lo = block * _BLOCK_PATHS
+        m = min(n_paths - lo, _BLOCK_PATHS)
+        if method == "thinning":
+            # one generator per path, keyed on its index, read at every level
+            rngs = np.empty(m, dtype=object)
+            for i in range(m):
+                rngs[i] = _stream(seed, lo + i)
+            draws = np.broadcast_to(rngs[:, None], (m, n_units))
+        else:
+            # filled row by row, so a path's draws depend on the seed, its
+            # index and n_units only, not on how many rows the block holds
+            draws = _stream(seed, block).standard_exponential((m, n_units))
+        t = np.zeros(m)
+        revenue = np.zeros(m)
+        fills = np.zeros(m, dtype=np.int64)
+        filled_by = None if ct is None else np.zeros((m, len(ct)), dtype=np.int32)
+        if keep_paths:
+            times = np.full((m, n_units), math.nan)
+            spreads = np.full((m, n_units), math.nan)
+        live = np.arange(m)
+        for j, level in enumerate(range(n_units, 0, -1)):
+            if live.size == 0:
+                break
+            t0 = t[live]
+            if not np.all(np.isfinite(policy.spreads_at(level, horizon - t0))):
+                raise ArithmeticError(f"non-finite spread at level {level}")
+            t_next = sample(level, t0, draws[live, j])
+            hit = t_next <= horizon
+            live, t0 = live[hit], t0[hit]
+            # exact inversion keeps fills in (t0, T]; clamp roundoff so times
+            # stay strictly increasing and never exceed T
+            t_next = np.clip(t_next[hit], np.nextafter(t0, math.inf), horizon)
+            s = policy.spreads_at(level, horizon - t_next)
+            t[live] = t_next
+            revenue[live] += np.exp(-r * t_next) * s * delta
+            fills[live] += 1
+            if filled_by is not None:
+                filled_by[live] += t_next[:, None] <= ct
             if keep_paths:
-                paths[pid] = SimPath(
-                    path_id=pid,
-                    fill_times=np.asarray(fill_times),
-                    fill_spreads=np.asarray(fill_spreads),
-                    discounted_revenue=revenue,
-                    fully_liquidated=len(fill_times) == n_units,
-                    terminal_inventory=delta * (n_units - len(fill_times)),
-                )
+                times[live, j] = t_next
+                spreads[live, j] = s
+        revenues[lo:lo + m] = revenue
+        emptied[lo:lo + m] = fills == n_units
+        if filled_by is not None:
+            inventory_at[lo:lo + m] = n_units - filled_by
+        if keep_paths:
+            for i, k in enumerate(fills.tolist()):
+                paths.append(SimPath(
+                    path_id=lo + i,
+                    fill_times=times[i, :k],
+                    fill_spreads=spreads[i, :k],
+                    discounted_revenue=float(revenue[i]),
+                    fully_liquidated=k == n_units,
+                    terminal_inventory=delta * (n_units - k),
+                ))
 
-    threads = max(1, int(threads))
-    if threads == 1 or n_paths < 2 * threads:
-        run_range(0, n_paths)
-    else:
-        bounds = np.linspace(0, n_paths, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_range, bounds[i], bounds[i + 1])
-                       for i in range(threads)]
-            for f in futures:
-                f.result()
+    # each block's draws depend on (seed, block) alone, so any partition of
+    # the block range into groups gives the same results
+    n_blocks = -(-n_paths // _BLOCK_PATHS)
+    for group in np.array_split(np.arange(n_blocks), max(1, int(threads))):
+        for block in group.tolist():
+            run_block(block)
 
     mean = float(np.mean(revenues))
     if n_paths > 1:

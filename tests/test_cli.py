@@ -181,6 +181,49 @@ class TestCliCommands:
                           "discounted_cash"]
         assert len(rows) > 0
 
+    def test_paths_dump_columns(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = {
+            "model": {"kind": "power", "lam": 1.0, "alpha": 2.0},
+            "market": {"r": 0.1, "horizon": 1.0},
+            "simulate": {"n_units": 3, "n_paths": 30, "dump_paths": True},
+            "output": {"directory": str(out), "formats": "json"},
+        }
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 0
+        cols = json.loads((out / "paths.json").read_text())["columns"]
+        assert cols["path_id"] == [p for p in range(30) for _ in range(3)]
+        assert cols["fill_index"] == [0, 1, 2] * 30
+        mean = json.loads((out / "ensemble.json").read_text())["mean_revenue"]
+        assert math.isclose(sum(cols["discounted_cash"]) / 30, mean, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("value", ["false", 0, "yes"])
+    def test_dump_paths_must_be_boolean(self, tmp_path, value):
+        out = tmp_path / "out"
+        cfg = {
+            "model": {"kind": "power", "lam": 1.0, "alpha": 2.0},
+            "market": {"r": 0.1, "horizon": 1.0},
+            "simulate": {"n_units": 2, "n_paths": 20, "dump_paths": value},
+            "output": {"directory": str(out), "formats": "csv"},
+        }
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 2
+        assert not (out / "paths.csv").exists()
+
+    @pytest.mark.parametrize("horizon, section, message", [
+        (1.0, {"policy": "fluid"}, "infinite horizon"),
+        ("inf", {"method": "inversion"}, "finite horizon"),
+        ("inf", {"method": "thinning"}, "finite horizon"),
+    ])
+    def test_unsupported_case_exits_2(self, tmp_path, capsys, horizon, section,
+                                      message):
+        cfg = {
+            "model": {"kind": "power", "lam": 1.0, "alpha": 2.0},
+            "market": {"r": 0.1, "horizon": horizon},
+            "simulate": {"n_units": 2, "n_paths": 20, **section},
+            "output": {"directory": str(tmp_path / "out")},
+        }
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_exchanges_with_expansion(self, tmp_path):
         out = tmp_path / "out"
         cfg = {

@@ -11,8 +11,11 @@ from lobliq.discrete import (
 from lobliq.fluid import fluid_solution
 from lobliq.intensity import ExpDecayIntensity, MarketParams, PowerLawIntensity
 from lobliq.simulate import (
+    _BLOCK_PATHS,
     ConstantSpreadPolicy,
     OptimalPowerPolicy,
+    StationarySpreadPolicy,
+    ZeroRatePowerPolicy,
     constant_policy_value,
     evaluate_fluid_policy_exact,
     execution_curve_ode,
@@ -23,6 +26,7 @@ from lobliq.simulate import (
 
 POWER = PowerLawIntensity(lam=1.0, alpha=2.0)
 FINITE = MarketParams(r=0.1, horizon=1.0)
+ZERO_RATE = MarketParams(r=0.0, horizon=1.0)
 INF = MarketParams(r=0.1)
 
 
@@ -89,6 +93,42 @@ class TestSimulatePolicy:
         assert abs(slow.mean_revenue - fast.mean_revenue) <= 3.0 * se
         assert slow.liquidation_fraction == 1.0
 
+    @pytest.mark.parametrize("market", [FINITE, ZERO_RATE], ids=["r=0.1", "r=0"])
+    def test_inversion_reproduces_closed_form_fill_times(self, market):
+        # both read the same exponential draws, so they must agree path by path
+        pol = optimal_policy(POWER, market, 1.0, 3)
+        _, fast = simulate_policy(POWER, market, 3, 1.0, pol, 40, seed=19,
+                                  keep_paths=True)
+        _, slow = simulate_policy(POWER, market, 3, 1.0, pol, 40, seed=19,
+                                  keep_paths=True, method="inversion")
+        for a, b in zip(fast, slow):
+            assert len(a.fill_times) == len(b.fill_times) == 3
+            assert np.max(np.abs(a.fill_times - b.fill_times)) <= 1e-10
+
+    def test_paths_do_not_depend_on_ensemble_size(self):
+        # the longer run crosses a block boundary; a path's draws depend only
+        # on the seed and its index
+        pol = optimal_policy(POWER, FINITE, 1.0, 3)
+        _, short = simulate_policy(POWER, FINITE, 3, 1.0, pol, 100, seed=4,
+                                   keep_paths=True)
+        _, long = simulate_policy(POWER, FINITE, 3, 1.0, pol, _BLOCK_PATHS + 100,
+                                  seed=4, keep_paths=True)
+        for a, b in zip(short, long[:100]):
+            assert np.array_equal(a.fill_times, b.fill_times)
+            assert np.array_equal(a.fill_spreads, b.fill_spreads)
+            assert a.discounted_revenue == b.discounted_revenue
+        # the second block has a stream of its own
+        assert not np.array_equal(long[0].fill_times, long[_BLOCK_PATHS].fill_times)
+
+    def test_stationary_policy_stops_at_horizon(self):
+        policy = StationarySpreadPolicy(spreads=np.array([math.nan, 3.0, 3.0, 3.0]))
+        stats, paths = simulate_policy(POWER, FINITE, 3, 1.0, policy, 2000, seed=8,
+                                       keep_paths=True)
+        assert 0.0 < stats.liquidation_fraction < 1.0
+        for p in paths:
+            assert np.all(p.fill_times <= 1.0)
+            assert np.all(np.diff(p.fill_times) > 0.0)
+
     def test_thinning_agrees_on_bounded_hazard(self):
         model = ExpDecayIntensity(lam=1.0, kappa=1.0)
         market = MarketParams(r=0.0, horizon=4.0)
@@ -104,6 +144,31 @@ class TestSimulatePolicy:
         pol = optimal_policy(POWER, FINITE, 1.0, 2)
         with pytest.raises(ArithmeticError):
             simulate_policy(POWER, FINITE, 2, 1.0, pol, 5, seed=1, method="thinning")
+
+
+class TestPolicies:
+    def test_zero_rate_optimum_is_recognised(self):
+        pol = optimal_policy(POWER, ZERO_RATE, 1.0, 4)
+        assert isinstance(pol, ZeroRatePowerPolicy)
+        assert not pol.time_homogeneous
+        # fill rate k_n / (T - t)
+        for n in range(1, 5):
+            for t_go in (0.9, 0.1, 1e-6):
+                rate = POWER.rate(pol.spread(n, t_go))
+                assert math.isclose(rate * t_go, pol.hazard_scale(n), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("policy", [
+        optimal_policy(POWER, FINITE, 1.0, 4),
+        optimal_policy(POWER, ZERO_RATE, 1.0, 4),
+        optimal_policy(POWER, INF, 1.0, 4),
+        optimal_policy(ExpDecayIntensity(lam=1.0, kappa=1.0), ZERO_RATE, 1.0, 4),
+        ConstantSpreadPolicy(2.0),
+    ], ids=["power", "power-r0", "power-inf", "exp-r0", "constant"])
+    def test_vector_spreads_match_scalar(self, policy):
+        t_go = np.array([1.0, 0.7, 0.25, 1e-3, 0.0])
+        for n in range(1, 5):
+            scalar = [policy.spread(n, t) for t in t_go.tolist()]
+            assert np.allclose(policy.spreads_at(n, t_go), scalar, rtol=1e-14, atol=0.0)
 
 
 class TestFluidPolicyEvaluation:
