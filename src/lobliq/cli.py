@@ -2,7 +2,8 @@
 
 One command per process: parse a YAML config, dispatch to the owning
 module, and emit CSV/JSON artifacts plus a manifest.  Exit codes: 0 on
-success, 2 for configuration errors, 3 for numerical failures.
+success, 2 for configuration errors (an unsupported model/market pair among
+them), 3 for numerical failures.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import time
 
 import numpy as np
 
+from .cases import resolve
 from .config import COMMANDS, ConfigError, RunConfig, load_config
 from .convergence import control_convergence, value_convergence
-from .discrete import expected_liquidation_time_discrete, solve_discrete
+from .discrete import solve_discrete
 from .extensions import (
     RegimeParams,
     TwoExchangeParams,
@@ -26,7 +28,7 @@ from .extensions import (
     two_exchange_patch,
 )
 from .fluid import exp_fluid_infinite, fluid_solution, power_fluid
-from .intensity import PowerLawIntensity, UnsupportedCaseError
+from .intensity import UnsupportedCaseError
 from .numerics import NonFiniteStateError
 from .reports import write_csv, write_json, write_manifest, write_schema_sidecar
 from .simulate import (
@@ -71,10 +73,9 @@ def _cmd_solve(cfg: RunConfig, artifacts: list) -> None:
         "value": "value at the configured horizon",
         "spread": "optimal spread at the configured horizon",
     }
-    if isinstance(cfg.model, PowerLawIntensity) and cfg.market.infinite_horizon:
-        lam_eff = cfg.model.lam * sol.delta ** (cfg.model.alpha - 1.0)
-        columns["expected_liquidation_time"] = expected_liquidation_time_discrete(
-            sol.coefficients, lam_eff, cfg.model.alpha, cfg.market.r)
+    times = resolve(cfg.model, cfg.market).liquidation_times(sol)
+    if times is not None:
+        columns["expected_liquidation_time"] = times
         docs["expected_liquidation_time"] = "mean time to sell all n units optimally"
     _emit_table(cfg, "solve", columns, docs, artifacts,
                 extra_json={"non_unique_risk": sol.non_unique_risk})
@@ -203,11 +204,8 @@ def _cmd_curves(cfg: RunConfig, artifacts: list) -> None:
         baseline = np.full_like(times, math.nan)
     else:
         baseline = x0 * (1.0 - times / cfg.market.horizon)
-    try:
-        fl = fluid_solution(cfg.model, cfg.market)
-        fluid_curve = np.array([fl.trade_curve(t, x0) for t in times])
-    except ValueError:
-        fluid_curve = np.full_like(times, math.nan)
+    fl = fluid_solution(cfg.model, cfg.market)
+    fluid_curve = np.array([fl.trade_curve(t, x0) for t in times])
     _emit_table(cfg, "curves", {
         "time": times,
         "mean_inventory": curve.inventory[curve.initial_units],

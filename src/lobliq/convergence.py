@@ -14,21 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .discrete import (
-    horizon_factor,
-    level_of,
-    power_spread_scale,
-    solve_exp_infinite,
-    solve_generic_stationary,
-    solve_power_coefficients,
-)
+from .cases import resolve
+from .discrete import level_of, solve_power_coefficients
 from .fluid import fluid_solution
-from .intensity import (
-    ExpDecayIntensity,
-    IntensityModel,
-    MarketParams,
-    PowerLawIntensity,
-)
+from .intensity import IntensityModel, MarketParams
 
 __all__ = [
     "ConvergenceReport",
@@ -89,18 +78,7 @@ def discrete_value_and_spread_at(model: IntensityModel, market: MarketParams,
     n = level_of(x, delta)
     if n < 1:
         raise ValueError("probe inventory must be at least one unit")
-    if isinstance(model, PowerLawIntensity) and market.r > 0.0:
-        c = solve_power_coefficients(model.lam, model.alpha, market.r, n, delta)
-        factor = horizon_factor(market.horizon, model.alpha, market.r)
-        return (c[n] * factor,
-                power_spread_scale(n, c, model.lam, model.alpha, market.r, delta) * factor)
-    if isinstance(model, ExpDecayIntensity) and market.infinite_horizon:
-        values, spreads = solve_exp_infinite(x, delta, model.lam, model.kappa, market.r)
-        return float(values[n]), float(spreads[n])
-    if market.infinite_horizon:
-        sol = solve_generic_stationary(model, delta, market.r, n)
-        return float(sol.coefficients[n]), float(sol.spreads[n])
-    raise ValueError("unsupported model/market combination for the ladder")
+    return resolve(model, market).value_and_spread_at(n, delta)
 
 
 def _ladder(delta0: float, k_max: int) -> np.ndarray:

@@ -20,13 +20,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gammaln
 
-from .intensity import (
-    ExpDecayIntensity,
-    IntensityModel,
-    MarketParams,
-    PowerLawIntensity,
-    concavity_condition,
-)
+from .intensity import IntensityModel, MarketParams, concavity_condition
 from .numerics import lambert_w0_exparg
 
 __all__ = [
@@ -368,46 +362,5 @@ def solve_generic_stationary(model: IntensityModel, delta: float, r: float,
 def solve_discrete(model: IntensityModel, market: MarketParams, delta: float,
                    n_max: int) -> DiscreteSolution:
     """Solve the level recursion for any supported model/market combination."""
-    if isinstance(model, PowerLawIntensity):
-        if market.r > 0.0:
-            c = solve_power_coefficients(model.lam, model.alpha, market.r,
-                                         n_max, delta)
-            factor = horizon_factor(market.horizon, model.alpha, market.r)
-            spreads = np.full(n_max + 1, math.nan)
-            for n in range(1, n_max + 1):
-                spreads[n] = power_spread_scale(n, c, model.lam, model.alpha,
-                                                market.r, delta) * factor
-            return DiscreteSolution(delta=delta, model=model, market=market,
-                                    coefficients=c, values=c * factor,
-                                    spreads=spreads)
-        if market.infinite_horizon:
-            raise ValueError("infinite horizon with r = 0 has no finite value")
-        d = solve_power_zero_rate(model.lam, model.alpha, n_max, delta)
-        factor = market.horizon ** (1.0 / model.alpha)
-        spreads = np.full(n_max + 1, math.nan)
-        spreads[1:] = (model.alpha / (model.alpha - 1.0)) * np.diff(d) / delta * factor
-        return DiscreteSolution(delta=delta, model=model, market=market,
-                                coefficients=d, values=d * factor,
-                                spreads=spreads)
-
-    if isinstance(model, ExpDecayIntensity):
-        if market.r == 0.0:
-            if market.infinite_horizon:
-                raise ValueError("infinite horizon with r = 0 has no finite value")
-            values, spreads = solve_exp_finite(n_max, delta, [market.horizon],
-                                               model.lam, model.kappa)
-            return DiscreteSolution(delta=delta, model=model, market=market,
-                                    coefficients=values[:, 0], values=values[:, 0],
-                                    spreads=spreads[:, 0])
-        if not market.infinite_horizon:
-            raise ValueError("finite horizon with r > 0 is not solvable in "
-                             "closed form for an exponential book")
-        values, spreads = solve_exp_infinite(n_max * delta, delta, model.lam,
-                                             model.kappa, market.r)
-        return DiscreteSolution(delta=delta, model=model, market=market,
-                                coefficients=values, values=values,
-                                spreads=spreads)
-
-    if not market.infinite_horizon:
-        raise ValueError("generic models are solved on the infinite horizon only")
-    return solve_generic_stationary(model, delta, market.r, n_max)
+    from .cases import resolve  # cases builds on this module
+    return resolve(model, market).solve(delta, n_max)

@@ -134,6 +134,28 @@ def regime_fluid_fixed_point(params: RegimeParams) -> tuple[float, float]:
     return _regime_newton(c0, c1, params)
 
 
+def _regime_level(b, theta, prev, other, guess_inc, p: RegimeParams, label, n):
+    """prev + m, where m > 0 solves b*m**(1-a) = (r+theta)*(prev+m) - theta*other:
+    one regime's level equation with the other regime's value held fixed."""
+    a = p.alpha
+    f = lambda m: b * m ** (1.0 - a) - (p.r + theta) * (prev + m) + theta * other
+    hi_m = guess_inc
+    for _ in range(200):
+        if f(hi_m) < 0.0:
+            break
+        hi_m *= 2.0
+    else:
+        raise ArithmeticError(f"regime {label}-bracket failure at level {n}")
+    lo_m = hi_m
+    for _ in range(2000):
+        lo_m *= 0.5
+        if f(lo_m) > 0.0:
+            break
+    else:
+        raise ArithmeticError(f"regime {label}-bracket failure at level {n}")
+    return prev + brentq(f, lo_m, hi_m, xtol=1e-300, rtol=8.882e-16)
+
+
 def regime_discrete(params: RegimeParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Coupled per-level values (U(n), W(n)) under regime switching.
 
@@ -154,50 +176,13 @@ def regime_discrete(params: RegimeParams, n_max: int) -> tuple[np.ndarray, np.nd
     inc_u = inc_w = None
     for n in range(1, n_max + 1):
         up, wp = u[n - 1], w[n - 1]
-
-        def solve_u(w_val, guess_inc):
-            f = lambda m: b0 * m ** (1.0 - a) - (r + t0) * (up + m) + t0 * w_val
-            hi_m = guess_inc
-            for _ in range(200):
-                if f(hi_m) < 0.0:
-                    break
-                hi_m *= 2.0
-            else:
-                raise ArithmeticError(f"regime U-bracket failure at level {n}")
-            lo_m = hi_m
-            for _ in range(2000):
-                lo_m *= 0.5
-                if f(lo_m) > 0.0:
-                    break
-            else:
-                raise ArithmeticError(f"regime U-bracket failure at level {n}")
-            return up + brentq(f, lo_m, hi_m, xtol=1e-300, rtol=8.882e-16)
-
-        def solve_w(u_val, guess_inc):
-            f = lambda m: b1 * m ** (1.0 - a) - (r + t1) * (wp + m) + t1 * u_val
-            hi_m = guess_inc
-            for _ in range(200):
-                if f(hi_m) < 0.0:
-                    break
-                hi_m *= 2.0
-            else:
-                raise ArithmeticError(f"regime W-bracket failure at level {n}")
-            lo_m = hi_m
-            for _ in range(2000):
-                lo_m *= 0.5
-                if f(lo_m) > 0.0:
-                    break
-            else:
-                raise ArithmeticError(f"regime W-bracket failure at level {n}")
-            return wp + brentq(f, lo_m, hi_m, xtol=1e-300, rtol=8.882e-16)
-
         guess_u = inc_u if inc_u is not None else (b0 / r) ** (1.0 / a)
         guess_w = inc_w if inc_w is not None else (b1 / r) ** (1.0 / a)
         u_n = up + guess_u
         w_n = wp + guess_w
         for _ in range(200):
-            u_new = solve_u(w_n, guess_u)
-            w_new = solve_w(u_new, guess_w)
+            u_new = _regime_level(b0, t0, up, w_n, guess_u, params, "U", n)
+            w_new = _regime_level(b1, t1, wp, u_new, guess_w, params, "W", n)
             done = (abs(u_new - u_n) <= 1e-14 * max(1.0, u_new)
                     and abs(w_new - w_n) <= 1e-14 * max(1.0, w_new))
             u_n, w_n = u_new, w_new

@@ -12,17 +12,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
 from scipy.integrate import quad
 
 from .discrete import horizon_factor
-from .intensity import (
-    ExpDecayIntensity,
-    IntensityModel,
-    MarketParams,
-    PowerLawIntensity,
-)
-from .numerics import Bracket, integrate_ode, log_integral, solve_monotone_root, OdeProblem
+from .intensity import IntensityModel, MarketParams
+from .numerics import Bracket, log_integral, solve_monotone_root
 
 __all__ = [
     "FluidSolution",
@@ -30,6 +24,7 @@ __all__ = [
     "power_trade_curve",
     "exp_fluid_finite",
     "exp_fluid_infinite",
+    "exp_trade_curve",
     "fluid_passage_time",
     "passage_time_quadrature",
     "fluid_solution",
@@ -129,6 +124,25 @@ def exp_fluid_infinite(x: float, lam: float, kappa: float,
     return v, math.log(lam / (kappa * r * v)) / kappa
 
 
+def exp_trade_curve(t: float, x0: float, lam: float, kappa: float,
+                    r: float) -> float:
+    """Optimally-controlled fluid inventory at time t, starting from x0
+    (exponential book, infinite horizon).
+
+    Along dX/dt = -kappa*r*v(X) the li argument y = e*kappa*r*v(X)/lam obeys
+    d(log y)/dt = r*log y, so y(t) = y0**exp(r*t) and
+        X(t) = -(lam/(e*r)) * li(y0**exp(r*t)),   y0 = e*kappa*r*v(x0)/lam.
+    """
+    if t < 0.0:
+        raise ValueError(f"requires t >= 0, got t = {t}")
+    if t == 0.0 or x0 == 0.0:
+        return x0
+    v0, _ = exp_fluid_infinite(x0, lam, kappa, r)
+    y0 = math.e * kappa * r * v0 / lam
+    # 0.0 - li rather than -li: once y underflows, X is +0.0, not -0.0
+    return lam / (math.e * r) * (0.0 - log_integral(y0 ** math.exp(r * t)))
+
+
 def fluid_passage_time(x1: float, x2: float, lam: float, alpha: float,
                        r: float) -> float:
     """Expected time for the optimally-controlled fluid inventory to fall
@@ -171,81 +185,5 @@ class FluidSolution:
 
 def fluid_solution(model: IntensityModel, market: MarketParams) -> FluidSolution:
     """Bundle the closed-form fluid solution for a supported model/market."""
-    if isinstance(model, PowerLawIntensity):
-        if market.r <= 0.0:
-            if market.infinite_horizon:
-                raise ValueError("infinite horizon with r = 0 has no finite value")
-            # r -> 0 limit: factor -> (lam*T)**(1/alpha) scale
-            a = model.alpha
-            scale = model.lam ** (1.0 / a)
-
-            def value(x, _s=scale, _a=a, _t=market.horizon):
-                return _s * x ** ((_a - 1.0) / _a) * _t ** (1.0 / _a)
-
-            def spread(x, _s=scale, _a=a, _t=market.horizon):
-                return math.inf if x == 0.0 else _s * x ** (-1.0 / _a) * _t ** (1.0 / _a)
-
-            # r -> 0 limit of the discounted curve: the relative trading rate
-            # becomes 1/(T-t), so X(t) = x*(T-t)/T.
-            def curve(t, x0, _t=market.horizon):
-                if not 0.0 <= t < _t:
-                    raise ValueError("requires 0 <= t < horizon")
-                return x0 * (_t - t) / _t
-
-            return FluidSolution(model, market, value, spread, curve)
-
-        def value(x, _m=model, _mk=market):
-            return power_fluid(x, _mk.horizon, _m.lam, _m.alpha, _mk.r)[0]
-
-        def spread(x, _m=model, _mk=market):
-            return power_fluid(x, _mk.horizon, _m.lam, _m.alpha, _mk.r)[1]
-
-        if market.infinite_horizon:
-            def curve(t, x0, _a=model.alpha, _r=market.r):
-                return x0 * math.exp(-_a * _r * t)
-        else:
-            def curve(t, x0, _m=model, _mk=market):
-                return power_trade_curve(t, x0, _mk.horizon, _m.alpha, _mk.r)
-
-        return FluidSolution(model, market, value, spread, curve)
-
-    if isinstance(model, ExpDecayIntensity):
-        if market.r == 0.0 and not market.infinite_horizon:
-            def value(x, _m=model, _mk=market):
-                return exp_fluid_finite(x, _mk.horizon, _m.lam, _m.kappa)[0]
-
-            def spread(x, _m=model, _mk=market):
-                return exp_fluid_finite(x, _mk.horizon, _m.lam, _m.kappa)[1]
-
-            def curve(t, x0, _m=model, _mk=market):
-                return exp_fluid_finite(x0, _mk.horizon, _m.lam, _m.kappa)[2](t)
-
-            return FluidSolution(model, market, value, spread, curve)
-        if market.infinite_horizon:
-            def value(x, _m=model, _mk=market):
-                return exp_fluid_infinite(x, _m.lam, _m.kappa, _mk.r)[0]
-
-            def spread(x, _m=model, _mk=market):
-                return exp_fluid_infinite(x, _m.lam, _m.kappa, _mk.r)[1]
-
-            def curve(t, x0, _m=model, _mk=market):
-                # dX/dt = -rate(s0(X)) = -kappa*r*v(X); integrate numerically
-                if t == 0.0:
-                    return x0
-                k = _m.kappa * _mk.r
-
-                def rhs(_t, y):
-                    xv = max(float(y[0]), 0.0)
-                    if xv == 0.0:
-                        return np.array([0.0])
-                    return np.array([-k * exp_fluid_infinite(xv, _m.lam, _m.kappa, _mk.r)[0]])
-
-                _, ys = integrate_ode(OdeProblem(1, rhs, (0.0, t), [x0],
-                                                 step_count=max(200, int(50 * t))))
-                return float(ys[-1, 0])
-
-            return FluidSolution(model, market, value, spread, curve)
-        raise ValueError("exponential fluid solution needs r = 0 with finite "
-                         "horizon or r > 0 with infinite horizon")
-
-    raise ValueError("no closed-form fluid solution for generic depth models")
+    from .cases import resolve  # cases builds on this module
+    return resolve(model, market).fluid()

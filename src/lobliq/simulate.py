@@ -20,30 +20,23 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
-from scipy.special import gammaln
 
-from .discrete import (
-    horizon_factor,
-    power_spread_scale,
-    solve_exp_finite,
-    solve_exp_infinite,
-    solve_generic_stationary,
-    solve_power_coefficients,
-    solve_power_zero_rate,
+from .cases import (
+    ConstantSpreadPolicy,
+    OptimalPowerPolicy,
+    SpreadPolicy,
+    StationarySpreadPolicy,
+    TimeDependentPolicy,
+    ZeroRatePowerPolicy,
+    resolve,
 )
 from .fluid import fluid_solution
-from .intensity import (
-    ExpDecayIntensity,
-    IntensityModel,
-    MarketParams,
-    PowerLawIntensity,
-    UnsupportedCaseError,
-)
+from .intensity import IntensityModel, MarketParams, UnsupportedCaseError
 
 __all__ = [
     "SimPath",
@@ -67,151 +60,10 @@ __all__ = [
 _BLOCK_PATHS = 8192
 
 
-# --------------------------------------------------------------------------
-# policies
-
-
-class SpreadPolicy:
-    """A feedback rule: spread to post given (inventory units, time to go)."""
-
-    time_homogeneous: bool = False
-
-    def spread(self, n_units: int, t_to_go: float) -> float:
-        raise NotImplementedError
-
-    def spreads_at(self, n_units: int, t_to_go: np.ndarray) -> np.ndarray:
-        """``spread`` at one level for an array of times to go."""
-        if self.time_homogeneous:
-            return np.full(t_to_go.shape, self.spread(n_units, math.inf))
-        return np.array([self.spread(n_units, t) for t in t_to_go.tolist()], dtype=float)
-
-
-@dataclass(frozen=True)
-class ConstantSpreadPolicy(SpreadPolicy):
-    value: float
-    time_homogeneous = True
-
-    def spread(self, n_units, t_to_go):
-        return self.value
-
-
-@dataclass(frozen=True)
-class StationarySpreadPolicy(SpreadPolicy):
-    """Inventory-only policy; ``spreads[n]`` is the spread posted at level n."""
-
-    spreads: np.ndarray
-    time_homogeneous = True
-
-    def spread(self, n_units, t_to_go):
-        return float(self.spreads[n_units])
-
-
-@dataclass(frozen=True)
-class TimeDependentPolicy(SpreadPolicy):
-    """Wraps an arbitrary (n_units, t_to_go) -> spread closure."""
-
-    fn: Callable[[int, float], float]
-
-    def spread(self, n_units, t_to_go):
-        return self.fn(n_units, t_to_go)
-
-
-@dataclass(frozen=True)
-class OptimalPowerPolicy(SpreadPolicy):
-    """Markov-optimal spreads for a discounted power-law book.
-
-    The fill rate along this policy factorizes as k_n / (1 - e^(-a*(T-t)))
-    with a = alpha*r, so the integrated hazard inverts in closed form; the
-    simulator exploits that for exact, vectorized fill times.
-    """
-
-    lam: float
-    alpha: float
-    r: float
-    delta: float
-    horizon: float
-    spread_scales: np.ndarray  # sigma_n, stationary spread per level
-
-    @property
-    def time_homogeneous(self) -> bool:  # type: ignore[override]
-        return math.isinf(self.horizon)
-
-    def spread(self, n_units, t_to_go):
-        t = min(t_to_go, self.horizon)
-        return float(self.spread_scales[n_units]) * horizon_factor(t, self.alpha, self.r)
-
-    def spreads_at(self, n_units, t_to_go):
-        t = np.minimum(t_to_go, self.horizon)
-        factor = (-np.expm1(-self.r * self.alpha * t)) ** (1.0 / self.alpha)
-        return float(self.spread_scales[n_units]) * factor
-
-    def hazard_scale(self, n_units: int) -> float:
-        """k_n: fill intensity of the Delta-problem net of the time factor."""
-        return (self.lam / self.delta) * float(self.spread_scales[n_units]) ** (-self.alpha)
-
-
-@dataclass(frozen=True)
-class ZeroRatePowerPolicy(SpreadPolicy):
-    """Optimal spreads for an undiscounted power-law book with horizon T.
-
-    The spread is c_n * (T-t)**(1/alpha), so the fill rate is k_n / (T-t)
-    and the integrated hazard from t0 to t is k_n * log((T-t0)/(T-t)).
-    """
-
-    lam: float
-    alpha: float
-    delta: float
-    horizon: float
-    spread_coefs: np.ndarray  # c_n, spread per unit of (time to go)**(1/alpha)
-
-    def spread(self, n_units, t_to_go):
-        return float(self.spread_coefs[n_units]) * t_to_go ** (1.0 / self.alpha)
-
-    spreads_at = spread  # elementwise in t_to_go
-
-    def hazard_scale(self, n_units: int) -> float:
-        """k_n in the fill rate k_n / (T - t)."""
-        return (self.lam / self.delta) * float(self.spread_coefs[n_units]) ** (-self.alpha)
-
-
 def optimal_policy(model: IntensityModel, market: MarketParams, delta: float,
                    n_max: int) -> SpreadPolicy:
     """The optimal feedback policy for any closed-form model/market pair."""
-    if isinstance(model, PowerLawIntensity):
-        if market.r > 0.0:
-            c = solve_power_coefficients(model.lam, model.alpha, market.r, n_max, delta)
-            scales = np.full(n_max + 1, math.nan)
-            for n in range(1, n_max + 1):
-                scales[n] = power_spread_scale(n, c, model.lam, model.alpha,
-                                               market.r, delta)
-            return OptimalPowerPolicy(lam=model.lam, alpha=model.alpha, r=market.r,
-                                      delta=delta, horizon=market.horizon,
-                                      spread_scales=scales)
-        d = solve_power_zero_rate(model.lam, model.alpha, n_max, delta)
-        coefs = np.concatenate(([math.nan],
-                                (model.alpha / (model.alpha - 1.0)) * np.diff(d) / delta))
-        return ZeroRatePowerPolicy(lam=model.lam, alpha=model.alpha, delta=delta,
-                                   horizon=market.horizon, spread_coefs=coefs)
-
-    if isinstance(model, ExpDecayIntensity):
-        if market.infinite_horizon:
-            _, spreads = solve_exp_infinite(n_max * delta, delta, model.lam,
-                                            model.kappa, market.r)
-            return StationarySpreadPolicy(spreads=spreads)
-        if market.r == 0.0:
-            def exp_spread(n, t_to_go, _m=model, _d=delta):
-                _, spreads = solve_exp_finite(n, _d, [t_to_go], _m.lam, _m.kappa)
-                return float(spreads[n, 0])
-
-            return TimeDependentPolicy(exp_spread)
-        raise UnsupportedCaseError("no closed-form optimal policy: exponential book "
-                                   "with r > 0 and finite horizon")
-
-    if market.infinite_horizon:
-        sol = solve_generic_stationary(model, delta, market.r, n_max)
-        return StationarySpreadPolicy(spreads=sol.spreads)
-    raise UnsupportedCaseError("generic optimal policies are available on the "
-                               "infinite horizon only")
+    return resolve(model, market).policy(delta, n_max)
 
 
 def fluid_spread_policy(model: IntensityModel, market: MarketParams, delta: float,
@@ -405,11 +257,11 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
 
     revenues = np.zeros(n_paths)
     emptied = np.zeros(n_paths, dtype=bool)
-    ct = None
-    inventory_at = None
+    ct = unit_sums = None
     if curve_times is not None:
         ct = np.asarray(curve_times, dtype=float)
-        inventory_at = np.empty((n_paths, len(ct)), dtype=np.int32)
+        # per curve point: sums of the remaining units and of their squares
+        unit_sums = np.zeros((2, len(ct)), dtype=np.int64)
     paths: list[SimPath] = []
 
     def run_block(block):
@@ -457,7 +309,9 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
         revenues[lo:lo + m] = revenue
         emptied[lo:lo + m] = fills == n_units
         if filled_by is not None:
-            inventory_at[lo:lo + m] = n_units - filled_by
+            left = n_units - filled_by.astype(np.int64)
+            unit_sums[0] += left.sum(axis=0)
+            unit_sums[1] += (left * left).sum(axis=0)
         if keep_paths:
             for i, k in enumerate(fills.tolist()):
                 paths.append(SimPath(
@@ -483,12 +337,17 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
         se = math.nan
     stats_kwargs = dict(n_paths=n_paths, mean_revenue=mean, std_error=se,
                         liquidation_fraction=float(np.mean(emptied)))
-    if inventory_at is not None:
-        phys = inventory_at.astype(float) * delta
-        curve_se = (np.std(phys, axis=0, ddof=1) / math.sqrt(n_paths)
-                    if n_paths > 1 else np.full(len(ct), math.nan))
+    if ct is not None:
+        s1, s2 = unit_sums.tolist()
+        if n_paths > 1:
+            # n*S2 - S1**2 in exact integers: no cancellation in the variance
+            n_ssd = np.array([n_paths * b - a * a for a, b in zip(s1, s2)], dtype=float)
+            curve_se = (delta * np.sqrt(n_ssd / (n_paths * (n_paths - 1)))
+                        / math.sqrt(n_paths))
+        else:
+            curve_se = np.full(len(ct), math.nan)
         stats_kwargs.update(curve_times=ct,
-                            mean_inventory_curve=np.mean(phys, axis=0),
+                            mean_inventory_curve=delta * np.array(s1, dtype=float) / n_paths,
                             curve_std_error=curve_se)
     stats = EnsembleStats(**stats_kwargs)
     if keep_paths:
@@ -542,55 +401,7 @@ class ExecutionCurve:
 
 def _level_rate_fn(model: IntensityModel, market: MarketParams, n_units: int):
     """Per-level fill rates t -> array of rate(s*(k, T-t)) for k = 1..n."""
-    ks = np.arange(1, n_units + 1)
-    if isinstance(model, PowerLawIntensity):
-        if market.r > 0.0:
-            c = solve_power_coefficients(model.lam, model.alpha, market.r, n_units)
-            scales = np.array([power_spread_scale(k, c, model.lam, model.alpha, market.r)
-                               for k in ks])
-            base = model.lam * scales ** (-model.alpha)
-            if market.infinite_horizon:
-                return lambda t: base
-            a = model.alpha * market.r
-            T = market.horizon
-            return lambda t: base / (-math.expm1(-a * (T - t)))
-        d = solve_power_zero_rate(model.lam, model.alpha, n_units)
-        coef = (model.alpha / (model.alpha - 1.0)) * np.diff(d)
-        base = model.lam * coef ** (-model.alpha)
-        T = market.horizon
-        return lambda t: base / (T - t)
-
-    if isinstance(model, ExpDecayIntensity):
-        if market.infinite_horizon:
-            _, spreads = solve_exp_infinite(float(n_units), 1.0, model.lam,
-                                            model.kappa, market.r)
-            base = model.lam * np.exp(-model.kappa * spreads[1:])
-            return lambda t: base
-        if market.r == 0.0:
-            T = market.horizon
-            lam = model.lam
-            j = np.arange(n_units + 1, dtype=float)
-            lgam = gammaln(j + 1.0)
-
-            def rates(t, _T=T, _lam=lam, _j=j, _lgam=lgam):
-                t_go = _T - t
-                with np.errstate(divide="ignore"):
-                    log_y = math.log(_lam * t_go / math.e) if t_go > 0 else -math.inf
-                terms = _j * log_y - _lgam
-                terms[0] = 0.0
-                log_sums = np.logaddexp.accumulate(terms)
-                # rate(s*(k)) = (lam/e) * S_{k-1}/S_k, independent of kappa
-                return (_lam / math.e) * np.exp(log_sums[:-1] - log_sums[1:])
-
-            return rates
-        raise ValueError("no optimal-rate profile: exponential book with r > 0 "
-                         "and finite horizon")
-
-    if market.infinite_horizon:
-        sol = solve_generic_stationary(model, 1.0, market.r, n_units)
-        base = np.array([model.rate(s) for s in sol.spreads[1:]])
-        return lambda t: base
-    raise ValueError("generic execution curves are stationary-only")
+    return resolve(model, market).level_rates(n_units)
 
 
 def execution_curve_ode(model: IntensityModel, market: MarketParams, n_units: int,

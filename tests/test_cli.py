@@ -224,6 +224,43 @@ class TestCliCommands:
         assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, section", [
+        ("solve", {"n_max": 5}),
+        ("fluid", {"x_grid": {"start": 0.5, "stop": 2.0, "count": 4}}),
+        ("curves", {"n_units": 3, "t_grid": {"start": 0.0, "stop": 0.5, "count": 3}}),
+        ("converge", {"x_probe": 2.0, "k_max": 2}),
+    ])
+    def test_exp_book_discounted_finite_horizon_exits_2(self, tmp_path, capsys,
+                                                        command, section):
+        out = tmp_path / "out"
+        cfg = {
+            "model": {"kind": "exp", "lam": 1.0, "kappa": 1.0},
+            "market": {"r": 0.1, "horizon": 1.0},
+            command: section,
+            "output": {"directory": str(out)},
+        }
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "exponential book with r > 0 and a finite horizon" in err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("model, x_probe", [
+        ({"kind": "power", "lam": 1.0, "alpha": 2.0}, 5.0),
+        ({"kind": "exp", "lam": 1.0, "kappa": 1.0}, 1.0),
+    ], ids=["power", "exp"])
+    def test_converge_zero_rate_finite_horizon(self, tmp_path, model, x_probe):
+        out = tmp_path / "out"
+        cfg = {
+            "model": model,
+            "market": {"r": 0.0, "horizon": 1.0},
+            "converge": {"x_probe": x_probe, "k_max": 9},
+            "output": {"directory": str(out), "formats": "json"},
+        }
+        assert main(["converge", "--config", write_cfg(tmp_path, cfg)]) == 0
+        report = json.loads((out / "converge.json").read_text())
+        assert report["monotone_ok"] is True
+        assert report["columns"]["ratio"][-1] <= 1.0 + 1e-9
+
     def test_exchanges_with_expansion(self, tmp_path):
         out = tmp_path / "out"
         cfg = {

@@ -14,7 +14,7 @@ from lobliq.fluid import (
     power_trade_curve,
 )
 from lobliq.intensity import ExpDecayIntensity, MarketParams, PowerLawIntensity
-from lobliq.numerics import log_integral
+from lobliq.numerics import OdeProblem, integrate_ode, log_integral
 
 
 class TestPowerFluid:
@@ -212,6 +212,24 @@ class TestFluidSolutionBundle:
         h = 1e-3
         lhs = (fl.trade_curve(t + h, x0) - fl.trade_curve(t - h, x0)) / (2.0 * h)
         assert abs(lhs + 0.1 * fl.value(x_t)) < 1e-5
+
+    def test_exp_infinite_curve_closed_form_against_rk4(self):
+        # oracle: RK4 on dX/dt = -kappa*r*v(X), each step root-solving li
+        lam, kappa, r, x0 = 1.0, 1.0, 0.1, 6.0
+        fl = fluid_solution(ExpDecayIntensity(lam=lam, kappa=kappa), MarketParams(r=r))
+
+        def rhs(_t, y):
+            return np.array([-kappa * r * exp_fluid_infinite(y[0], lam, kappa, r)[0]])
+
+        ts, ys = integrate_ode(OdeProblem(1, rhs, (0.0, 2.0), [x0], step_count=400))
+        for t in (0.5, 2.0):
+            i = int(np.argmin(np.abs(ts - t)))
+            assert ts[i] == t
+            assert abs(fl.trade_curve(t, x0) - ys[i, 0]) <= 1e-10 * ys[i, 0]
+        assert fl.trade_curve(0.0, x0) == x0
+        assert fl.trade_curve(2.0, 0.0) == 0.0
+        # y0**exp(r*t) underflows long before t = 500: the curve reads +0.0
+        assert math.copysign(1.0, fl.trade_curve(500.0, x0)) == 1.0
 
     def test_zero_rate_power(self):
         model = PowerLawIntensity(lam=1.0, alpha=2.0)

@@ -120,6 +120,32 @@ class TestSimulatePolicy:
         # the second block has a stream of its own
         assert not np.array_equal(long[0].fill_times, long[_BLOCK_PATHS].fill_times)
 
+    @pytest.mark.parametrize("policy_fn, n_paths", [
+        (lambda: optimal_policy(POWER, FINITE, 0.5, 4), _BLOCK_PATHS + 500),
+        (lambda: StationarySpreadPolicy(spreads=np.array([math.nan] + [3.0] * 4)), 700),
+    ], ids=["optimal-two-blocks", "partial-liquidation"])
+    def test_curve_statistics_match_path_table(self, policy_fn, n_paths):
+        # mean and standard error from per-block integer sums agree with
+        # np.mean / np.std over the full table of remaining inventories
+        ct = np.linspace(0.0, 1.0, 10)[1:-1]
+        stats, paths = simulate_policy(POWER, FINITE, 4, 0.5, policy_fn(), n_paths,
+                                       seed=23, curve_times=ct, keep_paths=True)
+        left = np.array([[4 - np.count_nonzero(p.fill_times <= t) for t in ct]
+                         for p in paths])
+        phys = left.astype(float) * 0.5
+        mean = np.mean(phys, axis=0)
+        se = np.std(phys, axis=0, ddof=1) / math.sqrt(n_paths)
+        assert np.all(se > 0.0)
+        assert np.allclose(stats.mean_inventory_curve, mean, rtol=1e-12, atol=0.0)
+        assert np.allclose(stats.curve_std_error, se, rtol=1e-12, atol=0.0)
+
+    def test_curve_standard_error_undefined_for_one_path(self):
+        pol = optimal_policy(POWER, FINITE, 1.0, 3)
+        stats = simulate_policy(POWER, FINITE, 3, 1.0, pol, 1, seed=2,
+                                curve_times=[0.25, 0.5])
+        assert np.all(np.isnan(stats.curve_std_error))
+        assert np.all(np.isfinite(stats.mean_inventory_curve))
+
     def test_stationary_policy_stops_at_horizon(self):
         policy = StationarySpreadPolicy(spreads=np.array([math.nan, 3.0, 3.0, 3.0]))
         stats, paths = simulate_policy(POWER, FINITE, 3, 1.0, policy, 2000, seed=8,
