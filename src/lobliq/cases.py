@@ -36,12 +36,6 @@ __all__ = [
     "ExpStationary",
     "GenericStationary",
     "resolve",
-    "SpreadPolicy",
-    "ConstantSpreadPolicy",
-    "StationarySpreadPolicy",
-    "TimeDependentPolicy",
-    "OptimalPowerPolicy",
-    "ZeroRatePowerPolicy",
 ]
 
 
@@ -62,6 +56,11 @@ class SpreadPolicy:
         if self.time_homogeneous:
             return np.full(t_to_go.shape, self.spread(n_units, math.inf))
         return np.array([self.spread(n_units, t) for t in t_to_go.tolist()], dtype=float)
+
+    def sampler(self, horizon: float):
+        """Closed-form fill times ``(level, t0, draws) -> times``, one per live
+        path, from standard exponential draws; None if the hazard has none."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -128,6 +127,13 @@ class OptimalPowerPolicy(SpreadPolicy):
         """k_n: fill intensity of the Delta-problem net of the time factor."""
         return (self.lam / self.delta) * float(self.spread_scales[n_units]) ** (-self.alpha)
 
+    def sampler(self, horizon):
+        if math.isinf(horizon):
+            return None  # stationary: plain exponential clocks
+        a = self.alpha * self.r
+        return lambda level, t0, e: horizon - np.log1p(
+            np.expm1(a * (horizon - t0)) * np.exp(-a * e / self.hazard_scale(level))) / a
+
 
 @dataclass(frozen=True)
 class ZeroRatePowerPolicy(SpreadPolicy):
@@ -151,6 +157,10 @@ class ZeroRatePowerPolicy(SpreadPolicy):
     def hazard_scale(self, n_units: int) -> float:
         """k_n in the fill rate k_n / (T - t)."""
         return (self.lam / self.delta) * float(self.spread_coefs[n_units]) ** (-self.alpha)
+
+    def sampler(self, horizon):
+        return lambda level, t0, e: horizon - (horizon - t0) * np.exp(
+            -e / self.hazard_scale(level))
 
 
 # --------------------------------------------------------------------------

@@ -13,13 +13,13 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from .cases import resolve
 from .config import COMMANDS, ConfigError, RunConfig, load_config
 from .convergence import control_convergence, value_convergence
-from .discrete import solve_discrete
 from .extensions import (
     RegimeParams,
     TwoExchangeParams,
@@ -56,8 +56,8 @@ def _emit_table(cfg: RunConfig, name: str, columns: dict, docs: dict,
 
 
 def _cmd_solve(cfg: RunConfig, artifacts: list) -> None:
-    sec = cfg.section
-    sol = solve_discrete(cfg.model, cfg.market, sec["delta"], sec["n_max"])
+    case = resolve(cfg.model, cfg.market)
+    sol = case.solve(cfg.section["delta"], cfg.section["n_max"])
     n = np.arange(sol.n_max + 1)
     columns = {
         "n": n,
@@ -73,7 +73,7 @@ def _cmd_solve(cfg: RunConfig, artifacts: list) -> None:
         "value": "value at the configured horizon",
         "spread": "optimal spread at the configured horizon",
     }
-    times = resolve(cfg.model, cfg.market).liquidation_times(sol)
+    times = case.liquidation_times(sol)
     if times is not None:
         columns["expected_liquidation_time"] = times
         docs["expected_liquidation_time"] = "mean time to sell all n units optimally"
@@ -244,11 +244,11 @@ def _cmd_regimes(cfg: RunConfig, artifacts: list) -> None:
 def _cmd_exchanges(cfg: RunConfig, artifacts: list) -> None:
     sec = cfg.section
     eps = sec.get("eps")
-    lam1 = sec["lambda1"] * eps if eps is not None else sec["lambda1"]
-    params = TwoExchangeParams(lambda0=sec["lambda0"], lambda1=lam1,
-                               delta_block=sec["delta_block"], alpha=sec["alpha"],
-                               r=sec["r"], x_max=sec["x_max"],
-                               grid_step=sec["grid_step"])
+    base = TwoExchangeParams(lambda0=sec["lambda0"], lambda1=sec["lambda1"],
+                             delta_block=sec["delta_block"], alpha=sec["alpha"],
+                             r=sec["r"], x_max=sec["x_max"], grid_step=sec["grid_step"])
+    # eps scales the block venue's intensity; lambda1 is then its O(1) base
+    params = base if eps is None else replace(base, lambda1=sec["lambda1"] * eps)
     sol = two_exchange_patch(params)
     columns = {
         "x": sol.x_grid,
@@ -265,10 +265,6 @@ def _cmd_exchanges(cfg: RunConfig, artifacts: list) -> None:
         "spread_block": "optimal spread on the block venue",
     }
     if eps is not None:
-        base = TwoExchangeParams(lambda0=sec["lambda0"], lambda1=sec["lambda1"],
-                                 delta_block=sec["delta_block"], alpha=sec["alpha"],
-                                 r=sec["r"], x_max=sec["x_max"],
-                                 grid_step=sec["grid_step"])
         expansion = two_exchange_expansion(base, eps)
         columns["value_expansion"] = np.array([expansion.value(x) for x in sol.x_grid])
         docs["value_expansion"] = "first-order weak-block-venue expansion"

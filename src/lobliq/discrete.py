@@ -67,26 +67,39 @@ def level_of(x: float, delta: float) -> int:
     return int(n)
 
 
-def _solve_increment(offset: float, weight: float, b: float, alpha: float,
-                     prev_inc: float) -> float:
-    """Unique m > 0 with offset + weight*m = b * m**(1-alpha).
+def _power_recursion(b: float, weight: float, alpha: float, n_max: int) -> np.ndarray:
+    """c_0..c_n with c_0 = 0 and weight*c_n = b * (c_n - c_{n-1})**(1-alpha).
 
-    ``prev_inc`` is a valid upper bracket: by concavity the increments of
-    the value sequence never grow, and h(prev_inc) = weight*prev_inc > 0
-    whenever the previous level satisfied its own equation.
+    c_1 has the closed form (b/weight)**(1/alpha).  Deeper levels root-solve
+    in the increment m, so relative residuals stay near machine precision;
+    the previous increment is a valid upper bracket, because by concavity
+    the increments never grow and h(prev) = weight*prev > 0.
     """
-    def h(m):
-        return offset + weight * m - b * m ** (1.0 - alpha)
-
-    hi = prev_inc
-    lo = prev_inc
-    for _ in range(2000):
-        lo *= 0.5
-        if h(lo) < 0.0:
-            break
-    else:  # pragma: no cover
-        raise ArithmeticError("failed to bracket the increment root")
-    return brentq(h, lo, hi, xtol=1e-280, rtol=8.882e-16, maxiter=200)
+    if alpha <= 1.0:
+        raise ValueError(f"alpha must exceed 1, got {alpha}")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    c = np.empty(n_max + 1)
+    c[0] = 0.0
+    c[1] = (b / weight) ** (1.0 / alpha)
+    prev_inc = c[1]
+    for n in range(2, n_max + 1):
+        offset = weight * c[n - 1]
+        h = lambda m: offset + weight * m - b * m ** (1.0 - alpha)
+        lo = prev_inc
+        for _ in range(2000):
+            lo *= 0.5
+            if h(lo) < 0.0:
+                break
+        else:  # pragma: no cover
+            raise ArithmeticError("failed to bracket the increment root")
+        m = brentq(h, lo, prev_inc, xtol=1e-280, rtol=8.882e-16, maxiter=200)
+        c[n] = c[n - 1] + m
+        prev_inc = m
+        resid = abs(weight * c[n] - b * m ** (1.0 - alpha))
+        if resid > _RESIDUAL_RTOL * weight * c[n]:
+            raise ArithmeticError(f"recursion residual {resid:.3e} too large at level {n}")
+    return c
 
 
 def solve_power_coefficients(lam: float, alpha: float, r: float, n_max: int,
@@ -94,31 +107,12 @@ def solve_power_coefficients(lam: float, alpha: float, r: float, n_max: int,
     """Coefficients c_0..c_n of r*c_n = A * lam_eff * (c_n - c_{n-1})**(1-alpha).
 
     The stationary value at inventory n*delta is c_n, and the finite-horizon
-    value is c_n * horizon_factor(T).  c_1 has the closed form
-    (A*lam_eff/r)**(1/alpha); deeper levels root-solve in the increment so
-    relative residuals stay near machine precision.
+    value is c_n * horizon_factor(T).
     """
-    if alpha <= 1.0:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
     if r <= 0.0:
         raise ValueError("discounted recursion requires r > 0 (use the zero-rate solver)")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     lam_eff = lam * delta ** (alpha - 1.0)
-    b = power_constant(alpha) * lam_eff
-
-    c = np.empty(n_max + 1)
-    c[0] = 0.0
-    c[1] = (b / r) ** (1.0 / alpha)
-    prev_inc = c[1]
-    for n in range(2, n_max + 1):
-        m = _solve_increment(r * c[n - 1], r, b, alpha, prev_inc)
-        c[n] = c[n - 1] + m
-        prev_inc = m
-        resid = abs(r * c[n] - b * m ** (1.0 - alpha))
-        if resid > _RESIDUAL_RTOL * r * c[n]:
-            raise ArithmeticError(f"recursion residual {resid:.3e} too large at level {n}")
-    return c
+    return _power_recursion(power_constant(alpha) * lam_eff, r, alpha, n_max)
 
 
 def power_spread_scale(n: int, coefficients: np.ndarray, lam: float,
@@ -157,25 +151,9 @@ def solve_power_zero_rate(lam: float, alpha: float, n_max: int,
     Recursion: d_n = lam_eff * ((alpha-1)/alpha)**(alpha-1) * (d_n - d_{n-1})**(1-alpha),
     the r -> 0 limit of the discounted solution.
     """
-    if alpha <= 1.0:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     lam_eff = lam * delta ** (alpha - 1.0)
-    b = lam_eff * ((alpha - 1.0) / alpha) ** (alpha - 1.0)
-
-    d = np.empty(n_max + 1)
-    d[0] = 0.0
-    d[1] = b ** (1.0 / alpha)
-    prev_inc = d[1]
-    for n in range(2, n_max + 1):
-        m = _solve_increment(d[n - 1], 1.0, b, alpha, prev_inc)
-        d[n] = d[n - 1] + m
-        prev_inc = m
-        resid = abs(d[n] - b * m ** (1.0 - alpha))
-        if resid > _RESIDUAL_RTOL * d[n]:
-            raise ArithmeticError(f"recursion residual {resid:.3e} too large at level {n}")
-    return d
+    return _power_recursion(lam_eff * ((alpha - 1.0) / alpha) ** (alpha - 1.0), 1.0,
+                            alpha, n_max)
 
 
 def zero_rate_value_and_spread(n: int, t_remaining: float, d: np.ndarray,

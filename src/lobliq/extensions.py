@@ -101,15 +101,11 @@ def regime_fluid_fixed_point(params: RegimeParams) -> tuple[float, float]:
         return hi, lo
     if t0 == 0.0:
         # active regime never leaves: c0 is the single-regime constant
-        c0 = hi
-        g = lambda c1: params.lambda1 / a * c1 ** (1.0 - a) - (r + t1) * c1 + t1 * c0
-        c1 = brentq(g, lo, hi, xtol=1e-300, rtol=8.882e-16)
-        return c0, c1
+        g = lambda c1: _regime_residuals(hi, c1, params)[1]
+        return hi, brentq(g, lo, hi, xtol=1e-300, rtol=8.882e-16)
     if t1 == 0.0:
-        c1 = lo
-        g = lambda c0: params.lambda0 / a * c0 ** (1.0 - a) - (r + t0) * c0 + t0 * c1
-        c0 = brentq(g, lo, hi, xtol=1e-300, rtol=8.882e-16)
-        return c0, c1
+        g = lambda c0: _regime_residuals(c0, lo, params)[0]
+        return brentq(g, lo, hi, xtol=1e-300, rtol=8.882e-16), lo
 
     def from_c0(c0):
         # c1 implied by the active-regime equation

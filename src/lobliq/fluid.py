@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from scipy.integrate import quad
+from scipy.special import exp1
 
 from .discrete import horizon_factor
 from .intensity import IntensityModel, MarketParams
@@ -29,6 +30,8 @@ __all__ = [
     "passage_time_quadrature",
     "fluid_solution",
 ]
+
+_EULER_GAMMA = 0.5772156649015329
 
 
 def power_fluid(x: float, t_remaining: float, lam: float, alpha: float,
@@ -124,23 +127,42 @@ def exp_fluid_infinite(x: float, lam: float, kappa: float,
     return v, math.log(lam / (kappa * r * v)) / kappa
 
 
+def _e1_of_log(s: float) -> float:
+    """E1(exp(s)), also where exp(s) underflows or E1 itself does."""
+    if s < -40.0:
+        # E1(w) = -gamma - log(w) + w - ..., and w < 5e-18 here
+        return -_EULER_GAMMA - s
+    return float(exp1(math.exp(min(s, 7.0))))  # E1(w) is 0.0 beyond w ~ 740
+
+
 def exp_trade_curve(t: float, x0: float, lam: float, kappa: float,
                     r: float) -> float:
     """Optimally-controlled fluid inventory at time t, starting from x0
     (exponential book, infinite horizon).
 
     Along dX/dt = -kappa*r*v(X) the li argument y = e*kappa*r*v(X)/lam obeys
-    d(log y)/dt = r*log y, so y(t) = y0**exp(r*t) and
-        X(t) = -(lam/(e*r)) * li(y0**exp(r*t)),   y0 = e*kappa*r*v(x0)/lam.
+    d(log y)/dt = r*log y, so w = -log y grows like w0*exp(r*t); with
+    li(y) = -E1(w) this gives
+        X(t) = (lam/(e*r)) * E1(w0*exp(r*t)),   E1(w0) = e*r*x0/lam.
+    The root is taken in s = log(w0): near the asymptote of v, y0 rounds to
+    1 in double precision long before w0 or log(w0) lose accuracy.
     """
-    if t < 0.0:
-        raise ValueError(f"requires t >= 0, got t = {t}")
+    if t < 0.0 or x0 < 0.0:
+        raise ValueError(f"requires t >= 0 and x0 >= 0, got t = {t}, x0 = {x0}")
+    if min(lam, kappa, r) <= 0.0:
+        raise ValueError("requires lam, kappa, r > 0")
     if t == 0.0 or x0 == 0.0:
         return x0
-    v0, _ = exp_fluid_infinite(x0, lam, kappa, r)
-    y0 = math.e * kappa * r * v0 / lam
-    # 0.0 - li rather than -li: once y underflows, X is +0.0, not -0.0
-    return lam / (math.e * r) * (0.0 - log_integral(y0 ** math.exp(r * t)))
+    c = math.e * r * x0 / lam
+    if c > 40.0:
+        s0 = -_EULER_GAMMA - c  # w0 < 3e-18: E1 equals its log asymptote in doubles
+    else:
+        # E1(w) > -gamma - log(w) fixes the lower end; E1(w) < exp(-w)/w the upper
+        s0 = solve_monotone_root(lambda s: _e1_of_log(s) - c,
+                                 Bracket(-_EULER_GAMMA - c - 1.0,
+                                         math.log(max(1.0, -math.log(c))),
+                                         tolerance=1e-16))
+    return lam / (math.e * r) * _e1_of_log(s0 + r * t)
 
 
 def fluid_passage_time(x1: float, x2: float, lam: float, alpha: float,

@@ -85,23 +85,6 @@ def fluid_spread_policy(model: IntensityModel, market: MarketParams, delta: floa
 # generator, for thinning).  NaN or a time past the horizon means no fill.
 
 
-def _power_sampler(policy: OptimalPowerPolicy, horizon: float):
-    a = policy.alpha * policy.r
-
-    def sample(level, t0, e):
-        z = np.expm1(a * (horizon - t0)) * np.exp(-a * e / policy.hazard_scale(level))
-        return horizon - np.log1p(z) / a
-
-    return sample
-
-
-def _zero_rate_sampler(policy: ZeroRatePowerPolicy, horizon: float):
-    def sample(level, t0, e):
-        return horizon - (horizon - t0) * np.exp(-e / policy.hazard_scale(level))
-
-    return sample
-
-
 def _stationary_sampler(model, policy, delta):
     def sample(level, t0, e):
         return t0 + e / (model.rate(policy.spread(level, math.inf)) / delta)
@@ -189,10 +172,9 @@ def _thinning_sampler(model, policy, delta, horizon, cells: int = 64):
 def _pick_sampler(model, policy, delta, market, method):
     horizon = market.horizon
     if method == "auto":
-        if isinstance(policy, OptimalPowerPolicy) and not market.infinite_horizon:
-            return _power_sampler(policy, horizon)
-        if isinstance(policy, ZeroRatePowerPolicy):
-            return _zero_rate_sampler(policy, horizon)
+        closed_form = policy.sampler(horizon)
+        if closed_form is not None:
+            return closed_form
         if policy.time_homogeneous:
             return _stationary_sampler(model, policy, delta)
         return _inversion_sampler(model, policy, delta, horizon)
@@ -375,12 +357,10 @@ def evaluate_fluid_policy_exact(model: IntensityModel, market: MarketParams,
     s the fluid spread at x and q = rate/(rate + r*delta).  Always a lower
     bound on the optimal discrete value (the policy is suboptimal).
     """
-    if not market.infinite_horizon:
-        raise ValueError("stationary evaluation requires an infinite horizon")
-    fl = fluid_solution(model, market)
+    spreads = fluid_spread_policy(model, market, delta, n_units).spreads.tolist()
     values = np.zeros(n_units + 1)
     for n in range(1, n_units + 1):
-        s = fl.spread(n * delta)
+        s = spreads[n]
         rate = model.rate(s)
         q = rate / (rate + market.r * delta)
         values[n] = q * (s * delta + values[n - 1])

@@ -213,9 +213,12 @@ class TestFluidSolutionBundle:
         lhs = (fl.trade_curve(t + h, x0) - fl.trade_curve(t - h, x0)) / (2.0 * h)
         assert abs(lhs + 0.1 * fl.value(x_t)) < 1e-5
 
-    def test_exp_infinite_curve_closed_form_against_rk4(self):
-        # oracle: RK4 on dX/dt = -kappa*r*v(X), each step root-solving li
-        lam, kappa, r, x0 = 1.0, 1.0, 0.1, 6.0
+    @pytest.mark.parametrize("x0, r", [(6.0, 0.1), (200.0, 0.1), (13.0, 1.0)])
+    def test_exp_infinite_curve_closed_form_against_rk4(self, x0, r):
+        # oracle: RK4 on dX/dt = -kappa*r*v(X), each step root-solving li.
+        # Past e*r*x0/lam ~ 34 (the last two cases), e*kappa*r*v(x0)/lam
+        # rounds to 1 in double precision.
+        lam, kappa = 1.0, 1.0
         fl = fluid_solution(ExpDecayIntensity(lam=lam, kappa=kappa), MarketParams(r=r))
 
         def rhs(_t, y):
@@ -228,8 +231,9 @@ class TestFluidSolutionBundle:
             assert abs(fl.trade_curve(t, x0) - ys[i, 0]) <= 1e-10 * ys[i, 0]
         assert fl.trade_curve(0.0, x0) == x0
         assert fl.trade_curve(2.0, 0.0) == 0.0
-        # y0**exp(r*t) underflows long before t = 500: the curve reads +0.0
-        assert math.copysign(1.0, fl.trade_curve(500.0, x0)) == 1.0
+        # E1 underflows long before t = 1000/r: the curve reads +0.0
+        x_late = fl.trade_curve(1000.0 / r, x0)
+        assert x_late == 0.0 and math.copysign(1.0, x_late) == 1.0
 
     def test_zero_rate_power(self):
         model = PowerLawIntensity(lam=1.0, alpha=2.0)
