@@ -47,14 +47,7 @@ from .intensity import (
     PowerLawIntensity,
     concavity_condition,
 )
-from .numerics import (
-    Bracket,
-    OdeProblem,
-    integrate_ode,
-    lambert_w0,
-    log_integral,
-    solve_monotone_root,
-)
+from .numerics import OdeProblem, integrate_ode, lambert_w0, log_integral
 from .simulate import (
     ConstantSpreadPolicy,
     EnsembleStats,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cases import resolve
 from .config import COMMANDS, ConfigError, RunConfig, load_config
-from .convergence import control_convergence, value_convergence
+from .convergence import _spread_table, value_convergence
 from .extensions import (
     RegimeParams,
     TwoExchangeParams,
@@ -29,7 +29,6 @@ from .extensions import (
 )
 from .fluid import exp_fluid_infinite, fluid_solution, power_fluid
 from .intensity import UnsupportedCaseError
-from .numerics import NonFiniteStateError
 from .reports import write_csv, write_json, write_manifest, write_schema_sidecar
 from .simulate import (
     ConstantSpreadPolicy,
@@ -95,8 +94,9 @@ def _cmd_converge(cfg: RunConfig, artifacts: list) -> None:
     sec = cfg.section
     report = value_convergence(cfg.model, cfg.market, sec["x_probe"],
                                sec["delta0"], sec["k_max"])
-    spread_table = control_convergence(cfg.model, cfg.market, sec["x_probe"],
-                                       report.deltas)
+    # the ladder's spreads are already solved: tabulate them, do not re-solve
+    spread_table = _spread_table(cfg.model, cfg.market, sec["x_probe"],
+                                 report.deltas, report.spreads)
     columns = {
         "delta": report.deltas,
         "value": report.values,
@@ -350,7 +350,7 @@ def main(argv=None) -> int:
     except (ConfigError, UnsupportedCaseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, NonFiniteStateError, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(f"numerical failure in {cfg.command!r}: {exc}", file=sys.stderr)
         return 3
 

@@ -185,6 +185,11 @@ def _validate_section(command: str, section: dict) -> dict:
         out["delta0"] = _number(section, "delta0", command, default=1.0,
                                 minimum=0.0, exclusive=True)
         out["k_max"] = _integer(section, "k_max", command, default=9, minimum=0)
+        # the ladder halves delta0, so rung k holds the probe at level q * 2**k
+        q = out["x_probe"] / out["delta0"]
+        if round(q) < 1 or abs(q - round(q)) > 1e-9 * 0.5 ** out["k_max"]:
+            raise ConfigError(f"{command}.x_probe: {out['x_probe']} is not a positive "
+                              f"multiple of delta0 = {out['delta0']}")
     elif command == "simulate":
         out["n_units"] = _integer(section, "n_units", command, minimum=0)
         out["delta"] = _number(section, "delta", command, default=1.0,

@@ -140,13 +140,18 @@ def control_convergence(model: IntensityModel, market: MarketParams, x_probe: fl
     latter is the smaller one).
     """
     deltas = np.asarray(deltas, dtype=float)
+    spreads = np.array([discrete_value_and_spread_at(model, market, x_probe, d)[1]
+                        for d in deltas])
+    return _spread_table(model, market, x_probe, deltas, spreads)
+
+
+def _spread_table(model: IntensityModel, market: MarketParams, x_probe: float,
+                  deltas: np.ndarray, spreads: np.ndarray) -> SpreadConvergence:
+    """The control-convergence table for discrete spreads already solved."""
     fl = fluid_solution(model, market)
     fluid_spread = fl.spread(x_probe)
-
-    spreads = np.empty(len(deltas))
     averaged = np.empty(len(deltas))
     for i, d in enumerate(deltas):
-        _, spreads[i] = discrete_value_and_spread_at(model, market, x_probe, d)
         cell, _ = quad(fl.spread, x_probe - d, x_probe,
                        epsabs=1e-13, epsrel=1e-12, limit=200)
         averaged[i] = cell / d

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import exp1
 
 from .discrete import horizon_factor
 from .intensity import IntensityModel, MarketParams
-from .numerics import Bracket, log_integral, solve_monotone_root
 
 __all__ = [
     "FluidSolution",
@@ -94,13 +94,38 @@ def exp_fluid_finite(x: float, t_horizon: float, lam: float,
     return lam * t_horizon / (kappa * math.e), s0, lambda t: x - lam * t / math.e
 
 
+def _e1_of_log(s: float) -> float:
+    """E1(exp(s)), also where exp(s) underflows or E1 itself does."""
+    if s < -40.0:
+        # E1(w) = -gamma - log(w) + w - ..., and w < 5e-18 here
+        return -_EULER_GAMMA - s
+    return float(exp1(math.exp(min(s, 7.0))))  # E1(w) is 0.0 beyond w ~ 740
+
+
+def _log_w(c: float) -> float:
+    """log(w) for the w > 0 with E1(w) = c > 0.
+
+    The root is taken in log(w): once c passes about 36, exp(-w) rounds to 1
+    in double precision long before w or log(w) lose accuracy.
+    """
+    if c > 40.0:
+        return -_EULER_GAMMA - c  # w < 3e-18: E1 equals its log asymptote in doubles
+    # E1(w) > -gamma - log(w) fixes the lower end; E1(w) < exp(-w)/w the upper
+    return brentq(lambda s: _e1_of_log(s) - c, -_EULER_GAMMA - c - 1.0,
+                  math.log(max(1.0, -math.log(c))),
+                  xtol=1e-16, rtol=8.882e-16, maxiter=200)
+
+
 def exp_fluid_infinite(x: float, lam: float, kappa: float,
                        r: float) -> tuple[float, float]:
     """Stationary fluid solution for an exponential book with r > 0.
 
-    The value solves li(e*kappa*r*v/lam) = -e*r*x/lam on (0, lam/(kappa*r*e))
-    (li maps that interval monotonically onto (-inf, 0), so the root is
-    unique); the spread is (1/kappa)*log(lam/(kappa*r*v)).
+    The value solves li(e*kappa*r*v/lam) = -e*r*x/lam on (0, lam/(kappa*r*e)),
+    and the spread is (1/kappa)*log(lam/(kappa*r*v)).  With
+    w = -log(e*kappa*r*v/lam) > 0 and li(exp(-w)) = -E1(w) the equation reads
+    E1(w) = e*r*x/lam, whose root is unique because E1 falls strictly from
+    +inf to 0; hence
+        v = lam/(kappa*r*e) * exp(-w),   spread = (1 + w)/kappa.
     """
     if x < 0.0:
         raise ValueError("inventory must be nonnegative")
@@ -108,31 +133,8 @@ def exp_fluid_infinite(x: float, lam: float, kappa: float,
         raise ValueError("requires lam, kappa, r > 0")
     if x == 0.0:
         return 0.0, math.inf
-    v_cap = lam / (kappa * r * math.e)
-    target = -math.e * r * x / lam
-    scale = math.e * kappa * r / lam  # v -> li argument
-
-    hi = v_cap * (1.0 - 1e-15)
-    if log_integral(scale * hi) >= target:
-        # v is within double resolution of the asymptote
-        v = hi
-    else:
-        g = lambda v: log_integral(scale * v) - target
-        lo = v_cap * 1e-12
-        while g(lo) < 0.0:
-            lo *= 1e-3
-            if lo < 5e-300:
-                raise ArithmeticError("failed to bracket the li-equation root")
-        v = solve_monotone_root(g, Bracket(lo, hi, tolerance=1e-15 * v_cap))
-    return v, math.log(lam / (kappa * r * v)) / kappa
-
-
-def _e1_of_log(s: float) -> float:
-    """E1(exp(s)), also where exp(s) underflows or E1 itself does."""
-    if s < -40.0:
-        # E1(w) = -gamma - log(w) + w - ..., and w < 5e-18 here
-        return -_EULER_GAMMA - s
-    return float(exp1(math.exp(min(s, 7.0))))  # E1(w) is 0.0 beyond w ~ 740
+    w = math.exp(_log_w(math.e * r * x / lam))
+    return lam / (kappa * r * math.e) * math.exp(-w), (1.0 + w) / kappa
 
 
 def exp_trade_curve(t: float, x0: float, lam: float, kappa: float,
@@ -144,8 +146,6 @@ def exp_trade_curve(t: float, x0: float, lam: float, kappa: float,
     d(log y)/dt = r*log y, so w = -log y grows like w0*exp(r*t); with
     li(y) = -E1(w) this gives
         X(t) = (lam/(e*r)) * E1(w0*exp(r*t)),   E1(w0) = e*r*x0/lam.
-    The root is taken in s = log(w0): near the asymptote of v, y0 rounds to
-    1 in double precision long before w0 or log(w0) lose accuracy.
     """
     if t < 0.0 or x0 < 0.0:
         raise ValueError(f"requires t >= 0 and x0 >= 0, got t = {t}, x0 = {x0}")
@@ -153,15 +153,7 @@ def exp_trade_curve(t: float, x0: float, lam: float, kappa: float,
         raise ValueError("requires lam, kappa, r > 0")
     if t == 0.0 or x0 == 0.0:
         return x0
-    c = math.e * r * x0 / lam
-    if c > 40.0:
-        s0 = -_EULER_GAMMA - c  # w0 < 3e-18: E1 equals its log asymptote in doubles
-    else:
-        # E1(w) > -gamma - log(w) fixes the lower end; E1(w) < exp(-w)/w the upper
-        s0 = solve_monotone_root(lambda s: _e1_of_log(s) - c,
-                                 Bracket(-_EULER_GAMMA - c - 1.0,
-                                         math.log(max(1.0, -math.log(c))),
-                                         tolerance=1e-16))
+    s0 = _log_w(math.e * r * x0 / lam)
     return lam / (math.e * r) * _e1_of_log(s0 + r * t)
 
 

@@ -1,9 +1,8 @@
 """Scalar special functions and fixed-step numerical kernels.
 
 Everything here is pure and reentrant; the rest of the package builds on
-these four primitives (Lambert W, logarithmic integral, bracketed root
-solving, fixed-step RK4) so that numerical behaviour is controlled in one
-place.
+these primitives (Lambert W, logarithmic integral, fixed-step RK4) so that
+numerical behaviour is controlled in one place.
 """
 
 from __future__ import annotations
@@ -14,49 +13,21 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 __all__ = [
-    "Bracket",
     "OdeProblem",
-    "NoSignChangeError",
     "NonFiniteStateError",
     "lambert_w0",
     "lambert_w0_exparg",
     "log_integral",
-    "solve_monotone_root",
     "integrate_ode",
 ]
 
 _INV_E = math.exp(-1.0)
 
 
-class NoSignChangeError(ValueError):
-    """The supplied bracket does not straddle a sign change."""
-
-
 class NonFiniteStateError(ArithmeticError):
     """An ODE state component became NaN or infinite mid-integration."""
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """Root bracket [lo, hi] with an absolute tolerance on the root.
-
-    ``f_lo_sign`` may record the known sign of f at ``lo`` (+1 or -1); when
-    None it is determined by evaluation.
-    """
-
-    lo: float
-    hi: float
-    f_lo_sign: int | None = None
-    tolerance: float = 1e-12
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
-        if self.tolerance <= 0.0:
-            raise ValueError("bracket tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -176,30 +147,6 @@ def log_integral(y: float) -> float:
                       math.log(2.0), w_hi, epsabs=1e-14, epsrel=1e-12, limit=200)
         total += val
     return total
-
-
-def solve_monotone_root(f: Callable[[float], float], bracket: Bracket) -> float:
-    """Root of f inside [lo, hi], given a sign change across the bracket.
-
-    Brent's safeguarded bisection/secant/inverse-quadratic hybrid; the
-    returned point never leaves the initial bracket.
-    """
-    f_lo = f(bracket.lo)
-    if f_lo == 0.0:
-        return bracket.lo
-    f_hi = f(bracket.hi)
-    if f_hi == 0.0:
-        return bracket.hi
-    lo_sign = bracket.f_lo_sign if bracket.f_lo_sign is not None else math.copysign(1.0, f_lo)
-    if math.copysign(1.0, f_lo) != lo_sign:
-        raise NoSignChangeError(
-            f"f({bracket.lo}) = {f_lo} contradicts declared sign {lo_sign:+.0f}")
-    if f_lo * f_hi > 0.0:
-        raise NoSignChangeError(
-            f"no sign change on [{bracket.lo}, {bracket.hi}]: "
-            f"f(lo) = {f_lo}, f(hi) = {f_hi}")
-    return brentq(f, bracket.lo, bracket.hi,
-                  xtol=bracket.tolerance, rtol=8.882e-16, maxiter=200)
 
 
 def integrate_ode(problem: OdeProblem) -> tuple[np.ndarray, np.ndarray]:

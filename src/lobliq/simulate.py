@@ -37,6 +37,7 @@ from .cases import (
 )
 from .fluid import fluid_solution
 from .intensity import IntensityModel, MarketParams, UnsupportedCaseError
+from .numerics import OdeProblem, integrate_ode
 
 __all__ = [
     "SimPath",
@@ -390,10 +391,12 @@ def execution_curve_ode(model: IntensityModel, market: MarketParams, n_units: in
     """Average inventory E(x, t) under the optimal policy, unit trading size.
 
     Solves the triangular linear system dE(x,t)/dt = rate_x(t) * (E(x-1,t)
-    - E(x,t)), E(x,0) = x, as one vector Runge-Kutta integration.  For a
-    power-law book the top-level rate diverges at maturity, so integration
-    refuses to cross T - eps_cut (default 1e-9*T); request grid points
-    comfortably inside the horizon or raise ``step_count`` to match.
+    - E(x,t)), E(x,0) = x, as one vector Runge-Kutta integration
+    (``integrate_ode``, which raises NonFiniteStateError if the state leaves
+    the finite range).  For a power-law book the top-level rate diverges at
+    maturity, so integration refuses to cross T - eps_cut (default 1e-9*T);
+    request grid points comfortably inside the horizon or raise
+    ``step_count`` to match.
     """
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or len(times) == 0 or np.any(np.diff(times) <= 0.0):
@@ -421,23 +424,9 @@ def execution_curve_ode(model: IntensityModel, market: MarketParams, n_units: in
     if t_end == 0.0:
         table[:, 0] = np.arange(n_units + 1)
     else:
-        h = t_end / step_count
-        y = np.arange(1, n_units + 1, dtype=float)
-        store = np.empty((step_count + 1, n_units))
-        store[0] = y
-        for i in range(step_count):
-            t = i * h
-            k1 = rhs(t, y)
-            k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)):
-                raise ArithmeticError(f"execution-curve state lost finiteness at "
-                                      f"t = {(i + 1) * h}; reduce the grid end or "
-                                      "raise step_count")
-            store[i + 1] = y
-        node_t = np.linspace(0.0, t_end, step_count + 1)
+        node_t, store = integrate_ode(OdeProblem(
+            n_units, rhs, (0.0, t_end), np.arange(1, n_units + 1, dtype=float),
+            step_count))
         for k in range(1, n_units + 1):
             table[k] = np.interp(times, node_t, store[:, k - 1])
 

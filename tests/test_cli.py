@@ -117,6 +117,20 @@ class TestCliCommands:
         rc = main(["curves", "--config", write_cfg(tmp_path, cfg)])
         assert rc == 3  # grid touches maturity where the fill rate diverges
 
+    def test_non_finite_curve_state_exits_3(self, tmp_path, capsys, monkeypatch):
+        import lobliq.simulate
+        monkeypatch.setattr(lobliq.simulate, "_level_rate_fn",
+                            lambda model, market, n: lambda t: np.full(n, np.nan))
+        cfg = {
+            "model": {"kind": "power", "lam": 1.0, "alpha": 2.0},
+            "market": {"r": 0.1, "horizon": 1.0},
+            "curves": {"n_units": 3, "step_count": 10,
+                       "t_grid": {"start": 0.0, "stop": 0.5, "count": 3}},
+            "output": {"directory": str(tmp_path / "out")},
+        }
+        assert main(["curves", "--config", write_cfg(tmp_path, cfg)]) == 3
+        assert "non-finite state" in capsys.readouterr().err
+
     def test_deterministic_rerun_overwrites(self, tmp_path):
         out = tmp_path / "out"
         cfg = {
@@ -166,6 +180,19 @@ class TestCliCommands:
         assert payload["schema_version"] == 1
         for i, row in enumerate(rows):
             assert float(row[1]) == payload["columns"]["value"][i]
+
+    @pytest.mark.parametrize("x_probe", [5.3, 0.5])
+    def test_converge_probe_off_the_ladder_exits_2(self, tmp_path, capsys, x_probe):
+        out = tmp_path / "out"
+        cfg = {
+            "model": {"kind": "power", "lam": 1.0, "alpha": 2.0},
+            "market": {"r": 0.1, "horizon": "inf"},
+            "converge": {"x_probe": x_probe},
+            "output": {"directory": str(out)},
+        }
+        assert main(["converge", "--config", write_cfg(tmp_path, cfg)]) == 2
+        assert "converge.x_probe" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_paths_dump(self, tmp_path):
         out = tmp_path / "out"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lobliq.fluid import (
@@ -168,6 +170,53 @@ class TestExpFluidInfinite:
         assert np.all(np.diff(vals) > 0.0)
         assert np.all(np.diff(vals, 2) < 1e-10)
 
+    def test_against_mpmath(self):
+        # reference: li(exp(-w)) = -E1(w) turns the li equation into
+        # E1(w) = e*r*x/lam, solved at 40 digits by Newton in s = log(w)
+        mp = pytest.importorskip("mpmath")
+        kappa = 1.0
+        for x in [1e-6, 1e-3, 1.0, 100.0]:
+            for r in [0.1, 1.0]:
+                for lam in [1.0, math.e]:
+                    with mp.workdps(40):
+                        c = mp.e * r * mp.mpf(x) / lam
+                        s = mp.findroot(lambda s: mp.e1(mp.exp(s)) - c, -c - 2,
+                                        df=lambda s: -mp.exp(-mp.exp(s)),
+                                        solver="newton")
+                        w = mp.exp(s)
+                        v_ref = float(lam / (mp.e * kappa * r) * mp.exp(-w))
+                        s_ref = float((1 + w) / kappa)
+                    v, spread = exp_fluid_infinite(x, lam, kappa, r)
+                    assert abs(v - v_ref) <= 1e-13 * v_ref, (x, r, lam)
+                    assert abs(spread - s_ref) <= 1e-13 * s_ref, (x, r, lam)
+
+    @given(st.floats(min_value=1e-8, max_value=1e4),
+           st.floats(min_value=1.0, max_value=100.0),
+           st.floats(min_value=1e-3, max_value=10.0),
+           st.sampled_from([1.0, math.e]),
+           st.sampled_from([0.5, 1.0, 2.5]))
+    @settings(max_examples=200, deadline=None)
+    def test_domain_edges(self, x, factor, r, lam, kappa):
+        v_cap = lam / (kappa * r * math.e)
+        c = math.e * r * x / lam
+        v, spread = exp_fluid_infinite(x, lam, kappa, r)
+        assert 0.0 < v <= v_cap
+        if c <= 30.0:
+            # here w > 5e-14, so v = v_cap*exp(-w) stays below v_cap in double
+            # precision too; beyond, exp(-w) rounds to 1 once w < 1.1e-16
+            assert v < v_cap
+        assert spread >= 1.0 / kappa
+        v_more, _ = exp_fluid_infinite(x * factor, lam, kappa, r)
+        assert v <= v_more
+        if factor >= 2.0 and c * factor <= 30.0:
+            assert v < v_more
+        y = math.e * kappa * r * v / lam
+        if y <= 1.0 - 1e-12:
+            # log_integral's quadrature accuracy, plus a few ulps of y, which
+            # li amplifies by 1/|log y| as y approaches 1
+            tol = 1e-12 * c + 1e-13 + 8.0 * np.finfo(float).eps / -math.log(y)
+            assert abs(log_integral(y) + c) <= tol
+
 
 class TestPassageTime:
     def test_no_move(self):
@@ -215,9 +264,9 @@ class TestFluidSolutionBundle:
 
     @pytest.mark.parametrize("x0, r", [(6.0, 0.1), (200.0, 0.1), (13.0, 1.0)])
     def test_exp_infinite_curve_closed_form_against_rk4(self, x0, r):
-        # oracle: RK4 on dX/dt = -kappa*r*v(X), each step root-solving li.
-        # Past e*r*x0/lam ~ 34 (the last two cases), e*kappa*r*v(x0)/lam
-        # rounds to 1 in double precision.
+        # oracle: RK4 on dX/dt = -kappa*r*v(X), with v from exp_fluid_infinite
+        # at every stage.  Past e*r*x0/lam ~ 34 (the last two cases),
+        # e*kappa*r*v(x0)/lam rounds to 1 in double precision.
         lam, kappa = 1.0, 1.0
         fl = fluid_solution(ExpDecayIntensity(lam=lam, kappa=kappa), MarketParams(r=r))
 

@@ -7,15 +7,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from lobliq.numerics import (
-    Bracket,
-    NoSignChangeError,
     NonFiniteStateError,
     OdeProblem,
     integrate_ode,
     lambert_w0,
     lambert_w0_exparg,
     log_integral,
-    solve_monotone_root,
 )
 
 
@@ -111,38 +108,6 @@ class TestLogIntegral:
         mp = pytest.importorskip("mpmath")
         for y in [0.2, 0.5, 0.85, 0.999]:
             assert abs(log_integral(y) - float(mp.li(y))) < 1e-11
-
-
-class TestRootSolver:
-    def test_linear(self):
-        root = solve_monotone_root(lambda x: x - 2.0, Bracket(0.0, 5.0))
-        assert abs(root - 2.0) < 1e-12
-
-    def test_quadratic(self):
-        root = solve_monotone_root(lambda x: x * x - 2.5, Bracket(0.0, 5.0))
-        assert abs(root - math.sqrt(2.5)) < 1e-12
-
-    def test_no_sign_change(self):
-        with pytest.raises(NoSignChangeError):
-            solve_monotone_root(lambda x: x + 1.0, Bracket(0.0, 5.0))
-
-    def test_declared_sign_mismatch(self):
-        with pytest.raises(NoSignChangeError):
-            solve_monotone_root(lambda x: x - 2.0, Bracket(0.0, 5.0, f_lo_sign=+1))
-
-    def test_bad_bracket(self):
-        with pytest.raises(ValueError):
-            Bracket(2.0, 1.0)
-
-    @given(st.floats(min_value=-100.0, max_value=100.0),
-           st.floats(min_value=0.01, max_value=10.0))
-    @settings(max_examples=100, deadline=None)
-    def test_root_stays_inside_bracket(self, center, halfwidth):
-        lo, hi = center - halfwidth, center + halfwidth
-        f = lambda x: math.atan(x - center)
-        root = solve_monotone_root(f, Bracket(lo, hi))
-        assert lo <= root <= hi
-        assert abs(root - center) < 1e-9
 
 
 class TestIntegrateOde:
