@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gammaln
 
-from . import discrete, fluid
+from . import discrete, fluid, numerics
 from .discrete import DiscreteSolution
 from .fluid import FluidSolution
 from .intensity import (
@@ -166,6 +166,9 @@ class ZeroRatePowerPolicy(SpreadPolicy):
 # --------------------------------------------------------------------------
 # cases
 
+# time profile and clock of rates that do not depend on time
+_STATIONARY = (lambda t: 1.0, lambda times: times)
+
 
 @dataclass(frozen=True)
 class Case:
@@ -174,8 +177,13 @@ class Case:
     Each case provides ``solve(delta, n_max)``, the per-level values and
     optimal spreads as a :class:`DiscreteSolution`; ``fluid()``, the
     continuous-selling limit as a :class:`FluidSolution`; ``policy(delta,
-    n_max)``, the optimal :class:`SpreadPolicy`; and ``level_rates(n_units)``,
-    the map t -> fill rates of levels 1..n at unit trading size.
+    n_max)``, the optimal :class:`SpreadPolicy`; ``level_rates(n_units)``,
+    the map t -> fill rates of levels 1..n at unit trading size; and
+    ``execution_curve``, the exact mean inventory under the optimal policy.
+
+    Every case but the exponential book with r = 0 has level rates that
+    factor as b_k * g(t) (``_rate_factors``), so the mean inventory is the
+    pure-death chain with rates b_k run on the clock tau(t), the integral of g.
     """
 
     model: IntensityModel
@@ -189,6 +197,25 @@ class Case:
     def liquidation_times(self, sol: DiscreteSolution) -> Optional[np.ndarray]:
         """Expected time to sell each level optimally, where a closed form exists."""
         return None
+
+    def _rate_factors(self, n_units):
+        """(b, g, tau): level rates b_k * g(t) for k = 1..n, tau(t) the integral
+        of g from 0 to t (elementwise on an array of times)."""
+        raise NotImplementedError
+
+    def level_rates(self, n_units):
+        base, profile, _ = self._rate_factors(n_units)
+        return lambda t: base * profile(t)
+
+    def execution_curve(self, n_units: int, times: np.ndarray,
+                        rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(E, trading rate): E[x, j] is the mean inventory at ``times[j]``
+        starting from x = 0..n units at time 0, and the trading rate is
+        -dE(n, t)/dt; ``rates[j]`` holds the level rates at ``times[j]``."""
+        base, _, clock = self._rate_factors(n_units)
+        table = numerics.pure_death_mean(base, clock(times))
+        # h_n(t) (E(n-1, t) - E(n, t)) is exact when the rates factor
+        return table, rates[:, -1] * (table[-1] - table[-2])
 
     def _fluid(self, pair, curve) -> FluidSolution:
         # pair: x -> (value, spread); curve: (t, x0) -> inventory
@@ -239,12 +266,19 @@ class PowerDiscounted(Case):
                                   horizon=self.market.horizon,
                                   spread_scales=self._scales(delta, n_max)[1])
 
-    def level_rates(self, n_units):
+    def _rate_factors(self, n_units):
         base = self.model.lam * self._scales(1.0, n_units)[1][1:] ** (-self.model.alpha)
         if self.market.infinite_horizon:
-            return lambda t: base
+            return (base, *_STATIONARY)
         a, T = self.model.alpha * self.market.r, self.market.horizon
-        return lambda t: base / (-math.expm1(-a * (T - t)))
+
+        def clock(t):
+            # t + log((1 - e^(-aT)) / (1 - e^(-a(T-t)))) / a, free of the
+            # cancellation between the two logs as a -> 0
+            return t + np.log1p(np.exp(-a * (T - t)) * np.expm1(-a * t)
+                                / np.expm1(-a * (T - t))) / a
+
+        return base, lambda t: 1.0 / -math.expm1(-a * (T - t)), clock
 
     def liquidation_times(self, sol):
         if not self.market.infinite_horizon:
@@ -292,10 +326,10 @@ class PowerZeroRate(Case):
                                    delta=delta, horizon=self.market.horizon,
                                    spread_coefs=self._spread_coefs(delta, n_max)[1])
 
-    def level_rates(self, n_units):
+    def _rate_factors(self, n_units):
         base = self.model.lam * self._spread_coefs(1.0, n_units)[1][1:] ** (-self.model.alpha)
         T = self.market.horizon
-        return lambda t: base / (T - t)
+        return base, lambda t: 1.0 / (T - t), lambda t: -np.log1p(-t / T)
 
 
 class ExpZeroRate(Case):
@@ -339,6 +373,15 @@ class ExpZeroRate(Case):
 
         return rates
 
+    def execution_curve(self, n_units, times, rates):
+        # The rates do not factor, but with y = lam (T-t)/e and S_k the
+        # truncated exponential series, P(X_t = j | x) = (lam t/e)^(x-j)/(x-j)!
+        # * S_j(y_t)/S_x(y_0), so the expected fill rate stays at h_x(0) =
+        # (lam/e) S_{x-1}(y_0)/S_x(y_0) and every row is the line x - t h_x(0).
+        h0 = np.concatenate(([0.0], self.level_rates(n_units)(0.0)))
+        table = np.arange(n_units + 1.0)[:, None] - h0[:, None] * times
+        return table, np.full(len(times), h0[-1])
+
 
 class ExpStationary(Case):
     """Exponential book with r > 0 on the infinite horizon."""
@@ -361,9 +404,9 @@ class ExpStationary(Case):
     def policy(self, delta, n_max):
         return StationarySpreadPolicy(spreads=self._table(delta, n_max)[1])
 
-    def level_rates(self, n_units):
+    def _rate_factors(self, n_units):
         base = self.model.lam * np.exp(-self.model.kappa * self._table(1.0, n_units)[1][1:])
-        return lambda t: base
+        return (base, *_STATIONARY)
 
 
 class GenericStationary(Case):
@@ -378,9 +421,9 @@ class GenericStationary(Case):
     def policy(self, delta, n_max):
         return StationarySpreadPolicy(spreads=self.solve(delta, n_max).spreads)
 
-    def level_rates(self, n_units):
+    def _rate_factors(self, n_units):
         base = np.array([self.model.rate(s) for s in self.solve(1.0, n_units).spreads[1:]])
-        return lambda t: base
+        return (base, *_STATIONARY)
 
 
 def resolve(model: IntensityModel, market: MarketParams) -> Case:

@@ -158,7 +158,6 @@ def _cmd_simulate(cfg: RunConfig, artifacts: list) -> None:
         "std_error": stats.std_error,
         "liquidation_fraction": stats.liquidation_fraction,
         "seed": cfg.seed,
-        "threads": cfg.threads,
     }
     path = os.path.join(cfg.out_dir, "ensemble.json")
     write_json(path, payload)
@@ -196,8 +195,7 @@ def _cmd_simulate(cfg: RunConfig, artifacts: list) -> None:
 
 def _cmd_curves(cfg: RunConfig, artifacts: list) -> None:
     sec = cfg.section
-    curve = execution_curve_ode(cfg.model, cfg.market, sec["n_units"],
-                                sec["t_grid"], step_count=sec["step_count"])
+    curve = execution_curve_ode(cfg.model, cfg.market, sec["n_units"], sec["t_grid"])
     x0 = float(sec["n_units"])
     times = curve.times
     if cfg.market.infinite_horizon:

@@ -158,7 +158,7 @@ _SECTION_SCHEMAS: dict[str, tuple[set[str], set[str]]] = {
     "converge": ({"x_probe", "delta0", "k_max"}, {"x_probe"}),
     "simulate": ({"n_units", "delta", "n_paths", "policy", "constant_spread",
                   "curve_points", "dump_paths", "method"}, {"n_units", "n_paths"}),
-    "curves": ({"n_units", "t_grid", "step_count"}, {"n_units", "t_grid"}),
+    "curves": ({"n_units", "t_grid"}, {"n_units", "t_grid"}),
     "regimes": ({"lambda0", "lambda1", "alpha", "r", "theta_grid"},
                 {"lambda0", "lambda1", "alpha", "r", "theta_grid"}),
     "exchanges": ({"lambda0", "lambda1", "delta_block", "alpha", "r", "x_max",
@@ -210,8 +210,6 @@ def _validate_section(command: str, section: dict) -> dict:
     elif command == "curves":
         out["n_units"] = _integer(section, "n_units", command, minimum=1)
         out["t_grid"] = _grid(section, "t_grid", command)
-        out["step_count"] = _integer(section, "step_count", command,
-                                     default=20000, minimum=1)
     elif command == "regimes":
         out["lambda0"] = _number(section, "lambda0", command, minimum=0.0, exclusive=True)
         out["lambda1"] = _number(section, "lambda1", command, minimum=0.0, exclusive=True)

@@ -1,8 +1,9 @@
-"""Scalar special functions and fixed-step numerical kernels.
+"""Scalar special functions and numerical kernels.
 
 Everything here is pure and reentrant; the rest of the package builds on
-these primitives (Lambert W, logarithmic integral, fixed-step RK4) so that
-numerical behaviour is controlled in one place.
+these primitives (Lambert W, logarithmic integral, the pure-death chain mean
+by uniformization) so that numerical behaviour is controlled in one place.
+The fixed-step RK4 is kept as the tests' independent ODE oracle.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gammaln, pdtrc
 
 __all__ = [
     "OdeProblem",
@@ -21,13 +23,25 @@ __all__ = [
     "lambert_w0_exparg",
     "log_integral",
     "integrate_ode",
+    "pure_death_mean",
 ]
 
 _INV_E = math.exp(-1.0)
 
+# uniformization: Poisson tail dropped, terms folded per matrix product, and
+# the floor below which terms and weights are flushed to zero (subnormal
+# operands slow the product several times over)
+_POISSON_TAIL = 1e-16
+_TERM_BLOCK = 128
+_FLUSH = 1e-300
+# Stirling series of lgamma(m+1) - (m+1/2) log m + m - log(2 pi)/2, and the
+# Taylor series of ((1+d) log1p(d) - d) / d**2 (highest power first)
+_STIRLING = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
+_PHI_SERIES = [(-1.0) ** k / ((k + 1) * (k + 2)) for k in reversed(range(18))]
+
 
 class NonFiniteStateError(ArithmeticError):
-    """An ODE state component became NaN or infinite mid-integration."""
+    """A computed state (an ODE component, a rate, a mean) became NaN or infinite."""
 
 
 @dataclass(frozen=True)
@@ -153,9 +167,9 @@ def integrate_ode(problem: OdeProblem) -> tuple[np.ndarray, np.ndarray]:
     """Classical fourth-order Runge-Kutta with a fixed step.
 
     Returns (times, states) with ``step_count + 1`` rows; raises
-    NonFiniteStateError if any component leaves the finite range.  The step
-    is fixed deliberately: every report produced downstream must be
-    bit-reproducible for a given step count.
+    NonFiniteStateError if any component leaves the finite range.  The
+    package itself no longer integrates ODEs: this is the independent oracle
+    that tests check closed forms against.
     """
     t0, t1 = problem.t_span
     n = problem.step_count
@@ -179,3 +193,83 @@ def integrate_ode(problem: OdeProblem) -> tuple[np.ndarray, np.ndarray]:
                 f"non-finite state at t = {ts[i + 1]} (step {i + 1} of {n})")
         ys[i + 1] = y
     return ts, ys
+
+
+def _poisson_pmf(m: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Poisson(m; mu) on the grid m (rows) x mu (columns), within about 1e-14
+    relative wherever it is not negligible.
+
+    Loader's saddle-point form exp(-stirlerr(m) - bd0) / sqrt(2 pi m), with
+    bd0 = m log(m/mu) + mu - m summed as a series in d = m/mu - 1 near the
+    mode, avoids the cancellation in exp(m log mu - mu - lgamma(m+1)), which
+    costs about eps * m * log(mu) and would dominate the uniformized sum once
+    mu reaches the thousands.
+    """
+    m = np.asarray(m, dtype=float)[:, None]
+    mu = np.asarray(mu, dtype=float)[None, :]
+    ms = np.maximum(m, 1.0)
+    inv2 = 1.0 / (ms * ms)
+    c = _STIRLING
+    stirlerr = np.where(
+        ms < 16.0,
+        gammaln(ms + 1.0) - (ms + 0.5) * np.log(ms) + ms - 0.5 * math.log(2.0 * math.pi),
+        (c[0] - (c[1] - (c[2] - (c[3] - c[4] * inv2) * inv2) * inv2) * inv2) / ms)
+    mup = np.where(mu > 0.0, mu, 1.0)
+    with np.errstate(over="ignore"):  # m/mu overflows only where Poisson(m) is 0
+        d = (ms - mup) / mup
+        near = np.abs(d) < 0.1
+        dn = np.where(near, d, 0.0)
+        bd0 = np.where(near, mup * dn * dn * np.polyval(_PHI_SERIES, dn),
+                       ms * np.log(ms / mup) + mup - ms)
+    w = np.exp(-stirlerr - bd0) / np.sqrt(2.0 * math.pi * ms)
+    w = np.where(m == 0.0, np.exp(-mu), w)
+    return np.where(mu == 0.0, np.where(m == 0.0, 1.0, 0.0), w)
+
+
+def pure_death_mean(rates, taus) -> np.ndarray:
+    """Mean level of a pure-death chain, by uniformization (Jensen 1953).
+
+    The chain leaves level k for k - 1 at rate ``rates[k-1]`` (k = 1..n).
+    Returns the (n+1, len(taus)) table whose entry (x, j) is E[X | X_0 = x]
+    after time ``taus[j]``, i.e. ``expm(tau Q) @ (0, 1, ..., n)`` for the
+    bidiagonal generator Q.  With L = max rate and K = I + Q/L, which is
+    nonnegative, the table is sum_m Poisson(m; L tau) K^m x: every term is
+    nonnegative, so nothing cancels.  K^m x falls in m and rises in x, so the
+    sum stops once the Poisson tail of the largest L tau, or the top entry of
+    K^m x, drops below 1e-16 * n: either way the dropped terms add up to no
+    more than that, and the truncated sums keep E monotone in x and tau.
+    Terms are formed one O(n) step at a time and folded in blocks, so memory
+    stays O(n * len(taus)).  A column with tau = 0 is x exactly.
+    """
+    b = np.concatenate(([0.0], np.asarray(rates, dtype=float)))
+    taus = np.asarray(taus, dtype=float)
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(taus))):
+        raise NonFiniteStateError("non-finite state: death rates or times are not finite")
+    if np.any(b < 0.0) or np.any(taus < 0.0):
+        raise ValueError("death rates and times must be nonnegative")
+    v = np.arange(len(b), dtype=float)
+    lam = float(b.max())
+    if lam == 0.0 or len(taus) == 0:
+        return np.repeat(v[:, None], len(taus), axis=1)
+    p = b / lam
+    q = 1.0 - p
+    mu = lam * taus
+    mu_max = float(mu.max())
+    ks = np.arange(int(mu_max), int(mu_max + 20.0 * math.sqrt(mu_max)) + 64)
+    m_end = int(ks[np.argmax(pdtrc(ks, mu_max) < _POISSON_TAIL)]) + 1
+    cut = _POISSON_TAIL * v[-1]
+    out = np.zeros((len(b), len(taus)))
+    terms = np.empty((_TERM_BLOCK, len(b)))
+    for start in range(0, m_end, _TERM_BLOCK):
+        m = np.arange(start, min(start + _TERM_BLOCK, m_end))
+        for i in range(len(m)):
+            terms[i] = v
+            v = q * v
+            v[1:] += p[1:] * terms[i, :-1]
+        weights = _poisson_pmf(m, mu)
+        weights[weights < _FLUSH] = 0.0
+        terms[terms < _FLUSH] = 0.0
+        out += terms[:len(m)].T @ weights
+        if v[-1] <= cut:
+            break
+    return out

@@ -37,7 +37,7 @@ from .cases import (
 )
 from .fluid import fluid_solution
 from .intensity import IntensityModel, MarketParams, UnsupportedCaseError
-from .numerics import OdeProblem, integrate_ode
+from .numerics import NonFiniteStateError
 
 __all__ = [
     "SimPath",
@@ -386,52 +386,39 @@ def _level_rate_fn(model: IntensityModel, market: MarketParams, n_units: int):
 
 
 def execution_curve_ode(model: IntensityModel, market: MarketParams, n_units: int,
-                        time_grid, step_count: int = 20000,
-                        eps_cut: Optional[float] = None) -> ExecutionCurve:
+                        time_grid) -> ExecutionCurve:
     """Average inventory E(x, t) under the optimal policy, unit trading size.
 
-    Solves the triangular linear system dE(x,t)/dt = rate_x(t) * (E(x-1,t)
-    - E(x,t)), E(x,0) = x, as one vector Runge-Kutta integration
-    (``integrate_ode``, which raises NonFiniteStateError if the state leaves
-    the finite range).  For a power-law book the top-level rate diverges at
-    maturity, so integration refuses to cross T - eps_cut (default 1e-9*T);
-    request grid points comfortably inside the horizon or raise
-    ``step_count`` to match.
+    E(x, t) is the mean inventory at time t of the controlled death process
+    started from x units at time 0, and the trading rate is -dE(n, t)/dt.
+    Both are exact (``Case.execution_curve``): where the level rates factor
+    as b_k * g(t), E(., t) = expm(tau(t) Q) (0, 1, ..., n) with tau the
+    integral of g and Q the death generator with rates b_k, summed by
+    uniformization; for the exponential book with r = 0 every row is the
+    line x - t * h_x(0).  The rate function is called once per grid point.
+    Every grid time must lie before a finite horizon, where the power law's
+    rates blow up.  Raises NonFiniteStateError if a rate or a result is not
+    finite.
     """
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or len(times) == 0 or np.any(np.diff(times) <= 0.0):
         raise ValueError("time_grid must be a strictly increasing 1-d array")
     if times[0] < 0.0:
         raise ValueError("time_grid must be nonnegative")
-    if not market.infinite_horizon:
-        if eps_cut is None:
-            eps_cut = 1e-9 * market.horizon
-        if times[-1] > market.horizon - eps_cut:
-            raise ValueError(f"time grid must stay below T - {eps_cut:g}: the "
-                             "fill rate blows up at maturity")
+    if times[-1] >= market.horizon:
+        raise ValueError("time grid must stay below the horizon: the fill rate "
+                         "blows up at maturity")
     if n_units < 1:
         raise ValueError("n_units must be >= 1")
 
     rates = _level_rate_fn(model, market, n_units)
-
-    def rhs(t, e):
-        h = rates(t)
-        prev = np.concatenate(([0.0], e[:-1]))
-        return h * (prev - e)
-
-    t_end = float(times[-1])
-    table = np.zeros((n_units + 1, len(times)))
-    if t_end == 0.0:
-        table[:, 0] = np.arange(n_units + 1)
-    else:
-        node_t, store = integrate_ode(OdeProblem(
-            n_units, rhs, (0.0, t_end), np.arange(1, n_units + 1, dtype=float),
-            step_count))
-        for k in range(1, n_units + 1):
-            table[k] = np.interp(times, node_t, store[:, k - 1])
-
     rate_rows = np.array([rates(t) for t in times])  # (n_times, n_units)
-    gap = table[n_units] - table[n_units - 1]
-    trading_rate = rate_rows[:, n_units - 1] * gap
+    if not np.all(np.isfinite(rate_rows)):
+        raise NonFiniteStateError("non-finite state: a level rate is not finite "
+                                  "on the time grid")
+    table, trading_rate = resolve(model, market).execution_curve(n_units, times,
+                                                                 rate_rows)
+    if not (np.all(np.isfinite(table)) and np.all(np.isfinite(trading_rate))):
+        raise NonFiniteStateError("non-finite state in the execution curve")
     return ExecutionCurve(times=times, inventory=table,
                           trading_rate=trading_rate, initial_units=n_units)

@@ -173,20 +173,18 @@ def test_criterion_09_execution_curve_cross_check():
     policy = optimal_policy(POWER, MARKET_T1, 1.0, 6)
     stats = simulate_policy(POWER, MARKET_T1, 6, 1.0, policy, 100_000, seed=42,
                             curve_times=grid)
-    curve = execution_curve_ode(POWER, MARKET_T1, 6, grid, step_count=40000)
+    curve = execution_curve_ode(POWER, MARKET_T1, 6, grid)
     z = np.abs(curve.inventory[6] - stats.mean_inventory_curve) / stats.curve_std_error
     assert np.max(z) <= 3.0
 
     # thin book (alpha = 4): S-shape, fast at both ends
     thin = PowerLawIntensity(lam=1.0, alpha=4.0)
-    shape = execution_curve_ode(thin, MARKET_T1, 6, np.array([0.05, 0.5, 0.95]),
-                                step_count=40000)
+    shape = execution_curve_ode(thin, MARKET_T1, 6, np.array([0.05, 0.5, 0.95]))
     early, mid, late = shape.trading_rate
     assert early > mid and late > mid
 
     # deep book (alpha = 2): stays above the constant-rate baseline until maturity
-    deep = execution_curve_ode(POWER, MARKET_T1, 6, np.linspace(0.05, 0.9, 18),
-                               step_count=20000)
+    deep = execution_curve_ode(POWER, MARKET_T1, 6, np.linspace(0.05, 0.9, 18))
     baseline = 6.0 * (1.0 - deep.times)
     assert np.all(deep.inventory[6] > baseline)
     report(9, f"execution-curve cross-check (max |z| = {np.max(z):.2f}, S-shape ok)")

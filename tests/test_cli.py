@@ -124,12 +124,44 @@ class TestCliCommands:
         cfg = {
             "model": {"kind": "power", "lam": 1.0, "alpha": 2.0},
             "market": {"r": 0.1, "horizon": 1.0},
-            "curves": {"n_units": 3, "step_count": 10,
+            "curves": {"n_units": 3,
                        "t_grid": {"start": 0.0, "stop": 0.5, "count": 3}},
             "output": {"directory": str(tmp_path / "out")},
         }
         assert main(["curves", "--config", write_cfg(tmp_path, cfg)]) == 3
         assert "non-finite state" in capsys.readouterr().err
+
+    def test_curves_step_count_is_unknown_key(self, tmp_path, capsys):
+        # the curves are exact, so there is no step count to set
+        cfg = {
+            "model": {"kind": "power", "lam": 1.0, "alpha": 2.0},
+            "market": {"r": 0.1, "horizon": 1.0},
+            "curves": {"n_units": 3, "step_count": 20000,
+                       "t_grid": {"start": 0.0, "stop": 0.5, "count": 3}},
+            "output": {"directory": str(tmp_path / "out")},
+        }
+        assert main(["curves", "--config", write_cfg(tmp_path, cfg)]) == 2
+        assert "step_count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r", [0.1, 0.0])
+    def test_curves_large_inventory(self, tmp_path, r):
+        # a fixed-step integrator goes unstable here and reported |E| ~ 1e253
+        out = tmp_path / "out"
+        cfg = {
+            "model": {"kind": "power", "lam": 1.0, "alpha": 2.0},
+            "market": {"r": r, "horizon": 1.0},
+            "curves": {"n_units": 1000,
+                       "t_grid": {"start": 0.0, "stop": 0.99, "count": 50}},
+            "output": {"directory": str(out), "formats": "json"},
+        }
+        assert main(["curves", "--config", write_cfg(tmp_path, cfg)]) == 0
+        columns = json.loads((out / "curves.json").read_text())["columns"]
+        inventory = np.array(columns["mean_inventory"], dtype=float)
+        rate = np.array(columns["trading_rate"], dtype=float)
+        assert np.all(np.isfinite(inventory)) and np.all(np.isfinite(rate))
+        assert inventory[0] == 1000.0
+        assert np.all((inventory >= 0.0) & (inventory <= 1000.0))
+        assert np.all(np.diff(inventory) <= 0.0)
 
     def test_deterministic_rerun_overwrites(self, tmp_path):
         out = tmp_path / "out"
@@ -159,11 +191,15 @@ class TestCliCommands:
             "seed": 1,
         }
         path = write_cfg(tmp_path, cfg)
-        assert main(["simulate", "--config", path, "--seed", "99",
-                     "--threads", "2"]) == 0
-        ensemble = json.loads((out / "ensemble.json").read_text())
+        written = []
+        for threads in ("1", "2"):
+            assert main(["simulate", "--config", path, "--seed", "99",
+                         "--threads", threads]) == 0
+            written.append((out / "ensemble.json").read_bytes())
+        ensemble = json.loads(written[1])
         assert ensemble["seed"] == 99
-        assert ensemble["threads"] == 2
+        # threads has no effect, so it is not part of the output
+        assert written[0] == written[1]
 
     def test_converge_csv_json_match(self, tmp_path):
         out = tmp_path / "out"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from lobliq.numerics import (
     NonFiniteStateError,
@@ -13,6 +14,7 @@ from lobliq.numerics import (
     lambert_w0,
     lambert_w0_exparg,
     log_integral,
+    pure_death_mean,
 )
 
 
@@ -142,3 +144,36 @@ class TestIntegrateOde:
             OdeProblem(1, lambda t, y: y, (1.0, 0.0), [1.0], 10)
         with pytest.raises(ValueError):
             OdeProblem(2, lambda t, y: y, (0.0, 1.0), [1.0], 10)
+
+
+class TestPureDeathMean:
+    @pytest.mark.parametrize("rates", [
+        [0.7],
+        [2.0, 2.0, 2.0, 2.0],
+        [1e-3, 5.0, 0.2, 1e3, 40.0, 3.0],
+        list(np.linspace(0.5, 12.0, 12)),
+    ], ids=["one", "equal", "stiff", "rising"])
+    def test_against_expm(self, rates):
+        b = np.array(rates)
+        gen = np.diag(np.concatenate(([0.0], -b))) + np.diag(b, -1)
+        x = np.arange(len(b) + 1.0)
+        taus = np.array([0.0, 1e-9, 0.3, 2.0, 25.0])
+        table = pure_death_mean(b, taus)
+        assert table.shape == (len(b) + 1, len(taus))
+        assert np.array_equal(table[:, 0], x)
+        for j, tau in enumerate(taus):
+            assert np.max(np.abs(table[:, j] - expm(tau * gen) @ x)) <= 1e-12
+
+    def test_drained_chain_stops_early(self):
+        # 1e6 uniformized steps would be needed without the early stop
+        table = pure_death_mean([1.0, 1e3], [0.0, 1e3])
+        assert np.array_equal(table[:, 0], [0.0, 1.0, 2.0])
+        assert np.all(table[:, 1] <= 2e-16)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(NonFiniteStateError, match="non-finite state"):
+            pure_death_mean([1.0, math.nan], [0.5])
+        with pytest.raises(NonFiniteStateError):
+            pure_death_mean([1.0], [math.inf])
+        with pytest.raises(ValueError):
+            pure_death_mean([1.0, -1.0], [0.5])

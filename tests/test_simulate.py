@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from lobliq.discrete import (
     horizon_factor,
@@ -9,9 +12,16 @@ from lobliq.discrete import (
     solve_power_coefficients,
 )
 from lobliq.fluid import fluid_solution
-from lobliq.intensity import ExpDecayIntensity, MarketParams, PowerLawIntensity
+from lobliq.intensity import (
+    ExpDecayIntensity,
+    GenericIntensity,
+    MarketParams,
+    PowerLawIntensity,
+)
+from lobliq.numerics import OdeProblem, integrate_ode
 from lobliq.simulate import (
     _BLOCK_PATHS,
+    _level_rate_fn,
     ConstantSpreadPolicy,
     OptimalPowerPolicy,
     StationarySpreadPolicy,
@@ -222,12 +232,12 @@ class TestFluidPolicyEvaluation:
 
 class TestExecutionCurve:
     def test_initial_condition(self):
-        curve = execution_curve_ode(POWER, FINITE, 5, [0.0, 0.5], step_count=2000)
+        curve = execution_curve_ode(POWER, FINITE, 5, [0.0, 0.5])
         assert np.array_equal(curve.inventory[:, 0], np.arange(6))
 
     def test_monotone_decreasing_and_positive(self):
         grid = np.linspace(0.05, 0.95, 19)
-        curve = execution_curve_ode(POWER, FINITE, 6, grid, step_count=20000)
+        curve = execution_curve_ode(POWER, FINITE, 6, grid)
         top = curve.inventory[6]
         assert np.all(np.diff(top) < 0.0)
         assert np.all(top > 0.0)  # strictly positive before maturity, unlike the fluid curve
@@ -237,15 +247,14 @@ class TestExecutionCurve:
         pol = optimal_policy(POWER, FINITE, 1.0, 4)
         stats = simulate_policy(POWER, FINITE, 4, 1.0, pol, 20_000, seed=23,
                                 curve_times=grid)
-        curve = execution_curve_ode(POWER, FINITE, 4, grid, step_count=20000)
+        curve = execution_curve_ode(POWER, FINITE, 4, grid)
         z = np.abs(curve.inventory[4] - stats.mean_inventory_curve) / stats.curve_std_error
         assert np.max(z) <= 3.0
 
     def test_terminal_drain(self):
         vals = []
         for eps in [0.1, 0.03, 0.01]:
-            curve = execution_curve_ode(POWER, FINITE, 6, [1.0 - eps],
-                                        step_count=60000)
+            curve = execution_curve_ode(POWER, FINITE, 6, [1.0 - eps])
             vals.append(curve.inventory[6][0])
         assert vals[0] > vals[1] > vals[2] > 0.0
         assert vals[2] < 0.6
@@ -253,14 +262,14 @@ class TestExecutionCurve:
     def test_s_shape_for_thin_books(self):
         model = PowerLawIntensity(lam=1.0, alpha=4.0)
         grid = np.array([0.05, 0.5, 0.95])
-        curve = execution_curve_ode(model, FINITE, 6, grid, step_count=40000)
+        curve = execution_curve_ode(model, FINITE, 6, grid)
         early, mid, late = curve.trading_rate
         assert early > mid and late > mid
 
     def test_deep_books_trade_slow(self):
         # alpha = 2: inventory stays above the constant-rate line until maturity
         grid = np.linspace(0.05, 0.9, 18)
-        curve = execution_curve_ode(POWER, FINITE, 6, grid, step_count=20000)
+        curve = execution_curve_ode(POWER, FINITE, 6, grid)
         baseline = 6.0 * (1.0 - grid / 1.0)
         assert np.all(curve.inventory[6] > baseline)
 
@@ -268,7 +277,7 @@ class TestExecutionCurve:
         market = MarketParams(r=0.0, horizon=1.0)
         grid = np.linspace(0.1, 0.9, 9)
         curves = [execution_curve_ode(ExpDecayIntensity(lam=1.0, kappa=k),
-                                      market, 4, grid, step_count=5000)
+                                      market, 4, grid)
                   for k in (0.5, 1.0, 4.0)]
         for other in curves[1:]:
             assert np.allclose(other.inventory, curves[0].inventory,
@@ -279,7 +288,7 @@ class TestExecutionCurve:
         market = MarketParams(r=0.0, horizon=1.0)
         grid = np.linspace(0.05, 0.95, 30)
         curve = execution_curve_ode(ExpDecayIntensity(lam=4.0, kappa=1.0),
-                                    market, 4, grid, step_count=10000)
+                                    market, 4, grid)
         second = np.diff(curve.inventory[4], 2)
         assert np.all(second > -1e-9)
 
@@ -291,5 +300,101 @@ class TestExecutionCurve:
         # the fluid curve drains smoothly by T while E(x, t) stays positive
         fl = fluid_solution(POWER, FINITE)
         assert fl.trade_curve(0.999999, 6.0) < 1e-4
-        curve = execution_curve_ode(POWER, FINITE, 6, [0.99], step_count=60000)
+        curve = execution_curve_ode(POWER, FINITE, 6, [0.99])
         assert curve.inventory[6][0] > 0.0
+
+
+def _time_change(alpha, market):
+    """(tau, g) of rates that factor as b_k * g(t), tau the integral of g."""
+    T, r = market.horizon, market.r
+    if math.isinf(T):
+        return (lambda t: t), (lambda t: 1.0)
+    if r == 0.0:
+        return (lambda t: -math.log1p(-t / T)), (lambda t: 1.0 / (T - t))
+    a = alpha * r
+    return ((lambda t: t + (math.log(-math.expm1(-a * T))
+                            - math.log(-math.expm1(-a * (T - t)))) / a),
+            (lambda t: 1.0 / -math.expm1(-a * (T - t))))
+
+
+GENERIC = GenericIntensity(value=lambda s: 2.0 / (1.0 + s) ** 3,
+                           deriv1=lambda s: -6.0 / (1.0 + s) ** 4,
+                           deriv2=lambda s: 24.0 / (1.0 + s) ** 5)
+FINITE_GRID = [0.0, 0.2, 0.7, 0.99]
+INF_GRID = [0.0, 0.5, 2.0, 8.0]
+
+
+class TestExactExecutionCurve:
+    @pytest.mark.parametrize("model, market, alpha, grid", [
+        (POWER, FINITE, 2.0, FINITE_GRID),
+        (PowerLawIntensity(lam=1.0, alpha=3.0), ZERO_RATE, 3.0, FINITE_GRID),
+        (POWER, INF, 2.0, INF_GRID),
+        (ExpDecayIntensity(lam=1.0, kappa=1.0), INF, None, INF_GRID),
+        (GENERIC, INF, None, INF_GRID),
+    ], ids=["power_T", "power_r0", "power_inf", "exp_inf", "generic_inf"])
+    @pytest.mark.parametrize("n", [5, 20])
+    def test_factoring_cases_match_expm(self, model, market, alpha, grid, n):
+        # E(., t) = expm(tau(t) Q) x with Q the death generator of the base rates
+        tau, g = _time_change(alpha, market)
+        rates = _level_rate_fn(model, market, n)
+        base = rates(0.0) / g(0.0)
+        gen = np.diag(np.concatenate(([0.0], -base))) + np.diag(base, -1)
+        x = np.arange(n + 1.0)
+        curve = execution_curve_ode(model, market, n, grid)
+        for j, t in enumerate(grid):
+            exact = expm(tau(t) * gen) @ x
+            assert np.max(np.abs(curve.inventory[:, j] - exact)) <= 1e-12
+            rate = -g(t) * (gen @ exact)[n]
+            assert abs(curve.trading_rate[j] - rate) <= 1e-12 * max(1.0, rate)
+
+    @pytest.mark.parametrize("lam", [1.0, 4.0, 30.0])
+    def test_exp_zero_rate_rows_are_straight_lines(self, lam):
+        # forward Kolmogorov equation of the transition matrix P[x, j] under the
+        # true, non-factoring level rates, integrated by RK4
+        model, n = ExpDecayIntensity(lam=lam, kappa=1.0), 6
+        rates = _level_rate_fn(model, ZERO_RATE, n)
+
+        def forward(t, flat):
+            h = np.concatenate(([0.0], rates(t)))
+            p = flat.reshape(n + 1, n + 1)
+            dp = -p * h
+            dp[:, :-1] += p[:, 1:] * h[1:]
+            return dp.ravel()
+
+        ts, ps = integrate_ode(OdeProblem((n + 1) ** 2, forward, (0.0, 0.99),
+                                          np.eye(n + 1).ravel(), step_count=9900))
+        grid = ts[::990]
+        curve = execution_curve_ode(model, ZERO_RATE, n, grid)
+        h0 = np.concatenate(([0.0], rates(0.0)))
+        for j, t in enumerate(grid):
+            p = ps[990 * j].reshape(n + 1, n + 1)
+            assert np.max(np.abs(curve.inventory[:, j] - p @ np.arange(n + 1.0))) <= 1e-9
+            assert np.array_equal(curve.inventory[:, j], np.arange(n + 1.0) - t * h0)
+            fill_rate = p[n] @ np.concatenate(([0.0], rates(t)))
+            assert abs(curve.trading_rate[j] - fill_rate) <= 1e-9
+        assert np.all(curve.trading_rate == h0[n])
+
+    @given(st.floats(min_value=1.001, max_value=30.0),
+           st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.1, 2.0]),
+           st.integers(min_value=1, max_value=300),
+           st.floats(min_value=0.01, max_value=100.0),
+           st.lists(st.floats(min_value=0.0, max_value=1.0 - 1e-9), min_size=1,
+                    max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_power_law_domain_edges(self, alpha, r, n, horizon, fractions):
+        model = PowerLawIntensity(lam=1.0, alpha=alpha)
+        market = MarketParams(r=r, horizon=horizon)
+        grid = np.unique(np.concatenate(([0.0, 1.0 - 1e-9], fractions))) * horizon
+        grid = grid[np.concatenate(([True], np.diff(grid) > 0.0))]
+        curve = execution_curve_ode(model, market, n, grid)
+        e = curve.inventory
+        x = np.arange(n + 1.0)
+        assert np.array_equal(e[:, 0], x)
+        assert np.all(e >= 0.0) and np.all(e <= x[:, None])
+        # monotone up to the rounding of the sums: grid times may be one ulp
+        # apart (the worst seen over adversarial grids was 5 eps * n)
+        slack = 64.0 * np.finfo(float).eps * n
+        assert np.all(np.diff(e, axis=1) <= slack)
+        assert np.all(np.diff(e, axis=0) >= -slack)
+        assert np.all(np.isfinite(curve.trading_rate))
+        assert np.all(curve.trading_rate >= 0.0)
