@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import discrete, fluid, numerics
 from .discrete import DiscreteSolution
@@ -43,6 +42,24 @@ __all__ = [
 # policies
 
 
+@dataclass(frozen=True)
+class FillClock:
+    """The fill process of a policy whose fill rate at level k and time t
+    (from the start) factors as ``rate(k) * profile(t)``.
+
+    ``profile`` takes a scalar time; ``tau(t)``, the integral of the profile
+    from 0, and ``advance(t0, e, b)``, the time t at which
+    b * (tau(t) - tau(t0)) reaches e, work elementwise on arrays.  With e a
+    standard exponential draw and b = ``rate(k)``, ``advance`` is the exact
+    fill time of a path that reached level k at t0.
+    """
+
+    rate: Callable[[int], float]
+    profile: Callable[[float], float]
+    tau: Callable[[np.ndarray], np.ndarray]
+    advance: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+
+
 class SpreadPolicy:
     """A feedback rule: spread to post given (inventory units, time to go)."""
 
@@ -57,10 +74,15 @@ class SpreadPolicy:
             return np.full(t_to_go.shape, self.spread(n_units, math.inf))
         return np.array([self.spread(n_units, t) for t in t_to_go.tolist()], dtype=float)
 
-    def sampler(self, horizon: float):
-        """Closed-form fill times ``(level, t0, draws) -> times``, one per live
-        path, from standard exponential draws; None if the hazard has none."""
-        return None
+    def clock(self, model: IntensityModel, delta: float,
+              horizon: float) -> Optional[FillClock]:
+        """The :class:`FillClock` of this policy's fills of size ``delta``
+        on ``model``; None if its fill rate does not factor."""
+        if not self.time_homogeneous:
+            return None
+        return FillClock(rate=lambda k: model.rate(self.spread(k, math.inf)) / delta,
+                         profile=lambda t: 1.0, tau=lambda t: t,
+                         advance=lambda t0, e, b: t0 + e / b)
 
 
 @dataclass(frozen=True)
@@ -105,7 +127,6 @@ class OptimalPowerPolicy(SpreadPolicy):
     lam: float
     alpha: float
     r: float
-    delta: float
     horizon: float
     spread_scales: np.ndarray  # sigma_n, stationary spread per level
 
@@ -123,16 +144,22 @@ class OptimalPowerPolicy(SpreadPolicy):
         factor = (-np.expm1(-self.r * self.alpha * t)) ** (1.0 / self.alpha)
         return float(self.spread_scales[n_units]) * factor
 
-    def hazard_scale(self, n_units: int) -> float:
-        """k_n: fill intensity of the Delta-problem net of the time factor."""
-        return (self.lam / self.delta) * float(self.spread_scales[n_units]) ** (-self.alpha)
-
-    def sampler(self, horizon):
+    def clock(self, model, delta, horizon):
         if math.isinf(horizon):
-            return None  # stationary: plain exponential clocks
-        a = self.alpha * self.r
-        return lambda level, t0, e: horizon - np.log1p(
-            np.expm1(a * (horizon - t0)) * np.exp(-a * e / self.hazard_scale(level))) / a
+            return super().clock(model, delta, horizon)
+        a, T = self.alpha * self.r, horizon
+
+        def tau(t):
+            # t + log((1 - e^(-aT)) / (1 - e^(-a(T-t)))) / a, free of the
+            # cancellation between the two logs as a -> 0
+            return t + np.log1p(np.exp(-a * (T - t)) * np.expm1(-a * t)
+                                / np.expm1(-a * (T - t))) / a
+
+        return FillClock(
+            rate=lambda k: (self.lam / delta) * float(self.spread_scales[k]) ** (-self.alpha),
+            profile=lambda t: 1.0 / -math.expm1(-a * (T - t)), tau=tau,
+            advance=lambda t0, e, b: T - np.log1p(np.expm1(a * (T - t0))
+                                                  * np.exp(-a * e / b)) / a)
 
 
 @dataclass(frozen=True)
@@ -145,7 +172,6 @@ class ZeroRatePowerPolicy(SpreadPolicy):
 
     lam: float
     alpha: float
-    delta: float
     horizon: float
     spread_coefs: np.ndarray  # c_n, spread per unit of (time to go)**(1/alpha)
 
@@ -154,20 +180,16 @@ class ZeroRatePowerPolicy(SpreadPolicy):
 
     spreads_at = spread  # elementwise in t_to_go
 
-    def hazard_scale(self, n_units: int) -> float:
-        """k_n in the fill rate k_n / (T - t)."""
-        return (self.lam / self.delta) * float(self.spread_coefs[n_units]) ** (-self.alpha)
-
-    def sampler(self, horizon):
-        return lambda level, t0, e: horizon - (horizon - t0) * np.exp(
-            -e / self.hazard_scale(level))
+    def clock(self, model, delta, horizon):
+        T = horizon
+        return FillClock(
+            rate=lambda k: (self.lam / delta) * float(self.spread_coefs[k]) ** (-self.alpha),
+            profile=lambda t: 1.0 / (T - t), tau=lambda t: -np.log1p(-t / T),
+            advance=lambda t0, e, b: T - (T - t0) * np.exp(-e / b))
 
 
 # --------------------------------------------------------------------------
 # cases
-
-# time profile and clock of rates that do not depend on time
-_STATIONARY = (lambda t: 1.0, lambda times: times)
 
 
 @dataclass(frozen=True)
@@ -181,9 +203,10 @@ class Case:
     the map t -> fill rates of levels 1..n at unit trading size; and
     ``execution_curve``, the exact mean inventory under the optimal policy.
 
-    Every case but the exponential book with r = 0 has level rates that
-    factor as b_k * g(t) (``_rate_factors``), so the mean inventory is the
-    pure-death chain with rates b_k run on the clock tau(t), the integral of g.
+    Every case but the exponential book with r = 0 has an optimal policy
+    whose fill rates factor as b_k * g(t) (its :class:`FillClock`), so the
+    mean inventory is the pure-death chain with rates b_k run on the clock
+    tau(t), the integral of g.
     """
 
     model: IntensityModel
@@ -198,24 +221,25 @@ class Case:
         """Expected time to sell each level optimally, where a closed form exists."""
         return None
 
-    def _rate_factors(self, n_units):
-        """(b, g, tau): level rates b_k * g(t) for k = 1..n, tau(t) the integral
-        of g from 0 to t (elementwise on an array of times)."""
-        raise NotImplementedError
+    def _clock(self, n_units):
+        """The fill clock and level constants b_1..b_n at unit trading size."""
+        clock = self.policy(1.0, n_units).clock(self.model, 1.0, self.market.horizon)
+        return clock, np.array([clock.rate(k) for k in range(1, n_units + 1)])
 
     def level_rates(self, n_units):
-        base, profile, _ = self._rate_factors(n_units)
-        return lambda t: base * profile(t)
+        clock, base = self._clock(n_units)
+        return lambda t: base * clock.profile(t)
 
-    def execution_curve(self, n_units: int, times: np.ndarray,
-                        rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def execution_curve(self, n_units: int,
+                        times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(E, trading rate): E[x, j] is the mean inventory at ``times[j]``
         starting from x = 0..n units at time 0, and the trading rate is
-        -dE(n, t)/dt; ``rates[j]`` holds the level rates at ``times[j]``."""
-        base, _, clock = self._rate_factors(n_units)
-        table = numerics.pure_death_mean(base, clock(times))
-        # h_n(t) (E(n-1, t) - E(n, t)) is exact when the rates factor
-        return table, rates[:, -1] * (table[-1] - table[-2])
+        -dE(n, t)/dt."""
+        clock, base = self._clock(n_units)
+        table = numerics.pure_death_mean(base, clock.tau(times))
+        top = base[-1] * np.array([clock.profile(t) for t in times.tolist()])
+        # -dE(n, t)/dt = b_n g(t) (E(n, t) - E(n-1, t)) when the rates factor
+        return table, top * (table[-1] - table[-2])
 
     def _fluid(self, pair, curve) -> FluidSolution:
         # pair: x -> (value, spread); curve: (t, x0) -> inventory
@@ -262,23 +286,8 @@ class PowerDiscounted(Case):
 
     def policy(self, delta, n_max):
         return OptimalPowerPolicy(lam=self.model.lam, alpha=self.model.alpha,
-                                  r=self.market.r, delta=delta,
-                                  horizon=self.market.horizon,
+                                  r=self.market.r, horizon=self.market.horizon,
                                   spread_scales=self._scales(delta, n_max)[1])
-
-    def _rate_factors(self, n_units):
-        base = self.model.lam * self._scales(1.0, n_units)[1][1:] ** (-self.model.alpha)
-        if self.market.infinite_horizon:
-            return (base, *_STATIONARY)
-        a, T = self.model.alpha * self.market.r, self.market.horizon
-
-        def clock(t):
-            # t + log((1 - e^(-aT)) / (1 - e^(-a(T-t)))) / a, free of the
-            # cancellation between the two logs as a -> 0
-            return t + np.log1p(np.exp(-a * (T - t)) * np.expm1(-a * t)
-                                / np.expm1(-a * (T - t))) / a
-
-        return base, lambda t: 1.0 / -math.expm1(-a * (T - t)), clock
 
     def liquidation_times(self, sol):
         if not self.market.infinite_horizon:
@@ -323,13 +332,8 @@ class PowerZeroRate(Case):
 
     def policy(self, delta, n_max):
         return ZeroRatePowerPolicy(lam=self.model.lam, alpha=self.model.alpha,
-                                   delta=delta, horizon=self.market.horizon,
+                                   horizon=self.market.horizon,
                                    spread_coefs=self._spread_coefs(delta, n_max)[1])
-
-    def _rate_factors(self, n_units):
-        base = self.model.lam * self._spread_coefs(1.0, n_units)[1][1:] ** (-self.model.alpha)
-        T = self.market.horizon
-        return base, lambda t: 1.0 / (T - t), lambda t: -np.log1p(-t / T)
 
 
 class ExpZeroRate(Case):
@@ -358,22 +362,16 @@ class ExpZeroRate(Case):
 
     def level_rates(self, n_units):
         T, lam = self.market.horizon, self.model.lam
-        j = np.arange(n_units + 1, dtype=float)
-        lgam = gammaln(j + 1.0)
 
         def rates(t):
-            t_go = T - t
-            with np.errstate(divide="ignore"):
-                log_y = math.log(lam * t_go / math.e) if t_go > 0 else -math.inf
-            terms = j * log_y - lgam
-            terms[0] = 0.0
-            log_sums = np.logaddexp.accumulate(terms)
-            # rate(s*(k)) = (lam/e) * S_{k-1}/S_k, independent of kappa
+            # with delta = kappa = 1 the values are log S_k, S_k the truncated
+            # exponential series in lam (T-t)/e; rate(s*(k)) = (lam/e) S_{k-1}/S_k
+            log_sums = discrete.solve_exp_finite(n_units, 1.0, [T - t], lam, 1.0)[0][:, 0]
             return (lam / math.e) * np.exp(log_sums[:-1] - log_sums[1:])
 
         return rates
 
-    def execution_curve(self, n_units, times, rates):
+    def execution_curve(self, n_units, times):
         # The rates do not factor, but with y = lam (T-t)/e and S_k the
         # truncated exponential series, P(X_t = j | x) = (lam t/e)^(x-j)/(x-j)!
         # * S_j(y_t)/S_x(y_0), so the expected fill rate stays at h_x(0) =
@@ -404,10 +402,6 @@ class ExpStationary(Case):
     def policy(self, delta, n_max):
         return StationarySpreadPolicy(spreads=self._table(delta, n_max)[1])
 
-    def _rate_factors(self, n_units):
-        base = self.model.lam * np.exp(-self.model.kappa * self._table(1.0, n_units)[1][1:])
-        return (base, *_STATIONARY)
-
 
 class GenericStationary(Case):
     """Any other depth model on the infinite horizon."""
@@ -420,10 +414,6 @@ class GenericStationary(Case):
 
     def policy(self, delta, n_max):
         return StationarySpreadPolicy(spreads=self.solve(delta, n_max).spreads)
-
-    def _rate_factors(self, n_units):
-        base = np.array([self.model.rate(s) for s in self.solve(1.0, n_units).spreads[1:]])
-        return (base, *_STATIONARY)
 
 
 def resolve(model: IntensityModel, market: MarketParams) -> Case:

@@ -9,6 +9,7 @@ them), 3 for numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -301,6 +302,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache  # one parser per process: each one is a web of reference cycles
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lobliq",

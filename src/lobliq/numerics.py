@@ -247,7 +247,7 @@ def pure_death_mean(rates, taus) -> np.ndarray:
         raise NonFiniteStateError("non-finite state: death rates or times are not finite")
     if np.any(b < 0.0) or np.any(taus < 0.0):
         raise ValueError("death rates and times must be nonnegative")
-    v = np.arange(len(b), dtype=float)
+    x = v = np.arange(len(b), dtype=float)
     lam = float(b.max())
     if lam == 0.0 or len(taus) == 0:
         return np.repeat(v[:, None], len(taus), axis=1)
@@ -272,4 +272,5 @@ def pure_death_mean(rates, taus) -> np.ndarray:
         out += terms[:len(m)].T @ weights
         if v[-1] <= cut:
             break
-    return out
+    # the weights sum to at most 1, but the products can round past x near tau = 0
+    return np.minimum(out, x[:, None])

@@ -1,11 +1,12 @@
 """Monte Carlo simulation of the controlled inventory process.
 
-Fill times are sampled exactly by inverting the integrated hazard: in closed
-form for the power-law optimal policies (whose fill rate factors as a level
-constant times a time profile that diverges at maturity, guaranteeing full
-liquidation), as plain exponential clocks for stationary policies, and by
-quadrature plus root solving (or thinning with a piecewise bound) for
-generic time-dependent policies.
+Fill times are sampled exactly by inverting the integrated hazard.  Where a
+policy's fill rate factors as a level constant times a time profile, its
+:class:`~lobliq.cases.FillClock` inverts it in closed form: plain
+exponential clocks for stationary policies, and a profile that diverges at
+maturity, guaranteeing full liquidation, for the power-law optima.  Other
+time-dependent policies fall back to quadrature plus root solving, or to
+thinning with a piecewise bound.
 
 Paths are simulated in fixed-size blocks.  Block b draws one matrix of
 standard exponentials, row by row, from a stream keyed on (seed, b), and
@@ -84,13 +85,6 @@ def fluid_spread_policy(model: IntensityModel, market: MarketParams, delta: floa
 # fill-time samplers: (level, t0, draws) -> fill times, one per live path.
 # ``draws`` holds each path's standard exponential for this level (its
 # generator, for thinning).  NaN or a time past the horizon means no fill.
-
-
-def _stationary_sampler(model, policy, delta):
-    def sample(level, t0, e):
-        return t0 + e / (model.rate(policy.spread(level, math.inf)) / delta)
-
-    return sample
 
 
 def _per_path(fill_time):
@@ -173,11 +167,9 @@ def _thinning_sampler(model, policy, delta, horizon, cells: int = 64):
 def _pick_sampler(model, policy, delta, market, method):
     horizon = market.horizon
     if method == "auto":
-        closed_form = policy.sampler(horizon)
-        if closed_form is not None:
-            return closed_form
-        if policy.time_homogeneous:
-            return _stationary_sampler(model, policy, delta)
+        clock = policy.clock(model, delta, horizon)
+        if clock is not None:
+            return lambda level, t0, e: clock.advance(t0, e, clock.rate(level))
         return _inversion_sampler(model, policy, delta, horizon)
     if method in ("inversion", "thinning") and market.infinite_horizon:
         raise UnsupportedCaseError(f"sampling method {method!r} needs a finite horizon")
@@ -380,25 +372,19 @@ class ExecutionCurve:
     initial_units: int
 
 
-def _level_rate_fn(model: IntensityModel, market: MarketParams, n_units: int):
-    """Per-level fill rates t -> array of rate(s*(k, T-t)) for k = 1..n."""
-    return resolve(model, market).level_rates(n_units)
-
-
 def execution_curve_ode(model: IntensityModel, market: MarketParams, n_units: int,
                         time_grid) -> ExecutionCurve:
     """Average inventory E(x, t) under the optimal policy, unit trading size.
 
     E(x, t) is the mean inventory at time t of the controlled death process
     started from x units at time 0, and the trading rate is -dE(n, t)/dt.
-    Both are exact (``Case.execution_curve``): where the level rates factor
-    as b_k * g(t), E(., t) = expm(tau(t) Q) (0, 1, ..., n) with tau the
-    integral of g and Q the death generator with rates b_k, summed by
-    uniformization; for the exponential book with r = 0 every row is the
-    line x - t * h_x(0).  The rate function is called once per grid point.
-    Every grid time must lie before a finite horizon, where the power law's
-    rates blow up.  Raises NonFiniteStateError if a rate or a result is not
-    finite.
+    Both are exact (``Case.execution_curve``): where the optimal policy's
+    fill clock factors the level rates as b_k * g(t), E(., t) =
+    expm(tau(t) Q) (0, 1, ..., n) with tau the integral of g and Q the death
+    generator with rates b_k, summed by uniformization; for the exponential
+    book with r = 0 every row is the line x - t * h_x(0).  Every grid time
+    must lie before a finite horizon, where the power law's rates blow up.
+    Raises NonFiniteStateError if a level rate or a result is not finite.
     """
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or len(times) == 0 or np.any(np.diff(times) <= 0.0):
@@ -411,13 +397,7 @@ def execution_curve_ode(model: IntensityModel, market: MarketParams, n_units: in
     if n_units < 1:
         raise ValueError("n_units must be >= 1")
 
-    rates = _level_rate_fn(model, market, n_units)
-    rate_rows = np.array([rates(t) for t in times])  # (n_times, n_units)
-    if not np.all(np.isfinite(rate_rows)):
-        raise NonFiniteStateError("non-finite state: a level rate is not finite "
-                                  "on the time grid")
-    table, trading_rate = resolve(model, market).execution_curve(n_units, times,
-                                                                 rate_rows)
+    table, trading_rate = resolve(model, market).execution_curve(n_units, times)
     if not (np.all(np.isfinite(table)) and np.all(np.isfinite(trading_rate))):
         raise NonFiniteStateError("non-finite state in the execution curve")
     return ExecutionCurve(times=times, inventory=table,

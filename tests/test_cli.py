@@ -118,9 +118,9 @@ class TestCliCommands:
         assert rc == 3  # grid touches maturity where the fill rate diverges
 
     def test_non_finite_curve_state_exits_3(self, tmp_path, capsys, monkeypatch):
-        import lobliq.simulate
-        monkeypatch.setattr(lobliq.simulate, "_level_rate_fn",
-                            lambda model, market, n: lambda t: np.full(n, np.nan))
+        import lobliq.numerics
+        monkeypatch.setattr(lobliq.numerics, "pure_death_mean",
+                            lambda rates, taus: np.full((len(rates) + 1, len(taus)), np.nan))
         cfg = {
             "model": {"kind": "power", "lam": 1.0, "alpha": 2.0},
             "market": {"r": 0.1, "horizon": 1.0},

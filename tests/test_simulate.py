@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from lobliq.cases import resolve
 from lobliq.discrete import (
     horizon_factor,
     solve_exp_finite,
@@ -21,7 +22,6 @@ from lobliq.intensity import (
 from lobliq.numerics import OdeProblem, integrate_ode
 from lobliq.simulate import (
     _BLOCK_PATHS,
-    _level_rate_fn,
     ConstantSpreadPolicy,
     OptimalPowerPolicy,
     StationarySpreadPolicy,
@@ -188,10 +188,11 @@ class TestPolicies:
         assert isinstance(pol, ZeroRatePowerPolicy)
         assert not pol.time_homogeneous
         # fill rate k_n / (T - t)
+        clock = pol.clock(POWER, 1.0, ZERO_RATE.horizon)
         for n in range(1, 5):
             for t_go in (0.9, 0.1, 1e-6):
                 rate = POWER.rate(pol.spread(n, t_go))
-                assert math.isclose(rate * t_go, pol.hazard_scale(n), rel_tol=1e-12)
+                assert math.isclose(rate * t_go, clock.rate(n), rel_tol=1e-12)
 
     @pytest.mark.parametrize("policy", [
         optimal_policy(POWER, FINITE, 1.0, 4),
@@ -336,7 +337,7 @@ class TestExactExecutionCurve:
     def test_factoring_cases_match_expm(self, model, market, alpha, grid, n):
         # E(., t) = expm(tau(t) Q) x with Q the death generator of the base rates
         tau, g = _time_change(alpha, market)
-        rates = _level_rate_fn(model, market, n)
+        rates = resolve(model, market).level_rates(n)
         base = rates(0.0) / g(0.0)
         gen = np.diag(np.concatenate(([0.0], -base))) + np.diag(base, -1)
         x = np.arange(n + 1.0)
@@ -352,7 +353,7 @@ class TestExactExecutionCurve:
         # forward Kolmogorov equation of the transition matrix P[x, j] under the
         # true, non-factoring level rates, integrated by RK4
         model, n = ExpDecayIntensity(lam=lam, kappa=1.0), 6
-        rates = _level_rate_fn(model, ZERO_RATE, n)
+        rates = resolve(model, ZERO_RATE).level_rates(n)
 
         def forward(t, flat):
             h = np.concatenate(([0.0], rates(t)))
@@ -380,6 +381,7 @@ class TestExactExecutionCurve:
            st.floats(min_value=0.01, max_value=100.0),
            st.lists(st.floats(min_value=0.0, max_value=1.0 - 1e-9), min_size=1,
                     max_size=6))
+    @example(alpha=14.0, r=2.0, n=160, horizon=98.0, fractions=[9.180301589221722e-21])
     @settings(max_examples=60, deadline=None)
     def test_power_law_domain_edges(self, alpha, r, n, horizon, fractions):
         model = PowerLawIntensity(lam=1.0, alpha=alpha)
