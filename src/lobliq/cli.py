@@ -265,7 +265,7 @@ def _cmd_exchanges(cfg: RunConfig, artifacts: list) -> None:
     }
     if eps is not None:
         expansion = two_exchange_expansion(base, eps)
-        columns["value_expansion"] = np.array([expansion.value(x) for x in sol.x_grid])
+        columns["value_expansion"] = expansion.value(sol.x_grid)
         docs["value_expansion"] = "first-order weak-block-venue expansion"
     _emit_table(cfg, "exchanges", columns, docs, artifacts,
                 extra_json={"x_seed": sol.x_seed})

@@ -213,6 +213,9 @@ def _validate_section(command: str, section: dict) -> dict:
     elif command == "regimes":
         out["lambda0"] = _number(section, "lambda0", command, minimum=0.0, exclusive=True)
         out["lambda1"] = _number(section, "lambda1", command, minimum=0.0, exclusive=True)
+        if not out["lambda0"] > out["lambda1"]:
+            raise ConfigError(f"{command}.lambda1: the slow regime's {out['lambda1']} "
+                              f"must be below lambda0 = {out['lambda0']}")
         out["alpha"] = _number(section, "alpha", command, minimum=1.0, exclusive=True)
         out["r"] = _number(section, "r", command, minimum=0.0, exclusive=True)
         out["theta_grid"] = _grid(section, "theta_grid", command)
@@ -226,6 +229,16 @@ def _validate_section(command: str, section: dict) -> dict:
         out["x_max"] = _number(section, "x_max", command, minimum=0.0, exclusive=True)
         out["grid_step"] = _number(section, "grid_step", command, default=0.001,
                                    minimum=0.0, exclusive=True)
+        # the patching solver marches a lattice of grid_step that must hold
+        # every block-size knot and x_max itself
+        h, x_max = out["grid_step"], out["x_max"]
+        ratio = out["delta_block"] / h
+        if abs(ratio - round(ratio)) > 1e-9:
+            raise ConfigError(f"{command}.grid_step: {h} does not divide "
+                              f"delta_block = {out['delta_block']}")
+        if abs(h * round(x_max / h) - x_max) > 1e-9 * max(1.0, x_max):
+            raise ConfigError(f"{command}.x_max: {x_max} is not on the "
+                              f"grid_step = {h} lattice")
         if "eps" in section:
             out["eps"] = _number(section, "eps", command, minimum=0.0)
     elif command == "figures":

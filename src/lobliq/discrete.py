@@ -299,6 +299,13 @@ def solve_generic_stationary(model: IntensityModel, delta: float, r: float,
     probe = model.s_min + np.geomspace(1e-4, 1e4, 33)
     cond = concavity_condition(model, probe)
 
+    # the geometric scan ends at the first spread whose rate underflows to
+    # 0: the rate decreases, so the objective is 0 from there on
+    grid = model.s_min + 2.0 ** np.arange(-40, 41, dtype=float)
+    n_live = next((j for j, s in enumerate(grid) if model.derivatives(float(s))[0] == 0.0),
+                  len(grid))
+    grid = grid[:n_live + 1]
+
     values = np.zeros(n_max + 1)
     spreads = np.full(n_max + 1, math.nan)
     flagged = not cond.holds
@@ -306,9 +313,8 @@ def solve_generic_stationary(model: IntensityModel, delta: float, r: float,
         v_prev = values[n - 1]
         phi = lambda s: _generic_objective(model, s, delta, r, v_prev)
 
-        exponents = np.arange(-40, 41, dtype=float)
-        grid = model.s_min + 2.0 ** exponents
-        vals = np.array([phi(s) for s in grid])
+        vals = np.zeros(len(grid))
+        vals[:n_live] = [phi(s) for s in grid[:n_live]]
         k = int(np.argmax(vals))
         if k == 0 or k == len(grid) - 1:
             raise ArithmeticError(f"maximization bracket failure at level {n}: "

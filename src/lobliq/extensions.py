@@ -252,7 +252,10 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
 
     In the u variable the block-free solution is exactly linear, so the
     x -> 0 derivative singularity disappears and the seed region [0, x_seed]
-    (where v is set to the single-exchange asymptote) costs nothing.
+    (where v is set to the single-exchange asymptote) costs nothing.  Every
+    delayed value v(x - delta_block) lies in an earlier, completed segment,
+    so the steps of one segment read theirs from the completed segments'
+    cubic interpolants in one array evaluation before the segment is marched.
     """
     a, r, dblk = params.alpha, params.r, params.delta_block
     p = (a - 1.0) / a
@@ -269,57 +272,71 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
 
     u = np.empty(n_nodes)
     u[: seed_idx + 1] = u_slope0 * xs[: seed_idx + 1]
-
-    # per-segment cubic interpolants of v for the delayed difference
+    v = np.empty(n_nodes)
+    v[: seed_idx + 1] = u[: seed_idx + 1] ** p
     seg_len = int(round(dblk / h))
     splines: dict[int, CubicSpline] = {}
 
-    def v_of(x):
-        if x <= 0.0:
-            return 0.0
-        # knot queries resolve to the left (already completed) segment
-        seg = max(0, int(math.floor(x / dblk - 1e-12)))
-        sp = splines.get(seg)
-        if sp is None:
-            i0 = seg * seg_len
-            i1 = min(i0 + seg_len, len(done_v) - 1)
-            sp = CubicSpline(xs[i0:i1 + 1], done_v[i0:i1 + 1])
-            splines[seg] = sp
-        return float(sp(x))
+    def delayed(x, n_done):
+        """v(x - dblk) where x > dblk, else 0, from the segments whose nodes
+        all lie at or below n_done; a knot query resolves to the left segment."""
+        out = np.zeros(len(x))
+        if params.lambda1 == 0.0:
+            return out
+        live = np.flatnonzero(x > dblk)
+        q = x[live] - dblk
+        seg = np.maximum(0, np.floor(q / dblk - 1e-12)).astype(int)
+        for s in np.unique(seg):
+            i0 = s * seg_len
+            sel = seg == s
+            if i0 + seg_len > n_done:
+                # rounding put a knot query just past the knot, into the
+                # segment being marched (xs[L] = L*h can exceed dblk): read
+                # the knot itself
+                out[live[sel]] = v[i0]
+                continue
+            spline = splines.get(s)
+            if spline is None:
+                spline = splines[s] = CubicSpline(xs[i0:i0 + seg_len + 1],
+                                                  v[i0:i0 + seg_len + 1])
+            out[live[sel]] = spline(q[sel])
+        return out
 
-    done_v = np.empty(n_nodes)
-    done_v[: seed_idx + 1] = u[: seed_idx + 1] ** p
-
-    def slope(x, u_val):
-        v = u_val ** p
+    def slope(x, u_val, v_delay):
+        v_here = u_val ** p
         block = 0.0
         if params.lambda1 > 0.0:
-            gap = v - (v_of(x - dblk) if x > dblk else 0.0)
+            gap = v_here - v_delay
             if gap <= 0.0:
                 raise ArithmeticError(f"value failed to increase over one block at x = {x}")
             block = aa * params.lambda1 * min(x, dblk) ** a * gap ** (1.0 - a)
-        d = r * v - block
+        d = r * v_here - block
         if d <= 0.0:
             raise ArithmeticError(f"delay ODE blow-up at x = {x}: block term "
                                   "dominates the discounted value")
         return (a / (a - 1.0)) * u_val ** (1.0 / a) * (aa * params.lambda0 / d) ** (1.0 / (a - 1.0))
 
-    for i in range(seed_idx, n_nodes - 1):
-        x = xs[i]
-        ui = u[i]
-        k1 = slope(x, ui)
-        k2 = slope(x + 0.5 * h, ui + 0.5 * h * k1)
-        k3 = slope(x + 0.5 * h, ui + 0.5 * h * k2)
-        k4 = slope(x + h, ui + h * k3)
-        u[i + 1] = ui + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not math.isfinite(u[i + 1]):
-            raise ArithmeticError(f"delay ODE blow-up at x = {xs[i + 1]}")
-        done_v[i + 1] = u[i + 1] ** p
-        # invalidate interpolants that could cover the node just written
-        splines.pop(i // seg_len, None)
-        splines.pop((i + 1) // seg_len, None)
+    start = seed_idx
+    while start < n_nodes - 1:
+        # the steps whose left node lies in one segment
+        stop = min((start // seg_len + 1) * seg_len, n_nodes - 1)
+        x0 = xs[start:stop]
+        xm, x1 = x0 + 0.5 * h, x0 + h
+        d0, dm, d1 = (delayed(x, start) for x in (x0, xm, x1))
+        for j, i in enumerate(range(start, stop)):
+            x = xs[i]
+            ui = u[i]
+            k1 = slope(x, ui, d0[j])
+            k2 = slope(xm[j], ui + 0.5 * h * k1, dm[j])
+            k3 = slope(xm[j], ui + 0.5 * h * k2, dm[j])
+            k4 = slope(x1[j], ui + h * k3, d1[j])
+            u[i + 1] = ui + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not math.isfinite(u[i + 1]):
+                raise ArithmeticError(f"delay ODE blow-up at x = {xs[i + 1]}")
+            v[i + 1] = u[i + 1] ** p
+        start = stop
 
-    return xs, done_v, u
+    return xs, v, u
 
 
 def two_exchange_patch(params: TwoExchangeParams, x_seed: Optional[float] = None,
@@ -366,9 +383,47 @@ def two_exchange_patch(params: TwoExchangeParams, x_seed: Optional[float] = None
                                spread_continuous=s0, spread_block=s1, x_seed=x_seed)
 
 
+# the 8-point Gauss-Legendre rule on [-1, 1], numpy.polynomial.legendre.leggauss(8)
+# written out: computing it initialises NumPy's LAPACK, about 0.75 MB of RSS
+_GAUSS_HALF_NODES = np.array([0.18343464249564978, 0.525532409916329,
+                              0.7966664774136267, 0.9602898564975362])
+_GAUSS_HALF_WEIGHTS = np.array([0.36268378337836166, 0.3137066458778869,
+                                0.22238103445337443, 0.10122853629037706])
+_GAUSS_NODES = np.concatenate([-_GAUSS_HALF_NODES[::-1], _GAUSS_HALF_NODES])
+_GAUSS_WEIGHTS = np.concatenate([_GAUSS_HALF_WEIGHTS[::-1], _GAUSS_HALF_WEIGHTS])
+_CELLS_PER_BLOCK = 512
+
+
+def _cell_integrals(f, lo, hi, smooth_from):
+    """Integrals of f over the cells [lo, hi]: 8-point Gauss-Legendre, in
+    blocks of cells, where lo >= smooth_from, and ``quad`` below it."""
+    out = np.empty(len(lo))
+    for i in np.flatnonzero(lo < smooth_from):
+        out[i] = quad(f, lo[i], hi[i], epsabs=1e-13, epsrel=1e-11, limit=400)[0]
+    smooth = np.flatnonzero(lo >= smooth_from)
+    for b in range(0, len(smooth), _CELLS_PER_BLOCK):
+        idx = smooth[b:b + _CELLS_PER_BLOCK]
+        mid = 0.5 * (lo[idx] + hi[idx])
+        half = 0.5 * (hi[idx] - lo[idx])
+        acc = np.zeros(len(idx))
+        for t, wt in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
+            acc += wt * f(mid + half * t)
+        out[idx] = half * acc
+    return out
+
+
 @dataclass(frozen=True)
 class ExpansionSolution:
-    """First-order small-block-venue expansion v ~ v0 + eps*v1."""
+    """First-order small-block-venue expansion v ~ v0 + eps*v1.
+
+    Above one block size v1 needs the integral of a tail integrand from
+    delta_block to x.  It is read off one uniform mesh of width
+    delta_block/64 starting at delta_block: a cumulative sum of cell
+    integrals up to the last mesh point below x, plus one more cell up to x.
+    The integrand's (y - delta_block)**p term is not smooth at delta_block,
+    so cells in the first mesh width go to ``quad``.  A value at x depends
+    on x alone, not on the other points queried with it.
+    """
 
     params: TwoExchangeParams  # lambda1 read as the O(1) scale multiplying eps
     eps: float
@@ -377,26 +432,40 @@ class ExpansionSolution:
     def v0(self, x):
         return self.params.single_exchange_value(x)
 
-    def v1(self, x: float) -> float:
+    def v1(self, x):
+        """First-order correction at a scalar x (a float) or an array of them."""
         pr = self.params
         a, r, dblk = pr.alpha, pr.r, pr.delta_block
         p = (a - 1.0) / a
         k = power_constant(a) * pr.lambda1 * (pr.lambda0 / (a * r)) ** ((1.0 - a) / a)
-        if x <= 0.0:
-            return 0.0
-        if x <= dblk:
-            return self.c1_constant * x ** (2.0 - 1.0 / a)
-        inner = k * dblk ** 2 / (2.0 * a * r)
+        xa = np.asarray(x, dtype=float)
+        flat = xa.ravel()
+        out = np.where(flat > 0.0, self.c1_constant * np.maximum(flat, 0.0) ** (2.0 - 1.0 / a),
+                       0.0)
+        tail = np.flatnonzero(flat > dblk)
+        if len(tail):
+            def integrand(y):
+                gap = y ** p - (y - dblk) ** p
+                return k * dblk ** a * gap ** (1.0 - a) * y ** (1.0 / a - 1.0) / (a * r)
 
-        def integrand(y):
-            gap = y ** p - (y - dblk) ** p
-            return k * dblk ** a * gap ** (1.0 - a) * y ** (1.0 / a - 1.0) / (a * r)
+            xt = flat[tail]
+            w = dblk / 64.0
+            cell = np.floor((xt - dblk) / w).astype(int)
+            mesh = dblk + w * np.arange(int(cell.max()) + 1)
+            smooth_from = dblk + 0.5 * w
+            # prefix[j]: the integral from delta_block to mesh[j]
+            prefix = np.concatenate(
+                ([0.0], np.cumsum(_cell_integrals(integrand, mesh[:-1], mesh[1:], smooth_from))))
+            integral = prefix[cell] + _cell_integrals(integrand, mesh[cell], xt, smooth_from)
+            inner = k * dblk ** 2 / (2.0 * a * r)
+            out[tail] = xt ** (-1.0 / a) * (inner + integral)
+        out = out.reshape(xa.shape)
+        return float(out) if out.ndim == 0 else out
 
-        tail, _ = quad(integrand, dblk, x, epsabs=1e-13, epsrel=1e-11, limit=400)
-        return x ** (-1.0 / a) * (inner + tail)
-
-    def value(self, x: float) -> float:
-        return float(self.v0(x)) + self.eps * self.v1(x)
+    def value(self, x):
+        """v0 + eps*v1 at a scalar x (a float) or an array of them."""
+        out = self.v0(x) + self.eps * self.v1(x)
+        return float(out) if np.ndim(out) == 0 else out
 
 
 def two_exchange_expansion(params: TwoExchangeParams, eps: float) -> ExpansionSolution:
@@ -404,8 +473,9 @@ def two_exchange_expansion(params: TwoExchangeParams, eps: float) -> ExpansionSo
 
     ``params.lambda1`` is read as the O(1) base scale; the physical block
     intensity is lambda1 * eps.  The correction is closed-form below one
-    block size, C1 * x**(2 - 1/alpha), and a one-dimensional quadrature
-    above it; against the patching solver the residual shrinks like eps**2.
+    block size, C1 * x**(2 - 1/alpha), and above it a cumulative
+    Gauss-Legendre sum over a fixed mesh (see :class:`ExpansionSolution`);
+    against the patching solver the residual shrinks like eps**2.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")

@@ -339,6 +339,27 @@ class TestCliCommands:
         mid = rows[len(rows) // 2]
         assert abs(float(mid[iv]) - float(mid[ie])) < 5e-3
 
+    @pytest.mark.parametrize("command, change, field", [
+        ("exchanges", {"x_max": 2.0005}, "exchanges.x_max"),
+        ("exchanges", {"grid_step": 0.3}, "exchanges.grid_step"),
+        ("regimes", {"lambda0": 0.5, "lambda1": 0.5}, "regimes.lambda1"),
+        ("regimes", {"lambda0": 0.4}, "regimes.lambda1"),
+    ])
+    def test_extension_lattice_and_ordering_exit_2(self, tmp_path, capsys, command,
+                                                   change, field):
+        out = tmp_path / "out"
+        sections = {
+            "exchanges": {"lambda0": 1.0, "lambda1": 1.0, "delta_block": 1.0,
+                          "alpha": 2.0, "r": 0.1, "x_max": 2.0, "grid_step": 0.01},
+            "regimes": {"lambda0": 1.5, "lambda1": 0.5, "alpha": 2.0, "r": 0.1,
+                        "theta_grid": {"start": 0.01, "stop": 100.0, "count": 3}},
+        }
+        cfg = {command: {**sections[command], **change},
+               "output": {"directory": str(out)}}
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_regimes_sweep(self, tmp_path):
         out = tmp_path / "out"
         cfg = {

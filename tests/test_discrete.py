@@ -220,6 +220,26 @@ class TestGenericStationary:
         assert np.max(np.abs(sol.coefficients - values)) < 1e-8
         assert np.max(np.abs(sol.spreads[1:] - spreads[1:])) < 1e-8
 
+    @pytest.mark.parametrize("delta", [1.0, 0.5, 0.25])
+    def test_rate_underflow_ends_the_scan(self, delta):
+        # exp(-s) underflows to 0.0 inside the scan (at s = 1024), where a
+        # generic rate refuses a nonpositive value: the scan must stop there
+        model = GenericIntensity(value=lambda s: math.exp(-s),
+                                 deriv1=lambda s: -math.exp(-s),
+                                 deriv2=lambda s: math.exp(-s))
+        sol = solve_discrete(model, MarketParams(r=R), delta, 6)
+        values, spreads = solve_exp_infinite(6 * delta, delta, 1.0, 1.0, R)
+        assert np.max(np.abs(sol.values - values)) < 1e-8
+        assert np.max(np.abs(sol.spreads[1:] - spreads[1:])) < 1e-8
+
+    def test_negative_user_rate_still_raises(self):
+        # a negative user value met by the scan (at s = 1) is an input error
+        model = GenericIntensity(value=lambda s: 0.75 - s,
+                                 deriv1=lambda s: -1.0,
+                                 deriv2=lambda s: 0.0)
+        with pytest.raises(ValueError, match="intensity must be positive"):
+            solve_generic_stationary(model, 1.0, R, 3)
+
     def test_level_zero(self):
         sol = solve_generic_stationary(PowerLawIntensity(lam=1.0, alpha=2.0),
                                        1.0, 0.1, 3)

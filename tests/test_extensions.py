@@ -186,6 +186,79 @@ class TestTwoExchangePatch:
         assert np.any(second[knot:] > 0.0)
 
 
+def _reference_patch(params, x_seed):
+    """The patching march with one scalar spline evaluation per delayed query:
+    the per-step reference for the segment-at-a-time solver."""
+    from scipy.interpolate import CubicSpline
+    a, r, dblk, h = params.alpha, params.r, params.delta_block, params.grid_step
+    p, aa = (a - 1.0) / a, (a - 1.0) ** (a - 1.0) / a ** a
+    n = int(round(params.x_max / h)) + 1
+    xs = h * np.arange(n)
+    seed = min(max(1, int(round(x_seed / h))), n - 1)
+    u = np.full(n, np.nan)
+    u[: seed + 1] = (params.lambda0 / (a * r)) ** (1.0 / (a - 1.0)) * xs[: seed + 1]
+    v = u ** p
+    seg_len = int(round(dblk / h))
+
+    def slope(x, u_val, n_done):
+        v_here = u_val ** p
+        block = 0.0
+        if params.lambda1 > 0.0:
+            v_delay = 0.0
+            if x > dblk:
+                i0 = max(0, int(math.floor((x - dblk) / dblk - 1e-12))) * seg_len
+                if i0 + seg_len > n_done:  # a knot query rounded past its knot
+                    v_delay = v[i0]
+                else:
+                    sp = CubicSpline(xs[i0:i0 + seg_len + 1], v[i0:i0 + seg_len + 1])
+                    v_delay = float(sp(x - dblk))
+            block = aa * params.lambda1 * min(x, dblk) ** a * (v_here - v_delay) ** (1.0 - a)
+        d = r * v_here - block
+        return (a / (a - 1.0)) * u_val ** (1.0 / a) * (aa * params.lambda0 / d) ** (1.0 / (a - 1.0))
+
+    for i in range(seed, n - 1):
+        x, ui = xs[i], u[i]
+        k1 = slope(x, ui, i)
+        k2 = slope(x + 0.5 * h, ui + 0.5 * h * k1, i)
+        k3 = slope(x + 0.5 * h, ui + 0.5 * h * k2, i)
+        k4 = slope(x + h, ui + h * k3, i)
+        u[i + 1] = ui + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        v[i + 1] = u[i + 1] ** p
+    return v
+
+
+@pytest.mark.parametrize("kw, x_seed", [
+    (dict(lambda1=0.3, grid_step=0.01), 0.01),
+    (dict(lambda1=0.3, grid_step=0.01), 1.0),
+    (dict(lambda1=0.7, alpha=2.6, delta_block=0.5, grid_step=0.01), 0.005),
+    (dict(lambda1=2.0, alpha=1.3, delta_block=0.3, grid_step=0.02, x_max=2.1), 0.02),
+])
+def test_patch_matches_per_step_reference(kw, x_seed):
+    params = make_params(**kw)
+    sol = two_exchange_patch(params, x_seed=x_seed, check_seed=False)
+    np.testing.assert_array_equal(sol.value, _reference_patch(params, x_seed))
+
+
+@pytest.mark.parametrize("kw", [
+    dict(delta_block=0.3, grid_step=0.02, x_max=2.1),  # 15 * 0.02 > 0.3
+    dict(delta_block=1.0 - 5e-12, grid_step=0.01),    # on the lattice within 1e-9
+])
+def test_patch_knot_query_past_the_knot_reads_the_knot(kw, monkeypatch):
+    # x + h - delta_block rounds just past a knot whose segment is still being
+    # marched; the result must not depend on the unwritten node there
+    params = make_params(lambda1=0.5, **kw)
+    v = two_exchange_patch(params, check_seed=False).value
+    real_empty = np.empty
+
+    def poisoned(shape, *args, **kwargs):
+        out = real_empty(shape, *args, **kwargs)
+        out[...] = np.nan
+        return out
+
+    monkeypatch.setattr(np, "empty", poisoned)
+    np.testing.assert_array_equal(two_exchange_patch(params, check_seed=False).value, v)
+
+
 class TestTwoExchangeExpansion:
     def test_eps_zero_is_single_exchange(self):
         expansion = two_exchange_expansion(make_params(lambda1=1.0), 0.0)
@@ -229,3 +302,56 @@ class TestTwoExchangeExpansion:
     def test_grid_step_must_divide_block(self):
         with pytest.raises(ValueError):
             make_params(grid_step=0.3)
+
+
+def _v1_oracle(params, x):
+    """v1 at x from a 30-digit mpmath integral of the tail integrand."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a, r, d, l0, l1 = (mpmath.mpf(v) for v in (params.alpha, params.r,
+                                                    params.delta_block,
+                                                    params.lambda0, params.lambda1))
+        p = (a - 1) / a
+        k = (a - 1) ** (a - 1) / a ** a * l1 * (l0 / (a * r)) ** ((1 - a) / a)
+        x = mpmath.mpf(x)
+        f = lambda y: (k * d ** a * (y ** p - (y - d) ** p) ** (1 - a)
+                       * y ** (1 / a - 1) / (a * r))
+        tail = mpmath.quad(f, mpmath.linspace(d, x, 5))
+        return x ** (-1 / a) * (k * d ** 2 / (2 * a * r) + tail)
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    from lobliq.extensions import _GAUSS_NODES, _GAUSS_WEIGHTS
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    np.testing.assert_allclose(_GAUSS_NODES, nodes, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(_GAUSS_WEIGHTS, weights, rtol=0.0, atol=1e-15)
+
+
+class TestExpansionOracle:
+    @pytest.mark.parametrize("alpha", [1.3, 2.0, 2.6, 4.0])
+    def test_v1_against_mpmath(self, alpha):
+        params = make_params(lambda1=1.0, alpha=alpha, grid_step=0.001)
+        expansion = two_exchange_expansion(params, 0.1)
+        grid = 0.001 * np.arange(3001)
+        on_grid = expansion.v1(grid)
+        # just above the block size, mid-segment and at x_max, read off one
+        # array evaluation, then a lone off-grid scalar
+        cases = [(grid[i], on_grid[i]) for i in (1001, 1500, 3000)]
+        cases.append((2.2345678, expansion.v1(2.2345678)))
+        for x, got in cases:
+            ref = _v1_oracle(params, x)
+            assert abs(got - float(ref)) <= 1e-13 * abs(float(ref)), f"x = {x}"
+
+    def test_array_equals_scalar_elementwise(self):
+        expansion = two_exchange_expansion(make_params(lambda1=1.0, alpha=2.6), 0.2)
+        xs = np.concatenate([[0.0, 0.5, 1.0, 1.0 + 1e-9, 1.0005, 1.015625],
+                             np.linspace(1.01, 3.0, 97), [2.999, 1.7]])
+        values = expansion.value(xs)
+        assert values.shape == xs.shape
+        np.testing.assert_array_equal(values, [expansion.value(float(x)) for x in xs])
+
+    def test_scalar_value_is_a_float(self):
+        expansion = two_exchange_expansion(make_params(lambda1=1.0), 0.1)
+        for x in (0.0, 0.4, 1.0, 2.5):
+            assert type(expansion.value(x)) is float
+            assert type(expansion.v1(x)) is float
