@@ -28,6 +28,14 @@ from .intensity import (
 )
 
 __all__ = [
+    "FillClock",
+    "FactorClock",
+    "SpreadPolicy",
+    "ConstantSpreadPolicy",
+    "StationarySpreadPolicy",
+    "OptimalPowerPolicy",
+    "ZeroRatePowerPolicy",
+    "ExpZeroRatePolicy",
     "Case",
     "PowerDiscounted",
     "PowerZeroRate",
@@ -44,45 +52,60 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FillClock:
-    """The fill process of a policy whose fill rate at level k and time t
-    (from the start) factors as ``rate(k) * profile(t)``.
+    """When a policy's fills arrive.
+
+    ``advance(k, t0, e)`` is the exact fill time of each path that reached
+    level k at the times t0 (an array), given its standard exponential draw
+    e: the time at which the integrated fill rate from t0 reaches e.  NaN or
+    a time past the horizon means no fill.
+    """
+
+    advance: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
+class FactorClock(FillClock):
+    """A fill clock whose rate at level k and time t (from the start) factors
+    as ``rate(k) * profile(t)``.
 
     ``profile`` takes a scalar time; ``tau(t)``, the integral of the profile
-    from 0, and ``advance(t0, e, b)``, the time t at which
-    b * (tau(t) - tau(t0)) reaches e, work elementwise on arrays.  With e a
-    standard exponential draw and b = ``rate(k)``, ``advance`` is the exact
-    fill time of a path that reached level k at t0.
+    from 0, works elementwise on arrays.
     """
 
     rate: Callable[[int], float]
     profile: Callable[[float], float]
     tau: Callable[[np.ndarray], np.ndarray]
-    advance: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 
 
 class SpreadPolicy:
-    """A feedback rule: spread to post given (inventory units, time to go)."""
+    """A feedback rule: spread to post given (inventory units, time to go).
+
+    ``spreads_at`` and ``clock`` serve time-homogeneous policies here; a
+    time-dependent policy defines its own.
+    """
 
     time_homogeneous: bool = False
 
     def spread(self, n_units: int, t_to_go: float) -> float:
         raise NotImplementedError
 
+    def _require_homogeneous(self, method: str) -> None:
+        if not self.time_homogeneous:
+            raise NotImplementedError(f"{type(self).__name__} is time-dependent and "
+                                      f"must define {method}")
+
     def spreads_at(self, n_units: int, t_to_go: np.ndarray) -> np.ndarray:
         """``spread`` at one level for an array of times to go."""
-        if self.time_homogeneous:
-            return np.full(t_to_go.shape, self.spread(n_units, math.inf))
-        return np.array([self.spread(n_units, t) for t in t_to_go.tolist()], dtype=float)
+        self._require_homogeneous("spreads_at")
+        return np.full(t_to_go.shape, self.spread(n_units, math.inf))
 
-    def clock(self, model: IntensityModel, delta: float,
-              horizon: float) -> Optional[FillClock]:
+    def clock(self, model: IntensityModel, delta: float, horizon: float) -> FillClock:
         """The :class:`FillClock` of this policy's fills of size ``delta``
-        on ``model``; None if its fill rate does not factor."""
-        if not self.time_homogeneous:
-            return None
-        return FillClock(rate=lambda k: model.rate(self.spread(k, math.inf)) / delta,
-                         profile=lambda t: 1.0, tau=lambda t: t,
-                         advance=lambda t0, e, b: t0 + e / b)
+        on ``model``."""
+        self._require_homogeneous("clock")
+        rate = lambda k: model.rate(self.spread(k, math.inf)) / delta
+        return FactorClock(rate=rate, profile=lambda t: 1.0, tau=lambda t: t,
+                           advance=lambda k, t0, e: t0 + e / rate(k))
 
 
 @dataclass(frozen=True)
@@ -103,16 +126,6 @@ class StationarySpreadPolicy(SpreadPolicy):
 
     def spread(self, n_units, t_to_go):
         return float(self.spreads[n_units])
-
-
-@dataclass(frozen=True)
-class TimeDependentPolicy(SpreadPolicy):
-    """Wraps an arbitrary (n_units, t_to_go) -> spread closure."""
-
-    fn: Callable[[int, float], float]
-
-    def spread(self, n_units, t_to_go):
-        return self.fn(n_units, t_to_go)
 
 
 @dataclass(frozen=True)
@@ -155,11 +168,11 @@ class OptimalPowerPolicy(SpreadPolicy):
             return t + np.log1p(np.exp(-a * (T - t)) * np.expm1(-a * t)
                                 / np.expm1(-a * (T - t))) / a
 
-        return FillClock(
-            rate=lambda k: (self.lam / delta) * float(self.spread_scales[k]) ** (-self.alpha),
-            profile=lambda t: 1.0 / -math.expm1(-a * (T - t)), tau=tau,
-            advance=lambda t0, e, b: T - np.log1p(np.expm1(a * (T - t0))
-                                                  * np.exp(-a * e / b)) / a)
+        rate = lambda k: (self.lam / delta) * float(self.spread_scales[k]) ** (-self.alpha)
+        return FactorClock(
+            rate=rate, profile=lambda t: 1.0 / -math.expm1(-a * (T - t)), tau=tau,
+            advance=lambda k, t0, e: T - np.log1p(np.expm1(a * (T - t0))
+                                                  * np.exp(-a * e / rate(k))) / a)
 
 
 @dataclass(frozen=True)
@@ -182,10 +195,47 @@ class ZeroRatePowerPolicy(SpreadPolicy):
 
     def clock(self, model, delta, horizon):
         T = horizon
-        return FillClock(
-            rate=lambda k: (self.lam / delta) * float(self.spread_coefs[k]) ** (-self.alpha),
-            profile=lambda t: 1.0 / (T - t), tau=lambda t: -np.log1p(-t / T),
-            advance=lambda t0, e, b: T - (T - t0) * np.exp(-e / b))
+        rate = lambda k: (self.lam / delta) * float(self.spread_coefs[k]) ** (-self.alpha)
+        return FactorClock(
+            rate=rate, profile=lambda t: 1.0 / (T - t), tau=lambda t: -np.log1p(-t / T),
+            advance=lambda k, t0, e: T - (T - t0) * np.exp(-e / rate(k)))
+
+
+@dataclass(frozen=True)
+class ExpZeroRatePolicy(SpreadPolicy):
+    """Optimal spreads for an undiscounted exponential book with horizon T.
+
+    With y = lam (T-t)/(delta e) and L_k = log S_k, S_k the exponential
+    series truncated after y**k/k!, the spread at level k is
+    (1 + L_k - L_{k-1})/kappa and the fill rate (lam/(delta e)) S_{k-1}/S_k
+    is -dL_k(y(t))/dt, since S_k' = S_{k-1}.  The rate does not factor, but
+    the integrated hazard from t0 to t is L_k(y(t0)) - L_k(y(t)), which
+    ``discrete.exp_hazard_drop`` inverts.
+    """
+
+    lam: float
+    kappa: float
+    delta: float
+
+    def spread(self, n_units, t_to_go):
+        return float(self.spreads_at(n_units, t_to_go)[0])
+
+    def spreads_at(self, n_units, t_to_go):
+        return discrete.solve_exp_finite(n_units, self.delta, t_to_go, self.lam,
+                                         self.kappa)[1][n_units]
+
+    def clock(self, model, delta, horizon):
+        T, units = horizon, delta / self.delta
+
+        def advance(k, t0, e):
+            # y as in discrete.solve_exp_finite; with fills of size delta the
+            # hazard is L_k(y(t0)) - L_k(y(t)) times self.delta/delta
+            y0 = self.lam * (T - t0) / (self.delta * math.e)
+            drop = discrete.exp_hazard_drop(k, y0, e * units)
+            return np.clip(t0 + drop * (self.delta * math.e) / self.lam,
+                           np.nextafter(t0, math.inf), T)
+
+        return FillClock(advance=advance)
 
 
 # --------------------------------------------------------------------------
@@ -204,7 +254,7 @@ class Case:
     ``execution_curve``, the exact mean inventory under the optimal policy.
 
     Every case but the exponential book with r = 0 has an optimal policy
-    whose fill rates factor as b_k * g(t) (its :class:`FillClock`), so the
+    whose fill rates factor as b_k * g(t) (its :class:`FactorClock`), so the
     mean inventory is the pure-death chain with rates b_k run on the clock
     tau(t), the integral of g.
     """
@@ -352,13 +402,7 @@ class ExpZeroRate(Case):
                            lambda t, x0: fluid.exp_fluid_finite(x0, T, m.lam, m.kappa)[2](t))
 
     def policy(self, delta, n_max):
-        m = self.model
-
-        def exp_spread(n, t_to_go):
-            _, spreads = discrete.solve_exp_finite(n, delta, [t_to_go], m.lam, m.kappa)
-            return float(spreads[n, 0])
-
-        return TimeDependentPolicy(exp_spread)
+        return ExpZeroRatePolicy(lam=self.model.lam, kappa=self.model.kappa, delta=delta)
 
     def level_rates(self, n_units):
         T, lam = self.market.horizon, self.model.lam

@@ -147,7 +147,7 @@ def _cmd_simulate(cfg: RunConfig, artifacts: list) -> None:
     result = simulate_policy(cfg.model, cfg.market, sec["n_units"], sec["delta"],
                              policy, sec["n_paths"], cfg.seed,
                              threads=cfg.threads, curve_times=curve_times,
-                             keep_paths=sec["dump_paths"], method=sec["method"])
+                             keep_paths=sec["dump_paths"])
     if sec["dump_paths"]:
         stats, paths = result
     else:

@@ -157,7 +157,7 @@ _SECTION_SCHEMAS: dict[str, tuple[set[str], set[str]]] = {
     "fluid": ({"x_grid"}, {"x_grid"}),
     "converge": ({"x_probe", "delta0", "k_max"}, {"x_probe"}),
     "simulate": ({"n_units", "delta", "n_paths", "policy", "constant_spread",
-                  "curve_points", "dump_paths", "method"}, {"n_units", "n_paths"}),
+                  "curve_points", "dump_paths"}, {"n_units", "n_paths"}),
     "curves": ({"n_units", "t_grid"}, {"n_units", "t_grid"}),
     "regimes": ({"lambda0", "lambda1", "alpha", "r", "theta_grid"},
                 {"lambda0", "lambda1", "alpha", "r", "theta_grid"}),
@@ -205,8 +205,6 @@ def _validate_section(command: str, section: dict) -> dict:
         out["curve_points"] = _integer(section, "curve_points", command,
                                        default=0, minimum=0)
         out["dump_paths"] = _boolean(section, "dump_paths", command, default=False)
-        out["method"] = _choice(section, "method", command,
-                                ("auto", "inversion", "thinning"), default="auto")
     elif command == "curves":
         out["n_units"] = _integer(section, "n_units", command, minimum=1)
         out["t_grid"] = _grid(section, "t_grid", command)

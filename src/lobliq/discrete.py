@@ -35,12 +35,14 @@ __all__ = [
     "zero_rate_value_and_spread",
     "expected_liquidation_time_discrete",
     "solve_exp_finite",
+    "exp_hazard_drop",
     "solve_exp_infinite",
     "solve_generic_stationary",
     "solve_discrete",
 ]
 
 _RESIDUAL_RTOL = 1e-10
+_NEWTON_STEPS = 100
 
 
 def power_constant(alpha: float) -> float:
@@ -203,18 +205,69 @@ def solve_exp_finite(n_max: int, delta: float, t_grid, lam: float,
     if np.any(t_grid < 0.0):
         raise ValueError("horizon grid must be nonnegative")
 
-    j = np.arange(n_max + 1, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_y = np.log(lam * t_grid / (delta * math.e))
-        terms = j[:, None] * log_y[None, :] - gammaln(j + 1.0)[:, None]
-    terms[0, :] = 0.0  # the empty product, also fixes 0 * (-inf) at T = 0
-    log_sums = np.logaddexp.accumulate(terms, axis=0)
+    log_sums = np.logaddexp.accumulate(
+        _log_series_terms(n_max, lam * t_grid / (delta * math.e)), axis=0)
 
     values = (delta / kappa) * log_sums
     spreads = np.full_like(values, math.nan)
     if n_max >= 1:
         spreads[1:, :] = (1.0 + log_sums[1:, :] - log_sums[:-1, :]) / kappa
     return values, spreads
+
+
+def _log_series_terms(n: int, y: np.ndarray) -> np.ndarray:
+    """log(y**j / j!) for j = 0..n (rows) at each entry of the 1-d array y."""
+    j = np.arange(n + 1, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = j[:, None] * np.log(y)[None, :] - gammaln(j + 1.0)[:, None]
+    terms[0, :] = 0.0  # the empty product, also fixes 0 * (-inf) at y = 0
+    return terms
+
+
+def exp_hazard_drop(n: int, y0: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The drop d in (0, y0] with L(y0) - L(y0 - d) = e, elementwise.
+
+    L = log S_n, S_n the exponential series truncated after y**n/n!, is the
+    integrated fill rate of the exponential book with r = 0 at level n (see
+    ``cases.ExpZeroRatePolicy``).  It rises from L(0) = 0, so where
+    e >= L(y0) no drop exists and the result is nan; L(y0) is the value
+    ``solve_exp_finite`` gives, bit for bit.  L is concave (S_{n-1}**2 >=
+    S_n S_{n-2}), so Newton's method from d = 0 (the tangent step at y0)
+    lands right of the root, clipped to y0, and then falls to it
+    monotonically.  With w_j = (y0**j/j!)/S_n(y0) and l = log(1 - d/y0) the
+    hazard is -log1p(sum_j w_j expm1(j l)), a sum of terms of one sign, so
+    tiny draws keep their relative accuracy; once that sum falls below -1/2
+    it is read as -log(sum_j w_j e^(j l)) in log space instead.  Raises
+    ArithmeticError if Newton has not converged after _NEWTON_STEPS steps.
+    """
+    y0, e = np.asarray(y0, dtype=float), np.asarray(e, dtype=float)
+    log_w = _log_series_terms(n, y0)
+    l0 = np.logaddexp.reduce(log_w, axis=0)
+    log_w -= l0
+    j = np.arange(1.0, n + 1.0)[:, None]
+    drop = np.full(y0.shape, math.nan)
+    todo = np.flatnonzero(e < l0)
+    drop[todo] = 0.0
+    for _ in range(_NEWTON_STEPS):
+        lw, d, y = log_w[:, todo], drop[todo], y0[todo]
+        # j log(y/y0) is -inf at y = 0; the sum may round below -1 there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jl = j * np.log1p(-d / y)
+            small = -np.log1p(np.sum(np.exp(lw[1:]) * np.expm1(jl), axis=0))
+        # S_{n-1}(y) and S_n(y), over S_n(y0) e^top
+        a = np.vstack((lw[:1], lw[1:] + jl))
+        top = a.max(axis=0)
+        terms = np.exp(a - top)
+        head = terms[:-1].sum(axis=0)
+        full = head + terms[-1]
+        hazard = np.where(small < math.log(2.0), small, -(np.log(full) + top))
+        new = np.clip(d + (e[todo] - hazard) * full / head, 0.0, y)
+        drop[todo] = new
+        todo = todo[np.abs(new - d) > 1e-12 * new]
+        if todo.size == 0:
+            return drop
+    raise ArithmeticError(f"hazard inversion at level {n} did not converge in "
+                          f"{_NEWTON_STEPS} Newton steps")
 
 
 def solve_exp_infinite(x_max: float, delta: float, lam: float, kappa: float,

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import exp1
 
@@ -27,7 +26,6 @@ __all__ = [
     "exp_fluid_infinite",
     "exp_trade_curve",
     "fluid_passage_time",
-    "passage_time_quadrature",
     "fluid_solution",
 ]
 
@@ -171,19 +169,6 @@ def fluid_passage_time(x1: float, x2: float, lam: float, alpha: float,
         raise ValueError("requires x1 <= x2")
     del lam  # the optimal trading rate alpha*r*u does not depend on lam
     return math.log(x2 / x1) / (alpha * r)
-
-
-def passage_time_quadrature(x1: float, x2: float,
-                            trading_rate: Callable[[float], float]) -> float:
-    """General passage-time form: integral of 1/rate(u) du over [x1, x2],
-    where rate(u) is the fill intensity at the inventory-u optimal spread."""
-    if x1 <= 0.0 or x2 < x1:
-        raise ValueError("requires 0 < x1 <= x2")
-    if x1 == x2:
-        return 0.0
-    val, _ = quad(lambda u: 1.0 / trading_rate(u), x1, x2,
-                  epsabs=1e-13, epsrel=1e-12, limit=200)
-    return val
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,8 @@ def _formatted(arr: np.ndarray):
     values = arr.tolist()
     if arr.dtype.kind in "iu":
         return map(str, values)
-    if arr.dtype.kind == "f" and np.isfinite(arr).all():
+    if arr.dtype.kind == "f":
+        # spells nan, inf and -inf as format_number does
         return map("{:.17g}".format, values)
     return map(format_number, values)
 
@@ -78,8 +79,13 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+        if obj.dtype.kind in "biu":
             return obj.tolist()
+        if obj.dtype.kind == "f" and obj.ndim == 1:
+            out = obj.tolist()
+            for i in np.flatnonzero(~np.isfinite(obj)).tolist():
+                out[i] = format_number(out[i])
+            return out
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)

@@ -1,12 +1,11 @@
 """Monte Carlo simulation of the controlled inventory process.
 
-Fill times are sampled exactly by inverting the integrated hazard.  Where a
-policy's fill rate factors as a level constant times a time profile, its
-:class:`~lobliq.cases.FillClock` inverts it in closed form: plain
-exponential clocks for stationary policies, and a profile that diverges at
-maturity, guaranteeing full liquidation, for the power-law optima.  Other
-time-dependent policies fall back to quadrature plus root solving, or to
-thinning with a piecewise bound.
+Fill times are sampled exactly by inverting the integrated hazard, which
+every policy's :class:`~lobliq.cases.FillClock` does in closed form: plain
+exponential clocks for stationary policies, a profile that diverges at
+maturity, guaranteeing full liquidation, for the power-law optima, and the
+log of a truncated exponential series, inverted by a monotone Newton
+solve, for the exponential book with r = 0.
 
 Paths are simulated in fixed-size blocks.  Block b draws one matrix of
 standard exponentials, row by row, from a stream keyed on (seed, b), and
@@ -19,20 +18,17 @@ changes neither the results nor the speed.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
 
 from .cases import (
     ConstantSpreadPolicy,
+    ExpZeroRatePolicy,
     OptimalPowerPolicy,
     SpreadPolicy,
     StationarySpreadPolicy,
-    TimeDependentPolicy,
     ZeroRatePowerPolicy,
     resolve,
 )
@@ -46,9 +42,9 @@ __all__ = [
     "ExecutionCurve",
     "ConstantSpreadPolicy",
     "StationarySpreadPolicy",
-    "TimeDependentPolicy",
     "OptimalPowerPolicy",
     "ZeroRatePowerPolicy",
+    "ExpZeroRatePolicy",
     "optimal_policy",
     "fluid_spread_policy",
     "simulate_policy",
@@ -79,105 +75,6 @@ def fluid_spread_policy(model: IntensityModel, market: MarketParams, delta: floa
     for n in range(1, n_max + 1):
         spreads[n] = fl.spread(n * delta)
     return StationarySpreadPolicy(spreads=spreads)
-
-
-# --------------------------------------------------------------------------
-# fill-time samplers: (level, t0, draws) -> fill times, one per live path.
-# ``draws`` holds each path's standard exponential for this level (its
-# generator, for thinning).  NaN or a time past the horizon means no fill.
-
-
-def _per_path(fill_time):
-    """Lift a scalar ``(level, t0, draw) -> time`` sampler to the array form."""
-    def sample(level, t0, draws):
-        return np.array([fill_time(level, t, d)
-                         for t, d in zip(t0.tolist(), draws.tolist())], dtype=float)
-
-    return sample
-
-
-def _inversion_sampler(model, policy, delta, horizon):
-    """Exact inversion of a numerically integrated hazard."""
-    def fill_time(level, t0, e):
-        def hazard(u):
-            return model.rate(policy.spread(level, horizon - u)) / delta
-
-        def cumulative(t):
-            if t <= t0:
-                return 0.0
-            # the hazard may be near-singular at maturity; quad complains but
-            # still resolves the root to sampling accuracy
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IntegrationWarning)
-                val, _ = quad(hazard, t0, t, epsabs=1e-12, epsrel=1e-10, limit=200)
-            return val
-
-        t_hi = horizon - max(1e-12 * horizon, 1e-15)
-        if t_hi <= t0 or cumulative(t_hi) < e:
-            return math.nan
-        return brentq(lambda t: cumulative(t) - e, t0, t_hi,
-                      xtol=1e-14 * horizon, rtol=8.882e-16, maxiter=200)
-
-    return _per_path(fill_time)
-
-
-def _thinning_sampler(model, policy, delta, horizon, cells: int = 64):
-    """Rejection sampling under a piecewise-constant hazard bound.
-
-    Usable only when the hazard stays bounded on [0, T); a divergence probe
-    near maturity rejects policies (like the power-law optimum) whose fill
-    rate blows up there, since no finite envelope covers the last cell.
-    Envelope proposals restart at each cell boundary, which is exact by
-    memorylessness.  Each path consumes a variable number of draws from its
-    own generator.
-    """
-    def fill_time(level, t0, rng):
-        def hazard(u):
-            return model.rate(policy.spread(level, horizon - u)) / delta
-
-        span = horizon - t0
-        if span <= 0.0:
-            return math.nan
-        near, nearer = hazard(horizon - 1e-2 * span), hazard(horizon - 1e-8 * span)
-        if not math.isfinite(nearer) or nearer > 100.0 * max(near, 1e-300):
-            raise ArithmeticError("hazard is unbounded near maturity; "
-                                  "use inversion sampling instead")
-
-        edges = np.linspace(t0, horizon, cells + 1)
-        for i in range(cells):
-            lo, hi = edges[i], edges[i + 1]
-            probes = (hazard(lo), hazard(0.5 * (lo + hi)),
-                      hazard(max(hi - 1e-12 * (hi - lo), lo)))
-            bound = 1.5 * max(probes)
-            t = lo
-            while True:
-                t += rng.exponential() / bound
-                if t >= hi:
-                    break  # redraw from the boundary with the next cell's bound
-                ratio = hazard(t) / bound
-                if ratio > 1.0 + 1e-9:
-                    raise ArithmeticError(f"hazard bound violated at t = {t}")
-                if rng.uniform() <= ratio:
-                    return t
-        return math.nan
-
-    return _per_path(fill_time)
-
-
-def _pick_sampler(model, policy, delta, market, method):
-    horizon = market.horizon
-    if method == "auto":
-        clock = policy.clock(model, delta, horizon)
-        if clock is not None:
-            return lambda level, t0, e: clock.advance(t0, e, clock.rate(level))
-        return _inversion_sampler(model, policy, delta, horizon)
-    if method in ("inversion", "thinning") and market.infinite_horizon:
-        raise UnsupportedCaseError(f"sampling method {method!r} needs a finite horizon")
-    if method == "inversion":
-        return _inversion_sampler(model, policy, delta, horizon)
-    if method == "thinning":
-        return _thinning_sampler(model, policy, delta, horizon)
-    raise ValueError(f"unknown sampling method {method!r}")
 
 
 # --------------------------------------------------------------------------
@@ -212,8 +109,7 @@ def _stream(seed: int, key: int) -> np.random.Generator:
 
 def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
                     delta: float, policy: SpreadPolicy, n_paths: int, seed: int,
-                    *, threads: int = 1, curve_times=None, keep_paths: bool = False,
-                    method: str = "auto"):
+                    *, threads: int = 1, curve_times=None, keep_paths: bool = False):
     """Simulate the controlled death process under ``policy``.
 
     Returns :class:`EnsembleStats` (and the per-path records when
@@ -228,7 +124,7 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
         raise ValueError("n_units must be >= 0")
     horizon = market.horizon
     r = market.r
-    sample = _pick_sampler(model, policy, delta, market, method)
+    advance = policy.clock(model, delta, horizon).advance
 
     revenues = np.zeros(n_paths)
     emptied = np.zeros(n_paths, dtype=bool)
@@ -242,16 +138,9 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
     def run_block(block):
         lo = block * _BLOCK_PATHS
         m = min(n_paths - lo, _BLOCK_PATHS)
-        if method == "thinning":
-            # one generator per path, keyed on its index, read at every level
-            rngs = np.empty(m, dtype=object)
-            for i in range(m):
-                rngs[i] = _stream(seed, lo + i)
-            draws = np.broadcast_to(rngs[:, None], (m, n_units))
-        else:
-            # filled row by row, so a path's draws depend on the seed, its
-            # index and n_units only, not on how many rows the block holds
-            draws = _stream(seed, block).standard_exponential((m, n_units))
+        # filled row by row, so a path's draws depend on the seed, its index
+        # and n_units only, not on how many rows the block holds
+        draws = _stream(seed, block).standard_exponential((m, n_units))
         t = np.zeros(m)
         revenue = np.zeros(m)
         fills = np.zeros(m, dtype=np.int64)
@@ -266,7 +155,7 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
             t0 = t[live]
             if not np.all(np.isfinite(policy.spreads_at(level, horizon - t0))):
                 raise ArithmeticError(f"non-finite spread at level {level}")
-            t_next = sample(level, t0, draws[live, j])
+            t_next = advance(level, t0, draws[live, j])
             hit = t_next <= horizon
             live, t0 = live[hit], t0[hit]
             # exact inversion keeps fills in (t0, T]; clamp roundoff so times

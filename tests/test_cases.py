@@ -21,6 +21,7 @@ from lobliq.intensity import (
     UnsupportedCaseError,
 )
 from lobliq.simulate import simulate_policy
+from sampling_oracles import OraclePolicy, inversion
 
 POWER = PowerLawIntensity(lam=1.0, alpha=2.0)
 EXP = ExpDecayIntensity(lam=1.0, kappa=1.0)
@@ -107,18 +108,25 @@ def test_fill_clock_matches_policy_rates(model, market, policy):
     b = clock.rate(n)
     for t0 in (0.0, T / 2 if math.isfinite(T) else 1.0):
         for e in (1e-6, 1.0, 20.0):
-            t = clock.advance(np.array([t0]), np.array([e]), b)
+            t = clock.advance(n, np.array([t0]), np.array([e]))
             assert t0 < t[0]
             got = b * (clock.tau(t) - clock.tau(np.array([t0])))[0]
             ulp = np.spacing(t[0] if math.isinf(T) else max(t[0], T))
             assert abs(got - e) <= 1e-10 * e + 4.0 * b * clock.profile(t[0]) * ulp
 
 
-def test_exp_zero_rate_policy_has_no_clock():
-    policy = resolve(EXP, R0_T1).policy(DELTA, 2)
-    assert policy.clock(EXP, DELTA, R0_T1.horizon) is None
-    # so auto sampling falls back to inversion, draw for draw
-    runs = [simulate_policy(EXP, R0_T1, 2, DELTA, policy, 3, seed=5, keep_paths=True,
-                            method=method)[1] for method in ("auto", "inversion")]
-    for a, b in zip(*runs):
-        assert np.array_equal(a.fill_times, b.fill_times)
+@pytest.mark.parametrize("delta", [1.0, 0.5])
+@pytest.mark.parametrize("lam", [1.0, 4.0, 30.0])
+def test_exp_zero_rate_clock_matches_inversion_oracle(lam, delta):
+    # the closed-form hazard inverts to the quadrature-and-root oracle's fill
+    # times, draw for draw, with the same paths left unsold at maturity
+    model, n = ExpDecayIntensity(lam=lam, kappa=1.0), 4
+    market = MarketParams(r=0.0, horizon=1.0)
+    policy = resolve(model, market).policy(delta, n)
+    _, fast = simulate_policy(model, market, n, delta, policy, 12, seed=5,
+                              keep_paths=True)
+    _, slow = simulate_policy(model, market, n, delta, OraclePolicy(policy, inversion),
+                              12, seed=5, keep_paths=True)
+    for a, b in zip(fast, slow):
+        assert len(a.fill_times) == len(b.fill_times)
+        assert np.max(np.abs(a.fill_times - b.fill_times), initial=0.0) <= 1e-10

@@ -273,8 +273,6 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("horizon, section, message", [
         (1.0, {"policy": "fluid"}, "infinite horizon"),
-        ("inf", {"method": "inversion"}, "finite horizon"),
-        ("inf", {"method": "thinning"}, "finite horizon"),
     ])
     def test_unsupported_case_exits_2(self, tmp_path, capsys, horizon, section,
                                       message):
@@ -286,6 +284,18 @@ class TestCliCommands:
         }
         assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_simulate_method_is_unknown_key(self, tmp_path, capsys):
+        # every policy samples through its own fill clock: there is no method
+        cfg = {
+            "model": {"kind": "exp", "lam": 1.0, "kappa": 1.0},
+            "market": {"r": 0.0, "horizon": 1.0},
+            "simulate": {"n_units": 2, "n_paths": 20, "method": "inversion"},
+            "output": {"directory": str(tmp_path / "out")},
+        }
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key" in err and "method" in err
 
     @pytest.mark.parametrize("command, section", [
         ("solve", {"n_max": 5}),

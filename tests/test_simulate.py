@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +24,7 @@ from lobliq.numerics import OdeProblem, integrate_ode
 from lobliq.simulate import (
     _BLOCK_PATHS,
     ConstantSpreadPolicy,
+    ExpZeroRatePolicy,
     OptimalPowerPolicy,
     StationarySpreadPolicy,
     ZeroRatePowerPolicy,
@@ -33,6 +35,7 @@ from lobliq.simulate import (
     optimal_policy,
     simulate_policy,
 )
+from sampling_oracles import OraclePolicy, inversion, thinning
 
 POWER = PowerLawIntensity(lam=1.0, alpha=2.0)
 FINITE = MarketParams(r=0.1, horizon=1.0)
@@ -94,11 +97,11 @@ class TestSimulatePolicy:
         assert abs(stats.mean_revenue - closed) <= 3.0 * stats.std_error
 
     def test_inversion_sampler_agrees_with_analytic(self):
-        # the generic quadrature-and-root path must reproduce the closed form
+        # the quadrature-and-root oracle must reproduce the closed form
         pol = optimal_policy(POWER, FINITE, 1.0, 3)
         fast = simulate_policy(POWER, FINITE, 3, 1.0, pol, 4000, seed=17)
-        slow = simulate_policy(POWER, FINITE, 3, 1.0, pol, 300, seed=17,
-                               method="inversion")
+        slow = simulate_policy(POWER, FINITE, 3, 1.0, OraclePolicy(pol, inversion),
+                               300, seed=17)
         se = math.hypot(slow.std_error, fast.std_error)
         assert abs(slow.mean_revenue - fast.mean_revenue) <= 3.0 * se
         assert slow.liquidation_fraction == 1.0
@@ -109,8 +112,8 @@ class TestSimulatePolicy:
         pol = optimal_policy(POWER, market, 1.0, 3)
         _, fast = simulate_policy(POWER, market, 3, 1.0, pol, 40, seed=19,
                                   keep_paths=True)
-        _, slow = simulate_policy(POWER, market, 3, 1.0, pol, 40, seed=19,
-                                  keep_paths=True, method="inversion")
+        _, slow = simulate_policy(POWER, market, 3, 1.0, OraclePolicy(pol, inversion),
+                                  40, seed=19, keep_paths=True)
         for a, b in zip(fast, slow):
             assert len(a.fill_times) == len(b.fill_times) == 3
             assert np.max(np.abs(a.fill_times - b.fill_times)) <= 1e-10
@@ -166,20 +169,39 @@ class TestSimulatePolicy:
             assert np.all(np.diff(p.fill_times) > 0.0)
 
     def test_thinning_agrees_on_bounded_hazard(self):
+        # the exp book's closed-form clock against the thinning oracle
         model = ExpDecayIntensity(lam=1.0, kappa=1.0)
         market = MarketParams(r=0.0, horizon=4.0)
         pol = optimal_policy(model, market, 1.0, 3)
-        a = simulate_policy(model, market, 3, 1.0, pol, 1500, seed=29,
-                            method="inversion")
-        b = simulate_policy(model, market, 3, 1.0, pol, 1500, seed=31,
-                            method="thinning")
+        a = simulate_policy(model, market, 3, 1.0, pol, 1500, seed=29)
+        b = simulate_policy(model, market, 3, 1.0, OraclePolicy(pol, thinning(31)),
+                            1500, seed=31)
         se = math.hypot(a.std_error, b.std_error)
         assert abs(a.mean_revenue - b.mean_revenue) <= 3.5 * se
 
     def test_thinning_refuses_unbounded_hazard(self):
         pol = optimal_policy(POWER, FINITE, 1.0, 2)
         with pytest.raises(ArithmeticError):
-            simulate_policy(POWER, FINITE, 2, 1.0, pol, 5, seed=1, method="thinning")
+            simulate_policy(POWER, FINITE, 2, 1.0, OraclePolicy(pol, thinning(1)), 5,
+                            seed=1)
+
+    def test_exp_zero_rate_ensemble_is_exact(self):
+        # Under the optimal policy the fills are the points of a Poisson process
+        # of mean y0 = lam T/(delta e), kept while at most n: P(all n sold) =
+        # (y0^n/n!)/S_n(y0) and the mean revenue is (delta/kappa) log S_n(y0),
+        # the discrete value; both exact, whatever sampled the fills
+        n, y0, kappa, n_paths = 3, 3.0, 1.3, 1500
+        model = ExpDecayIntensity(lam=y0 * math.e, kappa=kappa)
+        pol = optimal_policy(model, ZERO_RATE, 1.0, n)
+        stats = simulate_policy(model, ZERO_RATE, n, 1.0, pol, n_paths, seed=29)
+        terms = [y0 ** j / math.factorial(j) for j in range(n + 1)]
+        p_full = terms[n] / sum(terms)
+        se_full = math.sqrt(p_full * (1.0 - p_full) / n_paths)
+        assert abs(stats.liquidation_fraction - p_full) <= 4.0 * se_full
+        value = math.log(sum(terms)) / kappa
+        assert math.isclose(value, solve_exp_finite(n, 1.0, [1.0], model.lam, kappa)[0][n, 0],
+                            rel_tol=1e-14)
+        assert abs(stats.mean_revenue - value) <= 4.0 * stats.std_error
 
 
 class TestPolicies:
@@ -206,6 +228,56 @@ class TestPolicies:
         for n in range(1, 5):
             scalar = [policy.spread(n, t) for t in t_go.tolist()]
             assert np.allclose(policy.spreads_at(n, t_go), scalar, rtol=1e-14, atol=0.0)
+
+
+def _log_series(k, y):
+    """(log S_k(y), S_{k-1}(y)/S_k(y)) in 50-digit arithmetic."""
+    term, sums = mpmath.mpf(1), [mpmath.mpf(1)]
+    for j in range(1, k + 1):
+        term *= y / j
+        sums.append(sums[-1] + term)
+    return mpmath.log(sums[k]), sums[k - 1] / sums[k]
+
+
+class TestExpZeroRateClock:
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(min_value=1e-6, max_value=1e3),
+           st.integers(min_value=1, max_value=300),
+           st.floats(min_value=0.0, max_value=1.0 - 1e-9),
+           st.lists(st.floats(min_value=1e-9, max_value=50.0), min_size=1, max_size=4),
+           st.sampled_from([1.0, 0.5, 0.05]),
+           st.sampled_from([1.0, 4.0]))
+    @example(1e3, 300, 0.0, [1e-9], 1.0, 1.0)
+    @example(1e3, 1, 0.0, [1.5], 1.0, 1.0)
+    @example(1e-6, 1, 1.0 - 1e-9, [1e-9, 9.9e-7], 0.05, 4.0)
+    @example(1e3, 300, 1.0 - 1e-9, [1e-9], 1.0, 1.0)  # t - t0 below an ulp of t0
+    def test_hazard_inversion_at_domain_edges(self, y0, k, frac, draws, delta, horizon):
+        # y(t0) = lam (T - t0)/(delta e) = y0: the fill time t of draw E solves
+        # L_k(y(t0)) - L_k(y(t)) = E, L_k = log S_k, or is nan if E >= L_k(y(t0))
+        t0 = frac * horizon
+        lam = y0 * delta * math.e / (horizon - t0)
+        clock = ExpZeroRatePolicy(lam=lam, kappa=1.0, delta=delta).clock(
+            ExpDecayIntensity(lam=lam, kappa=1.0), delta, horizon)
+        e = np.sort(np.array(draws))
+        t = clock.advance(k, np.full(len(e), t0), e)
+        # L_k(y(t0)) exactly as the solver computes it: with kappa = delta the
+        # value is the log sum itself
+        l0 = solve_exp_finite(k, delta, [horizon - t0], lam, delta)[0][k, 0]
+        assert np.array_equal(np.isnan(t), e >= l0)
+        # the fill time is nondecreasing in the draw
+        assert np.all(np.diff(t[~np.isnan(t)]) >= 0.0)
+        with mpmath.workdps(50):
+            scale = mpmath.mpf(lam) / (mpmath.mpf(delta) * mpmath.e)
+            big_l0 = _log_series(k, scale * (mpmath.mpf(horizon) - mpmath.mpf(t0)))[0]
+            for ei, ti in zip(e.tolist(), t.tolist()):
+                if math.isnan(ti):
+                    continue
+                assert t0 < ti <= horizon
+                big_l, ratio = _log_series(k, scale * (mpmath.mpf(horizon) - mpmath.mpf(ti)))
+                # a fill time is a float: one ulp of t moves the hazard by
+                # ulp * (fill rate at t)
+                slack = 4.0 * math.ulp(ti) * float(scale * ratio)
+                assert abs(float(big_l0 - big_l) - ei) <= 1e-10 * ei + slack
 
 
 class TestFluidPolicyEvaluation:
