@@ -72,34 +72,50 @@ def level_of(x: float, delta: float) -> int:
 def _power_recursion(b: float, weight: float, alpha: float, n_max: int) -> np.ndarray:
     """c_0..c_n with c_0 = 0 and weight*c_n = b * (c_n - c_{n-1})**(1-alpha).
 
-    c_1 has the closed form (b/weight)**(1/alpha).  Deeper levels root-solve
-    in the increment m, so relative residuals stay near machine precision;
-    the previous increment is a valid upper bracket, because by concavity
-    the increments never grow and h(prev) = weight*prev > 0.
+    c_1 = (b/weight)**(1/alpha) in closed form.  At deeper levels the
+    increment m = c_{n-1} e^z is the root of
+        F(z) = log1p(e^z) + (alpha-1)*z + log((c_{n-1}/c_1)**alpha),
+    which is log(c_{n-1} + m) + (alpha-1)*log(m) - log(b/weight) written in
+    z = log(m/c_{n-1}), so that no large logarithms cancel and F is good to
+    a few ulps.  F is increasing and convex, and at the previous increment
+    it equals log1p(m_{n-1}/c_{n-1}) > 0 (as weight*c_{n-1} =
+    b*m_{n-1}**(1-alpha)), so Newton's method started there falls
+    monotonically to the root, with no bracket: two or three steps a
+    level, at most a dozen for alpha near 1.  Since F''/F' <= 1, a step below 1e-9
+    leaves an error below 1e-18 in z.  Raises ArithmeticError if a level
+    takes more than _NEWTON_STEPS steps or ends with a relative residual
+    above _RESIDUAL_RTOL.
     """
     if alpha <= 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    exp, log, log1p = math.exp, math.log, math.log1p
     c = np.empty(n_max + 1)
     c[0] = 0.0
-    c[1] = (b / weight) ** (1.0 / alpha)
-    prev_inc = c[1]
+    c[1] = c1 = (b / weight) ** (1.0 / alpha)
+    a1 = alpha - 1.0
+    prev = m = c1
     for n in range(2, n_max + 1):
-        offset = weight * c[n - 1]
-        h = lambda m: offset + weight * m - b * m ** (1.0 - alpha)
-        lo = prev_inc
-        for _ in range(2000):
-            lo *= 0.5
-            if h(lo) < 0.0:
+        try:
+            g = log((prev / c1) ** alpha)
+        except OverflowError:  # the power passes 1e308 only for alpha near 100 or more
+            g = alpha * log(prev / c1)
+        z = log(m / prev)
+        for _ in range(_NEWTON_STEPS):
+            u = exp(z)
+            step = (log1p(u) + a1 * z + g) / (u / (1.0 + u) + a1)
+            z -= step
+            if step < 1e-9:
                 break
-        else:  # pragma: no cover
-            raise ArithmeticError("failed to bracket the increment root")
-        m = brentq(h, lo, prev_inc, xtol=1e-280, rtol=8.882e-16, maxiter=200)
-        c[n] = c[n - 1] + m
-        prev_inc = m
-        resid = abs(weight * c[n] - b * m ** (1.0 - alpha))
-        if resid > _RESIDUAL_RTOL * weight * c[n]:
+        else:
+            raise ArithmeticError(f"increment root at level {n} did not converge in "
+                                  f"{_NEWTON_STEPS} Newton steps")
+        m = prev * exp(z)
+        prev += m
+        c[n] = prev
+        resid = abs(weight * prev - b * m ** (1.0 - alpha))
+        if resid > _RESIDUAL_RTOL * weight * prev:
             raise ArithmeticError(f"recursion residual {resid:.3e} too large at level {n}")
     return c
 

@@ -104,14 +104,22 @@ def _log_w(c: float) -> float:
     """log(w) for the w > 0 with E1(w) = c > 0.
 
     The root is taken in log(w): once c passes about 36, exp(-w) rounds to 1
-    in double precision long before w or log(w) lose accuracy.
+    in double precision long before w or log(w) lose accuracy.  The result
+    is the last double s with E1(exp(s)) >= c, so it never rises with c.
     """
     if c > 40.0:
         return -_EULER_GAMMA - c  # w < 3e-18: E1 equals its log asymptote in doubles
     # E1(w) > -gamma - log(w) fixes the lower end; E1(w) < exp(-w)/w the upper
-    return brentq(lambda s: _e1_of_log(s) - c, -_EULER_GAMMA - c - 1.0,
-                  math.log(max(1.0, -math.log(c))),
-                  xtol=1e-16, rtol=8.882e-16, maxiter=200)
+    s = brentq(lambda s: _e1_of_log(s) - c, -_EULER_GAMMA - c - 1.0,
+               math.log(max(1.0, -math.log(c))),
+               xtol=1e-16, rtol=8.882e-16, maxiter=200)
+    # brentq may stop an ulp either side of the crossing; the last double s
+    # with E1(exp(s)) >= c makes w, and so the value, monotone in c
+    while _e1_of_log(s) < c:
+        s = math.nextafter(s, -math.inf)
+    while _e1_of_log(up := math.nextafter(s, math.inf)) >= c:
+        s = up
+    return s
 
 
 def exp_fluid_infinite(x: float, lam: float, kappa: float,

@@ -7,6 +7,7 @@ sibling and renamed into place.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -58,19 +59,20 @@ def write_csv(path: str, columns: Mapping[str, Sequence]) -> None:
     for name, arr in zip(names, arrays):
         if len(arr) != length:
             raise ValueError(f"column {name!r} has length {len(arr)}, expected {length}")
-    rows = map(",".join, zip(*map(_formatted, arrays)))
+    fields, cells = zip(*map(_field, arrays))
+    rows = itertools.starmap(",".join(fields).format, zip(*cells))
     atomic_write_text(path, "\n".join([",".join(names), *rows]) + "\n")
 
 
-def _formatted(arr: np.ndarray):
-    """``format_number`` over a 1-d column, lazily, in one pass."""
+def _field(arr: np.ndarray) -> tuple[str, list]:
+    """A format field and cell values that spell a 1-d column as
+    ``format_number`` does, so that one template formats a whole row."""
     values = arr.tolist()
     if arr.dtype.kind in "iu":
-        return map(str, values)
+        return "{}", values
     if arr.dtype.kind == "f":
-        # spells nan, inf and -inf as format_number does
-        return map("{:.17g}".format, values)
-    return map(format_number, values)
+        return "{:.17g}", values  # spells nan, inf and -inf as format_number does
+    return "{}", [format_number(v) for v in values]
 
 
 def _jsonable(obj):
@@ -97,10 +99,32 @@ def _jsonable(obj):
     return obj
 
 
+def _dumps(obj, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, continued lines indented
+    by ``pad``.  The indenting encoder is pure Python; here each list of
+    scalars is one call to the C encoder, with the line break and indent
+    folded into its item separator."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        if not all(isinstance(k, str) for k in obj):
+            return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+        items = (json.dumps(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items()))
+    elif isinstance(obj, (list, tuple)) and obj:
+        if any(isinstance(v, (dict, list, tuple)) for v in obj):
+            items = (_dumps(v, inner) for v in obj)
+        else:
+            flat = json.dumps(obj, separators=(",\n" + inner, ": "))
+            return "[\n" + inner + flat[1:-1] + "\n" + pad + "]"
+    else:  # scalars and empty containers
+        return json.dumps(obj)
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
+
+
 def write_json(path: str, payload: dict) -> None:
     body = {"schema_version": SCHEMA_VERSION}
     body.update(_jsonable(payload))
-    atomic_write_text(path, json.dumps(body, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, _dumps(body) + "\n")
 
 
 def write_schema_sidecar(path: str, table_name: str,

@@ -117,6 +117,16 @@ class TestCliCommands:
         rc = main(["curves", "--config", write_cfg(tmp_path, cfg)])
         assert rc == 3  # grid touches maturity where the fill rate diverges
 
+    def test_increment_step_cap_exits_3(self, tmp_path, capsys, monkeypatch):
+        import lobliq.discrete
+        from lobliq.discrete import solve_power_coefficients
+        monkeypatch.setattr(lobliq.discrete, "_NEWTON_STEPS", 1)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            solve_power_coefficients(1.0, 2.0, 0.1, 3)
+        cfg = dict(BASE, output={"directory": str(tmp_path / "out")})
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 3
+        assert "did not converge" in capsys.readouterr().err
+
     def test_non_finite_curve_state_exits_3(self, tmp_path, capsys, monkeypatch):
         import lobliq.numerics
         monkeypatch.setattr(lobliq.numerics, "pure_death_mean",

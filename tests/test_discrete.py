@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from lobliq.discrete import (
     expected_liquidation_time_discrete,
@@ -40,6 +43,25 @@ def bisect_lambert(y):
     return 0.5 * (lo + hi)
 
 
+def _reference_power_recursion(b, weight, alpha, n_max):
+    """The per-level bracket-halving plus brentq solve in the increment m:
+    the reference for the package's Newton solve in log(m)."""
+    c = np.empty(n_max + 1)
+    c[0] = 0.0
+    c[1] = (b / weight) ** (1.0 / alpha)
+    prev_inc = c[1]
+    for n in range(2, n_max + 1):
+        offset = weight * c[n - 1]
+        h = lambda m: offset + weight * m - b * m ** (1.0 - alpha)
+        lo = prev_inc
+        while h(lo) >= 0.0:
+            lo *= 0.5
+        m = brentq(h, lo, prev_inc, xtol=1e-280, rtol=8.882e-16, maxiter=200)
+        c[n] = c[n - 1] + m
+        prev_inc = m
+    return c
+
+
 class TestPowerCoefficients:
     def test_boundary(self):
         c = solve_power_coefficients(LAM, ALPHA, R, 5)
@@ -65,6 +87,35 @@ class TestPowerCoefficients:
         inc = np.diff(c)
         assert np.all(inc > 0.0)            # strictly increasing
         assert np.all(np.diff(inc) <= 1e-14)  # concave in the level
+
+    @given(st.one_of(st.just(2.0), st.just(1.001), st.floats(1.001, 30.0)),
+           st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
+           st.floats(1e-4, 1.0),
+           st.one_of(st.integers(1, 300), st.integers(300, 20_000)))
+    @settings(max_examples=40, deadline=None)
+    def test_newton_matches_reference_at_domain_edges(self, alpha, r, delta, n_max):
+        lam = 1.3
+        lam_eff = lam * delta ** (alpha - 1.0)
+        if r == 0.0:
+            c = solve_power_zero_rate(lam, alpha, n_max, delta)
+            b, weight = lam_eff * ((alpha - 1.0) / alpha) ** (alpha - 1.0), 1.0
+        else:
+            c = solve_power_coefficients(lam, alpha, r, n_max, delta)
+            b, weight = power_constant(alpha) * lam_eff, r
+        ref = _reference_power_recursion(b, weight, alpha, n_max)
+        assert c[0] == 0.0 and c[1] == ref[1]
+        np.testing.assert_allclose(c[1:], ref[1:], rtol=1e-14, atol=0.0)
+        inc = np.diff(c)
+        assert np.all(inc > 0.0)
+        # the differences of rounded c_n carry up to an ulp of c_n each
+        assert np.all(np.diff(inc) <= 2.0 * np.spacing(c[2:]))
+        if alpha == 2.0:
+            # weight*(c + m)*m = b: m = (-c + sqrt(c**2 + 4b/w))/2, written
+            # without the cancellation
+            k = b / weight
+            prev = c[1:-1]
+            closed = prev + 2.0 * k / (prev + np.sqrt(prev * prev + 4.0 * k))
+            assert np.all(np.abs(c[2:] - closed) <= 2.0 * np.spacing(c[2:]))
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -195,6 +195,9 @@ class TestExpFluidInfinite:
            st.sampled_from([1.0, math.e]),
            st.sampled_from([0.5, 1.0, 2.5]))
     @settings(max_examples=200, deadline=None)
+    # the E1 root landed an ulp either side here, so v exceeded v(x*factor)
+    @example(x=6.103515625e-05, factor=1.0000000000000002, r=5.174934109574375,
+             lam=1.0, kappa=0.5)
     def test_domain_edges(self, x, factor, r, lam, kappa):
         v_cap = lam / (kappa * r * math.e)
         c = math.e * r * x / lam
