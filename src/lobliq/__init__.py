@@ -51,6 +51,7 @@ from .numerics import OdeProblem, integrate_ode, lambert_w0, log_integral
 from .simulate import (
     ConstantSpreadPolicy,
     EnsembleStats,
+    FillTable,
     OptimalPowerPolicy,
     SimPath,
     StationarySpreadPolicy,

@@ -148,10 +148,7 @@ def _cmd_simulate(cfg: RunConfig, artifacts: list) -> None:
                              policy, sec["n_paths"], cfg.seed,
                              threads=cfg.threads, curve_times=curve_times,
                              keep_paths=sec["dump_paths"])
-    if sec["dump_paths"]:
-        stats, paths = result
-    else:
-        stats, paths = result, None
+    stats, fills = result if sec["dump_paths"] else (result, None)
 
     payload = {
         "n_paths": stats.n_paths,
@@ -175,16 +172,13 @@ def _cmd_simulate(cfg: RunConfig, artifacts: list) -> None:
             "std_error": "standard error of the mean inventory",
         }, artifacts)
 
-    if paths is not None:
-        counts = np.array([len(p.fill_times) for p in paths])
-        times = np.concatenate([p.fill_times for p in paths])
-        spreads = np.concatenate([p.fill_spreads for p in paths])
-        first_row = np.repeat(np.cumsum(counts) - counts, counts)
+    if fills is not None:
         _emit_table(cfg, "paths", {
-            "path_id": np.repeat([p.path_id for p in paths], counts),
-            "fill_index": np.arange(len(times)) - first_row,
-            "time": times, "spread": spreads,
-            "discounted_cash": np.exp(-cfg.market.r * times) * spreads * sec["delta"],
+            "path_id": fills.path_id,
+            "fill_index": fills.fill_index,
+            "time": fills.time, "spread": fills.spread,
+            "discounted_cash":
+                np.exp(-cfg.market.r * fills.time) * fills.spread * sec["delta"],
         }, {
             "path_id": "simulation path index",
             "fill_index": "fill counter within the path",

@@ -14,6 +14,7 @@ collapses onto the unit recursion after optimizing out the spread.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,9 @@ _NEWTON_STEPS = 100
 
 
 def power_constant(alpha: float) -> float:
-    """(alpha-1)**(alpha-1) / alpha**alpha, the optimized payoff constant."""
-    return (alpha - 1.0) ** (alpha - 1.0) / alpha ** alpha
+    """(alpha-1)**(alpha-1) / alpha**alpha, the optimized payoff constant,
+    written so that no power overflows (each alone does from about alpha = 145)."""
+    return ((alpha - 1.0) / alpha) ** (alpha - 1.0) / alpha
 
 
 def horizon_factor(t_remaining: float, alpha: float, r: float) -> float:
@@ -90,9 +92,17 @@ def _power_recursion(b: float, weight: float, alpha: float, n_max: int) -> np.nd
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    # Python floats: a NumPy scalar power overflows to inf with a warning,
+    # where the fallback below needs an OverflowError
+    b, weight, alpha = float(b), float(weight), float(alpha)
     exp, log, log1p = math.exp, math.log, math.log1p
     c = np.empty(n_max + 1)
     c[0] = 0.0
+    # b = A*lam*delta**(alpha-1) leaves the normal floats for a fine delta at
+    # a large alpha (below about 0.029 at alpha = 200), and c_1 loses its digits
+    if not (sys.float_info.min <= min(b, b / weight) and max(b, b / weight) < math.inf):
+        raise ArithmeticError(f"recursion constant b = {b!r} (b/weight = {b / weight!r}) "
+                              "is outside the normal float range")
     c[1] = c1 = (b / weight) ** (1.0 / alpha)
     a1 = alpha - 1.0
     prev = m = c1

@@ -7,7 +7,6 @@ sibling and renamed into place.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -60,19 +59,19 @@ def write_csv(path: str, columns: Mapping[str, Sequence]) -> None:
         if len(arr) != length:
             raise ValueError(f"column {name!r} has length {len(arr)}, expected {length}")
     fields, cells = zip(*map(_field, arrays))
-    rows = itertools.starmap(",".join(fields).format, zip(*cells))
+    rows = map(",".join(fields).__mod__, zip(*cells))
     atomic_write_text(path, "\n".join([",".join(names), *rows]) + "\n")
 
 
 def _field(arr: np.ndarray) -> tuple[str, list]:
-    """A format field and cell values that spell a 1-d column as
+    """A %-format field and cell values that spell a 1-d column as
     ``format_number`` does, so that one template formats a whole row."""
     values = arr.tolist()
     if arr.dtype.kind in "iu":
-        return "{}", values
+        return "%d", values
     if arr.dtype.kind == "f":
-        return "{:.17g}", values  # spells nan, inf and -inf as format_number does
-    return "{}", [format_number(v) for v in values]
+        return "%.17g", values  # spells nan, inf and -inf as format_number does
+    return "%s", [format_number(v) for v in values]
 
 
 def _jsonable(obj):
@@ -81,13 +80,10 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype.kind in "biuf":
+            return obj  # a column: _dumps encodes it straight from the array
         if obj.dtype.kind in "biu":
             return obj.tolist()
-        if obj.dtype.kind == "f" and obj.ndim == 1:
-            out = obj.tolist()
-            for i in np.flatnonzero(~np.isfinite(obj)).tolist():
-                out[i] = format_number(out[i])
-            return out
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
@@ -105,20 +101,33 @@ def _dumps(obj, pad: str = "") -> str:
     scalars is one call to the C encoder, with the line break and indent
     folded into its item separator."""
     inner = pad + "  "
+    if isinstance(obj, np.ndarray):  # a 1-d column left by _jsonable
+        values = obj.tolist()
+        if obj.dtype.kind == "f":
+            for i in np.flatnonzero(~np.isfinite(obj)).tolist():
+                values[i] = format_number(values[i])
+        return _dumps_flat(values, pad)
     if isinstance(obj, dict) and obj:
         if not all(isinstance(k, str) for k in obj):
             return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
         items = (json.dumps(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items()))
     elif isinstance(obj, (list, tuple)) and obj:
-        if any(isinstance(v, (dict, list, tuple)) for v in obj):
-            items = (_dumps(v, inner) for v in obj)
-        else:
-            flat = json.dumps(obj, separators=(",\n" + inner, ": "))
-            return "[\n" + inner + flat[1:-1] + "\n" + pad + "]"
+        if not any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in obj):
+            return _dumps_flat(obj, pad)
+        items = (_dumps(v, inner) for v in obj)
     else:  # scalars and empty containers
         return json.dumps(obj)
     brackets = "{}" if isinstance(obj, dict) else "[]"
     return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
+
+
+def _dumps_flat(values: list, pad: str) -> str:
+    """A list of JSON scalars, one item a line, in one C-encoder call."""
+    if not values:
+        return "[]"
+    inner = pad + "  "
+    flat = json.dumps(values, separators=(",\n" + inner, ": "))
+    return "[\n" + inner + flat[1:-1] + "\n" + pad + "]"
 
 
 def write_json(path: str, payload: dict) -> None:

@@ -18,6 +18,7 @@ changes neither the results nor the speed.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,6 +39,7 @@ from .numerics import NonFiniteStateError
 
 __all__ = [
     "SimPath",
+    "FillTable",
     "EnsembleStats",
     "ExecutionCurve",
     "ConstantSpreadPolicy",
@@ -91,6 +93,42 @@ class SimPath:
     terminal_inventory: float
 
 
+@dataclass(frozen=True, eq=False)
+class FillTable(Sequence):
+    """Every fill of an ensemble, one row each, in path order and then fill
+    order.  As a sequence it holds one :class:`SimPath` per path, built when
+    it is read."""
+    path_id: np.ndarray
+    fill_index: np.ndarray
+    time: np.ndarray
+    spread: np.ndarray
+    discounted_revenue: np.ndarray  # one entry per path
+    n_units: int
+    delta: float
+
+    def __len__(self) -> int:
+        return len(self.discounted_revenue)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        i = range(len(self))[i]  # a list's index rules: negatives, bounds, types
+        lo, hi = np.searchsorted(self.path_id, (i, i + 1)).tolist()
+        return self._path(i, lo, hi)
+
+    def __iter__(self):
+        bounds = np.searchsorted(self.path_id, np.arange(len(self) + 1)).tolist()
+        return map(self._path, range(len(self)), bounds[:-1], bounds[1:])
+
+    def _path(self, i: int, lo: int, hi: int) -> SimPath:
+        k = hi - lo
+        return SimPath(path_id=i, fill_times=self.time[lo:hi],
+                       fill_spreads=self.spread[lo:hi],
+                       discounted_revenue=float(self.discounted_revenue[i]),
+                       fully_liquidated=k == self.n_units,
+                       terminal_inventory=self.delta * (self.n_units - k))
+
+
 @dataclass(frozen=True)
 class EnsembleStats:
     n_paths: int
@@ -112,8 +150,8 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
                     *, threads: int = 1, curve_times=None, keep_paths: bool = False):
     """Simulate the controlled death process under ``policy``.
 
-    Returns :class:`EnsembleStats` (and the per-path records when
-    ``keep_paths``).  The sample mean of discounted revenue is an unbiased
+    Returns :class:`EnsembleStats` (and, when ``keep_paths``, every fill as a
+    :class:`FillTable`).  The sample mean of discounted revenue is an unbiased
     estimate of the policy's value; one unit ``delta`` is sold per fill at
     the spread posted at that instant.  ``threads`` splits the path blocks
     into that many contiguous groups; the results are the same for any value.
@@ -127,13 +165,17 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
     advance = policy.clock(model, delta, horizon).advance
 
     revenues = np.zeros(n_paths)
-    emptied = np.zeros(n_paths, dtype=bool)
-    ct = unit_sums = None
+    fill_counts = np.zeros(n_paths, dtype=np.int64)
+    ct = hits = None
     if curve_times is not None:
         ct = np.asarray(curve_times, dtype=float)
-        # per curve point: sums of the remaining units and of their squares
-        unit_sums = np.zeros((2, len(ct)), dtype=np.int64)
-    paths: list[SimPath] = []
+        ct_sorted = np.sort(ct)
+        # hits[j, c]: paths whose fill j falls in (ct_sorted[c-1], ct_sorted[c]]
+        hits = np.zeros((n_units, len(ct) + 1), dtype=np.int64)
+    if keep_paths:
+        # fill j of path i at [i, j]; cells past a path's last fill stay unset
+        fill_times = np.empty((n_paths, n_units))
+        fill_spreads = np.empty((n_paths, n_units))
 
     def run_block(block):
         lo = block * _BLOCK_PATHS
@@ -142,12 +184,10 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
         # and n_units only, not on how many rows the block holds
         draws = _stream(seed, block).standard_exponential((m, n_units))
         t = np.zeros(m)
-        revenue = np.zeros(m)
-        fills = np.zeros(m, dtype=np.int64)
-        filled_by = None if ct is None else np.zeros((m, len(ct)), dtype=np.int32)
+        # views: the block writes its rows of the run's arrays in place
+        revenue, fills = revenues[lo:lo + m], fill_counts[lo:lo + m]
         if keep_paths:
-            times = np.full((m, n_units), math.nan)
-            spreads = np.full((m, n_units), math.nan)
+            times, spreads = fill_times[lo:lo + m], fill_spreads[lo:lo + m]
         live = np.arange(m)
         for j, level in enumerate(range(n_units, 0, -1)):
             if live.size == 0:
@@ -165,27 +205,13 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
             t[live] = t_next
             revenue[live] += np.exp(-r * t_next) * s * delta
             fills[live] += 1
-            if filled_by is not None:
-                filled_by[live] += t_next[:, None] <= ct
+            if hits is not None:
+                # side left: a fill at exactly a curve time counts there
+                hits[j] += np.bincount(np.searchsorted(ct_sorted, t_next),
+                                       minlength=len(ct) + 1)
             if keep_paths:
                 times[live, j] = t_next
                 spreads[live, j] = s
-        revenues[lo:lo + m] = revenue
-        emptied[lo:lo + m] = fills == n_units
-        if filled_by is not None:
-            left = n_units - filled_by.astype(np.int64)
-            unit_sums[0] += left.sum(axis=0)
-            unit_sums[1] += (left * left).sum(axis=0)
-        if keep_paths:
-            for i, k in enumerate(fills.tolist()):
-                paths.append(SimPath(
-                    path_id=lo + i,
-                    fill_times=times[i, :k],
-                    fill_spreads=spreads[i, :k],
-                    discounted_revenue=float(revenue[i]),
-                    fully_liquidated=k == n_units,
-                    terminal_inventory=delta * (n_units - k),
-                ))
 
     # each block's draws depend on (seed, block) alone, so any partition of
     # the block range into groups gives the same results
@@ -200,9 +226,17 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
     else:
         se = math.nan
     stats_kwargs = dict(n_paths=n_paths, mean_revenue=mean, std_error=se,
-                        liquidation_fraction=float(np.mean(emptied)))
+                        liquidation_fraction=float(np.mean(fill_counts == n_units)))
     if ct is not None:
-        s1, s2 = unit_sums.tolist()
+        # done[j, c]: paths with fill j by ct_sorted[c].  Fills are ordered in
+        # time, so a path with k fills by then adds 1 to done[0..k-1, c]:
+        # sum_j done[j] is the sum of k over paths, and sum_j (2j+1) done[j]
+        # the sum of k**2.  The remaining units n - k then have the exact
+        # integer sums S1 and S2.
+        done = np.cumsum(hits, axis=1)[:, np.searchsorted(ct_sorted, ct)]
+        sum_k, sum_k2 = done.sum(axis=0), (2 * np.arange(n_units) + 1) @ done
+        s1 = (n_paths * n_units - sum_k).tolist()
+        s2 = (n_paths * n_units ** 2 - 2 * n_units * sum_k + sum_k2).tolist()
         if n_paths > 1:
             # n*S2 - S1**2 in exact integers: no cancellation in the variance
             n_ssd = np.array([n_paths * b - a * a for a, b in zip(s1, s2)], dtype=float)
@@ -214,9 +248,12 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
                             mean_inventory_curve=delta * np.array(s1, dtype=float) / n_paths,
                             curve_std_error=curve_se)
     stats = EnsembleStats(**stats_kwargs)
-    if keep_paths:
-        return stats, paths
-    return stats
+    if not keep_paths:
+        return stats
+    # row-major: path order, then fill order
+    rows, cols = np.nonzero(np.arange(n_units) < fill_counts[:, None])
+    return stats, FillTable(rows, cols, fill_times[rows, cols], fill_spreads[rows, cols],
+                            discounted_revenue=revenues, n_units=n_units, delta=delta)
 
 
 def constant_policy_value(model: IntensityModel, market: MarketParams,

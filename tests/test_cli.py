@@ -1,13 +1,21 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 import yaml
 
+import lobliq
 from lobliq.cli import main
 from lobliq.config import ConfigError, load_config, parse_config
+from lobliq.intensity import MarketParams, PowerLawIntensity
+from lobliq.reports import format_number
+from lobliq.simulate import ConstantSpreadPolicy, simulate_policy
+from test_discrete import _reference_power_recursion
 
 BASE = {
     "model": {"kind": "power", "lam": 1.0, "alpha": 2.0},
@@ -269,6 +277,46 @@ class TestCliCommands:
         mean = json.loads((out / "ensemble.json").read_text())["mean_revenue"]
         assert math.isclose(sum(cols["discounted_cash"]) / 30, mean, rel_tol=1e-12)
 
+    def test_paths_dump_matches_per_path_reference(self, tmp_path):
+        # a constant spread on a finite horizon leaves some paths unsold
+        out = tmp_path / "out"
+        cfg = {
+            "model": {"kind": "power", "lam": 1.0, "alpha": 2.0},
+            "market": {"r": 0.1, "horizon": 1.0},
+            "simulate": {"n_units": 4, "delta": 0.5, "n_paths": 300,
+                         "policy": "constant", "constant_spread": 1.0,
+                         "dump_paths": True},
+            "output": {"directory": str(out), "formats": "both"},
+            "seed": 11,
+        }
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 0
+        _, paths = simulate_policy(PowerLawIntensity(lam=1.0, alpha=2.0),
+                                   MarketParams(r=0.1, horizon=1.0), 4, 0.5,
+                                   ConstantSpreadPolicy(1.0), 300, seed=11,
+                                   keep_paths=True)
+        assert len(paths) == 300
+        assert paths[7].path_id == 7 and paths[-1].path_id == 299
+        assert [p.path_id for p in paths[10:13]] == [10, 11, 12]
+        records = list(paths)
+        assert 0 < sum(p.fully_liquidated for p in records) < 300
+        counts = [len(p.fill_times) for p in records]
+        times = np.concatenate([p.fill_times for p in records])
+        spreads = np.concatenate([p.fill_spreads for p in records])
+        columns = {
+            "path_id": [p.path_id for p, k in zip(records, counts) for _ in range(k)],
+            "fill_index": [j for k in counts for j in range(k)],
+            "time": times.tolist(),
+            "spread": spreads.tolist(),
+            "discounted_cash": (np.exp(-0.1 * times) * spreads * 0.5).tolist(),
+        }
+        lines = [",".join(columns)]
+        lines += [",".join(format_number(col[i]) for col in columns.values())
+                  for i in range(len(times))]
+        assert (out / "paths.csv").read_text() == "\n".join(lines) + "\n"
+        body = {"schema_version": 1, "table": "paths", "columns": columns}
+        assert ((out / "paths.json").read_text()
+                == json.dumps(body, indent=2, sort_keys=True) + "\n")
+
     @pytest.mark.parametrize("value", ["false", 0, "yes"])
     def test_dump_paths_must_be_boolean(self, tmp_path, value):
         out = tmp_path / "out"
@@ -393,3 +441,59 @@ class TestCliCommands:
         c0 = [float(r[1]) for r in rows]
         c1 = [float(r[2]) for r in rows]
         assert all(a > b for a, b in zip(c0, c1))
+
+    def test_power_law_at_alpha_200(self, tmp_path, capsys):
+        # each power in (alpha-1)**(alpha-1) / alpha**alpha overflows from
+        # alpha ~ 145; the ladder's finest rung, delta = 1/32, keeps
+        # A * delta**199 inside the normal floats, and delta = 1/64 does not
+        model = {"kind": "power", "lam": 1.0, "alpha": 200.0}
+        finite, inf = {"r": 0.1, "horizon": 1.0}, {"r": 0.1, "horizon": "inf"}
+        runs = {
+            "solve": (finite, {"n_max": 20}),
+            "simulate": (finite, {"n_units": 3, "n_paths": 50, "curve_points": 3}),
+            "curves": (finite, {"n_units": 3,
+                                "t_grid": {"start": 0.0, "stop": 0.9, "count": 4}}),
+            "converge": (inf, {"x_probe": 5.0, "k_max": 5}),
+        }
+        for command, (market, section) in runs.items():
+            cfg = {"model": model, "market": market, command: section,
+                   "output": {"directory": str(tmp_path / command), "formats": "json"}}
+            path = write_cfg(tmp_path, cfg, command + ".yaml")
+            assert main([command, "--config", path]) == 0, command
+        payoff = float(mpmath.mpf(199) ** 199 / mpmath.mpf(200) ** 200)
+        solve = json.loads((tmp_path / "solve" / "solve.json").read_text())["columns"]
+        np.testing.assert_allclose(solve["coefficient"],
+                                   _reference_power_recursion(payoff, 0.1, 200.0, 20),
+                                   rtol=1e-13, atol=0.0)
+        ladder = json.loads((tmp_path / "converge" / "converge.json").read_text())["columns"]
+        # the reference's bracket in m overflows on the finest rung
+        for delta, value in zip(ladder["delta"][:-1], ladder["value"]):
+            n = round(5.0 / delta)
+            ref = _reference_power_recursion(payoff * delta ** 199, 0.1, 200.0, n)
+            assert math.isclose(value, ref[n], rel_tol=1e-13)
+        cfg = {"model": model, "market": inf, "converge": {"x_probe": 5.0, "k_max": 6},
+               "output": {"directory": str(tmp_path / "edge")}}
+        assert main(["converge", "--config", write_cfg(tmp_path, cfg, "edge.yaml")]) == 3
+        assert "outside the normal float range" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    """``python -m lobliq`` runs the CLI from a checkout with no install."""
+
+    @staticmethod
+    def run(*args):
+        src = os.path.dirname(os.path.dirname(lobliq.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "lobliq", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_help(self):
+        proc = self.run("--help")
+        assert proc.returncode == 0
+        assert "simulate" in proc.stdout
+
+    def test_missing_config_exits_2(self, tmp_path):
+        proc = self.run("solve", "--config", str(tmp_path / "absent.yaml"))
+        assert proc.returncode == 2
+        assert "cannot read config" in proc.stderr

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,13 @@ def _reference_power_recursion(b, weight, alpha, n_max):
         c[n] = c[n - 1] + m
         prev_inc = m
     return c
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 7.0, 145.0, 200.0, 1000.0])
+def test_power_constant_matches_mpmath(alpha):
+    # each power of (alpha-1)**(alpha-1) / alpha**alpha overflows from alpha ~ 145
+    exact = mpmath.mpf(alpha - 1.0) ** (alpha - 1.0) / mpmath.mpf(alpha) ** alpha
+    assert math.isclose(power_constant(alpha), float(exact), rel_tol=1e-13)
 
 
 class TestPowerCoefficients:

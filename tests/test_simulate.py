@@ -152,6 +152,42 @@ class TestSimulatePolicy:
         assert np.allclose(stats.mean_inventory_curve, mean, rtol=1e-12, atol=0.0)
         assert np.allclose(stats.curve_std_error, se, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("n_paths, ties", [
+        (1, False), (_BLOCK_PATHS + 3, False), (400, True),
+    ], ids=["one-path", "two-blocks", "fill-time-ties"])
+    def test_curve_counts_match_brute_force(self, n_paths, ties):
+        # the per-level histograms against a per-path count of fills by t
+        policy = StationarySpreadPolicy(spreads=np.array([math.nan] + [3.0] * 4))
+        ct = np.linspace(0.0, 1.0, 10)[1:-1]
+        if ties:
+            # curve times equal to fill times of the same draws, unsorted and
+            # with a repeat: a fill at exactly t counts at t
+            _, first = simulate_policy(POWER, FINITE, 4, 0.5, policy, n_paths, seed=31,
+                                       keep_paths=True)
+            ct = first.time[[5, 0, 17, 9, 0, 40]]
+        stats, paths = simulate_policy(POWER, FINITE, 4, 0.5, policy, n_paths, seed=31,
+                                       curve_times=ct, keep_paths=True)
+        left = np.array([[4 - np.count_nonzero(p.fill_times <= t) for t in ct]
+                         for p in paths])
+        if ties:
+            strict = np.array([[4 - np.count_nonzero(p.fill_times < t) for t in ct]
+                               for p in paths])
+            assert np.any(left != strict)
+        assert np.array_equal(stats.mean_inventory_curve,
+                              0.5 * left.sum(axis=0).astype(float) / n_paths)
+        if n_paths == 1:
+            assert np.all(np.isnan(stats.curve_std_error))
+        else:
+            se = np.std(0.5 * left, axis=0, ddof=1) / math.sqrt(n_paths)
+            assert np.allclose(stats.curve_std_error, se, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_spread_raises(self, bad):
+        policy = StationarySpreadPolicy(spreads=np.array([math.nan, 3.0, 3.0, bad]))
+        with pytest.raises(ArithmeticError, match="non-finite spread at level 3"):
+            simulate_policy(POWER, FINITE, 3, 1.0, policy, 10, seed=1,
+                            curve_times=[0.5], keep_paths=True)
+
     def test_curve_standard_error_undefined_for_one_path(self):
         pol = optimal_policy(POWER, FINITE, 1.0, 3)
         stats = simulate_policy(POWER, FINITE, 3, 1.0, pol, 1, seed=2,
