@@ -47,7 +47,6 @@ from .intensity import (
     PowerLawIntensity,
     concavity_condition,
 )
-from .numerics import OdeProblem, integrate_ode, lambert_w0, log_integral
 from .simulate import (
     ConstantSpreadPolicy,
     EnsembleStats,

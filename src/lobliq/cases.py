@@ -252,6 +252,9 @@ class Case:
     n_max)``, the optimal :class:`SpreadPolicy`; ``level_rates(n_units)``,
     the map t -> fill rates of levels 1..n at unit trading size; and
     ``execution_curve``, the exact mean inventory under the optimal policy.
+    Each case with a fluid limit also provides ``fluid_cell_spread(x,
+    delta)``, the fluid spread averaged over the cell [x - delta, x], from
+    the drop of the fluid value across it.
 
     Every case but the exponential book with r = 0 has an optimal policy
     whose fill rates factor as b_k * g(t) (its :class:`FactorClock`), so the
@@ -297,8 +300,18 @@ class Case:
                              lambda x: pair(x)[1], curve)
 
 
+def _power_cell_spread(case: Case, x: float, delta: float) -> float:
+    # the fluid value is proportional to x**p, p = (alpha-1)/alpha, and the
+    # spread is v'(x)/p, so the cell average is (v(x) - v(x-delta))/(p*delta)
+    p = (case.model.alpha - 1.0) / case.model.alpha
+    drop = 1.0 if delta >= x else -math.expm1(p * math.log1p(-delta / x))
+    return case.fluid().value(x) * drop / (p * delta)
+
+
 class PowerDiscounted(Case):
     """Power-law book with r > 0, finite or infinite horizon."""
+
+    fluid_cell_spread = _power_cell_spread
 
     def _scales(self, delta, n_max):
         """c_0..c_n and the stationary optimal spread of each level (nan at 0)."""
@@ -307,7 +320,7 @@ class PowerDiscounted(Case):
         scales = np.full(n_max + 1, math.nan)
         # one scalar pow per level: NumPy's array pow may differ in the last bit
         for n in range(1, n_max + 1):
-            scales[n] = discrete.power_spread_scale(n, c, m.lam, m.alpha, r, delta)
+            scales[n] = discrete.power_spread_scale(n, c, m.lam, m.alpha, r)
         return c, scales
 
     def solve(self, delta, n_max):
@@ -322,8 +335,7 @@ class PowerDiscounted(Case):
         # level n alone: convergence ladders solve tens of thousands of levels
         m, mk = self.model, self.market
         c = discrete.solve_power_coefficients(m.lam, m.alpha, mk.r, n, delta)
-        return discrete.power_value_and_spread(n, mk.horizon, c, m.lam, m.alpha,
-                                               mk.r, delta)
+        return discrete.power_value_and_spread(n, mk.horizon, c, m.lam, m.alpha, mk.r)
 
     def fluid(self):
         m, mk = self.model, self.market
@@ -342,13 +354,14 @@ class PowerDiscounted(Case):
     def liquidation_times(self, sol):
         if not self.market.infinite_horizon:
             return None
-        lam_eff = self.model.lam * sol.delta ** (self.model.alpha - 1.0)
         return discrete.expected_liquidation_time_discrete(
-            sol.coefficients, lam_eff, self.model.alpha, self.market.r)
+            sol.coefficients, self.model.lam, self.model.alpha, self.market.r, sol.delta)
 
 
 class PowerZeroRate(Case):
     """Power-law book with r = 0 and a finite horizon."""
+
+    fluid_cell_spread = _power_cell_spread
 
     def _spread_coefs(self, delta, n_max):
         """d_0..d_n and the spread per unit of (time to go)**(1/alpha) (nan at 0)."""
@@ -401,6 +414,10 @@ class ExpZeroRate(Case):
         return self._fluid(lambda x: fluid.exp_fluid_finite(x, T, m.lam, m.kappa)[:2],
                            lambda t, x0: fluid.exp_fluid_finite(x0, T, m.lam, m.kappa)[2](t))
 
+    def fluid_cell_spread(self, x, delta):
+        m = self.model
+        return fluid.exp_finite_cell_spread(x, delta, self.market.horizon, m.lam, m.kappa)
+
     def policy(self, delta, n_max):
         return ExpZeroRatePolicy(lam=self.model.lam, kappa=self.model.kappa, delta=delta)
 
@@ -442,6 +459,10 @@ class ExpStationary(Case):
         m, r = self.model, self.market.r
         return self._fluid(lambda x: fluid.exp_fluid_infinite(x, m.lam, m.kappa, r),
                            lambda t, x0: fluid.exp_trade_curve(t, x0, m.lam, m.kappa, r))
+
+    def fluid_cell_spread(self, x, delta):
+        m = self.model
+        return fluid.exp_infinite_cell_spread(x, delta, m.lam, m.kappa, self.market.r)
 
     def policy(self, delta, n_max):
         return StationarySpreadPolicy(spreads=self._table(delta, n_max)[1])

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .cases import resolve
 from .discrete import level_of, solve_power_coefficients
@@ -148,13 +147,9 @@ def control_convergence(model: IntensityModel, market: MarketParams, x_probe: fl
 def _spread_table(model: IntensityModel, market: MarketParams, x_probe: float,
                   deltas: np.ndarray, spreads: np.ndarray) -> SpreadConvergence:
     """The control-convergence table for discrete spreads already solved."""
-    fl = fluid_solution(model, market)
-    fluid_spread = fl.spread(x_probe)
-    averaged = np.empty(len(deltas))
-    for i, d in enumerate(deltas):
-        cell, _ = quad(fl.spread, x_probe - d, x_probe,
-                       epsabs=1e-13, epsrel=1e-12, limit=200)
-        averaged[i] = cell / d
+    case = resolve(model, market)
+    fluid_spread = case.fluid().spread(x_probe)
+    averaged = np.array([case.fluid_cell_spread(x_probe, float(d)) for d in deltas])
 
     pointwise_err = np.abs(spreads - fluid_spread)
     averaged_err = np.abs(spreads - averaged)

@@ -8,7 +8,9 @@ a bracketed scalar maximization for generic depth models.
 Delta scaling: for a power-law book the unit-step recursion with
 lam_eff = lam * Delta**(alpha-1) already produces the physical values
 V(n*Delta), because the scaled problem (rate/Delta, payoff s*Delta)
-collapses onto the unit recursion after optimizing out the spread.
+collapses onto the unit recursion after optimizing out the spread.  lam_eff
+leaves the floats for a fine Delta at a large alpha, so it is only ever
+carried as a logarithm or cancelled.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
-from scipy.special import gammaln
 
 from .intensity import IntensityModel, MarketParams, concavity_condition
 from .numerics import lambert_w0_exparg
@@ -44,6 +44,9 @@ __all__ = [
 
 _RESIDUAL_RTOL = 1e-10
 _NEWTON_STEPS = 100
+# the logarithms of numbers a little inside the normal floats
+_LOG_NORMAL = math.log(sys.float_info.min) + 1.0
+_LOG_HUGE = math.log(sys.float_info.max) - 1.0
 
 
 def power_constant(alpha: float) -> float:
@@ -71,11 +74,18 @@ def level_of(x: float, delta: float) -> int:
     return int(n)
 
 
-def _power_recursion(b: float, weight: float, alpha: float, n_max: int) -> np.ndarray:
-    """c_0..c_n with c_0 = 0 and weight*c_n = b * (c_n - c_{n-1})**(1-alpha).
+def _power_recursion(lam: float, alpha: float, r: float, n_max: int,
+                     delta: float) -> np.ndarray:
+    """c_0..c_n with c_0 = 0 and weight*c_n = b * (c_n - c_{n-1})**(1-alpha),
+    b = payoff * lam * delta**(alpha-1): payoff A = power_constant(alpha) and
+    weight r for r > 0, and payoff ((alpha-1)/alpha)**(alpha-1) and weight 1
+    for the zero-rate recursion (r = 0).
 
-    c_1 = (b/weight)**(1/alpha) in closed form.  At deeper levels the
-    increment m = c_{n-1} e^z is the root of
+    c_1 = (b/weight)**(1/alpha).  b leaves the normal floats for a fine delta
+    at a large alpha (below about 0.029 at alpha = 200), so c_1 comes from
+    log b there; where b and b/weight are normal floats it is the power of b
+    itself, which is correctly rounded more often.  The deeper levels depend
+    on b/weight = c_1**alpha alone: the increment m = c_{n-1} e^z is the root of
         F(z) = log1p(e^z) + (alpha-1)*z + log((c_{n-1}/c_1)**alpha),
     which is log(c_{n-1} + m) + (alpha-1)*log(m) - log(b/weight) written in
     z = log(m/c_{n-1}), so that no large logarithms cancel and F is good to
@@ -84,9 +94,10 @@ def _power_recursion(b: float, weight: float, alpha: float, n_max: int) -> np.nd
     b*m_{n-1}**(1-alpha)), so Newton's method started there falls
     monotonically to the root, with no bracket: two or three steps a
     level, at most a dozen for alpha near 1.  Since F''/F' <= 1, a step below 1e-9
-    leaves an error below 1e-18 in z.  Raises ArithmeticError if a level
-    takes more than _NEWTON_STEPS steps or ends with a relative residual
-    above _RESIDUAL_RTOL.
+    leaves an error below 1e-18 in z.  The relative residual of each level
+    is read in logs, as log(c_n/c_1) + (alpha-1)*log(m/c_1), where no term
+    is large.  Raises ArithmeticError if a level takes more than
+    _NEWTON_STEPS steps or ends with a residual above _RESIDUAL_RTOL.
     """
     if alpha <= 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
@@ -94,16 +105,22 @@ def _power_recursion(b: float, weight: float, alpha: float, n_max: int) -> np.nd
         raise ValueError("n_max must be >= 1")
     # Python floats: a NumPy scalar power overflows to inf with a warning,
     # where the fallback below needs an OverflowError
-    b, weight, alpha = float(b), float(weight), float(alpha)
+    lam, alpha, r, delta = float(lam), float(alpha), float(r), float(delta)
+    payoff, weight = (power_constant(alpha), r) if r > 0.0 else \
+        (((alpha - 1.0) / alpha) ** (alpha - 1.0), 1.0)
+    log_b = math.log(payoff) + math.log(lam) + (alpha - 1.0) * math.log(delta)
+    log_k = log_b - math.log(weight)
+    if _LOG_NORMAL < min(log_b, log_k) and max(log_b, log_k) < _LOG_HUGE:
+        c1 = (payoff * (lam * delta ** (alpha - 1.0)) / weight) ** (1.0 / alpha)
+    else:
+        c1 = math.exp(log_k / alpha)
+    if not sys.float_info.min <= c1 < math.inf:
+        raise ArithmeticError(f"first coefficient c_1 = exp({log_k!r} / {alpha!r}) "
+                              "is outside the normal float range")
     exp, log, log1p = math.exp, math.log, math.log1p
     c = np.empty(n_max + 1)
     c[0] = 0.0
-    # b = A*lam*delta**(alpha-1) leaves the normal floats for a fine delta at
-    # a large alpha (below about 0.029 at alpha = 200), and c_1 loses its digits
-    if not (sys.float_info.min <= min(b, b / weight) and max(b, b / weight) < math.inf):
-        raise ArithmeticError(f"recursion constant b = {b!r} (b/weight = {b / weight!r}) "
-                              "is outside the normal float range")
-    c[1] = c1 = (b / weight) ** (1.0 / alpha)
+    c[1] = c1
     a1 = alpha - 1.0
     prev = m = c1
     for n in range(2, n_max + 1):
@@ -124,8 +141,8 @@ def _power_recursion(b: float, weight: float, alpha: float, n_max: int) -> np.nd
         m = prev * exp(z)
         prev += m
         c[n] = prev
-        resid = abs(weight * prev - b * m ** (1.0 - alpha))
-        if resid > _RESIDUAL_RTOL * weight * prev:
+        resid = abs(log(prev / c1) + a1 * log(m / c1))
+        if resid > _RESIDUAL_RTOL:
             raise ArithmeticError(f"recursion residual {resid:.3e} too large at level {n}")
     return c
 
@@ -139,25 +156,24 @@ def solve_power_coefficients(lam: float, alpha: float, r: float, n_max: int,
     """
     if r <= 0.0:
         raise ValueError("discounted recursion requires r > 0 (use the zero-rate solver)")
-    lam_eff = lam * delta ** (alpha - 1.0)
-    return _power_recursion(power_constant(alpha) * lam_eff, r, alpha, n_max)
+    return _power_recursion(lam, alpha, r, n_max, delta)
 
 
 def power_spread_scale(n: int, coefficients: np.ndarray, lam: float,
-                       alpha: float, r: float, delta: float = 1.0) -> float:
+                       alpha: float, r: float) -> float:
     """Stationary optimal spread at level n (finite-horizon spreads scale
     by the common horizon factor).
 
     Equals (alpha/(alpha-1)) * (c_n - c_{n-1}) / delta: the spread prices
-    the marginal value of one unit, per unit of inventory.
+    the marginal value of one unit, per unit of inventory.  In
+    (lam_eff/(alpha*r*c_n))**(1/(alpha-1)) / delta the delta**(alpha-1) of
+    lam_eff cancels the 1/delta, so the trading unit enters through c_n only.
     """
-    lam_eff = lam * delta ** (alpha - 1.0)
-    return (lam_eff / (alpha * r * coefficients[n])) ** (1.0 / (alpha - 1.0)) / delta
+    return (lam / (alpha * r * coefficients[n])) ** (1.0 / (alpha - 1.0))
 
 
 def power_value_and_spread(n: int, t_remaining: float, coefficients: np.ndarray,
-                           lam: float, alpha: float, r: float,
-                           delta: float = 1.0) -> tuple[float, float]:
+                           lam: float, alpha: float, r: float) -> tuple[float, float]:
     """(value, optimal spread) at inventory level n with time T to maturity.
 
     Satisfies the marginal identity
@@ -169,7 +185,7 @@ def power_value_and_spread(n: int, t_remaining: float, coefficients: np.ndarray,
     value = coefficients[n] * factor
     if n == 0:
         return 0.0, math.nan
-    return value, power_spread_scale(n, coefficients, lam, alpha, r, delta) * factor
+    return value, power_spread_scale(n, coefficients, lam, alpha, r) * factor
 
 
 def solve_power_zero_rate(lam: float, alpha: float, n_max: int,
@@ -179,9 +195,7 @@ def solve_power_zero_rate(lam: float, alpha: float, n_max: int,
     Recursion: d_n = lam_eff * ((alpha-1)/alpha)**(alpha-1) * (d_n - d_{n-1})**(1-alpha),
     the r -> 0 limit of the discounted solution.
     """
-    lam_eff = lam * delta ** (alpha - 1.0)
-    return _power_recursion(lam_eff * ((alpha - 1.0) / alpha) ** (alpha - 1.0), 1.0,
-                            alpha, n_max)
+    return _power_recursion(lam, alpha, 0.0, n_max, delta)
 
 
 def zero_rate_value_and_spread(n: int, t_remaining: float, d: np.ndarray,
@@ -197,19 +211,20 @@ def zero_rate_value_and_spread(n: int, t_remaining: float, d: np.ndarray,
 
 
 def expected_liquidation_time_discrete(coefficients: np.ndarray, lam: float,
-                                       alpha: float, r: float) -> np.ndarray:
-    """Expected time to empty n units on the infinite horizon.
+                                       alpha: float, r: float,
+                                       delta: float = 1.0) -> np.ndarray:
+    """Expected time to empty n units of size delta on the infinite horizon.
 
-    S(n) - S(n-1) = 1/rate(s*(n)): each level waits an exponential time at
-    the level's optimal fill rate, and the spreads shrink with inventory so
-    the waits shrink too.
+    S(n) - S(n-1) = 1/rate(s*(n)) = delta * s*(n)**alpha / lam: each level
+    waits an exponential time at the level's optimal fill rate, and the
+    spreads shrink with inventory so the waits shrink too.
     """
     n_max = len(coefficients) - 1
     s = np.empty(n_max + 1)
     s[0] = 0.0
     for n in range(1, n_max + 1):
-        spread = (lam / (alpha * r * coefficients[n])) ** (1.0 / (alpha - 1.0))
-        s[n] = s[n - 1] + spread ** alpha / lam
+        spread = power_spread_scale(n, coefficients, lam, alpha, r)
+        s[n] = s[n - 1] + delta * spread ** alpha / lam
     return s
 
 
@@ -244,8 +259,9 @@ def solve_exp_finite(n_max: int, delta: float, t_grid, lam: float,
 def _log_series_terms(n: int, y: np.ndarray) -> np.ndarray:
     """log(y**j / j!) for j = 0..n (rows) at each entry of the 1-d array y."""
     j = np.arange(n + 1, dtype=float)
+    log_factorial = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = j[:, None] * np.log(y)[None, :] - gammaln(j + 1.0)[:, None]
+        terms = j[:, None] * np.log(y)[None, :] - log_factorial[:, None]
     terms[0, :] = 0.0  # the empty product, also fixes 0 * (-inf) at y = 0
     return terms
 
@@ -374,6 +390,7 @@ def solve_generic_stationary(model: IntensityModel, delta: float, r: float,
         raise ValueError("stationary problem requires r > 0")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    from scipy.optimize import brentq, minimize_scalar
 
     probe = model.s_min + np.geomspace(1e-4, 1e4, 33)
     cond = concavity_condition(model, probe)

@@ -14,11 +14,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .discrete import power_constant
+from .numerics import GAUSS_NODES, GAUSS_WEIGHTS
 
 __all__ = [
     "RegimeParams",
@@ -99,6 +97,8 @@ def regime_fluid_fixed_point(params: RegimeParams) -> tuple[float, float]:
 
     if t0 == 0.0 and t1 == 0.0:
         return hi, lo
+    from scipy.optimize import brentq
+
     if t0 == 0.0:
         # active regime never leaves: c0 is the single-regime constant
         g = lambda c1: _regime_residuals(hi, c1, params)[1]
@@ -130,9 +130,10 @@ def regime_fluid_fixed_point(params: RegimeParams) -> tuple[float, float]:
     return _regime_newton(c0, c1, params)
 
 
-def _regime_level(b, theta, prev, other, guess_inc, p: RegimeParams, label, n):
+def _regime_level(b, theta, prev, other, guess_inc, p: RegimeParams, label, n, brentq):
     """prev + m, where m > 0 solves b*m**(1-a) = (r+theta)*(prev+m) - theta*other:
-    one regime's level equation with the other regime's value held fixed."""
+    one regime's level equation with the other regime's value held fixed.
+    ``brentq`` is SciPy's, which the caller imports once per solve."""
     a = p.alpha
     f = lambda m: b * m ** (1.0 - a) - (p.r + theta) * (prev + m) + theta * other
     hi_m = guess_inc
@@ -161,6 +162,8 @@ def regime_discrete(params: RegimeParams, n_max: int) -> tuple[np.ndarray, np.nd
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    from scipy.optimize import brentq
+
     a = params.alpha
     aa = power_constant(a)
     b0 = aa * params.lambda0
@@ -177,8 +180,8 @@ def regime_discrete(params: RegimeParams, n_max: int) -> tuple[np.ndarray, np.nd
         u_n = up + guess_u
         w_n = wp + guess_w
         for _ in range(200):
-            u_new = _regime_level(b0, t0, up, w_n, guess_u, params, "U", n)
-            w_new = _regime_level(b1, t1, wp, u_new, guess_w, params, "W", n)
+            u_new = _regime_level(b0, t0, up, w_n, guess_u, params, "U", n, brentq)
+            w_new = _regime_level(b1, t1, wp, u_new, guess_w, params, "W", n, brentq)
             done = (abs(u_new - u_n) <= 1e-14 * max(1.0, u_new)
                     and abs(w_new - w_n) <= 1e-14 * max(1.0, w_new))
             u_n, w_n = u_new, w_new
@@ -257,6 +260,8 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
     so the steps of one segment read theirs from the completed segments'
     cubic interpolants in one array evaluation before the segment is marched.
     """
+    from scipy.interpolate import CubicSpline
+
     a, r, dblk = params.alpha, params.r, params.delta_block
     p = (a - 1.0) / a
     aa = power_constant(a)
@@ -383,20 +388,14 @@ def two_exchange_patch(params: TwoExchangeParams, x_seed: Optional[float] = None
                                spread_continuous=s0, spread_block=s1, x_seed=x_seed)
 
 
-# the 8-point Gauss-Legendre rule on [-1, 1], numpy.polynomial.legendre.leggauss(8)
-# written out: computing it initialises NumPy's LAPACK, about 0.75 MB of RSS
-_GAUSS_HALF_NODES = np.array([0.18343464249564978, 0.525532409916329,
-                              0.7966664774136267, 0.9602898564975362])
-_GAUSS_HALF_WEIGHTS = np.array([0.36268378337836166, 0.3137066458778869,
-                                0.22238103445337443, 0.10122853629037706])
-_GAUSS_NODES = np.concatenate([-_GAUSS_HALF_NODES[::-1], _GAUSS_HALF_NODES])
-_GAUSS_WEIGHTS = np.concatenate([_GAUSS_HALF_WEIGHTS[::-1], _GAUSS_HALF_WEIGHTS])
 _CELLS_PER_BLOCK = 512
 
 
 def _cell_integrals(f, lo, hi, smooth_from):
     """Integrals of f over the cells [lo, hi]: 8-point Gauss-Legendre, in
     blocks of cells, where lo >= smooth_from, and ``quad`` below it."""
+    from scipy.integrate import quad
+
     out = np.empty(len(lo))
     for i in np.flatnonzero(lo < smooth_from):
         out[i] = quad(f, lo[i], hi[i], epsabs=1e-13, epsrel=1e-11, limit=400)[0]
@@ -406,7 +405,7 @@ def _cell_integrals(f, lo, hi, smooth_from):
         mid = 0.5 * (lo[idx] + hi[idx])
         half = 0.5 * (hi[idx] - lo[idx])
         acc = np.zeros(len(idx))
-        for t, wt in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
+        for t, wt in zip(GAUSS_NODES, GAUSS_WEIGHTS):
             acc += wt * f(mid + half * t)
         out[idx] = half * acc
     return out

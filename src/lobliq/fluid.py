@@ -12,18 +12,18 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.optimize import brentq
-from scipy.special import exp1
-
 from .discrete import horizon_factor
 from .intensity import IntensityModel, MarketParams
+from .numerics import GAUSS_NODES, GAUSS_WEIGHTS
 
 __all__ = [
     "FluidSolution",
     "power_fluid",
     "power_trade_curve",
     "exp_fluid_finite",
+    "exp_finite_cell_spread",
     "exp_fluid_infinite",
+    "exp_infinite_cell_spread",
     "exp_trade_curve",
     "fluid_passage_time",
     "fluid_solution",
@@ -92,8 +92,33 @@ def exp_fluid_finite(x: float, t_horizon: float, lam: float,
     return lam * t_horizon / (kappa * math.e), s0, lambda t: x - lam * t / math.e
 
 
-def _e1_of_log(s: float) -> float:
-    """E1(exp(s)), also where exp(s) underflows or E1 itself does."""
+def exp_finite_cell_spread(x: float, delta: float, t_horizon: float, lam: float,
+                           kappa: float) -> float:
+    """The spread of ``exp_fluid_finite`` averaged over the cell [x - delta, x],
+    0 < delta <= x.
+
+    The spread is 1/kappa + v'(y), so the average is 1/kappa + (v(x) - v(x -
+    delta))/delta.  v(y) = (y/kappa) log(lam*T/y) up to y* = lam*T/e and v(y*)
+    above, so the drop is v(a) - v(b) with a = min(x, y*) and b = x - delta,
+    which is ((a-b) log(lam*T/a) + b log1p(-(a-b)/a))/kappa: both terms are
+    of the size of the drop, with nothing to cancel beyond it.
+    """
+    top = lam * t_horizon / math.e
+    a, gap = (x, delta) if x <= top else (top, top - (x - delta))
+    if gap <= 0.0:
+        drop = 0.0  # the whole cell lies where v is flat
+    elif gap >= a:
+        drop = a * math.log(lam * t_horizon / a)  # the cell reaches 0
+    else:
+        drop = gap * math.log(lam * t_horizon / a) + (a - gap) * math.log1p(-gap / a)
+    return (1.0 + drop / delta) / kappa
+
+
+def _e1_of_log(s: float, exp1) -> float:
+    """E1(exp(s)), also where exp(s) underflows or E1 itself does.
+
+    ``exp1`` is ``scipy.special.exp1``, which the callers import.
+    """
     if s < -40.0:
         # E1(w) = -gamma - log(w) + w - ..., and w < 5e-18 here
         return -_EULER_GAMMA - s
@@ -109,15 +134,18 @@ def _log_w(c: float) -> float:
     """
     if c > 40.0:
         return -_EULER_GAMMA - c  # w < 3e-18: E1 equals its log asymptote in doubles
+    from scipy.optimize import brentq
+    from scipy.special import exp1
+
     # E1(w) > -gamma - log(w) fixes the lower end; E1(w) < exp(-w)/w the upper
-    s = brentq(lambda s: _e1_of_log(s) - c, -_EULER_GAMMA - c - 1.0,
+    s = brentq(lambda s: _e1_of_log(s, exp1) - c, -_EULER_GAMMA - c - 1.0,
                math.log(max(1.0, -math.log(c))),
                xtol=1e-16, rtol=8.882e-16, maxiter=200)
     # brentq may stop an ulp either side of the crossing; the last double s
     # with E1(exp(s)) >= c makes w, and so the value, monotone in c
-    while _e1_of_log(s) < c:
+    while _e1_of_log(s, exp1) < c:
         s = math.nextafter(s, -math.inf)
-    while _e1_of_log(up := math.nextafter(s, math.inf)) >= c:
+    while _e1_of_log(up := math.nextafter(s, math.inf), exp1) >= c:
         s = up
     return s
 
@@ -143,6 +171,40 @@ def exp_fluid_infinite(x: float, lam: float, kappa: float,
     return lam / (kappa * r * math.e) * math.exp(-w), (1.0 + w) / kappa
 
 
+def exp_infinite_cell_spread(x: float, delta: float, lam: float, kappa: float,
+                             r: float) -> float:
+    """The spread of ``exp_fluid_infinite`` averaged over the cell [x - delta, x],
+    0 < delta <= x.
+
+    The spread is (1 + w)/kappa, and in s = log(w), where E1(e**s) = e*r*y/lam,
+    the cell runs from s1 = s(x) to s0 = s(x - delta) with
+        e*r*delta/lam = int exp(-e**s) ds,   int w dy = (lam/(e*r)) int e**s exp(-e**s) ds,
+    the second being (lam/(e*r)) (exp(-w1) - exp(-w0)), formed with expm1.  So
+    the mean of w over the cell is that difference over the first integral.
+    Written with e*r*delta/lam, it carries the rounding of s0 and s1, about
+    2**-53 * x/delta relative; on a cell short enough for the 8-point
+    Gauss-Legendre rule to be exact to rounding, the first integral is taken
+    by that rule over the same [s1, s0], and the rounding cancels.
+    """
+    s1 = _log_w(math.e * r * x / lam)
+    w1 = math.exp(s1)
+    if delta >= x:
+        return (1.0 + lam / (r * math.e * delta) * math.exp(-w1)) / kappa  # v(x)/delta
+    s0 = _log_w(math.e * r * (x - delta) / lam)
+    h = s0 - s1
+    drop = -math.exp(-w1) * math.expm1(-w1 * math.expm1(h))  # exp(-w1) - exp(-w0)
+    if h * max(1.0, math.exp(s0)) > 1.0:
+        mean_w = drop * lam / (math.e * r * delta)
+    elif h > 0.0:
+        mid = s1 + 0.5 * h
+        width = 0.5 * h * sum(wt * math.exp(-math.exp(mid + 0.5 * h * t))
+                              for t, wt in zip(GAUSS_NODES, GAUSS_WEIGHTS))
+        mean_w = drop / width
+    else:
+        mean_w = w1  # s0 and s1 round to one double
+    return (1.0 + mean_w) / kappa
+
+
 def exp_trade_curve(t: float, x0: float, lam: float, kappa: float,
                     r: float) -> float:
     """Optimally-controlled fluid inventory at time t, starting from x0
@@ -159,8 +221,10 @@ def exp_trade_curve(t: float, x0: float, lam: float, kappa: float,
         raise ValueError("requires lam, kappa, r > 0")
     if t == 0.0 or x0 == 0.0:
         return x0
+    from scipy.special import exp1
+
     s0 = _log_w(math.e * r * x0 / lam)
-    return lam / (math.e * r) * _e1_of_log(s0 + r * t)
+    return lam / (math.e * r) * _e1_of_log(s0 + r * t, exp1)
 
 
 def fluid_passage_time(x1: float, x2: float, lam: float, alpha: float,

@@ -31,8 +31,8 @@ from lobliq.extensions import (
 )
 from lobliq.fluid import exp_fluid_finite, exp_fluid_infinite
 from lobliq.intensity import ExpDecayIntensity, MarketParams, PowerLawIntensity
-from lobliq.numerics import OdeProblem, integrate_ode, log_integral
 from lobliq.simulate import execution_curve_ode, optimal_policy, simulate_policy
+from ode_oracles import OdeProblem, integrate_ode, log_integral
 
 POWER = PowerLawIntensity(lam=1.0, alpha=2.0)
 MARKET_INF = MarketParams(r=0.1)

@@ -12,6 +12,7 @@ import yaml
 import lobliq
 from lobliq.cli import main
 from lobliq.config import ConfigError, load_config, parse_config
+from lobliq.discrete import solve_power_coefficients
 from lobliq.intensity import MarketParams, PowerLawIntensity
 from lobliq.reports import format_number
 from lobliq.simulate import ConstantSpreadPolicy, simulate_policy
@@ -442,7 +443,7 @@ class TestCliCommands:
         c1 = [float(r[2]) for r in rows]
         assert all(a > b for a, b in zip(c0, c1))
 
-    def test_power_law_at_alpha_200(self, tmp_path, capsys):
+    def test_power_law_at_alpha_200(self, tmp_path):
         # each power in (alpha-1)**(alpha-1) / alpha**alpha overflows from
         # alpha ~ 145; the ladder's finest rung, delta = 1/32, keeps
         # A * delta**199 inside the normal floats, and delta = 1/64 does not
@@ -471,10 +472,20 @@ class TestCliCommands:
             n = round(5.0 / delta)
             ref = _reference_power_recursion(payoff * delta ** 199, 0.1, 200.0, n)
             assert math.isclose(value, ref[n], rel_tol=1e-13)
-        cfg = {"model": model, "market": inf, "converge": {"x_probe": 5.0, "k_max": 6},
-               "output": {"directory": str(tmp_path / "edge")}}
-        assert main(["converge", "--config", write_cfg(tmp_path, cfg, "edge.yaml")]) == 3
-        assert "outside the normal float range" in capsys.readouterr().err
+        # past the normal floats c_1 comes from log b: the ladders run on to
+        # delta = 1/64 at alpha = 200 and to delta = 1/512 at alpha = 150
+        # (TestPowerCoefficients checks those rungs against mpmath)
+        for alpha, k_max in ((200.0, 6), (150.0, 9)):
+            out = tmp_path / f"edge{k_max}"
+            cfg = {"model": dict(model, alpha=alpha), "market": inf,
+                   "converge": {"x_probe": 5.0, "k_max": k_max},
+                   "output": {"directory": str(out), "formats": "json"}}
+            path = write_cfg(tmp_path, cfg, f"edge{k_max}.yaml")
+            assert main(["converge", "--config", path]) == 0, alpha
+            edge = json.loads((out / "converge.json").read_text())
+            finest = solve_power_coefficients(1.0, alpha, 0.1, 5 * 2 ** k_max, 0.5 ** k_max)
+            assert edge["columns"]["value"][-1] == finest[-1]
+            assert edge["monotone_ok"]
 
 
 class TestModuleEntryPoint:

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from lobliq.cases import resolve
 from lobliq.convergence import (
     coefficient_asymptotics,
     control_convergence,
@@ -10,7 +12,7 @@ from lobliq.convergence import (
     value_convergence,
 )
 from lobliq.discrete import solve_discrete
-from lobliq.fluid import exp_fluid_infinite
+from lobliq.fluid import exp_fluid_infinite, fluid_solution
 from lobliq.intensity import ExpDecayIntensity, MarketParams, PowerLawIntensity
 
 POWER = PowerLawIntensity(lam=1.0, alpha=2.0)
@@ -72,6 +74,31 @@ class TestControlConvergence:
         deltas = 1.0 * 0.5 ** np.arange(7)
         table = control_convergence(POWER, MARKET, 5.0, deltas)
         assert np.all(table.averaged_err <= table.pointwise_err)
+
+    @pytest.mark.parametrize("model, market", [
+        (PowerLawIntensity(lam=1.0, alpha=2.0), MarketParams(r=0.1)),
+        (PowerLawIntensity(lam=1.3, alpha=2.7), MarketParams(r=0.1, horizon=1.0)),
+        (PowerLawIntensity(lam=1.0, alpha=3.0), MarketParams(r=0.0, horizon=1.0)),
+        (ExpDecayIntensity(lam=1.0, kappa=1.0), MarketParams(r=0.0, horizon=1.0)),
+        (ExpDecayIntensity(lam=30.0, kappa=2.0), MarketParams(r=0.0, horizon=1.0)),
+        (ExpDecayIntensity(lam=1.0, kappa=1.0), MarketParams(r=0.1)),
+        (ExpDecayIntensity(lam=math.e, kappa=1.0), MarketParams(r=0.1)),
+    ], ids=["power_inf", "power_T", "power_r0", "exp_r0", "exp_r0_flat", "exp_inf",
+            "exp_inf_lam_e"])
+    def test_closed_form_cell_average_matches_quad(self, model, market):
+        # the cell average is the drop of the fluid value over the cell, in
+        # closed form; quad of the fluid spread over the cell is the oracle
+        fl = fluid_solution(model, market)
+        case = resolve(model, market)
+        for x in (5.0, 2.0, 1.0):
+            for d in 0.5 ** np.arange(12):
+                oracle = quad(fl.spread, x - d, x, epsabs=1e-13, epsrel=1e-12,
+                              limit=200)[0] / d
+                assert math.isclose(case.fluid_cell_spread(x, d), oracle,
+                                    rel_tol=1e-12), (x, d)
+        table = control_convergence(model, market, 2.0, [1.0, 0.25])
+        assert np.array_equal(table.averaged, [case.fluid_cell_spread(2.0, 1.0),
+                                               case.fluid_cell_spread(2.0, 0.25)])
 
     def test_coarse_consistency(self):
         table = control_convergence(POWER, MARKET, 2.0, [2.0])

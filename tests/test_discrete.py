@@ -3,15 +3,19 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.special import gammaln
 
+from lobliq.cases import resolve
 from lobliq.discrete import (
+    _log_series_terms,
     expected_liquidation_time_discrete,
     horizon_factor,
     level_of,
     power_constant,
+    power_spread_scale,
     power_value_and_spread,
     solve_discrete,
     solve_exp_finite,
@@ -61,6 +65,23 @@ def _reference_power_recursion(b, weight, alpha, n_max):
         c[n] = c[n - 1] + m
         prev_inc = m
     return c
+
+
+def _mpmath_power_recursion(lam, alpha, r, n_max, delta, dps=30):
+    """c_0..c_n of r*c_n = A*lam*delta**(alpha-1) * (c_n - c_{n-1})**(1-alpha)
+    at ``dps`` digits, each level's increment a root in log(m)."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha)
+        log_k = mpmath.log((a - 1) ** (a - 1) / a ** a * lam
+                           * mpmath.mpf(delta) ** (a - 1) / r)
+        c = [mpmath.mpf(0), mpmath.exp(log_k / a)]
+        z = mpmath.log(c[1])
+        for _ in range(2, n_max + 1):
+            prev = c[-1]
+            z = mpmath.findroot(lambda z: mpmath.log(prev + mpmath.exp(z))
+                                + (a - 1) * z - log_k, z)
+            c.append(prev + mpmath.exp(z))
+        return c
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 7.0, 145.0, 200.0, 1000.0])
@@ -125,6 +146,21 @@ class TestPowerCoefficients:
             closed = prev + 2.0 * k / (prev + np.sqrt(prev * prev + 4.0 * k))
             assert np.all(np.abs(c[2:] - closed) <= 2.0 * np.spacing(c[2:]))
 
+    @pytest.mark.parametrize("alpha, k", [(200.0, 6), (150.0, 9)])
+    def test_large_alpha_fine_delta_matches_mpmath(self, alpha, k):
+        # the finest rungs of the x = 5 convergence ladders: b = A*lam*delta**(alpha-1)
+        # is about 1e-362 and 1e-406, far below the normal floats, so c_1
+        # comes from log b
+        delta = 0.5 ** k
+        n = round(5.0 / delta)
+        c = solve_power_coefficients(1.0, alpha, 0.1, n, delta)
+        ref = _mpmath_power_recursion(1.0, alpha, 0.1, n, delta)
+        np.testing.assert_allclose(c[1:], [float(v) for v in ref[1:]], rtol=1e-13, atol=0.0)
+        for level in (1, 2, n):
+            spread = (alpha / (alpha - 1.0)) * (ref[level] - ref[level - 1]) / delta
+            assert math.isclose(power_spread_scale(level, c, 1.0, alpha, 0.1),
+                                float(spread), rel_tol=1e-13)
+
     def test_parameter_errors(self):
         with pytest.raises(ValueError):
             solve_power_coefficients(1.0, 0.9, R, 5)
@@ -180,6 +216,24 @@ class TestZeroRate:
             resid = abs(d[n] - b * (d[n] - d[n - 1]) ** (1.0 - 2.6))
             assert resid <= 1e-10 * d[n]
 
+    @given(st.floats(1e-9, 1e-3), st.floats(1.1, 5.0))
+    @example(1e-3, 2.0)
+    @example(1e-6, 2.0)
+    @example(1e-9, 2.0)
+    @settings(max_examples=40, deadline=None)
+    def test_discounted_values_tend_to_zero_rate_linearly_in_r(self, r, alpha):
+        # V_r(n, T) / V_0(n, T) = ((1 - exp(-x)) / x)**(1/alpha) with x = r*alpha*T at
+        # every level, as c_n * (r*alpha)**(1/alpha) = d_n: a relative gap of
+        # -r*T/2 + O(r**2), so about -5e-4, -5e-7 and -5e-10 at T = 1
+        model, t = PowerLawIntensity(lam=LAM, alpha=alpha), 1.0
+        v_r = resolve(model, MarketParams(r=r, horizon=t)).solve(1.0, 6).values[1:]
+        v_0 = resolve(model, MarketParams(r=0.0, horizon=t)).solve(1.0, 6).values[1:]
+        gap = v_r / v_0 - 1.0
+        x = r * alpha * t
+        exact = math.expm1(math.log(-math.expm1(-x) / x) / alpha)
+        assert np.all(np.abs(gap - exact) <= 1e-14)
+        assert np.all(np.abs(gap + 0.5 * r * t) <= alpha * (r * t) ** 2 + 1e-14)
+
     def test_small_r_limit(self):
         # discounted V at r = 1e-6 approaches d_n * T**(1/alpha)
         d = solve_power_zero_rate(LAM, ALPHA, 8)
@@ -207,8 +261,36 @@ class TestExpectedLiquidationTime:
             assert abs(increments[n - 1] - 1.0 / model.rate(spread)) < 1e-12
         assert np.all(np.diff(increments) < 0.0)  # later units sell faster
 
+    def test_units_of_size_delta(self):
+        # each wait is delta/rate(s*(n)): the physical spread fills delta units at
+        # rate rate(s)/delta; the unit recursion with lam_eff gives the same times
+        lam, alpha, r, delta = 1.4, 2.5, 0.07, 0.25
+        c = solve_power_coefficients(lam, alpha, r, 30, delta)
+        s = expected_liquidation_time_discrete(c, lam, alpha, r, delta)
+        model = PowerLawIntensity(lam=lam, alpha=alpha)
+        lam_eff = lam * delta ** (alpha - 1.0)
+        for n in range(1, 31):
+            spread = power_spread_scale(n, c, lam, alpha, r)
+            assert math.isclose(s[n] - s[n - 1], delta / model.rate(spread), rel_tol=1e-12)
+            unit_spread = (lam_eff / (alpha * r * c[n])) ** (1.0 / (alpha - 1.0))
+            assert math.isclose(s[n] - s[n - 1], unit_spread ** alpha / lam_eff,
+                                rel_tol=1e-12)
+
 
 class TestExpFinite:
+    def test_log_series_terms_match_gammaln(self):
+        # math.lgamma in place of scipy.special.gammaln, which stays the oracle
+        n = 3000
+        y = np.array([0.0, 1e-300, 0.37, 1.0, 42.0, 1e4])
+        j = np.arange(n + 1.0)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ref = j * np.log(y) - gammaln(j + 1.0)
+            scale = np.abs(j * np.log(y)) + gammaln(j + 1.0)
+        ref[0] = scale[0] = 0.0  # the empty product, also where y = 0
+        got = _log_series_terms(n, y)
+        assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+        live = np.isfinite(ref)
+        assert np.all(np.abs(got[live] - ref[live]) <= 4.0 * np.spacing(scale[live]))
     def test_boundaries(self):
         values, _ = solve_exp_finite(4, 1.0, [0.0, 1.0, 2.0], 1.0, 1.0)
         assert np.all(values[0, :] == 0.0)   # no inventory

@@ -321,10 +321,10 @@ def _v1_oracle(params, x):
 
 
 def test_gauss_legendre_rule_matches_numpy():
-    from lobliq.extensions import _GAUSS_NODES, _GAUSS_WEIGHTS
+    from lobliq.numerics import GAUSS_NODES, GAUSS_WEIGHTS
     nodes, weights = np.polynomial.legendre.leggauss(8)
-    np.testing.assert_allclose(_GAUSS_NODES, nodes, rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(_GAUSS_WEIGHTS, weights, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(GAUSS_NODES, nodes, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(GAUSS_WEIGHTS, weights, rtol=0.0, atol=1e-15)
 
 
 class TestExpansionOracle:

@@ -15,7 +15,7 @@ from lobliq.fluid import (
     power_trade_curve,
 )
 from lobliq.intensity import ExpDecayIntensity, MarketParams, PowerLawIntensity
-from lobliq.numerics import OdeProblem, integrate_ode, log_integral
+from ode_oracles import OdeProblem, integrate_ode, log_integral
 
 
 class TestPowerFluid:

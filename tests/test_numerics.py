@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
+from scipy.special import gammaln, pdtrc
 
 from lobliq.numerics import (
+    _STIRLERR_SMALL,
     NonFiniteStateError,
-    OdeProblem,
-    integrate_ode,
-    lambert_w0,
+    _poisson_pmf,
+    _poisson_stop,
     lambert_w0_exparg,
-    log_integral,
     pure_death_mean,
 )
+from ode_oracles import OdeProblem, integrate_ode, lambert_w0, log_integral
 
 
 def bisect_lambert(y, tol=1e-12):
@@ -169,6 +170,26 @@ class TestPureDeathMean:
         table = pure_death_mean([1.0, 1e3], [0.0, 1e3])
         assert np.array_equal(table[:, 0], [0.0, 1.0, 2.0])
         assert np.all(table[:, 1] <= 2e-16)
+
+    def test_poisson_pmf_matches_gammaln_form(self):
+        # the exact Stirling error for m < 16 is tabulated with math.lgamma in
+        # place of scipy.special.gammaln, which stays the oracle
+        m = np.arange(1.0, 16.0)
+        stirlerr = gammaln(m + 1.0) - (m + 0.5) * np.log(m) + m - 0.5 * math.log(2.0 * math.pi)
+        assert np.all(np.abs(_STIRLERR_SMALL - stirlerr) <= 4.0 * np.spacing(gammaln(m + 1.0)))
+        # and so is exp(m log mu - mu - gammaln(m+1)) where its exponent is small
+        m = np.arange(25.0)
+        mu = np.array([0.7, 5.0, 15.5, 30.0])
+        ref = np.exp(m[:, None] * np.log(mu) - mu - gammaln(m + 1.0)[:, None])
+        np.testing.assert_allclose(_poisson_pmf(m, mu), ref, rtol=1e-13, atol=0.0)
+
+    def test_tail_stop_matches_pdtrc(self):
+        # the running tail of the pmf in place of scipy.special.pdtrc: the
+        # least m with P(N >= m) < 1e-16, so no dropped tail is larger
+        for mu in np.concatenate(([0.0, 1e-30, 1e-16, 1e-8], np.geomspace(1e-3, 1e5, 400))):
+            m = _poisson_stop(float(mu))
+            assert pdtrc(m - 1, mu) < 1e-16
+            assert m == 1 or pdtrc(m - 2, mu) >= 1e-16
 
     def test_rejects_bad_input(self):
         with pytest.raises(NonFiniteStateError, match="non-finite state"):

@@ -20,7 +20,6 @@ from lobliq.intensity import (
     MarketParams,
     PowerLawIntensity,
 )
-from lobliq.numerics import OdeProblem, integrate_ode
 from lobliq.simulate import (
     _BLOCK_PATHS,
     ConstantSpreadPolicy,
@@ -35,6 +34,7 @@ from lobliq.simulate import (
     optimal_policy,
     simulate_policy,
 )
+from ode_oracles import OdeProblem, integrate_ode
 from sampling_oracles import OraclePolicy, inversion, thinning
 
 POWER = PowerLawIntensity(lam=1.0, alpha=2.0)
