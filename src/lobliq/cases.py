@@ -318,9 +318,7 @@ class PowerDiscounted(Case):
         m, r = self.model, self.market.r
         c = discrete.solve_power_coefficients(m.lam, m.alpha, r, n_max, delta)
         scales = np.full(n_max + 1, math.nan)
-        # one scalar pow per level: NumPy's array pow may differ in the last bit
-        for n in range(1, n_max + 1):
-            scales[n] = discrete.power_spread_scale(n, c, m.lam, m.alpha, r)
+        scales[1:] = discrete.power_spread_scales(c, m.lam, m.alpha, r)
         return c, scales
 
     def solve(self, delta, n_max):

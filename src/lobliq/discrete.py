@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .intensity import IntensityModel, MarketParams, concavity_condition
-from .numerics import lambert_w0_exparg
 
 __all__ = [
     "DiscreteSolution",
@@ -32,6 +31,7 @@ __all__ = [
     "solve_power_coefficients",
     "power_value_and_spread",
     "power_spread_scale",
+    "power_spread_scales",
     "solve_power_zero_rate",
     "zero_rate_value_and_spread",
     "expected_liquidation_time_discrete",
@@ -172,6 +172,14 @@ def power_spread_scale(n: int, coefficients: np.ndarray, lam: float,
     return (lam / (alpha * r * coefficients[n])) ** (1.0 / (alpha - 1.0))
 
 
+def power_spread_scales(coefficients: np.ndarray, lam: float, alpha: float,
+                        r: float) -> list[float]:
+    """power_spread_scale at levels 1..n, bit for bit: one scalar pow per
+    level, as NumPy's array pow may differ in the last bit."""
+    k, e = alpha * r, 1.0 / (alpha - 1.0)
+    return [(lam / (k * cn)) ** e for cn in coefficients[1:].tolist()]
+
+
 def power_value_and_spread(n: int, t_remaining: float, coefficients: np.ndarray,
                            lam: float, alpha: float, r: float) -> tuple[float, float]:
     """(value, optimal spread) at inventory level n with time T to maturity.
@@ -219,13 +227,9 @@ def expected_liquidation_time_discrete(coefficients: np.ndarray, lam: float,
     waits an exponential time at the level's optimal fill rate, and the
     spreads shrink with inventory so the waits shrink too.
     """
-    n_max = len(coefficients) - 1
-    s = np.empty(n_max + 1)
-    s[0] = 0.0
-    for n in range(1, n_max + 1):
-        spread = power_spread_scale(n, coefficients, lam, alpha, r)
-        s[n] = s[n - 1] + delta * spread ** alpha / lam
-    return s
+    waits = [delta * s ** alpha / lam
+             for s in power_spread_scales(coefficients, lam, alpha, r)]
+    return np.concatenate(([0.0], np.cumsum(waits)))  # cumsum adds in sequence
 
 
 def solve_exp_finite(n_max: int, delta: float, t_grid, lam: float,
@@ -317,9 +321,21 @@ def solve_exp_infinite(x_max: float, delta: float, lam: float, kappa: float,
     """Stationary values and spreads for an exponential book, r > 0.
 
     V(x) = (delta/kappa) * W( lam/(r*delta) * exp(kappa*V(x-delta)/delta - 1) ),
-    evaluated through the overflow-safe W(e^z) solver since the exponent
-    scales like 1/delta.  Values increase toward lam/(kappa*r*e) and every
-    spread stays >= 1/kappa: no order is ever posted at the bid.
+    solved for w = kappa*V/delta as a Python float, so that the exponent,
+    which scales like 1/delta, never overflows: level n is the root of
+        g(w) = w + log(w) - z_n,  z_n = log(lam/(r*delta*e)) + w_{n-1}.
+    g is increasing and concave, and at the previous level
+    g(w_{n-1}) = log(w_{n-1}) - log(lam/(r*delta*e)) < 0, as w stays below
+    that asymptote, so Newton's method started there rises monotonically to
+    the root, with no guard.  Level 1 starts from the asymptotic guess of
+    W(e^z) instead, which may lie right of the root, so a step that would
+    take w to 0 or below is halved back.  Since g''/(2g') = -1/(2w(w+1)), a
+    step below 1e-9*w leaves a relative error below 5e-19.  Raises
+    ArithmeticError if a level takes more than _NEWTON_STEPS steps or passes
+    the asymptote.  Values increase toward lam/(kappa*r*e); within rounding
+    of it a level can round below the previous one, and then keeps the
+    previous value, so every spread stays >= 1/kappa: no order is ever
+    posted at the bid.
     """
     if r <= 0.0:
         raise ValueError("stationary exponential solution requires r > 0")
@@ -327,18 +343,40 @@ def solve_exp_infinite(x_max: float, delta: float, lam: float, kappa: float,
         raise ValueError("lam, kappa, delta must be positive")
     levels = level_of(x_max, delta)
     v_cap = lam / (kappa * r * math.e)
-    log_base = math.log(lam / (r * delta))
+    w_cap = kappa * v_cap / delta * (1.0 + 1e-9)
+    log_cap = math.log(lam / (r * delta)) - 1.0
+    log = math.log
 
-    values = np.empty(levels + 1)
-    spreads = np.full(levels + 1, math.nan)
-    values[0] = 0.0
+    # level 1 (w_0 = 0) starts from the asymptotic guess of W(e^z)
+    z = log_cap
+    if z > 1.0:
+        w = z - log(z) + log(z) / z
+    else:
+        w = math.exp(z) / (1.0 + math.exp(z))
+    ws = [0.0]
     for n in range(1, levels + 1):
-        z = log_base + kappa * values[n - 1] / delta - 1.0
-        values[n] = (delta / kappa) * lambert_w0_exparg(z)
-        if values[n] > v_cap * (1.0 + 1e-9):
-            raise ArithmeticError(
-                f"value {values[n]} exceeded the asymptote {v_cap} at level {n}")
-        spreads[n] = 1.0 / kappa + (values[n] - values[n - 1]) / delta
+        for _ in range(_NEWTON_STEPS):
+            step = (w + log(w) - z) * w / (w + 1.0)
+            while step >= w:  # an overshoot below 0, only from the level-1 guess
+                step *= 0.5
+            w -= step
+            if abs(step) <= 1e-9 * w:
+                break
+        else:
+            raise ArithmeticError(f"value root at level {n} did not converge in "
+                                  f"{_NEWTON_STEPS} Newton steps")
+        if w > w_cap:
+            raise ArithmeticError(f"value {delta / kappa * w} exceeded the asymptote "
+                                  f"{v_cap} at level {n}")
+        if w < ws[-1]:
+            # at the asymptote g(w_{n-1}) rounds to either sign, and the root
+            # is not below w_{n-1}
+            w = ws[-1]
+        ws.append(w)
+        z = log_cap + w
+    values = (delta / kappa) * np.array(ws)
+    spreads = np.full(levels + 1, math.nan)
+    spreads[1:] = 1.0 / kappa + np.diff(values) / delta
     return values, spreads
 
 

@@ -259,6 +259,9 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
     delayed value v(x - delta_block) lies in an earlier, completed segment,
     so the steps of one segment read theirs from the completed segments'
     cubic interpolants in one array evaluation before the segment is marched.
+    The march itself is scalar arithmetic on Python floats, with the same
+    operations in the same order as NumPy scalars would do them, so it is
+    bit for bit the per-step march; each segment is written back at once.
     """
     from scipy.interpolate import CubicSpline
 
@@ -307,38 +310,54 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
             out[live[sel]] = spline(q[sel])
         return out
 
+    # the constants of the step, hoisted with the order of every product kept
+    b0, b1 = aa * params.lambda0, aa * params.lambda1
+    ka, ia, ia1, ma = a / (a - 1.0), 1.0 / a, 1.0 / (a - 1.0), 1.0 - a
+    dblk_a = dblk ** a
+    hh, h6 = 0.5 * h, h / 6.0
+    blocks = params.lambda1 > 0.0
+
     def slope(x, u_val, v_delay):
         v_here = u_val ** p
         block = 0.0
-        if params.lambda1 > 0.0:
+        if blocks:
             gap = v_here - v_delay
             if gap <= 0.0:
                 raise ArithmeticError(f"value failed to increase over one block at x = {x}")
-            block = aa * params.lambda1 * min(x, dblk) ** a * gap ** (1.0 - a)
+            # min(x, dblk)**a, the power of dblk hoisted
+            block = b1 * (x ** a if x < dblk else dblk_a) * gap ** ma
         d = r * v_here - block
         if d <= 0.0:
             raise ArithmeticError(f"delay ODE blow-up at x = {x}: block term "
                                   "dominates the discounted value")
-        return (a / (a - 1.0)) * u_val ** (1.0 / a) * (aa * params.lambda0 / d) ** (1.0 / (a - 1.0))
+        return ka * u_val ** ia * (b0 / d) ** ia1
 
     start = seed_idx
     while start < n_nodes - 1:
         # the steps whose left node lies in one segment
         stop = min((start // seg_len + 1) * seg_len, n_nodes - 1)
         x0 = xs[start:stop]
-        xm, x1 = x0 + 0.5 * h, x0 + h
-        d0, dm, d1 = (delayed(x, start) for x in (x0, xm, x1))
-        for j, i in enumerate(range(start, stop)):
-            x = xs[i]
-            ui = u[i]
-            k1 = slope(x, ui, d0[j])
-            k2 = slope(xm[j], ui + 0.5 * h * k1, dm[j])
-            k3 = slope(xm[j], ui + 0.5 * h * k2, dm[j])
-            k4 = slope(x1[j], ui + h * k3, d1[j])
-            u[i + 1] = ui + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not math.isfinite(u[i + 1]):
-                raise ArithmeticError(f"delay ODE blow-up at x = {xs[i + 1]}")
-            v[i + 1] = u[i + 1] ** p
+        xm, x1 = x0 + hh, x0 + h
+        d0, dm, d1 = (delayed(x, start).tolist() for x in (x0, xm, x1))
+        ui = float(u[start])
+        marched = []
+        try:
+            for x, xmj, x1j, e0, em, e1 in zip(x0.tolist(), xm.tolist(), x1.tolist(),
+                                                d0, dm, d1):
+                k1 = slope(x, ui, e0)
+                k2 = slope(xmj, ui + hh * k1, em)
+                k3 = slope(xmj, ui + hh * k2, em)
+                k4 = slope(x1j, ui + h * k3, e1)
+                ui = ui + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                marched.append(ui)
+        except OverflowError:  # a Python float pow past 1e308, where NumPy's is inf
+            raise ArithmeticError(f"delay ODE blow-up at x = {x}") from None
+        u[start + 1:stop + 1] = marched
+        bad = np.flatnonzero(~np.isfinite(u[start + 1:stop + 1]))
+        if bad.size:
+            # the march runs on through inf and nan without raising
+            raise ArithmeticError(f"delay ODE blow-up at x = {xs[start + 1 + bad[0]]}")
+        v[start + 1:stop + 1] = [ue ** p for ue in marched]
         start = stop
 
     return xs, v, u

@@ -1,8 +1,8 @@
 """Scalar special functions and numerical kernels.
 
 Everything here is pure and reentrant; the rest of the package builds on
-these primitives (Lambert W of an exponential, the pure-death chain mean by
-uniformization) so that numerical behaviour is controlled in one place.
+these primitives (the pure-death chain mean by uniformization, the 8-point
+Gauss-Legendre rule) so that numerical behaviour is controlled in one place.
 Nothing here needs SciPy.
 """
 
@@ -16,7 +16,6 @@ __all__ = [
     "GAUSS_NODES",
     "GAUSS_WEIGHTS",
     "NonFiniteStateError",
-    "lambert_w0_exparg",
     "pure_death_mean",
 ]
 
@@ -46,36 +45,6 @@ _PHI_SERIES = [(-1.0) ** k / ((k + 1) * (k + 2)) for k in reversed(range(18))]
 
 class NonFiniteStateError(ArithmeticError):
     """A computed state (a rate, a mean) became NaN or infinite."""
-
-
-def lambert_w0_exparg(z: float) -> float:
-    """Overflow-safe W(exp(z)): the unique w > 0 with w + log(w) = z.
-
-    Needed when exp(z) itself would overflow (z can exceed 700 in the
-    small-increment value recursions).
-    """
-    if math.isnan(z):
-        raise ValueError("lambert_w0_exparg argument is NaN")
-    if z > 1.0:
-        lz = math.log(z)
-        w = z - lz + lz / z
-    else:
-        ez = math.exp(z)
-        w = ez / (1.0 + ez)
-    # Newton on g(w) = w + log w - z; g is increasing and concave, so
-    # iterates that overshoot below zero are simply halved back.
-    for _ in range(80):
-        g = w + math.log(w) - z
-        step = g * w / (w + 1.0)
-        w_new = w - step
-        while w_new <= 0.0:
-            step *= 0.5
-            w_new = w - step
-        if abs(w_new - w) <= 1e-16 * (2.0 + abs(w_new)):
-            w = w_new
-            break
-        w = w_new
-    return w
 
 
 def _poisson_pmf(m: np.ndarray, mu: np.ndarray) -> np.ndarray:

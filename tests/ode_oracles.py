@@ -1,11 +1,13 @@
 """Numerical kernels that only the tests use, as oracles for closed forms.
 
 The package computes its solutions in closed form: the execution curve by
-uniformization, the exponential-book fluid value through E1, and Lambert W
-of an exponential by Newton's method.  These independent kernels check them:
-a fixed-step classical RK4 (``integrate_ode``), the logarithmic integral by
-quadrature (``log_integral``) and the principal-branch Lambert W by Halley's
-method (``lambert_w0``).
+uniformization, the exponential-book fluid value through E1, and the
+stationary exponential-book recursion by a Newton iteration warm-started at
+the previous level.  These independent kernels check them: a fixed-step
+classical RK4 (``integrate_ode``), the logarithmic integral by quadrature
+(``log_integral``), the principal-branch Lambert W by Halley's method
+(``lambert_w0``) and W(e^z) solved cold from an asymptotic guess
+(``lambert_w0_exparg``), one call per level of the recursion.
 """
 
 import math
@@ -80,6 +82,36 @@ def lambert_w0(y: float) -> float:
         w -= dw
         if abs(dw) <= 1e-16 * (2.0 + abs(w)):
             break
+    return w
+
+
+def lambert_w0_exparg(z: float) -> float:
+    """Overflow-safe W(exp(z)): the unique w > 0 with w + log(w) = z.
+
+    Needed when exp(z) itself would overflow (z can exceed 700 in the
+    small-increment value recursions).
+    """
+    if math.isnan(z):
+        raise ValueError("lambert_w0_exparg argument is NaN")
+    if z > 1.0:
+        lz = math.log(z)
+        w = z - lz + lz / z
+    else:
+        ez = math.exp(z)
+        w = ez / (1.0 + ez)
+    # Newton on g(w) = w + log w - z; g is increasing and concave, so
+    # iterates that overshoot below zero are simply halved back.
+    for _ in range(80):
+        g = w + math.log(w) - z
+        step = g * w / (w + 1.0)
+        w_new = w - step
+        while w_new <= 0.0:
+            step *= 0.5
+            w_new = w - step
+        if abs(w_new - w) <= 1e-16 * (2.0 + abs(w_new)):
+            w = w_new
+            break
+        w = w_new
     return w
 
 

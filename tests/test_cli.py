@@ -136,6 +136,32 @@ class TestCliCommands:
         assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 3
         assert "did not converge" in capsys.readouterr().err
 
+    def test_exp_value_step_cap_exits_3(self, tmp_path, capsys, monkeypatch):
+        import lobliq.discrete
+        from lobliq.discrete import solve_exp_infinite
+        monkeypatch.setattr(lobliq.discrete, "_NEWTON_STEPS", 1)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            solve_exp_infinite(2.0, 0.5, 1.0, 1.0, 0.1)
+        cfg = {
+            "model": {"kind": "exp", "lam": 1.0, "kappa": 1.0},
+            "market": {"r": 0.1, "horizon": "inf"},
+            "converge": {"x_probe": 2.0, "k_max": 2},
+            "output": {"directory": str(tmp_path / "out")},
+        }
+        assert main(["converge", "--config", write_cfg(tmp_path, cfg)]) == 3
+        assert "did not converge" in capsys.readouterr().err
+
+    def test_exchanges_blow_up_exits_3(self, tmp_path, capsys):
+        # a block venue 500 times the continuous one: the block term outweighs
+        # the discounted value at the first marched node
+        cfg = {
+            "exchanges": {"lambda0": 1.0, "lambda1": 500.0, "delta_block": 1.0,
+                          "alpha": 2.0, "r": 0.1, "x_max": 3.0, "grid_step": 0.01},
+            "output": {"directory": str(tmp_path / "out")},
+        }
+        assert main(["exchanges", "--config", write_cfg(tmp_path, cfg)]) == 3
+        assert "delay ODE blow-up at x = 0.01" in capsys.readouterr().err
+
     def test_non_finite_curve_state_exits_3(self, tmp_path, capsys, monkeypatch):
         import lobliq.numerics
         monkeypatch.setattr(lobliq.numerics, "pure_death_mean",

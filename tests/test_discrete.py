@@ -16,6 +16,7 @@ from lobliq.discrete import (
     level_of,
     power_constant,
     power_spread_scale,
+    power_spread_scales,
     power_value_and_spread,
     solve_discrete,
     solve_exp_finite,
@@ -31,6 +32,7 @@ from lobliq.intensity import (
     MarketParams,
     PowerLawIntensity,
 )
+from ode_oracles import lambert_w0_exparg
 
 LAM, ALPHA, R = 1.0, 2.0, 0.1
 
@@ -65,6 +67,17 @@ def _reference_power_recursion(b, weight, alpha, n_max):
         c[n] = c[n - 1] + m
         prev_inc = m
     return c
+
+
+def _reference_exp_recursion(x_max, delta, lam, kappa, r):
+    """The stationary exp-book recursion with one cold W(e^z) solve per
+    level: the reference for the package's Newton solve warm-started at the
+    previous level."""
+    v = np.zeros(level_of(x_max, delta) + 1)
+    log_base = math.log(lam / (r * delta))
+    for n in range(1, len(v)):
+        v[n] = (delta / kappa) * lambert_w0_exparg(log_base + kappa * v[n - 1] / delta - 1.0)
+    return v
 
 
 def _mpmath_power_recursion(lam, alpha, r, n_max, delta, dps=30):
@@ -277,6 +290,24 @@ class TestExpectedLiquidationTime:
                                 rel_tol=1e-12)
 
 
+    @pytest.mark.parametrize("lam, alpha, r, delta, n", [
+        (1.0, 2.0, 0.1, 1e-3, 5000), (1.4, 2.5, 0.07, 0.25, 300),
+        (0.3, 1.05, 2.0, 1.0, 200), (2.0, 150.0, 0.1, 0.5, 50)])
+    def test_spread_scales_and_times_match_per_level_loop(self, lam, alpha, r, delta, n):
+        # one list of Python-float pows in place of a NumPy-scalar pow per
+        # level, and np.cumsum in place of the running sum: bit for bit
+        c = solve_power_coefficients(lam, alpha, r, n, delta)
+        loop = np.array([power_spread_scale(k, c, lam, alpha, r) for k in range(1, n + 1)])
+        assert np.array_equal(power_spread_scales(c, lam, alpha, r), loop)
+        case = resolve(PowerLawIntensity(lam=lam, alpha=alpha), MarketParams(r=r))
+        assert np.array_equal(case.solve(delta, n).spreads[1:], loop)
+        times = np.zeros(n + 1)
+        for k in range(1, n + 1):
+            times[k] = times[k - 1] + delta * loop[k - 1] ** alpha / lam
+        assert np.array_equal(expected_liquidation_time_discrete(c, lam, alpha, r, delta),
+                              times)
+
+
 class TestExpFinite:
     def test_log_series_terms_match_gammaln(self):
         # math.lgamma in place of scipy.special.gammaln, which stays the oracle
@@ -342,6 +373,53 @@ class TestExpInfinite:
         values, _ = solve_exp_infinite(2.0, 1.0 / 512.0, 1.0, 1.0, 0.1)
         assert np.all(np.isfinite(values))
         assert values[-1] <= 1.0 / (0.1 * math.e) + 1e-12
+
+    @given(j=st.integers(0, 14), log_r=st.floats(-6.0, 0.5),
+           log_ratio=st.floats(-3.0, 6.0), log_kappa=st.floats(-2.0, 2.0),
+           share=st.floats(0.0, 1.0))
+    @example(j=14, log_r=-6.0, log_ratio=6.0, log_kappa=0.0, share=1.0)
+    @example(j=14, log_r=0.5, log_ratio=-3.0, log_kappa=-2.0, share=1.0)
+    @example(j=0, log_r=-6.0, log_ratio=-3.0, log_kappa=2.0, share=1.0)
+    # reaches the asymptote by level 15, where a level can round below the last
+    @example(j=4, log_r=-0.9, log_ratio=-2.0, log_kappa=1.1, share=1.0)
+    @settings(max_examples=30, deadline=None)
+    def test_warm_newton_at_domain_edges(self, j, log_r, log_ratio, log_kappa, share):
+        # delta = 2**-j down to 2**-14 (up to 98 304 levels), r down to 1e-6,
+        # lam/r from 1e-3 to 1e6
+        delta, r, kappa = 2.0 ** -j, 10.0 ** log_r, 10.0 ** log_kappa
+        lam = 10.0 ** log_ratio * r
+        levels = max(1, round(share * 6.0 / delta))
+        values, spreads = solve_exp_infinite(levels * delta, delta, lam, kappa, r)
+        eps = 2.0 ** -53
+        cap = lam / (kappa * r * math.e)
+        rise = np.diff(values)
+        assert values[0] == 0.0 and np.all(rise >= 0.0)
+        # strictly, until the value is within rounding of the asymptote: the
+        # relative increment of w = kappa*V/delta is about gap/max(1, w_cap)
+        gap = (cap - values[1:]) / cap
+        w_cap = lam / (r * delta * math.e)
+        assert np.all(rise[gap > 16.0 * eps * max(1.0, w_cap)] > 0.0)
+        assert np.all(values <= cap * (1.0 + 16.0 * eps))
+        assert np.all(spreads[1:] >= 1.0 / kappa)
+        # each level adds a few roundings to either recursion and
+        # dw_n/dw_{n-1} = w_n/(1 + w_n) < 1 amplifies none of them; level 1
+        # carries the conditioning of w + log(w) = z, |z| ulps at small w
+        ref = _reference_exp_recursion(levels * delta, delta, lam, kappa, r)
+        n = np.arange(1.0, levels + 1.0)
+        assert np.all(np.abs(values[1:] - ref[1:]) <= (32.0 + 4.0 * n) * eps * ref[1:])
+
+    def test_matches_mpmath_at_fine_delta(self):
+        delta, lam, kappa, r = 2.0 ** -11, 1.0, 1.0, 0.1
+        values, _ = solve_exp_infinite(1.0, delta, lam, kappa, r)
+        with mpmath.workdps(40):
+            log_cap = mpmath.log(mpmath.mpf(lam) / (mpmath.mpf(r) * delta)) - 1
+            w, exact = mpmath.mpf(0), [0.0]
+            for _ in range(len(values) - 1):
+                w = mpmath.lambertw(mpmath.exp(log_cap + w)).real
+                exact.append(float(w * delta / kappa))
+        exact = np.array(exact)
+        n = np.arange(1.0, len(values))
+        assert np.all(np.abs(values[1:] - exact[1:]) <= (4.0 + n) * 2.0 ** -53 * exact[1:])
 
 
 class TestGenericStationary:

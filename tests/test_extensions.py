@@ -232,11 +232,25 @@ def _reference_patch(params, x_seed):
     (dict(lambda1=0.3, grid_step=0.01), 1.0),
     (dict(lambda1=0.7, alpha=2.6, delta_block=0.5, grid_step=0.01), 0.005),
     (dict(lambda1=2.0, alpha=1.3, delta_block=0.3, grid_step=0.02, x_max=2.1), 0.02),
+    (dict(lambda1=0.0, grid_step=0.01), 0.01),  # no block venue
 ])
 def test_patch_matches_per_step_reference(kw, x_seed):
     params = make_params(**kw)
     sol = two_exchange_patch(params, x_seed=x_seed, check_seed=False)
     np.testing.assert_array_equal(sol.value, _reference_patch(params, x_seed))
+
+
+@pytest.mark.parametrize("kw, message", [
+    # the block term outweighs the discounted value at the first marched node
+    (dict(lambda1=500.0, x_max=3.0, grid_step=0.01), "delay ODE blow-up at x = 0.01"),
+    # a strong block venue at alpha near 1: the value loses its gain over one
+    # block past the second knot
+    (dict(lambda1=50.0, alpha=1.05, delta_block=0.5, x_max=2.0, grid_step=0.01),
+     "value failed to increase over one block at x = 1.22"),
+])
+def test_patch_error_paths(kw, message):
+    with pytest.raises(ArithmeticError, match=message):
+        two_exchange_patch(make_params(**kw), check_seed=False)
 
 
 @pytest.mark.parametrize("kw", [

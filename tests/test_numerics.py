@@ -13,10 +13,9 @@ from lobliq.numerics import (
     NonFiniteStateError,
     _poisson_pmf,
     _poisson_stop,
-    lambert_w0_exparg,
     pure_death_mean,
 )
-from ode_oracles import OdeProblem, integrate_ode, lambert_w0, log_integral
+from ode_oracles import OdeProblem, integrate_ode, lambert_w0, lambert_w0_exparg, log_integral
 
 
 def bisect_lambert(y, tol=1e-12):
