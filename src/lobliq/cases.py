@@ -2,7 +2,9 @@
 
 :func:`resolve` maps a (depth model, market) pair to its case object, which
 carries that pair's discrete solution, fluid limit, optimal policy and
-execution-curve rate profile.  Pairs outside the five cases raise
+execution-curve rate profile.  The four cases are the power-law book at any
+r and horizon, the exponential book with r = 0 and with r > 0 on the infinite
+horizon, and any other depth model on the infinite horizon.  Other pairs raise
 :class:`UnsupportedCaseError` there, and nowhere else.  Solvers are looked up
 on their modules at call time (``discrete.solve_exp_infinite``), so wrappers
 installed on those modules see every call made on a case's behalf.
@@ -34,11 +36,9 @@ __all__ = [
     "ConstantSpreadPolicy",
     "StationarySpreadPolicy",
     "OptimalPowerPolicy",
-    "ZeroRatePowerPolicy",
     "ExpZeroRatePolicy",
     "Case",
-    "PowerDiscounted",
-    "PowerZeroRate",
+    "PowerLaw",
     "ExpZeroRate",
     "ExpStationary",
     "GenericStationary",
@@ -130,75 +130,40 @@ class StationarySpreadPolicy(SpreadPolicy):
 
 @dataclass(frozen=True)
 class OptimalPowerPolicy(SpreadPolicy):
-    """Markov-optimal spreads for a discounted power-law book.
+    """Markov-optimal spreads for a power-law book, any r >= 0.
 
-    The fill rate along this policy factorizes as k_n / (1 - e^(-a*(T-t)))
-    with a = alpha*r, so the integrated hazard inverts in closed form; the
-    simulator exploits that for exact, vectorized fill times.
+    The spread at level n with time tau to go is sigma_n h(tau)**(1/alpha)
+    (``discrete.discount_integral``, a = alpha*r), so the fill rate factors as
+    b_n / h(T-t), b_n = (lam/delta) sigma_n**(-alpha), and the integrated
+    hazard inverts in closed form (``discrete.power_fill_time``).
     """
 
     lam: float
     alpha: float
     r: float
     horizon: float
-    spread_scales: np.ndarray  # sigma_n, stationary spread per level
+    spread_scales: np.ndarray  # sigma_n, spread per unit of h(tau)**(1/alpha)
 
     @property
     def time_homogeneous(self) -> bool:  # type: ignore[override]
         return math.isinf(self.horizon)
 
     def spread(self, n_units, t_to_go):
-        t = min(t_to_go, self.horizon)
-        return float(self.spread_scales[n_units]) * discrete.horizon_factor(
-            t, self.alpha, self.r)
-
-    def spreads_at(self, n_units, t_to_go):
-        t = np.minimum(t_to_go, self.horizon)
-        factor = (-np.expm1(-self.r * self.alpha * t)) ** (1.0 / self.alpha)
-        return float(self.spread_scales[n_units]) * factor
-
-    def clock(self, model, delta, horizon):
-        if math.isinf(horizon):
-            return super().clock(model, delta, horizon)
-        a, T = self.alpha * self.r, horizon
-
-        def tau(t):
-            # t + log((1 - e^(-aT)) / (1 - e^(-a(T-t)))) / a, free of the
-            # cancellation between the two logs as a -> 0
-            return t + np.log1p(np.exp(-a * (T - t)) * np.expm1(-a * t)
-                                / np.expm1(-a * (T - t))) / a
-
-        rate = lambda k: (self.lam / delta) * float(self.spread_scales[k]) ** (-self.alpha)
-        return FactorClock(
-            rate=rate, profile=lambda t: 1.0 / -math.expm1(-a * (T - t)), tau=tau,
-            advance=lambda k, t0, e: T - np.log1p(np.expm1(a * (T - t0))
-                                                  * np.exp(-a * e / rate(k))) / a)
-
-
-@dataclass(frozen=True)
-class ZeroRatePowerPolicy(SpreadPolicy):
-    """Optimal spreads for an undiscounted power-law book with horizon T.
-
-    The spread is c_n * (T-t)**(1/alpha), so the fill rate is k_n / (T-t)
-    and the integrated hazard from t0 to t is k_n * log((T-t0)/(T-t)).
-    """
-
-    lam: float
-    alpha: float
-    horizon: float
-    spread_coefs: np.ndarray  # c_n, spread per unit of (time to go)**(1/alpha)
-
-    def spread(self, n_units, t_to_go):
-        return float(self.spread_coefs[n_units]) * t_to_go ** (1.0 / self.alpha)
+        return float(self.spread_scales[n_units]) * discrete.power_time_factor(
+            np.minimum(t_to_go, self.horizon), self.alpha, self.r)
 
     spreads_at = spread  # elementwise in t_to_go
 
     def clock(self, model, delta, horizon):
-        T = horizon
-        rate = lambda k: (self.lam / delta) * float(self.spread_coefs[k]) ** (-self.alpha)
+        a, T = self.alpha * self.r, horizon
+        h = lambda tau: discrete.discount_integral(tau, a)
+        rate = lambda k: (self.lam / delta) * float(self.spread_scales[k]) ** (-self.alpha)
         return FactorClock(
-            rate=rate, profile=lambda t: 1.0 / (T - t), tau=lambda t: -np.log1p(-t / T),
-            advance=lambda k, t0, e: T - (T - t0) * np.exp(-e / rate(k)))
+            rate=rate, profile=lambda t: 1.0 / h(T - t),
+            # log(H(T)/H(T-t)) with H(s) = e^(a s) h(s), free of cancellation
+            # between the two logs; a*t on the infinite horizon
+            tau=lambda t: a * t - np.log1p(-np.exp(-a * (T - t)) * h(t) / h(T)),
+            advance=lambda k, t0, e: discrete.power_fill_time(t0, e / rate(k), a, T))
 
 
 @dataclass(frozen=True)
@@ -300,101 +265,56 @@ class Case:
                              lambda x: pair(x)[1], curve)
 
 
-def _power_cell_spread(case: Case, x: float, delta: float) -> float:
-    # the fluid value is proportional to x**p, p = (alpha-1)/alpha, and the
-    # spread is v'(x)/p, so the cell average is (v(x) - v(x-delta))/(p*delta)
-    p = (case.model.alpha - 1.0) / case.model.alpha
-    drop = 1.0 if delta >= x else -math.expm1(p * math.log1p(-delta / x))
-    return case.fluid().value(x) * drop / (p * delta)
+class PowerLaw(Case):
+    """Power-law book, any r >= 0 and any horizon.
 
+    The coefficients d_n solve a recursion free of r
+    (``discrete.solve_power_zero_rate``), and r and the horizon enter through
+    one time factor, h(T)**(1/alpha) (``discrete.power_time_factor``): the
+    value at level n is d_n times it, and the optimal spread sigma_n =
+    (lam/d_n)**(1/(alpha-1)) times it.
+    """
 
-class PowerDiscounted(Case):
-    """Power-law book with r > 0, finite or infinite horizon."""
-
-    fluid_cell_spread = _power_cell_spread
-
-    def _scales(self, delta, n_max):
-        """c_0..c_n and the stationary optimal spread of each level (nan at 0)."""
-        m, r = self.model, self.market.r
-        c = discrete.solve_power_coefficients(m.lam, m.alpha, r, n_max, delta)
-        scales = np.full(n_max + 1, math.nan)
-        scales[1:] = discrete.power_spread_scales(c, m.lam, m.alpha, r)
-        return c, scales
+    def _levels(self, delta, n_max):
+        """d_0..d_n and sigma_1..sigma_n (nan at 0)."""
+        m = self.model
+        d = discrete.solve_power_zero_rate(m.lam, m.alpha, n_max, delta)
+        sigma = np.full(n_max + 1, math.nan)
+        sigma[1:] = (m.lam / d[1:]) ** (1.0 / (m.alpha - 1.0))
+        return d, sigma
 
     def solve(self, delta, n_max):
-        c, scales = self._scales(delta, n_max)
-        factor = discrete.horizon_factor(self.market.horizon, self.model.alpha,
-                                         self.market.r)
-        return DiscreteSolution(delta=delta, model=self.model, market=self.market,
-                                coefficients=c, values=c * factor,
-                                spreads=scales * factor)
-
-    def value_and_spread_at(self, n, delta):
-        # level n alone: convergence ladders solve tens of thousands of levels
+        d, sigma = self._levels(delta, n_max)
         m, mk = self.model, self.market
-        c = discrete.solve_power_coefficients(m.lam, m.alpha, mk.r, n, delta)
-        return discrete.power_value_and_spread(n, mk.horizon, c, m.lam, m.alpha, mk.r)
+        factor = discrete.power_time_factor(mk.horizon, m.alpha, mk.r)
+        return DiscreteSolution(
+            delta=delta, model=m, market=mk,
+            coefficients=d * discrete.power_coefficient_factor(m.alpha, mk.r),
+            values=d * factor, spreads=sigma * factor)
 
     def fluid(self):
         m, mk = self.model, self.market
-        if mk.infinite_horizon:
-            curve = lambda t, x0: x0 * math.exp(-m.alpha * mk.r * t)
-        else:
-            curve = lambda t, x0: fluid.power_trade_curve(t, x0, mk.horizon, m.alpha, mk.r)
         return self._fluid(
-            lambda x: fluid.power_fluid(x, mk.horizon, m.lam, m.alpha, mk.r), curve)
+            lambda x: fluid.power_fluid(x, mk.horizon, m.lam, m.alpha, mk.r),
+            lambda t, x0: fluid.power_trade_curve(t, x0, mk.horizon, m.alpha, mk.r))
+
+    def fluid_cell_spread(self, x, delta):
+        # the fluid value is proportional to x**p, p = (alpha-1)/alpha, and the
+        # spread is v'(x)/p, so the cell average is (v(x) - v(x-delta))/(p*delta)
+        p = (self.model.alpha - 1.0) / self.model.alpha
+        drop = 1.0 if delta >= x else -math.expm1(p * math.log1p(-delta / x))
+        return self.fluid().value(x) * drop / (p * delta)
 
     def policy(self, delta, n_max):
         return OptimalPowerPolicy(lam=self.model.lam, alpha=self.model.alpha,
                                   r=self.market.r, horizon=self.market.horizon,
-                                  spread_scales=self._scales(delta, n_max)[1])
+                                  spread_scales=self._levels(delta, n_max)[1])
 
     def liquidation_times(self, sol):
         if not self.market.infinite_horizon:
             return None
         return discrete.expected_liquidation_time_discrete(
             sol.coefficients, self.model.lam, self.model.alpha, self.market.r, sol.delta)
-
-
-class PowerZeroRate(Case):
-    """Power-law book with r = 0 and a finite horizon."""
-
-    fluid_cell_spread = _power_cell_spread
-
-    def _spread_coefs(self, delta, n_max):
-        """d_0..d_n and the spread per unit of (time to go)**(1/alpha) (nan at 0)."""
-        a = self.model.alpha
-        d = discrete.solve_power_zero_rate(self.model.lam, a, n_max, delta)
-        return d, np.concatenate(([math.nan], (a / (a - 1.0)) * np.diff(d) / delta))
-
-    def solve(self, delta, n_max):
-        d, coefs = self._spread_coefs(delta, n_max)
-        factor = self.market.horizon ** (1.0 / self.model.alpha)
-        return DiscreteSolution(delta=delta, model=self.model, market=self.market,
-                                coefficients=d, values=d * factor,
-                                spreads=coefs * factor)
-
-    def fluid(self):
-        # r -> 0 limit of the discounted solution: the horizon factor becomes
-        # T**(1/alpha) and the relative trading rate 1/(T-t), so X(t) = x*(T-t)/T
-        a, T = self.model.alpha, self.market.horizon
-        scale = self.model.lam ** (1.0 / a)
-
-        def pair(x):
-            value = scale * x ** ((a - 1.0) / a) * T ** (1.0 / a)
-            return value, math.inf if x == 0.0 else scale * x ** (-1.0 / a) * T ** (1.0 / a)
-
-        def curve(t, x0):
-            if not 0.0 <= t < T:
-                raise ValueError("requires 0 <= t < horizon")
-            return x0 * (T - t) / T
-
-        return self._fluid(pair, curve)
-
-    def policy(self, delta, n_max):
-        return ZeroRatePowerPolicy(lam=self.model.lam, alpha=self.model.alpha,
-                                   horizon=self.market.horizon,
-                                   spread_coefs=self._spread_coefs(delta, n_max)[1])
 
 
 class ExpZeroRate(Case):
@@ -486,9 +406,7 @@ def resolve(model: IntensityModel, market: MarketParams) -> Case:
     always comes with a finite horizon.
     """
     if isinstance(model, PowerLawIntensity):
-        if market.r > 0.0:
-            return PowerDiscounted(model, market)
-        return PowerZeroRate(model, market)
+        return PowerLaw(model, market)
     if isinstance(model, ExpDecayIntensity):
         if market.r == 0.0:
             return ExpZeroRate(model, market)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cases import resolve
-from .discrete import level_of, solve_power_coefficients
+from .discrete import level_of
 from .fluid import fluid_solution
-from .intensity import IntensityModel, MarketParams
+from .intensity import IntensityModel, MarketParams, PowerLawIntensity
 
 __all__ = [
     "ConvergenceReport",
@@ -168,11 +168,10 @@ def coefficient_asymptotics(lam: float, alpha: float, r: float,
     spread decays like (lam/(alpha*r))**(1/alpha) / n**(1/alpha); both ratio
     sequences drift to 1.
     """
-    c = solve_power_coefficients(lam, alpha, r, n_max)
+    sol = resolve(PowerLawIntensity(lam=lam, alpha=alpha), MarketParams(r=r)).solve(1.0, n_max)
     n = np.arange(1, n_max + 1, dtype=float)
     scale = (lam / (r * alpha)) ** (1.0 / alpha)
-    c_ratio = c[1:] / (scale * n ** ((alpha - 1.0) / alpha))
-    spreads = (lam / (alpha * r * c[1:])) ** (1.0 / (alpha - 1.0))
-    s_ratio = spreads * n ** (1.0 / alpha) / scale
+    c_ratio = sol.coefficients[1:] / (scale * n ** ((alpha - 1.0) / alpha))
+    s_ratio = sol.spreads[1:] * n ** (1.0 / alpha) / scale
     return AsymptoticsReport(n=n.astype(int), coefficient_ratio=c_ratio,
                              spread_ratio=s_ratio)

@@ -27,13 +27,16 @@ __all__ = [
     "DiscreteSolution",
     "power_constant",
     "horizon_factor",
+    "discount_integral",
+    "power_time_factor",
+    "power_coefficient_factor",
+    "power_fill_time",
     "level_of",
     "solve_power_coefficients",
     "power_value_and_spread",
     "power_spread_scale",
     "power_spread_scales",
     "solve_power_zero_rate",
-    "zero_rate_value_and_spread",
     "expected_liquidation_time_discrete",
     "solve_exp_finite",
     "exp_hazard_drop",
@@ -56,12 +59,48 @@ def power_constant(alpha: float) -> float:
 
 
 def horizon_factor(t_remaining: float, alpha: float, r: float) -> float:
-    """(1 - exp(-r*alpha*T))**(1/alpha), the common time-to-go factor."""
+    """(1 - exp(-r*alpha*T))**(1/alpha), the time-to-go factor of c_n."""
     if t_remaining < 0.0:
         raise ValueError("time to maturity must be nonnegative")
-    if math.isinf(t_remaining):
-        return 1.0
     return (-math.expm1(-r * alpha * t_remaining)) ** (1.0 / alpha)
+
+
+def discount_integral(tau, a: float):
+    """h(tau), the integral of e^(-a*s) over [0, tau], elementwise: 1/a at
+    tau = inf and tau at a = 0.  With a = alpha*r, every power-law value and
+    spread is an r-free level constant times h(tau)**(1/alpha), and the
+    optimal fill rate at level n is b_n/h(T - t) (``power_fill_time``)."""
+    if a == 0.0:
+        return tau
+    return np.expm1(-a * tau) / -a
+
+
+def power_time_factor(tau, alpha: float, r: float):
+    """h(tau)**(1/alpha), a = alpha*r: the power-law value is d_n times it."""
+    return discount_integral(tau, alpha * r) ** (1.0 / alpha)
+
+
+def power_coefficient_factor(alpha: float, r: float) -> float:
+    """The factor that makes d_n the reported coefficient: h(inf)**(1/alpha)
+    for r > 0, giving the stationary value c_n, and 1 for r = 0 (d_n)."""
+    return power_time_factor(math.inf, alpha, r) if r > 0.0 else 1.0
+
+
+def power_fill_time(t0, c, a: float, horizon: float):
+    """The times t at which the fill rate b/h(T - t), integrated from t0,
+    reaches b*c, elementwise: log(H(T - t0)/H(T - t)) = c with H(s) =
+    expm1(a*s)/a (s at a = 0); t0 + c/a on the infinite horizon.  In
+    y = a*(T - t), x = a*(T - t0) and g = x - c that is y = log1p(e^(-c)
+    expm1(x)) = max(g, 0) + log1p(e^(-|g|) (1 - e^(-min(x, c)))), where no
+    exponential overflows at any x."""
+    if math.isinf(horizon):
+        return t0 + c / a
+    if a == 0.0:
+        return horizon - (horizon - t0) * np.exp(-c)
+    x = a * (horizon - t0)
+    g = x - c
+    y = np.maximum(g, 0.0) + np.log1p(np.exp(-np.abs(g)) * -np.expm1(-np.minimum(x, c)))
+    return horizon - y / a
 
 
 def level_of(x: float, delta: float) -> int:
@@ -74,30 +113,31 @@ def level_of(x: float, delta: float) -> int:
     return int(n)
 
 
-def _power_recursion(lam: float, alpha: float, r: float, n_max: int,
-                     delta: float) -> np.ndarray:
-    """c_0..c_n with c_0 = 0 and weight*c_n = b * (c_n - c_{n-1})**(1-alpha),
-    b = payoff * lam * delta**(alpha-1): payoff A = power_constant(alpha) and
-    weight r for r > 0, and payoff ((alpha-1)/alpha)**(alpha-1) and weight 1
-    for the zero-rate recursion (r = 0).
+def solve_power_zero_rate(lam: float, alpha: float, n_max: int,
+                          delta: float = 1.0) -> np.ndarray:
+    """The r-free power-law coefficients d_0..d_n: d_0 = 0 and
+    d_n = b * (d_n - d_{n-1})**(1-alpha), b = ((alpha-1)/alpha)**(alpha-1) *
+    lam * delta**(alpha-1).  The value at inventory n*delta with time tau to
+    go is d_n * power_time_factor(tau, alpha, r) at every r >= 0; at r = 0
+    that is d_n * tau**(1/alpha).
 
-    c_1 = (b/weight)**(1/alpha).  b leaves the normal floats for a fine delta
-    at a large alpha (below about 0.029 at alpha = 200), so c_1 comes from
-    log b there; where b and b/weight are normal floats it is the power of b
-    itself, which is correctly rounded more often.  The deeper levels depend
-    on b/weight = c_1**alpha alone: the increment m = c_{n-1} e^z is the root of
-        F(z) = log1p(e^z) + (alpha-1)*z + log((c_{n-1}/c_1)**alpha),
-    which is log(c_{n-1} + m) + (alpha-1)*log(m) - log(b/weight) written in
-    z = log(m/c_{n-1}), so that no large logarithms cancel and F is good to
+    d_1 = b**(1/alpha).  b leaves the normal floats for a fine delta at a
+    large alpha (below about 0.029 at alpha = 200), so d_1 comes from log b
+    there; where b is a normal float it is the power of b itself, which is
+    correctly rounded more often.  The deeper levels depend on b = d_1**alpha
+    alone: the increment m = d_{n-1} e^z is the root of
+        F(z) = log1p(e^z) + (alpha-1)*z + log((d_{n-1}/d_1)**alpha),
+    which is log(d_{n-1} + m) + (alpha-1)*log(m) - log(b) written in
+    z = log(m/d_{n-1}), so that no large logarithms cancel and F is good to
     a few ulps.  F is increasing and convex, and at the previous increment
-    it equals log1p(m_{n-1}/c_{n-1}) > 0 (as weight*c_{n-1} =
-    b*m_{n-1}**(1-alpha)), so Newton's method started there falls
-    monotonically to the root, with no bracket: two or three steps a
-    level, at most a dozen for alpha near 1.  Since F''/F' <= 1, a step below 1e-9
-    leaves an error below 1e-18 in z.  The relative residual of each level
-    is read in logs, as log(c_n/c_1) + (alpha-1)*log(m/c_1), where no term
-    is large.  Raises ArithmeticError if a level takes more than
-    _NEWTON_STEPS steps or ends with a residual above _RESIDUAL_RTOL.
+    it equals log1p(m_{n-1}/d_{n-1}) > 0 (as d_{n-1} = b*m_{n-1}**(1-alpha)),
+    so Newton's method started there falls monotonically to the root, with
+    no bracket: two or three steps a level, at most a dozen for alpha near
+    1.  Since F''/F' <= 1, a step below 1e-9 leaves an error below 1e-18 in
+    z.  The relative residual of each level is read in logs, as
+    log(d_n/d_1) + (alpha-1)*log(m/d_1), where no term is large.  Raises
+    ArithmeticError if a level takes more than _NEWTON_STEPS steps or ends
+    with a residual above _RESIDUAL_RTOL.
     """
     if alpha <= 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
@@ -105,29 +145,27 @@ def _power_recursion(lam: float, alpha: float, r: float, n_max: int,
         raise ValueError("n_max must be >= 1")
     # Python floats: a NumPy scalar power overflows to inf with a warning,
     # where the fallback below needs an OverflowError
-    lam, alpha, r, delta = float(lam), float(alpha), float(r), float(delta)
-    payoff, weight = (power_constant(alpha), r) if r > 0.0 else \
-        (((alpha - 1.0) / alpha) ** (alpha - 1.0), 1.0)
+    lam, alpha, delta = float(lam), float(alpha), float(delta)
+    payoff = ((alpha - 1.0) / alpha) ** (alpha - 1.0)
     log_b = math.log(payoff) + math.log(lam) + (alpha - 1.0) * math.log(delta)
-    log_k = log_b - math.log(weight)
-    if _LOG_NORMAL < min(log_b, log_k) and max(log_b, log_k) < _LOG_HUGE:
-        c1 = (payoff * (lam * delta ** (alpha - 1.0)) / weight) ** (1.0 / alpha)
+    if _LOG_NORMAL < log_b < _LOG_HUGE:
+        d1 = (payoff * (lam * delta ** (alpha - 1.0))) ** (1.0 / alpha)
     else:
-        c1 = math.exp(log_k / alpha)
-    if not sys.float_info.min <= c1 < math.inf:
-        raise ArithmeticError(f"first coefficient c_1 = exp({log_k!r} / {alpha!r}) "
+        d1 = math.exp(log_b / alpha)
+    if not sys.float_info.min <= d1 < math.inf:
+        raise ArithmeticError(f"first coefficient d_1 = exp({log_b!r} / {alpha!r}) "
                               "is outside the normal float range")
     exp, log, log1p = math.exp, math.log, math.log1p
-    c = np.empty(n_max + 1)
-    c[0] = 0.0
-    c[1] = c1
+    d = np.empty(n_max + 1)
+    d[0] = 0.0
+    d[1] = d1
     a1 = alpha - 1.0
-    prev = m = c1
+    prev = m = d1
     for n in range(2, n_max + 1):
         try:
-            g = log((prev / c1) ** alpha)
+            g = log((prev / d1) ** alpha)
         except OverflowError:  # the power passes 1e308 only for alpha near 100 or more
-            g = alpha * log(prev / c1)
+            g = alpha * log(prev / d1)
         z = log(m / prev)
         for _ in range(_NEWTON_STEPS):
             u = exp(z)
@@ -140,23 +178,24 @@ def _power_recursion(lam: float, alpha: float, r: float, n_max: int,
                                   f"{_NEWTON_STEPS} Newton steps")
         m = prev * exp(z)
         prev += m
-        c[n] = prev
-        resid = abs(log(prev / c1) + a1 * log(m / c1))
+        d[n] = prev
+        resid = abs(log(prev / d1) + a1 * log(m / d1))
         if resid > _RESIDUAL_RTOL:
             raise ArithmeticError(f"recursion residual {resid:.3e} too large at level {n}")
-    return c
+    return d
 
 
 def solve_power_coefficients(lam: float, alpha: float, r: float, n_max: int,
                              delta: float = 1.0) -> np.ndarray:
-    """Coefficients c_0..c_n of r*c_n = A * lam_eff * (c_n - c_{n-1})**(1-alpha).
+    """Coefficients c_0..c_n of r*c_n = A * lam_eff * (c_n - c_{n-1})**(1-alpha),
+    which are d_n (alpha*r)**(-1/alpha) with d_n from ``solve_power_zero_rate``.
 
     The stationary value at inventory n*delta is c_n, and the finite-horizon
     value is c_n * horizon_factor(T).
     """
     if r <= 0.0:
         raise ValueError("discounted recursion requires r > 0 (use the zero-rate solver)")
-    return _power_recursion(lam, alpha, r, n_max, delta)
+    return solve_power_zero_rate(lam, alpha, n_max, delta) * power_coefficient_factor(alpha, r)
 
 
 def power_spread_scale(n: int, coefficients: np.ndarray, lam: float,
@@ -194,28 +233,6 @@ def power_value_and_spread(n: int, t_remaining: float, coefficients: np.ndarray,
     if n == 0:
         return 0.0, math.nan
     return value, power_spread_scale(n, coefficients, lam, alpha, r) * factor
-
-
-def solve_power_zero_rate(lam: float, alpha: float, n_max: int,
-                          delta: float = 1.0) -> np.ndarray:
-    """Zero-discount coefficients d_n with V(n*delta, T) = d_n * T**(1/alpha).
-
-    Recursion: d_n = lam_eff * ((alpha-1)/alpha)**(alpha-1) * (d_n - d_{n-1})**(1-alpha),
-    the r -> 0 limit of the discounted solution.
-    """
-    return _power_recursion(lam, alpha, 0.0, n_max, delta)
-
-
-def zero_rate_value_and_spread(n: int, t_remaining: float, d: np.ndarray,
-                               alpha: float, delta: float = 1.0) -> tuple[float, float]:
-    """(value, spread) for the undiscounted power-law problem."""
-    if n < 0 or n >= len(d):
-        raise IndexError(f"level {n} outside solved range 0..{len(d) - 1}")
-    factor = t_remaining ** (1.0 / alpha)
-    if n == 0:
-        return 0.0, math.nan
-    spread = (alpha / (alpha - 1.0)) * (d[n] - d[n - 1]) / delta * factor
-    return d[n] * factor, spread
 
 
 def expected_liquidation_time_discrete(coefficients: np.ndarray, lam: float,

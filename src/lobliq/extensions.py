@@ -156,9 +156,12 @@ def _regime_level(b, theta, prev, other, guess_inc, p: RegimeParams, label, n, b
 def regime_discrete(params: RegimeParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Coupled per-level values (U(n), W(n)) under regime switching.
 
-    Each level solves the 2x2 nonlinear system by alternating monotone
-    scalar root finds, then a joint Newton polish; U(n) > W(n) at every
-    positive level (the active market is worth more).
+    Each level solves the 2x2 nonlinear system by alternating two bracketed
+    scalar root finds (``brentq`` on one regime's equation with the other's
+    value held fixed) until neither value moves by more than 1e-14 *
+    max(1, value), then checks both residuals and raises ArithmeticError if
+    either exceeds 1e-10 * max(1, r*U(n)); there is no joint Newton step.
+    U(n) > W(n) at every positive level (the active market is worth more).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -274,7 +277,12 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
     if abs(xs[-1] - params.x_max) > 1e-9 * max(1.0, params.x_max):
         raise ValueError("x_max must sit on the grid_step lattice")
 
-    u_slope0 = (params.lambda0 / (a * r)) ** (1.0 / (a - 1.0))
+    try:
+        u_slope0 = (params.lambda0 / (a * r)) ** (1.0 / (a - 1.0))
+    except OverflowError:
+        raise ArithmeticError(f"seed u-slope (lambda0/(alpha*r))**(1/(alpha-1)) overflows "
+                              f"at alpha = {a!r}, lambda0 = {params.lambda0!r}, "
+                              f"r = {r!r}") from None
     seed_idx = max(1, int(round(x_seed / h)))
     seed_idx = min(seed_idx, n_nodes - 1)
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .discrete import horizon_factor
+from .discrete import discount_integral, power_time_factor
 from .intensity import IntensityModel, MarketParams
 from .numerics import GAUSS_NODES, GAUSS_WEIGHTS
 
@@ -34,40 +34,39 @@ _EULER_GAMMA = 0.5772156649015329
 
 def power_fluid(x: float, t_remaining: float, lam: float, alpha: float,
                 r: float) -> tuple[float, float]:
-    """Fluid value and spread for a power-law book with discounting.
+    """Fluid value and spread for a power-law book, any r >= 0.
 
-    v(x,T) = (lam/(r*alpha))**(1/alpha) * x**((alpha-1)/alpha) * factor(T)
-    s0(x,T) = (lam/(alpha*r))**(1/alpha) * x**(-1/alpha) * factor(T)
-
-    At x = 0 the value vanishes and the spread is reported as +inf (the
-    marginal spread diverges as inventory empties).
+    v(x,T) = lam**(1/alpha) * x**((alpha-1)/alpha) * h(T)**(1/alpha)
+    s0(x,T) = lam**(1/alpha) * x**(-1/alpha) * h(T)**(1/alpha)
+    with h as in ``discrete.discount_integral``, a = alpha*r.  At x = 0 the
+    value vanishes and the spread is reported as +inf (the marginal spread
+    diverges as inventory empties).
     """
-    if x < 0.0:
-        raise ValueError("inventory must be nonnegative")
-    if alpha <= 1.0 or lam <= 0.0 or r <= 0.0:
-        raise ValueError("requires alpha > 1, lam > 0, r > 0")
-    factor = horizon_factor(t_remaining, alpha, r)
-    scale = (lam / (r * alpha)) ** (1.0 / alpha)
+    if x < 0.0 or t_remaining < 0.0:
+        raise ValueError("inventory and time to maturity must be nonnegative")
+    if alpha <= 1.0 or lam <= 0.0 or r < 0.0 or (r == 0.0 and math.isinf(t_remaining)):
+        raise ValueError("requires alpha > 1, lam > 0, r >= 0, and r > 0 on the "
+                         "infinite horizon")
     if x == 0.0:
         return 0.0, math.inf
-    return (scale * x ** ((alpha - 1.0) / alpha) * factor,
-            scale * x ** (-1.0 / alpha) * factor)
+    scale = lam ** (1.0 / alpha) * power_time_factor(t_remaining, alpha, r)
+    return scale * x ** ((alpha - 1.0) / alpha), scale * x ** (-1.0 / alpha)
 
 
 def power_trade_curve(t: float, x: float, t_horizon: float, alpha: float,
                       r: float) -> float:
-    """Optimally-controlled fluid inventory at time t, starting from x.
+    """Optimally-controlled fluid inventory at time t, starting from x, any r >= 0.
 
     The exponential of the accumulated optimal trading rate integrates in
-    closed form to
-        X(t) = x * (exp(a*(T-t)) - 1) / (exp(a*T) - 1),   a = alpha*r,
-    evaluated via expm1 in the decaying form for stability; it decreases
-    strictly and reaches zero smoothly at t = T.
+    closed form to X(t) = x * exp(-a*t) * h(T-t) / h(T), a = alpha*r, h as
+    in ``discrete.discount_integral``; it decreases strictly and reaches zero
+    smoothly at a finite T.
     """
     if not 0.0 <= t < t_horizon:
         raise ValueError(f"requires 0 <= t < horizon, got t = {t}, horizon = {t_horizon}")
     a = alpha * r
-    return x * math.exp(-a * t) * (-math.expm1(-a * (t_horizon - t))) / (-math.expm1(-a * t_horizon))
+    return float(x * math.exp(-a * t) * discount_integral(t_horizon - t, a)
+                 / discount_integral(t_horizon, a))
 
 
 def exp_fluid_finite(x: float, t_horizon: float, lam: float,

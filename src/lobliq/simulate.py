@@ -30,7 +30,6 @@ from .cases import (
     OptimalPowerPolicy,
     SpreadPolicy,
     StationarySpreadPolicy,
-    ZeroRatePowerPolicy,
     resolve,
 )
 from .fluid import fluid_solution
@@ -45,7 +44,6 @@ __all__ = [
     "ConstantSpreadPolicy",
     "StationarySpreadPolicy",
     "OptimalPowerPolicy",
-    "ZeroRatePowerPolicy",
     "ExpZeroRatePolicy",
     "optimal_policy",
     "fluid_spread_policy",

@@ -162,6 +162,17 @@ class TestCliCommands:
         assert main(["exchanges", "--config", write_cfg(tmp_path, cfg)]) == 3
         assert "delay ODE blow-up at x = 0.01" in capsys.readouterr().err
 
+    def test_exchanges_seed_slope_overflow_exits_3(self, tmp_path, capsys):
+        # alpha near 1: (lambda0/(alpha*r))**(1/(alpha-1)) passes 1e308
+        cfg = {
+            "exchanges": {"lambda0": 1000.0, "lambda1": 0.2, "delta_block": 1.0,
+                          "alpha": 1.002, "r": 0.001, "x_max": 3.0, "grid_step": 0.01},
+            "output": {"directory": str(tmp_path / "out")},
+        }
+        assert main(["exchanges", "--config", write_cfg(tmp_path, cfg)]) == 3
+        assert ("seed u-slope (lambda0/(alpha*r))**(1/(alpha-1)) overflows at "
+                "alpha = 1.002, lambda0 = 1000.0, r = 0.001") in capsys.readouterr().err
+
     def test_non_finite_curve_state_exits_3(self, tmp_path, capsys, monkeypatch):
         import lobliq.numerics
         monkeypatch.setattr(lobliq.numerics, "pure_death_mean",

@@ -24,7 +24,6 @@ from lobliq.discrete import (
     solve_generic_stationary,
     solve_power_coefficients,
     solve_power_zero_rate,
-    zero_rate_value_and_spread,
 )
 from lobliq.intensity import (
     ExpDecayIntensity,
@@ -69,6 +68,35 @@ def _reference_power_recursion(b, weight, alpha, n_max):
     return c
 
 
+def _assert_solves_discounted(c, d_ref, lam, alpha, r, delta):
+    """c_1..c_n against the r-free reference d_n times (alpha*r)**(-1/alpha),
+    and the residual of r*c_n = A*lam*delta**(alpha-1)*(c_n - c_{n-1})**(1-alpha)
+    at every level; the scale and the log of the right side's constant come
+    from mpmath, so neither shares a rounding with the package."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        scale = float((a * r) ** (-1 / a))
+        log_k = float(mpmath.log((a - 1) ** (a - 1) / a ** a * lam
+                                 * mpmath.mpf(delta) ** (a - 1) / r))
+    np.testing.assert_allclose(c[1:], d_ref[1:] * scale, rtol=1e-14, atol=0.0)
+    prev, cur = c[1:-1], c[2:]
+    m = cur - prev  # exact, as c_{n-1} <= c_n <= 2*c_{n-1}
+    resid = np.log(cur) + (alpha - 1.0) * np.log(m) - log_k
+    # in eps = 2**-52: the scale (1/(alpha*r))**(1/alpha) in floats, good to
+    # (2 + |log(alpha*r)|)/alpha + 1, which the residual carries alpha times;
+    # the roundings of d_n, of the increment and of the products by the
+    # scale, 3 eps of c_n in m_n, which the residual carries (alpha-1)*c_n/m_n
+    # times; the package's Newton root, whose own residual is good to 2 eps of
+    # its terms alpha*log(c_{n-1}/c_1) and (alpha-1)*log(m_n/c_{n-1}); and this
+    # evaluation, an eps of each log, product and sum in it
+    bound = 2.0 ** -52 * (
+        2.0 * alpha + abs(math.log(alpha * r)) + 6.0 + 3.0 * (alpha - 1.0) * cur / m
+        + 2.0 * alpha * np.abs(np.log(prev / c[1]))
+        + 2.0 * (alpha - 1.0) * np.abs(np.log(m / prev))
+        + 2.0 * np.abs(np.log(cur)) + 3.0 * (alpha - 1.0) * np.abs(np.log(m)) + abs(log_k))
+    assert np.all(np.abs(resid) <= bound)
+
+
 def _reference_exp_recursion(x_max, delta, lam, kappa, r):
     """The stationary exp-book recursion with one cold W(e^z) solve per
     level: the reference for the package's Newton solve warm-started at the
@@ -82,11 +110,14 @@ def _reference_exp_recursion(x_max, delta, lam, kappa, r):
 
 def _mpmath_power_recursion(lam, alpha, r, n_max, delta, dps=30):
     """c_0..c_n of r*c_n = A*lam*delta**(alpha-1) * (c_n - c_{n-1})**(1-alpha)
-    at ``dps`` digits, each level's increment a root in log(m)."""
+    at ``dps`` digits, each level's increment a root in log(m); at r = 0 the
+    r-free d_n of d_n = ((alpha-1)/alpha)**(alpha-1)*lam*delta**(alpha-1) *
+    (d_n - d_{n-1})**(1-alpha)."""
     with mpmath.workdps(dps):
         a = mpmath.mpf(alpha)
-        log_k = mpmath.log((a - 1) ** (a - 1) / a ** a * lam
-                           * mpmath.mpf(delta) ** (a - 1) / r)
+        weight = a * r if r > 0.0 else 1
+        log_k = mpmath.log(((a - 1) / a) ** (a - 1) * lam
+                           * mpmath.mpf(delta) ** (a - 1) / weight)
         c = [mpmath.mpf(0), mpmath.exp(log_k / a)]
         z = mpmath.log(c[1])
         for _ in range(2, n_max + 1):
@@ -136,28 +167,38 @@ class TestPowerCoefficients:
            st.one_of(st.integers(1, 300), st.integers(300, 20_000)))
     @settings(max_examples=40, deadline=None)
     def test_newton_matches_reference_at_domain_edges(self, alpha, r, delta, n_max):
+        # the r-free d_n against the bracketed solve of the same recursion,
+        # d_n = b*(d_n - d_{n-1})**(1-alpha), from the same d_1; for r > 0 the
+        # reported c_n against that reference and the discounted equation
         lam = 1.3
-        lam_eff = lam * delta ** (alpha - 1.0)
-        if r == 0.0:
-            c = solve_power_zero_rate(lam, alpha, n_max, delta)
-            b, weight = lam_eff * ((alpha - 1.0) / alpha) ** (alpha - 1.0), 1.0
-        else:
+        b = lam * delta ** (alpha - 1.0) * ((alpha - 1.0) / alpha) ** (alpha - 1.0)
+        d = solve_power_zero_rate(lam, alpha, n_max, delta)
+        ref = _reference_power_recursion(b, 1.0, alpha, n_max)
+        assert d[0] == 0.0 and d[1] == ref[1]
+        np.testing.assert_allclose(d[1:], ref[1:], rtol=1e-14, atol=0.0)
+        if alpha == 2.0:
+            # (d + m)*m = b: m = (-d + sqrt(d**2 + 4b))/2, written without the
+            # cancellation
+            prev = d[1:-1]
+            closed = prev + 2.0 * b / (prev + np.sqrt(prev * prev + 4.0 * b))
+            assert np.all(np.abs(d[2:] - closed) <= 2.0 * np.spacing(d[2:]))
+        c = d
+        if r > 0.0:
             c = solve_power_coefficients(lam, alpha, r, n_max, delta)
-            b, weight = power_constant(alpha) * lam_eff, r
-        ref = _reference_power_recursion(b, weight, alpha, n_max)
-        assert c[0] == 0.0 and c[1] == ref[1]
-        np.testing.assert_allclose(c[1:], ref[1:], rtol=1e-14, atol=0.0)
+            _assert_solves_discounted(c, ref, lam, alpha, r, delta)
         inc = np.diff(c)
         assert np.all(inc > 0.0)
         # the differences of rounded c_n carry up to an ulp of c_n each
         assert np.all(np.diff(inc) <= 2.0 * np.spacing(c[2:]))
-        if alpha == 2.0:
-            # weight*(c + m)*m = b: m = (-c + sqrt(c**2 + 4b/w))/2, written
-            # without the cancellation
-            k = b / weight
-            prev = c[1:-1]
-            closed = prev + 2.0 * k / (prev + np.sqrt(prev * prev + 4.0 * k))
-            assert np.all(np.abs(c[2:] - closed) <= 2.0 * np.spacing(c[2:]))
+
+    def test_near_alpha_one_matches_mpmath(self):
+        # a case where the discounted reference, solved in c_n from its own
+        # c_1, ends 7.7e-15 from 30-digit mpmath, and the scaled r-free solve
+        # 2.9e-15
+        lam, alpha, r, delta, n = 1.3, 1.001, 1.0, 0.125, 7159
+        c = solve_power_coefficients(lam, alpha, r, n, delta)
+        ref = _mpmath_power_recursion(lam, alpha, r, n, delta)
+        np.testing.assert_allclose(c[1:], [float(v) for v in ref[1:]], rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("alpha, k", [(200.0, 6), (150.0, 9)])
     def test_large_alpha_fine_delta_matches_mpmath(self, alpha, k):
@@ -247,14 +288,28 @@ class TestZeroRate:
         assert np.all(np.abs(gap - exact) <= 1e-14)
         assert np.all(np.abs(gap + 0.5 * r * t) <= alpha * (r * t) ** 2 + 1e-14)
 
+    @pytest.mark.parametrize("delta", [1.0, 2.0 ** -6])
+    def test_spreads_match_mpmath_near_alpha_one(self, delta):
+        # sigma_n = (lam/d_n)**(1/(alpha-1)) at T = 1, against the marginal
+        # form (alpha/(alpha-1)) * (d_n - d_{n-1})/delta in 50 digits; in
+        # doubles that form cancels (3.0e-12 relative at alpha 1.01, delta 1)
+        alpha, n = 1.01, 300
+        model = PowerLawIntensity(lam=LAM, alpha=alpha)
+        sol = resolve(model, MarketParams(r=0.0, horizon=1.0)).solve(delta, n)
+        d = _mpmath_power_recursion(LAM, alpha, 0.0, n, delta, dps=50)
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            exact = [float(a / (a - 1) * (d[k] - d[k - 1]) / delta) for k in range(1, n + 1)]
+        np.testing.assert_allclose(sol.spreads[1:], exact, rtol=2e-13, atol=0.0)
+
     def test_small_r_limit(self):
         # discounted V at r = 1e-6 approaches d_n * T**(1/alpha)
-        d = solve_power_zero_rate(LAM, ALPHA, 8)
         c = solve_power_coefficients(LAM, ALPHA, 1e-6, 8)
+        zero = resolve(PowerLawIntensity(lam=LAM, alpha=ALPHA),
+                       MarketParams(r=0.0, horizon=1.0)).solve(1.0, 8)
         for n in [1, 4, 8]:
             v_r, _ = power_value_and_spread(n, 1.0, c, LAM, ALPHA, 1e-6)
-            v_0, _ = zero_rate_value_and_spread(n, 1.0, d, ALPHA)
-            assert abs(v_r - v_0) <= 1e-4 * v_0
+            assert abs(v_r - zero.values[n]) <= 1e-4 * zero.values[n]
 
 
 class TestExpectedLiquidationTime:
@@ -299,8 +354,16 @@ class TestExpectedLiquidationTime:
         c = solve_power_coefficients(lam, alpha, r, n, delta)
         loop = np.array([power_spread_scale(k, c, lam, alpha, r) for k in range(1, n + 1)])
         assert np.array_equal(power_spread_scales(c, lam, alpha, r), loop)
+        # the case forms (lam/d_n)**(1/(alpha-1)) * f from the r-free d_n and
+        # f = (1/(alpha*r))**(1/alpha), the loop (lam/(alpha*r*c_n))**(1/(alpha-1))
+        # from c_n = d_n*f.  The loop's base takes 4 roundings and the case's 1,
+        # each amplified by 1/(alpha-1); the error of f, 2 eps/alpha + 2 eps,
+        # enters as f**(-alpha/(alpha-1)); and the two pows and the product
+        # add 5 eps, with eps = 2**-53
         case = resolve(PowerLawIntensity(lam=lam, alpha=alpha), MarketParams(r=r))
-        assert np.array_equal(case.solve(delta, n).spreads[1:], loop)
+        bound = ((2.0 * alpha + 7.0) / (alpha - 1.0) + 5.0) * 2.0 ** -53
+        np.testing.assert_allclose(case.solve(delta, n).spreads[1:], loop, rtol=bound,
+                                   atol=0.0)
         times = np.zeros(n + 1)
         for k in range(1, n + 1):
             times[k] = times[k - 1] + delta * loop[k - 1] ** alpha / lam

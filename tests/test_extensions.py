@@ -247,6 +247,10 @@ def test_patch_matches_per_step_reference(kw, x_seed):
     # block past the second knot
     (dict(lambda1=50.0, alpha=1.05, delta_block=0.5, x_max=2.0, grid_step=0.01),
      "value failed to increase over one block at x = 1.22"),
+    # alpha near 1: the seed slope in u = v**(alpha/(alpha-1)) passes 1e308
+    (dict(lambda0=1000.0, lambda1=0.2, alpha=1.002, r=0.001),
+     r"seed u-slope \(lambda0/\(alpha\*r\)\)\*\*\(1/\(alpha-1\)\) overflows at "
+     r"alpha = 1\.002, lambda0 = 1000\.0, r = 0\.001"),
 ])
 def test_patch_error_paths(kw, message):
     with pytest.raises(ArithmeticError, match=message):

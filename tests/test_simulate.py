@@ -26,7 +26,6 @@ from lobliq.simulate import (
     ExpZeroRatePolicy,
     OptimalPowerPolicy,
     StationarySpreadPolicy,
-    ZeroRatePowerPolicy,
     constant_policy_value,
     evaluate_fluid_policy_exact,
     execution_curve_ode,
@@ -57,6 +56,27 @@ class TestSimulatePolicy:
         target = c[6] * horizon_factor(1.0, 2.0, 0.1)
         assert abs(stats.mean_revenue - target) <= 3.0 * stats.std_error
         assert stats.liquidation_fraction == 1.0
+
+    @pytest.mark.parametrize("horizon", [4000.0, 10_000.0])
+    def test_optimal_power_long_horizon(self, horizon):
+        # alpha*r*T = 800 and 2000: expm1(alpha*r*(T - t0)) overflows, and the
+        # fill times must stay exact.  The book is then stationary to double
+        # precision: the top level fills at rate ~1 from the start, so the
+        # median first fill is log(2)/rate ~ 0.69
+        market, n_paths = MarketParams(r=0.1, horizon=horizon), 20_000
+        pol = optimal_policy(POWER, market, 1.0, 6)
+        stats, fills = simulate_policy(POWER, market, 6, 1.0, pol, n_paths, seed=5,
+                                       keep_paths=True)
+        target = resolve(POWER, market).solve(1.0, 6).values[6]
+        assert abs(stats.mean_revenue - target) <= 4.0 * stats.std_error
+        assert stats.liquidation_fraction == 1.0
+        clock = pol.clock(POWER, 1.0, horizon)
+        rate = clock.rate(6) * clock.profile(0.0)
+        median = math.log(2.0) / rate
+        assert abs(median - 0.69) < 0.01
+        # the sample median of n exponentials has standard error 1/(rate sqrt(n))
+        first = fills.time[fills.fill_index == 0]
+        assert abs(np.median(first) - median) <= 4.0 / (rate * math.sqrt(n_paths))
 
     def test_path_records(self):
         pol = optimal_policy(POWER, FINITE, 1.0, 4)
@@ -243,7 +263,7 @@ class TestSimulatePolicy:
 class TestPolicies:
     def test_zero_rate_optimum_is_recognised(self):
         pol = optimal_policy(POWER, ZERO_RATE, 1.0, 4)
-        assert isinstance(pol, ZeroRatePowerPolicy)
+        assert isinstance(pol, OptimalPowerPolicy)
         assert not pol.time_homogeneous
         # fill rate k_n / (T - t)
         clock = pol.clock(POWER, 1.0, ZERO_RATE.horizon)
