@@ -13,13 +13,10 @@ from .convergence import (
 )
 from .discrete import (
     DiscreteSolution,
-    expected_liquidation_time_discrete,
-    power_value_and_spread,
     solve_discrete,
     solve_exp_finite,
     solve_exp_infinite,
     solve_generic_stationary,
-    solve_power_coefficients,
     solve_power_zero_rate,
 )
 from .extensions import (

@@ -311,10 +311,15 @@ class PowerLaw(Case):
                                   spread_scales=self._levels(delta, n_max)[1])
 
     def liquidation_times(self, sol):
+        # level n waits delta/rate(s_n) at its stationary spread s_n =
+        # sigma_n (alpha*r)**(-1/alpha): one pow of lam/d_n a level
         if not self.market.infinite_horizon:
             return None
-        return discrete.expected_liquidation_time_discrete(
-            sol.coefficients, self.model.lam, self.model.alpha, self.market.r, sol.delta)
+        lam, alpha = self.model.lam, self.model.alpha
+        d = discrete.solve_power_zero_rate(lam, alpha, sol.n_max, sol.delta)
+        waits = (sol.delta / (alpha * self.market.r * lam)
+                 * (lam / d[1:]) ** (alpha / (alpha - 1.0)))
+        return np.concatenate(([0.0], np.cumsum(waits)))
 
 
 class ExpZeroRate(Case):

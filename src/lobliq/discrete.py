@@ -5,12 +5,13 @@ fills arrive at rate rate(s)/Delta.  The value recursion in inventory is
 solved level by level: closed forms for power-law and exponential books,
 a bracketed scalar maximization for generic depth models.
 
-Delta scaling: for a power-law book the unit-step recursion with
-lam_eff = lam * Delta**(alpha-1) already produces the physical values
-V(n*Delta), because the scaled problem (rate/Delta, payoff s*Delta)
-collapses onto the unit recursion after optimizing out the spread.  lam_eff
-leaves the floats for a fine Delta at a large alpha, so it is only ever
-carried as a logarithm or cancelled.
+Power-law book: the value at level n with time tau to go is d_n times
+h(tau)**(1/alpha) (``power_time_factor``), h(tau) the integral of
+e^(-alpha*r*s) over [0, tau].  The level constants d_n
+(``solve_power_zero_rate``) are free of r, and the trading unit enters them
+only through b = ((alpha-1)/alpha)**(alpha-1) * lam * Delta**(alpha-1), as
+the spread is optimized out of each level; ``cases.PowerLaw`` builds every
+power-law value, spread, policy and liquidation time from these pieces.
 """
 
 from __future__ import annotations
@@ -26,18 +27,12 @@ from .intensity import IntensityModel, MarketParams, concavity_condition
 __all__ = [
     "DiscreteSolution",
     "power_constant",
-    "horizon_factor",
     "discount_integral",
     "power_time_factor",
     "power_coefficient_factor",
     "power_fill_time",
     "level_of",
-    "solve_power_coefficients",
-    "power_value_and_spread",
-    "power_spread_scale",
-    "power_spread_scales",
     "solve_power_zero_rate",
-    "expected_liquidation_time_discrete",
     "solve_exp_finite",
     "exp_hazard_drop",
     "solve_exp_infinite",
@@ -56,13 +51,6 @@ def power_constant(alpha: float) -> float:
     """(alpha-1)**(alpha-1) / alpha**alpha, the optimized payoff constant,
     written so that no power overflows (each alone does from about alpha = 145)."""
     return ((alpha - 1.0) / alpha) ** (alpha - 1.0) / alpha
-
-
-def horizon_factor(t_remaining: float, alpha: float, r: float) -> float:
-    """(1 - exp(-r*alpha*T))**(1/alpha), the time-to-go factor of c_n."""
-    if t_remaining < 0.0:
-        raise ValueError("time to maturity must be nonnegative")
-    return (-math.expm1(-r * alpha * t_remaining)) ** (1.0 / alpha)
 
 
 def discount_integral(tau, a: float):
@@ -183,70 +171,6 @@ def solve_power_zero_rate(lam: float, alpha: float, n_max: int,
         if resid > _RESIDUAL_RTOL:
             raise ArithmeticError(f"recursion residual {resid:.3e} too large at level {n}")
     return d
-
-
-def solve_power_coefficients(lam: float, alpha: float, r: float, n_max: int,
-                             delta: float = 1.0) -> np.ndarray:
-    """Coefficients c_0..c_n of r*c_n = A * lam_eff * (c_n - c_{n-1})**(1-alpha),
-    which are d_n (alpha*r)**(-1/alpha) with d_n from ``solve_power_zero_rate``.
-
-    The stationary value at inventory n*delta is c_n, and the finite-horizon
-    value is c_n * horizon_factor(T).
-    """
-    if r <= 0.0:
-        raise ValueError("discounted recursion requires r > 0 (use the zero-rate solver)")
-    return solve_power_zero_rate(lam, alpha, n_max, delta) * power_coefficient_factor(alpha, r)
-
-
-def power_spread_scale(n: int, coefficients: np.ndarray, lam: float,
-                       alpha: float, r: float) -> float:
-    """Stationary optimal spread at level n (finite-horizon spreads scale
-    by the common horizon factor).
-
-    Equals (alpha/(alpha-1)) * (c_n - c_{n-1}) / delta: the spread prices
-    the marginal value of one unit, per unit of inventory.  In
-    (lam_eff/(alpha*r*c_n))**(1/(alpha-1)) / delta the delta**(alpha-1) of
-    lam_eff cancels the 1/delta, so the trading unit enters through c_n only.
-    """
-    return (lam / (alpha * r * coefficients[n])) ** (1.0 / (alpha - 1.0))
-
-
-def power_spread_scales(coefficients: np.ndarray, lam: float, alpha: float,
-                        r: float) -> list[float]:
-    """power_spread_scale at levels 1..n, bit for bit: one scalar pow per
-    level, as NumPy's array pow may differ in the last bit."""
-    k, e = alpha * r, 1.0 / (alpha - 1.0)
-    return [(lam / (k * cn)) ** e for cn in coefficients[1:].tolist()]
-
-
-def power_value_and_spread(n: int, t_remaining: float, coefficients: np.ndarray,
-                           lam: float, alpha: float, r: float) -> tuple[float, float]:
-    """(value, optimal spread) at inventory level n with time T to maturity.
-
-    Satisfies the marginal identity
-    spread = (alpha/(alpha-1)) * (V(n,T) - V(n-1,T)) / delta.
-    """
-    if n < 0 or n >= len(coefficients):
-        raise IndexError(f"level {n} outside solved range 0..{len(coefficients) - 1}")
-    factor = horizon_factor(t_remaining, alpha, r)
-    value = coefficients[n] * factor
-    if n == 0:
-        return 0.0, math.nan
-    return value, power_spread_scale(n, coefficients, lam, alpha, r) * factor
-
-
-def expected_liquidation_time_discrete(coefficients: np.ndarray, lam: float,
-                                       alpha: float, r: float,
-                                       delta: float = 1.0) -> np.ndarray:
-    """Expected time to empty n units of size delta on the infinite horizon.
-
-    S(n) - S(n-1) = 1/rate(s*(n)) = delta * s*(n)**alpha / lam: each level
-    waits an exponential time at the level's optimal fill rate, and the
-    spreads shrink with inventory so the waits shrink too.
-    """
-    waits = [delta * s ** alpha / lam
-             for s in power_spread_scales(coefficients, lam, alpha, r)]
-    return np.concatenate(([0.0], np.cumsum(waits)))  # cumsum adds in sequence
 
 
 def solve_exp_finite(n_max: int, delta: float, t_grid, lam: float,
@@ -401,10 +325,11 @@ def solve_exp_infinite(x_max: float, delta: float, lam: float, kappa: float,
 class DiscreteSolution:
     """Per-level solution of the unit-Delta execution problem.
 
-    ``coefficients`` holds c_n for a discounted power-law book, d_n for the
-    zero-rate one, and the stationary values V(n*delta) otherwise; level 0
-    is always 0 (exhaustion).  ``values`` and ``spreads`` are evaluated at
-    the market horizon (spread is nan at level 0).
+    ``coefficients`` holds, for a power-law book, d_n times
+    ``power_coefficient_factor``: the stationary value for r > 0, d_n itself
+    for r = 0; for any other book, the values themselves.  Level 0 is always
+    0 (exhaustion).  ``values`` and ``spreads`` are evaluated at the market
+    horizon (spread is nan at level 0).
     """
 
     delta: float

@@ -164,12 +164,11 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
 
     revenues = np.zeros(n_paths)
     fill_counts = np.zeros(n_paths, dtype=np.int64)
-    ct = hits = None
+    ct = done = None
     if curve_times is not None:
         ct = np.asarray(curve_times, dtype=float)
-        ct_sorted = np.sort(ct)
-        # hits[j, c]: paths whose fill j falls in (ct_sorted[c-1], ct_sorted[c]]
-        hits = np.zeros((n_units, len(ct) + 1), dtype=np.int64)
+        # done[j, c]: paths with fill j at or before ct[c]
+        done = np.zeros((n_units, len(ct)), dtype=np.int64)
     if keep_paths:
         # fill j of path i at [i, j]; cells past a path's last fill stay unset
         fill_times = np.empty((n_paths, n_units))
@@ -203,10 +202,9 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
             t[live] = t_next
             revenue[live] += np.exp(-r * t_next) * s * delta
             fills[live] += 1
-            if hits is not None:
-                # side left: a fill at exactly a curve time counts there
-                hits[j] += np.bincount(np.searchsorted(ct_sorted, t_next),
-                                       minlength=len(ct) + 1)
+            if done is not None:
+                # side right: a fill at exactly a curve time counts there
+                done[j] += np.searchsorted(np.sort(t_next), ct, side="right")
             if keep_paths:
                 times[live, j] = t_next
                 spreads[live, j] = s
@@ -226,12 +224,10 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
     stats_kwargs = dict(n_paths=n_paths, mean_revenue=mean, std_error=se,
                         liquidation_fraction=float(np.mean(fill_counts == n_units)))
     if ct is not None:
-        # done[j, c]: paths with fill j by ct_sorted[c].  Fills are ordered in
-        # time, so a path with k fills by then adds 1 to done[0..k-1, c]:
-        # sum_j done[j] is the sum of k over paths, and sum_j (2j+1) done[j]
-        # the sum of k**2.  The remaining units n - k then have the exact
-        # integer sums S1 and S2.
-        done = np.cumsum(hits, axis=1)[:, np.searchsorted(ct_sorted, ct)]
+        # Fills are ordered in time, so a path with k fills by ct[c] adds 1
+        # to done[0..k-1, c]: sum_j done[j] is the sum of k over paths, and
+        # sum_j (2j+1) done[j] the sum of k**2.  The remaining units n - k
+        # then have the exact integer sums S1 and S2.
         sum_k, sum_k2 = done.sum(axis=0), (2 * np.arange(n_units) + 1) @ done
         s1 = (n_paths * n_units - sum_k).tolist()
         s2 = (n_paths * n_units ** 2 - 2 * n_units * sum_k + sum_k2).tolist()

@@ -10,16 +10,13 @@ import time
 import numpy as np
 import pytest
 
+from lobliq.cases import resolve
 from lobliq.convergence import control_convergence, value_convergence
 from lobliq.discrete import (
-    horizon_factor,
     power_constant,
-    power_spread_scale,
-    power_value_and_spread,
     solve_exp_finite,
     solve_exp_infinite,
     solve_generic_stationary,
-    solve_power_coefficients,
 )
 from lobliq.extensions import (
     RegimeParams,
@@ -45,7 +42,7 @@ def report(num, name):
 
 def test_criterion_01_power_recursion_fidelity():
     started = time.perf_counter()
-    c = solve_power_coefficients(1.0, 2.0, 0.1, 500)
+    c = resolve(POWER, MARKET_INF).solve(1.0, 500).coefficients
     c1 = math.sqrt(2.5)
     c2 = 0.5 * (c1 + math.sqrt(c1 * c1 + 10.0))
     assert abs(c[1] - c1) <= 1e-10
@@ -60,14 +57,12 @@ def test_criterion_01_power_recursion_fidelity():
 
 
 def test_criterion_02_spread_identity():
-    c = solve_power_coefficients(1.0, 2.0, 0.1, 50)
     t_grid = np.linspace(0.05, 5.0, 50)
     worst = 0.0
-    for n in range(1, 51):
-        for t in t_grid:
-            v_n, s = power_value_and_spread(n, t, c, 1.0, 2.0, 0.1)
-            v_p, _ = power_value_and_spread(n - 1, t, c, 1.0, 2.0, 0.1)
-            worst = max(worst, abs(s - 2.0 * (v_n - v_p)))
+    for t in t_grid:
+        sol = resolve(POWER, MarketParams(r=0.1, horizon=t)).solve(1.0, 50)
+        gaps = sol.spreads[1:] - 2.0 * np.diff(sol.values)
+        worst = max(worst, float(np.max(np.abs(gaps))))
     assert worst <= 1e-10
     report(2, f"marginal spread identity on 50x50 grid (worst {worst:.2e})")
 
@@ -157,8 +152,7 @@ def test_criterion_08_simulation_consistency():
     started = time.perf_counter()
     policy = optimal_policy(POWER, MARKET_T1, 1.0, 6)
     stats = simulate_policy(POWER, MARKET_T1, 6, 1.0, policy, 100_000, seed=42)
-    c = solve_power_coefficients(1.0, 2.0, 0.1, 6)
-    target = c[6] * horizon_factor(1.0, 2.0, 0.1)
+    target = resolve(POWER, MARKET_T1).solve(1.0, 6).values[6]
     z = abs(stats.mean_revenue - target) / stats.std_error
     assert z <= 3.0
     assert stats.liquidation_fraction == 1.0

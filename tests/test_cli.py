@@ -10,9 +10,9 @@ import pytest
 import yaml
 
 import lobliq
+from lobliq.cases import resolve
 from lobliq.cli import main
 from lobliq.config import ConfigError, load_config, parse_config
-from lobliq.discrete import solve_power_coefficients
 from lobliq.intensity import MarketParams, PowerLawIntensity
 from lobliq.reports import format_number
 from lobliq.simulate import ConstantSpreadPolicy, simulate_policy
@@ -84,6 +84,9 @@ class TestCliCommands:
         header, rows = read_csv(tmp_path / "out" / "solve.csv")
         col = header.index("coefficient")
         assert abs(float(rows[1][col]) - 1.58113883) < 1e-7
+        # infinite horizon: the mean time to sell each level, 1/rate(sqrt(10)) for one unit
+        col = header.index("expected_liquidation_time")
+        assert abs(float(rows[1][col]) - 10.0) < 1e-7
         assert os.path.exists(tmp_path / "out" / "solve.schema.json")
         assert os.path.exists(tmp_path / "out" / "manifest.json")
 
@@ -128,10 +131,9 @@ class TestCliCommands:
 
     def test_increment_step_cap_exits_3(self, tmp_path, capsys, monkeypatch):
         import lobliq.discrete
-        from lobliq.discrete import solve_power_coefficients
         monkeypatch.setattr(lobliq.discrete, "_NEWTON_STEPS", 1)
         with pytest.raises(ArithmeticError, match="did not converge"):
-            solve_power_coefficients(1.0, 2.0, 0.1, 3)
+            lobliq.discrete.solve_power_zero_rate(1.0, 2.0, 3)
         cfg = dict(BASE, output={"directory": str(tmp_path / "out")})
         assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 3
         assert "did not converge" in capsys.readouterr().err
@@ -520,7 +522,8 @@ class TestCliCommands:
             path = write_cfg(tmp_path, cfg, f"edge{k_max}.yaml")
             assert main(["converge", "--config", path]) == 0, alpha
             edge = json.loads((out / "converge.json").read_text())
-            finest = solve_power_coefficients(1.0, alpha, 0.1, 5 * 2 ** k_max, 0.5 ** k_max)
+            case = resolve(PowerLawIntensity(lam=1.0, alpha=alpha), MarketParams(r=0.1))
+            finest = case.solve(0.5 ** k_max, 5 * 2 ** k_max).values
             assert edge["columns"]["value"][-1] == finest[-1]
             assert edge["monotone_ok"]
 

@@ -11,18 +11,13 @@ from scipy.special import gammaln
 from lobliq.cases import resolve
 from lobliq.discrete import (
     _log_series_terms,
-    expected_liquidation_time_discrete,
-    horizon_factor,
     level_of,
     power_constant,
-    power_spread_scale,
-    power_spread_scales,
-    power_value_and_spread,
+    power_time_factor,
     solve_discrete,
     solve_exp_finite,
     solve_exp_infinite,
     solve_generic_stationary,
-    solve_power_coefficients,
     solve_power_zero_rate,
 )
 from lobliq.intensity import (
@@ -34,6 +29,8 @@ from lobliq.intensity import (
 from ode_oracles import lambert_w0_exparg
 
 LAM, ALPHA, R = 1.0, 2.0, 0.1
+POWER = PowerLawIntensity(lam=LAM, alpha=ALPHA)
+STATIONARY = MarketParams(r=R)
 
 
 def bisect_lambert(y):
@@ -137,11 +134,11 @@ def test_power_constant_matches_mpmath(alpha):
 
 class TestPowerCoefficients:
     def test_boundary(self):
-        c = solve_power_coefficients(LAM, ALPHA, R, 5)
+        c = resolve(POWER, STATIONARY).solve(1.0, 5).coefficients
         assert c[0] == 0.0
 
     def test_first_two_closed_forms(self):
-        c = solve_power_coefficients(LAM, ALPHA, R, 5)
+        c = resolve(POWER, STATIONARY).solve(1.0, 5).coefficients
         c1 = math.sqrt(power_constant(2.0) * LAM / R)  # sqrt(2.5)
         c2 = 0.5 * (c1 + math.sqrt(c1 * c1 + LAM / R))
         assert abs(c[1] - c1) < 1e-12
@@ -149,14 +146,15 @@ class TestPowerCoefficients:
         assert abs(c[1] - 1.5811388300841898) < 1e-10
 
     def test_defining_equation_residuals(self):
-        c = solve_power_coefficients(LAM, ALPHA, R, 200)
+        c = resolve(POWER, STATIONARY).solve(1.0, 200).coefficients
         b = power_constant(ALPHA) * LAM
         for n in range(1, 201):
             resid = abs(R * c[n] - b * (c[n] - c[n - 1]) ** (1.0 - ALPHA))
             assert resid <= 1e-10 * R * c[n]
 
     def test_shape_invariants(self):
-        c = solve_power_coefficients(1.7, 3.2, 0.04, 120)
+        c = resolve(PowerLawIntensity(lam=1.7, alpha=3.2),
+                    MarketParams(r=0.04)).solve(1.0, 120).coefficients
         inc = np.diff(c)
         assert np.all(inc > 0.0)            # strictly increasing
         assert np.all(np.diff(inc) <= 1e-14)  # concave in the level
@@ -184,7 +182,8 @@ class TestPowerCoefficients:
             assert np.all(np.abs(d[2:] - closed) <= 2.0 * np.spacing(d[2:]))
         c = d
         if r > 0.0:
-            c = solve_power_coefficients(lam, alpha, r, n_max, delta)
+            c = resolve(PowerLawIntensity(lam=lam, alpha=alpha),
+                        MarketParams(r=r)).solve(delta, n_max).coefficients
             _assert_solves_discounted(c, ref, lam, alpha, r, delta)
         inc = np.diff(c)
         assert np.all(inc > 0.0)
@@ -196,7 +195,8 @@ class TestPowerCoefficients:
         # c_1, ends 7.7e-15 from 30-digit mpmath, and the scaled r-free solve
         # 2.9e-15
         lam, alpha, r, delta, n = 1.3, 1.001, 1.0, 0.125, 7159
-        c = solve_power_coefficients(lam, alpha, r, n, delta)
+        c = resolve(PowerLawIntensity(lam=lam, alpha=alpha),
+                    MarketParams(r=r)).solve(delta, n).coefficients
         ref = _mpmath_power_recursion(lam, alpha, r, n, delta)
         np.testing.assert_allclose(c[1:], [float(v) for v in ref[1:]], rtol=1e-14, atol=0.0)
 
@@ -207,53 +207,48 @@ class TestPowerCoefficients:
         # comes from log b
         delta = 0.5 ** k
         n = round(5.0 / delta)
-        c = solve_power_coefficients(1.0, alpha, 0.1, n, delta)
+        sol = resolve(PowerLawIntensity(lam=1.0, alpha=alpha),
+                      MarketParams(r=0.1)).solve(delta, n)
         ref = _mpmath_power_recursion(1.0, alpha, 0.1, n, delta)
-        np.testing.assert_allclose(c[1:], [float(v) for v in ref[1:]], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(sol.coefficients[1:], [float(v) for v in ref[1:]],
+                                   rtol=1e-13, atol=0.0)
         for level in (1, 2, n):
             spread = (alpha / (alpha - 1.0)) * (ref[level] - ref[level - 1]) / delta
-            assert math.isclose(power_spread_scale(level, c, 1.0, alpha, 0.1),
-                                float(spread), rel_tol=1e-13)
+            assert math.isclose(sol.spreads[level], float(spread), rel_tol=1e-13)
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError):
-            solve_power_coefficients(1.0, 0.9, R, 5)
+            solve_power_zero_rate(1.0, 0.9, 5)
         with pytest.raises(ValueError):
-            solve_power_coefficients(1.0, 2.0, 0.0, 5)
+            resolve(POWER, MarketParams(r=0.0)).solve(1.0, 5)
 
 
 class TestPowerValueSpread:
-    def setup_method(self):
-        self.c = solve_power_coefficients(LAM, ALPHA, R, 60)
-
     def test_expiry_is_worthless(self):
-        v, s = power_value_and_spread(3, 0.0, self.c, LAM, ALPHA, R)
-        assert v == 0.0 and s == 0.0
+        # no time to go: the time factor, and with it every value and spread, is 0
+        assert power_time_factor(0.0, ALPHA, R) == 0.0
+        policy = resolve(POWER, MarketParams(r=R, horizon=1.0)).policy(1.0, 60)
+        assert policy.spread(3, 0.0) == 0.0
 
     def test_infinite_horizon_level_one(self):
-        v, s = power_value_and_spread(1, math.inf, self.c, LAM, ALPHA, R)
-        assert abs(v - 1.5811388300841898) < 1e-10
-        assert abs(s - 3.1622776601683795) < 1e-10  # lam/(alpha*r*c1)
+        sol = resolve(POWER, STATIONARY).solve(1.0, 60)
+        assert abs(sol.values[1] - 1.5811388300841898) < 1e-10
+        assert abs(sol.spreads[1] - 3.1622776601683795) < 1e-10  # lam/(alpha*r*c1)
 
     def test_marginal_value_identity(self):
         # spread = alpha/(alpha-1) * (V(n,T) - V(n-1,T))
-        for n in [1, 5, 20, 60]:
-            for t in [0.05, 0.7, 3.0, math.inf]:
-                v_n, s = power_value_and_spread(n, t, self.c, LAM, ALPHA, R)
-                v_p, _ = power_value_and_spread(n - 1, t, self.c, LAM, ALPHA, R)
-                assert abs(s - ALPHA / (ALPHA - 1.0) * (v_n - v_p)) < 1e-10
-
-    def test_level_out_of_range(self):
-        with pytest.raises(IndexError):
-            power_value_and_spread(61, 1.0, self.c, LAM, ALPHA, R)
+        for t in [0.05, 0.7, 3.0, math.inf]:
+            sol = resolve(POWER, MarketParams(r=R, horizon=t)).solve(1.0, 60)
+            for n in [1, 5, 20, 60]:
+                marginal = ALPHA / (ALPHA - 1.0) * (sol.values[n] - sol.values[n - 1])
+                assert abs(sol.spreads[n] - marginal) < 1e-10
 
     def test_full_liquidation_constant(self):
         # rate at the optimal spread times the horizon factor^alpha is flat in T
-        model = PowerLawIntensity(lam=LAM, alpha=ALPHA)
         products = []
         for t in [0.01, 0.1, 1.0, 10.0]:
-            _, s = power_value_and_spread(4, t, self.c, LAM, ALPHA, R)
-            products.append(model.rate(s) * (-math.expm1(-R * ALPHA * t)))
+            s = resolve(POWER, MarketParams(r=R, horizon=t)).solve(1.0, 4).spreads[4]
+            products.append(POWER.rate(s) * (-math.expm1(-R * ALPHA * t)))
         assert np.ptp(products) < 1e-10 * products[0]
 
 
@@ -304,71 +299,69 @@ class TestZeroRate:
 
     def test_small_r_limit(self):
         # discounted V at r = 1e-6 approaches d_n * T**(1/alpha)
-        c = solve_power_coefficients(LAM, ALPHA, 1e-6, 8)
-        zero = resolve(PowerLawIntensity(lam=LAM, alpha=ALPHA),
-                       MarketParams(r=0.0, horizon=1.0)).solve(1.0, 8)
+        discounted = resolve(POWER, MarketParams(r=1e-6, horizon=1.0)).solve(1.0, 8)
+        zero = resolve(POWER, MarketParams(r=0.0, horizon=1.0)).solve(1.0, 8)
         for n in [1, 4, 8]:
-            v_r, _ = power_value_and_spread(n, 1.0, c, LAM, ALPHA, 1e-6)
-            assert abs(v_r - zero.values[n]) <= 1e-4 * zero.values[n]
+            assert abs(discounted.values[n] - zero.values[n]) <= 1e-4 * zero.values[n]
 
 
 class TestExpectedLiquidationTime:
     def test_values(self):
-        c = solve_power_coefficients(LAM, ALPHA, R, 10)
-        s = expected_liquidation_time_discrete(c, LAM, ALPHA, R)
+        case = resolve(POWER, STATIONARY)
+        s = case.liquidation_times(case.solve(1.0, 10))
         assert s[0] == 0.0
         assert abs(s[1] - 10.0) < 1e-9  # 1/rate(3.16227766) with rate s**-2
 
     def test_increments_match_rates(self):
-        c = solve_power_coefficients(1.4, 2.5, 0.07, 30)
-        s = expected_liquidation_time_discrete(c, 1.4, 2.5, 0.07)
         model = PowerLawIntensity(lam=1.4, alpha=2.5)
-        increments = np.diff(s)
+        case = resolve(model, MarketParams(r=0.07))
+        sol = case.solve(1.0, 30)
+        increments = np.diff(case.liquidation_times(sol))
         for n in range(1, 31):
-            spread = (1.4 / (2.5 * 0.07 * c[n])) ** (1.0 / 1.5)
-            assert abs(increments[n - 1] - 1.0 / model.rate(spread)) < 1e-12
+            assert abs(increments[n - 1] - 1.0 / model.rate(sol.spreads[n])) < 1e-12
         assert np.all(np.diff(increments) < 0.0)  # later units sell faster
 
     def test_units_of_size_delta(self):
         # each wait is delta/rate(s*(n)): the physical spread fills delta units at
-        # rate rate(s)/delta; the unit recursion with lam_eff gives the same times
+        # rate rate(s)/delta; the unit-size problem with lam*delta**(alpha-1)
+        # gives the same times
         lam, alpha, r, delta = 1.4, 2.5, 0.07, 0.25
-        c = solve_power_coefficients(lam, alpha, r, 30, delta)
-        s = expected_liquidation_time_discrete(c, lam, alpha, r, delta)
         model = PowerLawIntensity(lam=lam, alpha=alpha)
-        lam_eff = lam * delta ** (alpha - 1.0)
+        case = resolve(model, MarketParams(r=r))
+        sol = case.solve(delta, 30)
+        s = case.liquidation_times(sol)
+        unit = resolve(PowerLawIntensity(lam=lam * delta ** (alpha - 1.0), alpha=alpha),
+                       MarketParams(r=r))
+        s_unit = unit.liquidation_times(unit.solve(1.0, 30))
         for n in range(1, 31):
-            spread = power_spread_scale(n, c, lam, alpha, r)
-            assert math.isclose(s[n] - s[n - 1], delta / model.rate(spread), rel_tol=1e-12)
-            unit_spread = (lam_eff / (alpha * r * c[n])) ** (1.0 / (alpha - 1.0))
-            assert math.isclose(s[n] - s[n - 1], unit_spread ** alpha / lam_eff,
+            assert math.isclose(s[n] - s[n - 1], delta / model.rate(sol.spreads[n]),
                                 rel_tol=1e-12)
+            assert math.isclose(s[n] - s[n - 1], s_unit[n] - s_unit[n - 1], rel_tol=1e-12)
 
-
-    @pytest.mark.parametrize("lam, alpha, r, delta, n", [
-        (1.0, 2.0, 0.1, 1e-3, 5000), (1.4, 2.5, 0.07, 0.25, 300),
-        (0.3, 1.05, 2.0, 1.0, 200), (2.0, 150.0, 0.1, 0.5, 50)])
-    def test_spread_scales_and_times_match_per_level_loop(self, lam, alpha, r, delta, n):
-        # one list of Python-float pows in place of a NumPy-scalar pow per
-        # level, and np.cumsum in place of the running sum: bit for bit
-        c = solve_power_coefficients(lam, alpha, r, n, delta)
-        loop = np.array([power_spread_scale(k, c, lam, alpha, r) for k in range(1, n + 1)])
-        assert np.array_equal(power_spread_scales(c, lam, alpha, r), loop)
-        # the case forms (lam/d_n)**(1/(alpha-1)) * f from the r-free d_n and
-        # f = (1/(alpha*r))**(1/alpha), the loop (lam/(alpha*r*c_n))**(1/(alpha-1))
-        # from c_n = d_n*f.  The loop's base takes 4 roundings and the case's 1,
-        # each amplified by 1/(alpha-1); the error of f, 2 eps/alpha + 2 eps,
-        # enters as f**(-alpha/(alpha-1)); and the two pows and the product
-        # add 5 eps, with eps = 2**-53
+    @pytest.mark.parametrize("alpha", [1.001, 1.01, 2.5, 150.0])
+    def test_times_match_mpmath(self, alpha):
+        # the times from the float d_n against the same sums in 40 digits:
+        # wait_n = delta/(alpha*r*lam) * (lam/d_n)**e, e = alpha/(alpha-1).
+        # In eps = 2**-53 a wait carries the rounding of lam/d_n, times e;
+        # that of e (2 eps), times e*|log(lam/d_n)|; and the pow, the three
+        # roundings of the constant and the product, 5 eps.  The k-th
+        # partial sum of positive terms adds k-1 eps.
+        lam, r, delta, n = 1.3, 0.4, 0.25, 40
         case = resolve(PowerLawIntensity(lam=lam, alpha=alpha), MarketParams(r=r))
-        bound = ((2.0 * alpha + 7.0) / (alpha - 1.0) + 5.0) * 2.0 ** -53
-        np.testing.assert_allclose(case.solve(delta, n).spreads[1:], loop, rtol=bound,
-                                   atol=0.0)
-        times = np.zeros(n + 1)
-        for k in range(1, n + 1):
-            times[k] = times[k - 1] + delta * loop[k - 1] ** alpha / lam
-        assert np.array_equal(expected_liquidation_time_discrete(c, lam, alpha, r, delta),
-                              times)
+        times = case.liquidation_times(case.solve(delta, n))
+        d = solve_power_zero_rate(lam, alpha, n, delta)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            scale = mpmath.mpf(delta) / (a * r * lam)
+            exact, total = [], mpmath.mpf(0)
+            for dn in d[1:]:
+                total += scale * (lam / mpmath.mpf(dn)) ** (a / (a - 1))
+                exact.append(float(total))
+        e = alpha / (alpha - 1.0)
+        per_wait = e * (1.0 + 2.0 * np.max(np.abs(np.log(lam / d[1:])))) + 5.0
+        bound = (per_wait + np.arange(n)) * 2.0 ** -53
+        assert times[0] == 0.0
+        assert np.all(np.abs(times[1:] - exact) <= bound * np.array(exact))
 
 
 class TestExpFinite:
@@ -487,13 +480,10 @@ class TestExpInfinite:
 
 class TestGenericStationary:
     def test_matches_power_closed_form(self):
-        model = PowerLawIntensity(lam=LAM, alpha=ALPHA)
-        sol = solve_generic_stationary(model, 1.0, R, 12)
-        c = solve_power_coefficients(LAM, ALPHA, R, 12)
-        assert np.max(np.abs(sol.coefficients - c)) < 1e-8
-        for n in range(1, 13):
-            s_star = (LAM / (ALPHA * R * c[n])) ** (1.0 / (ALPHA - 1.0))
-            assert abs(sol.spreads[n] - s_star) < 1e-8
+        sol = solve_generic_stationary(POWER, 1.0, R, 12)
+        closed = resolve(POWER, STATIONARY).solve(1.0, 12)
+        assert np.max(np.abs(sol.coefficients - closed.coefficients)) < 1e-8
+        assert np.max(np.abs(sol.spreads[1:] - closed.spreads[1:])) < 1e-8
 
     def test_matches_exp_closed_form(self):
         model = ExpDecayIntensity(lam=1.0, kappa=1.0)
@@ -538,20 +528,20 @@ class TestGenericStationary:
         assert np.all(np.diff(sol.spreads[1:]) <= 1e-10)
 
     def test_delta_scaling_reduction(self):
-        # the lam_eff = lam*delta**(alpha-1) reduction must agree with the
-        # generic dynamic program run directly at delta != 1
+        # the power-law recursion, where delta enters only through
+        # lam*delta**(alpha-1), must agree with the generic dynamic program
+        # run directly at delta != 1
         delta = 0.25
-        model = PowerLawIntensity(lam=LAM, alpha=ALPHA)
-        sol = solve_generic_stationary(model, delta, R, 8)
-        c = solve_power_coefficients(LAM, ALPHA, R, 8, delta=delta)
+        sol = solve_generic_stationary(POWER, delta, R, 8)
+        c = resolve(POWER, STATIONARY).solve(delta, 8).coefficients
         assert np.max(np.abs(sol.coefficients - c)) < 1e-8
 
 
 class TestSolveDiscreteDispatch:
     def test_power_finite_horizon(self):
-        model = PowerLawIntensity(lam=LAM, alpha=ALPHA)
-        sol = solve_discrete(model, MarketParams(r=R, horizon=1.0), 1.0, 6)
-        factor = horizon_factor(1.0, ALPHA, R)
+        # the value at T is the stationary c_n times (1 - exp(-r*alpha*T))**(1/alpha)
+        sol = solve_discrete(POWER, MarketParams(r=R, horizon=1.0), 1.0, 6)
+        factor = (-math.expm1(-R * ALPHA * 1.0)) ** (1.0 / ALPHA)
         assert abs(sol.values[6] - sol.coefficients[6] * factor) < 1e-14
 
     def test_exp_finite_requires_zero_rate(self):

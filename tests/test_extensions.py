@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lobliq.discrete import solve_power_coefficients
+from lobliq.cases import resolve
 from lobliq.extensions import (
     ExpansionSolution,
     RegimeParams,
@@ -14,6 +14,7 @@ from lobliq.extensions import (
     two_exchange_expansion,
     two_exchange_patch,
 )
+from lobliq.intensity import MarketParams, PowerLawIntensity
 
 FIG4 = dict(lambda0=1.5, lambda1=0.5, r=0.1, alpha=2.0)
 
@@ -86,8 +87,9 @@ class TestRegimeDiscrete:
     def test_zero_rates_decouple_to_single_regime(self):
         p = RegimeParams(theta0=0.0, theta1=0.0, **FIG4)
         u, w = regime_discrete(p, 10)
-        assert np.max(np.abs(u - solve_power_coefficients(1.5, 2.0, 0.1, 10))) < 1e-10
-        assert np.max(np.abs(w - solve_power_coefficients(0.5, 2.0, 0.1, 10))) < 1e-10
+        for lam, values in ((1.5, u), (0.5, w)):
+            single = resolve(PowerLawIntensity(lam=lam, alpha=2.0), MarketParams(r=0.1))
+            assert np.max(np.abs(values - single.solve(1.0, 10).coefficients)) < 1e-10
 
     def test_large_n_matches_fluid_constants(self):
         p = RegimeParams(theta0=1.0, theta1=1.0, **FIG4)

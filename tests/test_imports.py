@@ -1,4 +1,5 @@
-"""SciPy stays out of the package's import and out of the power-law paths.
+"""SciPy stays out of the package's import and out of the power-law paths,
+and every name a module exports exists.
 
 ``import lobliq.cli`` and the power-law commands run in NumPy time: SciPy is
 imported inside the few functions that need it (the exponential-book E1
@@ -10,6 +11,7 @@ name ``IntegrationWarning``).
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -73,6 +75,15 @@ def test_no_module_level_scipy_import(path):
     assert not hits, "\n".join(f"{path.name}:{line}: module-level import of {name}; "
                                "import it inside the function that needs it"
                                for line, name in hits)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_exported_name_exists(path):
+    # a deleted function must not stay behind in its module's __all__
+    name = "lobliq" if path.stem == "__init__" else f"lobliq.{path.stem}"
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names what it does not define: {missing}"
 
 
 # a fresh interpreter: import the CLI, optionally run one command, and print

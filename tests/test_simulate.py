@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from lobliq.cases import resolve
-from lobliq.discrete import (
-    horizon_factor,
-    solve_exp_finite,
-    solve_power_coefficients,
-)
+from lobliq.discrete import solve_exp_finite
 from lobliq.fluid import fluid_solution
 from lobliq.intensity import (
     ExpDecayIntensity,
@@ -52,8 +48,7 @@ class TestSimulatePolicy:
     def test_optimal_power_unbiased(self):
         pol = optimal_policy(POWER, FINITE, 1.0, 6)
         stats = simulate_policy(POWER, FINITE, 6, 1.0, pol, 20_000, seed=5)
-        c = solve_power_coefficients(1.0, 2.0, 0.1, 6)
-        target = c[6] * horizon_factor(1.0, 2.0, 0.1)
+        target = resolve(POWER, FINITE).solve(1.0, 6).values[6]
         assert abs(stats.mean_revenue - target) <= 3.0 * stats.std_error
         assert stats.liquidation_fraction == 1.0
 
@@ -342,14 +337,14 @@ class TestFluidPolicyEvaluation:
 
     def test_close_to_optimal_at_fine_delta(self):
         values = evaluate_fluid_policy_exact(POWER, INF, 500, 0.01)
-        c = solve_power_coefficients(1.0, 2.0, 0.1, 500, delta=0.01)
+        c = resolve(POWER, INF).solve(0.01, 500).coefficients
         ratio = values[500] / c[500]
         assert ratio <= 1.0 + 1e-12      # suboptimal policy never wins
         assert ratio > 0.99              # but is within a percent at x = 5
 
     def test_suboptimality_every_level(self):
         values = evaluate_fluid_policy_exact(POWER, INF, 12, 1.0)
-        c = solve_power_coefficients(1.0, 2.0, 0.1, 12)
+        c = resolve(POWER, INF).solve(1.0, 12).coefficients
         assert np.all(values <= c + 1e-12)
 
     def test_monte_carlo_agreement(self):
