@@ -13,7 +13,7 @@ installed on those modules see every call made on a case's behalf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -261,10 +261,10 @@ class Case:
 
     def _fluid(self, pair, curve) -> FluidSolution:
         # pair: x -> (value, spread); curve: (t, x0) -> inventory
-        return FluidSolution(self.model, self.market, lambda x: pair(x)[0],
-                             lambda x: pair(x)[1], curve)
+        return FluidSolution(self.model, self.market, pair, curve)
 
 
+@dataclass(frozen=True)
 class PowerLaw(Case):
     """Power-law book, any r >= 0 and any horizon.
 
@@ -275,13 +275,22 @@ class PowerLaw(Case):
     (lam/d_n)**(1/(alpha-1)) times it.
     """
 
+    # the last (delta, n_max) -> (d, sigma) solved, so that liquidation_times
+    # and policy reuse the recursion solve has just run
+    _solved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
     def _levels(self, delta, n_max):
-        """d_0..d_n and sigma_1..sigma_n (nan at 0)."""
-        m = self.model
-        d = discrete.solve_power_zero_rate(m.lam, m.alpha, n_max, delta)
-        sigma = np.full(n_max + 1, math.nan)
-        sigma[1:] = (m.lam / d[1:]) ** (1.0 / (m.alpha - 1.0))
-        return d, sigma
+        """d_0..d_n and sigma_1..sigma_n (nan at 0), read-only."""
+        key = (delta, n_max)
+        if key not in self._solved:
+            m = self.model
+            d = discrete.solve_power_zero_rate(m.lam, m.alpha, n_max, delta)
+            sigma = np.full(n_max + 1, math.nan)
+            sigma[1:] = (m.lam / d[1:]) ** (1.0 / (m.alpha - 1.0))
+            d.flags.writeable = sigma.flags.writeable = False
+            self._solved.clear()
+            self._solved[key] = d, sigma
+        return self._solved[key]
 
     def solve(self, delta, n_max):
         d, sigma = self._levels(delta, n_max)
@@ -316,7 +325,7 @@ class PowerLaw(Case):
         if not self.market.infinite_horizon:
             return None
         lam, alpha = self.model.lam, self.model.alpha
-        d = discrete.solve_power_zero_rate(lam, alpha, sol.n_max, sol.delta)
+        d = self._levels(sol.delta, sol.n_max)[0]
         waits = (sol.delta / (alpha * self.market.r * lam)
                  * (lam / d[1:]) ** (alpha / (alpha - 1.0)))
         return np.concatenate(([0.0], np.cumsum(waits)))

@@ -84,8 +84,7 @@ def _cmd_solve(cfg: RunConfig, artifacts: list) -> None:
 def _cmd_fluid(cfg: RunConfig, artifacts: list) -> None:
     fl = fluid_solution(cfg.model, cfg.market)
     xs = cfg.section["x_grid"]
-    values = np.array([fl.value(x) for x in xs])
-    spreads = np.array([fl.spread(x) for x in xs])
+    values, spreads = np.array([fl.value_and_spread(x) for x in xs]).T
     _emit_table(cfg, "fluid", {"x": xs, "value": values, "spread": spreads},
                 {"x": "inventory", "value": "fluid-limit value",
                  "spread": "fluid-limit optimal spread"}, artifacts)

@@ -100,8 +100,7 @@ def value_convergence(model: IntensityModel, market: MarketParams, x_probe: floa
         level_of(x_probe, d)  # raises on misalignment
 
     fl = fluid_solution(model, market)
-    fluid_value = fl.value(x_probe)
-    fluid_spread = fl.spread(x_probe)
+    fluid_value, fluid_spread = fl.value_and_spread(x_probe)
 
     values = np.empty(len(deltas))
     spreads = np.empty(len(deltas))

@@ -248,9 +248,14 @@ class FluidSolution:
 
     model: IntensityModel
     market: MarketParams
-    value: Callable[[float], float]
-    spread: Callable[[float], float]
+    value_and_spread: Callable[[float], tuple[float, float]]  # one solve for both
     trade_curve: Callable[[float, float], float]  # (t, x0) -> inventory
+
+    def value(self, x: float) -> float:
+        return self.value_and_spread(x)[0]
+
+    def spread(self, x: float) -> float:
+        return self.value_and_spread(x)[1]
 
 
 def fluid_solution(model: IntensityModel, market: MarketParams) -> FluidSolution:

@@ -90,6 +90,34 @@ class TestCliCommands:
         assert os.path.exists(tmp_path / "out" / "solve.schema.json")
         assert os.path.exists(tmp_path / "out" / "manifest.json")
 
+    def test_infinite_horizon_solve_runs_the_recursion_once(self, tmp_path, monkeypatch):
+        # the liquidation times reuse the d_n that solve has just computed
+        calls = []
+        solve = lobliq.discrete.solve_power_zero_rate
+        monkeypatch.setattr(lobliq.discrete, "solve_power_zero_rate",
+                            lambda *a: calls.append(a) or solve(*a))
+        cfg = dict(BASE, solve={"n_max": 50, "delta": 0.1},
+                   output={"directory": str(tmp_path / "out"), "formats": "csv"})
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 0
+        assert len(calls) == 1
+        header, _ = read_csv(tmp_path / "out" / "solve.csv")
+        assert "expected_liquidation_time" in header
+
+    def test_fluid_solves_each_grid_point_once(self, tmp_path, monkeypatch):
+        # the value and the spread at a point come from one E1 root
+        calls = []
+        log_w = lobliq.fluid._log_w
+        monkeypatch.setattr(lobliq.fluid, "_log_w", lambda c: calls.append(c) or log_w(c))
+        cfg = {"model": {"kind": "exp", "lam": 1.0, "kappa": 1.0},
+               "market": {"r": 0.1, "horizon": "inf"},
+               "fluid": {"x_grid": {"start": 0.5, "stop": 2.0, "count": 4}},
+               "output": {"directory": str(tmp_path / "out"), "formats": "csv"}}
+        assert main(["fluid", "--config", write_cfg(tmp_path, cfg)]) == 0
+        assert len(calls) == 4
+        _, rows = read_csv(tmp_path / "out" / "fluid.csv")
+        for x, value, spread in ((float(c) for c in row) for row in rows):
+            assert (value, spread) == lobliq.fluid.exp_fluid_infinite(x, 1.0, 1.0, 0.1)
+
     def test_figures_three_curves(self, tmp_path):
         cfg = {"figures": {"figure": 1,
                            "x_grid": {"start": 0.1, "stop": 5.0, "count": 20,

@@ -1,5 +1,6 @@
 """SciPy stays out of the package's import and out of the power-law paths,
-and every name a module exports exists.
+the report writers' vector spelling stays out of the package's import, and
+every name a module exports exists.
 
 ``import lobliq.cli`` and the power-law commands run in NumPy time: SciPy is
 imported inside the few functions that need it (the exponential-book E1
@@ -87,13 +88,17 @@ def test_every_exported_name_exists(path):
 
 
 # a fresh interpreter: import the CLI, optionally run one command, and print
-# the SciPy modules then loaded
+# the SciPy modules then loaded and whether the report writers' vector
+# spelling, with its digit table, has been imported
 _PROBE = """
 import json, sys
 import lobliq.cli
 if len(sys.argv) > 1 and lobliq.cli.main(sys.argv[1:]) != 0:
     sys.exit("command failed")
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps({
+    "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "digit_table": "lobliq._spelling" in sys.modules,
+}))
 """
 
 _POWER = {"kind": "power", "lam": 1.0, "alpha": 2.0}
@@ -108,7 +113,7 @@ _RUNS = {
 }
 
 
-def _scipy_modules_after(*argv) -> list[str]:
+def _probe(*argv) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
@@ -118,7 +123,18 @@ def _scipy_modules_after(*argv) -> list[str]:
 
 
 def test_cli_import_loads_no_scipy():
-    assert _scipy_modules_after() == []
+    assert _probe()["scipy"] == []
+
+
+def test_cli_import_builds_no_digit_table(tmp_path):
+    # the table is built by the first long column written, not at import,
+    # which the benchmark's setup time includes
+    assert _probe()["digit_table"] is False
+    cfg = {"model": _POWER, "market": _INF, "solve": {"n_max": 400, "delta": 0.01},
+           "output": {"directory": str(tmp_path / "out"), "formats": "csv"}}
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert _probe("solve", "--config", str(path))["digit_table"] is True
 
 
 @pytest.mark.parametrize("command", sorted(_RUNS))
@@ -128,4 +144,4 @@ def test_power_law_command_loads_no_scipy(command, tmp_path):
            "output": {"directory": str(tmp_path / "out"), "formats": "both"}}
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(cfg))
-    assert _scipy_modules_after(command, "--config", str(path)) == []
+    assert _probe(command, "--config", str(path))["scipy"] == []

@@ -3,9 +3,11 @@ import math
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lobliq import reports
 from lobliq.reports import format_number, write_csv, write_json
 
 COLUMNS = {
@@ -85,3 +87,98 @@ def test_json_layout_matches_indenting_encoder(tmp_path_factory, payload):
     body = {"schema_version": 1}
     body.update(_reference_jsonable(payload))
     assert path.read_text() == json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+
+# --------------------------------------------------------------------------
+# Long columns are spelled in vectors, short ones one value at a time; both
+# must give '%.17g' % v in CSV and repr(v) in JSON.  Each case is written as
+# a column of LONG rows and as 3-row columns.
+
+LONG = 40_000
+
+
+def _tie_cases():
+    # M/4 for odd M in [4e15, 2**53): the 17th significant digit is a tie
+    m = np.random.default_rng(15).integers(2 * 10**15, 2**52, 5000) * 2 + 1
+    return m / 4.0
+
+
+def _power_of_ten_cases():
+    tens = 10.0 ** np.arange(-320, 309).astype(float)
+    return np.concatenate([tens, np.nextafter(tens, math.inf), np.nextafter(tens, -math.inf)])
+
+
+def _special_cases():
+    # every power of two: their rounding intervals are lopsided
+    twos = 2.0 ** np.arange(-1074, 1024).astype(float)
+    tiny = np.array([5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308])
+    edges = np.array([0.0, -0.0, math.nan, math.inf, -math.inf,
+                      1.7976931348623157e308, 1e-6, 1e17, 99999999999999999.0])
+    return np.concatenate([twos, -twos, tiny, -tiny, edges, -edges])
+
+
+def _integer_cases():
+    ints = np.random.default_rng(16).integers(0, 2**53, 5000, endpoint=True)
+    return np.concatenate([ints, [2**53, 2**53 - 1, 10**15, 10**16 - 1]]).astype(float)
+
+
+FLOAT_CASES = {
+    "ties": _tie_cases(),
+    "powers_of_ten": _power_of_ten_cases(),
+    "specials": _special_cases(),
+    "integers": _integer_cases(),
+    "milli_grid": np.arange(LONG) * 0.001,
+    "float32": np.random.default_rng(17).standard_normal(LONG).astype(np.float32)
+    * np.float32(1000.0),
+}
+INT_CASES = {
+    "int64": np.array([-2**63, 2**63 - 1, 0, -1, 1, 9, 10, -10**18, 10**18, 99, -100]),
+    "uint64": np.array([0, 1, 2**64 - 1, 10**19, 10**19 - 1, 2**63], dtype=np.uint64),
+    "int32": np.array([-2**31, 2**31 - 1, 0, 7], dtype=np.int32),
+}
+
+
+def _columns(values):
+    """The case as one LONG-row column and as 3-row columns."""
+    short = [values[i:i + 3] for i in range(0, len(values) - 2, max(1, len(values) // 50))]
+    return [np.resize(values, LONG), *short]
+
+
+def _json_reference(columns):
+    body = {"schema_version": 1}
+    body.update(_reference_jsonable({"columns": columns}))
+    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("case", sorted({**FLOAT_CASES, **INT_CASES}))
+def test_column_spelling_matches_per_value_references(tmp_path, case):
+    values = {**FLOAT_CASES, **INT_CASES}[case]
+    spell = "%d" if values.dtype.kind in "iu" else "%.17g"
+    for column in _columns(values):
+        path = tmp_path / "t.csv"
+        write_csv(str(path), {"x": column})
+        assert path.read_text() == "x\n" + "".join(spell % v + "\n" for v in column.tolist())
+        write_json(str(tmp_path / "t.json"), {"columns": {"x": column}})
+        expected = _json_reference({"x": column})
+        assert (tmp_path / "t.json").read_text() == expected
+
+
+def test_long_table_matches_per_cell_reference(tmp_path):
+    columns = {k: np.resize(v, LONG) for k, v in COLUMNS.items()}
+    write_csv(str(tmp_path / "t.csv"), columns)
+    assert (tmp_path / "t.csv").read_text() == _reference_csv(columns)
+    write_json(str(tmp_path / "t.json"), {"columns": columns})
+    assert (tmp_path / "t.json").read_text() == _json_reference(columns)
+
+
+@given(hnp.arrays(np.int64, st.integers(reports._VECTOR_ROWS, 3 * reports._VECTOR_ROWS)))
+@settings(max_examples=150, deadline=None)
+def test_vector_spelling_of_raw_bit_patterns(tmp_path_factory, bits):
+    # every float64, the non-finite and subnormal ones included
+    x = bits.view(np.float64)
+    path = tmp_path_factory.mktemp("bits")
+    write_csv(str(path / "t.csv"), {"x": x})
+    assert (path / "t.csv").read_text() == "x\n" + "".join(
+        "%.17g\n" % v for v in x.tolist())
+    write_json(str(path / "t.json"), {"columns": {"x": x}})
+    assert (path / "t.json").read_text() == _json_reference({"x": x})
