@@ -6,14 +6,13 @@ reports, Monte Carlo simulation of the optimally controlled inventory, and
 the regime-switching / two-exchange extensions.
 """
 
+from .cases import resolve
 from .convergence import (
-    coefficient_asymptotics,
     control_convergence,
     value_convergence,
 )
 from .discrete import (
     DiscreteSolution,
-    solve_discrete,
     solve_exp_finite,
     solve_exp_infinite,
     solve_generic_stationary,
@@ -22,7 +21,6 @@ from .discrete import (
 from .extensions import (
     RegimeParams,
     TwoExchangeParams,
-    regime_discrete,
     regime_fluid_fixed_point,
     two_exchange_expansion,
     two_exchange_patch,
@@ -31,7 +29,6 @@ from .fluid import (
     FluidSolution,
     exp_fluid_finite,
     exp_fluid_infinite,
-    fluid_passage_time,
     fluid_solution,
     power_fluid,
     power_trade_curve,
@@ -51,7 +48,6 @@ from .simulate import (
     OptimalPowerPolicy,
     SimPath,
     StationarySpreadPolicy,
-    evaluate_fluid_policy_exact,
     execution_curve_ode,
     fluid_spread_policy,
     optimal_policy,

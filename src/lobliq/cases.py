@@ -214,9 +214,8 @@ class Case:
     Each case provides ``solve(delta, n_max)``, the per-level values and
     optimal spreads as a :class:`DiscreteSolution`; ``fluid()``, the
     continuous-selling limit as a :class:`FluidSolution`; ``policy(delta,
-    n_max)``, the optimal :class:`SpreadPolicy`; ``level_rates(n_units)``,
-    the map t -> fill rates of levels 1..n at unit trading size; and
-    ``execution_curve``, the exact mean inventory under the optimal policy.
+    n_max)``, the optimal :class:`SpreadPolicy`; and ``execution_curve``,
+    the exact mean inventory under the optimal policy.
     Each case with a fluid limit also provides ``fluid_cell_spread(x,
     delta)``, the fluid spread averaged over the cell [x - delta, x], from
     the drop of the fluid value across it.
@@ -243,10 +242,6 @@ class Case:
         """The fill clock and level constants b_1..b_n at unit trading size."""
         clock = self.policy(1.0, n_units).clock(self.model, 1.0, self.market.horizon)
         return clock, np.array([clock.rate(k) for k in range(1, n_units + 1)])
-
-    def level_rates(self, n_units):
-        clock, base = self._clock(n_units)
-        return lambda t: base * clock.profile(t)
 
     def execution_curve(self, n_units: int,
                         times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -354,6 +349,7 @@ class ExpZeroRate(Case):
         return ExpZeroRatePolicy(lam=self.model.lam, kappa=self.model.kappa, delta=delta)
 
     def level_rates(self, n_units):
+        """The map t -> fill rates of levels 1..n at unit trading size."""
         T, lam = self.market.horizon, self.model.lam
 
         def rates(t):

@@ -308,8 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="root RNG seed (overrides config)")
         p.add_argument("--threads", type=int,
-                       help="simulate: path-block groups, no effect on results "
-                            "or speed (overrides config)")
+                       help="simulate: accepted, must be >= 1; no effect on "
+                            "results or speed (overrides config)")
         p.add_argument("--format", choices=("csv", "json", "both"),
                        help="artifact formats (overrides config)")
     return parser

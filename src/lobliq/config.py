@@ -99,7 +99,8 @@ def _grid(section, key, path, *, default=None):
     spec = section[key]
     p = f"{path}.{key}"
     _require_keys(spec, {"start", "stop", "count", "spacing"}, {"start", "stop", "count"}, p)
-    start = _number(spec, "start", p)
+    # every grid holds inventories, times or rates
+    start = _number(spec, "start", p, minimum=0.0)
     stop = _number(spec, "stop", p)
     count = _integer(spec, "count", p, minimum=2)
     spacing = _choice(spec, "spacing", p, ("linear", "log"), default="linear")
@@ -191,7 +192,7 @@ def _validate_section(command: str, section: dict) -> dict:
             raise ConfigError(f"{command}.x_probe: {out['x_probe']} is not a positive "
                               f"multiple of delta0 = {out['delta0']}")
     elif command == "simulate":
-        out["n_units"] = _integer(section, "n_units", command, minimum=0)
+        out["n_units"] = _integer(section, "n_units", command, minimum=1)
         out["delta"] = _number(section, "delta", command, default=1.0,
                                minimum=0.0, exclusive=True)
         out["n_paths"] = _integer(section, "n_paths", command, minimum=1)

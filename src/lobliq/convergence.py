@@ -16,16 +16,14 @@ import numpy as np
 from .cases import resolve
 from .discrete import level_of
 from .fluid import fluid_solution
-from .intensity import IntensityModel, MarketParams, PowerLawIntensity
+from .intensity import IntensityModel, MarketParams
 
 __all__ = [
     "ConvergenceReport",
     "SpreadConvergence",
-    "AsymptoticsReport",
     "discrete_value_and_spread_at",
     "value_convergence",
     "control_convergence",
-    "coefficient_asymptotics",
 ]
 
 
@@ -54,21 +52,6 @@ class SpreadConvergence:
     averaged: np.ndarray      # cell average of the fluid spread over [x-Delta, x]
     averaged_err: np.ndarray  # |discrete - averaged|
     averaged_wins: bool       # cell average closer than the pointwise value everywhere
-
-
-@dataclass(frozen=True)
-class AsymptoticsReport:
-    n: np.ndarray
-    coefficient_ratio: np.ndarray  # c_n / ((lam/(r*alpha))**(1/alpha) * n**((alpha-1)/alpha))
-    spread_ratio: np.ndarray       # s*(n) * n**(1/alpha) / (lam/(alpha*r))**(1/alpha)
-
-    @property
-    def final_coefficient_deviation(self) -> float:
-        return abs(self.coefficient_ratio[-1] - 1.0)
-
-    @property
-    def final_spread_deviation(self) -> float:
-        return abs(self.spread_ratio[-1] - 1.0)
 
 
 def discrete_value_and_spread_at(model: IntensityModel, market: MarketParams,
@@ -158,19 +141,3 @@ def _spread_table(model: IntensityModel, market: MarketParams, x_probe: float,
                              averaged=averaged, averaged_err=averaged_err,
                              averaged_wins=bool(np.all(averaged_err <= pointwise_err)))
 
-
-def coefficient_asymptotics(lam: float, alpha: float, r: float,
-                            n_max: int) -> AsymptoticsReport:
-    """Large-n behaviour of the value coefficients and optimal spreads.
-
-    c_n grows like (lam/(r*alpha))**(1/alpha) * n**((alpha-1)/alpha) and the
-    spread decays like (lam/(alpha*r))**(1/alpha) / n**(1/alpha); both ratio
-    sequences drift to 1.
-    """
-    sol = resolve(PowerLawIntensity(lam=lam, alpha=alpha), MarketParams(r=r)).solve(1.0, n_max)
-    n = np.arange(1, n_max + 1, dtype=float)
-    scale = (lam / (r * alpha)) ** (1.0 / alpha)
-    c_ratio = sol.coefficients[1:] / (scale * n ** ((alpha - 1.0) / alpha))
-    s_ratio = sol.spreads[1:] * n ** (1.0 / alpha) / scale
-    return AsymptoticsReport(n=n.astype(int), coefficient_ratio=c_ratio,
-                             spread_ratio=s_ratio)

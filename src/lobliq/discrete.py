@@ -37,7 +37,6 @@ __all__ = [
     "exp_hazard_drop",
     "solve_exp_infinite",
     "solve_generic_stationary",
-    "solve_discrete",
 ]
 
 _RESIDUAL_RTOL = 1e-10
@@ -418,9 +417,3 @@ def solve_generic_stationary(model: IntensityModel, delta: float, r: float,
                             coefficients=values, values=values, spreads=spreads,
                             non_unique_risk=flagged)
 
-
-def solve_discrete(model: IntensityModel, market: MarketParams, delta: float,
-                   n_max: int) -> DiscreteSolution:
-    """Solve the level recursion for any supported model/market combination."""
-    from .cases import resolve  # cases builds on this module
-    return resolve(model, market).solve(delta, n_max)

@@ -1,8 +1,9 @@
 """Regime-switching liquidity and the two-exchange multi-scale model.
 
 Both extensions keep the power-law book.  Regime switching modulates the
-arrival scale by a two-state Markov chain and couples two value recursions;
-the two-exchange model adds a second venue filling large blocks, turning the
+arrival scale by a two-state Markov chain and couples the two regimes'
+values, whose fluid constants solve a 2x2 algebraic system; the
+two-exchange model adds a second venue filling large blocks, turning the
 stationary value equation into a delay ODE solved by patching segment by
 segment.
 """
@@ -24,7 +25,6 @@ __all__ = [
     "TwoExchangeSolution",
     "ExpansionSolution",
     "regime_fluid_fixed_point",
-    "regime_discrete",
     "two_exchange_patch",
     "two_exchange_expansion",
 ]
@@ -130,80 +130,6 @@ def regime_fluid_fixed_point(params: RegimeParams) -> tuple[float, float]:
     return _regime_newton(c0, c1, params)
 
 
-def _regime_level(b, theta, prev, other, guess_inc, p: RegimeParams, label, n, brentq):
-    """prev + m, where m > 0 solves b*m**(1-a) = (r+theta)*(prev+m) - theta*other:
-    one regime's level equation with the other regime's value held fixed.
-    ``brentq`` is SciPy's, which the caller imports once per solve."""
-    a = p.alpha
-    f = lambda m: b * m ** (1.0 - a) - (p.r + theta) * (prev + m) + theta * other
-    hi_m = guess_inc
-    for _ in range(200):
-        if f(hi_m) < 0.0:
-            break
-        hi_m *= 2.0
-    else:
-        raise ArithmeticError(f"regime {label}-bracket failure at level {n}")
-    lo_m = hi_m
-    for _ in range(2000):
-        lo_m *= 0.5
-        if f(lo_m) > 0.0:
-            break
-    else:
-        raise ArithmeticError(f"regime {label}-bracket failure at level {n}")
-    return prev + brentq(f, lo_m, hi_m, xtol=1e-300, rtol=8.882e-16)
-
-
-def regime_discrete(params: RegimeParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coupled per-level values (U(n), W(n)) under regime switching.
-
-    Each level solves the 2x2 nonlinear system by alternating two bracketed
-    scalar root finds (``brentq`` on one regime's equation with the other's
-    value held fixed) until neither value moves by more than 1e-14 *
-    max(1, value), then checks both residuals and raises ArithmeticError if
-    either exceeds 1e-10 * max(1, r*U(n)); there is no joint Newton step.
-    U(n) > W(n) at every positive level (the active market is worth more).
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    from scipy.optimize import brentq
-
-    a = params.alpha
-    aa = power_constant(a)
-    b0 = aa * params.lambda0
-    b1 = aa * params.lambda1
-    r, t0, t1 = params.r, params.theta0, params.theta1
-
-    u = np.zeros(n_max + 1)
-    w = np.zeros(n_max + 1)
-    inc_u = inc_w = None
-    for n in range(1, n_max + 1):
-        up, wp = u[n - 1], w[n - 1]
-        guess_u = inc_u if inc_u is not None else (b0 / r) ** (1.0 / a)
-        guess_w = inc_w if inc_w is not None else (b1 / r) ** (1.0 / a)
-        u_n = up + guess_u
-        w_n = wp + guess_w
-        for _ in range(200):
-            u_new = _regime_level(b0, t0, up, w_n, guess_u, params, "U", n, brentq)
-            w_new = _regime_level(b1, t1, wp, u_new, guess_w, params, "W", n, brentq)
-            done = (abs(u_new - u_n) <= 1e-14 * max(1.0, u_new)
-                    and abs(w_new - w_n) <= 1e-14 * max(1.0, w_new))
-            u_n, w_n = u_new, w_new
-            if done:
-                break
-        else:
-            raise ArithmeticError(f"regime alternation failed to converge at level {n}")
-
-        res_u = b0 * (u_n - up) ** (1.0 - a) - (r + t0) * u_n + t0 * w_n
-        res_w = b1 * (w_n - wp) ** (1.0 - a) - (r + t1) * w_n + t1 * u_n
-        scale = max(1.0, r * u_n)
-        if abs(res_u) > 1e-10 * scale or abs(res_w) > 1e-10 * scale:
-            raise ArithmeticError(f"regime residuals too large at level {n}: "
-                                  f"{res_u:.3e}, {res_w:.3e}")
-        inc_u, inc_w = u_n - up, w_n - wp
-        u[n], w[n] = u_n, w_n
-    return u, w
-
-
 # --------------------------------------------------------------------------
 # two-exchange multi-scale model
 
@@ -248,9 +174,6 @@ class TwoExchangeSolution:
     spread_continuous: np.ndarray  # s0, from the marginal value
     spread_block: np.ndarray       # s1, from the delayed difference
     x_seed: float
-
-    def value_at(self, x: float) -> float:
-        return float(np.interp(x, self.x_grid, self.value))
 
 
 def _patch_integrate(params: TwoExchangeParams, x_seed: float):

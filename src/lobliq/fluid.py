@@ -25,7 +25,6 @@ __all__ = [
     "exp_fluid_infinite",
     "exp_infinite_cell_spread",
     "exp_trade_curve",
-    "fluid_passage_time",
     "fluid_solution",
 ]
 
@@ -224,22 +223,6 @@ def exp_trade_curve(t: float, x0: float, lam: float, kappa: float,
 
     s0 = _log_w(math.e * r * x0 / lam)
     return lam / (math.e * r) * _e1_of_log(s0 + r * t, exp1)
-
-
-def fluid_passage_time(x1: float, x2: float, lam: float, alpha: float,
-                       r: float) -> float:
-    """Expected time for the optimally-controlled fluid inventory to fall
-    from x2 to x1 (power-law book, infinite horizon): log(x2/x1)/(alpha*r).
-
-    The remainder below any level is executed arbitrarily slowly, so x1 must
-    stay positive.
-    """
-    if x1 <= 0.0:
-        raise ValueError("x1 must be positive: passage to 0 takes forever")
-    if x2 < x1:
-        raise ValueError("requires x1 <= x2")
-    del lam  # the optimal trading rate alpha*r*u does not depend on lam
-    return math.log(x2 / x1) / (alpha * r)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ Paths are simulated in fixed-size blocks.  Block b draws one matrix of
 standard exponentials, row by row, from a stream keyed on (seed, b), and
 every live path of the block advances one fill per NumPy step.  A path's
 draws therefore depend only on the seed, its index and the unit count,
-never on the ensemble size; ``threads`` only partitions the block range and
-changes neither the results nor the speed.
+never on the ensemble size.  Blocks run one after another; ``threads``
+is checked and otherwise ignored, so it changes neither the results nor the
+speed.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ __all__ = [
     "optimal_policy",
     "fluid_spread_policy",
     "simulate_policy",
-    "constant_policy_value",
-    "evaluate_fluid_policy_exact",
     "execution_curve_ode",
 ]
 
@@ -151,11 +150,14 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
     Returns :class:`EnsembleStats` (and, when ``keep_paths``, every fill as a
     :class:`FillTable`).  The sample mean of discounted revenue is an unbiased
     estimate of the policy's value; one unit ``delta`` is sold per fill at
-    the spread posted at that instant.  ``threads`` splits the path blocks
-    into that many contiguous groups; the results are the same for any value.
+    the spread posted at that instant.  ``threads`` must be at least 1 and
+    has no other effect: the blocks run in order and the results are the
+    same for any value.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if n_units < 0:
         raise ValueError("n_units must be >= 0")
     horizon = market.horizon
@@ -209,12 +211,8 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
                 times[live, j] = t_next
                 spreads[live, j] = s
 
-    # each block's draws depend on (seed, block) alone, so any partition of
-    # the block range into groups gives the same results
-    n_blocks = -(-n_paths // _BLOCK_PATHS)
-    for group in np.array_split(np.arange(n_blocks), max(1, int(threads))):
-        for block in group.tolist():
-            run_block(block)
+    for block in range(-(-n_paths // _BLOCK_PATHS)):
+        run_block(block)
 
     mean = float(np.mean(revenues))
     if n_paths > 1:
@@ -248,36 +246,6 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
     rows, cols = np.nonzero(np.arange(n_units) < fill_counts[:, None])
     return stats, FillTable(rows, cols, fill_times[rows, cols], fill_spreads[rows, cols],
                             discounted_revenue=revenues, n_units=n_units, delta=delta)
-
-
-def constant_policy_value(model: IntensityModel, market: MarketParams,
-                          n_units: int, delta: float, spread: float) -> float:
-    """Closed-form value of posting one fixed spread forever (r > 0):
-    the geometric sum s*delta*(q + ... + q^n) with q = rate/(rate + r*delta)."""
-    if not market.infinite_horizon:
-        raise ValueError("closed form holds on the infinite horizon")
-    rate = model.rate(spread)
-    q = rate / (rate + market.r * delta)
-    return spread * delta * q * (1.0 - q ** n_units) / (1.0 - q)
-
-
-def evaluate_fluid_policy_exact(model: IntensityModel, market: MarketParams,
-                                n_units: int, delta: float) -> np.ndarray:
-    """Value of running the fluid-limit spread inside the discrete problem.
-
-    No Monte Carlo: between fills the spread is constant, so the value
-    satisfies Vtilde(x) = q*(s*delta + Vtilde(x - delta)) exactly, with
-    s the fluid spread at x and q = rate/(rate + r*delta).  Always a lower
-    bound on the optimal discrete value (the policy is suboptimal).
-    """
-    spreads = fluid_spread_policy(model, market, delta, n_units).spreads.tolist()
-    values = np.zeros(n_units + 1)
-    for n in range(1, n_units + 1):
-        s = spreads[n]
-        rate = model.rate(s)
-        q = rate / (rate + market.r * delta)
-        values[n] = q * (s * delta + values[n - 1])
-    return values
 
 
 # --------------------------------------------------------------------------

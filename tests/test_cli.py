@@ -496,6 +496,31 @@ class TestCliCommands:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, section, field", [
+        ("fluid", {"x_grid": {"start": -0.5, "stop": 2.0, "count": 3}}, "fluid.x_grid.start"),
+        ("figures", {"figure": 1, "x_grid": {"start": -0.5, "stop": 2.0, "count": 3}},
+         "figures.x_grid.start"),
+        ("curves", {"n_units": 3, "t_grid": {"start": -0.1, "stop": 0.5, "count": 3}},
+         "curves.t_grid.start"),
+        ("regimes", {"lambda0": 1.5, "lambda1": 0.5, "alpha": 2.0, "r": 0.1,
+                     "theta_grid": {"start": -1.0, "stop": 1.0, "count": 3}},
+         "regimes.theta_grid.start"),
+        ("simulate", {"n_units": 0, "n_paths": 20}, "simulate.n_units"),
+        ("simulate", {"n_units": 0, "n_paths": 20, "policy": "constant",
+                      "constant_spread": 1.0}, "simulate.n_units"),
+    ], ids=["fluid", "figures", "curves", "regimes", "simulate_optimal",
+            "simulate_constant"])
+    def test_out_of_range_field_exits_2(self, tmp_path, capsys, command, section, field):
+        out = tmp_path / "out"
+        cfg = {"model": {"kind": "power", "lam": 1.0, "alpha": 2.0},
+               "market": {"r": 0.1, "horizon": 1.0}, command: section,
+               "output": {"directory": str(out)}}
+        if command in ("figures", "regimes"):
+            del cfg["model"], cfg["market"]
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_regimes_sweep(self, tmp_path):
         out = tmp_path / "out"
         cfg = {

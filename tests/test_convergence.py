@@ -6,12 +6,10 @@ from scipy.integrate import quad
 
 from lobliq.cases import resolve
 from lobliq.convergence import (
-    coefficient_asymptotics,
     control_convergence,
     discrete_value_and_spread_at,
     value_convergence,
 )
-from lobliq.discrete import solve_discrete
 from lobliq.fluid import exp_fluid_infinite, fluid_solution
 from lobliq.intensity import ExpDecayIntensity, MarketParams, PowerLawIntensity
 
@@ -39,7 +37,7 @@ class TestValueConvergence:
     def test_single_unit_consistency(self):
         # delta equal to the probe: one block, matches the direct solve
         report = value_convergence(POWER, MARKET, x_probe=2.0, delta0=2.0, k_max=0)
-        sol = solve_discrete(POWER, MARKET, 2.0, 1)
+        sol = resolve(POWER, MARKET).solve(2.0, 1)
         assert abs(report.values[0] - sol.values[1]) < 1e-14
 
     def test_exponential_ladder(self):
@@ -102,23 +100,34 @@ class TestControlConvergence:
 
     def test_coarse_consistency(self):
         table = control_convergence(POWER, MARKET, 2.0, [2.0])
-        sol = solve_discrete(POWER, MARKET, 2.0, 1)
+        sol = resolve(POWER, MARKET).solve(2.0, 1)
         assert abs(table.spreads[0] - sol.spreads[1]) < 1e-14
 
 
 class TestCoefficientAsymptotics:
+    @staticmethod
+    def ratios(lam, alpha, r, n_max):
+        """c_n and the optimal spread over their large-n forms
+        (lam/(r*alpha))**(1/alpha) * n**((alpha-1)/alpha) and
+        (lam/(alpha*r))**(1/alpha) * n**(-1/alpha), for n = 1..n_max."""
+        model = PowerLawIntensity(lam=lam, alpha=alpha)
+        sol = resolve(model, MarketParams(r=r)).solve(1.0, n_max)
+        n = np.arange(1.0, n_max + 1.0)
+        scale = (lam / (r * alpha)) ** (1.0 / alpha)
+        return (sol.coefficients[1:] / (scale * n ** ((alpha - 1.0) / alpha)),
+                sol.spreads[1:] * n ** (1.0 / alpha) / scale)
+
     def test_small_n_finite(self):
-        report = coefficient_asymptotics(1.0, 2.0, 0.1, 50)
-        assert math.isfinite(report.coefficient_ratio[0])
+        coefficient_ratio, _ = self.ratios(1.0, 2.0, 0.1, 50)
+        assert math.isfinite(coefficient_ratio[0])
 
     def test_ratios_approach_one(self):
-        report = coefficient_asymptotics(1.0, 2.0, 0.1, 10_000)
-        assert report.final_coefficient_deviation < 0.01
-        assert report.final_spread_deviation < 0.01
+        coefficient_ratio, spread_ratio = self.ratios(1.0, 2.0, 0.1, 10_000)
+        assert abs(coefficient_ratio[-1] - 1.0) < 0.01
+        assert abs(spread_ratio[-1] - 1.0) < 0.01
         # deviations shrink with n
-        assert abs(report.coefficient_ratio[100] - 1.0) \
-            > abs(report.coefficient_ratio[-1] - 1.0)
+        assert abs(coefficient_ratio[100] - 1.0) > abs(coefficient_ratio[-1] - 1.0)
 
     def test_spread_ratio_same_rate(self):
-        report = coefficient_asymptotics(1.0, 2.5, 0.05, 3000)
-        assert abs(report.spread_ratio[-1] - 1.0) < 0.02
+        _, spread_ratio = self.ratios(1.0, 2.5, 0.05, 3000)
+        assert abs(spread_ratio[-1] - 1.0) < 0.02

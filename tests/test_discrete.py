@@ -14,7 +14,6 @@ from lobliq.discrete import (
     level_of,
     power_constant,
     power_time_factor,
-    solve_discrete,
     solve_exp_finite,
     solve_exp_infinite,
     solve_generic_stationary,
@@ -499,7 +498,7 @@ class TestGenericStationary:
         model = GenericIntensity(value=lambda s: math.exp(-s),
                                  deriv1=lambda s: -math.exp(-s),
                                  deriv2=lambda s: math.exp(-s))
-        sol = solve_discrete(model, MarketParams(r=R), delta, 6)
+        sol = resolve(model, MarketParams(r=R)).solve(delta, 6)
         values, spreads = solve_exp_infinite(6 * delta, delta, 1.0, 1.0, R)
         assert np.max(np.abs(sol.values - values)) < 1e-8
         assert np.max(np.abs(sol.spreads[1:] - spreads[1:])) < 1e-8
@@ -540,14 +539,14 @@ class TestGenericStationary:
 class TestSolveDiscreteDispatch:
     def test_power_finite_horizon(self):
         # the value at T is the stationary c_n times (1 - exp(-r*alpha*T))**(1/alpha)
-        sol = solve_discrete(POWER, MarketParams(r=R, horizon=1.0), 1.0, 6)
+        sol = resolve(POWER, MarketParams(r=R, horizon=1.0)).solve(1.0, 6)
         factor = (-math.expm1(-R * ALPHA * 1.0)) ** (1.0 / ALPHA)
         assert abs(sol.values[6] - sol.coefficients[6] * factor) < 1e-14
 
     def test_exp_finite_requires_zero_rate(self):
         model = ExpDecayIntensity(lam=1.0, kappa=1.0)
         with pytest.raises(ValueError):
-            solve_discrete(model, MarketParams(r=0.1, horizon=1.0), 1.0, 5)
+            resolve(model, MarketParams(r=0.1, horizon=1.0)).solve(1.0, 5)
 
     def test_zero_rate_infinite_rejected(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from lobliq.fluid import (
     exp_fluid_finite,
     exp_fluid_infinite,
-    fluid_passage_time,
     fluid_solution,
     power_fluid,
     power_trade_curve,
@@ -218,25 +217,6 @@ class TestExpFluidInfinite:
             # li amplifies by 1/|log y| as y approaches 1
             tol = 1e-12 * c + 1e-13 + 8.0 * np.finfo(float).eps / -math.log(y)
             assert abs(log_integral(y) + c) <= tol
-
-
-class TestPassageTime:
-    def test_no_move(self):
-        assert fluid_passage_time(2.0, 2.0, 1.0, 2.0, 0.1) == 0.0
-
-    def test_log_formula(self):
-        assert abs(fluid_passage_time(1.0, math.e, 1.0, 2.0, 0.1) - 5.0) < 1e-12
-
-    def test_quadrature_form_matches(self):
-        alpha, r = 2.0, 0.1
-        # optimal trading rate for the power-law book is alpha*r*u
-        got, _ = quad(lambda u: 1.0 / (alpha * r * u), 0.5, 4.0,
-                      epsabs=1e-13, epsrel=1e-12, limit=200)
-        assert abs(got - fluid_passage_time(0.5, 4.0, 1.0, alpha, r)) < 1e-10
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            fluid_passage_time(0.0, 1.0, 1.0, 2.0, 0.1)
 
 
 class TestFluidSolutionBundle:

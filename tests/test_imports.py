@@ -1,6 +1,7 @@
 """SciPy stays out of the package's import and out of the power-law paths,
-the report writers' vector spelling stays out of the package's import, and
-every name a module exports exists.
+the report writers' vector spelling stays out of the package's import,
+every name a module exports exists, and every function the package defines
+is reached by a command, bar a named few.
 
 ``import lobliq.cli`` and the power-law commands run in NumPy time: SciPy is
 imported inside the few functions that need it (the exponential-book E1
@@ -113,10 +114,10 @@ _RUNS = {
 }
 
 
-def _probe(*argv) -> dict:
+def _probe(*argv, script=_PROBE):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -145,3 +146,108 @@ def test_power_law_command_loads_no_scipy(command, tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(cfg))
     assert _probe(command, "--config", str(path))["scipy"] == []
+
+
+# a fresh interpreter: run each (command, config path) argument pair under a
+# profiler and print the (file name, first line) of every function of the
+# package that ran, the module's import included
+_REACH = """
+import json, os, sys
+codes = set()
+sys.setprofile(lambda frame, event, arg: codes.add(frame.f_code))
+import lobliq.cli
+for command, path in zip(sys.argv[1::2], sys.argv[2::2]):
+    if lobliq.cli.main([command, "--config", path]) != 0:
+        sys.exit(f"{command} failed on {path}")
+sys.setprofile(None)
+package = os.path.dirname(lobliq.cli.__file__)
+print(json.dumps(sorted({(os.path.basename(c.co_filename), c.co_firstlineno)
+                         for c in codes if os.path.dirname(c.co_filename) == package})))
+"""
+
+# Functions no command reaches: the generic depth model's API (acceptance
+# criterion 5 and the generic-model tests), the two base classes' abstract
+# declarations, control_convergence (criterion 4), the scalar spread and
+# homogeneity flag of the time-dependent policies, which the tests' sampling
+# oracles and policy tests read, and FillTable's sequence view, which the
+# benchmark's tracer iterates.
+UNREACHED = {
+    "cases.GenericStationary.fluid", "cases.GenericStationary.policy",
+    "cases.GenericStationary.solve", "discrete._generic_foc",
+    "discrete._generic_objective", "discrete.solve_generic_stationary",
+    "intensity.GenericIntensity.derivatives", "intensity.GenericIntensity.rate",
+    "intensity.ConcavityReport.__bool__", "intensity.concavity_condition",
+    "intensity.ExpDecayIntensity.derivatives", "intensity.PowerLawIntensity.derivatives",
+    "intensity.IntensityModel.derivatives", "intensity.IntensityModel.rate",
+    "cases.SpreadPolicy.spread", "convergence.control_convergence",
+    "cases.ExpZeroRatePolicy.spread", "cases.OptimalPowerPolicy.time_homogeneous",
+    "simulate.FillTable.__getitem__", "simulate.FillTable.__iter__",
+    "simulate.FillTable.__len__", "simulate.FillTable._path",
+}
+
+
+def defined_functions(path: Path) -> dict:
+    """(file name, first line) -> module.qualname of each def in a source
+    file, methods and nested functions included; a decorated function's
+    code starts at its first decorator."""
+    out = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                out[(path.name, line)] = prefix + child.name
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text()), path.stem + ".")
+    return out
+
+
+def _reach_runs():
+    """One small config per command, model/market case and simulate policy;
+    the 401-row solve is long enough for the writers' vector spelling, and
+    its level-0 row takes the per-value spelling."""
+    power = {"kind": "power", "lam": 1.0, "alpha": 2.0}
+    exp = {"kind": "exp", "lam": 1.0, "kappa": 1.0}
+    grid = {"start": 0.5, "stop": 2.0, "count": 3}
+    for model, market in ((power, _INF), (power, _T1), (power, {"r": 0.0, "horizon": 1.0}),
+                          (exp, _INF), (exp, {"r": 0.0, "horizon": 1.0})):
+        finite = market.get("horizon") != "inf"
+        policies = [{}, {"policy": "constant", "constant_spread": 1.0}]
+        policies += [] if finite else [{"policy": "fluid"}]
+        sections = [("solve", {"n_max": 400, "delta": 0.01}), ("fluid", {"x_grid": grid}),
+                    ("converge", {"x_probe": 2.0, "k_max": 2}),
+                    ("curves", {"n_units": 3, "t_grid": {"start": 0.0, "stop": 0.5,
+                                                         "count": 3}})]
+        sections += [("simulate", {"n_units": 3, "n_paths": 20, "dump_paths": True,
+                                   "curve_points": 2 if finite else 0, **policy})
+                     for policy in policies]
+        for command, section in sections:
+            yield command, {"model": model, "market": market, command: section}
+    yield "regimes", {"regimes": {"lambda0": 1.5, "lambda1": 0.5, "alpha": 2.0, "r": 0.1,
+                                  "theta_grid": {"start": 0.0, "stop": 1.0, "count": 3}}}
+    yield "exchanges", {"exchanges": {"lambda0": 1.0, "lambda1": 1.0, "delta_block": 1.0,
+                                      "alpha": 2.0, "r": 0.1, "x_max": 2.0,
+                                      "grid_step": 0.01, "eps": 0.05}}
+    yield "figures", {"figures": {"figure": 1, "x_grid": grid}}
+
+
+def test_every_function_is_reached_by_a_command(tmp_path):
+    # code that no command reaches is either named above or retired
+    argv = []
+    for i, (command, cfg) in enumerate(_reach_runs()):
+        cfg["output"] = {"directory": str(tmp_path / f"out{i}"), "formats": "both"}
+        path = tmp_path / f"run{i}.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        argv += [command, str(path)]
+    reached = {tuple(key) for key in _probe(*argv, script=_REACH)}
+    defined = {}
+    for path in SOURCES:
+        defined.update(defined_functions(path))
+    unreached = {name for key, name in defined.items() if key not in reached}
+    assert not unreached - UNREACHED, f"no command reaches {sorted(unreached - UNREACHED)}"
+    assert not UNREACHED - unreached, f"listed but reached or gone: {sorted(UNREACHED - unreached)}"

@@ -22,8 +22,6 @@ from lobliq.simulate import (
     ExpZeroRatePolicy,
     OptimalPowerPolicy,
     StationarySpreadPolicy,
-    constant_policy_value,
-    evaluate_fluid_policy_exact,
     execution_curve_ode,
     fluid_spread_policy,
     optimal_policy,
@@ -36,6 +34,22 @@ POWER = PowerLawIntensity(lam=1.0, alpha=2.0)
 FINITE = MarketParams(r=0.1, horizon=1.0)
 ZERO_RATE = MarketParams(r=0.0, horizon=1.0)
 INF = MarketParams(r=0.1)
+
+
+def policy_values(spreads, delta):
+    """V(0..n) of posting spreads[k - 1] at level k in the power book on the
+    infinite horizon: between fills the spread is constant, so V(k) =
+    q_k (s_k delta + V(k-1)) with q_k = rate(s_k)/(rate(s_k) + r delta)."""
+    values = [0.0]
+    for s in spreads:
+        rate = POWER.rate(s)
+        q = rate / (rate + INF.r * delta)
+        values.append(q * (s * delta + values[-1]))
+    return np.array(values)
+
+
+def fluid_policy_values(n, delta):
+    return policy_values(fluid_spread_policy(POWER, INF, delta, n).spreads[1:], delta)
 
 
 class TestSimulatePolicy:
@@ -98,16 +112,18 @@ class TestSimulatePolicy:
         pol = optimal_policy(POWER, FINITE, 1.0, 5)
         grid = np.linspace(0.1, 0.9, 5)
         runs = [simulate_policy(POWER, FINITE, 5, 1.0, pol, 4000, seed=21,
-                                threads=k, curve_times=grid) for k in (1, 2, 7)]
+                                threads=k, curve_times=grid) for k in (1, 2, 7, 10**6)]
         for other in runs[1:]:
             assert other.mean_revenue == runs[0].mean_revenue
             assert other.std_error == runs[0].std_error
             assert np.array_equal(other.mean_inventory_curve,
                                   runs[0].mean_inventory_curve)
+        with pytest.raises(ValueError, match="threads"):
+            simulate_policy(POWER, FINITE, 5, 1.0, pol, 10, seed=21, threads=0)
 
     def test_constant_spread_matches_geometric_sum(self):
         policy = ConstantSpreadPolicy(2.0)
-        closed = constant_policy_value(POWER, INF, 4, 1.0, 2.0)
+        closed = policy_values([2.0] * 4, 1.0)[4]  # the geometric sum in q
         stats = simulate_policy(POWER, INF, 4, 1.0, policy, 30_000, seed=3)
         assert abs(stats.mean_revenue - closed) <= 3.0 * stats.std_error
 
@@ -333,23 +349,23 @@ class TestExpZeroRateClock:
 
 class TestFluidPolicyEvaluation:
     def test_zero(self):
-        assert evaluate_fluid_policy_exact(POWER, INF, 0, 1.0)[0] == 0.0
+        assert fluid_policy_values(0, 1.0)[0] == 0.0
 
     def test_close_to_optimal_at_fine_delta(self):
-        values = evaluate_fluid_policy_exact(POWER, INF, 500, 0.01)
+        values = fluid_policy_values(500, 0.01)
         c = resolve(POWER, INF).solve(0.01, 500).coefficients
         ratio = values[500] / c[500]
         assert ratio <= 1.0 + 1e-12      # suboptimal policy never wins
         assert ratio > 0.99              # but is within a percent at x = 5
 
     def test_suboptimality_every_level(self):
-        values = evaluate_fluid_policy_exact(POWER, INF, 12, 1.0)
+        values = fluid_policy_values(12, 1.0)
         c = resolve(POWER, INF).solve(1.0, 12).coefficients
         assert np.all(values <= c + 1e-12)
 
     def test_monte_carlo_agreement(self):
         pol = fluid_spread_policy(POWER, INF, 1.0, 5)
-        exact = evaluate_fluid_policy_exact(POWER, INF, 5, 1.0)[5]
+        exact = fluid_policy_values(5, 1.0)[5]
         stats = simulate_policy(POWER, INF, 5, 1.0, pol, 20_000, seed=11)
         assert abs(stats.mean_revenue - exact) <= 3.0 * stats.std_error
 
@@ -460,8 +476,9 @@ class TestExactExecutionCurve:
     def test_factoring_cases_match_expm(self, model, market, alpha, grid, n):
         # E(., t) = expm(tau(t) Q) x with Q the death generator of the base rates
         tau, g = _time_change(alpha, market)
-        rates = resolve(model, market).level_rates(n)
-        base = rates(0.0) / g(0.0)
+        policy = resolve(model, market).policy(1.0, n)
+        base = np.array([model.rate(policy.spread(k, market.horizon))
+                         for k in range(1, n + 1)]) / g(0.0)
         gen = np.diag(np.concatenate(([0.0], -base))) + np.diag(base, -1)
         x = np.arange(n + 1.0)
         curve = execution_curve_ode(model, market, n, grid)
