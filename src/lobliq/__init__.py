@@ -42,7 +42,6 @@ from .intensity import (
     concavity_condition,
 )
 from .simulate import (
-    ConstantSpreadPolicy,
     EnsembleStats,
     FillTable,
     OptimalPowerPolicy,

@@ -8,6 +8,13 @@ horizon, and any other depth model on the infinite horizon.  Other pairs raise
 :class:`UnsupportedCaseError` there, and nowhere else.  Solvers are looked up
 on their modules at call time (``discrete.solve_exp_infinite``), so wrappers
 installed on those modules see every call made on a case's behalf.
+
+A policy is a spread as a function of the level and the time to go: a
+stationary table over the levels (:class:`StationarySpreadPolicy`) or one of
+the two time-dependent optima (:class:`OptimalPowerPolicy`,
+:class:`ExpZeroRatePolicy`).  Each defines ``spreads_at(level, t_to_go)``,
+elementwise over an array of times to go, and ``clock(model, delta,
+horizon)``, the :class:`FillClock` of its fills.
 """
 
 from __future__ import annotations
@@ -32,8 +39,6 @@ from .intensity import (
 __all__ = [
     "FillClock",
     "FactorClock",
-    "SpreadPolicy",
-    "ConstantSpreadPolicy",
     "StationarySpreadPolicy",
     "OptimalPowerPolicy",
     "ExpZeroRatePolicy",
@@ -77,59 +82,26 @@ class FactorClock(FillClock):
     tau: Callable[[np.ndarray], np.ndarray]
 
 
-class SpreadPolicy:
-    """A feedback rule: spread to post given (inventory units, time to go).
+@dataclass(frozen=True)
+class StationarySpreadPolicy:
+    """Inventory-only policy; ``spreads[n]`` is the spread posted at level n."""
 
-    ``spreads_at`` and ``clock`` serve time-homogeneous policies here; a
-    time-dependent policy defines its own.
-    """
-
-    time_homogeneous: bool = False
-
-    def spread(self, n_units: int, t_to_go: float) -> float:
-        raise NotImplementedError
-
-    def _require_homogeneous(self, method: str) -> None:
-        if not self.time_homogeneous:
-            raise NotImplementedError(f"{type(self).__name__} is time-dependent and "
-                                      f"must define {method}")
+    spreads: np.ndarray
 
     def spreads_at(self, n_units: int, t_to_go: np.ndarray) -> np.ndarray:
-        """``spread`` at one level for an array of times to go."""
-        self._require_homogeneous("spreads_at")
-        return np.full(t_to_go.shape, self.spread(n_units, math.inf))
+        """The spread posted at level ``n_units`` for each time to go."""
+        return np.full(t_to_go.shape, float(self.spreads[n_units]))
 
-    def clock(self, model: IntensityModel, delta: float, horizon: float) -> FillClock:
+    def clock(self, model: IntensityModel, delta: float, horizon: float) -> FactorClock:
         """The :class:`FillClock` of this policy's fills of size ``delta``
-        on ``model``."""
-        self._require_homogeneous("clock")
-        rate = lambda k: model.rate(self.spread(k, math.inf)) / delta
+        on ``model``: a constant rate per level."""
+        rate = lambda k: model.rate(float(self.spreads[k])) / delta
         return FactorClock(rate=rate, profile=lambda t: 1.0, tau=lambda t: t,
                            advance=lambda k, t0, e: t0 + e / rate(k))
 
 
 @dataclass(frozen=True)
-class ConstantSpreadPolicy(SpreadPolicy):
-    value: float
-    time_homogeneous = True
-
-    def spread(self, n_units, t_to_go):
-        return self.value
-
-
-@dataclass(frozen=True)
-class StationarySpreadPolicy(SpreadPolicy):
-    """Inventory-only policy; ``spreads[n]`` is the spread posted at level n."""
-
-    spreads: np.ndarray
-    time_homogeneous = True
-
-    def spread(self, n_units, t_to_go):
-        return float(self.spreads[n_units])
-
-
-@dataclass(frozen=True)
-class OptimalPowerPolicy(SpreadPolicy):
+class OptimalPowerPolicy:
     """Markov-optimal spreads for a power-law book, any r >= 0.
 
     The spread at level n with time tau to go is sigma_n h(tau)**(1/alpha)
@@ -144,15 +116,9 @@ class OptimalPowerPolicy(SpreadPolicy):
     horizon: float
     spread_scales: np.ndarray  # sigma_n, spread per unit of h(tau)**(1/alpha)
 
-    @property
-    def time_homogeneous(self) -> bool:  # type: ignore[override]
-        return math.isinf(self.horizon)
-
-    def spread(self, n_units, t_to_go):
+    def spreads_at(self, n_units, t_to_go):
         return float(self.spread_scales[n_units]) * discrete.power_time_factor(
             np.minimum(t_to_go, self.horizon), self.alpha, self.r)
-
-    spreads_at = spread  # elementwise in t_to_go
 
     def clock(self, model, delta, horizon):
         a, T = self.alpha * self.r, horizon
@@ -167,7 +133,7 @@ class OptimalPowerPolicy(SpreadPolicy):
 
 
 @dataclass(frozen=True)
-class ExpZeroRatePolicy(SpreadPolicy):
+class ExpZeroRatePolicy:
     """Optimal spreads for an undiscounted exponential book with horizon T.
 
     With y = lam (T-t)/(delta e) and L_k = log S_k, S_k the exponential
@@ -181,9 +147,6 @@ class ExpZeroRatePolicy(SpreadPolicy):
     lam: float
     kappa: float
     delta: float
-
-    def spread(self, n_units, t_to_go):
-        return float(self.spreads_at(n_units, t_to_go)[0])
 
     def spreads_at(self, n_units, t_to_go):
         return discrete.solve_exp_finite(n_units, self.delta, t_to_go, self.lam,
@@ -214,7 +177,7 @@ class Case:
     Each case provides ``solve(delta, n_max)``, the per-level values and
     optimal spreads as a :class:`DiscreteSolution`; ``fluid()``, the
     continuous-selling limit as a :class:`FluidSolution`; ``policy(delta,
-    n_max)``, the optimal :class:`SpreadPolicy`; and ``execution_curve``,
+    n_max)``, the optimal policy; and ``execution_curve``,
     the exact mean inventory under the optimal policy.
     Each case with a fluid limit also provides ``fluid_cell_spread(x,
     delta)``, the fluid spread averaged over the cell [x - delta, x], from
@@ -254,10 +217,6 @@ class Case:
         # -dE(n, t)/dt = b_n g(t) (E(n, t) - E(n-1, t)) when the rates factor
         return table, top * (table[-1] - table[-2])
 
-    def _fluid(self, pair, curve) -> FluidSolution:
-        # pair: x -> (value, spread); curve: (t, x0) -> inventory
-        return FluidSolution(self.model, self.market, pair, curve)
-
 
 @dataclass(frozen=True)
 class PowerLaw(Case):
@@ -292,13 +251,12 @@ class PowerLaw(Case):
         m, mk = self.model, self.market
         factor = discrete.power_time_factor(mk.horizon, m.alpha, mk.r)
         return DiscreteSolution(
-            delta=delta, model=m, market=mk,
-            coefficients=d * discrete.power_coefficient_factor(m.alpha, mk.r),
+            delta=delta, coefficients=d * discrete.power_coefficient_factor(m.alpha, mk.r),
             values=d * factor, spreads=sigma * factor)
 
     def fluid(self):
         m, mk = self.model, self.market
-        return self._fluid(
+        return FluidSolution(
             lambda x: fluid.power_fluid(x, mk.horizon, m.lam, m.alpha, mk.r),
             lambda t, x0: fluid.power_trade_curve(t, x0, mk.horizon, m.alpha, mk.r))
 
@@ -332,14 +290,14 @@ class ExpZeroRate(Case):
     def solve(self, delta, n_max):
         values, spreads = discrete.solve_exp_finite(
             n_max, delta, [self.market.horizon], self.model.lam, self.model.kappa)
-        return DiscreteSolution(delta=delta, model=self.model, market=self.market,
-                                coefficients=values[:, 0], values=values[:, 0],
-                                spreads=spreads[:, 0])
+        return DiscreteSolution(delta=delta, coefficients=values[:, 0],
+                                values=values[:, 0], spreads=spreads[:, 0])
 
     def fluid(self):
         m, T = self.model, self.market.horizon
-        return self._fluid(lambda x: fluid.exp_fluid_finite(x, T, m.lam, m.kappa)[:2],
-                           lambda t, x0: fluid.exp_fluid_finite(x0, T, m.lam, m.kappa)[2](t))
+        return FluidSolution(
+            lambda x: fluid.exp_fluid_finite(x, T, m.lam, m.kappa)[:2],
+            lambda t, x0: fluid.exp_fluid_finite(x0, T, m.lam, m.kappa)[2](t))
 
     def fluid_cell_spread(self, x, delta):
         m = self.model
@@ -348,24 +306,16 @@ class ExpZeroRate(Case):
     def policy(self, delta, n_max):
         return ExpZeroRatePolicy(lam=self.model.lam, kappa=self.model.kappa, delta=delta)
 
-    def level_rates(self, n_units):
-        """The map t -> fill rates of levels 1..n at unit trading size."""
-        T, lam = self.market.horizon, self.model.lam
-
-        def rates(t):
-            # with delta = kappa = 1 the values are log S_k, S_k the truncated
-            # exponential series in lam (T-t)/e; rate(s*(k)) = (lam/e) S_{k-1}/S_k
-            log_sums = discrete.solve_exp_finite(n_units, 1.0, [T - t], lam, 1.0)[0][:, 0]
-            return (lam / math.e) * np.exp(log_sums[:-1] - log_sums[1:])
-
-        return rates
-
     def execution_curve(self, n_units, times):
         # The rates do not factor, but with y = lam (T-t)/e and S_k the
         # truncated exponential series, P(X_t = j | x) = (lam t/e)^(x-j)/(x-j)!
         # * S_j(y_t)/S_x(y_0), so the expected fill rate stays at h_x(0) =
         # (lam/e) S_{x-1}(y_0)/S_x(y_0) and every row is the line x - t h_x(0).
-        h0 = np.concatenate(([0.0], self.level_rates(n_units)(0.0)))
+        # With delta = kappa = 1 the values are log S_k at y_0.
+        lam = self.model.lam
+        log_sums = discrete.solve_exp_finite(n_units, 1.0, [self.market.horizon],
+                                             lam, 1.0)[0][:, 0]
+        h0 = np.concatenate(([0.0], (lam / math.e) * np.exp(log_sums[:-1] - log_sums[1:])))
         table = np.arange(n_units + 1.0)[:, None] - h0[:, None] * times
         return table, np.full(len(times), h0[-1])
 
@@ -380,13 +330,13 @@ class ExpStationary(Case):
 
     def solve(self, delta, n_max):
         values, spreads = self._table(delta, n_max)
-        return DiscreteSolution(delta=delta, model=self.model, market=self.market,
-                                coefficients=values, values=values, spreads=spreads)
+        return DiscreteSolution(delta=delta, coefficients=values, values=values,
+                                spreads=spreads)
 
     def fluid(self):
         m, r = self.model, self.market.r
-        return self._fluid(lambda x: fluid.exp_fluid_infinite(x, m.lam, m.kappa, r),
-                           lambda t, x0: fluid.exp_trade_curve(t, x0, m.lam, m.kappa, r))
+        return FluidSolution(lambda x: fluid.exp_fluid_infinite(x, m.lam, m.kappa, r),
+                             lambda t, x0: fluid.exp_trade_curve(t, x0, m.lam, m.kappa, r))
 
     def fluid_cell_spread(self, x, delta):
         m = self.model

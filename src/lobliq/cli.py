@@ -32,7 +32,7 @@ from .fluid import exp_fluid_infinite, fluid_solution, power_fluid
 from .intensity import UnsupportedCaseError
 from .reports import write_csv, write_json, write_manifest, write_schema_sidecar
 from .simulate import (
-    ConstantSpreadPolicy,
+    StationarySpreadPolicy,
     execution_curve_ode,
     fluid_spread_policy,
     optimal_policy,
@@ -130,7 +130,7 @@ def _build_policy(cfg: RunConfig):
         return optimal_policy(cfg.model, cfg.market, sec["delta"], sec["n_units"])
     if kind == "fluid":
         return fluid_spread_policy(cfg.model, cfg.market, sec["delta"], sec["n_units"])
-    return ConstantSpreadPolicy(sec["constant_spread"])
+    return StationarySpreadPolicy(np.full(sec["n_units"] + 1, sec["constant_spread"]))
 
 
 def _cmd_simulate(cfg: RunConfig, artifacts: list) -> None:

@@ -29,8 +29,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    model: IntensityModel
-    market: MarketParams
     x_probe: float
     deltas: np.ndarray
     values: np.ndarray
@@ -104,11 +102,10 @@ def value_convergence(model: IntensityModel, market: MarketParams, x_probe: floa
         tail = quotients[-3:] if len(quotients) >= 3 else quotients
         rate = float(np.mean(np.log2(tail)))
 
-    return ConvergenceReport(model=model, market=market, x_probe=x_probe,
-                             deltas=deltas, values=values, fluid_value=fluid_value,
-                             ratios=ratios, spreads=spreads,
-                             fluid_spread=fluid_spread,
-                             monotone_ok=monotone_ok, rate_estimate=rate)
+    return ConvergenceReport(x_probe=x_probe, deltas=deltas, values=values,
+                             fluid_value=fluid_value, ratios=ratios, spreads=spreads,
+                             fluid_spread=fluid_spread, monotone_ok=monotone_ok,
+                             rate_estimate=rate)
 
 
 def control_convergence(model: IntensityModel, market: MarketParams, x_probe: float,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intensity import IntensityModel, MarketParams, concavity_condition
+from .intensity import IntensityModel, concavity_condition
 
 __all__ = [
     "DiscreteSolution",
@@ -332,8 +332,6 @@ class DiscreteSolution:
     """
 
     delta: float
-    model: IntensityModel
-    market: MarketParams
     coefficients: np.ndarray
     values: np.ndarray
     spreads: np.ndarray
@@ -412,8 +410,6 @@ def solve_generic_stationary(model: IntensityModel, delta: float, r: float,
         if values[n] <= v_prev:
             raise ArithmeticError(f"value failed to increase at level {n}")
 
-    return DiscreteSolution(delta=delta, model=model,
-                            market=MarketParams(r=r),
-                            coefficients=values, values=values, spreads=spreads,
-                            non_unique_risk=flagged)
+    return DiscreteSolution(delta=delta, coefficients=values, values=values,
+                            spreads=spreads, non_unique_risk=flagged)
 

@@ -229,8 +229,6 @@ def exp_trade_curve(t: float, x0: float, lam: float, kappa: float,
 class FluidSolution:
     """Evaluable fluid value, spread, and trade curve for one model/market."""
 
-    model: IntensityModel
-    market: MarketParams
     value_and_spread: Callable[[float], tuple[float, float]]  # one solve for both
     trade_curve: Callable[[float, float], float]  # (t, x0) -> inventory
 

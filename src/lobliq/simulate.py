@@ -11,9 +11,11 @@ Paths are simulated in fixed-size blocks.  Block b draws one matrix of
 standard exponentials, row by row, from a stream keyed on (seed, b), and
 every live path of the block advances one fill per NumPy step.  A path's
 draws therefore depend only on the seed, its index and the unit count,
-never on the ensemble size.  Blocks run one after another; ``threads``
-is checked and otherwise ignored, so it changes neither the results nor the
-speed.
+never on the ensemble size.  The policy's spreads are checked for
+finiteness once, with the whole horizon to go, before the first block;
+each level of a block then reads them once, at its fill times.  Blocks run
+one after another; ``threads`` is checked and otherwise ignored, so it
+changes neither the results nor the speed.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .cases import (
-    ConstantSpreadPolicy,
     ExpZeroRatePolicy,
     OptimalPowerPolicy,
-    SpreadPolicy,
     StationarySpreadPolicy,
     resolve,
 )
@@ -42,7 +42,6 @@ __all__ = [
     "FillTable",
     "EnsembleStats",
     "ExecutionCurve",
-    "ConstantSpreadPolicy",
     "StationarySpreadPolicy",
     "OptimalPowerPolicy",
     "ExpZeroRatePolicy",
@@ -58,7 +57,7 @@ _BLOCK_PATHS = 8192
 
 
 def optimal_policy(model: IntensityModel, market: MarketParams, delta: float,
-                   n_max: int) -> SpreadPolicy:
+                   n_max: int):
     """The optimal feedback policy for any closed-form model/market pair."""
     return resolve(model, market).policy(delta, n_max)
 
@@ -143,9 +142,18 @@ def _stream(seed: int, key: int) -> np.random.Generator:
 
 
 def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
-                    delta: float, policy: SpreadPolicy, n_paths: int, seed: int,
+                    delta: float, policy, n_paths: int, seed: int,
                     *, threads: int = 1, curve_times=None, keep_paths: bool = False):
     """Simulate the controlled death process under ``policy``.
+
+    ``policy`` is a :class:`StationarySpreadPolicy`, an
+    :class:`OptimalPowerPolicy` or an :class:`ExpZeroRatePolicy`; each defines
+    exactly ``spreads_at(level, t_to_go)``, the spreads posted at one level
+    for an array of times to go, and ``clock(model, delta, horizon)``, its
+    fill clock.  Before the first block the spreads with the whole horizon to
+    go must be finite at every level from 1 to ``n_units``, else
+    ArithmeticError names the highest bad level: every policy's spread is
+    nondecreasing in the time to go, so these are the largest the run posts.
 
     Returns :class:`EnsembleStats` (and, when ``keep_paths``, every fill as a
     :class:`FillTable`).  The sample mean of discounted revenue is an unbiased
@@ -163,6 +171,10 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
     horizon = market.horizon
     r = market.r
     advance = policy.clock(model, delta, horizon).advance
+    full_horizon = np.array([horizon])
+    for level in range(n_units, 0, -1):
+        if not np.all(np.isfinite(policy.spreads_at(level, full_horizon))):
+            raise ArithmeticError(f"non-finite spread at level {level}")
 
     revenues = np.zeros(n_paths)
     fill_counts = np.zeros(n_paths, dtype=np.int64)
@@ -192,8 +204,6 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
             if live.size == 0:
                 break
             t0 = t[live]
-            if not np.all(np.isfinite(policy.spreads_at(level, horizon - t0))):
-                raise ArithmeticError(f"non-finite spread at level {level}")
             t_next = advance(level, t0, draws[live, j])
             hit = t_next <= horizon
             live, t0 = live[hit], t0[hit]

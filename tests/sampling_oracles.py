@@ -17,14 +17,21 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
-from lobliq.cases import FillClock, SpreadPolicy
+from lobliq.cases import FillClock
+
+
+def _hazard(model, policy, delta, horizon, level):
+    """u -> the fill rate at ``level`` and time u of the spread ``policy`` posts."""
+    def hazard(u):
+        return model.rate(float(policy.spreads_at(level, np.array([horizon - u]))[0])) / delta
+
+    return hazard
 
 
 def inversion(model, policy, delta, horizon):
     """Exact inversion of a numerically integrated hazard."""
     def fill_time(level, t0, e):
-        def hazard(u):
-            return model.rate(policy.spread(level, horizon - u)) / delta
+        hazard = _hazard(model, policy, delta, horizon, level)
 
         def cumulative(t):
             if t <= t0:
@@ -59,9 +66,7 @@ def thinning(seed: int, cells: int = 64):
 
     def sampler(model, policy, delta, horizon):
         def fill_time(level, t0, e):
-            def hazard(u):
-                return model.rate(policy.spread(level, horizon - u)) / delta
-
+            hazard = _hazard(model, policy, delta, horizon, level)
             span = horizon - t0
             if span <= 0.0:
                 return math.nan
@@ -94,15 +99,12 @@ def thinning(seed: int, cells: int = 64):
 
 
 @dataclass(frozen=True)
-class OraclePolicy(SpreadPolicy):
+class OraclePolicy:
     """``inner``'s spreads, with fill times drawn by an oracle ``sampler``:
     (model, policy, delta, horizon) -> ((level, t0, draw) -> time)."""
 
-    inner: SpreadPolicy
+    inner: object
     sampler: Callable
-
-    def spread(self, n_units, t_to_go):
-        return self.inner.spread(n_units, t_to_go)
 
     def spreads_at(self, n_units, t_to_go):
         return self.inner.spreads_at(n_units, t_to_go)

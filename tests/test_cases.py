@@ -6,7 +6,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lobliq.cases import (
-    ConstantSpreadPolicy,
     ExpStationary,
     ExpZeroRate,
     GenericStationary,
@@ -88,7 +87,7 @@ POLY = GenericIntensity(value=lambda s: 2.0 / (1.0 + s) ** 3,
     (POWER, R_INF, None),
     (EXP, R_INF, None),
     (POLY, R_INF, None),
-    (POWER, R_T1, ConstantSpreadPolicy(1.3)),
+    (POWER, R_T1, StationarySpreadPolicy(np.full(5, 1.3))),
     (EXP, R_INF, StationarySpreadPolicy(np.array([math.nan, 2.0, 1.5, 1.2, 1.1]))),
 ], ids=["power-r-T1", "power-r0-T1", "power-r-inf", "exp-r-inf", "generic-r-inf",
         "constant", "stationary"])
@@ -110,7 +109,7 @@ def _assert_clock_rates(model, policy, clock, delta, T, levels):
     times = (0.0, T / 2, (1.0 - 1e-6) * T) if math.isfinite(T) else (0.0, 1.0, 10.0)
     for k in levels:
         for t in times:
-            rate = model.rate(policy.spread(k, T - t)) / delta
+            rate = model.rate(float(policy.spreads_at(k, np.array([T - t]))[0])) / delta
             assert math.isclose(clock.rate(k) * clock.profile(t), rate, rel_tol=1e-12)
 
 

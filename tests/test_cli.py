@@ -15,7 +15,7 @@ from lobliq.cli import main
 from lobliq.config import ConfigError, load_config, parse_config
 from lobliq.intensity import MarketParams, PowerLawIntensity
 from lobliq.reports import format_number
-from lobliq.simulate import ConstantSpreadPolicy, simulate_policy
+from lobliq.simulate import StationarySpreadPolicy, simulate_policy
 from test_discrete import _reference_power_recursion
 
 BASE = {
@@ -360,7 +360,7 @@ class TestCliCommands:
         assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 0
         _, paths = simulate_policy(PowerLawIntensity(lam=1.0, alpha=2.0),
                                    MarketParams(r=0.1, horizon=1.0), 4, 0.5,
-                                   ConstantSpreadPolicy(1.0), 300, seed=11,
+                                   StationarySpreadPolicy(np.full(5, 1.0)), 300, seed=11,
                                    keep_paths=True)
         assert len(paths) == 300
         assert paths[7].path_id == 7 and paths[-1].path_id == 299

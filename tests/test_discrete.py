@@ -227,7 +227,7 @@ class TestPowerValueSpread:
         # no time to go: the time factor, and with it every value and spread, is 0
         assert power_time_factor(0.0, ALPHA, R) == 0.0
         policy = resolve(POWER, MarketParams(r=R, horizon=1.0)).policy(1.0, 60)
-        assert policy.spread(3, 0.0) == 0.0
+        assert policy.spreads_at(3, np.array([0.0]))[0] == 0.0
 
     def test_infinite_horizon_level_one(self):
         sol = resolve(POWER, STATIONARY).solve(1.0, 60)

@@ -166,11 +166,9 @@ print(json.dumps(sorted({(os.path.basename(c.co_filename), c.co_firstlineno)
 """
 
 # Functions no command reaches: the generic depth model's API (acceptance
-# criterion 5 and the generic-model tests), the two base classes' abstract
-# declarations, control_convergence (criterion 4), the scalar spread and
-# homogeneity flag of the time-dependent policies, which the tests' sampling
-# oracles and policy tests read, and FillTable's sequence view, which the
-# benchmark's tracer iterates.
+# criterion 5 and the generic-model tests), the abstract declarations of
+# IntensityModel, control_convergence (criterion 4) and FillTable's sequence
+# view, which the benchmark's tracer iterates.
 UNREACHED = {
     "cases.GenericStationary.fluid", "cases.GenericStationary.policy",
     "cases.GenericStationary.solve", "discrete._generic_foc",
@@ -179,8 +177,7 @@ UNREACHED = {
     "intensity.ConcavityReport.__bool__", "intensity.concavity_condition",
     "intensity.ExpDecayIntensity.derivatives", "intensity.PowerLawIntensity.derivatives",
     "intensity.IntensityModel.derivatives", "intensity.IntensityModel.rate",
-    "cases.SpreadPolicy.spread", "convergence.control_convergence",
-    "cases.ExpZeroRatePolicy.spread", "cases.OptimalPowerPolicy.time_homogeneous",
+    "convergence.control_convergence",
     "simulate.FillTable.__getitem__", "simulate.FillTable.__iter__",
     "simulate.FillTable.__len__", "simulate.FillTable._path",
 }

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
@@ -18,7 +20,6 @@ from lobliq.intensity import (
 )
 from lobliq.simulate import (
     _BLOCK_PATHS,
-    ConstantSpreadPolicy,
     ExpZeroRatePolicy,
     OptimalPowerPolicy,
     StationarySpreadPolicy,
@@ -31,6 +32,7 @@ from ode_oracles import OdeProblem, integrate_ode
 from sampling_oracles import OraclePolicy, inversion, thinning
 
 POWER = PowerLawIntensity(lam=1.0, alpha=2.0)
+EXP = ExpDecayIntensity(lam=1.0, kappa=1.0)
 FINITE = MarketParams(r=0.1, horizon=1.0)
 ZERO_RATE = MarketParams(r=0.0, horizon=1.0)
 INF = MarketParams(r=0.1)
@@ -46,6 +48,21 @@ def policy_values(spreads, delta):
         q = rate / (rate + INF.r * delta)
         values.append(q * (s * delta + values[-1]))
     return np.array(values)
+
+
+@dataclass(frozen=True)
+class CountingPolicy:
+    """``inner``, recording the level of every ``spreads_at`` call."""
+
+    inner: object
+    levels: list = field(default_factory=list)
+
+    def spreads_at(self, n_units, t_to_go):
+        self.levels.append(n_units)
+        return self.inner.spreads_at(n_units, t_to_go)
+
+    def clock(self, model, delta, horizon):
+        return self.inner.clock(model, delta, horizon)
 
 
 def fluid_policy_values(n, delta):
@@ -122,7 +139,7 @@ class TestSimulatePolicy:
             simulate_policy(POWER, FINITE, 5, 1.0, pol, 10, seed=21, threads=0)
 
     def test_constant_spread_matches_geometric_sum(self):
-        policy = ConstantSpreadPolicy(2.0)
+        policy = StationarySpreadPolicy(np.full(5, 2.0))
         closed = policy_values([2.0] * 4, 1.0)[4]  # the geometric sum in q
         stats = simulate_policy(POWER, INF, 4, 1.0, policy, 30_000, seed=3)
         assert abs(stats.mean_revenue - closed) <= 3.0 * stats.std_error
@@ -212,12 +229,25 @@ class TestSimulatePolicy:
             se = np.std(0.5 * left, axis=0, ddof=1) / math.sqrt(n_paths)
             assert np.allclose(stats.curve_std_error, se, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
-    def test_non_finite_spread_raises(self, bad):
-        policy = StationarySpreadPolicy(spreads=np.array([math.nan, 3.0, 3.0, bad]))
-        with pytest.raises(ArithmeticError, match="non-finite spread at level 3"):
+    @pytest.mark.parametrize("spreads, level", [
+        ([math.nan, 3.0, 3.0, math.nan], 3),
+        ([math.nan, 3.0, 3.0, math.inf], 3),
+        # level 3 fills at rate 1e-12, so no path reaches level 1
+        ([math.nan, math.inf, 3.0, 1e6], 1),
+    ], ids=["nan", "inf", "unreached"])
+    def test_non_finite_spread_raises(self, spreads, level):
+        policy = StationarySpreadPolicy(spreads=np.array(spreads))
+        with pytest.raises(ArithmeticError, match=f"non-finite spread at level {level}"):
             simulate_policy(POWER, FINITE, 3, 1.0, policy, 10, seed=1,
                             curve_times=[0.5], keep_paths=True)
+
+    def test_spreads_read_once_per_level_per_block(self):
+        # one finiteness check per level before the first block, then one
+        # read per level and block; the power optimum sells every path, so
+        # both blocks reach every level
+        policy = CountingPolicy(optimal_policy(POWER, FINITE, 0.5, 4))
+        simulate_policy(POWER, FINITE, 4, 0.5, policy, _BLOCK_PATHS + 5, seed=3)
+        assert Counter(policy.levels) == {k: 1 + 2 for k in range(1, 5)}
 
     def test_curve_standard_error_undefined_for_one_path(self):
         pol = optimal_policy(POWER, FINITE, 1.0, 3)
@@ -275,26 +305,32 @@ class TestPolicies:
     def test_zero_rate_optimum_is_recognised(self):
         pol = optimal_policy(POWER, ZERO_RATE, 1.0, 4)
         assert isinstance(pol, OptimalPowerPolicy)
-        assert not pol.time_homogeneous
         # fill rate k_n / (T - t)
         clock = pol.clock(POWER, 1.0, ZERO_RATE.horizon)
+        t_go = np.array([0.9, 0.1, 1e-6])
         for n in range(1, 5):
-            for t_go in (0.9, 0.1, 1e-6):
-                rate = POWER.rate(pol.spread(n, t_go))
-                assert math.isclose(rate * t_go, clock.rate(n), rel_tol=1e-12)
+            for s, tau in zip(pol.spreads_at(n, t_go).tolist(), t_go.tolist()):
+                assert math.isclose(POWER.rate(s) * tau, clock.rate(n), rel_tol=1e-12)
 
-    @pytest.mark.parametrize("policy", [
-        optimal_policy(POWER, FINITE, 1.0, 4),
-        optimal_policy(POWER, ZERO_RATE, 1.0, 4),
-        optimal_policy(POWER, INF, 1.0, 4),
-        optimal_policy(ExpDecayIntensity(lam=1.0, kappa=1.0), ZERO_RATE, 1.0, 4),
-        ConstantSpreadPolicy(2.0),
+    @pytest.mark.parametrize("policy, solved", [
+        (optimal_policy(POWER, FINITE, 1.0, 4), lambda tau: _solved(POWER, 0.1, tau)),
+        (optimal_policy(POWER, ZERO_RATE, 1.0, 4), lambda tau: _solved(POWER, 0.0, tau)),
+        (optimal_policy(POWER, INF, 1.0, 4), lambda tau: _solved(POWER, 0.1, tau)),
+        (optimal_policy(EXP, ZERO_RATE, 1.0, 4), lambda tau: _solved(EXP, 0.0, tau)),
+        (StationarySpreadPolicy(np.full(5, 2.0)), lambda tau: np.full(5, 2.0)),
     ], ids=["power", "power-r0", "power-inf", "exp-r0", "constant"])
-    def test_vector_spreads_match_scalar(self, policy):
-        t_go = np.array([1.0, 0.7, 0.25, 1e-3, 0.0])
+    def test_vector_spreads_match_scalar(self, policy, solved):
+        # spreads_at(n, tau) is the spread that solving the problem with
+        # horizon tau posts at level n; a constant table posts its one value
+        t_go = np.array([1.0, 0.7, 0.25, 1e-3])
         for n in range(1, 5):
-            scalar = [policy.spread(n, t) for t in t_go.tolist()]
+            scalar = [solved(tau)[n] for tau in t_go.tolist()]
             assert np.allclose(policy.spreads_at(n, t_go), scalar, rtol=1e-14, atol=0.0)
+
+
+def _solved(model, r, tau):
+    """The optimal spreads of levels 0..4 at delta = 1 with horizon tau."""
+    return resolve(model, MarketParams(r=r, horizon=tau)).solve(1.0, 4).spreads
 
 
 def _log_series(k, y):
@@ -477,7 +513,8 @@ class TestExactExecutionCurve:
         # E(., t) = expm(tau(t) Q) x with Q the death generator of the base rates
         tau, g = _time_change(alpha, market)
         policy = resolve(model, market).policy(1.0, n)
-        base = np.array([model.rate(policy.spread(k, market.horizon))
+        full = np.array([market.horizon])
+        base = np.array([model.rate(float(policy.spreads_at(k, full)[0]))
                          for k in range(1, n + 1)]) / g(0.0)
         gen = np.diag(np.concatenate(([0.0], -base))) + np.diag(base, -1)
         x = np.arange(n + 1.0)
@@ -493,7 +530,12 @@ class TestExactExecutionCurve:
         # forward Kolmogorov equation of the transition matrix P[x, j] under the
         # true, non-factoring level rates, integrated by RK4
         model, n = ExpDecayIntensity(lam=lam, kappa=1.0), 6
-        rates = resolve(model, ZERO_RATE).level_rates(n)
+
+        def rates(t):
+            # with delta = kappa = 1 the values are log S_k, S_k the truncated
+            # exponential series in lam (T-t)/e; rate(s*(k)) = (lam/e) S_{k-1}/S_k
+            log_sums = solve_exp_finite(n, 1.0, [ZERO_RATE.horizon - t], lam, 1.0)[0][:, 0]
+            return (lam / math.e) * np.exp(log_sums[:-1] - log_sums[1:])
 
         def forward(t, flat):
             h = np.concatenate(([0.0], rates(t)))
