@@ -61,8 +61,8 @@ class FillClock:
 
     ``advance(k, t0, e)`` is the exact fill time of each path that reached
     level k at the times t0 (an array), given its standard exponential draw
-    e: the time at which the integrated fill rate from t0 reaches e.  NaN or
-    a time past the horizon means no fill.
+    e: the time at which the integrated fill rate from t0 reaches e.  NaN,
+    inf (e/0 from a rate of 0) or a time past the horizon means no fill.
     """
 
     advance: Callable[[int, np.ndarray, np.ndarray], np.ndarray]

@@ -2,10 +2,10 @@
 
 Both extensions keep the power-law book.  Regime switching modulates the
 arrival scale by a two-state Markov chain and couples the two regimes'
-values, whose fluid constants solve a 2x2 algebraic system; the
-two-exchange model adds a second venue filling large blocks, turning the
-stationary value equation into a delay ODE solved by patching segment by
-segment.
+values, whose fluid constants solve a 2x2 algebraic system by one
+monotone Newton iteration; the two-exchange model adds a second venue
+filling large blocks, turning the stationary value equation into a delay
+ODE solved by patching segment by segment.
 """
 
 from __future__ import annotations
@@ -56,78 +56,46 @@ class RegimeParams:
         return (lam / (self.r * self.alpha)) ** (1.0 / self.alpha)
 
 
+# Newton steps before the regime solve gives up: a solve takes under
+# log(lambda0/lambda1) + 20, and that log is below 1 455 for any two floats
+_REGIME_STEPS = 1500
+
+
 def _regime_residuals(c0, c1, p: RegimeParams):
-    a = p.alpha
-    g0 = p.lambda0 / a * c0 ** (1.0 - a) - (p.r + p.theta0) * c0 + p.theta0 * c1
-    g1 = p.lambda1 / a * c1 ** (1.0 - a) - (p.r + p.theta1) * c1 + p.theta1 * c0
+    a, gap = p.alpha, c1 - c0
+    g0 = p.lambda0 / a * c0 ** (1.0 - a) - p.r * c0 + p.theta0 * gap
+    g1 = p.lambda1 / a * c1 ** (1.0 - a) - p.r * c1 - p.theta1 * gap
     return g0, g1
-
-
-def _regime_newton(c0, c1, p: RegimeParams, iters=60):
-    a = p.alpha
-    for _ in range(iters):
-        g0, g1 = _regime_residuals(c0, c1, p)
-        j00 = p.lambda0 / a * (1.0 - a) * c0 ** (-a) - (p.r + p.theta0)
-        j11 = p.lambda1 / a * (1.0 - a) * c1 ** (-a) - (p.r + p.theta1)
-        det = j00 * j11 - p.theta0 * p.theta1
-        d0 = (g0 * j11 - p.theta0 * g1) / det
-        d1 = (j00 * g1 - p.theta1 * g0) / det
-        c0_new, c1_new = c0 - d0, c1 - d1
-        if c0_new <= 0.0 or c1_new <= 0.0:
-            c0_new = max(c0_new, 0.5 * c0)
-            c1_new = max(c1_new, 0.5 * c1)
-        if abs(c0_new - c0) <= 1e-16 * c0 and abs(c1_new - c1) <= 1e-16 * c1:
-            return c0_new, c1_new
-        c0, c1 = c0_new, c1_new
-    return c0, c1
 
 
 def regime_fluid_fixed_point(params: RegimeParams) -> tuple[float, float]:
     """Constants (c0*, c1*) of the fluid values u = c0*x^p, w = c1*x^p.
 
-    The coupled pair reduces to a one-dimensional root find on the composed
-    monotone map c0 -> c1 -> c0, bracketed by the single-regime constants
-    (lambda1/(r*alpha))**(1/alpha) < c1* < c0* < (lambda0/(r*alpha))**(1/alpha),
-    then polished by a 2x2 Newton step to machine-level residuals.
+    Newton on the residuals g from (lo, lo), lo and hi the single-regime
+    constants (lambda_i/(r*alpha))**(1/alpha).  g is convex; -J, diagonal
+    m_i + theta_i and off-diagonal -theta_i with m_i = (alpha-1)*q_i/c_i + r,
+    q_i = lambda_i/alpha * c_i**(1-alpha), is an M-matrix; and g >= 0 at
+    (lo, lo).  So the iterates rise monotonically to the root, lo <= c1* <=
+    c0* <= hi, with no bracket (Ortega-Rheinboldt 13.3.4), each step a sum
+    of nonnegative terms.  A regime with theta_i = 0 keeps lo or hi exactly.
     """
-    hi = params.single_regime_constant(0)
+    a, r, t0, t1 = params.alpha, params.r, params.theta0, params.theta1
     lo = params.single_regime_constant(1)
-    t0, t1 = params.theta0, params.theta1
-    a, r = params.alpha, params.r
-
-    if t0 == 0.0 and t1 == 0.0:
-        return hi, lo
-    from scipy.optimize import brentq
-
-    if t0 == 0.0:
-        # active regime never leaves: c0 is the single-regime constant
-        g = lambda c1: _regime_residuals(hi, c1, params)[1]
-        return hi, brentq(g, lo, hi, xtol=1e-300, rtol=8.882e-16)
-    if t1 == 0.0:
-        g = lambda c0: _regime_residuals(c0, lo, params)[0]
-        return brentq(g, lo, hi, xtol=1e-300, rtol=8.882e-16), lo
-
-    def from_c0(c0):
-        # c1 implied by the active-regime equation
-        return c0 + (r * c0 - params.lambda0 / a * c0 ** (1.0 - a)) / t0
-
-    def from_c1(c1):
-        return c1 + (r * c1 - params.lambda1 / a * c1 ** (1.0 - a)) / t1
-
-    def gap(c0):
-        c1 = from_c0(c0)
-        if c1 <= 0.0:
-            return -1e300
-        return from_c1(c1) - c0
-
-    g_lo, g_hi = gap(lo), gap(hi)
-    if not (g_lo < 0.0 < g_hi):
-        raise ArithmeticError(
-            f"fixed-point bracket failure on [{lo}, {hi}]: gap({lo}) = {g_lo}, "
-            f"gap({hi}) = {g_hi}")
-    c0 = brentq(gap, lo, hi, xtol=1e-300, rtol=8.882e-16, maxiter=300)
-    c1 = min(max(from_c0(c0), lo), hi)
-    return _regime_newton(c0, c1, params)
+    c0, c1 = (lo if t0 else params.single_regime_constant(0)), lo
+    for _ in range(_REGIME_STEPS):
+        g0, g1 = _regime_residuals(c0, c1, params)
+        # a zero residual holds a regime with theta_i = 0 where it starts
+        g0, g1 = (g0 if t0 else 0.0), (g1 if t1 else 0.0)
+        m0 = (a - 1.0) / a * params.lambda0 * c0 ** -a + r
+        m1 = (a - 1.0) / a * params.lambda1 * c1 ** -a + r
+        det = m0 * m1 + t0 * m1 + t1 * m0
+        n0 = c0 + (m1 + t1) / det * g0 + t0 / det * g1
+        n1 = c1 + t1 / det * g0 + (m0 + t0) / det * g1
+        if n0 <= c0 and n1 <= c1:
+            return c0, c1
+        # the exact iterates only rise: a fall is rounding, and is held
+        c0, c1 = max(n0, c0), max(n1, c1)
+    raise ArithmeticError(f"no regime fixed point in {_REGIME_STEPS} Newton steps: {params}")
 
 
 # --------------------------------------------------------------------------

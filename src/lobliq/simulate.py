@@ -169,6 +169,7 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
     if n_units < 0:
         raise ValueError("n_units must be >= 0")
     horizon = market.horizon
+    last = min(horizon, np.finfo(float).max)  # a fill at t = inf is no fill
     r = market.r
     advance = policy.clock(model, delta, horizon).advance
     full_horizon = np.array([horizon])
@@ -204,8 +205,9 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
             if live.size == 0:
                 break
             t0 = t[live]
-            t_next = advance(level, t0, draws[live, j])
-            hit = t_next <= horizon
+            with np.errstate(divide="ignore"):
+                t_next = advance(level, t0, draws[live, j])
+            hit = t_next <= last
             live, t0 = live[hit], t0[hit]
             # exact inversion keeps fills in (t0, T]; clamp roundoff so times
             # stay strictly increasing and never exceed T

@@ -345,6 +345,23 @@ class TestCliCommands:
         mean = json.loads((out / "ensemble.json").read_text())["mean_revenue"]
         assert math.isclose(sum(cols["discounted_cash"]) / 30, mean, rel_tol=1e-12)
 
+    def test_fill_at_infinite_time_is_no_fill(self, tmp_path):
+        # exp(-800) underflows, so every fill time is inf on the infinite
+        # horizon: no path sells, where each used to count three fills at inf
+        out = tmp_path / "out"
+        cfg = {
+            "model": {"kind": "exp", "lam": 1.0, "kappa": 1.0},
+            "market": {"r": 0.1, "horizon": "inf"},
+            "simulate": {"n_units": 3, "n_paths": 100, "policy": "constant",
+                         "constant_spread": 800, "dump_paths": True},
+            "output": {"directory": str(out), "formats": "csv"},
+        }
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 0
+        stats = json.loads((out / "ensemble.json").read_text())
+        assert stats["liquidation_fraction"] == 0.0
+        assert stats["mean_revenue"] == 0.0
+        assert read_csv(out / "paths.csv")[1] == []
+
     def test_paths_dump_matches_per_path_reference(self, tmp_path):
         # a constant spread on a finite horizon leaves some paths unsold
         out = tmp_path / "out"

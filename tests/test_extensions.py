@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lobliq.cases import resolve
 from lobliq.extensions import (
@@ -70,6 +73,80 @@ class TestRegimeFixedPoint:
         with pytest.raises(ValueError):
             RegimeParams(lambda0=0.5, lambda1=1.5, theta0=1.0, theta1=1.0,
                          r=0.1, alpha=2.0)
+
+    def test_asymmetric_rates_solve(self):
+        # fast exit from the slow regime, a rate of 1e-8 out of the active one
+        p = RegimeParams(0.6743826715669278, 0.019690931665751185, 1.120200028291722e-08,
+                         64184065.89452929, 0.0047441412571557545, 1.271150772663323)
+        _assert_matches_mpmath(p, regime_fluid_fixed_point(p))
+
+    def test_fast_switching_with_a_nearly_dry_slow_regime(self):
+        # the theta = 1e8 point of a regimes sweep
+        p = RegimeParams(lambda0=0.05, lambda1=5e-7, theta0=1e8, theta1=1e8, r=1.5e-4,
+                         alpha=2.0)
+        _assert_matches_mpmath(p, regime_fluid_fixed_point(p))
+
+    def test_near_the_top_of_the_float_range(self):
+        # (alpha-1)*lambda0 and theta1*g0 would overflow in the Newton step
+        for p in (RegimeParams(5.629693880468705e+306, 2.0238306210786603e+26,
+                               36136.40020018233, 0.0015389098346410496,
+                               0.002457798250928624, 93.80988677917786),
+                  RegimeParams(1.177480923794698e+308, 4.639730613196512e+93,
+                               0.02423734915330839, 0.22691144332158775,
+                               283.6362270940902, 1.0074674259681662)):
+            _assert_matches_mpmath(p, regime_fluid_fixed_point(p))
+
+    @given(alpha=st.floats(1.001, 30.0), lambda1=st.floats(1e-3, 1e3),
+           ratio=st.floats(1.01, 1e4),
+           theta0=st.one_of(st.just(0.0), st.floats(1e-8, 1e8)),
+           theta1=st.one_of(st.just(0.0), st.floats(1e-8, 1e8)),
+           r=st.floats(1e-4, 10.0))
+    @example(alpha=30.0, lambda1=1e-3, ratio=1e4, theta0=1e-8, theta1=1e-8, r=10.0)
+    @example(alpha=1.001, lambda1=1e3, ratio=1.01, theta0=1e8, theta1=1e8, r=1e-4)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_mpmath_root(self, alpha, lambda1, ratio, theta0, theta1, r):
+        p = RegimeParams(lambda0=lambda1 * ratio, lambda1=lambda1, theta0=theta0,
+                         theta1=theta1, r=r, alpha=alpha)
+        c0, c1 = regime_fluid_fixed_point(p)
+        hi, lo = p.single_regime_constant(0), p.single_regime_constant(1)
+        # hi and lo carry their own rounding, and a root may lie within it
+        slack = 4.0 * math.ulp(hi)
+        assert lo <= c1 <= c0 + slack and c0 <= hi + slack
+        if theta0 == 0.0:
+            assert c0 == hi
+        if theta1 == 0.0:
+            assert c1 == lo
+        _assert_matches_mpmath(p, (c0, c1))
+
+
+def _mpmath_regime_root(p, dps=50):
+    """(c0*, c1*) in mpmath at ``dps`` digits, by a one-dimensional
+    bisection.  With theta1 > 0 the slow equation gives c0 from c1 as
+    c1 + (r*c1 - q1(c1))/theta1, and the active residual at (c0(c1), c1) is
+    positive at c1 = lo and negative at c1 = hi; with theta1 = 0, c1 = lo
+    and c0 is hi or, if theta0 > 0, the root of the active residual at
+    c1 = lo on [lo, hi]."""
+    with mpmath.workdps(dps):
+        l0, l1, t0, t1, r, a = (mpmath.mpf(v) for v in (
+            p.lambda0, p.lambda1, p.theta0, p.theta1, p.r, p.alpha))
+        q = lambda lam, c: lam / a * c ** (1 - a)
+        g0 = lambda c0, c1: q(l0, c0) - r * c0 + t0 * (c1 - c0)
+        lo, hi = (l1 / (r * a)) ** (1 / a), (l0 / (r * a)) ** (1 / a)
+        # the residual is too steep for findroot's absolute check; a bisection
+        # that has not converged leaves a wide error, which fails the caller
+        solve = lambda f: mpmath.findroot(f, (lo, hi), solver="bisect", verify=False,
+                                          maxsteps=400)
+        if t1 == 0:
+            return float(solve(lambda c: g0(c, lo)) if t0 else hi), float(lo)
+        c0_of = lambda c1: c1 + (r * c1 - q(l1, c1)) / t1
+        c1 = solve(lambda c: g0(c0_of(c), c))
+        return float(c0_of(c1)), float(c1)
+
+
+def _assert_matches_mpmath(p, got, rel=1e-13):
+    want = _mpmath_regime_root(p)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= rel * w, (got, want)
 
 
 def regime_discrete(p, n_max):

@@ -1,11 +1,12 @@
-"""SciPy stays out of the package's import and out of the power-law paths,
-the report writers' vector spelling stays out of the package's import,
-every name a module exports exists, and every function the package defines
-is reached by a command, bar a named few.
+"""SciPy stays out of the package's import, the power-law paths and the
+regime solve, the report writers' vector spelling stays out of the
+package's import, every name a module exports exists, and every function
+the package defines is reached by a command, bar a named few.
 
-``import lobliq.cli`` and the power-law commands run in NumPy time: SciPy is
-imported inside the few functions that need it (the exponential-book E1
-root, the generic stationary solve, the regime and two-exchange solvers).
+``import lobliq.cli``, the power-law commands and ``regimes`` run in NumPy
+time: SciPy is imported inside the few functions that need it (the
+exponential-book E1 root, the generic stationary solve, the two-exchange
+solvers).
 A static lint of every source file fails fast on a module-level SciPy
 import; the slower gate then runs commands in fresh interpreters, since
 pytest itself has imported ``scipy.integrate`` by now (its warning filters
@@ -146,6 +147,16 @@ def test_power_law_command_loads_no_scipy(command, tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(cfg))
     assert _probe(command, "--config", str(path))["scipy"] == []
+
+
+def test_regimes_loads_no_scipy(tmp_path):
+    # theta = 0 decouples the regimes; the other points take the full solve
+    cfg = {"regimes": {"lambda0": 1.5, "lambda1": 0.5, "alpha": 2.0, "r": 0.1,
+                       "theta_grid": {"start": 0.0, "stop": 100.0, "count": 5}},
+           "output": {"directory": str(tmp_path / "out"), "formats": "both"}}
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert _probe("regimes", "--config", str(path))["scipy"] == []
 
 
 # a fresh interpreter: run each (command, config path) argument pair under a
