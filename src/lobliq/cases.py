@@ -197,6 +197,13 @@ class Case:
         sol = self.solve(delta, n)
         return float(sol.values[n]), float(sol.spreads[n])
 
+    def ladder(self, levels, deltas) -> tuple[np.ndarray, np.ndarray]:
+        """(values, optimal spreads): at ``levels[i]`` of the
+        ``deltas[i]``-unit problem for each rung i, one solve a rung."""
+        values, spreads = np.array([self.value_and_spread_at(n, d)
+                                    for n, d in zip(levels, deltas)]).T
+        return values, spreads
+
     def liquidation_times(self, sol: DiscreteSolution) -> Optional[np.ndarray]:
         """Expected time to sell each level optimally, where a closed form exists."""
         return None
@@ -271,6 +278,20 @@ class PowerLaw(Case):
         return OptimalPowerPolicy(lam=self.model.lam, alpha=self.model.alpha,
                                   r=self.market.r, horizon=self.market.horizon,
                                   spread_scales=self._levels(delta, n_max)[1])
+
+    def ladder(self, levels, deltas):
+        # the unit enters d_n only through d_1 = b**(1/alpha), so d_n/d_1 is
+        # one sequence for every unit: the finest rung's recursion gives each
+        # rung's d_n as the finest d_n scaled by the ratio of the two d_1,
+        # and the finest rung itself bit for bit (the ratio is 1)
+        m, mk = self.model, self.market
+        fine = int(np.argmax(levels))
+        d = self._levels(deltas[fine], levels[fine])[0]
+        d1 = np.array([discrete.power_first_coefficient(m.lam, m.alpha, dl)
+                       for dl in deltas])
+        dn = d[levels] * (d1 / d[1])
+        factor = discrete.power_time_factor(mk.horizon, m.alpha, mk.r)
+        return dn * factor, (m.lam / dn) ** (1.0 / (m.alpha - 1.0)) * factor
 
     def liquidation_times(self, sol):
         # level n waits delta/rate(s_n) at its stationary spread s_n =

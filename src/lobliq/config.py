@@ -291,10 +291,15 @@ def parse_config(data: dict, command: str) -> RunConfig:
                      raw=data)
 
 
+# libyaml's C parser where PyYAML was built with it: the same safe
+# constructor and resolver as yaml.SafeLoader, so the same data
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path: str, command: str) -> RunConfig:
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -21,7 +21,6 @@ from .intensity import IntensityModel, MarketParams
 __all__ = [
     "ConvergenceReport",
     "SpreadConvergence",
-    "discrete_value_and_spread_at",
     "value_convergence",
     "control_convergence",
 ]
@@ -52,13 +51,15 @@ class SpreadConvergence:
     averaged_wins: bool       # cell average closer than the pointwise value everywhere
 
 
-def discrete_value_and_spread_at(model: IntensityModel, market: MarketParams,
-                                 x: float, delta: float) -> tuple[float, float]:
-    """V and optimal spread of the Delta-unit problem at inventory x."""
-    n = level_of(x, delta)
-    if n < 1:
+def _probe(model: IntensityModel, market: MarketParams, x: float,
+           deltas) -> tuple[np.ndarray, np.ndarray]:
+    """V and optimal spread at inventory x of the Delta-unit problem for each
+    Delta in ``deltas``, from one case (``Case.ladder``); x must lie on every
+    grid."""
+    levels = [level_of(x, d) for d in deltas]  # raises on misalignment
+    if min(levels) < 1:
         raise ValueError("probe inventory must be at least one unit")
-    return resolve(model, market).value_and_spread_at(n, delta)
+    return resolve(model, market).ladder(levels, deltas)
 
 
 def _ladder(delta0: float, k_max: int) -> np.ndarray:
@@ -77,16 +78,8 @@ def value_convergence(model: IntensityModel, market: MarketParams, x_probe: floa
     error quotients.
     """
     deltas = _ladder(delta0, k_max)
-    for d in deltas:
-        level_of(x_probe, d)  # raises on misalignment
-
-    fl = fluid_solution(model, market)
-    fluid_value, fluid_spread = fl.value_and_spread(x_probe)
-
-    values = np.empty(len(deltas))
-    spreads = np.empty(len(deltas))
-    for i, d in enumerate(deltas):
-        values[i], spreads[i] = discrete_value_and_spread_at(model, market, x_probe, d)
+    values, spreads = _probe(model, market, x_probe, deltas)
+    fluid_value, fluid_spread = fluid_solution(model, market).value_and_spread(x_probe)
 
     ratios = values / fluid_value
     monotone_ok = bool(np.all(np.diff(values) >= -1e-12 * fluid_value)
@@ -118,9 +111,8 @@ def control_convergence(model: IntensityModel, market: MarketParams, x_probe: fl
     latter is the smaller one).
     """
     deltas = np.asarray(deltas, dtype=float)
-    spreads = np.array([discrete_value_and_spread_at(model, market, x_probe, d)[1]
-                        for d in deltas])
-    return _spread_table(model, market, x_probe, deltas, spreads)
+    return _spread_table(model, market, x_probe, deltas,
+                         _probe(model, market, x_probe, deltas)[1])
 
 
 def _spread_table(model: IntensityModel, market: MarketParams, x_probe: float,

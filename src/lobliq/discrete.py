@@ -32,6 +32,7 @@ __all__ = [
     "power_coefficient_factor",
     "power_fill_time",
     "level_of",
+    "power_first_coefficient",
     "solve_power_zero_rate",
     "solve_exp_finite",
     "exp_hazard_drop",
@@ -100,6 +101,28 @@ def level_of(x: float, delta: float) -> int:
     return int(n)
 
 
+def power_first_coefficient(lam: float, alpha: float, delta: float) -> float:
+    """d_1 = b**(1/alpha), b = ((alpha-1)/alpha)**(alpha-1) * lam *
+    delta**(alpha-1), as ``solve_power_zero_rate`` sets it: from log b where
+    b leaves the normal floats, else the power of b itself.  Raises
+    ArithmeticError if d_1 is not a normal float."""
+    if alpha <= 1.0:
+        raise ValueError(f"alpha must exceed 1, got {alpha}")
+    # Python floats: a NumPy scalar power overflows to inf with a warning,
+    # where the fallback below needs an OverflowError
+    lam, alpha, delta = float(lam), float(alpha), float(delta)
+    payoff = ((alpha - 1.0) / alpha) ** (alpha - 1.0)
+    log_b = math.log(payoff) + math.log(lam) + (alpha - 1.0) * math.log(delta)
+    if _LOG_NORMAL < log_b < _LOG_HUGE:
+        d1 = (payoff * (lam * delta ** (alpha - 1.0))) ** (1.0 / alpha)
+    else:
+        d1 = math.exp(log_b / alpha)
+    if not sys.float_info.min <= d1 < math.inf:
+        raise ArithmeticError(f"first coefficient d_1 = exp({log_b!r} / {alpha!r}) "
+                              "is outside the normal float range")
+    return d1
+
+
 def solve_power_zero_rate(lam: float, alpha: float, n_max: int,
                           delta: float = 1.0) -> np.ndarray:
     """The r-free power-law coefficients d_0..d_n: d_0 = 0 and
@@ -126,22 +149,10 @@ def solve_power_zero_rate(lam: float, alpha: float, n_max: int,
     ArithmeticError if a level takes more than _NEWTON_STEPS steps or ends
     with a residual above _RESIDUAL_RTOL.
     """
-    if alpha <= 1.0:
-        raise ValueError(f"alpha must exceed 1, got {alpha}")
+    d1 = power_first_coefficient(lam, alpha, delta)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    # Python floats: a NumPy scalar power overflows to inf with a warning,
-    # where the fallback below needs an OverflowError
-    lam, alpha, delta = float(lam), float(alpha), float(delta)
-    payoff = ((alpha - 1.0) / alpha) ** (alpha - 1.0)
-    log_b = math.log(payoff) + math.log(lam) + (alpha - 1.0) * math.log(delta)
-    if _LOG_NORMAL < log_b < _LOG_HUGE:
-        d1 = (payoff * (lam * delta ** (alpha - 1.0))) ** (1.0 / alpha)
-    else:
-        d1 = math.exp(log_b / alpha)
-    if not sys.float_info.min <= d1 < math.inf:
-        raise ArithmeticError(f"first coefficient d_1 = exp({log_b!r} / {alpha!r}) "
-                              "is outside the normal float range")
+    alpha = float(alpha)
     exp, log, log1p = math.exp, math.log, math.log1p
     d = np.empty(n_max + 1)
     d[0] = 0.0

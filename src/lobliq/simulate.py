@@ -8,14 +8,21 @@ log of a truncated exponential series, inverted by a monotone Newton
 solve, for the exponential book with r = 0.
 
 Paths are simulated in fixed-size blocks.  Block b draws one matrix of
-standard exponentials, row by row, from a stream keyed on (seed, b), and
-every live path of the block advances one fill per NumPy step.  A path's
-draws therefore depend only on the seed, its index and the unit count,
-never on the ensemble size.  The policy's spreads are checked for
-finiteness once, with the whole horizon to go, before the first block;
-each level of a block then reads them once, at its fill times.  Blocks run
-one after another; ``threads`` is checked and otherwise ignored, so it
-changes neither the results nor the speed.
+standard exponentials, row by row, from a stream keyed on (seed, b), so a
+path's draws depend only on the seed, its index and the unit count, never
+on the ensemble size.  The matrix is transposed once, and every live path
+of the block advances one fill per NumPy step.  The live paths stay
+packed: while every path fills, a level is whole-array arithmetic on one
+contiguous row of draws and writes its fills through slices; an index
+array of the paths still live appears only once a path stops.  Against a
+gather and scatter of the live paths at every level, this took a 50 000
+path, 6 unit run from 18.6 to 11.4 ms (power law, T = 1, 20 curve times)
+and from 11.5 to 5.4 ms (stationary exponential book), min of 25 calls on
+one core of an x86-64 Xeon, with every result the same bit for bit.  The
+policy's spreads are checked for finiteness once, with the whole horizon
+to go, before the first block; each level of a block then reads them once,
+at its fill times.  Blocks run one after another; ``threads`` is checked
+and otherwise ignored, so it changes neither the results nor the speed.
 """
 
 from __future__ import annotations
@@ -141,6 +148,73 @@ def _stream(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
 
 
+def _march(model, market, n_units, delta, policy, n_paths, seed, ct, keep_paths):
+    """Every path's fills, block by block: (discounted revenues, fill counts,
+    done, fill times, fill spreads), where done[j, c] counts the paths with
+    fill j at or before ct[c] (None without curve times) and the fill tables
+    hold fill j of path i at [i, j], unset past a path's last fill (None
+    unless ``keep_paths``)."""
+    horizon, r = market.horizon, market.r
+    last = min(horizon, np.finfo(float).max)  # a fill at t = inf is no fill
+    advance = policy.clock(model, delta, horizon).advance
+    revenues = np.zeros(n_paths)
+    fill_counts = np.zeros(n_paths, dtype=np.int64)
+    done = None if ct is None else np.zeros((n_units, len(ct)), dtype=np.int64)
+    fill_times = fill_spreads = None
+    if keep_paths:
+        fill_times = np.empty((n_paths, n_units))
+        fill_spreads = np.empty((n_paths, n_units))
+
+    for block in range(-(-n_paths // _BLOCK_PATHS)):
+        lo = block * _BLOCK_PATHS
+        m = min(n_paths - lo, _BLOCK_PATHS)
+        # filled row by row, so a path's draws depend on the seed, its index
+        # and n_units only, not on how many rows the block holds; transposed
+        # once, so that level j reads row j
+        draws = _stream(seed, block).standard_exponential((m, n_units)).T.copy()
+        # views: the block writes its rows of the run's arrays in place
+        revenue, fills = revenues[lo:lo + m], fill_counts[lo:lo + m]
+        if keep_paths:
+            times, spreads = fill_times[lo:lo + m], fill_spreads[lo:lo + m]
+        # t holds the live paths' times, packed; live selects their rows: a
+        # basic slice while every path fills, their indices once one stops
+        t = np.zeros(m)
+        live = slice(None)
+        for j, level in enumerate(range(n_units, 0, -1)):
+            with np.errstate(divide="ignore"):
+                t_next = advance(level, t, draws[j, live])
+            hit = t_next <= last
+            if not hit.all():
+                live = np.flatnonzero(hit) if isinstance(live, slice) else live[hit]
+                if live.size == 0:
+                    break
+                t, t_next = t[hit], t_next[hit]
+            # exact inversion keeps fills in (t0, T]; clamp roundoff so times
+            # stay strictly increasing and never exceed T.  hit has removed
+            # NaN and inf, so this is np.clip(t_next, np.nextafter(t, inf),
+            # horizon) with nextafter taken only where a fill is not after t
+            early = t_next <= t
+            t_next = np.minimum(t_next, horizon)
+            if early.any():
+                t_next[early] = np.minimum(np.nextafter(t[early], math.inf), horizon)
+            t = t_next
+            s = policy.spreads_at(level, horizon - t)
+            # exp(-r t) * s * delta, in place
+            cash = np.multiply(t, -r)
+            np.exp(cash, out=cash)
+            cash *= s
+            cash *= delta
+            revenue[live] += cash
+            fills[live] += 1
+            if done is not None:
+                # side right: a fill at exactly a curve time counts there
+                done[j] += np.searchsorted(np.sort(t), ct, side="right")
+            if keep_paths:
+                times[live, j] = t
+                spreads[live, j] = s
+    return revenues, fill_counts, done, fill_times, fill_spreads
+
+
 def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
                     delta: float, policy, n_paths: int, seed: int,
                     *, threads: int = 1, curve_times=None, keep_paths: bool = False):
@@ -168,63 +242,13 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
         raise ValueError("threads must be >= 1")
     if n_units < 0:
         raise ValueError("n_units must be >= 0")
-    horizon = market.horizon
-    last = min(horizon, np.finfo(float).max)  # a fill at t = inf is no fill
-    r = market.r
-    advance = policy.clock(model, delta, horizon).advance
-    full_horizon = np.array([horizon])
+    full_horizon = np.array([market.horizon])
     for level in range(n_units, 0, -1):
         if not np.all(np.isfinite(policy.spreads_at(level, full_horizon))):
             raise ArithmeticError(f"non-finite spread at level {level}")
-
-    revenues = np.zeros(n_paths)
-    fill_counts = np.zeros(n_paths, dtype=np.int64)
-    ct = done = None
-    if curve_times is not None:
-        ct = np.asarray(curve_times, dtype=float)
-        # done[j, c]: paths with fill j at or before ct[c]
-        done = np.zeros((n_units, len(ct)), dtype=np.int64)
-    if keep_paths:
-        # fill j of path i at [i, j]; cells past a path's last fill stay unset
-        fill_times = np.empty((n_paths, n_units))
-        fill_spreads = np.empty((n_paths, n_units))
-
-    def run_block(block):
-        lo = block * _BLOCK_PATHS
-        m = min(n_paths - lo, _BLOCK_PATHS)
-        # filled row by row, so a path's draws depend on the seed, its index
-        # and n_units only, not on how many rows the block holds
-        draws = _stream(seed, block).standard_exponential((m, n_units))
-        t = np.zeros(m)
-        # views: the block writes its rows of the run's arrays in place
-        revenue, fills = revenues[lo:lo + m], fill_counts[lo:lo + m]
-        if keep_paths:
-            times, spreads = fill_times[lo:lo + m], fill_spreads[lo:lo + m]
-        live = np.arange(m)
-        for j, level in enumerate(range(n_units, 0, -1)):
-            if live.size == 0:
-                break
-            t0 = t[live]
-            with np.errstate(divide="ignore"):
-                t_next = advance(level, t0, draws[live, j])
-            hit = t_next <= last
-            live, t0 = live[hit], t0[hit]
-            # exact inversion keeps fills in (t0, T]; clamp roundoff so times
-            # stay strictly increasing and never exceed T
-            t_next = np.clip(t_next[hit], np.nextafter(t0, math.inf), horizon)
-            s = policy.spreads_at(level, horizon - t_next)
-            t[live] = t_next
-            revenue[live] += np.exp(-r * t_next) * s * delta
-            fills[live] += 1
-            if done is not None:
-                # side right: a fill at exactly a curve time counts there
-                done[j] += np.searchsorted(np.sort(t_next), ct, side="right")
-            if keep_paths:
-                times[live, j] = t_next
-                spreads[live, j] = s
-
-    for block in range(-(-n_paths // _BLOCK_PATHS)):
-        run_block(block)
+    ct = None if curve_times is None else np.asarray(curve_times, dtype=float)
+    revenues, fill_counts, done, fill_times, fill_spreads = _march(
+        model, market, n_units, delta, policy, n_paths, seed, ct, keep_paths)
 
     mean = float(np.mean(revenues))
     if n_paths > 1:

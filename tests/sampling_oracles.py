@@ -6,6 +6,10 @@ under a piecewise-constant hazard bound from a generator of its own.
 :class:`OraclePolicy` runs either one through ``simulate_policy`` in place of
 the wrapped policy's clock, so the package's ensemble loop, draws and
 statistics are unchanged and only the fill times come from the oracle.
+
+:func:`reference_march` is the ensemble loop itself written the direct way,
+gathering the live paths' times and draws at every level and scattering the
+fills back, as the reference for the packed march in ``simulate``.
 """
 
 import math
@@ -17,6 +21,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 
+from lobliq import simulate
 from lobliq.cases import FillClock
 
 
@@ -114,3 +119,46 @@ class OraclePolicy:
         return FillClock(advance=lambda level, t0, draws: np.array(
             [fill_time(level, t, d) for t, d in zip(t0.tolist(), draws.tolist())],
             dtype=float))
+
+
+def reference_march(model, market, n_units, delta, policy, n_paths, seed, ct, keep_paths):
+    """``simulate._march`` as a per-level gather and scatter over the live
+    paths: the march the packed one must match bit for bit."""
+    horizon, r = market.horizon, market.r
+    last = min(horizon, np.finfo(float).max)
+    advance = policy.clock(model, delta, horizon).advance
+    revenues = np.zeros(n_paths)
+    fill_counts = np.zeros(n_paths, dtype=np.int64)
+    done = None if ct is None else np.zeros((n_units, len(ct)), dtype=np.int64)
+    fill_times = fill_spreads = None
+    if keep_paths:
+        fill_times = np.empty((n_paths, n_units))
+        fill_spreads = np.empty((n_paths, n_units))
+    for block in range(-(-n_paths // simulate._BLOCK_PATHS)):
+        lo = block * simulate._BLOCK_PATHS
+        m = min(n_paths - lo, simulate._BLOCK_PATHS)
+        draws = simulate._stream(seed, block).standard_exponential((m, n_units))
+        t = np.zeros(m)
+        revenue, fills = revenues[lo:lo + m], fill_counts[lo:lo + m]
+        if keep_paths:
+            times, spreads = fill_times[lo:lo + m], fill_spreads[lo:lo + m]
+        live = np.arange(m)
+        for j, level in enumerate(range(n_units, 0, -1)):
+            if live.size == 0:
+                break
+            t0 = t[live]
+            with np.errstate(divide="ignore"):
+                t_next = advance(level, t0, draws[live, j])
+            hit = t_next <= last
+            live, t0 = live[hit], t0[hit]
+            t_next = np.clip(t_next[hit], np.nextafter(t0, math.inf), horizon)
+            s = policy.spreads_at(level, horizon - t_next)
+            t[live] = t_next
+            revenue[live] += np.exp(-r * t_next) * s * delta
+            fills[live] += 1
+            if done is not None:
+                done[j] += np.searchsorted(np.sort(t_next), ct, side="right")
+            if keep_paths:
+                times[live, j] = t_next
+                spreads[live, j] = s
+    return revenues, fill_counts, done, fill_times, fill_spreads

@@ -27,6 +27,25 @@ BASE = {
 }
 
 
+def _parsed(text, loader):
+    try:
+        return repr(yaml.load(text, Loader=loader))  # repr: nan equals nan
+    except yaml.YAMLError:
+        return "malformed"
+
+
+@pytest.fixture(autouse=True)
+def c_and_python_yaml_agree(tmp_path):
+    """After each test, libyaml's C loader (load_config's where PyYAML has
+    it) and the pure-Python SafeLoader read every config it wrote alike."""
+    yield
+    if not hasattr(yaml, "CSafeLoader"):
+        return
+    for path in tmp_path.rglob("*.yaml"):
+        text = path.read_text()
+        assert _parsed(text, yaml.CSafeLoader) == _parsed(text, yaml.SafeLoader), path
+
+
 def write_cfg(tmp_path, data, name="run.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data))

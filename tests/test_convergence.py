@@ -5,11 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from lobliq.cases import resolve
-from lobliq.convergence import (
-    control_convergence,
-    discrete_value_and_spread_at,
-    value_convergence,
-)
+from lobliq.convergence import control_convergence, value_convergence
 from lobliq.fluid import exp_fluid_infinite, fluid_solution
 from lobliq.intensity import ExpDecayIntensity, MarketParams, PowerLawIntensity
 
@@ -28,8 +24,9 @@ class TestValueConvergence:
 
     def test_figure_scale_deltas(self):
         # the 0.05 and 0.01 unit sizes used in the illustration
-        v05, _ = discrete_value_and_spread_at(POWER, MARKET, 5.0, 0.05)
-        v01, _ = discrete_value_and_spread_at(POWER, MARKET, 5.0, 0.01)
+        case = resolve(POWER, MARKET)
+        v05, _ = case.value_and_spread_at(100, 0.05)
+        v01, _ = case.value_and_spread_at(500, 0.01)
         assert v05 < v01 < 5.0
         assert (5.0 - v01) < (5.0 - v05)
         assert v01 / 5.0 > 0.99
@@ -48,6 +45,31 @@ class TestValueConvergence:
         assert report.monotone_ok
         assert np.all(np.diff(report.values) > 0.0)
         assert np.all(report.values <= v_fluid + 1e-12)
+
+    @pytest.mark.parametrize("model, market", [
+        (model, market)
+        for model in (PowerLawIntensity(lam=1.3, alpha=1.05), POWER,
+                      PowerLawIntensity(lam=0.7, alpha=3.5),
+                      PowerLawIntensity(lam=1.0, alpha=200.0))
+        for market in (MARKET, MarketParams(r=0.0, horizon=1.0),
+                       MarketParams(r=0.5, horizon=2.0))
+    ] + [(ExpDecayIntensity(lam=1.0, kappa=1.0), market)
+         for market in (MARKET, MarketParams(r=0.0, horizon=1.0))])
+    def test_ladder_rungs_match_direct_solves(self, model, market):
+        # a power-law ladder solves its finest rung and scales the others by
+        # the ratio of their first coefficients; every other ladder solves
+        # each rung, so it and the finest rung match their solves exactly
+        report = value_convergence(model, market, x_probe=5.0, delta0=1.0, k_max=9)
+        power = isinstance(model, PowerLawIntensity)
+        # the spread is (lam/d_n)**(1/(alpha-1)) times a factor
+        spread_rtol = 2e-14 * max(1.0, 1.0 / (model.alpha - 1.0)) if power else 0.0
+        for i, d in enumerate(report.deltas):
+            value, spread = resolve(model, market).value_and_spread_at(round(5.0 / d), d)
+            if not power or i == len(report.deltas) - 1:
+                assert report.values[i] == value and report.spreads[i] == spread
+            else:
+                assert abs(report.values[i] - value) <= 2e-14 * value
+                assert abs(report.spreads[i] - spread) <= spread_rtol * spread
 
     def test_grid_alignment_error(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from lobliq.cases import resolve
+from lobliq import simulate
+from lobliq.cases import FillClock, resolve
 from lobliq.discrete import solve_exp_finite
 from lobliq.fluid import fluid_solution
 from lobliq.intensity import (
@@ -29,7 +30,7 @@ from lobliq.simulate import (
     simulate_policy,
 )
 from ode_oracles import OdeProblem, integrate_ode
-from sampling_oracles import OraclePolicy, inversion, thinning
+from sampling_oracles import OraclePolicy, inversion, reference_march, thinning
 
 POWER = PowerLawIntensity(lam=1.0, alpha=2.0)
 EXP = ExpDecayIntensity(lam=1.0, kappa=1.0)
@@ -299,6 +300,78 @@ class TestSimulatePolicy:
         assert math.isclose(value, solve_exp_finite(n, 1.0, [1.0], model.lam, kappa)[0][n, 0],
                             rel_tol=1e-14)
         assert abs(stats.mean_revenue - value) <= 4.0 * stats.std_error
+
+
+@dataclass(frozen=True)
+class RoundoffPolicy:
+    """``inner``'s spreads, with a clock that puts some fills before t0, at
+    t0 or at exactly the horizon, as rounding in a fill clock might."""
+
+    inner: object
+
+    def spreads_at(self, n_units, t_to_go):
+        return self.inner.spreads_at(n_units, t_to_go)
+
+    def clock(self, model, delta, horizon):
+        def advance(k, t0, e):
+            t = np.where(e < 0.6, horizon, t0 + e)
+            t = np.where(e < 0.4, t0, t)
+            return np.where(e < 0.2, t0 - 1e-3 * e, t)
+
+        return FillClock(advance=advance)
+
+
+def _march_policies():
+    flat = np.array([math.nan] + [1.0] * 6)
+    # rate(1e200) = 1e-400 underflows to 0: level 3 fills at e/0 = inf
+    underflow = flat.copy()
+    underflow[3] = 1e200
+    # y0 = lam T/(delta e) near 6: about half the paths sell all six units
+    rich = ExpDecayIntensity(lam=8.0, kappa=1.0)
+    return {
+        "stationary": (POWER, FINITE, StationarySpreadPolicy(flat)),
+        "fluid": (POWER, INF, fluid_spread_policy(POWER, INF, 0.5, 6)),
+        "power-T1": (POWER, FINITE, optimal_policy(POWER, FINITE, 0.5, 6)),
+        "power-r0": (POWER, ZERO_RATE, optimal_policy(POWER, ZERO_RATE, 0.5, 6)),
+        "power-inf": (POWER, INF, optimal_policy(POWER, INF, 0.5, 6)),
+        "exp-r0": (rich, ZERO_RATE, optimal_policy(rich, ZERO_RATE, 0.5, 6)),
+        "rate-underflow": (POWER, FINITE, StationarySpreadPolicy(underflow)),
+        "roundoff": (POWER, FINITE, RoundoffPolicy(StationarySpreadPolicy(flat))),
+    }
+
+
+class TestPackedMarch:
+    @pytest.mark.parametrize("name", list(_march_policies()))
+    @pytest.mark.parametrize("n_paths", [1, _BLOCK_PATHS - 1, _BLOCK_PATHS,
+                                         _BLOCK_PATHS + 1, 20_000])
+    def test_matches_reference_march(self, name, n_paths):
+        # the packed march against the per-level gather and scatter, bit for
+        # bit: revenues, fill counts, curve counts and every fill table cell
+        # a path reached
+        model, market, policy = _march_policies()[name]
+        for n_units in (0, 1, 6):
+            for ct in (None, np.array([0.25, 0.5, 0.75, 1.0, 3.0])):
+                for keep_paths in (False, True):
+                    args = (model, market, n_units, 0.5, policy, n_paths, 41, ct,
+                            keep_paths)
+                    rev, fills, done, times, spreads = simulate._march(*args)
+                    ref_rev, ref_fills, ref_done, ref_times, ref_spreads = (
+                        reference_march(*args))
+                    assert np.array_equal(rev, ref_rev)
+                    assert np.array_equal(fills, ref_fills)
+                    assert (done is None if ct is None
+                            else np.array_equal(done, ref_done))
+                    if keep_paths:
+                        reached = np.arange(n_units) < fills[:, None]
+                        assert np.array_equal(times[reached], ref_times[reached])
+                        assert np.array_equal(spreads[reached], ref_spreads[reached])
+                    else:
+                        assert times is spreads is None
+        if name == "rate-underflow":
+            assert fills.max() <= 3  # no path fills at level 3
+        elif name in ("stationary", "exp-r0", "roundoff") and n_paths > 1:
+            # some paths stop before the last level and some do not
+            assert 0 < np.count_nonzero(fills < 6) < n_paths
 
 
 class TestPolicies:
