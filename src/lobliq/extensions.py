@@ -5,7 +5,9 @@ arrival scale by a two-state Markov chain and couples the two regimes'
 values, whose fluid constants solve a 2x2 algebraic system by one
 monotone Newton iteration; the two-exchange model adds a second venue
 filling large blocks, turning the stationary value equation into a delay
-ODE solved by patching segment by segment.
+ODE, marched node by node from the values and slopes it has already
+computed, and expanded to first order in a weak block venue by one
+Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -138,27 +140,26 @@ class TwoExchangeSolution:
     params: TwoExchangeParams
     x_grid: np.ndarray
     value: np.ndarray
-    derivative: np.ndarray
     spread_continuous: np.ndarray  # s0, from the marginal value
     spread_block: np.ndarray       # s1, from the delayed difference
     x_seed: float
 
 
 def _patch_integrate(params: TwoExchangeParams, x_seed: float):
-    """March the value in u = v**(alpha/(alpha-1)) across block-size segments.
+    """March the value in u = v**(alpha/(alpha-1)) node by node: (x, v, v').
 
     In the u variable the block-free solution is exactly linear, so the
     x -> 0 derivative singularity disappears and the seed region [0, x_seed]
-    (where v is set to the single-exchange asymptote) costs nothing.  Every
-    delayed value v(x - delta_block) lies in an earlier, completed segment,
-    so the steps of one segment read theirs from the completed segments'
-    cubic interpolants in one array evaluation before the segment is marched.
-    The march itself is scalar arithmetic on Python floats, with the same
-    operations in the same order as NumPy scalars would do them, so it is
-    bit for bit the per-step march; each segment is written back at once.
+    (where v is set to the single-exchange asymptote) costs nothing.  As
+    grid_step divides delta_block, the delayed value v(x - delta_block) at a
+    node is the node value L = delta_block/grid_step places back, and at a
+    step midpoint it is the cubic Hermite midpoint of u on the cell L places
+    back, from the slopes u' the march computed at its two nodes, clamped to
+    the cell's two values (seeded cells, where u is linear, take the plain
+    average).  v' comes from the first slope evaluation of each step; at the
+    nodes never marched from (the seed layer and the last node) it is the
+    equation's, inf where the equation has none.
     """
-    from scipy.interpolate import CubicSpline
-
     a, r, dblk = params.alpha, params.r, params.delta_block
     p = (a - 1.0) / a
     aa = power_constant(a)
@@ -176,48 +177,23 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
                               f"r = {r!r}") from None
     seed_idx = max(1, int(round(x_seed / h)))
     seed_idx = min(seed_idx, n_nodes - 1)
+    lag = int(round(dblk / h))
 
-    u = np.empty(n_nodes)
-    u[: seed_idx + 1] = u_slope0 * xs[: seed_idx + 1]
-    v = np.empty(n_nodes)
-    v[: seed_idx + 1] = u[: seed_idx + 1] ** p
-    seg_len = int(round(dblk / h))
-    splines: dict[int, CubicSpline] = {}
+    # Python floats, one list entry per node reached so far
+    x_list = xs.tolist()
+    u = [u_slope0 * x for x in x_list[:seed_idx + 1]]
+    v = [ue ** p for ue in u]
+    du = [u_slope0] * seed_idx  # u' at the seeded nodes; the march appends its own
 
-    def delayed(x, n_done):
-        """v(x - dblk) where x > dblk, else 0, from the segments whose nodes
-        all lie at or below n_done; a knot query resolves to the left segment."""
-        out = np.zeros(len(x))
-        if params.lambda1 == 0.0:
-            return out
-        live = np.flatnonzero(x > dblk)
-        q = x[live] - dblk
-        seg = np.maximum(0, np.floor(q / dblk - 1e-12)).astype(int)
-        for s in np.unique(seg):
-            i0 = s * seg_len
-            sel = seg == s
-            if i0 + seg_len > n_done:
-                # rounding put a knot query just past the knot, into the
-                # segment being marched (xs[L] = L*h can exceed dblk): read
-                # the knot itself
-                out[live[sel]] = v[i0]
-                continue
-            spline = splines.get(s)
-            if spline is None:
-                spline = splines[s] = CubicSpline(xs[i0:i0 + seg_len + 1],
-                                                  v[i0:i0 + seg_len + 1])
-            out[live[sel]] = spline(q[sel])
-        return out
-
-    # the constants of the step, hoisted with the order of every product kept
+    # the constants of the step, hoisted
     b0, b1 = aa * params.lambda0, aa * params.lambda1
     ka, ia, ia1, ma = a / (a - 1.0), 1.0 / a, 1.0 / (a - 1.0), 1.0 - a
     dblk_a = dblk ** a
-    hh, h6 = 0.5 * h, h / 6.0
+    hh, h6, h8 = 0.5 * h, h / 6.0, h / 8.0
     blocks = params.lambda1 > 0.0
 
-    def slope(x, u_val, v_delay):
-        v_here = u_val ** p
+    def marginal(x, v_here, v_delay):
+        """v'(x) = (b0/d)**(1/(alpha-1)) from the delay ODE."""
         block = 0.0
         if blocks:
             gap = v_here - v_delay
@@ -229,52 +205,72 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
         if d <= 0.0:
             raise ArithmeticError(f"delay ODE blow-up at x = {x}: block term "
                                   "dominates the discounted value")
-        return ka * u_val ** ia * (b0 / d) ** ia1
+        return (b0 / d) ** ia1
 
-    start = seed_idx
-    while start < n_nodes - 1:
-        # the steps whose left node lies in one segment
-        stop = min((start // seg_len + 1) * seg_len, n_nodes - 1)
-        x0 = xs[start:stop]
-        xm, x1 = x0 + hh, x0 + h
-        d0, dm, d1 = (delayed(x, start).tolist() for x in (x0, xm, x1))
-        ui = float(u[start])
-        marched = []
+    def equation_marginal(i):
+        """v' at node i, whose delayed value is v[i - lag] (v[0] = 0), inf
+        where the equation has none."""
         try:
-            for x, xmj, x1j, e0, em, e1 in zip(x0.tolist(), xm.tolist(), x1.tolist(),
-                                                d0, dm, d1):
-                k1 = slope(x, ui, e0)
-                k2 = slope(xmj, ui + hh * k1, em)
-                k3 = slope(xmj, ui + hh * k2, em)
-                k4 = slope(x1j, ui + h * k3, e1)
-                ui = ui + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                marched.append(ui)
-        except OverflowError:  # a Python float pow past 1e308, where NumPy's is inf
-            raise ArithmeticError(f"delay ODE blow-up at x = {x}") from None
-        u[start + 1:stop + 1] = marched
-        bad = np.flatnonzero(~np.isfinite(u[start + 1:stop + 1]))
-        if bad.size:
-            # the march runs on through inf and nan without raising
-            raise ArithmeticError(f"delay ODE blow-up at x = {xs[start + 1 + bad[0]]}")
-        v[start + 1:stop + 1] = [ue ** p for ue in marched]
-        start = stop
+            return marginal(x_list[i], v[i], v[i - lag] if i >= lag else 0.0)
+        except ArithmeticError:
+            return math.inf
 
-    return xs, v, u
+    dv = [equation_marginal(i) for i in range(seed_idx)]
+    try:
+        for i in range(seed_idx, n_nodes - 1):
+            x, ui = x_list[i], u[i]
+            # the step reads v(x - delta_block) on cell j: its two nodes and
+            # its midpoint; ahead of the first knot, 0
+            j = i - lag
+            if j < 0:
+                e0 = em = e1 = 0.0
+            else:
+                e0, e1 = v[j], v[j + 1]
+            w1 = marginal(x, v[i], e0)
+            k1 = ka * ui ** ia * w1
+            du.append(k1)  # the slope at node i, which lag = 1 reads below
+            if j >= 0:
+                um = 0.5 * (u[j] + u[j + 1])
+                if j >= seed_idx:
+                    um = min(max(um + h8 * (du[j] - du[j + 1]), u[j]), u[j + 1])
+                em = um ** p
+            xm = x + hh
+            u2 = ui + hh * k1
+            k2 = ka * u2 ** ia * marginal(xm, u2 ** p, em)
+            u3 = ui + hh * k2
+            k3 = ka * u3 ** ia * marginal(xm, u3 ** p, em)
+            u4 = ui + h * k3
+            k4 = ka * u4 ** ia * marginal(x + h, u4 ** p, e1)
+            ui = ui + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            u.append(ui)
+            v.append(ui ** p)
+            dv.append(w1)
+    except OverflowError:  # a Python float pow past 1e308, where NumPy's is inf
+        raise ArithmeticError(f"delay ODE blow-up at x = {x}") from None
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        # the march runs on through inf and nan without raising
+        raise ArithmeticError(f"delay ODE blow-up at x = {x_list[bad[0]]}")
+    dv.append(equation_marginal(n_nodes - 1))
+    return xs, np.array(v), np.array(dv)
 
 
 def two_exchange_patch(params: TwoExchangeParams, x_seed: Optional[float] = None,
                        check_seed: bool = True) -> TwoExchangeSolution:
     """Stationary two-exchange value by successive patching.
 
-    The delay ODE is rearranged for v'(x) and marched block by block; near
-    zero the solution is seeded with the single-exchange asymptote because
-    v'(0) is infinite.  With ``check_seed`` the solve is repeated at half
-    the seed width and must agree at x_max to 1e-6.  Concavity is NOT
-    asserted anywhere: it genuinely fails around the block-size knots.
+    The delay ODE is rearranged for v'(x) and marched node by node (see
+    :func:`_patch_integrate`); near zero the solution is seeded with the
+    single-exchange asymptote because v'(0) is infinite.  With
+    ``check_seed`` the solve is repeated at half the seed width and must
+    agree at x_max to 1e-6.  The continuous spread is alpha/(alpha-1) v'
+    from the march, the block spread alpha/(alpha-1) (v(x) - v(x -
+    delta_block))/min(x, delta_block) from the node values.  Concavity is
+    NOT asserted anywhere: it genuinely fails around the block-size knots.
     """
     if x_seed is None:
         x_seed = min(params.delta_block, params.x_max) / 100.0
-    xs, v, u = _patch_integrate(params, x_seed)
+    xs, v, dv = _patch_integrate(params, x_seed)
     if check_seed:
         _, v_half, _ = _patch_integrate(params, 0.5 * x_seed)
         drift = abs(v_half[-1] - v[-1])
@@ -283,49 +279,46 @@ def two_exchange_patch(params: TwoExchangeParams, x_seed: Optional[float] = None
                 f"seeding-width misconfiguration: halving x_seed moves v(x_max) "
                 f"by {drift:.3e}; shrink x_seed or grid_step")
 
-    a, r, dblk = params.alpha, params.r, params.delta_block
-    aa = power_constant(a)
-    p = (a - 1.0) / a
-
-    # recover v' from the equation itself (interior nodes)
-    v_delay = np.where(xs > dblk, np.interp(np.maximum(xs - dblk, 0.0), xs, v), 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        block = aa * params.lambda1 * np.minimum(xs, dblk) ** a \
-            * np.where(v - v_delay > 0.0, (v - v_delay) ** (1.0 - a), np.inf)
-        block[0] = 0.0
-        d = r * v - block
-        deriv = np.where(d > 0.0, (aa * params.lambda0 / d) ** (1.0 / (a - 1.0)), np.inf)
-    deriv[0] = math.inf
-
-    s0 = (a / (a - 1.0)) * deriv
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s1 = (a / (a - 1.0)) * (v - v_delay) / np.minimum(np.maximum(xs, 1e-300), dblk)
-    s1[0] = math.inf
-
-    return TwoExchangeSolution(params=params, x_grid=xs, value=v, derivative=deriv,
-                               spread_continuous=s0, spread_block=s1, x_seed=x_seed)
+    ka = params.alpha / (params.alpha - 1.0)
+    lag = int(round(params.delta_block / params.grid_step))
+    # v(x - delta_block): the node lag places back past the first knot, else 0
+    delayed = np.concatenate((np.zeros(lag + 1), v[1:]))[:len(v)]
+    s1 = np.full(len(v), math.inf)
+    s1[1:] = ka * (v - delayed)[1:] / np.minimum(xs[1:], params.delta_block)
+    return TwoExchangeSolution(params=params, x_grid=xs, value=v, spread_continuous=ka * dv,
+                               spread_block=s1, x_seed=x_seed)
 
 
 _CELLS_PER_BLOCK = 512
+# halvings of a cell that starts at the integrand's kink; what they leave
+# out is 2**-60 of the cell
+_GRADED_LEVELS = 60
 
 
-def _cell_integrals(f, lo, hi, smooth_from):
-    """Integrals of f over the cells [lo, hi]: 8-point Gauss-Legendre, in
-    blocks of cells, where lo >= smooth_from, and ``quad`` below it."""
-    from scipy.integrate import quad
-
-    out = np.empty(len(lo))
-    for i in np.flatnonzero(lo < smooth_from):
-        out[i] = quad(f, lo[i], hi[i], epsabs=1e-13, epsrel=1e-11, limit=400)[0]
-    smooth = np.flatnonzero(lo >= smooth_from)
-    for b in range(0, len(smooth), _CELLS_PER_BLOCK):
-        idx = smooth[b:b + _CELLS_PER_BLOCK]
-        mid = 0.5 * (lo[idx] + hi[idx])
-        half = 0.5 * (hi[idx] - lo[idx])
-        acc = np.zeros(len(idx))
+def _cell_integrals(f, lo, hi, kink):
+    """Integrals of f over the cells [lo, hi] by the 8-point Gauss-Legendre
+    rule, in blocks of cells.  f is bounded but not smooth at ``kink``, so a
+    cell that starts there is split geometrically toward it, each piece half
+    the width of the next, and the rule runs on every piece; its nodes are
+    clamped to at least the piece's left end, which rounding can undercut."""
+    graded = lo == kink
+    # piece k of a graded cell: lo + (hi - lo) * [2**-(k+1), 2**-k]
+    scale = 0.5 ** np.arange(_GRADED_LEVELS + 1)
+    edges = lo[graded, None] + (hi - lo)[graded, None] * scale
+    left = np.concatenate((lo[~graded], edges[:, 1:].ravel()))
+    right = np.concatenate((hi[~graded], edges[:, :-1].ravel()))
+    pieces = np.empty(len(left))
+    for b in range(0, len(left), _CELLS_PER_BLOCK):
+        l, r = left[b:b + _CELLS_PER_BLOCK], right[b:b + _CELLS_PER_BLOCK]
+        mid, half = 0.5 * (l + r), 0.5 * (r - l)
+        acc = np.zeros(len(l))
         for t, wt in zip(GAUSS_NODES, GAUSS_WEIGHTS):
-            acc += wt * f(mid + half * t)
-        out[idx] = half * acc
+            acc += wt * f(np.maximum(mid + half * t, l))
+        pieces[b:b + _CELLS_PER_BLOCK] = half * acc
+    out = np.empty(len(lo))
+    n_smooth = len(lo) - int(graded.sum())
+    out[~graded] = pieces[:n_smooth]
+    out[graded] = pieces[n_smooth:].reshape(-1, _GRADED_LEVELS).sum(axis=1)
     return out
 
 
@@ -336,10 +329,11 @@ class ExpansionSolution:
     Above one block size v1 needs the integral of a tail integrand from
     delta_block to x.  It is read off one uniform mesh of width
     delta_block/64 starting at delta_block: a cumulative sum of cell
-    integrals up to the last mesh point below x, plus one more cell up to x.
-    The integrand's (y - delta_block)**p term is not smooth at delta_block,
-    so cells in the first mesh width go to ``quad``.  A value at x depends
-    on x alone, not on the other points queried with it.
+    integrals up to the last mesh point below x, plus one more cell up to x,
+    each by the 8-point Gauss-Legendre rule.  The integrand's
+    (y - delta_block)**p term is not smooth at delta_block, so a cell that
+    starts there is graded toward it (see :func:`_cell_integrals`).  A value
+    at x depends on x alone, not on the other points queried with it.
     """
 
     params: TwoExchangeParams  # lambda1 read as the O(1) scale multiplying eps
@@ -369,11 +363,10 @@ class ExpansionSolution:
             w = dblk / 64.0
             cell = np.floor((xt - dblk) / w).astype(int)
             mesh = dblk + w * np.arange(int(cell.max()) + 1)
-            smooth_from = dblk + 0.5 * w
             # prefix[j]: the integral from delta_block to mesh[j]
             prefix = np.concatenate(
-                ([0.0], np.cumsum(_cell_integrals(integrand, mesh[:-1], mesh[1:], smooth_from))))
-            integral = prefix[cell] + _cell_integrals(integrand, mesh[cell], xt, smooth_from)
+                ([0.0], np.cumsum(_cell_integrals(integrand, mesh[:-1], mesh[1:], dblk))))
+            integral = prefix[cell] + _cell_integrals(integrand, mesh[cell], xt, dblk)
             inner = k * dblk ** 2 / (2.0 * a * r)
             out[tail] = xt ** (-1.0 / a) * (inner + integral)
         out = out.reshape(xa.shape)

@@ -1,12 +1,13 @@
-"""SciPy stays out of the package's import, the power-law paths and the
-regime solve, the report writers' vector spelling stays out of the
-package's import, every name a module exports exists, and every function
-the package defines is reached by a command, bar a named few.
+"""SciPy stays out of the package's import, the power-law paths, the
+regime solve and the two-exchange solvers, the report writers' vector
+spelling stays out of the package's import, every name a module exports
+exists, and every function the package defines is reached by a command, bar
+a named few.
 
-``import lobliq.cli``, the power-law commands and ``regimes`` run in NumPy
-time: SciPy is imported inside the few functions that need it (the
-exponential-book E1 root, the generic stationary solve, the two-exchange
-solvers).
+``import lobliq.cli``, the power-law commands, ``regimes`` and
+``exchanges`` run in NumPy time: SciPy is imported inside the few functions
+that need it (the exponential-book E1 root and the generic stationary
+solve).
 A static lint of every source file fails fast on a module-level SciPy
 import; the slower gate then runs commands in fresh interpreters, since
 pytest itself has imported ``scipy.integrate`` by now (its warning filters
@@ -157,6 +158,21 @@ def test_regimes_loads_no_scipy(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(cfg))
     assert _probe("regimes", "--config", str(path))["scipy"] == []
+
+
+@pytest.mark.parametrize("eps", [None, 0.1], ids=["patch", "with-expansion"])
+def test_exchanges_loads_no_scipy(eps, tmp_path):
+    # x_max past two blocks: delayed values from both earlier blocks, and
+    # expansion cells on the kink at delta_block and above it
+    section = {"lambda0": 1.0, "lambda1": 0.5, "delta_block": 1.0, "alpha": 2.0,
+               "r": 0.1, "x_max": 2.5, "grid_step": 0.01}
+    if eps is not None:
+        section["eps"] = eps
+    cfg = {"exchanges": section,
+           "output": {"directory": str(tmp_path / "out"), "formats": "both"}}
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert _probe("exchanges", "--config", str(path))["scipy"] == []
 
 
 # a fresh interpreter: run each (command, config path) argument pair under a
