@@ -3,7 +3,7 @@
 One command per process: parse a YAML config, dispatch to the owning
 module, and emit CSV/JSON artifacts plus a manifest.  Exit codes: 0 on
 success, 2 for configuration errors (an unsupported model/market pair among
-them), 3 for numerical failures.
+them), 3 for numerical failures and for problems too large to allocate.
 """
 
 from __future__ import annotations
@@ -94,9 +94,10 @@ def _cmd_converge(cfg: RunConfig, artifacts: list) -> None:
     sec = cfg.section
     report = value_convergence(cfg.model, cfg.market, sec["x_probe"],
                                sec["delta0"], sec["k_max"])
-    # the ladder's spreads are already solved: tabulate them, do not re-solve
+    # the ladder's spreads and the fluid spread are already solved: tabulate
+    # them, do not re-solve
     spread_table = _spread_table(cfg.model, cfg.market, sec["x_probe"],
-                                 report.deltas, report.spreads)
+                                 report.deltas, report.spreads, report.fluid_spread)
     columns = {
         "delta": report.deltas,
         "value": report.values,
@@ -345,6 +346,11 @@ def main(argv=None) -> int:
         return 2
     except (ArithmeticError, ValueError) as exc:
         print(f"numerical failure in {cfg.command!r}: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # a level count whose arrays cannot be allocated, such as a
+        # convergence ladder of 5 * 2**40 levels
+        print(f"out of memory in {cfg.command!r}: {exc}", file=sys.stderr)
         return 3
 
     write_manifest(cfg.out_dir, cfg.command, cfg.raw, cfg.seed,

@@ -112,14 +112,16 @@ def control_convergence(model: IntensityModel, market: MarketParams, x_probe: fl
     """
     deltas = np.asarray(deltas, dtype=float)
     return _spread_table(model, market, x_probe, deltas,
-                         _probe(model, market, x_probe, deltas)[1])
+                         _probe(model, market, x_probe, deltas)[1],
+                         fluid_solution(model, market).spread(x_probe))
 
 
 def _spread_table(model: IntensityModel, market: MarketParams, x_probe: float,
-                  deltas: np.ndarray, spreads: np.ndarray) -> SpreadConvergence:
-    """The control-convergence table for discrete spreads already solved."""
+                  deltas: np.ndarray, spreads: np.ndarray,
+                  fluid_spread: float) -> SpreadConvergence:
+    """The control-convergence table for discrete spreads and a fluid
+    spread at x_probe already solved."""
     case = resolve(model, market)
-    fluid_spread = case.fluid().spread(x_probe)
     averaged = np.array([case.fluid_cell_spread(x_probe, float(d)) for d in deltas])
 
     pointwise_err = np.abs(spreads - fluid_spread)

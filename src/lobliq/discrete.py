@@ -1,9 +1,13 @@
 """Exact and semi-exact solutions of the discrete-inventory execution problem.
 
 The seller holds n blocks of size Delta and posts one limit order at a time;
-fills arrive at rate rate(s)/Delta.  The value recursion in inventory is
-solved level by level: closed forms for power-law and exponential books,
-a bracketed scalar maximization for generic depth models.
+fills arrive at rate rate(s)/Delta.  The value recursion in inventory has
+closed forms for power-law and exponential books.  The power-law recursion
+and the stationary exponential one are solved at every level at once, by
+one Newton iteration over the whole chain whose step is a prefix scan
+(``_newton_chain``); the finite-horizon exponential values are log-sums,
+and generic depth models are solved level by level by a bracketed scalar
+maximization.
 
 Power-law book: the value at level n with time tau to go is d_n times
 h(tau)**(1/alpha) (``power_time_factor``), h(tau) the integral of
@@ -42,6 +46,10 @@ __all__ = [
 
 _RESIDUAL_RTOL = 1e-10
 _NEWTON_STEPS = 100
+_STEP_RTOL = 1e-12
+# e**600 is about 1e260: a scan block's partial products and their
+# reciprocals stay normal floats
+_SCAN_SPAN = 600.0
 # the logarithms of numbers a little inside the normal floats
 _LOG_NORMAL = math.log(sys.float_info.min) + 1.0
 _LOG_HUGE = math.log(sys.float_info.max) - 1.0
@@ -123,6 +131,76 @@ def power_first_coefficient(lam: float, alpha: float, delta: float) -> float:
     return d1
 
 
+def _bidiagonal_solve(k: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The s with s_n = k_n s_{n-1} + g_n from s_{-1} = 0, for k_n in (0, 1),
+    as a prefix scan (Blelloch, "Prefix sums and their applications", 1990):
+    with P_n = k_0 ... k_n, s_n = P_n * sum_{j<=n} g_j/P_j, one cumsum of
+    -log k and one of g/P.  P falls along the chain, by far at small k, so
+    the scan runs in blocks over which it falls by at most e**_SCAN_SPAN and
+    restarts each from the s the block before ended at: no partial product or
+    its reciprocal leaves the normal floats."""
+    q = np.log(k)
+    np.negative(q, out=q)
+    np.add.accumulate(q, out=q)  # -log P_n, nondecreasing
+    s = np.empty_like(g)
+    start, carry, base = 0, 0.0, 0.0
+    while start < len(s):
+        end = max(start + 1, int(q.searchsorted(base + _SCAN_SPAN, "right")))
+        inv_p = q[start:end] - base
+        np.exp(inv_p, out=inv_p)
+        block = s[start:end]
+        np.multiply(g[start:end], inv_p, out=block)
+        np.add.accumulate(block, out=block)
+        block += carry
+        block /= inv_p
+        carry, base, start = block[-1], q[end - 1], end
+    return s
+
+
+def _newton_chain(x: np.ndarray, linearize, first_level: int) -> None:
+    """Newton's method on a chain of equations G_n(x_{n-1}, x_n) = 0 for all
+    n at once (DEER: Lim et al., "Parallelizing non-linear sequential models
+    over the sequence length", ICLR 2024).  Each G_n rises in x_n and falls
+    in x_{n-1}, so the Jacobian J is lower bidiagonal and a step is the
+    recurrence s_n = k_n s_{n-1} + g_n, k_n = -J_{n,n-1}/J_{n,n} in (0, 1)
+    and g_n = -G_n/J_{n,n}, which ``linearize()`` returns as (k, g) at the
+    current x.  x, the chain from ``first_level`` on, holds the guess and is
+    updated in place.  Where every G_n is concave, as in both recursions,
+    J**-1 >= 0 makes a step from any x land at or below the root with every
+    G_n <= 0, and from such a point the iterates rise monotonically to the
+    root while they stay in the domain (Ortega and Rheinboldt, 13.3.4).
+
+    The iteration stops after a step of at most _STEP_RTOL relative at every
+    level, well above the rounding floor and, the convergence being
+    quadratic, well above the error left.  Each level's relative residual
+    |g_n/x_n|, the relative change of x_n that solves it from the stored
+    x_{n-1}, must then be at most _RESIDUAL_RTOL: G_n itself carries the
+    rounding of x_n times x_n*J_{n,n}, about alpha*n for the power law.
+    Raises ArithmeticError, naming the level with the largest relative
+    residual, where that fails, after _NEWTON_STEPS steps, or once a step is
+    not finite."""
+    size = math.inf
+    for _ in range(_NEWTON_STEPS):
+        step = _bidiagonal_solve(*linearize())
+        x += step
+        np.abs(step, out=step)
+        step /= x
+        size = step.max(initial=0.0)
+        if not _STEP_RTOL < size < math.inf:
+            break
+    resid = np.abs(linearize()[1])
+    resid /= x
+    if size <= _STEP_RTOL and resid.max(initial=0.0) <= _RESIDUAL_RTOL:
+        return
+    worst = int(resid.argmax())  # the first nan, if there is one
+    where = f"{resid[worst]:.3e}, is at level {worst + first_level}"
+    if size <= _STEP_RTOL:
+        raise ArithmeticError(f"recursion residual above {_RESIDUAL_RTOL:g}: the largest "
+                              f"relative residual, {where}")
+    raise ArithmeticError(f"recursion did not converge in {_NEWTON_STEPS} Newton steps: "
+                          f"the largest relative residual, {where}")
+
+
 def solve_power_zero_rate(lam: float, alpha: float, n_max: int,
                           delta: float = 1.0) -> np.ndarray:
     """The r-free power-law coefficients d_0..d_n: d_0 = 0 and
@@ -131,56 +209,57 @@ def solve_power_zero_rate(lam: float, alpha: float, n_max: int,
     go is d_n * power_time_factor(tau, alpha, r) at every r >= 0; at r = 0
     that is d_n * tau**(1/alpha).
 
-    d_1 = b**(1/alpha).  b leaves the normal floats for a fine delta at a
-    large alpha (below about 0.029 at alpha = 200), so d_1 comes from log b
-    there; where b is a normal float it is the power of b itself, which is
-    correctly rounded more often.  The deeper levels depend on b = d_1**alpha
-    alone: the increment m = d_{n-1} e^z is the root of
-        F(z) = log1p(e^z) + (alpha-1)*z + log((d_{n-1}/d_1)**alpha),
-    which is log(d_{n-1} + m) + (alpha-1)*log(m) - log(b) written in
-    z = log(m/d_{n-1}), so that no large logarithms cancel and F is good to
-    a few ulps.  F is increasing and convex, and at the previous increment
-    it equals log1p(m_{n-1}/d_{n-1}) > 0 (as d_{n-1} = b*m_{n-1}**(1-alpha)),
-    so Newton's method started there falls monotonically to the root, with
-    no bracket: two or three steps a level, at most a dozen for alpha near
-    1.  Since F''/F' <= 1, a step below 1e-9 leaves an error below 1e-18 in
-    z.  The relative residual of each level is read in logs, as
-    log(d_n/d_1) + (alpha-1)*log(m/d_1), where no term is large.  Raises
-    ArithmeticError if a level takes more than _NEWTON_STEPS steps or ends
-    with a residual above _RESIDUAL_RTOL.
+    d_1 = b**(1/alpha) (``power_first_coefficient``).  The deeper levels
+    depend on b = d_1**alpha alone: y_n = d_n/d_1 solves
+        G_n(y) = log(y_n) + (alpha-1)*log(y_n - y_{n-1}) = 0,  n >= 2,
+    from y_1 = 1, and d_n = d_1 * y_n.  Every G_n is concave, and all levels
+    are solved at once by ``_newton_chain`` from the continuum solution
+    through y_1 = 1, y_n = (1 + (alpha/(alpha-1))*(n-1))**((alpha-1)/alpha),
+    formed in logs, in three to five steps for alpha from 1.0001 to 1000.
+    That guess lies above the root, as the chain's increments trail the
+    continuum's, and no proof keeps the increments positive through the
+    first step; a step that leaves that domain makes the residuals nan,
+    which stops the iteration at once.  The subtractions y_n - y_{n-1} are
+    exact, so no rounding builds up along the chain.  Raises ArithmeticError
+    if the iteration does not converge, if a level ends with a relative
+    residual above _RESIDUAL_RTOL (as where alpha - 1 is so small that the
+    increments fall below the rounding of y_n), or if d_n overflows.
     """
     d1 = power_first_coefficient(lam, alpha, delta)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     alpha = float(alpha)
-    exp, log, log1p = math.exp, math.log, math.log1p
-    d = np.empty(n_max + 1)
-    d[0] = 0.0
-    d[1] = d1
     a1 = alpha - 1.0
-    prev = m = d1
-    for n in range(2, n_max + 1):
-        try:
-            g = log((prev / d1) ** alpha)
-        except OverflowError:  # the power passes 1e308 only for alpha near 100 or more
-            g = alpha * log(prev / d1)
-        z = log(m / prev)
-        for _ in range(_NEWTON_STEPS):
-            u = exp(z)
-            step = (log1p(u) + a1 * z + g) / (u / (1.0 + u) + a1)
-            z -= step
-            if step < 1e-9:
-                break
-        else:
-            raise ArithmeticError(f"increment root at level {n} did not converge in "
-                                  f"{_NEWTON_STEPS} Newton steps")
-        m = prev * exp(z)
-        prev += m
-        d[n] = prev
-        resid = abs(log(prev / d1) + a1 * log(m / d1))
-        if resid > _RESIDUAL_RTOL:
-            raise ArithmeticError(f"recursion residual {resid:.3e} too large at level {n}")
-    return d
+    y = np.arange(-1.0, n_max)  # n - 1 at level n
+    y[1:] *= alpha / a1
+    np.log1p(y[1:], out=y[1:])
+    y[1:] *= a1 / alpha
+    np.exp(y[1:], out=y[1:])
+    y[0] = 0.0
+
+    def linearize():
+        top, m = y[2:], y[2:] - y[1:-1]
+        resid = np.log(m)
+        resid *= a1
+        resid += np.log(top)
+        # J_nn = 1/y_n + (alpha-1)/m_n and J_{n,n-1} = -(alpha-1)/m_n, so with
+        # scale = y_n/(m_n + (alpha-1)*y_n) = 1/(m_n J_nn), k_n = (alpha-1)*scale
+        # and g_n = -G_n*m_n*scale
+        scale = a1 * top
+        scale += m
+        np.divide(top, scale, out=scale)
+        resid *= m
+        resid *= scale
+        np.negative(resid, out=resid)
+        scale *= a1
+        return scale, resid
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _newton_chain(y[2:], linearize, 2)
+    if not float(y[-1]) * d1 < math.inf:
+        raise ArithmeticError(f"coefficient d_{n_max} overflows")
+    y *= d1
+    return y
 
 
 def solve_exp_finite(n_max: int, delta: float, t_grid, lam: float,
@@ -272,21 +351,22 @@ def solve_exp_infinite(x_max: float, delta: float, lam: float, kappa: float,
     """Stationary values and spreads for an exponential book, r > 0.
 
     V(x) = (delta/kappa) * W( lam/(r*delta) * exp(kappa*V(x-delta)/delta - 1) ),
-    solved for w = kappa*V/delta as a Python float, so that the exponent,
-    which scales like 1/delta, never overflows: level n is the root of
-        g(w) = w + log(w) - z_n,  z_n = log(lam/(r*delta*e)) + w_{n-1}.
-    g is increasing and concave, and at the previous level
-    g(w_{n-1}) = log(w_{n-1}) - log(lam/(r*delta*e)) < 0, as w stays below
-    that asymptote, so Newton's method started there rises monotonically to
-    the root, with no guard.  Level 1 starts from the asymptotic guess of
-    W(e^z) instead, which may lie right of the root, so a step that would
-    take w to 0 or below is halved back.  Since g''/(2g') = -1/(2w(w+1)), a
-    step below 1e-9*w leaves a relative error below 5e-19.  Raises
-    ArithmeticError if a level takes more than _NEWTON_STEPS steps or passes
-    the asymptote.  Values increase toward lam/(kappa*r*e); within rounding
-    of it a level can round below the previous one, and then keeps the
-    previous value, so every spread stays >= 1/kappa: no order is ever
-    posted at the bid.
+    solved for w = kappa*V/delta, so that the exponent, which scales like
+    1/delta, never overflows: level n is the root of
+        G_n(w) = w_n + log(w_n) - w_{n-1} - log(w_cap),  w_0 = 0,
+    w_cap = lam/(r*delta*e) the asymptote.  Every G_n is concave, and all
+    levels are solved at once by ``_newton_chain`` from w_cap*(1 - rho**n),
+    rho = w_cap/(1 + w_cap), which saturates below the cap with every
+    G_n <= 0: its increment (w_cap - w_{n-1})/(1 + w_cap) equals
+    u = (w_cap - w_n)/w_cap, and G_n = u + log(1 - u) <= 0.  So every step is
+    nonnegative, and the iterates rise monotonically to the root and never
+    leave w > 0, in at most six steps for lam/r from 1e-3 to 1e6 and delta
+    down to 2**-14.  Raises ArithmeticError if the iteration does not
+    converge, if a level ends with a relative residual above _RESIDUAL_RTOL,
+    or if a level passes the asymptote.  Values increase toward
+    lam/(kappa*r*e); within rounding of it a level can round below the
+    previous one, and then keeps the previous value, so every spread stays
+    >= 1/kappa: no order is ever posted at the bid.
     """
     if r <= 0.0:
         raise ValueError("stationary exponential solution requires r > 0")
@@ -294,38 +374,34 @@ def solve_exp_infinite(x_max: float, delta: float, lam: float, kappa: float,
         raise ValueError("lam, kappa, delta must be positive")
     levels = level_of(x_max, delta)
     v_cap = lam / (kappa * r * math.e)
-    w_cap = kappa * v_cap / delta * (1.0 + 1e-9)
     log_cap = math.log(lam / (r * delta)) - 1.0
-    log = math.log
+    w_cap = math.exp(log_cap)
+    w = np.arange(0.0, levels + 1.0)
+    w *= -math.log1p(1.0 / w_cap)
+    np.expm1(w, out=w)
+    w *= -w_cap
 
-    # level 1 (w_0 = 0) starts from the asymptotic guess of W(e^z)
-    z = log_cap
-    if z > 1.0:
-        w = z - log(z) + log(z) / z
-    else:
-        w = math.exp(z) / (1.0 + math.exp(z))
-    ws = [0.0]
-    for n in range(1, levels + 1):
-        for _ in range(_NEWTON_STEPS):
-            step = (w + log(w) - z) * w / (w + 1.0)
-            while step >= w:  # an overshoot below 0, only from the level-1 guess
-                step *= 0.5
-            w -= step
-            if abs(step) <= 1e-9 * w:
-                break
-        else:
-            raise ArithmeticError(f"value root at level {n} did not converge in "
-                                  f"{_NEWTON_STEPS} Newton steps")
-        if w > w_cap:
-            raise ArithmeticError(f"value {delta / kappa * w} exceeded the asymptote "
-                                  f"{v_cap} at level {n}")
-        if w < ws[-1]:
-            # at the asymptote g(w_{n-1}) rounds to either sign, and the root
-            # is not below w_{n-1}
-            w = ws[-1]
-        ws.append(w)
-        z = log_cap + w
-    values = (delta / kappa) * np.array(ws)
+    def linearize():
+        top = w[1:]
+        resid = np.log(top)
+        resid -= log_cap
+        resid += top - w[:-1]
+        k = top + 1.0
+        np.divide(top, k, out=k)  # J_nn = 1/k_n, J_{n,n-1} = -1
+        resid *= k
+        np.negative(resid, out=resid)
+        return k, resid
+
+    _newton_chain(w[1:], linearize, 1)
+    # at the asymptote G_n(w_{n-1}) rounds to either sign, and the root is
+    # not below w_{n-1}
+    np.maximum.accumulate(w, out=w)
+    w_max = w_cap * (1.0 + 1e-9)
+    if w[-1] > w_max:
+        n = int((w > w_max).argmax())
+        raise ArithmeticError(f"value {delta / kappa * w[n]} exceeded the asymptote "
+                              f"{v_cap} at level {n}")
+    values = (delta / kappa) * w
     spreads = np.full(levels + 1, math.nan)
     spreads[1:] = 1.0 / kappa + np.diff(values) / delta
     return values, spreads

@@ -16,7 +16,7 @@ from lobliq.config import ConfigError, load_config, parse_config
 from lobliq.intensity import MarketParams, PowerLawIntensity
 from lobliq.reports import format_number
 from lobliq.simulate import StationarySpreadPolicy, simulate_policy
-from test_discrete import _reference_power_recursion
+from ode_oracles import bracketed_power_recursion
 
 BASE = {
     "model": {"kind": "power", "lam": 1.0, "alpha": 2.0},
@@ -137,6 +137,23 @@ class TestCliCommands:
         for x, value, spread in ((float(c) for c in row) for row in rows):
             assert (value, spread) == lobliq.fluid.exp_fluid_infinite(x, 1.0, 1.0, 0.1)
 
+    def test_converge_solves_the_fluid_probe_once(self, tmp_path, monkeypatch):
+        # the spread errors reuse the fluid spread of the value report
+        calls = []
+        fluid = lobliq.fluid.exp_fluid_infinite
+        monkeypatch.setattr(lobliq.fluid, "exp_fluid_infinite",
+                            lambda *a: calls.append(a) or fluid(*a))
+        cfg = {"model": {"kind": "exp", "lam": 1.0, "kappa": 1.0},
+               "market": {"r": 0.1, "horizon": "inf"},
+               "converge": {"x_probe": 2.0, "k_max": 3},
+               "output": {"directory": str(tmp_path / "out"), "formats": "json"}}
+        assert main(["converge", "--config", write_cfg(tmp_path, cfg)]) == 0
+        assert len(calls) == 1
+        payload = json.loads((tmp_path / "out" / "converge.json").read_text())
+        spreads = np.array(payload["columns"]["spread"])
+        assert payload["columns"]["spread_err"] == list(
+            np.abs(spreads - payload["fluid_spread"]))
+
     def test_figures_three_curves(self, tmp_path):
         cfg = {"figures": {"figure": 1,
                            "x_grid": {"start": 0.1, "stop": 5.0, "count": 20,
@@ -177,13 +194,37 @@ class TestCliCommands:
         assert rc == 3  # grid touches maturity where the fill rate diverges
 
     def test_increment_step_cap_exits_3(self, tmp_path, capsys, monkeypatch):
+        # one Newton step over the chain does not converge; with one unknown
+        # level the largest residual can only be at level 2
         import lobliq.discrete
         monkeypatch.setattr(lobliq.discrete, "_NEWTON_STEPS", 1)
+        with pytest.raises(ArithmeticError, match="did not converge.* at level 2$"):
+            lobliq.discrete.solve_power_zero_rate(1.0, 2.0, 2)
         with pytest.raises(ArithmeticError, match="did not converge"):
             lobliq.discrete.solve_power_zero_rate(1.0, 2.0, 3)
         cfg = dict(BASE, output={"directory": str(tmp_path / "out")})
         assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 3
-        assert "did not converge" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure in 'solve'" in err and "did not converge" in err
+        assert "largest relative residual" in err
+
+    @pytest.mark.parametrize("command, cfg", [
+        # 5 * 2**40 levels on the finest rung: 44 TB of float64
+        ("converge", {"model": {"kind": "power", "lam": 1.0, "alpha": 2.0},
+                      "market": {"r": 0.1, "horizon": "inf"},
+                      "converge": {"x_probe": 5.0, "k_max": 40}}),
+        # 1e11 levels: 800 GB of float64
+        ("solve", {"model": {"kind": "exp", "lam": 1.0, "kappa": 1.0},
+                   "market": {"r": 0.1, "horizon": "inf"},
+                   "solve": {"n_max": 100_000_000_000}}),
+    ], ids=["converge-k40", "exp-solve-1e11"])
+    def test_oversized_level_count_exits_3(self, tmp_path, capsys, command, cfg):
+        # the first array of the chain is requested whole and refused at once
+        cfg = dict(cfg, output={"directory": str(tmp_path / "out")})
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"out of memory in {command!r}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_exp_value_step_cap_exits_3(self, tmp_path, capsys, monkeypatch):
         import lobliq.discrete
@@ -592,13 +633,13 @@ class TestCliCommands:
         payoff = float(mpmath.mpf(199) ** 199 / mpmath.mpf(200) ** 200)
         solve = json.loads((tmp_path / "solve" / "solve.json").read_text())["columns"]
         np.testing.assert_allclose(solve["coefficient"],
-                                   _reference_power_recursion(payoff, 0.1, 200.0, 20),
+                                   bracketed_power_recursion(payoff, 0.1, 200.0, 20),
                                    rtol=1e-13, atol=0.0)
         ladder = json.loads((tmp_path / "converge" / "converge.json").read_text())["columns"]
         # the reference's bracket in m overflows on the finest rung
         for delta, value in zip(ladder["delta"][:-1], ladder["value"]):
             n = round(5.0 / delta)
-            ref = _reference_power_recursion(payoff * delta ** 199, 0.1, 200.0, n)
+            ref = bracketed_power_recursion(payoff * delta ** 199, 0.1, 200.0, n)
             assert math.isclose(value, ref[n], rel_tol=1e-13)
         # past the normal floats c_1 comes from log b: the ladders run on to
         # delta = 1/64 at alpha = 200 and to delta = 1/512 at alpha = 150

@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 from scipy.special import gammaln
 
+from lobliq import discrete
 from lobliq.cases import resolve
 from lobliq.discrete import (
+    _bidiagonal_solve,
     _log_series_terms,
+    _newton_chain,
     level_of,
     power_constant,
     power_time_factor,
@@ -25,7 +28,12 @@ from lobliq.intensity import (
     MarketParams,
     PowerLawIntensity,
 )
-from ode_oracles import lambert_w0_exparg
+from ode_oracles import (
+    bracketed_power_recursion,
+    exp_recursion_by_level,
+    lambert_w0_exparg,
+    power_recursion_by_level,
+)
 
 LAM, ALPHA, R = 1.0, 2.0, 0.1
 POWER = PowerLawIntensity(lam=LAM, alpha=ALPHA)
@@ -43,25 +51,6 @@ def bisect_lambert(y):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _reference_power_recursion(b, weight, alpha, n_max):
-    """The per-level bracket-halving plus brentq solve in the increment m:
-    the reference for the package's Newton solve in log(m)."""
-    c = np.empty(n_max + 1)
-    c[0] = 0.0
-    c[1] = (b / weight) ** (1.0 / alpha)
-    prev_inc = c[1]
-    for n in range(2, n_max + 1):
-        offset = weight * c[n - 1]
-        h = lambda m: offset + weight * m - b * m ** (1.0 - alpha)
-        lo = prev_inc
-        while h(lo) >= 0.0:
-            lo *= 0.5
-        m = brentq(h, lo, prev_inc, xtol=1e-280, rtol=8.882e-16, maxiter=200)
-        c[n] = c[n - 1] + m
-        prev_inc = m
-    return c
 
 
 def _assert_solves_discounted(c, d_ref, lam, alpha, r, delta):
@@ -162,6 +151,10 @@ class TestPowerCoefficients:
            st.one_of(st.just(0.0), st.floats(1e-6, 10.0)),
            st.floats(1e-4, 1.0),
            st.one_of(st.integers(1, 300), st.integers(300, 20_000)))
+    # where the level-by-level solve, which rounds each d_n = d_{n-1} + m,
+    # ends 1.2e-14 and 1.6e-14 off a 30-digit recursion
+    @example(1.001, 0.0, 0.125, 100_000)
+    @example(1.01, 0.1, 0.125, 100_000)
     @settings(max_examples=40, deadline=None)
     def test_newton_matches_reference_at_domain_edges(self, alpha, r, delta, n_max):
         # the r-free d_n against the bracketed solve of the same recursion,
@@ -170,9 +163,15 @@ class TestPowerCoefficients:
         lam = 1.3
         b = lam * delta ** (alpha - 1.0) * ((alpha - 1.0) / alpha) ** (alpha - 1.0)
         d = solve_power_zero_rate(lam, alpha, n_max, delta)
-        ref = _reference_power_recursion(b, 1.0, alpha, n_max)
+        ref = bracketed_power_recursion(b, 1.0, alpha, n_max)
         assert d[0] == 0.0 and d[1] == ref[1]
         np.testing.assert_allclose(d[1:], ref[1:], rtol=1e-14, atol=0.0)
+        # the level-by-level solve rounds each sum d_{n-1} + m, by half an ulp,
+        # and dd_n/dd_{n-1} < 1 amplifies none of these roundings; its roots
+        # and the chain's solve add a few more
+        by_level = power_recursion_by_level(lam, alpha, n_max, delta)
+        n = np.arange(n_max + 1.0)
+        assert np.all(np.abs(d - by_level) <= (4.0 + n) * 2.0 ** -53 * d)
         if alpha == 2.0:
             # (d + m)*m = b: m = (-d + sqrt(d**2 + 4b))/2, written without the
             # cancellation
@@ -363,6 +362,71 @@ class TestExpectedLiquidationTime:
         assert np.all(np.abs(times[1:] - exact) <= bound * np.array(exact))
 
 
+class TestChainNewton:
+    @pytest.mark.parametrize("draw_k", [
+        lambda u: 10.0 ** (-8.0 * u),
+        lambda u: np.full(u.shape, 1e-3),
+        lambda u: 1.0 - 10.0 ** (-1.0 - 5.0 * u),
+    ], ids=["spread", "small", "near-one"])
+    def test_scan_restarts_where_the_products_underflow(self, draw_k):
+        # 5 000 levels whose products k_0...k_n fall to about e**-46 000,
+        # e**-34 500 and e**-40, against the same recurrence stepped level by
+        # level.  The products come from a cumsum of log k, whose absolute
+        # rounding grows with the total, here to about 1e-11
+        rng = np.random.default_rng(7)
+        k = draw_k(rng.uniform(0.0, 1.0, 5000))
+        g = rng.uniform(0.0, 1.0, 5000) * 10.0 ** rng.uniform(-3.0, 3.0, 5000)
+        ref, s = np.empty(5000), 0.0
+        for n in range(5000):
+            s = k[n] * s + g[n]
+            ref[n] = s
+        np.testing.assert_allclose(_bidiagonal_solve(k, g), ref, rtol=1e-10, atol=0.0)
+
+    def test_exp_chain_at_tiny_fill_rate(self):
+        # lam/(r*delta) = 1e-4: w and k_n = w/(1 + w) stay below 4e-5, so the
+        # products k_1...k_n fall by e**-3 000 over the 300 levels; the bound
+        # is that of test_warm_newton_at_domain_edges
+        values, spreads = solve_exp_infinite(300.0, 1.0, 1e-4, 1.0, 1.0)
+        ref = exp_recursion_by_level(300.0, 1.0, 1e-4, 1.0, 1.0)[0]
+        n = np.arange(1.0, 301.0)
+        assert np.all(np.abs(values[1:] - ref[1:]) <= (32.0 + 4.0 * n) * 2.0 ** -53 * ref[1:])
+        assert np.all(spreads[1:] >= 1.0)
+
+    def test_step_cap_names_the_level_with_the_largest_residual(self, monkeypatch):
+        # steps that never shrink: the error after the cap names the level of
+        # the largest relative residual |g_n/x_n|, counted from first_level
+        monkeypatch.setattr(discrete, "_NEWTON_STEPS", 3)
+        x = np.ones(4)
+        c = np.array([0.5, 2.0, 1.0, 0.25])
+        linearize = lambda: (np.full(4, 0.5), c * x)
+        with pytest.raises(ArithmeticError, match=r"did not converge in 3 Newton steps: "
+                           r"the largest relative residual, 2\.000e\+00, is at level 8$"):
+            _newton_chain(x, linearize, 7)
+
+    def test_increments_below_the_rounding_raise(self):
+        # at alpha = 1 + 1e-12 the increments d_n - d_{n-1} fall below an ulp
+        # of d_n by level 4 000: no float chain solves the recursion
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            solve_power_zero_rate(1.0, 1.0 + 1e-12, 20_000)
+
+    @pytest.mark.parametrize("solve", [
+        lambda n: solve_power_zero_rate(1.3, 1.5, n, 0.1),
+        lambda n: solve_exp_infinite(n / 4096, 2.0 ** -12, 1.0, 1.0, 0.1),
+        lambda n: solve_exp_infinite(n / 4096, 2.0 ** -12, 1e6, 1.0, 1.0),
+    ], ids=["power", "exp", "exp-far-from-cap"])
+    def test_peak_memory_is_a_few_level_arrays(self, solve):
+        # the whole chain is solved at once: the temporaries of a Newton step
+        # and the output, at most 16 float64 arrays of the level count
+        n = 200_000
+        tracemalloc.start()
+        try:
+            solve(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8 * n
+
+
 class TestExpFinite:
     def test_log_series_terms_match_gammaln(self):
         # math.lgamma in place of scipy.special.gammaln, which stays the oracle
@@ -437,6 +501,11 @@ class TestExpInfinite:
     @example(j=0, log_r=-6.0, log_ratio=-3.0, log_kappa=2.0, share=1.0)
     # reaches the asymptote by level 15, where a level can round below the last
     @example(j=4, log_r=-0.9, log_ratio=-2.0, log_kappa=1.1, share=1.0)
+    # the finest unit, 98 304 levels, at the smallest and largest lam/r: the
+    # first sits at its asymptote from about level 200 on, the second stays
+    # far below it
+    @example(j=14, log_r=-1.0, log_ratio=-3.0, log_kappa=0.0, share=1.0)
+    @example(j=14, log_r=-1.0, log_ratio=6.0, log_kappa=0.0, share=1.0)
     @settings(max_examples=30, deadline=None)
     def test_warm_newton_at_domain_edges(self, j, log_r, log_ratio, log_kappa, share):
         # delta = 2**-j down to 2**-14 (up to 98 304 levels), r down to 1e-6,
@@ -460,8 +529,10 @@ class TestExpInfinite:
         # dw_n/dw_{n-1} = w_n/(1 + w_n) < 1 amplifies none of them; level 1
         # carries the conditioning of w + log(w) = z, |z| ulps at small w
         ref = _reference_exp_recursion(levels * delta, delta, lam, kappa, r)
+        by_level = exp_recursion_by_level(levels * delta, delta, lam, kappa, r)[0]
         n = np.arange(1.0, levels + 1.0)
-        assert np.all(np.abs(values[1:] - ref[1:]) <= (32.0 + 4.0 * n) * eps * ref[1:])
+        for other in (ref, by_level):
+            assert np.all(np.abs(values[1:] - other[1:]) <= (32.0 + 4.0 * n) * eps * other[1:])
 
     def test_matches_mpmath_at_fine_delta(self):
         delta, lam, kappa, r = 2.0 ** -11, 1.0, 1.0, 0.1
