@@ -170,6 +170,16 @@ class ExpZeroRatePolicy:
 # cases
 
 
+def _each_time(curve: Callable[[float, float], float]):
+    """A trade curve (t, x0) -> inventory at one time t, made to take an
+    array of times as well, point by point."""
+    def at(t, x0):
+        if np.ndim(t) == 0:
+            return curve(t, x0)
+        return np.array([curve(u, x0) for u in np.ravel(t).tolist()])
+    return at
+
+
 @dataclass(frozen=True)
 class Case:
     """One solvable model/market pair.
@@ -181,7 +191,8 @@ class Case:
     the exact mean inventory under the optimal policy.
     Each case with a fluid limit also provides ``fluid_cell_spread(x,
     delta)``, the fluid spread averaged over the cell [x - delta, x], from
-    the drop of the fluid value across it.
+    the drop of the fluid value across it, and ``fluid_probe``, the fluid
+    value and spread at x with those cell averages along a ladder of units.
 
     Every case but the exponential book with r = 0 has an optimal policy
     whose fill rates factor as b_k * g(t) (its :class:`FactorClock`), so the
@@ -207,6 +218,13 @@ class Case:
     def liquidation_times(self, sol: DiscreteSolution) -> Optional[np.ndarray]:
         """Expected time to sell each level optimally, where a closed form exists."""
         return None
+
+    def fluid_probe(self, x: float, deltas) -> tuple[float, float, np.ndarray]:
+        """(fluid value, fluid spread, cell averages): at inventory x, with
+        ``fluid_cell_spread(x, d)`` for each unit d in ``deltas``."""
+        value, spread = self.fluid().value_and_spread(x)
+        return value, spread, np.array([self.fluid_cell_spread(x, float(d))
+                                        for d in deltas])
 
     def _clock(self, n_units):
         """The fill clock and level constants b_1..b_n at unit trading size."""
@@ -265,7 +283,8 @@ class PowerLaw(Case):
         m, mk = self.model, self.market
         return FluidSolution(
             lambda x: fluid.power_fluid(x, mk.horizon, m.lam, m.alpha, mk.r),
-            lambda t, x0: fluid.power_trade_curve(t, x0, mk.horizon, m.alpha, mk.r))
+            _each_time(lambda t, x0: fluid.power_trade_curve(t, x0, mk.horizon,
+                                                             m.alpha, mk.r)))
 
     def fluid_cell_spread(self, x, delta):
         # the fluid value is proportional to x**p, p = (alpha-1)/alpha, and the
@@ -318,7 +337,7 @@ class ExpZeroRate(Case):
         m, T = self.model, self.market.horizon
         return FluidSolution(
             lambda x: fluid.exp_fluid_finite(x, T, m.lam, m.kappa)[:2],
-            lambda t, x0: fluid.exp_fluid_finite(x0, T, m.lam, m.kappa)[2](t))
+            _each_time(lambda t, x0: fluid.exp_fluid_finite(x0, T, m.lam, m.kappa)[2](t)))
 
     def fluid_cell_spread(self, x, delta):
         m = self.model
@@ -359,9 +378,18 @@ class ExpStationary(Case):
         return FluidSolution(lambda x: fluid.exp_fluid_infinite(x, m.lam, m.kappa, r),
                              lambda t, x0: fluid.exp_trade_curve(t, x0, m.lam, m.kappa, r))
 
-    def fluid_cell_spread(self, x, delta):
+    def fluid_cell_spread(self, x, delta, log_w=None):
         m = self.model
-        return fluid.exp_infinite_cell_spread(x, delta, m.lam, m.kappa, self.market.r)
+        return fluid.exp_infinite_cell_spread(x, delta, m.lam, m.kappa, self.market.r,
+                                              log_w)
+
+    def fluid_probe(self, x, deltas):
+        # one E1 root at x serves the value, the spread and every cell's top
+        m, r = self.model, self.market.r
+        log_w = fluid.exp_infinite_log_w(x, m.lam, r)
+        value, spread = fluid.exp_fluid_infinite(x, m.lam, m.kappa, r, log_w)
+        return value, spread, np.array([self.fluid_cell_spread(x, float(d), log_w)
+                                        for d in deltas])
 
     def policy(self, delta, n_max):
         return StationarySpreadPolicy(spreads=self._table(delta, n_max)[1])

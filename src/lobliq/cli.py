@@ -94,10 +94,10 @@ def _cmd_converge(cfg: RunConfig, artifacts: list) -> None:
     sec = cfg.section
     report = value_convergence(cfg.model, cfg.market, sec["x_probe"],
                                sec["delta0"], sec["k_max"])
-    # the ladder's spreads and the fluid spread are already solved: tabulate
-    # them, do not re-solve
-    spread_table = _spread_table(cfg.model, cfg.market, sec["x_probe"],
-                                 report.deltas, report.spreads, report.fluid_spread)
+    # the ladder's spreads, the fluid spread and its cell averages are
+    # already solved: tabulate them, do not re-solve
+    spread_table = _spread_table(report.x_probe, report.deltas, report.spreads,
+                                 report.fluid_spread, report.averaged)
     columns = {
         "delta": report.deltas,
         "value": report.values,
@@ -197,8 +197,7 @@ def _cmd_curves(cfg: RunConfig, artifacts: list) -> None:
         baseline = np.full_like(times, math.nan)
     else:
         baseline = x0 * (1.0 - times / cfg.market.horizon)
-    fl = fluid_solution(cfg.model, cfg.market)
-    fluid_curve = np.array([fl.trade_curve(t, x0) for t in times])
+    fluid_curve = fluid_solution(cfg.model, cfg.market).trade_curve(times, x0)
     _emit_table(cfg, "curves", {
         "time": times,
         "mean_inventory": curve.inventory[curve.initial_units],

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cases import resolve
+from .cases import Case, resolve
 from .discrete import level_of
-from .fluid import fluid_solution
 from .intensity import IntensityModel, MarketParams
 
 __all__ = [
@@ -37,6 +36,7 @@ class ConvergenceReport:
     fluid_spread: float
     monotone_ok: bool
     rate_estimate: float
+    averaged: np.ndarray  # cell average of the fluid spread over [x-Delta, x]
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,13 @@ class SpreadConvergence:
     averaged_wins: bool       # cell average closer than the pointwise value everywhere
 
 
-def _probe(model: IntensityModel, market: MarketParams, x: float,
-           deltas) -> tuple[np.ndarray, np.ndarray]:
+def _probe(case: Case, x: float, deltas) -> tuple[np.ndarray, np.ndarray]:
     """V and optimal spread at inventory x of the Delta-unit problem for each
-    Delta in ``deltas``, from one case (``Case.ladder``); x must lie on every
-    grid."""
+    Delta in ``deltas`` (``Case.ladder``); x must lie on every grid."""
     levels = [level_of(x, d) for d in deltas]  # raises on misalignment
     if min(levels) < 1:
         raise ValueError("probe inventory must be at least one unit")
-    return resolve(model, market).ladder(levels, deltas)
+    return case.ladder(levels, deltas)
 
 
 def _ladder(delta0: float, k_max: int) -> np.ndarray:
@@ -75,11 +73,13 @@ def value_convergence(model: IntensityModel, market: MarketParams, x_probe: floa
     The probe inventory must lie on every rung's grid (pick delta0 dividing
     x_probe).  Values are asserted monotone nondecreasing and bounded by the
     fluid value; the rate estimate averages log2 of the last few successive
-    error quotients.
+    error quotients.  The report also carries each rung's cell average of
+    the fluid spread, from the fluid probe's own solve (``Case.fluid_probe``).
     """
+    case = resolve(model, market)
     deltas = _ladder(delta0, k_max)
-    values, spreads = _probe(model, market, x_probe, deltas)
-    fluid_value, fluid_spread = fluid_solution(model, market).value_and_spread(x_probe)
+    values, spreads = _probe(case, x_probe, deltas)
+    fluid_value, fluid_spread, averaged = case.fluid_probe(x_probe, deltas)
 
     ratios = values / fluid_value
     monotone_ok = bool(np.all(np.diff(values) >= -1e-12 * fluid_value)
@@ -98,7 +98,7 @@ def value_convergence(model: IntensityModel, market: MarketParams, x_probe: floa
     return ConvergenceReport(x_probe=x_probe, deltas=deltas, values=values,
                              fluid_value=fluid_value, ratios=ratios, spreads=spreads,
                              fluid_spread=fluid_spread, monotone_ok=monotone_ok,
-                             rate_estimate=rate)
+                             rate_estimate=rate, averaged=averaged)
 
 
 def control_convergence(model: IntensityModel, market: MarketParams, x_probe: float,
@@ -110,20 +110,17 @@ def control_convergence(model: IntensityModel, market: MarketParams, x_probe: fl
     table carries both the pointwise gap and the cell-averaged gap (the
     latter is the smaller one).
     """
-    deltas = np.asarray(deltas, dtype=float)
-    return _spread_table(model, market, x_probe, deltas,
-                         _probe(model, market, x_probe, deltas)[1],
-                         fluid_solution(model, market).spread(x_probe))
-
-
-def _spread_table(model: IntensityModel, market: MarketParams, x_probe: float,
-                  deltas: np.ndarray, spreads: np.ndarray,
-                  fluid_spread: float) -> SpreadConvergence:
-    """The control-convergence table for discrete spreads and a fluid
-    spread at x_probe already solved."""
     case = resolve(model, market)
-    averaged = np.array([case.fluid_cell_spread(x_probe, float(d)) for d in deltas])
+    deltas = np.asarray(deltas, dtype=float)
+    spreads = _probe(case, x_probe, deltas)[1]
+    _, fluid_spread, averaged = case.fluid_probe(x_probe, deltas)
+    return _spread_table(x_probe, deltas, spreads, fluid_spread, averaged)
 
+
+def _spread_table(x_probe: float, deltas: np.ndarray, spreads: np.ndarray,
+                  fluid_spread: float, averaged: np.ndarray) -> SpreadConvergence:
+    """The control-convergence table for discrete spreads, a fluid spread
+    and cell averages at x_probe already solved."""
     pointwise_err = np.abs(spreads - fluid_spread)
     averaged_err = np.abs(spreads - averaged)
     return SpreadConvergence(x_probe=x_probe, deltas=deltas, spreads=spreads,

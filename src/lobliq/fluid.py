@@ -9,8 +9,11 @@ the analytic anchors the discrete solvers converge to.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .discrete import discount_integral, power_time_factor
 from .intensity import IntensityModel, MarketParams
@@ -22,6 +25,7 @@ __all__ = [
     "power_trade_curve",
     "exp_fluid_finite",
     "exp_finite_cell_spread",
+    "exp_infinite_log_w",
     "exp_fluid_infinite",
     "exp_infinite_cell_spread",
     "exp_trade_curve",
@@ -112,44 +116,145 @@ def exp_finite_cell_spread(x: float, delta: float, t_horizon: float, lam: float,
     return (1.0 + drop / delta) / kappa
 
 
-def _e1_of_log(s: float, exp1) -> float:
-    """E1(exp(s)), also where exp(s) underflows or E1 itself does.
+_E1_SERIES_K = [float(k) for k in range(1, 22)]  # 1/21! < 5e-20
+# (2k - 1, k**2) of the continued fraction's k-th level, deepest first
+_E1_FRACTION = [(2.0 * k - 1.0, float(k * k)) for k in range(132, 0, -1)]
 
-    ``exp1`` is ``scipy.special.exp1``, which the callers import.
+
+def _e1(w: float) -> float:
+    """E1(w) for a double w > 0, within 4e-16 relative of 40-digit mpmath
+    from w = 5e-18 to the underflow at w ~ 740.
+
+    Up to w = 1 it is the power series (DLMF 6.6.2),
+        E1(w) = -gamma - log(w) - sum_{k>=1} (-w)**k/(k k!),
+    summed with fsum, so that only the terms' own rounding is left: the sum
+    cancels to E1(1) = 0.22 from terms up to 1.  Above w = 1 it is the even
+    part of the continued fraction (DLMF 6.9.1),
+        E1(w) = exp(-w)/(w+1 - 1/(w+3 - 4/(w+5 - 9/(w+7 - ...)))),
+    evaluated backward from 12 + 120/w levels, a few more than it takes to
+    settle to the last bit (105 at w = 1, 14 at w = 10).
     """
+    if w <= 1.0:
+        terms = [-_EULER_GAMMA, -math.log(w)]
+        power = 1.0  # (-w)**k/k!
+        for k in _E1_SERIES_K:
+            power *= -w / k
+            terms.append(-power / k)
+            if -5e-20 < power < 5e-20:
+                break
+        return math.fsum(terms)
+    levels = int(12.0 + 120.0 / w)
+    f = w + (2 * levels + 1)
+    for odd, square in _E1_FRACTION[len(_E1_FRACTION) - levels:]:
+        f = w + odd - square / f
+    return math.exp(-w) / f
+
+
+def _e1_of_log(s: float) -> float:
+    """E1(exp(s)), also where exp(s) underflows or E1 itself does."""
     if s < -40.0:
         # E1(w) = -gamma - log(w) + w - ..., and w < 5e-18 here
         return -_EULER_GAMMA - s
-    return float(exp1(math.exp(min(s, 7.0))))  # E1(w) is 0.0 beyond w ~ 740
+    return _e1(math.exp(min(s, 7.0)))  # E1(w) is 0.0 beyond w ~ 740
+
+
+_NEWTON_STEPS = 50
+_AS_INT = struct.Struct("<Q")
+_AS_FLOAT = struct.Struct("<d")
+_SIGN = 1 << 63
+
+
+def _ordinal(x: float) -> int:
+    """The position of a double among the doubles, in their order."""
+    bits = _AS_INT.unpack(_AS_FLOAT.pack(x))[0]
+    return -(bits ^ _SIGN) if bits & _SIGN else bits
+
+
+def _double(i: int) -> float:
+    """The double at ordinal i (``_ordinal``'s inverse, -0.0 read as 0.0)."""
+    return _AS_FLOAT.unpack(_AS_INT.pack(-i | _SIGN if i < 0 else i))[0]
+
+
+def _last_at_least(c: float, s: float) -> float:
+    """The last double t with E1(exp(t)) >= c, from a double s near it.
+
+    Near s = 0 the doubles are far denser than the values exp(s) rounds to:
+    around s = 1e-10 one value of E1(exp(s)) holds for 1e10 doubles in a
+    row.  So the search gallops away from s over the doubles' ordinals and
+    bisects the bracket it finds, in steps logarithmic in the distance, two
+    when s is the answer; each double exp(t) met is given to E1 once.
+    """
+    seen = {}
+
+    def holds(i):
+        t = _double(i)
+        key = t if t < -40.0 else math.exp(min(t, 7.0))  # what E1(exp(t)) reads
+        if key not in seen:
+            seen[key] = _e1_of_log(t) >= c
+        return seen[key]
+
+    i, stride = _ordinal(s), 1
+    if holds(i):
+        while holds(i + stride):
+            i, stride = i + stride, 2 * stride
+        lo, hi = i, i + stride
+    else:
+        while not holds(i - stride):
+            i, stride = i - stride, 2 * stride
+        lo, hi = i - stride, i
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return _double(lo)
 
 
 def _log_w(c: float) -> float:
     """log(w) for the w > 0 with E1(w) = c > 0.
 
-    The root is taken in log(w): once c passes about 36, exp(-w) rounds to 1
-    in double precision long before w or log(w) lose accuracy.  The result
-    is the last double s with E1(exp(s)) >= c, so it never rises with c.
+    The root is taken in s = log(w): once c passes about 36, exp(-w) rounds
+    to 1 in double precision long before w or s lose accuracy.  E1(e**s) is
+    convex and decreasing in s, with slope -exp(-e**s), so Newton's method
+    started left of the root rises to it monotonically and needs no bracket:
+    E1(w) > -gamma - log(w) puts s = -gamma - c on the left, and for small c
+    E1(w) > exp(-w)/(w + 1) puts w = L - log1p(L), L = -log(c), there too.
+    The result is the last double s with E1(exp(s)) >= c, so it never rises
+    with c.  Raises ArithmeticError for c <= 0 or nan, which has no root, or
+    after _NEWTON_STEPS steps.
     """
     if c > 40.0:
         return -_EULER_GAMMA - c  # w < 3e-18: E1 equals its log asymptote in doubles
-    from scipy.optimize import brentq
-    from scipy.special import exp1
+    if not c > 0.0:
+        raise ArithmeticError(f"E1(w) = {c} has no root w > 0")
+    s = -_EULER_GAMMA - c
+    if c < 0.25:
+        big = -math.log(c)
+        s = max(s, math.log(big - math.log1p(big)))
+    for _ in range(_NEWTON_STEPS):
+        gap, w = _e1_of_log(s) - c, math.exp(s)
+        step = gap / math.exp(-w) if gap > 0.0 else 0.0
+        if not s + step > s:
+            break  # at the root, or an ulp past it
+        s += step
+        if w * step * step < 1e-17:
+            break  # the next step, about (w/2) step**2, is below the doubles near s
+    else:
+        raise ArithmeticError(f"the E1 root for c = {c} did not converge in "
+                              f"{_NEWTON_STEPS} Newton steps")
+    return _last_at_least(c, s)
 
-    # E1(w) > -gamma - log(w) fixes the lower end; E1(w) < exp(-w)/w the upper
-    s = brentq(lambda s: _e1_of_log(s, exp1) - c, -_EULER_GAMMA - c - 1.0,
-               math.log(max(1.0, -math.log(c))),
-               xtol=1e-16, rtol=8.882e-16, maxiter=200)
-    # brentq may stop an ulp either side of the crossing; the last double s
-    # with E1(exp(s)) >= c makes w, and so the value, monotone in c
-    while _e1_of_log(s, exp1) < c:
-        s = math.nextafter(s, -math.inf)
-    while _e1_of_log(up := math.nextafter(s, math.inf), exp1) >= c:
-        s = up
-    return s
+
+def exp_infinite_log_w(x: float, lam: float, r: float) -> float:
+    """log(w) at inventory x > 0 of the stationary exponential book: the root
+    of E1(w) = e*r*x/lam (``exp_fluid_infinite``), for callers that pass it
+    on to several of the functions below."""
+    return _log_w(math.e * r * x / lam)
 
 
-def exp_fluid_infinite(x: float, lam: float, kappa: float,
-                       r: float) -> tuple[float, float]:
+def exp_fluid_infinite(x: float, lam: float, kappa: float, r: float,
+                       log_w: float | None = None) -> tuple[float, float]:
     """Stationary fluid solution for an exponential book with r > 0.
 
     The value solves li(e*kappa*r*v/lam) = -e*r*x/lam on (0, lam/(kappa*r*e)),
@@ -158,6 +263,8 @@ def exp_fluid_infinite(x: float, lam: float, kappa: float,
     E1(w) = e*r*x/lam, whose root is unique because E1 falls strictly from
     +inf to 0; hence
         v = lam/(kappa*r*e) * exp(-w),   spread = (1 + w)/kappa.
+    ``log_w`` is log(w) at x, ``exp_infinite_log_w(x, lam, r)``, when the
+    caller has it; otherwise it is solved here.
     """
     if x < 0.0:
         raise ValueError("inventory must be nonnegative")
@@ -165,14 +272,14 @@ def exp_fluid_infinite(x: float, lam: float, kappa: float,
         raise ValueError("requires lam, kappa, r > 0")
     if x == 0.0:
         return 0.0, math.inf
-    w = math.exp(_log_w(math.e * r * x / lam))
+    w = math.exp(exp_infinite_log_w(x, lam, r) if log_w is None else log_w)
     return lam / (kappa * r * math.e) * math.exp(-w), (1.0 + w) / kappa
 
 
 def exp_infinite_cell_spread(x: float, delta: float, lam: float, kappa: float,
-                             r: float) -> float:
+                             r: float, log_w: float | None = None) -> float:
     """The spread of ``exp_fluid_infinite`` averaged over the cell [x - delta, x],
-    0 < delta <= x.
+    0 < delta <= x; ``log_w`` is as there, the root at x.
 
     The spread is (1 + w)/kappa, and in s = log(w), where E1(e**s) = e*r*y/lam,
     the cell runs from s1 = s(x) to s0 = s(x - delta) with
@@ -184,11 +291,11 @@ def exp_infinite_cell_spread(x: float, delta: float, lam: float, kappa: float,
     Gauss-Legendre rule to be exact to rounding, the first integral is taken
     by that rule over the same [s1, s0], and the rounding cancels.
     """
-    s1 = _log_w(math.e * r * x / lam)
+    s1 = exp_infinite_log_w(x, lam, r) if log_w is None else log_w
     w1 = math.exp(s1)
     if delta >= x:
         return (1.0 + lam / (r * math.e * delta) * math.exp(-w1)) / kappa  # v(x)/delta
-    s0 = _log_w(math.e * r * (x - delta) / lam)
+    s0 = exp_infinite_log_w(x - delta, lam, r)
     h = s0 - s1
     drop = -math.exp(-w1) * math.expm1(-w1 * math.expm1(h))  # exp(-w1) - exp(-w0)
     if h * max(1.0, math.exp(s0)) > 1.0:
@@ -203,26 +310,28 @@ def exp_infinite_cell_spread(x: float, delta: float, lam: float, kappa: float,
     return (1.0 + mean_w) / kappa
 
 
-def exp_trade_curve(t: float, x0: float, lam: float, kappa: float,
-                    r: float) -> float:
+def exp_trade_curve(t, x0: float, lam: float, kappa: float, r: float):
     """Optimally-controlled fluid inventory at time t, starting from x0
-    (exponential book, infinite horizon).
+    (exponential book, infinite horizon); t is a time or an array of times,
+    and one E1 root serves them all.
 
     Along dX/dt = -kappa*r*v(X) the li argument y = e*kappa*r*v(X)/lam obeys
     d(log y)/dt = r*log y, so w = -log y grows like w0*exp(r*t); with
     li(y) = -E1(w) this gives
         X(t) = (lam/(e*r)) * E1(w0*exp(r*t)),   E1(w0) = e*r*x0/lam.
     """
-    if t < 0.0 or x0 < 0.0:
+    times = np.asarray(t, dtype=float)
+    if times.min(initial=0.0) < 0.0 or x0 < 0.0:
         raise ValueError(f"requires t >= 0 and x0 >= 0, got t = {t}, x0 = {x0}")
     if min(lam, kappa, r) <= 0.0:
         raise ValueError("requires lam, kappa, r > 0")
-    if t == 0.0 or x0 == 0.0:
-        return x0
-    from scipy.special import exp1
-
-    s0 = _log_w(math.e * r * x0 / lam)
-    return lam / (math.e * r) * _e1_of_log(s0 + r * t, exp1)
+    if x0 == 0.0 or not times.any():
+        curve = [x0] * times.size
+    else:
+        s0, scale = exp_infinite_log_w(x0, lam, r), lam / (math.e * r)
+        curve = [scale * _e1_of_log(s0 + r * u) if u else x0
+                 for u in times.ravel().tolist()]
+    return curve[0] if times.ndim == 0 else np.reshape(curve, times.shape)
 
 
 @dataclass(frozen=True)
@@ -230,7 +339,7 @@ class FluidSolution:
     """Evaluable fluid value, spread, and trade curve for one model/market."""
 
     value_and_spread: Callable[[float], tuple[float, float]]  # one solve for both
-    trade_curve: Callable[[float, float], float]  # (t, x0) -> inventory
+    trade_curve: Callable  # (t, x0) -> inventory, t a time or an array of times
 
     def value(self, x: float) -> float:
         return self.value_and_spread(x)[0]

@@ -10,7 +10,9 @@ classical RK4 (``integrate_ode``), the logarithmic integral by quadrature
 (``lambert_w0_exparg``), one call per level of the recursion, the power-law
 recursion by a bracketed root per level (``bracketed_power_recursion``), and
 both recursions by the warm-started Newton solve per level that the package
-used before (``power_recursion_by_level``, ``exp_recursion_by_level``).
+used before (``power_recursion_by_level``, ``exp_recursion_by_level``), and
+the E1 root on SciPy's ``exp1`` by ``brentq`` that the package used before
+(``brentq_log_w``).
 """
 
 import math
@@ -20,11 +22,13 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import exp1
 
 from lobliq.discrete import level_of, power_first_coefficient
 from lobliq.numerics import NonFiniteStateError
 
 _INV_E = math.exp(-1.0)
+_EULER_GAMMA = 0.5772156649015329
 
 
 @dataclass(frozen=True)
@@ -280,6 +284,37 @@ def exp_recursion_by_level(x_max: float, delta: float, lam: float, kappa: float,
     spreads = np.full(levels + 1, math.nan)
     spreads[1:] = 1.0 / kappa + np.diff(values) / delta
     return values, spreads
+
+
+def scipy_e1_of_log(s: float) -> float:
+    """E1(exp(s)) from SciPy's ``exp1``, with the log asymptote below s = -40."""
+    if s < -40.0:
+        # E1(w) = -gamma - log(w) + w - ..., and w < 5e-18 here
+        return -_EULER_GAMMA - s
+    return float(exp1(math.exp(min(s, 7.0))))  # E1(w) is 0.0 beyond w ~ 740
+
+
+def brentq_log_w(c: float) -> float:
+    """log(w) for the w > 0 with E1(w) = c > 0, by ``brentq`` on SciPy's E1.
+
+    The result is the last double s with ``scipy_e1_of_log(s) >= c``, found
+    by stepping one double at a time from brentq's root: where the doubles
+    near s = 0 outnumber the values exp(s) rounds to, that walk takes as many
+    steps as there are doubles in a row with one value.
+    """
+    if c > 40.0:
+        return -_EULER_GAMMA - c  # w < 3e-18: E1 equals its log asymptote in doubles
+    # E1(w) > -gamma - log(w) fixes the lower end; E1(w) < exp(-w)/w the upper
+    s = brentq(lambda s: scipy_e1_of_log(s) - c, -_EULER_GAMMA - c - 1.0,
+               math.log(max(1.0, -math.log(c))),
+               xtol=1e-16, rtol=8.882e-16, maxiter=200)
+    # brentq may stop an ulp either side of the crossing; the last double s
+    # with E1(exp(s)) >= c makes w, and so the value, monotone in c
+    while scipy_e1_of_log(s) < c:
+        s = math.nextafter(s, -math.inf)
+    while scipy_e1_of_log(up := math.nextafter(s, math.inf)) >= c:
+        s = up
+    return s
 
 
 def log_integral(y: float) -> float:

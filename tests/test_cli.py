@@ -13,7 +13,7 @@ import lobliq
 from lobliq.cases import resolve
 from lobliq.cli import main
 from lobliq.config import ConfigError, load_config, parse_config
-from lobliq.intensity import MarketParams, PowerLawIntensity
+from lobliq.intensity import ExpDecayIntensity, MarketParams, PowerLawIntensity
 from lobliq.reports import format_number
 from lobliq.simulate import StationarySpreadPolicy, simulate_policy
 from ode_oracles import bracketed_power_recursion
@@ -153,6 +153,47 @@ class TestCliCommands:
         spreads = np.array(payload["columns"]["spread"])
         assert payload["columns"]["spread_err"] == list(
             np.abs(spreads - payload["fluid_spread"]))
+
+    def test_converge_solves_one_root_per_rung(self, tmp_path, monkeypatch):
+        # the probe's E1 root serves the fluid value, the fluid spread and the
+        # top of every rung's cell; each rung adds the root at x - delta only
+        calls = []
+        log_w = lobliq.fluid._log_w
+        monkeypatch.setattr(lobliq.fluid, "_log_w", lambda c: calls.append(c) or log_w(c))
+        cfg = {"model": {"kind": "exp", "lam": 1.0, "kappa": 1.0},
+               "market": {"r": 0.1, "horizon": "inf"},
+               "converge": {"x_probe": 5.0, "k_max": 11},
+               "output": {"directory": str(tmp_path / "out"), "formats": "json"}}
+        assert main(["converge", "--config", write_cfg(tmp_path, cfg)]) == 0
+        assert len(calls) == 13
+        payload = json.loads((tmp_path / "out" / "converge.json").read_text())
+        case = resolve(ExpDecayIntensity(lam=1.0, kappa=1.0), MarketParams(r=0.1))
+        assert payload["cell_averaged_spread"] == [
+            case.fluid_cell_spread(5.0, d) for d in payload["columns"]["delta"]]
+
+    def test_curves_solves_one_root_per_curve(self, tmp_path, monkeypatch):
+        calls = []
+        log_w = lobliq.fluid._log_w
+        monkeypatch.setattr(lobliq.fluid, "_log_w", lambda c: calls.append(c) or log_w(c))
+        cfg = {"model": {"kind": "exp", "lam": 1.0, "kappa": 1.0},
+               "market": {"r": 0.1, "horizon": "inf"},
+               "curves": {"n_units": 6, "t_grid": {"start": 0.0, "stop": 2.0, "count": 5}},
+               "output": {"directory": str(tmp_path / "out"), "formats": "json"}}
+        assert main(["curves", "--config", write_cfg(tmp_path, cfg)]) == 0
+        assert len(calls) == 1
+        columns = json.loads((tmp_path / "out" / "curves.json").read_text())["columns"]
+        assert columns["fluid_curve"] == [lobliq.fluid.exp_trade_curve(t, 6.0, 1.0, 1.0, 0.1)
+                                          for t in columns["time"]]
+
+    def test_e1_root_step_cap_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lobliq.fluid, "_NEWTON_STEPS", 1)
+        cfg = {"model": {"kind": "exp", "lam": 1.0, "kappa": 1.0},
+               "market": {"r": 0.1, "horizon": "inf"},
+               "fluid": {"x_grid": {"start": 0.5, "stop": 2.0, "count": 4}},
+               "output": {"directory": str(tmp_path / "out")}}
+        assert main(["fluid", "--config", write_cfg(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure in 'fluid'" in err and "did not converge" in err
 
     def test_figures_three_curves(self, tmp_path):
         cfg = {"figures": {"figure": 1,

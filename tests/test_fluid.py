@@ -1,20 +1,31 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import lobliq.fluid
 from lobliq.fluid import (
+    _e1_of_log,
+    _log_w,
     exp_fluid_finite,
     exp_fluid_infinite,
+    exp_trade_curve,
     fluid_solution,
     power_fluid,
     power_trade_curve,
 )
 from lobliq.intensity import ExpDecayIntensity, MarketParams, PowerLawIntensity
-from ode_oracles import OdeProblem, integrate_ode, log_integral
+from ode_oracles import (
+    OdeProblem,
+    brentq_log_w,
+    integrate_ode,
+    log_integral,
+    scipy_e1_of_log,
+)
 
 
 class TestPowerFluid:
@@ -126,6 +137,88 @@ class TestExpFluidFinite:
             v2, s2, _ = exp_fluid_finite(x, 2.0, 1.0, 2.0)
             assert abs(v1 - 2.0 * v2) < 1e-13
             assert abs(s1 - 2.0 * s2) < 1e-13
+
+
+class TestE1:
+    """E1 from its series and continued fraction, and its root in s = log(w)."""
+
+    @given(st.floats(min_value=math.log(1e-300), max_value=7.0))
+    @settings(max_examples=400, deadline=None)
+    @example(s=-40.0)                      # the asymptote's edge
+    @example(s=0.0)                        # w = 1: the series' last point
+    @example(s=math.nextafter(0.0, 1.0))   # the continued fraction's first
+    @example(s=math.log(700.0))
+    @example(s=7.0)                        # the underflow clamp
+    def test_e1_against_mpmath(self, s):
+        # E1 at the double exp(s): 40 digits from mpmath, within 3e-15
+        # relative where E1 is a normal double; past w ~ 708 it is subnormal
+        # and keeps only a few of its last bits
+        w = math.exp(s)
+        with mpmath.workdps(40):
+            ref = float(mpmath.e1(mpmath.mpf(w)))
+        got = _e1_of_log(s)
+        assert abs(got - ref) <= 3e-15 * ref + 4 * 5e-324, (s, got, ref)
+        if w <= 700.0:
+            assert abs(got - ref) <= 3e-15 * ref, (s, got, ref)
+
+    def test_e1_beyond_the_clamp_and_on_the_asymptote(self):
+        assert _e1_of_log(7.5) == 0.0 == _e1_of_log(math.inf)
+        assert _e1_of_log(-100.0) == -lobliq.fluid._EULER_GAMMA + 100.0
+
+    @given(st.floats(min_value=1e-300, max_value=40.0))
+    @settings(max_examples=300, deadline=None)
+    @example(c=1e-300)
+    @example(c=40.0)
+    @example(c=0.25)    # where the start for small c takes over
+    @example(c=0.21938393435873232)  # E1(1 + 1e-10): the oracle's walk hangs nearby
+    def test_root_is_the_last_double(self, c):
+        s = _log_w(c)
+        assert _e1_of_log(s) >= c > _e1_of_log(math.nextafter(s, math.inf))
+
+    @given(st.floats(min_value=1e-300, max_value=40.0))
+    @settings(max_examples=200, deadline=None)
+    @example(c=1e-300)
+    @example(c=31.44147919389287)  # 56 ulps of w from the oracle: E1 is flat in w here
+    @example(c=1.3591409142295225)  # the benchmark's probe, e*r*x/lam at x = 5
+    def test_root_against_brentq(self, c):
+        # the oracle steps one double at a time across the doubles that share
+        # one exp(s), about 1/|s| of them: keep s away from 0, where E1 = E1(1)
+        assume(abs(c - 0.2193839343955205) > 1e-4)
+        # the two E1s differ by a few ulps, so the roots may differ by what
+        # 2e-15 relative in E1 moves w: dw = dE1 * w * exp(w)
+        w, w_ref = math.exp(_log_w(c)), math.exp(brentq_log_w(c))
+        assert abs(w - w_ref) <= 2e-15 * c * w_ref * math.exp(w_ref) + 4 * math.ulp(w_ref)
+        assert abs(_e1_of_log(_log_w(c)) - scipy_e1_of_log(brentq_log_w(c))) <= 3e-15 * c
+
+    @given(st.floats(min_value=1e-300, max_value=45.0),
+           st.floats(min_value=1.0, max_value=4.0))
+    @settings(max_examples=300, deadline=None)
+    @example(c=0.2193839343955205, factor=1.0000000000000002)
+    @example(c=40.0, factor=1.0000000000000002)  # across the asymptote shortcut
+    def test_root_never_rises_with_c(self, c, factor):
+        assert _log_w(c * factor) <= _log_w(c)
+        assert _log_w(math.nextafter(c, math.inf)) <= _log_w(c)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
+    def test_no_root(self, c):
+        with pytest.raises(ArithmeticError, match="has no root"):
+            _log_w(c)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(lobliq.fluid, "_NEWTON_STEPS", 0)
+        with pytest.raises(ArithmeticError, match="did not converge in 0 Newton steps"):
+            _log_w(1.0)
+        # the log asymptote takes no Newton step
+        assert _log_w(41.0) == -lobliq.fluid._EULER_GAMMA - 41.0
+
+    def test_trade_curve_takes_an_array_of_times(self):
+        times = np.array([0.0, 0.5, 2.0, 1e4])
+        curve = exp_trade_curve(times, 6.0, 1.0, 1.0, 0.1)
+        assert curve.tolist() == [exp_trade_curve(t, 6.0, 1.0, 1.0, 0.1) for t in times]
+        assert curve[0] == 6.0 and curve[-1] == 0.0
+        assert exp_trade_curve(times, 0.0, 1.0, 1.0, 0.1).tolist() == [0.0] * 4
+        with pytest.raises(ValueError, match="requires t >= 0"):
+            exp_trade_curve(np.array([0.5, -1.0]), 6.0, 1.0, 1.0, 0.1)
 
 
 class TestExpFluidInfinite:
@@ -266,6 +359,20 @@ class TestFluidSolutionBundle:
         # E1 underflows long before t = 1000/r: the curve reads +0.0
         x_late = fl.trade_curve(1000.0 / r, x0)
         assert x_late == 0.0 and math.copysign(1.0, x_late) == 1.0
+
+    @pytest.mark.parametrize("model, market", [
+        (PowerLawIntensity(lam=1.0, alpha=2.0), MarketParams(r=0.1, horizon=1.0)),
+        (PowerLawIntensity(lam=1.0, alpha=2.0), MarketParams(r=0.1)),
+        (ExpDecayIntensity(lam=1.0, kappa=1.0), MarketParams(r=0.0, horizon=1.0)),
+        (ExpDecayIntensity(lam=1.0, kappa=1.0), MarketParams(r=0.1)),
+    ], ids=["power_T", "power_inf", "exp_r0", "exp_inf"])
+    def test_trade_curve_on_an_array_is_pointwise(self, model, market):
+        fl = fluid_solution(model, market)
+        times = np.linspace(0.0, 0.9, 7)
+        for x0 in (0.0, 6.0):
+            curve = fl.trade_curve(times, x0)
+            assert isinstance(curve, np.ndarray)
+            assert curve.tolist() == [fl.trade_curve(t, x0) for t in times]
 
     def test_zero_rate_power(self):
         model = PowerLawIntensity(lam=1.0, alpha=2.0)

@@ -1,17 +1,14 @@
-"""SciPy stays out of the package's import, the power-law paths, the
-regime solve and the two-exchange solvers, the report writers' vector
-spelling stays out of the package's import, every name a module exports
-exists, and every function the package defines is reached by a command, bar
-a named few.
+"""SciPy stays out of every command, the report writers' vector spelling
+stays out of the package's import, every name a module exports exists, and
+every function the package defines is reached by a command, bar a named few.
 
-``import lobliq.cli``, the power-law commands, ``regimes`` and
-``exchanges`` run in NumPy time: SciPy is imported inside the few functions
-that need it (the exponential-book E1 root and the generic stationary
-solve).
-A static lint of every source file fails fast on a module-level SciPy
-import; the slower gate then runs commands in fresh interpreters, since
-pytest itself has imported ``scipy.integrate`` by now (its warning filters
-name ``IntegrationWarning``).
+``import lobliq.cli`` and every command on every model/market case a config
+can reach run in NumPy time.  The one SciPy import left in the package is
+inside the generic stationary solve (``discrete.solve_generic_stationary``),
+which no command reaches.  A static lint of every source file fails fast on
+any other SciPy import; the slower gate then runs commands in fresh
+interpreters, since pytest itself has imported ``scipy.integrate`` by now
+(its warning filters name ``IntegrationWarning``).
 """
 
 import ast
@@ -31,24 +28,43 @@ PACKAGE = Path(lobliq.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
+# the one function of the package that may import SciPy
+SCIPY_ALLOWED = {("discrete.py", "solve_generic_stationary")}
+
+
+def scipy_imports(source: str) -> list[tuple[int, str, str | None]]:
+    """(line, module, function) of each SciPy import in a source file, with
+    the qualified name of the innermost function around it, or None where
+    the import runs when the module is imported."""
+    found = []
+
+    def visit(node, function, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix + child.name, f"{prefix}{child.name}.<locals>.")
+                continue
+            if isinstance(child, ast.ClassDef):
+                visit(child, function, f"{prefix}{child.name}.")
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module or ""]
+            else:
+                names = []
+            found.extend((child.lineno, n, function) for n in names
+                         if n == "scipy" or n.startswith("scipy."))
+            visit(child, function, prefix)
+
+    visit(ast.parse(source), None, "")
+    return sorted(found)
+
+
 def module_level_scipy_imports(source: str) -> list[tuple[int, str]]:
     """(line, module) of each SciPy import that runs when the module is
     imported: anywhere in the module body except inside a function."""
-    found = []
-    stack = list(ast.parse(source).body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module or ""]
-        else:
-            names = []
-        found += [(node.lineno, n) for n in names if n == "scipy" or n.startswith("scipy.")]
-        stack.extend(ast.iter_child_nodes(node))
-    return sorted(found)
+    return [(line, name) for line, name, function in scipy_imports(source)
+            if function is None]
 
 
 def test_lint_flags_import_time_statements_only():
@@ -71,6 +87,8 @@ def test_lint_flags_import_time_statements_only():
         "from . import scipy_like",                     # 16
     ])
     assert [line for line, _ in module_level_scipy_imports(source)] == [1, 2, 4, 6, 10]
+    assert [(line, function) for line, _, function in scipy_imports(source)
+            if function is not None] == [(12, "C.f"), (14, "g")]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -79,6 +97,15 @@ def test_no_module_level_scipy_import(path):
     assert not hits, "\n".join(f"{path.name}:{line}: module-level import of {name}; "
                                "import it inside the function that needs it"
                                for line, name in hits)
+
+
+def test_scipy_only_in_the_generic_solve():
+    found = [(path.name, line, name, function) for path in SOURCES
+             for line, name, function in scipy_imports(path.read_text())]
+    stray = [f"{file}:{line}: {name} imported in {function or 'the module body'}"
+             for file, line, name, function in found
+             if (file, function) not in SCIPY_ALLOWED]
+    assert not stray, "\n".join(stray)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -145,6 +172,39 @@ def test_power_law_command_loads_no_scipy(command, tmp_path):
     market, section = _RUNS[command]
     cfg = {"model": _POWER, "market": market, command: section,
            "output": {"directory": str(tmp_path / "out"), "formats": "both"}}
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert _probe(command, "--config", str(path))["scipy"] == []
+
+
+_EXP = {"kind": "exp", "lam": 1.0, "kappa": 1.0}
+_R0 = {"r": 0.0, "horizon": 1.0}
+_GRID = {"start": 0.5, "stop": 3.0, "count": 4}
+_SIM = {"n_units": 4, "n_paths": 200, "dump_paths": True}
+# (command, market, section); figures' spread_exp is the exp book's fluid spread
+_EXP_RUNS = {
+    "solve": ("solve", _INF, {"n_max": 50, "delta": 0.1}),
+    "fluid": ("fluid", _INF, {"x_grid": _GRID}),
+    "converge": ("converge", _INF, {"x_probe": 5.0, "k_max": 4}),
+    "curves": ("curves", _INF, {"n_units": 4, "t_grid": {"start": 0.0, "stop": 2.0,
+                                                          "count": 5}}),
+    "simulate-optimal": ("simulate", _INF, _SIM),
+    "simulate-fluid": ("simulate", _INF, dict(_SIM, policy="fluid")),
+    "figures": ("figures", None, {"figure": 1, "x_grid": _GRID}),
+    "r0-solve": ("solve", _R0, {"n_max": 50, "delta": 0.1}),
+    "r0-simulate": ("simulate", _R0, dict(_SIM, curve_points=3)),
+    "r0-curves": ("curves", _R0, {"n_units": 4, "t_grid": {"start": 0.0, "stop": 0.9,
+                                                           "count": 5}}),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_EXP_RUNS))
+def test_exponential_book_command_loads_no_scipy(run, tmp_path):
+    command, market, section = _EXP_RUNS[run]
+    cfg = {command: section, "output": {"directory": str(tmp_path / "out"),
+                                        "formats": "both"}}
+    if market is not None:
+        cfg.update(model=_EXP, market=market)
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(cfg))
     assert _probe(command, "--config", str(path))["scipy"] == []
