@@ -1,11 +1,14 @@
-"""Vector spelling of long report columns, byte for byte as the per-value
+"""Vector spelling of long report tables, byte for byte as the per-value
 writers of :mod:`lobliq.reports` spell them: ``'%.17g' % v`` for a CSV float,
 ``repr(v)`` for a JSON float and ``'%d' % v`` for an int.
 
-``reports`` imports this module on the first column of ``reports._VECTOR_ROWS``
-rows or more, so importing the package compiles none of it.  A column is
-spelled ``_CHUNK_ROWS`` rows at a time into NUL-padded uint8 cells, and one
-boolean mask drops the padding.
+``reports`` imports this module on the first table of ``reports._VECTOR_ROWS``
+rows or more, so importing the package compiles none of it.  A table is
+spelled in equal chunks of at most ``_CHUNK_ROWS`` rows into NUL-padded uint8
+cells, and one boolean mask drops the padding.  An int column is spelled once
+for both the CSV and the JSON file, in as many four-digit groups as its
+largest magnitude needs, and a float column is decomposed into its 17 digits
+once, then rendered for each.
 
 The 17 digits of |x| are the integer nearest |x|*10**k, found exactly from
 Dekker's error-free product of x and the exact double 10**k (0 <= k <= 22)
@@ -22,10 +25,11 @@ import math
 
 import numpy as np
 
-from .reports import _VECTOR_FLOATS, format_number
+from .reports import _dumps, _jsonable, format_number
 
 # rows spelled at once, which bounds the temporaries
 _CHUNK_ROWS = 4096
+_VECTOR_FLOATS = (np.float16, np.float32, np.float64)  # exact as float64
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -36,7 +40,8 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The digits of an integer come four at a time from a table of the strings
-# "0000".."9999".  An int's cell is its 20 digits, the leading zeros NUL.  A
+# "0000".."9999".  An int's cell is a sign and its four-digit groups, the
+# leading zeros NUL: _KEEP[j] clears the first j bytes of a group.  A
 # float's cell picks, by a row of indices chosen by its layout (sign, decimal
 # exponent and count of significant digits), from a source of 36 characters:
 # the 20 digits of its 17-digit significand followed by _CONSTANTS.
@@ -44,6 +49,7 @@ _N = np.arange(10_000)
 _WORDS = (_N[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(
     np.uint8).view(np.uint32).ravel()
 _TRAILING = sum((_N % 10**j == 0).astype(np.intp) for j in range(1, 5))  # 4 for 0
+_KEEP = np.frombuffer(b"".join(bytes(j) + b"\xff" * (4 - j) for j in range(5)), np.uint32)
 _CONSTANTS = b"\0.-+e0123456789\0"
 _CONSTANT_WORDS = np.frombuffer(_CONSTANTS, np.uint32)
 _WIDTH = 24  # the longest cell, "-2.2250738585072014e-308"
@@ -83,26 +89,32 @@ def _float_layouts(shortest: bool) -> np.ndarray:
 
 
 _LAYOUTS = {shortest: _float_layouts(shortest) for shortest in (False, True)}
+_LENGTHS = {shortest: (layouts != 20).sum(axis=1) for shortest, layouts in _LAYOUTS.items()}
 
 
-def _groups(u: np.ndarray) -> np.ndarray:
-    """The five base-10**4 digits of each u < 10**20, most significant first."""
-    out = np.empty((len(u), 5), np.intp)
+def _groups(u: np.ndarray, count: int = 5) -> np.ndarray:
+    """The ``count`` base-10**4 digits of each u < 10**(4 count), most
+    significant first."""
+    out = np.empty((len(u), count), np.intp)
     base = u.dtype.type(10_000)
-    for j in range(4, -1, -1):
+    for j in range(count - 1, 0, -1):
         q = u // base
         out[:, j] = u - q * base
         u = q
+    out[:, 0] = u
     return out
 
 
-def _render(groups: np.ndarray, layouts: np.ndarray) -> np.ndarray:
-    """(n, _WIDTH) cells: row i picks the source indices ``layouts[i]`` from
-    the digits of ``groups[i]`` followed by _CONSTANTS."""
+def _render(groups: np.ndarray, layout: np.ndarray, shortest: bool) -> np.ndarray:
+    """Float cells as wide as the longest: row i picks the source indices of
+    layout ``layout[i]`` from the digits of ``groups[i]`` followed by
+    _CONSTANTS."""
+    width = _LENGTHS[shortest].take(layout).max(initial=0)
     source = np.empty((len(groups), 9), np.uint32)
     source[:, :5] = _WORDS.take(groups)
     source[:, 5:] = _CONSTANT_WORDS
-    index = layouts + (np.arange(len(groups), dtype=np.int32) * 36)[:, None]
+    index = _LAYOUTS[shortest].take(layout, axis=0)[:, :width]
+    index = index + (np.arange(len(groups), dtype=np.int32) * 36)[:, None]
     return source.view(np.uint8).ravel().take(index)
 
 
@@ -112,16 +124,20 @@ def _per_value(strings: list) -> np.ndarray:
 
 
 def _int_cells(x: np.ndarray) -> np.ndarray:
-    """Cells of ``'%d' % v``: a sign slot, then 20 digits with the leading
-    zeros NUL."""
+    """Cells of ``'%d' % v``: a sign slot, then as many four-digit groups as
+    the largest |v| needs, the leading zeros NUL."""
     neg = x < 0
     mag = x.astype(np.uint64)  # a negative x wraps to 2**64 + x ...
     mag = np.where(neg, -mag, mag)  # ... and its negation is |x|, 2**63 included
     ndig = np.searchsorted(_INT_POW10, mag, side="right") + 1
-    cells = np.empty((len(x), 21), np.uint8)
+    count = (int(ndig.max()) + 3) // 4
+    words = _WORDS.take(_groups(mag, count))
+    lead = 4 * count - ndig  # leading zero digits
+    for j in range(count):
+        words[:, j] &= _KEEP.take(np.clip(lead - 4 * j, 0, 4))
+    cells = np.empty((len(x), 1 + 4 * count), np.uint8)
     cells[:, 0] = neg * ord("-")
-    cells[:, 1:] = _WORDS.take(_groups(mag)).view(np.uint8)
-    cells[:, 1:] *= np.arange(20) >= 20 - ndig[:, None]
+    cells[:, 1:] = words.view(np.uint8)
     return cells
 
 
@@ -160,16 +176,17 @@ def _reads_back(c: np.ndarray, e: np.ndarray, a: np.ndarray) -> np.ndarray:
     return back == a
 
 
-def _float_cells(x: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of x in the vector lanes, and their cells of ``'%.17g' % v``
-    (or ``repr(v)`` when ``shortest``)."""
+def _digits(x: np.ndarray) -> tuple:
+    """The rows of x in the vector lanes, and for each such row |x|, the
+    power k and the 17 digits D = |x|*10**k rounded, with the exact
+    remainder |x|*10**k - D."""
     a = np.abs(x)
     lane = (a >= 1e-6) & (a < 1e17)
     if lane.all():
         rows = np.arange(len(x))
     else:
         rows = np.flatnonzero(lane)
-        a, x = a[rows], x[rows]
+        a = a[rows]
     k = np.clip(16 - np.floor(np.log10(a)).astype(np.intp), 0, 22)
     d, rem = _scaled(a, k)
     # log10 may miss by one near a power of ten: the exact product must lie
@@ -184,7 +201,18 @@ def _float_cells(x: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray]
         if len(bad):
             ok = np.ones(len(rows), bool)
             ok[bad] = False
-            rows, x, a, k, d, rem = rows[ok], x[ok], a[ok], k[ok], d[ok], rem[ok]
+            rows, a, k, d, rem = rows[ok], a[ok], k[ok], d[ok], rem[ok]
+    return rows, a, k, d, rem
+
+
+def _json_number(v: float) -> str:
+    return repr(v) if math.isfinite(v) else '"' + format_number(v) + '"'
+
+
+def _float_cells(x: np.ndarray, digits: tuple, shortest: bool) -> np.ndarray:
+    """Cells of ``'%.17g' % v``, or of ``repr(v)`` with the non-finite values
+    quoted when ``shortest``, from the digits of ``_digits(x)``."""
+    rows, a, k, d, rem = digits
     exp10 = 16 - k  # the decimal exponent of the first digit
     if shortest:
         # A <= 15-digit string that reads back to x is the 15-digit rounding
@@ -207,47 +235,59 @@ def _float_cells(x: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray]
     for j in (3, 2, 1):
         more = np.flatnonzero(zeros == 16 - 4 * j)  # groups j+1.. all zero
         zeros[more] += _TRAILING.take(groups[more, j])
-    layout = ((exp10 - _EXPONENTS.start) * 17 + 16 - zeros) * 2 + np.signbit(x)
-    return rows, _render(groups, _LAYOUTS[shortest].take(layout, axis=0))
-
-
-def _cells(arr: np.ndarray, json: bool) -> np.ndarray:
-    """NUL-padded uint8 cells spelling a 1-d column as the per-value writers
-    do: ``repr`` (non-finite values as quoted strings) for JSON, else
-    ``format_number``."""
-    if arr.dtype.kind in "iu":
-        return _int_cells(arr)
-    if arr.dtype.type not in _VECTOR_FLOATS:
-        return _per_value([format_number(v) for v in arr.tolist()])
-    x = arr.astype(np.float64, copy=False)
-    rows, cells = _float_cells(x, shortest=json)
+    layout = ((exp10 - _EXPONENTS.start) * 17 + 16 - zeros) * 2 + np.signbit(x[rows])
+    cells = _render(groups, layout, shortest)
     if len(rows) == len(x):
         return cells
-    rest = np.ones(len(x), bool)
+    rest = np.ones(len(x), bool)  # these keep the per-value spelling
     rest[rows] = False
-    spell = _json_number if json else "%.17g".__mod__
+    spell = _json_number if shortest else "%.17g".__mod__
     strings = _per_value([spell(v) for v in x[rest].tolist()])
-    out = np.zeros((len(x), _WIDTH), np.uint8)
-    out[rows] = cells
+    out = np.zeros((len(x), max(cells.shape[1], strings.shape[1])), np.uint8)
+    out[rows, :cells.shape[1]] = cells
     out[rest, :strings.shape[1]] = strings
     return out
 
 
-def _json_number(v: float) -> str:
-    return repr(v) if math.isfinite(v) else '"' + format_number(v) + '"'
+def _cells(arr: np.ndarray, csv: bool, json: bool) -> tuple:
+    """NUL-padded uint8 cells spelling a 1-d column as the per-value writers
+    do: ``format_number`` for CSV (None unless ``csv``), and for JSON (None
+    unless ``json``) ``repr``, with the non-finite values quoted.  An int
+    column's cells serve both, and a float column is decomposed into its
+    digits once for both."""
+    if arr.dtype.kind in "iu":
+        cells = _int_cells(arr)
+        return cells, cells
+    if arr.dtype.type not in _VECTOR_FLOATS:
+        values = arr.tolist()
+        return (_per_value([format_number(v) for v in values]) if csv else None,
+                _per_value([_dumps(_jsonable(v)) for v in values]) if json else None)
+    x = arr.astype(np.float64, copy=False)
+    digits = _digits(x)
+    return (_float_cells(x, digits, False) if csv else None,
+            _float_cells(x, digits, True) if json else None)
 
 
-def spell_rows(arrays: list, sep: bytes, end: bytes, json: bool) -> list[str]:
-    """The rows of equal-length 1-d columns, cells joined by ``sep`` and each
-    row closed by ``end``, as pieces of ASCII text."""
-    parts = []
-    for start in range(0, len(arrays[0]), _CHUNK_ROWS):
-        cells = [_cells(arr[start:start + _CHUNK_ROWS], json) for arr in arrays]
-        n = len(cells[0])
-        pieces = [cells[0]]
-        for c in cells[1:]:
-            pieces += [np.broadcast_to(np.frombuffer(sep, np.uint8), (n, len(sep))), c]
-        pieces.append(np.broadcast_to(np.frombuffer(end, np.uint8), (n, len(end))))
-        flat = np.concatenate(pieces, axis=1).ravel()
-        parts.append(flat[flat != 0].tobytes().decode("ascii"))
-    return parts
+def _joined(cells: list, sep: bytes, end: bytes) -> bytes:
+    """The rows of the cells side by side, joined by ``sep`` and each closed
+    by ``end``, the NUL padding dropped."""
+    n = len(cells[0])
+    pieces = [cells[0]]
+    for c in cells[1:]:
+        pieces += [np.broadcast_to(np.frombuffer(sep, np.uint8), (n, len(sep))), c]
+    pieces.append(np.broadcast_to(np.frombuffer(end, np.uint8), (n, len(end))))
+    flat = np.concatenate(pieces, axis=1).ravel()
+    return flat[flat != 0].tobytes()
+
+
+def spell_table(arrays: list, csv: bool, json_end: bytes | None):
+    """Per chunk of equal-length 1-d columns: the rows as CSV (None unless
+    ``csv``), and each column's JSON items, each closed by ``json_end`` (None
+    if that is None), as ASCII bytes."""
+    json = json_end is not None
+    n = len(arrays[0])
+    size = math.ceil(n / math.ceil(n / _CHUNK_ROWS))  # equal chunks, none longer
+    for start in range(0, n, size):
+        cells = [_cells(arr[start:start + size], csv, json) for arr in arrays]
+        yield (_joined([c for c, _ in cells], b",", b"\n") if csv else None,
+               [_joined([c], b"", json_end) for _, c in cells] if json else None)

@@ -30,7 +30,7 @@ from .extensions import (
 )
 from .fluid import exp_fluid_infinite, fluid_solution, power_fluid
 from .intensity import UnsupportedCaseError
-from .reports import write_csv, write_json, write_manifest, write_schema_sidecar
+from .reports import write_json, write_manifest, write_schema_sidecar, write_table
 from .simulate import (
     StationarySpreadPolicy,
     execution_curve_ode,
@@ -43,16 +43,14 @@ from .simulate import (
 def _emit_table(cfg: RunConfig, name: str, columns: dict, docs: dict,
                 artifacts: list, extra_json: dict | None = None) -> None:
     base = os.path.join(cfg.out_dir, name)
-    if cfg.formats in ("csv", "both"):
-        write_csv(base + ".csv", columns)
+    csv_path = base + ".csv" if cfg.formats in ("csv", "both") else None
+    json_path = base + ".json" if cfg.formats in ("json", "both") else None
+    write_table(columns, csv_path, json_path, {"table": name, **(extra_json or {})})
+    if csv_path is not None:
         write_schema_sidecar(base + ".schema.json", name, docs)
-        artifacts += [base + ".csv", base + ".schema.json"]
-    if cfg.formats in ("json", "both"):
-        payload = {"table": name, "columns": {k: np.asarray(v) for k, v in columns.items()}}
-        if extra_json:
-            payload.update(extra_json)
-        write_json(base + ".json", payload)
-        artifacts.append(base + ".json")
+        artifacts += [csv_path, base + ".schema.json"]
+    if json_path is not None:
+        artifacts.append(json_path)
 
 
 def _cmd_solve(cfg: RunConfig, artifacts: list) -> None:

@@ -2,52 +2,73 @@
 
 Numbers print with 17 significant digits in CSV (``'%.17g' % v``) and as
 ``repr(v)`` in JSON, so re-running an identical config reproduces output byte
-for byte.  Every file is written to a temporary sibling and renamed into
-place.
+for byte.  Every file is written to a temporary sibling, created with the
+umask's mode, and renamed into place.
 
-A column of at least ``_VECTOR_ROWS`` rows is spelled in NumPy vectors
-(:mod:`lobliq._spelling`, imported on first use), not one dtoa call per
-number; shorter columns keep the per-value spelling, which is faster there.
+``write_table`` writes a table as CSV, JSON or both in one pass over its
+rows.  A table of at least ``_VECTOR_ROWS`` rows is spelled in NumPy vectors
+(:mod:`lobliq._spelling`, imported on first use), each column once for both
+files, and streamed to disk as bytes; shorter tables keep the per-value
+spelling, which is faster there.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
-import tempfile
 from typing import Mapping, Sequence
 
 import numpy as np
 
 SCHEMA_VERSION = 1
 
-__all__ = ["SCHEMA_VERSION", "atomic_write_text", "format_number", "write_csv",
-           "write_json", "write_schema_sidecar", "write_manifest"]
+__all__ = ["SCHEMA_VERSION", "atomic_write_text", "format_number", "write_json",
+           "write_manifest", "write_schema_sidecar", "write_table"]
 
-# Columns shorter than this keep the per-value spelling.  The vector path
+# Tables shorter than this keep the per-value spelling.  The vector path
 # costs about 0.15 ms more a column at 64 rows and breaks even near 250 rows
 # for a 5-column CSV table and near 300 for a JSON float column (min of 30
 # timings a size on a shared 2-core x86 machine).  Not a setting: the bytes
 # are the same either way.
 _VECTOR_ROWS = 320
-_VECTOR_FLOATS = (np.float16, np.float32, np.float64)  # exact as float64
+# stands for a long table's column in its JSON document until the column's
+# items, each closed by _ITEM_END, are spliced in
+_COLUMN = object()
+_ITEM_END = b",\n      "  # the columns sit at depth 2, their items at 3
+
+
+@contextlib.contextmanager
+def _temporaries(paths: Sequence[str]):
+    """Binary files for ``paths``: temporary siblings, created with mode 0666
+    less the umask and renamed into place together once the block completes;
+    if it fails, none is renamed and each is removed."""
+    made = []
+    try:
+        for path in paths:
+            directory = os.path.dirname(os.path.abspath(path))
+            os.makedirs(directory, exist_ok=True)
+            tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+            made.append((tmp, open(tmp, "xb")))  # O_EXCL, mode 0666 less the umask
+        yield [fh for _, fh in made]
+        for _, fh in made:
+            fh.close()
+        for (tmp, _), path in zip(made, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, fh in made:
+            fh.close()
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        raise
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with _temporaries([path]) as (fh,):
+        fh.write(text.encode())
 
 
 def format_number(value) -> str:
@@ -63,22 +84,52 @@ def format_number(value) -> str:
     return f"{v:.17g}"
 
 
-def write_csv(path: str, columns: Mapping[str, Sequence]) -> None:
-    """Columns of equal length, one header row, 17-significant-digit floats."""
+def write_table(columns: Mapping[str, Sequence], csv_path: str | None = None,
+                json_path: str | None = None, extra_json: dict | None = None) -> None:
+    """Columns of equal length as CSV at ``csv_path`` (one header row) and as
+    the JSON document {"columns": ..., "schema_version": 1, **extra_json} at
+    ``json_path``; a path of None skips that file.  Both files are spelled in
+    full before either is renamed into place."""
     names = list(columns)
     arrays = [np.atleast_1d(np.asarray(columns[k])) for k in names]
     length = len(arrays[0])
     for name, arr in zip(names, arrays):
         if len(arr) != length:
             raise ValueError(f"column {name!r} has length {len(arr)}, expected {length}")
-    if length >= _VECTOR_ROWS:
-        from ._spelling import spell_rows
-        rows = spell_rows(arrays, b",", b"\n", json=False)
-        atomic_write_text(path, "".join([",".join(names) + "\n", *rows]))
+    header = ",".join(names)
+    body = {"schema_version": SCHEMA_VERSION}
+    body.update(_jsonable(extra_json or {}))
+    if length < _VECTOR_ROWS:
+        texts = {}
+        if csv_path is not None:
+            fields, cells = zip(*map(_field, arrays))
+            rows = map(",".join(fields).__mod__, zip(*cells))
+            texts[csv_path] = "\n".join([header, *rows]) + "\n"
+        if json_path is not None:
+            body["columns"] = _jsonable(dict(zip(names, arrays)))
+            texts[json_path] = _dumps(body) + "\n"
+        for path, text in texts.items():
+            atomic_write_text(path, text)
         return
-    fields, cells = zip(*map(_field, arrays))
-    rows = map(",".join(fields).__mod__, zip(*cells))
-    atomic_write_text(path, "\n".join([",".join(names), *rows]) + "\n")
+    from ._spelling import spell_table
+    body["columns"] = dict.fromkeys(names, _COLUMN)
+    skeleton = (_dumps(body) + "\n").encode().split(b"\0")
+    items = {name: [] for name in names}
+    with _temporaries([p for p in (csv_path, json_path) if p is not None]) as files:
+        if csv_path is not None:
+            files[0].write(header.encode() + b"\n")
+        chunks = spell_table(arrays, csv_path is not None,
+                             _ITEM_END if json_path is not None else None)
+        for rows, cells in chunks:
+            if rows is not None:
+                files[0].write(rows)
+            for name, piece in zip(names, cells or ()):
+                items[name].append(piece)
+        if json_path is not None:
+            files[-1].write(skeleton[0])
+            for name, rest in zip(sorted(names), skeleton[1:]):  # as _dumps sorts them
+                items[name][-1] = items[name][-1][:-len(_ITEM_END)]
+                files[-1].writelines(items[name] + [rest])
 
 
 def _field(arr: np.ndarray) -> tuple[str, list]:
@@ -98,6 +149,8 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 0:
+            return _jsonable(obj.item())
         if obj.ndim == 1 and obj.dtype.kind in "biuf":
             return obj  # a column: _dumps encodes it straight from the array
         if obj.dtype.kind in "biu":
@@ -117,16 +170,12 @@ def _dumps(obj, pad: str = "") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)``, continued lines indented
     by ``pad``.  The indenting encoder is pure Python; here each list of
     scalars is one call to the C encoder, with the line break and indent
-    folded into its item separator, and a long float column is spelled in
-    vectors."""
+    folded into its item separator.  A long table's column (_COLUMN) is laid
+    out around a NUL, which no JSON text contains, for its items."""
     inner = pad + "  "
+    if obj is _COLUMN:
+        return "[\n" + inner + "\0\n" + pad + "]"
     if isinstance(obj, np.ndarray):  # a 1-d column left by _jsonable
-        if len(obj) >= _VECTOR_ROWS and obj.dtype.type in _VECTOR_FLOATS:
-            from ._spelling import spell_rows
-            sep = ",\n" + inner
-            rows = spell_rows([obj], b"", sep.encode(), json=True)
-            rows[-1] = rows[-1][:-len(sep)]
-            return "".join(["[\n" + inner, *rows, "\n" + pad + "]"])
         values = obj.tolist()
         if obj.dtype.kind == "f":
             for i in np.flatnonzero(~np.isfinite(obj)).tolist():

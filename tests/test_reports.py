@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lobliq import reports
-from lobliq.reports import format_number, write_csv, write_json
+from lobliq.reports import format_number, write_json, write_table
 
 COLUMNS = {
     "int64": np.array([0, -3, 2**40, 7]),
@@ -37,13 +39,13 @@ def _reference_cell(v):
 
 def test_csv_matches_per_cell_reference(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(str(path), COLUMNS)
+    write_table(COLUMNS, csv_path=str(path))
     assert path.read_text() == _reference_csv(COLUMNS)
 
 
 def test_json_matches_per_element_reference(tmp_path):
     path = tmp_path / "t.json"
-    write_json(str(path), {"columns": COLUMNS})
+    write_table(COLUMNS, json_path=str(path))
     expected = {"schema_version": 1,
                 "columns": {k: [_reference_cell(v) for v in arr.tolist()]
                             for k, arr in COLUMNS.items()}}
@@ -54,6 +56,14 @@ def test_json_spells_nonfinite_as_strings(tmp_path):
     path = tmp_path / "t.json"
     write_json(str(path), {"x": np.array([[1.0, math.nan], [-math.inf, 2.0]])})
     assert json.loads(path.read_text())["x"] == [[1.0, "nan"], ["-inf", 2.0]]
+
+
+def test_json_writes_a_0d_array_as_its_scalar(tmp_path):
+    path = tmp_path / "t.json"
+    write_json(str(path), {"f": np.array(1.5), "nan": np.array(math.nan),
+                           "i": np.array(3), "b": np.array(True)})
+    assert json.loads(path.read_text()) == {"schema_version": 1, "f": 1.5, "nan": "nan",
+                                            "i": 3, "b": True}
 
 
 def _reference_jsonable(obj):
@@ -69,7 +79,7 @@ def _reference_jsonable(obj):
 
 
 _FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
-_SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5)
+_SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5)
 _ARRAYS = st.one_of(hnp.arrays(np.int64, _SHAPES),
                     hnp.arrays(np.float64, _SHAPES, elements=_FLOATS),
                     hnp.arrays(np.bool_, _SHAPES))
@@ -156,18 +166,17 @@ def test_column_spelling_matches_per_value_references(tmp_path, case):
     spell = "%d" if values.dtype.kind in "iu" else "%.17g"
     for column in _columns(values):
         path = tmp_path / "t.csv"
-        write_csv(str(path), {"x": column})
+        write_table({"x": column}, str(path), str(tmp_path / "t.json"))
         assert path.read_text() == "x\n" + "".join(spell % v + "\n" for v in column.tolist())
-        write_json(str(tmp_path / "t.json"), {"columns": {"x": column}})
         expected = _json_reference({"x": column})
         assert (tmp_path / "t.json").read_text() == expected
 
 
 def test_long_table_matches_per_cell_reference(tmp_path):
     columns = {k: np.resize(v, LONG) for k, v in COLUMNS.items()}
-    write_csv(str(tmp_path / "t.csv"), columns)
+    write_table(columns, csv_path=str(tmp_path / "t.csv"))
     assert (tmp_path / "t.csv").read_text() == _reference_csv(columns)
-    write_json(str(tmp_path / "t.json"), {"columns": columns})
+    write_table(columns, json_path=str(tmp_path / "t.json"))
     assert (tmp_path / "t.json").read_text() == _json_reference(columns)
 
 
@@ -177,8 +186,45 @@ def test_vector_spelling_of_raw_bit_patterns(tmp_path_factory, bits):
     # every float64, the non-finite and subnormal ones included
     x = bits.view(np.float64)
     path = tmp_path_factory.mktemp("bits")
-    write_csv(str(path / "t.csv"), {"x": x})
+    write_table({"x": x}, str(path / "t.csv"), str(path / "t.json"))
     assert (path / "t.csv").read_text() == "x\n" + "".join(
         "%.17g\n" % v for v in x.tolist())
-    write_json(str(path / "t.json"), {"columns": {"x": x}})
     assert (path / "t.json").read_text() == _json_reference({"x": x})
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_artifact_mode_follows_umask(tmp_path, umask, mode):
+    # streamed tables and small text files alike
+    old = os.umask(umask)
+    try:
+        write_table({"x": np.arange(LONG) * 0.5}, str(tmp_path / "t.csv"),
+                    str(tmp_path / "t.json"))
+        write_json(str(tmp_path / "e.json"), {"v": 1})
+    finally:
+        os.umask(old)
+    for name in ("t.csv", "t.json", "e.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+
+@pytest.mark.parametrize("formats", ["csv", "json", "both"])
+def test_failed_table_leaves_artifacts_untouched(tmp_path, monkeypatch, formats):
+    from lobliq import _spelling
+
+    csv_path, json_path = str(tmp_path / "t.csv"), str(tmp_path / "t.json")
+    write_table({"x": np.arange(LONG) * 0.25}, csv_path, json_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    cells, calls = _spelling._cells, []
+
+    def fail_on_second_chunk(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("kernel failed")
+        return cells(*args)
+
+    monkeypatch.setattr(_spelling, "_cells", fail_on_second_chunk)
+    with pytest.raises(RuntimeError, match="kernel failed"):
+        write_table({"x": np.arange(LONG) * 0.5}, csv_path if formats != "json" else None,
+                    json_path if formats != "csv" else None)
+    assert len(calls) == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
