@@ -8,14 +8,13 @@ the regime-switching / two-exchange extensions.
 
 from .cases import resolve
 from .convergence import (
-    control_convergence,
+    spread_convergence,
     value_convergence,
 )
 from .discrete import (
     DiscreteSolution,
     solve_exp_finite,
     solve_exp_infinite,
-    solve_generic_stationary,
     solve_power_zero_rate,
 )
 from .extensions import (
@@ -35,11 +34,9 @@ from .fluid import (
 )
 from .intensity import (
     ExpDecayIntensity,
-    GenericIntensity,
     IntensityModel,
     MarketParams,
     PowerLawIntensity,
-    concavity_condition,
 )
 from .simulate import (
     EnsembleStats,

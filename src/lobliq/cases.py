@@ -2,12 +2,12 @@
 
 :func:`resolve` maps a (depth model, market) pair to its case object, which
 carries that pair's discrete solution, fluid limit, optimal policy and
-execution-curve rate profile.  The four cases are the power-law book at any
-r and horizon, the exponential book with r = 0 and with r > 0 on the infinite
-horizon, and any other depth model on the infinite horizon.  Other pairs raise
-:class:`UnsupportedCaseError` there, and nowhere else.  Solvers are looked up
-on their modules at call time (``discrete.solve_exp_infinite``), so wrappers
-installed on those modules see every call made on a case's behalf.
+execution-curve rate profile.  The three cases are the power-law book at any
+r and horizon and the exponential book with r = 0 and with r > 0 on the
+infinite horizon.  Other pairs raise :class:`UnsupportedCaseError` there, and
+nowhere else.  Solvers are looked up on their modules at call time
+(``discrete.solve_exp_infinite``), so wrappers installed on those modules see
+every call made on a case's behalf.
 
 A policy is a spread as a function of the level and the time to go: a
 stationary table over the levels (:class:`StationarySpreadPolicy`) or one of
@@ -46,7 +46,6 @@ __all__ = [
     "PowerLaw",
     "ExpZeroRate",
     "ExpStationary",
-    "GenericStationary",
     "resolve",
 ]
 
@@ -187,12 +186,11 @@ class Case:
     Each case provides ``solve(delta, n_max)``, the per-level values and
     optimal spreads as a :class:`DiscreteSolution`; ``fluid()``, the
     continuous-selling limit as a :class:`FluidSolution`; ``policy(delta,
-    n_max)``, the optimal policy; and ``execution_curve``,
-    the exact mean inventory under the optimal policy.
-    Each case with a fluid limit also provides ``fluid_cell_spread(x,
-    delta)``, the fluid spread averaged over the cell [x - delta, x], from
-    the drop of the fluid value across it, and ``fluid_probe``, the fluid
-    value and spread at x with those cell averages along a ladder of units.
+    n_max)``, the optimal policy; ``execution_curve``, the exact mean
+    inventory under the optimal policy; ``fluid_cell_spread(x, delta)``, the
+    fluid spread averaged over the cell [x - delta, x], from the drop of the
+    fluid value across it; and ``fluid_probe``, the fluid value and spread at
+    x with those cell averages along a ladder of units.
 
     Every case but the exponential book with r = 0 has an optimal policy
     whose fill rates factor as b_k * g(t) (its :class:`FactorClock`), so the
@@ -395,19 +393,6 @@ class ExpStationary(Case):
         return StationarySpreadPolicy(spreads=self._table(delta, n_max)[1])
 
 
-class GenericStationary(Case):
-    """Any other depth model on the infinite horizon."""
-
-    def solve(self, delta, n_max):
-        return discrete.solve_generic_stationary(self.model, delta, self.market.r, n_max)
-
-    def fluid(self):
-        raise UnsupportedCaseError("no closed-form fluid solution for generic depth models")
-
-    def policy(self, delta, n_max):
-        return StationarySpreadPolicy(spreads=self.solve(delta, n_max).spreads)
-
-
 def resolve(model: IntensityModel, market: MarketParams) -> Case:
     """The case object of a model/market pair.
 
@@ -423,7 +408,6 @@ def resolve(model: IntensityModel, market: MarketParams) -> Case:
             return ExpStationary(model, market)
         raise UnsupportedCaseError("no explicit solution for an exponential book with "
                                    "r > 0 and a finite horizon")
-    if market.infinite_horizon:
-        return GenericStationary(model, market)
-    raise UnsupportedCaseError("generic depth models are solved on the infinite "
-                               "horizon only")
+    raise UnsupportedCaseError(f"no explicit solution for depth model "
+                               f"{type(model).__name__}: only power-law and "
+                               "exponential books are solved")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cases import resolve
 from .config import COMMANDS, ConfigError, RunConfig, load_config
-from .convergence import _spread_table, value_convergence
+from .convergence import spread_convergence, value_convergence
 from .extensions import (
     RegimeParams,
     TwoExchangeParams,
@@ -75,8 +75,7 @@ def _cmd_solve(cfg: RunConfig, artifacts: list) -> None:
     if times is not None:
         columns["expected_liquidation_time"] = times
         docs["expected_liquidation_time"] = "mean time to sell all n units optimally"
-    _emit_table(cfg, "solve", columns, docs, artifacts,
-                extra_json={"non_unique_risk": sol.non_unique_risk})
+    _emit_table(cfg, "solve", columns, docs, artifacts)
 
 
 def _cmd_fluid(cfg: RunConfig, artifacts: list) -> None:
@@ -92,10 +91,7 @@ def _cmd_converge(cfg: RunConfig, artifacts: list) -> None:
     sec = cfg.section
     report = value_convergence(cfg.model, cfg.market, sec["x_probe"],
                                sec["delta0"], sec["k_max"])
-    # the ladder's spreads, the fluid spread and its cell averages are
-    # already solved: tabulate them, do not re-solve
-    spread_table = _spread_table(report.x_probe, report.deltas, report.spreads,
-                                 report.fluid_spread, report.averaged)
+    spread_table = spread_convergence(report)
     columns = {
         "delta": report.deltas,
         "value": report.values,

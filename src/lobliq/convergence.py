@@ -21,7 +21,7 @@ __all__ = [
     "ConvergenceReport",
     "SpreadConvergence",
     "value_convergence",
-    "control_convergence",
+    "spread_convergence",
 ]
 
 
@@ -101,31 +101,20 @@ def value_convergence(model: IntensityModel, market: MarketParams, x_probe: floa
                              rate_estimate=rate, averaged=averaged)
 
 
-def control_convergence(model: IntensityModel, market: MarketParams, x_probe: float,
-                        deltas) -> SpreadConvergence:
-    """Compare discrete optimal spreads with the fluid spread along a ladder.
+def spread_convergence(report: ConvergenceReport) -> SpreadConvergence:
+    """Compare the discrete optimal spreads of a value-convergence ladder with
+    the fluid spread.
 
     The discrete spread prices the whole cell [x-Delta, x), so the honest
     fluid comparator is the cell average of the marginal fluid spread; the
     table carries both the pointwise gap and the cell-averaged gap (the
-    latter is the smaller one).
+    latter is the smaller one).  Everything is read from ``report``: nothing
+    is solved again.
     """
-    case = resolve(model, market)
-    deltas = np.asarray(deltas, dtype=float)
-    spreads = _probe(case, x_probe, deltas)[1]
-    _, fluid_spread, averaged = case.fluid_probe(x_probe, deltas)
-    return _spread_table(x_probe, deltas, spreads, fluid_spread, averaged)
-
-
-def _spread_table(x_probe: float, deltas: np.ndarray, spreads: np.ndarray,
-                  fluid_spread: float, averaged: np.ndarray) -> SpreadConvergence:
-    """The control-convergence table for discrete spreads, a fluid spread
-    and cell averages at x_probe already solved."""
-    pointwise_err = np.abs(spreads - fluid_spread)
-    averaged_err = np.abs(spreads - averaged)
-    return SpreadConvergence(x_probe=x_probe, deltas=deltas, spreads=spreads,
-                             fluid_spread=fluid_spread,
+    pointwise_err = np.abs(report.spreads - report.fluid_spread)
+    averaged_err = np.abs(report.spreads - report.averaged)
+    return SpreadConvergence(x_probe=report.x_probe, deltas=report.deltas,
+                             spreads=report.spreads, fluid_spread=report.fluid_spread,
                              pointwise_err=pointwise_err,
-                             averaged=averaged, averaged_err=averaged_err,
+                             averaged=report.averaged, averaged_err=averaged_err,
                              averaged_wins=bool(np.all(averaged_err <= pointwise_err)))
-

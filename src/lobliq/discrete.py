@@ -5,9 +5,8 @@ fills arrive at rate rate(s)/Delta.  The value recursion in inventory has
 closed forms for power-law and exponential books.  The power-law recursion
 and the stationary exponential one are solved at every level at once, by
 one Newton iteration over the whole chain whose step is a prefix scan
-(``_newton_chain``); the finite-horizon exponential values are log-sums,
-and generic depth models are solved level by level by a bracketed scalar
-maximization.
+(``_newton_chain``), and the finite-horizon exponential values are
+log-sums.
 
 Power-law book: the value at level n with time tau to go is d_n times
 h(tau)**(1/alpha) (``power_time_factor``), h(tau) the integral of
@@ -26,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intensity import IntensityModel, concavity_condition
-
 __all__ = [
     "DiscreteSolution",
     "power_constant",
@@ -41,7 +38,6 @@ __all__ = [
     "solve_exp_finite",
     "exp_hazard_drop",
     "solve_exp_infinite",
-    "solve_generic_stationary",
 ]
 
 _RESIDUAL_RTOL = 1e-10
@@ -413,90 +409,17 @@ class DiscreteSolution:
 
     ``coefficients`` holds, for a power-law book, d_n times
     ``power_coefficient_factor``: the stationary value for r > 0, d_n itself
-    for r = 0; for any other book, the values themselves.  Level 0 is always
-    0 (exhaustion).  ``values`` and ``spreads`` are evaluated at the market
-    horizon (spread is nan at level 0).
+    for r = 0; for an exponential book, the values themselves.  Level 0 is
+    always 0 (exhaustion).  ``values`` and ``spreads`` are evaluated at the
+    market horizon (spread is nan at level 0).
     """
 
     delta: float
     coefficients: np.ndarray
     values: np.ndarray
     spreads: np.ndarray
-    non_unique_risk: bool = False
 
     @property
     def n_max(self) -> int:
         return len(self.coefficients) - 1
-
-
-def _generic_objective(model, s, delta, r, v_prev):
-    rate = model.rate(s)
-    return rate * (s * delta + v_prev) / (rate + r * delta)
-
-
-def _generic_foc(model, s, delta, r, v_prev):
-    # decreasing in s whenever the concavity condition holds
-    rate, d1, _ = model.derivatives(s)
-    return -r * s * delta - (rate / d1) * (rate + r * delta) - r * v_prev
-
-
-def solve_generic_stationary(model: IntensityModel, delta: float, r: float,
-                             n_max: int) -> DiscreteSolution:
-    """Stationary values for an arbitrary decreasing depth model.
-
-    Each level maximizes rate(s)/(rate(s) + r*delta) * (s*delta + V_prev)
-    over s: a geometric scan brackets the maximizer, golden-section
-    localizes it, and a first-order-condition root polish finishes it.
-    When the shape condition fails the golden-section point is kept and the
-    solution is flagged: the maximizer may then be non-unique.
-    """
-    if r <= 0.0:
-        raise ValueError("stationary problem requires r > 0")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    from scipy.optimize import brentq, minimize_scalar
-
-    probe = model.s_min + np.geomspace(1e-4, 1e4, 33)
-    cond = concavity_condition(model, probe)
-
-    # the geometric scan ends at the first spread whose rate underflows to
-    # 0: the rate decreases, so the objective is 0 from there on
-    grid = model.s_min + 2.0 ** np.arange(-40, 41, dtype=float)
-    n_live = next((j for j, s in enumerate(grid) if model.derivatives(float(s))[0] == 0.0),
-                  len(grid))
-    grid = grid[:n_live + 1]
-
-    values = np.zeros(n_max + 1)
-    spreads = np.full(n_max + 1, math.nan)
-    flagged = not cond.holds
-    for n in range(1, n_max + 1):
-        v_prev = values[n - 1]
-        phi = lambda s: _generic_objective(model, s, delta, r, v_prev)
-
-        vals = np.zeros(len(grid))
-        vals[:n_live] = [phi(s) for s in grid[:n_live]]
-        k = int(np.argmax(vals))
-        if k == 0 or k == len(grid) - 1:
-            raise ArithmeticError(f"maximization bracket failure at level {n}: "
-                                  f"objective peaks at the scan boundary")
-        res = minimize_scalar(lambda s: -phi(s),
-                              bracket=(grid[k - 1], grid[k], grid[k + 1]),
-                              method="golden", options={"xtol": 1e-12})
-        s_star = float(res.x)
-
-        foc = lambda s: _generic_foc(model, s, delta, r, v_prev)
-        lo, hi = 0.5 * s_star, 2.0 * s_star
-        lo = max(lo, model.s_min + 1e-300)
-        if foc(lo) > 0.0 > foc(hi):
-            s_star = brentq(foc, lo, hi, xtol=1e-280, rtol=8.882e-16)
-        elif cond.holds:
-            flagged = True
-
-        values[n] = phi(s_star)
-        spreads[n] = s_star
-        if values[n] <= v_prev:
-            raise ArithmeticError(f"value failed to increase at level {n}")
-
-    return DiscreteSolution(delta=delta, coefficients=values, values=values,
-                            spreads=spreads, non_unique_risk=flagged)
 

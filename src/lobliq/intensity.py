@@ -1,28 +1,21 @@
 """Order-book depth models: fill intensity as a function of posted spread.
 
 A depth model maps the spread s posted above the bid to the arrival rate of
-fills.  Two parametric families cover the closed-form theory (power-law and
-exponential decay); arbitrary twice-differentiable models plug in through
-:class:`GenericIntensity`.
+fills.  The two families the theory solves explicitly are the power-law book
+and the exponential-decay book.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 __all__ = [
     "IntensityModel",
     "PowerLawIntensity",
     "ExpDecayIntensity",
-    "GenericIntensity",
     "MarketParams",
     "UnsupportedCaseError",
-    "concavity_condition",
-    "ConcavityReport",
 ]
 
 
@@ -32,20 +25,12 @@ class UnsupportedCaseError(ValueError):
 
 
 class IntensityModel:
-    """Base class for depth models.  Subclasses are immutable after init."""
-
-    s_min: float = 0.0
-
-    def rate(self, s: float) -> float:
-        raise NotImplementedError
-
-    def derivatives(self, s: float) -> tuple[float, float, float]:
-        """(rate, first, second derivative) at an interior spread."""
-        raise NotImplementedError
+    """Base class for depth models.  Subclasses are immutable after init and
+    define ``rate(s)`` on spreads s >= 0."""
 
     def _check_support(self, s: float) -> None:
-        if math.isnan(s) or s < self.s_min:
-            raise ValueError(f"spread {s} outside support [{self.s_min}, inf)")
+        if math.isnan(s) or s < 0.0:
+            raise ValueError(f"spread {s} outside support [0.0, inf)")
 
 
 @dataclass(frozen=True)
@@ -73,14 +58,6 @@ class PowerLawIntensity(IntensityModel):
             return math.inf
         return self.lam * s ** (-self.alpha)
 
-    def derivatives(self, s: float) -> tuple[float, float, float]:
-        self._check_support(s)
-        if s == 0.0:
-            raise ValueError("derivatives undefined at s = 0 for a power-law book")
-        a, lam = self.alpha, self.lam
-        v = lam * s ** (-a)
-        return v, -a * v / s, a * (a + 1.0) * v / (s * s)
-
 
 @dataclass(frozen=True)
 class ExpDecayIntensity(IntensityModel):
@@ -98,39 +75,6 @@ class ExpDecayIntensity(IntensityModel):
     def rate(self, s: float) -> float:
         self._check_support(s)
         return self.lam * math.exp(-self.kappa * s)
-
-    def derivatives(self, s: float) -> tuple[float, float, float]:
-        self._check_support(s)
-        v = self.rate(s)
-        k = self.kappa
-        return v, -k * v, k * k * v
-
-
-@dataclass(frozen=True)
-class GenericIntensity(IntensityModel):
-    """User-supplied C^2 depth model.
-
-    Derivative closures are required rather than differenced numerically:
-    the generic solver's first-order conditions need accurate rate
-    derivatives and finite differences of arbitrary user closures are too
-    fragile to build on.
-    """
-
-    value: Callable[[float], float]
-    deriv1: Callable[[float], float]
-    deriv2: Callable[[float], float]
-    s_min: float = 0.0
-
-    def rate(self, s: float) -> float:
-        self._check_support(s)
-        v = self.value(s)
-        if v <= 0.0:
-            raise ValueError(f"intensity must be positive, got {v} at s = {s}")
-        return v
-
-    def derivatives(self, s: float) -> tuple[float, float, float]:
-        self._check_support(s)
-        return self.value(s), self.deriv1(s), self.deriv2(s)
 
 
 @dataclass(frozen=True)
@@ -156,45 +100,3 @@ class MarketParams:
     def infinite_horizon(self) -> bool:
         return math.isinf(self.horizon)
 
-
-@dataclass(frozen=True)
-class ConcavityReport:
-    holds: bool
-    max_ratio: float
-    worst_spread: float
-    decreasing: bool
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def concavity_condition(model: IntensityModel, s_grid) -> ConcavityReport:
-    """Check the shape condition rate*rate''/(rate')^2 < 2 on a spread grid.
-
-    Together with a decreasing rate this guarantees concave values and
-    decreasing optimal spreads in inventory.  For a power-law book the
-    ratio is identically (alpha+1)/alpha; for exponential decay it is
-    identically 1.
-    """
-    s_grid = np.asarray(s_grid, dtype=float)
-    if s_grid.size == 0:
-        raise ValueError("empty spread grid")
-    max_ratio = -math.inf
-    worst = float(s_grid[0])
-    decreasing = True
-    prev_rate = None
-    for s in s_grid:
-        v, d1, d2 = model.derivatives(float(s))
-        denom = d1 * d1
-        if v <= 0.0 or denom == 0.0:
-            continue  # rate underflowed; the point carries no shape information
-        if prev_rate is not None and v >= prev_rate:
-            decreasing = False
-        prev_rate = v
-        ratio = v * d2 / denom
-        if ratio > max_ratio:
-            max_ratio = ratio
-            worst = float(s)
-    return ConcavityReport(holds=decreasing and max_ratio < 2.0,
-                           max_ratio=max_ratio, worst_spread=worst,
-                           decreasing=decreasing)

@@ -10,9 +10,10 @@ classical RK4 (``integrate_ode``), the logarithmic integral by quadrature
 (``lambert_w0_exparg``), one call per level of the recursion, the power-law
 recursion by a bracketed root per level (``bracketed_power_recursion``), and
 both recursions by the warm-started Newton solve per level that the package
-used before (``power_recursion_by_level``, ``exp_recursion_by_level``), and
-the E1 root on SciPy's ``exp1`` by ``brentq`` that the package used before
-(``brentq_log_w``).
+used before (``power_recursion_by_level``, ``exp_recursion_by_level``), the
+E1 root on SciPy's ``exp1`` by ``brentq`` that the package used before
+(``brentq_log_w``), and the stationary recursion of any decreasing depth
+model by a scalar maximization per level (``stationary_by_level``).
 """
 
 import math
@@ -21,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import exp1
 
 from lobliq.discrete import level_of, power_first_coefficient
@@ -283,6 +284,44 @@ def exp_recursion_by_level(x_max: float, delta: float, lam: float, kappa: float,
     values = (delta / kappa) * np.array(ws)
     spreads = np.full(levels + 1, math.nan)
     spreads[1:] = 1.0 / kappa + np.diff(values) / delta
+    return values, spreads
+
+
+def stationary_by_level(rate: Callable[[float], float], slope: Callable[[float], float],
+                        delta: float, r: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary values and optimal spreads of levels 0..n_max for a
+    decreasing depth model with fill rate ``rate(s)`` and derivative
+    ``slope(s)``, r > 0.
+
+    Level n maximizes rate(s)/(rate(s) + r*delta) * (s*delta + V_{n-1}) over
+    s: a geometric scan brackets the maximizer, golden-section search
+    localizes it, and a root of the first-order condition
+    -r*s*delta - (rate/slope)*(rate + r*delta) - r*V_{n-1}, which falls in s
+    for the power-law and exponential books, polishes it.
+    """
+    grid = 2.0 ** np.arange(-40, 41, dtype=float)
+    values = np.zeros(n_max + 1)
+    spreads = np.full(n_max + 1, math.nan)
+    for n in range(1, n_max + 1):
+        v_prev = values[n - 1]
+
+        def objective(s):
+            q = rate(s)
+            return q * (s * delta + v_prev) / (q + r * delta)
+
+        def foc(s):
+            q = rate(s)
+            return -r * s * delta - (q / slope(s)) * (q + r * delta) - r * v_prev
+
+        k = int(np.argmax([objective(s) for s in grid]))
+        assert 0 < k < len(grid) - 1, f"level {n}: the objective peaks at the scan's end"
+        s_star = float(minimize_scalar(lambda s: -objective(s),
+                                       bracket=(grid[k - 1], grid[k], grid[k + 1]),
+                                       method="golden", options={"xtol": 1e-12}).x)
+        lo, hi = max(0.5 * s_star, 1e-300), 2.0 * s_star
+        if foc(lo) > 0.0 > foc(hi):
+            s_star = brentq(foc, lo, hi, xtol=1e-280, rtol=8.882e-16)
+        values[n], spreads[n] = objective(s_star), s_star
     return values, spreads
 
 

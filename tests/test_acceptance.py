@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 from lobliq.cases import resolve
-from lobliq.convergence import control_convergence, value_convergence
+from lobliq.convergence import spread_convergence, value_convergence
 from lobliq.discrete import (
     power_constant,
     solve_exp_finite,
     solve_exp_infinite,
-    solve_generic_stationary,
 )
 from lobliq.extensions import (
     RegimeParams,
@@ -29,7 +28,7 @@ from lobliq.extensions import (
 from lobliq.fluid import exp_fluid_finite, exp_fluid_infinite
 from lobliq.intensity import ExpDecayIntensity, MarketParams, PowerLawIntensity
 from lobliq.simulate import execution_curve_ode, optimal_policy, simulate_policy
-from ode_oracles import OdeProblem, integrate_ode, log_integral
+from ode_oracles import OdeProblem, integrate_ode, stationary_by_level
 
 POWER = PowerLawIntensity(lam=1.0, alpha=2.0)
 MARKET_INF = MarketParams(r=0.1)
@@ -81,8 +80,7 @@ def test_criterion_03_monotone_fluid_convergence():
 
 
 def test_criterion_04_control_convergence():
-    deltas = 1.0 * 0.5 ** np.arange(10)
-    table = control_convergence(POWER, MARKET_INF, 5.0, deltas)
+    table = spread_convergence(value_convergence(POWER, MARKET_INF, 5.0, 1.0, 9))
     assert np.all(np.diff(table.pointwise_err) < 0.0)
     assert np.all(table.averaged_err <= table.pointwise_err)
     report(4, "control convergence with cell-averaged comparator winning")
@@ -104,14 +102,15 @@ def test_criterion_05_exponential_closed_forms():
     worst_fin = np.max(np.abs(ys[-1] - closed[1:, 0]))
     assert worst_fin <= 1e-8
 
-    # infinite horizon: Lambert-W recursion vs the generic stationary solver
+    # infinite horizon: Lambert-W recursion vs a maximization per level
     values, spreads = solve_exp_infinite(50.0, 1.0, 1.0, 1.0, 0.1)
-    generic = solve_generic_stationary(ExpDecayIntensity(lam=1.0, kappa=1.0),
-                                       1.0, 0.1, 50)
-    worst_inf = np.max(np.abs(values - generic.coefficients))
+    book = ExpDecayIntensity(lam=1.0, kappa=1.0)
+    generic_values, generic_spreads = stationary_by_level(
+        book.rate, lambda s: -book.rate(s), 1.0, 0.1, 50)
+    worst_inf = np.max(np.abs(values - generic_values))
     assert worst_inf <= 1e-8
     assert np.all(spreads[1:] >= 1.0 - 1e-13)
-    assert np.all(generic.spreads[1:] >= 1.0 - 1e-8)
+    assert np.all(generic_spreads[1:] >= 1.0 - 1e-8)
     report(5, f"exponential closed forms (finite {worst_fin:.1e}, "
               f"stationary {worst_inf:.1e})")
 

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from lobliq.cases import (
     ExpStationary,
     ExpZeroRate,
-    GenericStationary,
     PowerLaw,
     StationarySpreadPolicy,
     resolve,
 )
 from lobliq.intensity import (
     ExpDecayIntensity,
-    GenericIntensity,
+    IntensityModel,
     MarketParams,
     PowerLawIntensity,
     UnsupportedCaseError,
@@ -25,9 +24,8 @@ from sampling_oracles import OraclePolicy, inversion
 
 POWER = PowerLawIntensity(lam=1.0, alpha=2.0)
 EXP = ExpDecayIntensity(lam=1.0, kappa=1.0)
-GENERIC = GenericIntensity(value=lambda s: math.exp(-s),
-                           deriv1=lambda s: -math.exp(-s),
-                           deriv2=lambda s: math.exp(-s))
+# a depth model of neither solved family
+GENERIC = IntensityModel()
 R0_T1 = MarketParams(r=0.0, horizon=1.0)
 R_T1 = MarketParams(r=0.1, horizon=1.0)
 R_INF = MarketParams(r=0.1, horizon=math.inf)
@@ -42,7 +40,7 @@ R_INF = MarketParams(r=0.1, horizon=math.inf)
     (EXP, R_INF, ExpStationary),
     (GENERIC, R0_T1, UnsupportedCaseError),
     (GENERIC, R_T1, UnsupportedCaseError),
-    (GENERIC, R_INF, GenericStationary),
+    (GENERIC, R_INF, UnsupportedCaseError),
 ], ids=[f"{m}-{k}" for m in ("power", "exp", "generic")
         for k in ("r0-T1", "r-T1", "r-inf")])
 def test_resolve_table(model, market, expected):
@@ -59,11 +57,6 @@ def test_unsupported_case_is_a_value_error():
     assert issubclass(UnsupportedCaseError, ValueError)
 
 
-def test_generic_case_has_no_fluid_limit():
-    with pytest.raises(UnsupportedCaseError, match="generic"):
-        resolve(GENERIC, R_INF).fluid()
-
-
 @pytest.mark.parametrize("model, market", [
     (POWER, R0_T1), (POWER, R_T1), (POWER, R_INF), (EXP, R0_T1), (EXP, R_INF),
 ])
@@ -76,9 +69,6 @@ def test_single_level_matches_full_solve(model, market):
 
 
 DELTA = 0.5
-POLY = GenericIntensity(value=lambda s: 2.0 / (1.0 + s) ** 3,
-                        deriv1=lambda s: -6.0 / (1.0 + s) ** 4,
-                        deriv2=lambda s: 24.0 / (1.0 + s) ** 5)
 
 
 @pytest.mark.parametrize("model, market, policy", [
@@ -86,11 +76,10 @@ POLY = GenericIntensity(value=lambda s: 2.0 / (1.0 + s) ** 3,
     (POWER, R0_T1, None),
     (POWER, R_INF, None),
     (EXP, R_INF, None),
-    (POLY, R_INF, None),
     (POWER, R_T1, StationarySpreadPolicy(np.full(5, 1.3))),
     (EXP, R_INF, StationarySpreadPolicy(np.array([math.nan, 2.0, 1.5, 1.2, 1.1]))),
-], ids=["power-r-T1", "power-r0-T1", "power-r-inf", "exp-r-inf", "generic-r-inf",
-        "constant", "stationary"])
+], ids=["power-r-T1", "power-r0-T1", "power-r-inf", "exp-r-inf", "constant",
+        "stationary"])
 def test_fill_clock_matches_policy_rates(model, market, policy):
     n = 4
     policy = policy or resolve(model, market).policy(DELTA, n)

@@ -19,12 +19,10 @@ from lobliq.discrete import (
     power_time_factor,
     solve_exp_finite,
     solve_exp_infinite,
-    solve_generic_stationary,
     solve_power_zero_rate,
 )
 from lobliq.intensity import (
     ExpDecayIntensity,
-    GenericIntensity,
     MarketParams,
     PowerLawIntensity,
 )
@@ -33,6 +31,7 @@ from ode_oracles import (
     exp_recursion_by_level,
     lambert_w0_exparg,
     power_recursion_by_level,
+    stationary_by_level,
 )
 
 LAM, ALPHA, R = 1.0, 2.0, 0.1
@@ -548,63 +547,34 @@ class TestExpInfinite:
         assert np.all(np.abs(values[1:] - exact[1:]) <= (4.0 + n) * 2.0 ** -53 * exact[1:])
 
 
+def _power_slope(s):
+    """The derivative of POWER's rate."""
+    return -ALPHA * POWER.rate(s) / s
+
+
 class TestGenericStationary:
     def test_matches_power_closed_form(self):
-        sol = solve_generic_stationary(POWER, 1.0, R, 12)
+        values, spreads = stationary_by_level(POWER.rate, _power_slope, 1.0, R, 12)
         closed = resolve(POWER, STATIONARY).solve(1.0, 12)
-        assert np.max(np.abs(sol.coefficients - closed.coefficients)) < 1e-8
-        assert np.max(np.abs(sol.spreads[1:] - closed.spreads[1:])) < 1e-8
+        assert np.max(np.abs(values - closed.coefficients)) < 1e-8
+        assert np.max(np.abs(spreads[1:] - closed.spreads[1:])) < 1e-8
 
     def test_matches_exp_closed_form(self):
         model = ExpDecayIntensity(lam=1.0, kappa=1.0)
-        sol = solve_generic_stationary(model, 1.0, R, 12)
+        generic_values, generic_spreads = stationary_by_level(
+            model.rate, lambda s: -model.rate(s), 1.0, R, 12)
         values, spreads = solve_exp_infinite(12.0, 1.0, 1.0, 1.0, R)
-        assert np.max(np.abs(sol.coefficients - values)) < 1e-8
-        assert np.max(np.abs(sol.spreads[1:] - spreads[1:])) < 1e-8
-
-    @pytest.mark.parametrize("delta", [1.0, 0.5, 0.25])
-    def test_rate_underflow_ends_the_scan(self, delta):
-        # exp(-s) underflows to 0.0 inside the scan (at s = 1024), where a
-        # generic rate refuses a nonpositive value: the scan must stop there
-        model = GenericIntensity(value=lambda s: math.exp(-s),
-                                 deriv1=lambda s: -math.exp(-s),
-                                 deriv2=lambda s: math.exp(-s))
-        sol = resolve(model, MarketParams(r=R)).solve(delta, 6)
-        values, spreads = solve_exp_infinite(6 * delta, delta, 1.0, 1.0, R)
-        assert np.max(np.abs(sol.values - values)) < 1e-8
-        assert np.max(np.abs(sol.spreads[1:] - spreads[1:])) < 1e-8
-
-    def test_negative_user_rate_still_raises(self):
-        # a negative user value met by the scan (at s = 1) is an input error
-        model = GenericIntensity(value=lambda s: 0.75 - s,
-                                 deriv1=lambda s: -1.0,
-                                 deriv2=lambda s: 0.0)
-        with pytest.raises(ValueError, match="intensity must be positive"):
-            solve_generic_stationary(model, 1.0, R, 3)
-
-    def test_level_zero(self):
-        sol = solve_generic_stationary(PowerLawIntensity(lam=1.0, alpha=2.0),
-                                       1.0, 0.1, 3)
-        assert sol.coefficients[0] == 0.0
-
-    def test_shape_invariants_under_condition(self):
-        model = GenericIntensity(value=lambda s: 2.0 / (1.0 + s) ** 3,
-                                 deriv1=lambda s: -6.0 / (1.0 + s) ** 4,
-                                 deriv2=lambda s: 24.0 / (1.0 + s) ** 5)
-        sol = solve_generic_stationary(model, 1.0, 0.05, 15)
-        assert not sol.non_unique_risk
-        inc = np.diff(sol.coefficients)
-        assert np.all(np.diff(inc) <= 1e-10)
-        assert np.all(np.diff(sol.spreads[1:]) <= 1e-10)
+        assert np.max(np.abs(generic_values - values)) < 1e-8
+        assert np.max(np.abs(generic_spreads[1:] - spreads[1:])) < 1e-8
 
     def test_delta_scaling_reduction(self):
         # the power-law recursion, where delta enters only through
         # lam*delta**(alpha-1), must agree with the generic dynamic program
         # run directly at delta != 1
         delta = 0.25
-        sol = solve_generic_stationary(POWER, delta, R, 8)
+        values, _ = stationary_by_level(POWER.rate, _power_slope, delta, R, 8)
         c = resolve(POWER, STATIONARY).solve(delta, 8).coefficients
-        assert np.max(np.abs(sol.coefficients - c)) < 1e-8
+        assert np.max(np.abs(values - c)) < 1e-8
 
 
 class TestSolveDiscreteDispatch:

@@ -180,15 +180,19 @@ class TestE1:
     @example(c=1e-300)
     @example(c=31.44147919389287)  # 56 ulps of w from the oracle: E1 is flat in w here
     @example(c=1.3591409142295225)  # the benchmark's probe, e*r*x/lam at x = 5
+    @example(c=3.6916817733655525e-11)  # the two roots one ulp of s apart
     def test_root_against_brentq(self, c):
         # the oracle steps one double at a time across the doubles that share
         # one exp(s), about 1/|s| of them: keep s away from 0, where E1 = E1(1)
         assume(abs(c - 0.2193839343955205) > 1e-4)
         # the two E1s differ by a few ulps, so the roots may differ by what
         # 2e-15 relative in E1 moves w: dw = dE1 * w * exp(w)
-        w, w_ref = math.exp(_log_w(c)), math.exp(brentq_log_w(c))
+        s = _log_w(c)
+        w, w_ref = math.exp(s), math.exp(brentq_log_w(c))
         assert abs(w - w_ref) <= 2e-15 * c * w_ref * math.exp(w_ref) + 4 * math.ulp(w_ref)
-        assert abs(_e1_of_log(_log_w(c)) - scipy_e1_of_log(brentq_log_w(c))) <= 3e-15 * c
+        # the two E1s at one argument: an ulp of s between the roots alone
+        # moves E1 by about c*w*ulp(s), 9e-15*c at s = 3.04
+        assert abs(_e1_of_log(s) - scipy_e1_of_log(s)) <= 3e-15 * c
 
     @given(st.floats(min_value=1e-300, max_value=45.0),
            st.floats(min_value=1.0, max_value=4.0))

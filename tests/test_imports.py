@@ -1,14 +1,13 @@
-"""SciPy stays out of every command, the report writers' vector spelling
+"""SciPy stays out of the package, the report writers' vector spelling
 stays out of the package's import, every name a module exports exists, and
 every function the package defines is reached by a command, bar a named few.
 
-``import lobliq.cli`` and every command on every model/market case a config
-can reach run in NumPy time.  The one SciPy import left in the package is
-inside the generic stationary solve (``discrete.solve_generic_stationary``),
-which no command reaches.  A static lint of every source file fails fast on
-any other SciPy import; the slower gate then runs commands in fresh
-interpreters, since pytest itself has imported ``scipy.integrate`` by now
-(its warning filters name ``IntegrationWarning``).
+SciPy serves the tests and the benchmark only: ``import lobliq.cli`` and
+every command on every model/market case a config can reach run in NumPy
+time.  A static lint of every source file fails fast on any SciPy import;
+the slower gate then runs every command in a fresh interpreter, since pytest
+itself has imported ``scipy.integrate`` by now (its warning filters name
+``IntegrationWarning``).
 """
 
 import ast
@@ -26,10 +25,6 @@ import lobliq
 
 PACKAGE = Path(lobliq.__file__).parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
-
-
-# the one function of the package that may import SciPy
-SCIPY_ALLOWED = {("discrete.py", "solve_generic_stationary")}
 
 
 def scipy_imports(source: str) -> list[tuple[int, str, str | None]]:
@@ -60,14 +55,7 @@ def scipy_imports(source: str) -> list[tuple[int, str, str | None]]:
     return sorted(found)
 
 
-def module_level_scipy_imports(source: str) -> list[tuple[int, str]]:
-    """(line, module) of each SciPy import that runs when the module is
-    imported: anywhere in the module body except inside a function."""
-    return [(line, name) for line, name, function in scipy_imports(source)
-            if function is None]
-
-
-def test_lint_flags_import_time_statements_only():
+def test_lint_finds_every_scipy_import():
     source = "\n".join([
         "import scipy",                                 # 1
         "from scipy.special import exp1",               # 2
@@ -86,25 +74,14 @@ def test_lint_flags_import_time_statements_only():
         "import scipyx, numpy",                         # 15
         "from . import scipy_like",                     # 16
     ])
-    assert [line for line, _ in module_level_scipy_imports(source)] == [1, 2, 4, 6, 10]
-    assert [(line, function) for line, _, function in scipy_imports(source)
-            if function is not None] == [(12, "C.f"), (14, "g")]
+    assert [(line, function) for line, _, function in scipy_imports(source)] == [
+        (1, None), (2, None), (4, None), (6, None), (10, None), (12, "C.f"), (14, "g")]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_no_module_level_scipy_import(path):
-    hits = module_level_scipy_imports(path.read_text())
-    assert not hits, "\n".join(f"{path.name}:{line}: module-level import of {name}; "
-                               "import it inside the function that needs it"
-                               for line, name in hits)
-
-
-def test_scipy_only_in_the_generic_solve():
-    found = [(path.name, line, name, function) for path in SOURCES
+def test_no_scipy_import_in_the_package():
+    stray = [f"{path.name}:{line}: {name} imported in {function or 'the module body'}"
+             for path in SOURCES
              for line, name, function in scipy_imports(path.read_text())]
-    stray = [f"{file}:{line}: {name} imported in {function or 'the module body'}"
-             for file, line, name, function in found
-             if (file, function) not in SCIPY_ALLOWED]
     assert not stray, "\n".join(stray)
 
 
@@ -136,6 +113,7 @@ _T1 = {"r": 0.1, "horizon": 1.0}
 _INF = {"r": 0.1, "horizon": "inf"}
 _RUNS = {
     "solve": (_T1, {"n_max": 50, "delta": 0.1}),
+    "fluid": (_T1, {"x_grid": {"start": 0.5, "stop": 3.0, "count": 4}}),
     "simulate": (_T1, {"n_units": 4, "n_paths": 200, "curve_points": 3,
                        "dump_paths": True}),
     "curves": (_T1, {"n_units": 4, "t_grid": {"start": 0.0, "stop": 0.9, "count": 5}}),
@@ -252,19 +230,9 @@ print(json.dumps(sorted({(os.path.basename(c.co_filename), c.co_firstlineno)
                          for c in codes if os.path.dirname(c.co_filename) == package})))
 """
 
-# Functions no command reaches: the generic depth model's API (acceptance
-# criterion 5 and the generic-model tests), the abstract declarations of
-# IntensityModel, control_convergence (criterion 4) and FillTable's sequence
-# view, which the benchmark's tracer iterates.
+# Functions no command reaches: FillTable's sequence view, which the
+# benchmark's tracer iterates.
 UNREACHED = {
-    "cases.GenericStationary.fluid", "cases.GenericStationary.policy",
-    "cases.GenericStationary.solve", "discrete._generic_foc",
-    "discrete._generic_objective", "discrete.solve_generic_stationary",
-    "intensity.GenericIntensity.derivatives", "intensity.GenericIntensity.rate",
-    "intensity.ConcavityReport.__bool__", "intensity.concavity_condition",
-    "intensity.ExpDecayIntensity.derivatives", "intensity.PowerLawIntensity.derivatives",
-    "intensity.IntensityModel.derivatives", "intensity.IntensityModel.rate",
-    "convergence.control_convergence",
     "simulate.FillTable.__getitem__", "simulate.FillTable.__iter__",
     "simulate.FillTable.__len__", "simulate.FillTable._path",
 }

@@ -7,15 +7,9 @@ from hypothesis import strategies as st
 
 from lobliq.intensity import (
     ExpDecayIntensity,
-    GenericIntensity,
     MarketParams,
     PowerLawIntensity,
-    concavity_condition,
 )
-
-
-def central_diff(f, s, h=1e-6):
-    return (f(s + h) - f(s - h)) / (2.0 * h)
 
 
 class TestRate:
@@ -35,10 +29,6 @@ class TestRate:
     def test_outside_support(self):
         with pytest.raises(ValueError):
             PowerLawIntensity(lam=1.0, alpha=2.0).rate(-0.5)
-        gen = GenericIntensity(value=lambda s: 1.0 / s, deriv1=lambda s: -1.0 / s ** 2,
-                               deriv2=lambda s: 2.0 / s ** 3, s_min=1.0)
-        with pytest.raises(ValueError):
-            gen.rate(0.5)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -57,60 +47,6 @@ class TestRate:
                       ExpDecayIntensity(lam=lam, kappa=alpha)):
             rates = [model.rate(s) for s in grid]
             assert all(a > b for a, b in zip(rates, rates[1:]))
-
-
-class TestDerivatives:
-    def test_power_law_analytic(self):
-        v, d1, d2 = PowerLawIntensity(lam=1.0, alpha=2.0).derivatives(1.0)
-        assert (v, d1, d2) == (1.0, -2.0, 6.0)
-
-    def test_exp_analytic(self):
-        v, d1, d2 = ExpDecayIntensity(lam=1.0, kappa=1.0).derivatives(0.0)
-        assert (v, d1, d2) == (1.0, -1.0, 1.0)
-
-    def test_finite_difference_check(self):
-        models = [PowerLawIntensity(lam=1.3, alpha=2.7),
-                  ExpDecayIntensity(lam=0.8, kappa=1.9),
-                  GenericIntensity(value=lambda s: 1.0 / (1.0 + s) ** 2,
-                                   deriv1=lambda s: -2.0 / (1.0 + s) ** 3,
-                                   deriv2=lambda s: 6.0 / (1.0 + s) ** 4)]
-        for model in models:
-            for s in [0.5, 1.0, 3.0]:
-                _, d1, _ = model.derivatives(s)
-                fd = central_diff(lambda u: model.rate(u), s)
-                assert abs(fd - d1) <= 1e-6 * abs(d1)
-
-
-class TestConcavityCondition:
-    def test_power_law_ratio_constant(self):
-        report = concavity_condition(PowerLawIntensity(lam=1.0, alpha=2.0),
-                                     np.linspace(0.1, 10, 50))
-        assert report.holds
-        assert abs(report.max_ratio - 1.5) < 1e-12  # (alpha+1)/alpha
-
-    def test_power_law_general_alpha(self):
-        for alpha in [1.5, 3.0, 4.0]:
-            report = concavity_condition(PowerLawIntensity(lam=2.0, alpha=alpha),
-                                         np.geomspace(0.05, 20, 40))
-            assert report.holds
-            assert abs(report.max_ratio - (alpha + 1.0) / alpha) < 1e-10
-
-    def test_exp_ratio_one(self):
-        for lam, kappa in [(1.0, 1.0), (3.0, 0.4)]:
-            report = concavity_condition(ExpDecayIntensity(lam=lam, kappa=kappa),
-                                         np.linspace(0.0, 8, 30))
-            assert report.holds
-            assert abs(report.max_ratio - 1.0) < 1e-12
-
-    def test_shallow_power_fails(self):
-        # rate (1+s)**(-1/2): the power-law ratio formula gives (1+1/2)/(1/2) = 3
-        gen = GenericIntensity(
-            value=lambda s: (1.0 + s) ** -0.5,
-            deriv1=lambda s: -0.5 * (1.0 + s) ** -1.5,
-            deriv2=lambda s: 0.75 * (1.0 + s) ** -2.5)
-        report = concavity_condition(gen, np.linspace(0.1, 5, 20))
-        assert not report.holds
-        assert abs(report.max_ratio - 3.0) < 1e-10
 
 
 class TestMarketParams:

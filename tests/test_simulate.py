@@ -15,7 +15,6 @@ from lobliq.discrete import solve_exp_finite
 from lobliq.fluid import fluid_solution
 from lobliq.intensity import (
     ExpDecayIntensity,
-    GenericIntensity,
     MarketParams,
     PowerLawIntensity,
 )
@@ -566,9 +565,6 @@ def _time_change(alpha, market):
             (lambda t: 1.0 / -math.expm1(-a * (T - t))))
 
 
-GENERIC = GenericIntensity(value=lambda s: 2.0 / (1.0 + s) ** 3,
-                           deriv1=lambda s: -6.0 / (1.0 + s) ** 4,
-                           deriv2=lambda s: 24.0 / (1.0 + s) ** 5)
 FINITE_GRID = [0.0, 0.2, 0.7, 0.99]
 INF_GRID = [0.0, 0.5, 2.0, 8.0]
 
@@ -579,8 +575,7 @@ class TestExactExecutionCurve:
         (PowerLawIntensity(lam=1.0, alpha=3.0), ZERO_RATE, 3.0, FINITE_GRID),
         (POWER, INF, 2.0, INF_GRID),
         (ExpDecayIntensity(lam=1.0, kappa=1.0), INF, None, INF_GRID),
-        (GENERIC, INF, None, INF_GRID),
-    ], ids=["power_T", "power_r0", "power_inf", "exp_inf", "generic_inf"])
+    ], ids=["power_T", "power_r0", "power_inf", "exp_inf"])
     @pytest.mark.parametrize("n", [5, 20])
     def test_factoring_cases_match_expm(self, model, market, alpha, grid, n):
         # E(., t) = expm(tau(t) Q) x with Q the death generator of the base rates
