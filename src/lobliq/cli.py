@@ -210,17 +210,10 @@ def _cmd_curves(cfg: RunConfig, artifacts: list) -> None:
 def _cmd_regimes(cfg: RunConfig, artifacts: list) -> None:
     sec = cfg.section
     thetas = sec["theta_grid"]
-    c0s, c1s = [], []
-    for th in thetas:
-        params = RegimeParams(lambda0=sec["lambda0"], lambda1=sec["lambda1"],
-                              theta0=float(th), theta1=float(th),
-                              r=sec["r"], alpha=sec["alpha"])
-        c0, c1 = regime_fluid_fixed_point(params)
-        c0s.append(c0)
-        c1s.append(c1)
-    _emit_table(cfg, "regimes", {
-        "theta": thetas, "c0": np.asarray(c0s), "c1": np.asarray(c1s),
-    }, {
+    c0, c1 = regime_fluid_fixed_point(RegimeParams(
+        lambda0=sec["lambda0"], lambda1=sec["lambda1"], theta0=thetas, theta1=thetas,
+        r=sec["r"], alpha=sec["alpha"]))
+    _emit_table(cfg, "regimes", {"theta": thetas, "c0": c0, "c1": c1}, {
         "theta": "symmetric switching rate",
         "c0": "active-regime value constant",
         "c1": "slow-regime value constant",

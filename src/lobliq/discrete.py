@@ -105,11 +105,9 @@ def level_of(x: float, delta: float) -> int:
     return int(n)
 
 
-def power_first_coefficient(lam: float, alpha: float, delta: float) -> float:
-    """d_1 = b**(1/alpha), b = ((alpha-1)/alpha)**(alpha-1) * lam *
-    delta**(alpha-1), as ``solve_power_zero_rate`` sets it: from log b where
-    b leaves the normal floats, else the power of b itself.  Raises
-    ArithmeticError if d_1 is not a normal float."""
+def _power_b(lam: float, alpha: float, delta: float) -> tuple[float, float]:
+    """(b, log b), b = ((alpha-1)/alpha)**(alpha-1) * lam * delta**(alpha-1),
+    log b from logs, and b nan where it is not a normal float."""
     if alpha <= 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     # Python floats: a NumPy scalar power overflows to inf with a warning,
@@ -118,9 +116,18 @@ def power_first_coefficient(lam: float, alpha: float, delta: float) -> float:
     payoff = ((alpha - 1.0) / alpha) ** (alpha - 1.0)
     log_b = math.log(payoff) + math.log(lam) + (alpha - 1.0) * math.log(delta)
     if _LOG_NORMAL < log_b < _LOG_HUGE:
-        d1 = (payoff * (lam * delta ** (alpha - 1.0))) ** (1.0 / alpha)
-    else:
-        d1 = math.exp(log_b / alpha)
+        return payoff * (lam * delta ** (alpha - 1.0)), log_b
+    return math.nan, log_b
+
+
+def power_first_coefficient(lam: float, alpha: float, delta: float) -> float:
+    """d_1 = b**(1/alpha), b = ((alpha-1)/alpha)**(alpha-1) * lam *
+    delta**(alpha-1), as ``solve_power_zero_rate`` sets it: from log b where
+    b leaves the normal floats, else the power of b itself.  Raises
+    ArithmeticError if d_1 is not a normal float."""
+    b, log_b = _power_b(lam, alpha, delta)
+    alpha = float(alpha)
+    d1 = math.exp(log_b / alpha) if math.isnan(b) else b ** (1.0 / alpha)
     if not sys.float_info.min <= d1 < math.inf:
         raise ArithmeticError(f"first coefficient d_1 = exp({log_b!r} / {alpha!r}) "
                               "is outside the normal float range")
@@ -206,40 +213,55 @@ def solve_power_zero_rate(lam: float, alpha: float, n_max: int,
     that is d_n * tau**(1/alpha).
 
     d_1 = b**(1/alpha) (``power_first_coefficient``).  The deeper levels
-    depend on b = d_1**alpha alone: y_n = d_n/d_1 solves
-        G_n(y) = log(y_n) + (alpha-1)*log(y_n - y_{n-1}) = 0,  n >= 2,
-    from y_1 = 1, and d_n = d_1 * y_n.  Every G_n is concave, and all levels
-    are solved at once by ``_newton_chain`` from the continuum solution
-    through y_1 = 1, y_n = (1 + (alpha/(alpha-1))*(n-1))**((alpha-1)/alpha),
-    formed in logs, in three to five steps for alpha from 1.0001 to 1000.
-    That guess lies above the root, as the chain's increments trail the
-    continuum's, and no proof keeps the increments positive through the
-    first step; a step that leaves that domain makes the residuals nan,
-    which stops the iteration at once.  The subtractions y_n - y_{n-1} are
-    exact, so no rounding builds up along the chain.  Raises ArithmeticError
-    if the iteration does not converge, if a level ends with a relative
+    are d_n = 2**k z_n, 2**k the power of two nearest d_1, and the z_n solve
+        G_n(z) = log(z_n) + (alpha-1)*log(z_n - z_{n-1}) - c = 0,  n >= 2,
+    from z_1 = d_1/2**k in [2**-0.5, 2**0.5), with c = log(b/2**(k*alpha))
+    formed as alpha*log(z_1) + log(b/d_1**alpha), the second term the
+    rounding of d_1 (0 where b is not a normal float), so that no large
+    logarithms cancel.
+    Every G_n is concave, and all levels are solved at once by
+    ``_newton_chain`` from the continuum solution through z_1,
+    z_1 * (1 + (alpha/(alpha-1))*(n-1))**((alpha-1)/alpha), formed in logs,
+    in three to five steps for alpha from 1.0001 to 1000.  That guess lies
+    above the root, as the chain's increments trail the continuum's, and no
+    proof keeps the increments positive through the first step; a step that
+    leaves that domain makes the residuals nan, which stops the iteration at
+    once.  The subtractions z_n - z_{n-1} are exact, so no rounding builds up
+    along the chain, and so is the scaling by 2**k: each d_n is within an
+    ulp of the alpha = 2 closed form, where solving for d_n/d_1 and scaling
+    by d_1 would add two roundings, up to 3 ulps.  Raises ArithmeticError if
+    the iteration does not converge, if a level ends with a relative
     residual above _RESIDUAL_RTOL (as where alpha - 1 is so small that the
-    increments fall below the rounding of y_n), or if d_n overflows.
+    increments fall below the rounding of z_n), or if d_n overflows.
     """
     d1 = power_first_coefficient(lam, alpha, delta)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     alpha = float(alpha)
+    b = _power_b(lam, alpha, delta)[0]
+    z1, k = math.frexp(d1)
+    if z1 < 0.7071067811865476:  # 2**-0.5
+        z1, k = 2.0 * z1, k - 1
+    c = alpha * math.log(z1)
+    if not math.isnan(b):
+        c += math.log(b / d1 ** alpha)
     a1 = alpha - 1.0
-    y = np.arange(-1.0, n_max)  # n - 1 at level n
-    y[1:] *= alpha / a1
-    np.log1p(y[1:], out=y[1:])
-    y[1:] *= a1 / alpha
-    np.exp(y[1:], out=y[1:])
-    y[0] = 0.0
+    z = np.arange(-1.0, n_max)  # n - 1 at level n
+    z[1:] *= alpha / a1
+    np.log1p(z[1:], out=z[1:])
+    z[1:] *= a1 / alpha
+    np.exp(z[1:], out=z[1:])
+    z[0] = 0.0
+    z[1:] *= z1
 
     def linearize():
-        top, m = y[2:], y[2:] - y[1:-1]
+        top, m = z[2:], z[2:] - z[1:-1]
         resid = np.log(m)
         resid *= a1
         resid += np.log(top)
-        # J_nn = 1/y_n + (alpha-1)/m_n and J_{n,n-1} = -(alpha-1)/m_n, so with
-        # scale = y_n/(m_n + (alpha-1)*y_n) = 1/(m_n J_nn), k_n = (alpha-1)*scale
+        resid -= c
+        # J_nn = 1/z_n + (alpha-1)/m_n and J_{n,n-1} = -(alpha-1)/m_n, so with
+        # scale = z_n/(m_n + (alpha-1)*z_n) = 1/(m_n J_nn), k_n = (alpha-1)*scale
         # and g_n = -G_n*m_n*scale
         scale = a1 * top
         scale += m
@@ -250,12 +272,12 @@ def solve_power_zero_rate(lam: float, alpha: float, n_max: int,
         scale *= a1
         return scale, resid
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _newton_chain(y[2:], linearize, 2)
-    if not float(y[-1]) * d1 < math.inf:
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _newton_chain(z[2:], linearize, 2)
+        np.ldexp(z, k, out=z)
+    if not z[-1] < math.inf:
         raise ArithmeticError(f"coefficient d_{n_max} overflows")
-    y *= d1
-    return y
+    return z
 
 
 def solve_exp_finite(n_max: int, delta: float, t_grid, lam: float,

@@ -3,17 +3,18 @@
 Both extensions keep the power-law book.  Regime switching modulates the
 arrival scale by a two-state Markov chain and couples the two regimes'
 values, whose fluid constants solve a 2x2 algebraic system by one
-monotone Newton iteration; the two-exchange model adds a second venue
-filling large blocks, turning the stationary value equation into a delay
-ODE, marched node by node from the values and slopes it has already
-computed, and expanded to first order in a weak block venue by one
-Gauss-Legendre rule.
+monotone Newton iteration, over a whole grid of switching rates at once;
+the two-exchange model adds a second venue filling large blocks, turning
+the stationary value equation into a delay ODE, marched one delay block at
+a time from the values and slopes it has already computed, and expanded to
+first order in a weak block venue by one Gauss-Legendre rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -34,19 +35,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RegimeParams:
-    """Two-state liquidity modulation: state 0 active, state 1 slow."""
+    """Two-state liquidity modulation: state 0 active, state 1 slow.  The
+    transition rates are floats or arrays of them, which broadcast together."""
 
     lambda0: float
     lambda1: float
-    theta0: float  # 0 -> 1 transition rate
-    theta1: float  # 1 -> 0 transition rate
+    theta0: float | np.ndarray  # 0 -> 1 transition rate
+    theta1: float | np.ndarray  # 1 -> 0 transition rate
     r: float
     alpha: float
 
     def __post_init__(self):
         if not self.lambda0 > self.lambda1 > 0.0:
             raise ValueError("requires lambda0 > lambda1 > 0")
-        if self.theta0 < 0.0 or self.theta1 < 0.0:
+        if np.any(np.asarray(self.theta0) < 0.0) or np.any(np.asarray(self.theta1) < 0.0):
             raise ValueError("transition rates must be nonnegative")
         if self.alpha <= 1.0:
             raise ValueError("alpha must exceed 1")
@@ -63,15 +65,17 @@ class RegimeParams:
 _REGIME_STEPS = 1500
 
 
-def _regime_residuals(c0, c1, p: RegimeParams):
-    a, gap = p.alpha, c1 - c0
-    g0 = p.lambda0 / a * c0 ** (1.0 - a) - p.r * c0 + p.theta0 * gap
-    g1 = p.lambda1 / a * c1 ** (1.0 - a) - p.r * c1 - p.theta1 * gap
-    return g0, g1
+def _float_pow(c: np.ndarray, e: float) -> np.ndarray:
+    """c**e by Python's float pow, elementwise: NumPy's array pow differs
+    from it in the last bit on about 5% of arguments."""
+    return np.array([x ** e for x in c.tolist()])
 
 
-def regime_fluid_fixed_point(params: RegimeParams) -> tuple[float, float]:
-    """Constants (c0*, c1*) of the fluid values u = c0*x^p, w = c1*x^p.
+def regime_fluid_fixed_point(
+        params: RegimeParams) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """Constants (c0*, c1*) of the fluid values u = c0*x^p, w = c1*x^p: two
+    floats for scalar rates, two arrays of the rates' broadcast shape for
+    arrays of them.
 
     Newton on the residuals g from (lo, lo), lo and hi the single-regime
     constants (lambda_i/(r*alpha))**(1/alpha).  g is convex; -J, diagonal
@@ -80,24 +84,46 @@ def regime_fluid_fixed_point(params: RegimeParams) -> tuple[float, float]:
     (lo, lo).  So the iterates rise monotonically to the root, lo <= c1* <=
     c0* <= hi, with no bracket (Ortega-Rheinboldt 13.3.4), each step a sum
     of nonnegative terms.  A regime with theta_i = 0 keeps lo or hi exactly.
+    Every rate pair runs its own iteration, all in one array, and keeps the
+    point at which its own step first fails to rise; the arithmetic is that
+    of a Python-float solve of each pair alone.
     """
-    a, r, t0, t1 = params.alpha, params.r, params.theta0, params.theta1
+    a, r, lam0, lam1 = params.alpha, params.r, params.lambda0, params.lambda1
+    theta0, theta1 = np.broadcast_arrays(np.asarray(params.theta0, dtype=float),
+                                         np.asarray(params.theta1, dtype=float))
+    t0, t1 = theta0.ravel(), theta1.ravel()
     lo = params.single_regime_constant(1)
-    c0, c1 = (lo if t0 else params.single_regime_constant(0)), lo
-    for _ in range(_REGIME_STEPS):
-        g0, g1 = _regime_residuals(c0, c1, params)
-        # a zero residual holds a regime with theta_i = 0 where it starts
-        g0, g1 = (g0 if t0 else 0.0), (g1 if t1 else 0.0)
-        m0 = (a - 1.0) / a * params.lambda0 * c0 ** -a + r
-        m1 = (a - 1.0) / a * params.lambda1 * c1 ** -a + r
-        det = m0 * m1 + t0 * m1 + t1 * m0
-        n0 = c0 + (m1 + t1) / det * g0 + t0 / det * g1
-        n1 = c1 + t1 / det * g0 + (m0 + t0) / det * g1
-        if n0 <= c0 and n1 <= c1:
-            return c0, c1
-        # the exact iterates only rise: a fall is rounding, and is held
-        c0, c1 = max(n0, c0), max(n1, c1)
-    raise ArithmeticError(f"no regime fixed point in {_REGIME_STEPS} Newton steps: {params}")
+    c0 = np.where(t0 != 0.0, lo, params.single_regime_constant(0))
+    c1 = np.full(len(t0), lo)
+    live = np.arange(len(t0))  # the pairs whose iteration still rises
+    with np.errstate(all="ignore"):  # Python floats run on through inf and nan
+        for _ in range(_REGIME_STEPS):
+            if not live.size:
+                break
+            x0, x1, s0, s1 = c0[live], c1[live], t0[live], t1[live]
+            gap = x1 - x0
+            g0 = lam0 / a * _float_pow(x0, 1.0 - a) - r * x0 + s0 * gap
+            g1 = lam1 / a * _float_pow(x1, 1.0 - a) - r * x1 - s1 * gap
+            # a zero residual holds a regime with theta_i = 0 where it starts
+            g0[s0 == 0.0] = 0.0
+            g1[s1 == 0.0] = 0.0
+            m0 = (a - 1.0) / a * lam0 * _float_pow(x0, -a) + r
+            m1 = (a - 1.0) / a * lam1 * _float_pow(x1, -a) + r
+            det = m0 * m1 + s0 * m1 + s1 * m0
+            n0 = x0 + (m1 + s1) / det * g0 + s0 / det * g1
+            n1 = x1 + s1 / det * g0 + (m0 + s0) / det * g1
+            rises = ~((n0 <= x0) & (n1 <= x1))
+            # the exact iterates only rise: a fall is rounding, and is held
+            live = live[rises]
+            c0[live] = np.maximum(n0[rises], x0[rises])
+            c1[live] = np.maximum(n1[rises], x1[rises])
+    if live.size:
+        k = live[0]
+        raise ArithmeticError(f"no regime fixed point in {_REGIME_STEPS} Newton steps: "
+                              f"{replace(params, theta0=t0[k].item(), theta1=t1[k].item())}")
+    if theta0.ndim == 0:
+        return c0.item(), c1.item()
+    return c0.reshape(theta0.shape), c1.reshape(theta0.shape)
 
 
 # --------------------------------------------------------------------------
@@ -145,8 +171,16 @@ class TwoExchangeSolution:
     x_seed: float
 
 
+# A delay block of fewer cells than this is marched as one segment, each
+# step forming its delayed midpoint in place: a segment's NumPy preparation
+# costs about as much as 20 cells save (forced onto 2-cell blocks, it made a
+# 5 000-step march 6 times slower).  Not a setting: the values are the same
+# either way.
+_PREPARED_CELLS = 32
+
+
 def _patch_integrate(params: TwoExchangeParams, x_seed: float):
-    """March the value in u = v**(alpha/(alpha-1)) node by node: (x, v, v').
+    """March the value in u = v**(alpha/(alpha-1)): (x, v, v').
 
     In the u variable the block-free solution is exactly linear, so the
     x -> 0 derivative singularity disappears and the seed region [0, x_seed]
@@ -159,6 +193,17 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
     average).  v' comes from the first slope evaluation of each step; at the
     nodes never marched from (the seed layer and the last node) it is the
     equation's, inf where the equation has none.
+
+    The delay makes this a method-of-steps march (Bellen and Zennaro,
+    "Numerical Methods for Delay Differential Equations", 2003): L - 1
+    consecutive steps read only cells that are complete before the first of
+    them, so the march runs in segments of L - 1 steps and forms each
+    segment's delayed midpoints at once in NumPy, whose + * min max round as
+    Python floats do; the powers stay Python's, as NumPy's array pow differs
+    from it in the last bit.  Blocks of fewer than _PREPARED_CELLS cells are
+    one segment, each step forming its midpoint in place.  The block term's
+    factor b1*min(x, delta_block)**alpha is formed once per node, step
+    midpoint and step end.
     """
     a, r, dblk = params.alpha, params.r, params.delta_block
     p = (a - 1.0) / a
@@ -191,67 +236,139 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
     dblk_a = dblk ** a
     hh, h6, h8 = 0.5 * h, h / 6.0, h / 8.0
     blocks = params.lambda1 > 0.0
+    no_rise = "value failed to increase over one block at x = {}"
+    blow_up = "delay ODE blow-up at x = {}: block term dominates the discounted value"
 
-    def marginal(x, v_here, v_delay):
-        """v'(x) = (b0/d)**(1/(alpha-1)) from the delay ODE."""
+    def block_factors(points):
+        """b1*min(x, delta_block)**alpha at the increasing points x."""
+        points = points.tolist()
+        below = bisect_left(points, dblk)
+        return [b1 * x ** a for x in points[:below]] + [b1 * dblk_a] * (len(points) - below)
+
+    if blocks:
+        f_node, f_mid, f_end = (block_factors(xs), block_factors(xs + hh),
+                                block_factors(xs + h))
+
+    def marginal(i):
+        """v' at node i from the delay ODE, (b0/d)**(1/(alpha-1)), inf where
+        the equation has none: for the nodes the march does not step from."""
+        v_here = v[i]
         block = 0.0
-        if blocks:
-            gap = v_here - v_delay
-            if gap <= 0.0:
-                raise ArithmeticError(f"value failed to increase over one block at x = {x}")
-            # min(x, dblk)**a, the power of dblk hoisted
-            block = b1 * (x ** a if x < dblk else dblk_a) * gap ** ma
-        d = r * v_here - block
-        if d <= 0.0:
-            raise ArithmeticError(f"delay ODE blow-up at x = {x}: block term "
-                                  "dominates the discounted value")
-        return (b0 / d) ** ia1
-
-    def equation_marginal(i):
-        """v' at node i, whose delayed value is v[i - lag] (v[0] = 0), inf
-        where the equation has none."""
         try:
-            return marginal(x_list[i], v[i], v[i - lag] if i >= lag else 0.0)
-        except ArithmeticError:
+            if blocks:
+                gap = v_here - (v[i - lag] if i >= lag else 0.0)
+                if gap <= 0.0:
+                    return math.inf
+                block = f_node[i] * gap ** ma
+            d = r * v_here - block
+            return math.inf if d <= 0.0 else (b0 / d) ** ia1
+        except OverflowError:
             return math.inf
 
-    dv = [equation_marginal(i) for i in range(seed_idx)]
+    def delayed_midpoints(j0, j1):
+        """v at the step midpoints of cells j0..j1-1, all of them complete."""
+        cells = np.array(u[j0:j1 + 1])
+        um = cells[:-1] + cells[1:]
+        um *= 0.5
+        k = max(seed_idx - j0, 0)  # the first marched cell
+        if k < len(um):
+            slopes = np.array(du[j0 + k:j1 + 1])
+            hermite = slopes[:-1] - slopes[1:]
+            hermite *= h8
+            hermite += um[k:]
+            np.maximum(hermite, cells[k:-1], out=hermite)
+            np.minimum(hermite, cells[k + 1:], out=hermite)
+            um[k:] = hermite
+        return [m ** p for m in um.tolist()]
+
+    dv = [marginal(i) for i in range(seed_idx)]
+    prepared = lag >= _PREPARED_CELLS
+    span = lag - 1 if prepared else n_nodes
     try:
-        for i in range(seed_idx, n_nodes - 1):
-            x, ui = x_list[i], u[i]
-            # the step reads v(x - delta_block) on cell j: its two nodes and
-            # its midpoint; ahead of the first knot, 0
-            j = i - lag
-            if j < 0:
-                e0 = em = e1 = 0.0
-            else:
-                e0, e1 = v[j], v[j + 1]
-            w1 = marginal(x, v[i], e0)
-            k1 = ka * ui ** ia * w1
-            du.append(k1)  # the slope at node i, which lag = 1 reads below
-            if j >= 0:
-                um = 0.5 * (u[j] + u[j + 1])
-                if j >= seed_idx:
-                    um = min(max(um + h8 * (du[j] - du[j + 1]), u[j]), u[j + 1])
-                em = um ** p
-            xm = x + hh
-            u2 = ui + hh * k1
-            k2 = ka * u2 ** ia * marginal(xm, u2 ** p, em)
-            u3 = ui + hh * k2
-            k3 = ka * u3 ** ia * marginal(xm, u3 ** p, em)
-            u4 = ui + h * k3
-            k4 = ka * u4 ** ia * marginal(x + h, u4 ** p, e1)
-            ui = ui + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            u.append(ui)
-            v.append(ui ** p)
-            dv.append(w1)
+        for start in range(seed_idx, n_nodes - 1, span):
+            stop = min(start + span, n_nodes - 1)
+            j0 = max(start - lag, 0)
+            if prepared and stop - lag > j0:
+                with np.errstate(all="ignore"):  # Python floats run on through inf and nan
+                    mids = delayed_midpoints(j0, stop - lag)
+            for i in range(start, stop):
+                x, ui, vi = x_list[i], u[i], v[i]
+                # the step reads v(x - delta_block) on cell j: its two nodes and
+                # its midpoint; ahead of the first knot, 0
+                j = i - lag
+                if j < 0:
+                    e0 = em = e1 = 0.0
+                else:
+                    e0, e1 = v[j], v[j + 1]
+                # each stage's rate is v' = (b0/d)**(1/(alpha-1)), d = r*v minus
+                # the block term; the first stage's is v' at the node
+                if blocks:
+                    gap = vi - e0
+                    if gap <= 0.0:
+                        raise ArithmeticError(no_rise.format(x))
+                    d = r * vi - f_node[i] * gap ** ma
+                else:
+                    d = r * vi
+                if d <= 0.0:
+                    raise ArithmeticError(blow_up.format(x))
+                w1 = (b0 / d) ** ia1
+                k1 = ka * ui ** ia * w1
+                du.append(k1)  # the slope at node i, which lag = 1 reads below
+                if j >= 0:
+                    if prepared:
+                        em = mids[j - j0]
+                    else:
+                        um = 0.5 * (u[j] + u[j + 1])
+                        if j >= seed_idx:
+                            um = min(max(um + h8 * (du[j] - du[j + 1]), u[j]), u[j + 1])
+                        em = um ** p
+                u2 = ui + hh * k1
+                v2 = u2 ** p
+                if blocks:
+                    gap = v2 - em
+                    if gap <= 0.0:
+                        raise ArithmeticError(no_rise.format(x + hh))
+                    d = r * v2 - f_mid[i] * gap ** ma
+                else:
+                    d = r * v2
+                if d <= 0.0:
+                    raise ArithmeticError(blow_up.format(x + hh))
+                k2 = ka * u2 ** ia * (b0 / d) ** ia1
+                u3 = ui + hh * k2
+                v3 = u3 ** p
+                if blocks:
+                    gap = v3 - em
+                    if gap <= 0.0:
+                        raise ArithmeticError(no_rise.format(x + hh))
+                    d = r * v3 - f_mid[i] * gap ** ma
+                else:
+                    d = r * v3
+                if d <= 0.0:
+                    raise ArithmeticError(blow_up.format(x + hh))
+                k3 = ka * u3 ** ia * (b0 / d) ** ia1
+                u4 = ui + h * k3
+                v4 = u4 ** p
+                if blocks:
+                    gap = v4 - e1
+                    if gap <= 0.0:
+                        raise ArithmeticError(no_rise.format(x + h))
+                    d = r * v4 - f_end[i] * gap ** ma
+                else:
+                    d = r * v4
+                if d <= 0.0:
+                    raise ArithmeticError(blow_up.format(x + h))
+                k4 = ka * u4 ** ia * (b0 / d) ** ia1
+                ui = ui + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                u.append(ui)
+                v.append(ui ** p)
+                dv.append(w1)
     except OverflowError:  # a Python float pow past 1e308, where NumPy's is inf
         raise ArithmeticError(f"delay ODE blow-up at x = {x}") from None
     bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
         # the march runs on through inf and nan without raising
         raise ArithmeticError(f"delay ODE blow-up at x = {x_list[bad[0]]}")
-    dv.append(equation_marginal(n_nodes - 1))
+    dv.append(marginal(n_nodes - 1))
     return xs, np.array(v), np.array(dv)
 
 
@@ -259,8 +376,8 @@ def two_exchange_patch(params: TwoExchangeParams, x_seed: Optional[float] = None
                        check_seed: bool = True) -> TwoExchangeSolution:
     """Stationary two-exchange value by successive patching.
 
-    The delay ODE is rearranged for v'(x) and marched node by node (see
-    :func:`_patch_integrate`); near zero the solution is seeded with the
+    The delay ODE is rearranged for v'(x) and marched one delay block at a
+    time (see :func:`_patch_integrate`); near zero the solution is seeded with the
     single-exchange asymptote because v'(0) is infinite.  With
     ``check_seed`` the solve is repeated at half the seed width and must
     agree at x_max to 1e-6.  The continuous spread is alpha/(alpha-1) v'

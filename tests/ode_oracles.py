@@ -25,7 +25,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import exp1
 
-from lobliq.discrete import level_of, power_first_coefficient
+from lobliq.discrete import level_of, power_constant, power_first_coefficient
 from lobliq.numerics import NonFiniteStateError
 
 _INV_E = math.exp(-1.0)
@@ -410,3 +410,131 @@ def integrate_ode(problem: OdeProblem) -> tuple[np.ndarray, np.ndarray]:
                 f"non-finite state at t = {ts[i + 1]} (step {i + 1} of {n})")
         ys[i + 1] = y
     return ts, ys
+
+
+def patch_march_by_step(params, x_seed: float):
+    """(x, v, v') of the two-exchange patching march as the package ran it
+    before it prepared each delay block's midpoints at once: node by node on
+    Python floats, each step forming its delayed Hermite midpoint and calling
+    the rate function once per RK4 stage.  Kept bit for bit as the oracle of
+    ``lobliq.extensions._patch_integrate``."""
+    a, r, dblk = params.alpha, params.r, params.delta_block
+    p = (a - 1.0) / a
+    aa = power_constant(a)
+    h = params.grid_step
+    n_nodes = int(round(params.x_max / h)) + 1
+    xs = h * np.arange(n_nodes)
+    if abs(xs[-1] - params.x_max) > 1e-9 * max(1.0, params.x_max):
+        raise ValueError("x_max must sit on the grid_step lattice")
+
+    try:
+        u_slope0 = (params.lambda0 / (a * r)) ** (1.0 / (a - 1.0))
+    except OverflowError:
+        raise ArithmeticError(f"seed u-slope (lambda0/(alpha*r))**(1/(alpha-1)) overflows "
+                              f"at alpha = {a!r}, lambda0 = {params.lambda0!r}, "
+                              f"r = {r!r}") from None
+    seed_idx = max(1, int(round(x_seed / h)))
+    seed_idx = min(seed_idx, n_nodes - 1)
+    lag = int(round(dblk / h))
+
+    x_list = xs.tolist()
+    u = [u_slope0 * x for x in x_list[:seed_idx + 1]]
+    v = [ue ** p for ue in u]
+    du = [u_slope0] * seed_idx
+
+    b0, b1 = aa * params.lambda0, aa * params.lambda1
+    ka, ia, ia1, ma = a / (a - 1.0), 1.0 / a, 1.0 / (a - 1.0), 1.0 - a
+    dblk_a = dblk ** a
+    hh, h6, h8 = 0.5 * h, h / 6.0, h / 8.0
+    blocks = params.lambda1 > 0.0
+
+    def marginal(x, v_here, v_delay):
+        block = 0.0
+        if blocks:
+            gap = v_here - v_delay
+            if gap <= 0.0:
+                raise ArithmeticError(f"value failed to increase over one block at x = {x}")
+            block = b1 * (x ** a if x < dblk else dblk_a) * gap ** ma
+        d = r * v_here - block
+        if d <= 0.0:
+            raise ArithmeticError(f"delay ODE blow-up at x = {x}: block term "
+                                  "dominates the discounted value")
+        return (b0 / d) ** ia1
+
+    def equation_marginal(i):
+        try:
+            return marginal(x_list[i], v[i], v[i - lag] if i >= lag else 0.0)
+        except ArithmeticError:
+            return math.inf
+
+    dv = [equation_marginal(i) for i in range(seed_idx)]
+    try:
+        for i in range(seed_idx, n_nodes - 1):
+            x, ui = x_list[i], u[i]
+            j = i - lag
+            if j < 0:
+                e0 = em = e1 = 0.0
+            else:
+                e0, e1 = v[j], v[j + 1]
+            w1 = marginal(x, v[i], e0)
+            k1 = ka * ui ** ia * w1
+            du.append(k1)
+            if j >= 0:
+                um = 0.5 * (u[j] + u[j + 1])
+                if j >= seed_idx:
+                    um = min(max(um + h8 * (du[j] - du[j + 1]), u[j]), u[j + 1])
+                em = um ** p
+            xm = x + hh
+            u2 = ui + hh * k1
+            k2 = ka * u2 ** ia * marginal(xm, u2 ** p, em)
+            u3 = ui + hh * k2
+            k3 = ka * u3 ** ia * marginal(xm, u3 ** p, em)
+            u4 = ui + h * k3
+            k4 = ka * u4 ** ia * marginal(x + h, u4 ** p, e1)
+            ui = ui + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            u.append(ui)
+            v.append(ui ** p)
+            dv.append(w1)
+    except OverflowError:
+        raise ArithmeticError(f"delay ODE blow-up at x = {x}") from None
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ArithmeticError(f"delay ODE blow-up at x = {x_list[bad[0]]}")
+    dv.append(equation_marginal(n_nodes - 1))
+    return xs, np.array(v), np.array(dv)
+
+
+# Newton steps before the scalar regime solve gives up
+_REGIME_STEPS = 1500
+
+
+def regime_residuals(c0, c1, p):
+    """The residuals (g0, g1) of the regime fluid constants' 2x2 system at
+    scalar (c0, c1) and scalar rates: lambda_i/alpha * c_i**(1-alpha) - r c_i
+    plus or minus theta_i (c1 - c0)."""
+    a, gap = p.alpha, c1 - c0
+    g0 = p.lambda0 / a * c0 ** (1.0 - a) - p.r * c0 + p.theta0 * gap
+    g1 = p.lambda1 / a * c1 ** (1.0 - a) - p.r * c1 - p.theta1 * gap
+    return g0, g1
+
+
+def regime_fixed_point_by_point(params) -> tuple[float, float]:
+    """(c0*, c1*) of one ``RegimeParams`` with scalar rates by the monotone
+    Newton iteration on Python floats, one point a call, as the package
+    solved its theta grids before it took them as arrays; kept bit for bit
+    as the oracle of ``lobliq.extensions.regime_fluid_fixed_point``."""
+    a, r, t0, t1 = params.alpha, params.r, params.theta0, params.theta1
+    lo = params.single_regime_constant(1)
+    c0, c1 = (lo if t0 else params.single_regime_constant(0)), lo
+    for _ in range(_REGIME_STEPS):
+        g0, g1 = regime_residuals(c0, c1, params)
+        g0, g1 = (g0 if t0 else 0.0), (g1 if t1 else 0.0)
+        m0 = (a - 1.0) / a * params.lambda0 * c0 ** -a + r
+        m1 = (a - 1.0) / a * params.lambda1 * c1 ** -a + r
+        det = m0 * m1 + t0 * m1 + t1 * m0
+        n0 = c0 + (m1 + t1) / det * g0 + t0 / det * g1
+        n1 = c1 + t1 / det * g0 + (m0 + t0) / det * g1
+        if n0 <= c0 and n1 <= c1:
+            return c0, c1
+        c0, c1 = max(n0, c0), max(n1, c1)
+    raise ArithmeticError(f"no regime fixed point in {_REGIME_STEPS} Newton steps: {params}")

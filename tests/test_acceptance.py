@@ -20,7 +20,6 @@ from lobliq.discrete import (
 from lobliq.extensions import (
     RegimeParams,
     TwoExchangeParams,
-    _regime_residuals,
     regime_fluid_fixed_point,
     two_exchange_expansion,
     two_exchange_patch,
@@ -28,7 +27,7 @@ from lobliq.extensions import (
 from lobliq.fluid import exp_fluid_finite, exp_fluid_infinite
 from lobliq.intensity import ExpDecayIntensity, MarketParams, PowerLawIntensity
 from lobliq.simulate import execution_curve_ode, optimal_policy, simulate_policy
-from ode_oracles import OdeProblem, integrate_ode, stationary_by_level
+from ode_oracles import OdeProblem, integrate_ode, regime_residuals, stationary_by_level
 
 POWER = PowerLawIntensity(lam=1.0, alpha=2.0)
 MARKET_INF = MarketParams(r=0.1)
@@ -187,7 +186,7 @@ def test_criterion_10_regime_switching():
     params = RegimeParams(lambda0=1.5, lambda1=0.5, theta0=1.0, theta1=1.0,
                           r=0.1, alpha=2.0)
     c0, c1 = regime_fluid_fixed_point(params)
-    g0, g1 = _regime_residuals(c0, c1, params)
+    g0, g1 = regime_residuals(c0, c1, params)
     assert abs(g0) <= 1e-12 and abs(g1) <= 1e-12
     assert params.single_regime_constant(1) < c1 < c0 < params.single_regime_constant(0)
 

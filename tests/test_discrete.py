@@ -154,6 +154,10 @@ class TestPowerCoefficients:
     # ends 1.2e-14 and 1.6e-14 off a 30-digit recursion
     @example(1.001, 0.0, 0.125, 100_000)
     @example(1.01, 0.1, 0.125, 100_000)
+    # where d_n solved as d_n/d_1 and scaled by d_1 ended 3 ulps off the
+    # alpha = 2 closed form
+    @example(2.0, 0.0, 0.35546875, 140)
+    @example(2.0, 0.0, 0.08179819592992184, 8538)
     @settings(max_examples=40, deadline=None)
     def test_newton_matches_reference_at_domain_edges(self, alpha, r, delta, n_max):
         # the r-free d_n against the bracketed solve of the same recursion,

@@ -12,12 +12,13 @@ from lobliq.extensions import (
     ExpansionSolution,
     RegimeParams,
     TwoExchangeParams,
-    _regime_residuals,
+    _patch_integrate,
     regime_fluid_fixed_point,
     two_exchange_expansion,
     two_exchange_patch,
 )
 from lobliq.intensity import MarketParams, PowerLawIntensity
+from ode_oracles import patch_march_by_step, regime_fixed_point_by_point, regime_residuals
 
 FIG4 = dict(lambda0=1.5, lambda1=0.5, r=0.1, alpha=2.0)
 
@@ -31,7 +32,7 @@ class TestRegimeFixedPoint:
     def test_residuals(self):
         p = RegimeParams(theta0=1.0, theta1=1.0, **FIG4)
         c0, c1 = regime_fluid_fixed_point(p)
-        g0, g1 = _regime_residuals(c0, c1, p)
+        g0, g1 = regime_residuals(c0, c1, p)
         assert abs(g0) <= 1e-12 and abs(g1) <= 1e-12
 
     def test_slow_switching_limit(self):
@@ -56,7 +57,7 @@ class TestRegimeFixedPoint:
         p = RegimeParams(theta0=0.0, theta1=2.0, **FIG4)
         c0, c1 = regime_fluid_fixed_point(p)
         assert c0 == p.single_regime_constant(0)
-        g0, g1 = _regime_residuals(c0, c1, p)
+        g0, g1 = regime_residuals(c0, c1, p)
         assert abs(g1) < 1e-12
 
     def test_monotone_in_theta(self):
@@ -119,6 +120,85 @@ class TestRegimeFixedPoint:
             assert c1 == lo
         _assert_matches_mpmath(p, (c0, c1))
 
+
+
+# the edge cases above, as (lambda0, lambda1, theta0, theta1, r, alpha)
+REGIME_EDGES = [
+    (1.5, 0.5, 0.0, 0.0, 0.1, 2.0),
+    (1.5, 0.5, 0.0, 2.0, 0.1, 2.0),
+    (1.5, 0.5, 2.0, 0.0, 0.1, 2.0),
+    (1.5, 0.5, 1e-8, 1e-8, 0.1, 2.0),
+    (1.5, 0.5, 1e8, 1e8, 0.1, 2.0),
+    (0.05, 5e-7, 1e8, 1e8, 1.5e-4, 2.0),
+    (0.6743826715669278, 0.019690931665751185, 1.120200028291722e-08,
+     64184065.89452929, 0.0047441412571557545, 1.271150772663323),
+    (5.629693880468705e+306, 2.0238306210786603e+26, 36136.40020018233,
+     0.0015389098346410496, 0.002457798250928624, 93.80988677917786),
+    (1.177480923794698e+308, 4.639730613196512e+93, 0.02423734915330839,
+     0.22691144332158775, 283.6362270940902, 1.0074674259681662),
+]
+
+
+class TestRegimeArray:
+    """The array solve against the scalar Newton of one rate pair a call."""
+
+    @staticmethod
+    def _by_point(lambda0, lambda1, theta0, theta1, r, alpha):
+        return np.array([regime_fixed_point_by_point(RegimeParams(
+            lambda0=lambda0, lambda1=lambda1, theta0=float(t0), theta1=float(t1),
+            r=r, alpha=alpha)) for t0, t1 in zip(theta0, theta1)]).T
+
+    def test_cli_grid_matches_the_scalar_solve(self):
+        # the 200-point log grid of the benchmark's regimes job
+        thetas = np.geomspace(0.01, 100.0, 200)
+        kw = dict(lambda0=1.0, lambda1=0.5, r=0.1, alpha=2.0)
+        c0, c1 = regime_fluid_fixed_point(RegimeParams(theta0=thetas, theta1=thetas, **kw))
+        want = self._by_point(theta0=thetas, theta1=thetas, **kw)
+        np.testing.assert_array_equal(c0, want[0])
+        np.testing.assert_array_equal(c1, want[1])
+
+    @pytest.mark.parametrize("edge", REGIME_EDGES)
+    def test_edge_cases_match_the_scalar_solve(self, edge):
+        # the edge pair among pairs that stop at other steps: zero rates on
+        # one side and both, and the extremes of the Hypothesis range
+        lambda0, lambda1, theta0, theta1, r, alpha = edge
+        t0 = np.array([theta0, 0.0, 0.0, 3.0, 1e-8, 1e8, theta1])
+        t1 = np.array([theta1, 0.0, 3.0, 0.0, 1e8, 1e-8, theta0])
+        kw = dict(lambda0=lambda0, lambda1=lambda1, r=r, alpha=alpha)
+        c0, c1 = regime_fluid_fixed_point(RegimeParams(theta0=t0, theta1=t1, **kw))
+        want = self._by_point(theta0=t0, theta1=t1, **kw)
+        np.testing.assert_array_equal(c0, want[0])
+        np.testing.assert_array_equal(c1, want[1])
+        single = regime_fluid_fixed_point(RegimeParams(theta0=theta0, theta1=theta1, **kw))
+        assert single == (want[0][0], want[1][0])
+
+    def test_rates_broadcast(self):
+        thetas = np.geomspace(0.1, 10.0, 6).reshape(2, 3)
+        c0, c1 = regime_fluid_fixed_point(RegimeParams(theta0=thetas, theta1=1.0, **FIG4))
+        assert c0.shape == c1.shape == (2, 3)
+        want = self._by_point(theta0=thetas.ravel(), theta1=np.ones(6), **FIG4)
+        np.testing.assert_array_equal(c0.ravel(), want[0])
+        np.testing.assert_array_equal(c1.ravel(), want[1])
+
+    def test_scalar_rates_return_floats(self):
+        c0, c1 = regime_fluid_fixed_point(RegimeParams(theta0=1.0, theta1=0.5, **FIG4))
+        assert type(c0) is float and type(c1) is float
+
+    def test_negative_rate_anywhere_raises(self):
+        for t0, t1 in ((np.array([1.0, -1e-300]), 1.0), (1.0, np.array([2.0, 3.0, -1.0]))):
+            with pytest.raises(ValueError, match="transition rates must be nonnegative"):
+                RegimeParams(theta0=t0, theta1=t1, **FIG4)
+
+    def test_step_cap_names_the_failing_rates(self, monkeypatch):
+        # zero rates stop at the first step; the pair (2, 0.5) needs more than 2
+        import lobliq.extensions as extensions
+        monkeypatch.setattr(extensions, "_REGIME_STEPS", 2)
+        params = RegimeParams(theta0=np.array([0.0, 2.0, 7.0]),
+                              theta1=np.array([0.0, 0.5, 7.0]), **FIG4)
+        with pytest.raises(ArithmeticError, match=r"no regime fixed point in 2 Newton steps: "
+                           r"RegimeParams\(lambda0=1\.5, lambda1=0\.5, theta0=2\.0, "
+                           r"theta1=0\.5, r=0\.1, alpha=2\.0\)$"):
+            regime_fluid_fixed_point(params)
 
 def _mpmath_regime_root(p, dps=50):
     """(c0*, c1*) in mpmath at ``dps`` digits, by a one-dimensional
@@ -354,6 +434,40 @@ def test_patch_matches_per_step_reference(kw, x_seed):
     assert np.max(np.abs(value - truth)) <= np.max(np.abs(_reference_patch(params, x_seed) - truth))
 
 
+def _assert_march_matches_oracle(params, x_seed):
+    xs, v, dv = _patch_integrate(params, x_seed)
+    want = patch_march_by_step(params, x_seed)
+    for got, ref in zip((xs, v, dv), want):
+        assert np.array_equal(got, ref)
+
+
+# both sides of the short-block rule (_PREPARED_CELLS = 32 cells a block)
+@pytest.mark.parametrize("steps", [1, 2, 15, 31, 32, 33, 100, 1000])
+@pytest.mark.parametrize("alpha", [1.3, 2.0, 2.6])
+def test_march_matches_the_per_step_oracle(steps, alpha):
+    # three blocks and one step past the third knot
+    h = 1.0 / steps
+    params = make_params(lambda1=0.5, alpha=alpha, grid_step=h, x_max=h * (3 * steps + 1))
+    _assert_march_matches_oracle(params, 0.01)
+
+
+@pytest.mark.parametrize("kw, x_seed", [
+    # no block venue, on both sides of the short-block rule
+    (dict(lambda1=0.0, grid_step=1.0), 0.01),
+    (dict(lambda1=0.0, grid_step=1.0 / 32.0), 0.01),
+    (dict(lambda1=0.0, grid_step=0.01), 0.01),
+    # the seed past the first knot: the first steps read seeded cells, and
+    # the segments start off the block lattice
+    (dict(lambda1=0.5, grid_step=0.5), 1.3),
+    (dict(lambda1=0.5, grid_step=0.025), 1.3),
+    (dict(lambda1=0.5, grid_step=0.01), 1.3),
+    # a strong block venue, whose value turns convex above the knot
+    (dict(lambda1=5.0, delta_block=0.5, x_max=2.0, grid_step=0.001), 5e-4),
+])
+def test_march_matches_the_oracle_at(kw, x_seed):
+    _assert_march_matches_oracle(make_params(**kw), x_seed)
+
+
 @pytest.mark.parametrize("kw, message", [
     # the block term outweighs the discounted value at the first marched node
     (dict(lambda1=500.0, x_max=3.0, grid_step=0.01), "delay ODE blow-up at x = 0.01"),
@@ -367,8 +481,13 @@ def test_patch_matches_per_step_reference(kw, x_seed):
      r"alpha = 1\.002, lambda0 = 1000\.0, r = 0\.001"),
 ])
 def test_patch_error_paths(kw, message):
-    with pytest.raises(ArithmeticError, match=message):
+    with pytest.raises(ArithmeticError, match=message) as raised:
         two_exchange_patch(make_params(**kw), check_seed=False)
+    # the per-step oracle stops at the same step with the same message
+    params = make_params(**kw)
+    with pytest.raises(ArithmeticError) as oracle:
+        patch_march_by_step(params, min(params.delta_block, params.x_max) / 100.0)
+    assert str(raised.value) == str(oracle.value)
 
 
 @given(alpha=st.one_of(st.floats(1.002, 1.05), st.floats(1.002, 12.0)),
