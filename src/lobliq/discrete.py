@@ -105,9 +105,9 @@ def level_of(x: float, delta: float) -> int:
     return int(n)
 
 
-def _power_b(lam: float, alpha: float, delta: float) -> tuple[float, float]:
-    """(b, log b), b = ((alpha-1)/alpha)**(alpha-1) * lam * delta**(alpha-1),
-    log b from logs, and b nan where it is not a normal float."""
+def _power_d1(lam: float, alpha: float, delta: float) -> tuple[float, float]:
+    """(d_1, b) of ``power_first_coefficient``, b nan where it is not a
+    normal float."""
     if alpha <= 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     # Python floats: a NumPy scalar power overflows to inf with a warning,
@@ -116,8 +116,14 @@ def _power_b(lam: float, alpha: float, delta: float) -> tuple[float, float]:
     payoff = ((alpha - 1.0) / alpha) ** (alpha - 1.0)
     log_b = math.log(payoff) + math.log(lam) + (alpha - 1.0) * math.log(delta)
     if _LOG_NORMAL < log_b < _LOG_HUGE:
-        return payoff * (lam * delta ** (alpha - 1.0)), log_b
-    return math.nan, log_b
+        b = payoff * (lam * delta ** (alpha - 1.0))
+        d1 = b ** (1.0 / alpha)
+    else:
+        b, d1 = math.nan, math.exp(log_b / alpha)
+    if not sys.float_info.min <= d1 < math.inf:
+        raise ArithmeticError(f"first coefficient d_1 = exp({log_b!r} / {alpha!r}) "
+                              "is outside the normal float range")
+    return d1, b
 
 
 def power_first_coefficient(lam: float, alpha: float, delta: float) -> float:
@@ -125,13 +131,7 @@ def power_first_coefficient(lam: float, alpha: float, delta: float) -> float:
     delta**(alpha-1), as ``solve_power_zero_rate`` sets it: from log b where
     b leaves the normal floats, else the power of b itself.  Raises
     ArithmeticError if d_1 is not a normal float."""
-    b, log_b = _power_b(lam, alpha, delta)
-    alpha = float(alpha)
-    d1 = math.exp(log_b / alpha) if math.isnan(b) else b ** (1.0 / alpha)
-    if not sys.float_info.min <= d1 < math.inf:
-        raise ArithmeticError(f"first coefficient d_1 = exp({log_b!r} / {alpha!r}) "
-                              "is outside the normal float range")
-    return d1
+    return _power_d1(lam, alpha, delta)[0]
 
 
 def _bidiagonal_solve(k: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -234,11 +234,10 @@ def solve_power_zero_rate(lam: float, alpha: float, n_max: int,
     residual above _RESIDUAL_RTOL (as where alpha - 1 is so small that the
     increments fall below the rounding of z_n), or if d_n overflows.
     """
-    d1 = power_first_coefficient(lam, alpha, delta)
+    d1, b = _power_d1(lam, alpha, delta)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     alpha = float(alpha)
-    b = _power_b(lam, alpha, delta)[0]
     z1, k = math.frexp(d1)
     if z1 < 0.7071067811865476:  # 2**-0.5
         z1, k = 2.0 * z1, k - 1

@@ -36,18 +36,26 @@ __all__ = [
 @dataclass(frozen=True)
 class RegimeParams:
     """Two-state liquidity modulation: state 0 active, state 1 slow.  The
-    transition rates are floats or arrays of them, which broadcast together."""
+    transition rates are two floats or two 1-D arrays of one length, which
+    are stored as tuples of floats, so that params compare and hash."""
 
     lambda0: float
     lambda1: float
-    theta0: float | np.ndarray  # 0 -> 1 transition rate
-    theta1: float | np.ndarray  # 1 -> 0 transition rate
+    theta0: float | tuple[float, ...]  # 0 -> 1 transition rate
+    theta1: float | tuple[float, ...]  # 1 -> 0 transition rate
     r: float
     alpha: float
 
     def __post_init__(self):
         if not self.lambda0 > self.lambda1 > 0.0:
             raise ValueError("requires lambda0 > lambda1 > 0")
+        shape = np.shape(self.theta0)
+        if len(shape) > 1 or np.shape(self.theta1) != shape:
+            raise ValueError("theta0 and theta1 must be two floats or two 1-D arrays "
+                             "of one length")
+        if shape:
+            object.__setattr__(self, "theta0", tuple(np.asarray(self.theta0, float).tolist()))
+            object.__setattr__(self, "theta1", tuple(np.asarray(self.theta1, float).tolist()))
         if np.any(np.asarray(self.theta0) < 0.0) or np.any(np.asarray(self.theta1) < 0.0):
             raise ValueError("transition rates must be nonnegative")
         if self.alpha <= 1.0:
@@ -74,8 +82,7 @@ def _float_pow(c: np.ndarray, e: float) -> np.ndarray:
 def regime_fluid_fixed_point(
         params: RegimeParams) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Constants (c0*, c1*) of the fluid values u = c0*x^p, w = c1*x^p: two
-    floats for scalar rates, two arrays of the rates' broadcast shape for
-    arrays of them.
+    floats for scalar rates, two arrays for arrays of them.
 
     Newton on the residuals g from (lo, lo), lo and hi the single-regime
     constants (lambda_i/(r*alpha))**(1/alpha).  g is convex; -J, diagonal
@@ -86,17 +93,22 @@ def regime_fluid_fixed_point(
     of nonnegative terms.  A regime with theta_i = 0 keeps lo or hi exactly.
     Every rate pair runs its own iteration, all in one array, and keeps the
     point at which its own step first fails to rise; the arithmetic is that
-    of a Python-float solve of each pair alone.
+    of a Python-float solve of each pair alone, which raises
+    ZeroDivisionError where the step's determinant underflows to 0 (rates
+    0 and r below about 1e-162).
     """
     a, r, lam0, lam1 = params.alpha, params.r, params.lambda0, params.lambda1
-    theta0, theta1 = np.broadcast_arrays(np.asarray(params.theta0, dtype=float),
-                                         np.asarray(params.theta1, dtype=float))
-    t0, t1 = theta0.ravel(), theta1.ravel()
+    t0, t1 = np.asarray(params.theta0, dtype=float), np.asarray(params.theta1, dtype=float)
+    scalar = t0.ndim == 0
+    t0, t1 = np.atleast_1d(t0), np.atleast_1d(t1)
     lo = params.single_regime_constant(1)
     c0 = np.where(t0 != 0.0, lo, params.single_regime_constant(0))
     c1 = np.full(len(t0), lo)
     live = np.arange(len(t0))  # the pairs whose iteration still rises
-    with np.errstate(all="ignore"):  # Python floats run on through inf and nan
+
+    # products and sums run on through inf and nan, as on Python floats; a
+    # division by 0, where a Python float raises, is checked before it is made
+    with np.errstate(all="ignore"):
         for _ in range(_REGIME_STEPS):
             if not live.size:
                 break
@@ -110,6 +122,11 @@ def regime_fluid_fixed_point(
             m0 = (a - 1.0) / a * lam0 * _float_pow(x0, -a) + r
             m1 = (a - 1.0) / a * lam1 * _float_pow(x1, -a) + r
             det = m0 * m1 + s0 * m1 + s1 * m0
+            if not det.all():  # where a Python float division raises
+                k = live[det == 0.0][0]
+                raise ZeroDivisionError(
+                    "regime Newton step divides by zero: "
+                    f"{replace(params, theta0=t0[k].item(), theta1=t1[k].item())}")
             n0 = x0 + (m1 + s1) / det * g0 + s0 / det * g1
             n1 = x1 + s1 / det * g0 + (m0 + s0) / det * g1
             rises = ~((n0 <= x0) & (n1 <= x1))
@@ -121,9 +138,9 @@ def regime_fluid_fixed_point(
         k = live[0]
         raise ArithmeticError(f"no regime fixed point in {_REGIME_STEPS} Newton steps: "
                               f"{replace(params, theta0=t0[k].item(), theta1=t1[k].item())}")
-    if theta0.ndim == 0:
+    if scalar:
         return c0.item(), c1.item()
-    return c0.reshape(theta0.shape), c1.reshape(theta0.shape)
+    return c0, c1
 
 
 # --------------------------------------------------------------------------
@@ -173,9 +190,11 @@ class TwoExchangeSolution:
 
 # A delay block of fewer cells than this is marched as one segment, each
 # step forming its delayed midpoint in place: a segment's NumPy preparation
-# costs about as much as 20 cells save (forced onto 2-cell blocks, it made a
-# 5 000-step march 6 times slower).  Not a setting: the values are the same
-# either way.
+# costs about what 20 to 30 in-place midpoints do.  An `exchanges` job of
+# 5 001 nodes (delta_block 1, eps 0.1, timed through cli.main) took 2.5, 1.35
+# and 1.13 times as long prepared as in place at 2, 5 and 10 cells a block,
+# 1.00-1.04 at 20 and 25, 0.96-1.00 at 32 and 0.87-0.97 at 40 to 1 000 (2-CPU
+# container).  Not a setting: the values are the same either way.
 _PREPARED_CELLS = 32
 
 

@@ -136,6 +136,8 @@ REGIME_EDGES = [
      0.0015389098346410496, 0.002457798250928624, 93.80988677917786),
     (1.177480923794698e+308, 4.639730613196512e+93, 0.02423734915330839,
      0.22691144332158775, 283.6362270940902, 1.0074674259681662),
+    # the first step's determinant underflows to 0: both solves raise
+    (1.5, 0.5, 0.0, 0.0, 1e-170, 2.0),
 ]
 
 
@@ -165,27 +167,53 @@ class TestRegimeArray:
         t0 = np.array([theta0, 0.0, 0.0, 3.0, 1e-8, 1e8, theta1])
         t1 = np.array([theta1, 0.0, 3.0, 0.0, 1e8, 1e-8, theta0])
         kw = dict(lambda0=lambda0, lambda1=lambda1, r=r, alpha=alpha)
-        c0, c1 = regime_fluid_fixed_point(RegimeParams(theta0=t0, theta1=t1, **kw))
-        want = self._by_point(theta0=t0, theta1=t1, **kw)
+        array, single = (RegimeParams(theta0=t0, theta1=t1, **kw),
+                         RegimeParams(theta0=theta0, theta1=theta1, **kw))
+        try:
+            want = self._by_point(theta0=t0, theta1=t1, **kw)
+        except ArithmeticError as exc:
+            # the scalar solve raises on the first pair: so do both here
+            with pytest.raises(type(exc)):
+                regime_fluid_fixed_point(array)
+            with pytest.raises(type(exc)):
+                regime_fluid_fixed_point(single)
+            return
+        c0, c1 = regime_fluid_fixed_point(array)
         np.testing.assert_array_equal(c0, want[0])
         np.testing.assert_array_equal(c1, want[1])
-        single = regime_fluid_fixed_point(RegimeParams(theta0=theta0, theta1=theta1, **kw))
-        assert single == (want[0][0], want[1][0])
+        assert regime_fluid_fixed_point(single) == (want[0][0], want[1][0])
 
-    def test_rates_broadcast(self):
-        thetas = np.geomspace(0.1, 10.0, 6).reshape(2, 3)
-        c0, c1 = regime_fluid_fixed_point(RegimeParams(theta0=thetas, theta1=1.0, **FIG4))
-        assert c0.shape == c1.shape == (2, 3)
-        want = self._by_point(theta0=thetas.ravel(), theta1=np.ones(6), **FIG4)
-        np.testing.assert_array_equal(c0.ravel(), want[0])
-        np.testing.assert_array_equal(c1.ravel(), want[1])
+    def test_zero_determinant_raises_and_names_the_pair(self):
+        params = RegimeParams(lambda0=1.5, lambda1=0.5, theta0=np.array([1.0, 0.0]),
+                              theta1=np.array([1.0, 0.0]), r=1e-170, alpha=2.0)
+        with pytest.raises(ZeroDivisionError, match=r"divides by zero: RegimeParams\("
+                           r"lambda0=1\.5, lambda1=0\.5, theta0=0\.0, theta1=0\.0, "):
+            regime_fluid_fixed_point(params)
+        with pytest.raises(ZeroDivisionError):
+            regime_fixed_point_by_point(replace(params, theta0=0.0, theta1=0.0))
+
+    def test_array_rates_compare_and_hash(self):
+        grid = np.geomspace(0.1, 10.0, 4)
+        p = RegimeParams(theta0=grid, theta1=grid, **FIG4)
+        q = RegimeParams(theta0=grid.tolist(), theta1=tuple(grid), **FIG4)
+        assert p == q and hash(p) == hash(q)
+        assert p != replace(p, theta1=grid[::-1])
+        assert p.theta0 == tuple(grid.tolist())
+        assert {p: 1}[q] == 1
+
+    def test_rates_are_two_floats_or_two_equal_1d_arrays(self):
+        for t0, t1 in ((np.ones((2, 3)), np.ones((2, 3))), (np.ones(3), np.ones(4)),
+                       (np.ones(3), 1.0), (1.0, [1.0])):
+            with pytest.raises(ValueError, match="two floats or two 1-D arrays"):
+                RegimeParams(theta0=t0, theta1=t1, **FIG4)
 
     def test_scalar_rates_return_floats(self):
         c0, c1 = regime_fluid_fixed_point(RegimeParams(theta0=1.0, theta1=0.5, **FIG4))
         assert type(c0) is float and type(c1) is float
 
     def test_negative_rate_anywhere_raises(self):
-        for t0, t1 in ((np.array([1.0, -1e-300]), 1.0), (1.0, np.array([2.0, 3.0, -1.0]))):
+        for t0, t1 in ((np.array([1.0, -1e-300]), np.ones(2)),
+                       (np.ones(3), np.array([2.0, 3.0, -1.0]))):
             with pytest.raises(ValueError, match="transition rates must be nonnegative"):
                 RegimeParams(theta0=t0, theta1=t1, **FIG4)
 
