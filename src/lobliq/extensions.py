@@ -5,9 +5,9 @@ arrival scale by a two-state Markov chain and couples the two regimes'
 values, whose fluid constants solve a 2x2 algebraic system by one
 monotone Newton iteration, over a whole grid of switching rates at once;
 the two-exchange model adds a second venue filling large blocks, turning
-the stationary value equation into a delay ODE, marched one delay block at
-a time from the values and slopes it has already computed, and expanded to
-first order in a weak block venue by one Gauss-Legendre rule.
+the stationary value equation into a delay ODE, seeded from its series at
+0, marched a delay block at a time from the values and slopes it already
+has, and expanded to first order in a weak block venue.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -168,9 +167,12 @@ class TwoExchangeParams:
             raise ValueError("r and delta_block must be positive")
         if self.x_max <= 0.0 or self.grid_step <= 0.0:
             raise ValueError("x_max and grid_step must be positive")
-        ratio = self.delta_block / self.grid_step
+        h, x_max = self.grid_step, self.x_max
+        ratio = self.delta_block / h
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("grid_step must divide delta_block so knots land on the grid")
+        if abs(h * round(x_max / h) - x_max) > 1e-9 * max(1.0, x_max):
+            raise ValueError("x_max must sit on the grid_step lattice")
 
     def single_exchange_value(self, x) -> np.ndarray | float:
         """v0(x): the block venue switched off."""
@@ -188,6 +190,56 @@ class TwoExchangeSolution:
     x_seed: float
 
 
+def _series(params: TwoExchangeParams) -> tuple[float, float, float, float, float]:
+    """c**(1/p), B, g1, g2, g3 of the value below the first knot, where the
+    delayed value is 0: v = c x**p F(B x), c x**p the single-exchange value,
+    p = (alpha-1)/alpha, B = alpha*power_constant(alpha)*lambda1/lambda0 (on
+    c x**p the block term over r*v is B x), and F = 1 + g1 z + g2 z**2 +
+    g3 z**3 + ... solves F = (F + z F'/p)**(1-alpha) + z F**(1-alpha)."""
+    a = params.alpha
+    try:
+        u_slope0 = (params.lambda0 / (a * params.r)) ** (1.0 / (a - 1.0))
+    except OverflowError:
+        raise ArithmeticError(f"seed u-slope (lambda0/(alpha*r))**(1/(alpha-1)) overflows "
+                              f"at alpha = {a!r}, lambda0 = {params.lambda0!r}, "
+                              f"r = {params.r!r}") from None
+    return (u_slope0, a * power_constant(a) * params.lambda1 / params.lambda0,
+            1.0 / (2.0 * a), (4.0 * a - 3.0) / (24.0 * a * a * (a - 1.0)),
+            -(a ** 3 - 4.0 * a + 2.0) / (96.0 * a ** 3 * (a - 1.0)))
+
+
+def _seed_width(params: TwoExchangeParams) -> float:
+    """min(delta_block, x_max)/100, which the march rounds to the lattice,
+    or, where the series' first dropped term |g3| (B x)**3 exceeds 1e-6 of v
+    there, the widest lattice multiple at which it does not."""
+    h, x_seed = params.grid_step, min(params.delta_block, params.x_max) / 100.0
+    _, b, _, _, g3 = _series(params)
+    steps = rounded = max(1, round(x_seed / h))
+    while steps and abs(g3) * (steps * b * h) ** 3 > 1e-6:
+        steps -= 1
+    if not steps:
+        raise ArithmeticError(f"grid_step = {h} is too wide for the series seed: its first "
+                              f"dropped term is {abs(g3) * (b * h) ** 3:.3e} of v at one step")
+    return x_seed if steps == rounded else steps * h
+
+
+def _seed(params: TwoExchangeParams, x_nodes: list) -> tuple[list, list]:
+    """u = v**(1/p) and u' at the seed's nodes x from the series through
+    z**2 (:func:`_series`): u = c**(1/p) x G(B x)**(1/p), G = 1 + g1 z +
+    g2 z**2, which is the line c**(1/p) x where lambda1 = 0."""
+    u_slope0, b, g1, g2, _ = _series(params)
+    ip, u, du = params.alpha / (params.alpha - 1.0), [], []
+    for x in x_nodes:
+        z = b * x
+        g = 1.0 + z * (g1 + g2 * z)
+        try:
+            u.append(u_slope0 * x * g ** ip)
+            du.append(u_slope0 * g ** (ip - 1.0) * (g + ip * z * (g1 + 2.0 * g2 * z)))
+        except OverflowError:
+            raise ArithmeticError(f"seed u overflows at x = {x}") from None
+    return u, du
+
+
 # A delay block of fewer cells than this is marched as one segment, each
 # step forming its delayed midpoint in place: a segment's NumPy preparation
 # costs about what 20 to 30 in-place midpoints do.  An `exchanges` job of
@@ -201,53 +253,38 @@ _PREPARED_CELLS = 32
 def _patch_integrate(params: TwoExchangeParams, x_seed: float):
     """March the value in u = v**(alpha/(alpha-1)): (x, v, v').
 
-    In the u variable the block-free solution is exactly linear, so the
-    x -> 0 derivative singularity disappears and the seed region [0, x_seed]
-    (where v is set to the single-exchange asymptote) costs nothing.  As
-    grid_step divides delta_block, the delayed value v(x - delta_block) at a
-    node is the node value L = delta_block/grid_step places back, and at a
-    step midpoint it is the cubic Hermite midpoint of u on the cell L places
-    back, from the slopes u' the march computed at its two nodes, clamped to
-    the cell's two values (seeded cells, where u is linear, take the plain
-    average).  v' comes from the first slope evaluation of each step; at the
-    nodes never marched from (the seed layer and the last node) it is the
-    equation's, inf where the equation has none.
+    In u the block-free solution is exactly linear, so the x -> 0
+    derivative singularity disappears; on the seed region [0, x_seed] u and
+    u' come from the series at 0 (:func:`_seed`).  As grid_step divides
+    delta_block, the delayed value v(x - delta_block) at a node is the node
+    value L = delta_block/grid_step places back, and at a step midpoint the
+    cubic Hermite midpoint of u on the cell L places back, from the slopes
+    u' at its two nodes, clamped to the cell's two values.  v' comes from
+    each step's first slope, and at the nodes never marched from (the seed
+    layer and the last node) from the equation, inf where it has none.
 
     The delay makes this a method-of-steps march (Bellen and Zennaro,
     "Numerical Methods for Delay Differential Equations", 2003): L - 1
-    consecutive steps read only cells that are complete before the first of
-    them, so the march runs in segments of L - 1 steps and forms each
-    segment's delayed midpoints at once in NumPy, whose + * min max round as
-    Python floats do; the powers stay Python's, as NumPy's array pow differs
-    from it in the last bit.  Blocks of fewer than _PREPARED_CELLS cells are
-    one segment, each step forming its midpoint in place.  The block term's
-    factor b1*min(x, delta_block)**alpha is formed once per node, step
-    midpoint and step end.
+    consecutive steps read only cells complete before the first of them, so
+    the march runs in segments of L - 1 steps and forms each segment's
+    delayed midpoints at once in NumPy, whose + * min max round as Python
+    floats do; the powers stay Python's, as NumPy's array pow differs from it
+    in the last bit.  Blocks of fewer than _PREPARED_CELLS cells are one
+    segment, each step forming its midpoint in place.  The block term's
+    factor b1*min(x, delta_block)**alpha is hoisted out of the steps.
     """
-    a, r, dblk = params.alpha, params.r, params.delta_block
-    p = (a - 1.0) / a
-    aa = power_constant(a)
-    h = params.grid_step
+    a, r, dblk, h = params.alpha, params.r, params.delta_block, params.grid_step
+    p, aa = (a - 1.0) / a, power_constant(a)
     n_nodes = int(round(params.x_max / h)) + 1
     xs = h * np.arange(n_nodes)
-    if abs(xs[-1] - params.x_max) > 1e-9 * max(1.0, params.x_max):
-        raise ValueError("x_max must sit on the grid_step lattice")
-
-    try:
-        u_slope0 = (params.lambda0 / (a * r)) ** (1.0 / (a - 1.0))
-    except OverflowError:
-        raise ArithmeticError(f"seed u-slope (lambda0/(alpha*r))**(1/(alpha-1)) overflows "
-                              f"at alpha = {a!r}, lambda0 = {params.lambda0!r}, "
-                              f"r = {r!r}") from None
-    seed_idx = max(1, int(round(x_seed / h)))
-    seed_idx = min(seed_idx, n_nodes - 1)
+    seed_idx = min(max(1, int(round(x_seed / h))), n_nodes - 1)
     lag = int(round(dblk / h))
 
     # Python floats, one list entry per node reached so far
     x_list = xs.tolist()
-    u = [u_slope0 * x for x in x_list[:seed_idx + 1]]
+    u, du = _seed(params, x_list[:seed_idx + 1])
     v = [ue ** p for ue in u]
-    du = [u_slope0] * seed_idx  # u' at the seeded nodes; the march appends its own
+    del du[-1]  # the march appends its own slope at the node it starts from
 
     # the constants of the step, hoisted
     b0, b1 = aa * params.lambda0, aa * params.lambda1
@@ -271,34 +308,22 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
     def marginal(i):
         """v' at node i from the delay ODE, (b0/d)**(1/(alpha-1)), inf where
         the equation has none: for the nodes the march does not step from."""
-        v_here = v[i]
-        block = 0.0
+        gap = v[i] - (v[i - lag] if i >= lag else 0.0)
+        if blocks and gap <= 0.0:
+            return math.inf
         try:
-            if blocks:
-                gap = v_here - (v[i - lag] if i >= lag else 0.0)
-                if gap <= 0.0:
-                    return math.inf
-                block = f_node[i] * gap ** ma
-            d = r * v_here - block
+            d = r * v[i] - f_node[i] * gap ** ma if blocks else r * v[i]
             return math.inf if d <= 0.0 else (b0 / d) ** ia1
         except OverflowError:
             return math.inf
 
     def delayed_midpoints(j0, j1):
         """v at the step midpoints of cells j0..j1-1, all of them complete."""
-        cells = np.array(u[j0:j1 + 1])
-        um = cells[:-1] + cells[1:]
-        um *= 0.5
-        k = max(seed_idx - j0, 0)  # the first marched cell
-        if k < len(um):
-            slopes = np.array(du[j0 + k:j1 + 1])
-            hermite = slopes[:-1] - slopes[1:]
-            hermite *= h8
-            hermite += um[k:]
-            np.maximum(hermite, cells[k:-1], out=hermite)
-            np.minimum(hermite, cells[k + 1:], out=hermite)
-            um[k:] = hermite
-        return [m ** p for m in um.tolist()]
+        cells, slopes = np.array(u[j0:j1 + 1]), np.array(du[j0:j1 + 1])
+        hermite = (slopes[:-1] - slopes[1:]) * h8 + (cells[:-1] + cells[1:]) * 0.5
+        np.maximum(hermite, cells[:-1], out=hermite)
+        np.minimum(hermite, cells[1:], out=hermite)
+        return [m ** p for m in hermite.tolist()]
 
     dv = [marginal(i) for i in range(seed_idx)]
     prepared = lag >= _PREPARED_CELLS
@@ -315,19 +340,15 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
                 # the step reads v(x - delta_block) on cell j: its two nodes and
                 # its midpoint; ahead of the first knot, 0
                 j = i - lag
-                if j < 0:
-                    e0 = em = e1 = 0.0
-                else:
+                e0 = em = e1 = 0.0
+                if j >= 0:
                     e0, e1 = v[j], v[j + 1]
                 # each stage's rate is v' = (b0/d)**(1/(alpha-1)), d = r*v minus
                 # the block term; the first stage's is v' at the node
-                if blocks:
-                    gap = vi - e0
-                    if gap <= 0.0:
-                        raise ArithmeticError(no_rise.format(x))
-                    d = r * vi - f_node[i] * gap ** ma
-                else:
-                    d = r * vi
+                gap = vi - e0
+                if blocks and gap <= 0.0:
+                    raise ArithmeticError(no_rise.format(x))
+                d = r * vi - f_node[i] * gap ** ma if blocks else r * vi
                 if d <= 0.0:
                     raise ArithmeticError(blow_up.format(x))
                 w1 = (b0 / d) ** ia1
@@ -338,42 +359,31 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
                         em = mids[j - j0]
                     else:
                         um = 0.5 * (u[j] + u[j + 1])
-                        if j >= seed_idx:
-                            um = min(max(um + h8 * (du[j] - du[j + 1]), u[j]), u[j + 1])
-                        em = um ** p
+                        em = min(max(um + h8 * (du[j] - du[j + 1]), u[j]), u[j + 1]) ** p
                 u2 = ui + hh * k1
                 v2 = u2 ** p
-                if blocks:
-                    gap = v2 - em
-                    if gap <= 0.0:
-                        raise ArithmeticError(no_rise.format(x + hh))
-                    d = r * v2 - f_mid[i] * gap ** ma
-                else:
-                    d = r * v2
+                gap = v2 - em
+                if blocks and gap <= 0.0:
+                    raise ArithmeticError(no_rise.format(x + hh))
+                d = r * v2 - f_mid[i] * gap ** ma if blocks else r * v2
                 if d <= 0.0:
                     raise ArithmeticError(blow_up.format(x + hh))
                 k2 = ka * u2 ** ia * (b0 / d) ** ia1
                 u3 = ui + hh * k2
                 v3 = u3 ** p
-                if blocks:
-                    gap = v3 - em
-                    if gap <= 0.0:
-                        raise ArithmeticError(no_rise.format(x + hh))
-                    d = r * v3 - f_mid[i] * gap ** ma
-                else:
-                    d = r * v3
+                gap = v3 - em
+                if blocks and gap <= 0.0:
+                    raise ArithmeticError(no_rise.format(x + hh))
+                d = r * v3 - f_mid[i] * gap ** ma if blocks else r * v3
                 if d <= 0.0:
                     raise ArithmeticError(blow_up.format(x + hh))
                 k3 = ka * u3 ** ia * (b0 / d) ** ia1
                 u4 = ui + h * k3
                 v4 = u4 ** p
-                if blocks:
-                    gap = v4 - e1
-                    if gap <= 0.0:
-                        raise ArithmeticError(no_rise.format(x + h))
-                    d = r * v4 - f_end[i] * gap ** ma
-                else:
-                    d = r * v4
+                gap = v4 - e1
+                if blocks and gap <= 0.0:
+                    raise ArithmeticError(no_rise.format(x + h))
+                d = r * v4 - f_end[i] * gap ** ma if blocks else r * v4
                 if d <= 0.0:
                     raise ArithmeticError(blow_up.format(x + h))
                 k4 = ka * u4 ** ia * (b0 / d) ** ia1
@@ -391,30 +401,19 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
     return xs, np.array(v), np.array(dv)
 
 
-def two_exchange_patch(params: TwoExchangeParams, x_seed: Optional[float] = None,
-                       check_seed: bool = True) -> TwoExchangeSolution:
+def two_exchange_patch(params: TwoExchangeParams) -> TwoExchangeSolution:
     """Stationary two-exchange value by successive patching.
 
-    The delay ODE is rearranged for v'(x) and marched one delay block at a
-    time (see :func:`_patch_integrate`); near zero the solution is seeded with the
-    single-exchange asymptote because v'(0) is infinite.  With
-    ``check_seed`` the solve is repeated at half the seed width and must
-    agree at x_max to 1e-6.  The continuous spread is alpha/(alpha-1) v'
-    from the march, the block spread alpha/(alpha-1) (v(x) - v(x -
-    delta_block))/min(x, delta_block) from the node values.  Concavity is
-    NOT asserted anywhere: it genuinely fails around the block-size knots.
+    The delay ODE is rearranged for v'(x) and marched once, a delay block at
+    a time (:func:`_patch_integrate`), from its series at 0, where v'(0) is
+    infinite, over a seed that keeps the series' first dropped term within
+    1e-6 of v (:func:`_seed_width`).  The continuous spread is
+    alpha/(alpha-1) v' from the march, the block spread alpha/(alpha-1)
+    (v(x) - v(x - delta_block))/min(x, delta_block) from the node values.
+    Concavity is NOT asserted: it genuinely fails near the block-size knots.
     """
-    if x_seed is None:
-        x_seed = min(params.delta_block, params.x_max) / 100.0
+    x_seed = _seed_width(params)
     xs, v, dv = _patch_integrate(params, x_seed)
-    if check_seed:
-        _, v_half, _ = _patch_integrate(params, 0.5 * x_seed)
-        drift = abs(v_half[-1] - v[-1])
-        if drift > 1e-6 * max(1.0, abs(v[-1])):
-            raise ArithmeticError(
-                f"seeding-width misconfiguration: halving x_seed moves v(x_max) "
-                f"by {drift:.3e}; shrink x_seed or grid_step")
-
     ka = params.alpha / (params.alpha - 1.0)
     lag = int(round(params.delta_block / params.grid_step))
     # v(x - delta_block): the node lag places back past the first knot, else 0

@@ -26,6 +26,7 @@ from scipy.optimize import brentq, minimize_scalar
 from scipy.special import exp1
 
 from lobliq.discrete import level_of, power_constant, power_first_coefficient
+from lobliq.extensions import _seed
 from lobliq.numerics import NonFiniteStateError
 
 _INV_E = math.exp(-1.0)
@@ -417,30 +418,20 @@ def patch_march_by_step(params, x_seed: float):
     before it prepared each delay block's midpoints at once: node by node on
     Python floats, each step forming its delayed Hermite midpoint and calling
     the rate function once per RK4 stage.  Kept bit for bit as the oracle of
-    ``lobliq.extensions._patch_integrate``."""
+    ``lobliq.extensions._patch_integrate``, from the same series seed."""
     a, r, dblk = params.alpha, params.r, params.delta_block
     p = (a - 1.0) / a
     aa = power_constant(a)
     h = params.grid_step
     n_nodes = int(round(params.x_max / h)) + 1
     xs = h * np.arange(n_nodes)
-    if abs(xs[-1] - params.x_max) > 1e-9 * max(1.0, params.x_max):
-        raise ValueError("x_max must sit on the grid_step lattice")
-
-    try:
-        u_slope0 = (params.lambda0 / (a * r)) ** (1.0 / (a - 1.0))
-    except OverflowError:
-        raise ArithmeticError(f"seed u-slope (lambda0/(alpha*r))**(1/(alpha-1)) overflows "
-                              f"at alpha = {a!r}, lambda0 = {params.lambda0!r}, "
-                              f"r = {r!r}") from None
-    seed_idx = max(1, int(round(x_seed / h)))
-    seed_idx = min(seed_idx, n_nodes - 1)
+    seed_idx = min(max(1, int(round(x_seed / h))), n_nodes - 1)
     lag = int(round(dblk / h))
 
     x_list = xs.tolist()
-    u = [u_slope0 * x for x in x_list[:seed_idx + 1]]
+    u, du = _seed(params, x_list[:seed_idx + 1])
     v = [ue ** p for ue in u]
-    du = [u_slope0] * seed_idx
+    del du[-1]
 
     b0, b1 = aa * params.lambda0, aa * params.lambda1
     ka, ia, ia1, ma = a / (a - 1.0), 1.0 / a, 1.0 / (a - 1.0), 1.0 - a
@@ -481,9 +472,7 @@ def patch_march_by_step(params, x_seed: float):
             du.append(k1)
             if j >= 0:
                 um = 0.5 * (u[j] + u[j + 1])
-                if j >= seed_idx:
-                    um = min(max(um + h8 * (du[j] - du[j + 1]), u[j]), u[j + 1])
-                em = um ** p
+                em = min(max(um + h8 * (du[j] - du[j + 1]), u[j]), u[j + 1]) ** p
             xm = x + hh
             u2 = ui + hh * k1
             k2 = ka * u2 ** ia * marginal(xm, u2 ** p, em)

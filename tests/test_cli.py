@@ -283,15 +283,26 @@ class TestCliCommands:
         assert "did not converge" in capsys.readouterr().err
 
     def test_exchanges_blow_up_exits_3(self, tmp_path, capsys):
-        # a block venue 500 times the continuous one: the block term outweighs
-        # the discounted value at the first marched node
+        # alpha near 1 and a strong block venue: the block term comes so close
+        # to r*v that v' = (b0/d)**(1/(alpha-1)) passes 1e308
+        cfg = {
+            "exchanges": {"lambda0": 1.0, "lambda1": 71.4, "delta_block": 1.0,
+                          "alpha": 1.004, "r": 0.1, "x_max": 0.02, "grid_step": 1e-4},
+            "output": {"directory": str(tmp_path / "out")},
+        }
+        assert main(["exchanges", "--config", write_cfg(tmp_path, cfg)]) == 3
+        assert "delay ODE blow-up at x = 0.01" in capsys.readouterr().err
+
+    def test_exchanges_seed_too_wide_exits_3(self, tmp_path, capsys):
+        # a block venue 500 times the continuous one: at one grid step the
+        # series seed already drops a term above 1e-6 of v
         cfg = {
             "exchanges": {"lambda0": 1.0, "lambda1": 500.0, "delta_block": 1.0,
                           "alpha": 2.0, "r": 0.1, "x_max": 3.0, "grid_step": 0.01},
             "output": {"directory": str(tmp_path / "out")},
         }
         assert main(["exchanges", "--config", write_cfg(tmp_path, cfg)]) == 3
-        assert "delay ODE blow-up at x = 0.01" in capsys.readouterr().err
+        assert "grid_step = 0.01 is too wide for the series seed" in capsys.readouterr().err
 
     def test_exchanges_seed_slope_overflow_exits_3(self, tmp_path, capsys):
         # alpha near 1: (lambda0/(alpha*r))**(1/(alpha-1)) passes 1e308

@@ -8,11 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lobliq.cases import resolve
+from lobliq.discrete import power_constant
 from lobliq.extensions import (
     ExpansionSolution,
     RegimeParams,
     TwoExchangeParams,
     _patch_integrate,
+    _seed,
+    _seed_width,
+    _series,
     regime_fluid_fixed_point,
     two_exchange_expansion,
     two_exchange_patch,
@@ -385,10 +389,10 @@ class TestTwoExchangePatch:
         assert np.all(sol.spread_block[1:] > 0.0)
 
     def test_seed_width_check_reports_misconfiguration(self):
-        # an absurdly wide seed region cannot reproduce itself at half width
-        with pytest.raises(ArithmeticError):
-            two_exchange_patch(make_params(lambda1=0.5, x_max=2.0),
-                               x_seed=1.0, check_seed=True)
+        # one step a block: at a single step the series seed already drops a
+        # term above 1e-6 of v, so no seed width on the lattice will do
+        with pytest.raises(ArithmeticError, match="grid_step = 1.0 is too wide"):
+            two_exchange_patch(make_params(lambda1=0.5, grid_step=1.0))
 
     def test_strong_block_venue_not_concave_near_knot(self):
         # the solver must not assert concavity: with a strong block venue the
@@ -396,10 +400,70 @@ class TestTwoExchangePatch:
         # the steep small-inventory region enters the block term
         params = make_params(lambda1=5.0, delta_block=0.5, x_max=2.0,
                              grid_step=0.001)
-        sol = two_exchange_patch(params, x_seed=5e-4)
-        second = np.diff(sol.value, 2)
+        _, v, _ = _patch_integrate(params, 5e-4)
+        second = np.diff(v, 2)
         knot = int(round(0.5 / 0.001))
         assert np.any(second[knot:] > 0.0)
+
+
+def _series_oracle(alpha, zs):
+    """F(z) of the seed's series at the increasing points zs, by a 30-digit
+    solve of its ODE.  In s = log z and W = F**(1/p), p = (alpha-1)/alpha,
+    the ODE is dW/ds = (1 - z W**(1-alpha))**(-1/(alpha-1)) - W, and every
+    solution falls onto F's as z0/z; so W = 1 at z0 = 1e-16 starts it.  Each
+    step of width at most 0.5 in s is the Gragg-Bulirsch-Stoer
+    extrapolation of midpoint rules of 2, 4, ..., 20 substeps."""
+    a = mpmath.mpf(alpha)
+
+    def rate(s, w):
+        return (1 - mpmath.exp(s) * w ** (1 - a)) ** (-1 / (a - 1)) - w
+
+    s, w, out = mpmath.log(mpmath.mpf("1e-16")), mpmath.mpf(1), []
+    for z in zs:
+        n = int(mpmath.ceil(2 * (mpmath.log(z) - s)))
+        width = (mpmath.log(z) - s) / n
+        for _ in range(n):
+            table = []
+            for j in range(10):
+                m = 2 * (j + 1)
+                h = width / m
+                w0, w1 = w, w + h * rate(s, w)
+                for i in range(1, m):
+                    w0, w1 = w1, w0 + 2 * h * rate(s + i * h, w1)
+                row = [(w0 + w1 + h * rate(s + width, w1)) / 2]
+                for k in range(j):
+                    q = (mpmath.mpf(j + 1) / (j - k)) ** 2
+                    row.append(row[k] + (row[k] - table[j - 1][k]) / (q - 1))
+                table.append(row)
+            s, w = s + width, table[-1][-1]
+        out.append(w ** ((a - 1) / a))
+    return out
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.3, 2.0, 2.6, 12.0])
+def test_series_seed_against_mpmath(alpha):
+    # B = alpha*power_constant(alpha)*lambda1/lambda0 puts z = B x at 0.02
+    # at delta_block/10
+    params = make_params(alpha=alpha, lambda1=0.2 / (alpha * power_constant(alpha)),
+                         grid_step=0.01)
+    g = _series(params)[2:]
+    xs, v, _ = _patch_integrate(params, 0.1)
+    z_seed = (0.2 * xs[1:11]).tolist()
+    with mpmath.workdps(30):
+        small = [mpmath.mpf("5e-4"), mpmath.mpf("1e-3")]
+        f = _series_oracle(alpha, small + z_seed)
+        # each coefficient from F less the terms below it, over z**k, at z
+        # and z/2, with the next term's share extrapolated away
+        for k in range(1, 4):
+            est = [(fz - 1 - sum(g[i] * z ** (i + 1) for i in range(k - 1))) / z ** k
+                   for fz, z in zip(f, small)]
+            assert abs((2 * est[0] - est[1]) / g[k - 1] - 1) < 1e-4, f"g{k}"
+        # the seed, through z**2, is v within twice the first term it drops
+        v_true = params.single_exchange_value(xs[1:11]) * np.array(f[2:], dtype=float)
+    err = np.abs(v[1:11] / v_true - 1.0)
+    bound = abs(g[2]) * np.array(z_seed) ** 3
+    assert np.all(err <= 2.0 * bound + 1e-15)
+    assert err[-1] >= 0.5 * bound[-1]
 
 
 def _reference_patch(params, x_seed):
@@ -413,7 +477,7 @@ def _reference_patch(params, x_seed):
     xs = h * np.arange(n)
     seed = min(max(1, int(round(x_seed / h))), n - 1)
     u = np.full(n, np.nan)
-    u[: seed + 1] = (params.lambda0 / (a * r)) ** (1.0 / (a - 1.0)) * xs[: seed + 1]
+    u[: seed + 1] = _seed(params, xs[: seed + 1].tolist())[0]
     v = u ** p
     seg_len = int(round(dblk / h))
 
@@ -457,8 +521,8 @@ def test_patch_matches_per_step_reference(kw, x_seed):
     # the nodes of the coarse lattice
     params = make_params(**kw)
     fine = replace(params, grid_step=params.grid_step / 16.0)
-    truth = two_exchange_patch(fine, x_seed=x_seed, check_seed=False).value[::16]
-    value = two_exchange_patch(params, x_seed=x_seed, check_seed=False).value
+    truth = _patch_integrate(fine, x_seed)[1][::16]
+    value = _patch_integrate(params, x_seed)[1]
     assert np.max(np.abs(value - truth)) <= np.max(np.abs(_reference_patch(params, x_seed) - truth))
 
 
@@ -497,24 +561,36 @@ def test_march_matches_the_oracle_at(kw, x_seed):
 
 
 @pytest.mark.parametrize("kw, message", [
-    # the block term outweighs the discounted value at the first marched node
-    (dict(lambda1=500.0, x_max=3.0, grid_step=0.01), "delay ODE blow-up at x = 0.01"),
-    # a strong block venue at alpha near 1: the value loses its gain over one
-    # block past the second knot
-    (dict(lambda1=50.0, alpha=1.05, delta_block=0.5, x_max=2.0, grid_step=0.01),
+    # alpha near 1: the block term comes so close to r*v that v' =
+    # (b0/d)**(1/(alpha-1)) passes 1e308
+    (dict(lambda1=71.4, alpha=1.004, x_max=0.02, grid_step=1e-4),
+     "delay ODE blow-up at x = 0.01"),
+    # a strong block venue at alpha near 1: the solve refuses this lattice, one
+    # step being too wide for the series seed, so the march is run from a seed
+    # of two steps; the value loses its gain over one block past the second knot
+    (dict(lambda1=52.5, alpha=1.05, delta_block=0.5, x_max=2.0, grid_step=0.01, x_seed=0.02),
      "value failed to increase over one block at x = 1.22"),
     # alpha near 1: the seed slope in u = v**(alpha/(alpha-1)) passes 1e308
     (dict(lambda0=1000.0, lambda1=0.2, alpha=1.002, r=0.001),
      r"seed u-slope \(lambda0/\(alpha\*r\)\)\*\*\(1/\(alpha-1\)\) overflows at "
      r"alpha = 1\.002, lambda0 = 1000\.0, r = 0\.001"),
+    # alpha within 1e-8 of 1: the seed slope is finite, but u = v**(1/p) on
+    # the series passes 1e308 at the first seed node
+    (dict(lambda1=0.1, alpha=1.0 + 1e-8, r=1.0, x_max=1.0, grid_step=1e-4),
+     r"seed u overflows at x = 0\.0001"),
 ])
 def test_patch_error_paths(kw, message):
-    with pytest.raises(ArithmeticError, match=message) as raised:
-        two_exchange_patch(make_params(**kw), check_seed=False)
-    # the per-step oracle stops at the same step with the same message
+    kw = dict(kw)
+    x_seed = kw.pop("x_seed", None)
     params = make_params(**kw)
+    with pytest.raises(ArithmeticError, match=message) as raised:
+        if x_seed is None:
+            two_exchange_patch(params)
+        else:
+            _patch_integrate(params, x_seed)
+    # the per-step oracle stops at the same step with the same message
     with pytest.raises(ArithmeticError) as oracle:
-        patch_march_by_step(params, min(params.delta_block, params.x_max) / 100.0)
+        patch_march_by_step(params, x_seed or _seed_width(params))
     assert str(raised.value) == str(oracle.value)
 
 
@@ -544,6 +620,8 @@ def test_patch_solves_or_raises_at_the_domain_edges(alpha, lambda1, steps, block
     # below an ulp of v, so equal neighbours are allowed
     assert np.all(np.isfinite(sol.value)) and np.all(np.diff(sol.value) >= 0.0)
     assert sol.value[1] > 0.0
+    # the block venue only adds value
+    assert np.all(sol.value >= params.single_exchange_value(sol.x_grid) * (1.0 - 1e-12))
 
 
 @pytest.mark.parametrize("kw", [
@@ -554,7 +632,7 @@ def test_patch_knot_query_past_the_knot_reads_the_knot(kw, monkeypatch):
     # x + h - delta_block rounds just past a knot whose segment is still being
     # marched; the result must not depend on the unwritten node there
     params = make_params(lambda1=0.5, **kw)
-    v = two_exchange_patch(params, check_seed=False).value
+    v = two_exchange_patch(params).value
     real_empty = np.empty
 
     def poisoned(shape, *args, **kwargs):
@@ -563,7 +641,7 @@ def test_patch_knot_query_past_the_knot_reads_the_knot(kw, monkeypatch):
         return out
 
     monkeypatch.setattr(np, "empty", poisoned)
-    np.testing.assert_array_equal(two_exchange_patch(params, check_seed=False).value, v)
+    np.testing.assert_array_equal(two_exchange_patch(params).value, v)
 
 
 class TestTwoExchangeExpansion:
@@ -609,6 +687,10 @@ class TestTwoExchangeExpansion:
     def test_grid_step_must_divide_block(self):
         with pytest.raises(ValueError):
             make_params(grid_step=0.3)
+
+    def test_x_max_must_sit_on_the_lattice(self):
+        with pytest.raises(ValueError, match="x_max must sit on the grid_step lattice"):
+            make_params(x_max=2.0005)
 
 
 def _v1_oracle(params, x):
