@@ -6,8 +6,9 @@ values, whose fluid constants solve a 2x2 algebraic system by one
 monotone Newton iteration, over a whole grid of switching rates at once;
 the two-exchange model adds a second venue filling large blocks, turning
 the stationary value equation into a delay ODE, seeded from its series at
-0, marched a delay block at a time from the values and slopes it already
-has, and expanded to first order in a weak block venue.
+0, marched one delay block at a time from the values and slopes it has
+already computed, and expanded to first order in a weak block venue by one
+Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -190,13 +191,14 @@ class TwoExchangeSolution:
     x_seed: float
 
 
-def _series(params: TwoExchangeParams) -> tuple[float, float, float, float, float]:
-    """c**(1/p), B, g1, g2, g3 of the value below the first knot, where the
-    delayed value is 0: v = c x**p F(B x), c x**p the single-exchange value,
-    p = (alpha-1)/alpha, B = alpha*power_constant(alpha)*lambda1/lambda0 (on
-    c x**p the block term over r*v is B x), and F = 1 + g1 z + g2 z**2 +
-    g3 z**3 + ... solves F = (F + z F'/p)**(1-alpha) + z F**(1-alpha)."""
+def _series(params: TwoExchangeParams) -> tuple[float, ...]:
+    """c**(1/p), B, g1, g2, g3, g4 of the value below the first knot, where
+    the delayed value is 0: v = c x**p F(B x), c x**p the single-exchange
+    value, p = (alpha-1)/alpha, B = alpha*power_constant(alpha)*lambda1/lambda0
+    (on c x**p the block term over r*v is B x), and F = 1 + g1 z + g2 z**2 +
+    g3 z**3 + g4 z**4 + ... solves F = (F + z F'/p)**(1-alpha) + z F**(1-alpha)."""
     a = params.alpha
+    q = 1.0 / a  # g3 and g4 in powers of 1/alpha, finite for any float alpha
     try:
         u_slope0 = (params.lambda0 / (a * params.r)) ** (1.0 / (a - 1.0))
     except OverflowError:
@@ -205,29 +207,36 @@ def _series(params: TwoExchangeParams) -> tuple[float, float, float, float, floa
                               f"r = {params.r!r}") from None
     return (u_slope0, a * power_constant(a) * params.lambda1 / params.lambda0,
             1.0 / (2.0 * a), (4.0 * a - 3.0) / (24.0 * a * a * (a - 1.0)),
-            -(a ** 3 - 4.0 * a + 2.0) / (96.0 * a ** 3 * (a - 1.0)))
+            -(1.0 - 4.0 * q * q + 2.0 * q ** 3) / (96.0 * (a - 1.0)),
+            -(12.0 + q * (24.0 - q * (66.0 + q * (18.0 - q * (110.0 - q * (75.0 - 15.0 * q))))))
+            * q / (5760.0 * (1.0 - q) ** 3))
 
 
 def _seed_width(params: TwoExchangeParams) -> float:
     """min(delta_block, x_max)/100, which the march rounds to the lattice,
-    or, where the series' first dropped term |g3| (B x)**3 exceeds 1e-6 of v
-    there, the widest lattice multiple at which it does not."""
+    or, where the two terms the seed drops from the series, |g3| z**3 +
+    |g4| z**4 at z = B x, pass 1e-6 of v there, the widest lattice multiple
+    at which they do not.  Both count: g3 is 0 near alpha = 1.675, and g4
+    outgrows it as alpha nears 1."""
     h, x_seed = params.grid_step, min(params.delta_block, params.x_max) / 100.0
-    _, b, _, _, g3 = _series(params)
+    _, b, _, _, g3, g4 = _series(params)
     steps = rounded = max(1, round(x_seed / h))
-    while steps and abs(g3) * (steps * b * h) ** 3 > 1e-6:
+    while True:
+        z = steps * b * h
+        dropped = z * z * z * (abs(g3) + abs(g4) * z)  # inf, not OverflowError, past 1e308
+        if dropped <= 1e-6:
+            return x_seed if steps == rounded else steps * h
+        if steps == 1:
+            raise ArithmeticError(f"grid_step = {h} is too wide for the series seed: the terms "
+                                  f"it drops are {dropped:.3e} of v at one step")
         steps -= 1
-    if not steps:
-        raise ArithmeticError(f"grid_step = {h} is too wide for the series seed: its first "
-                              f"dropped term is {abs(g3) * (b * h) ** 3:.3e} of v at one step")
-    return x_seed if steps == rounded else steps * h
 
 
 def _seed(params: TwoExchangeParams, x_nodes: list) -> tuple[list, list]:
     """u = v**(1/p) and u' at the seed's nodes x from the series through
     z**2 (:func:`_series`): u = c**(1/p) x G(B x)**(1/p), G = 1 + g1 z +
     g2 z**2, which is the line c**(1/p) x where lambda1 = 0."""
-    u_slope0, b, g1, g2, _ = _series(params)
+    u_slope0, b, g1, g2, _, _ = _series(params)
     ip, u, du = params.alpha / (params.alpha - 1.0), [], []
     for x in x_nodes:
         z = b * x
@@ -253,28 +262,32 @@ _PREPARED_CELLS = 32
 def _patch_integrate(params: TwoExchangeParams, x_seed: float):
     """March the value in u = v**(alpha/(alpha-1)): (x, v, v').
 
-    In u the block-free solution is exactly linear, so the x -> 0
-    derivative singularity disappears; on the seed region [0, x_seed] u and
-    u' come from the series at 0 (:func:`_seed`).  As grid_step divides
-    delta_block, the delayed value v(x - delta_block) at a node is the node
-    value L = delta_block/grid_step places back, and at a step midpoint the
-    cubic Hermite midpoint of u on the cell L places back, from the slopes
-    u' at its two nodes, clamped to the cell's two values.  v' comes from
-    each step's first slope, and at the nodes never marched from (the seed
-    layer and the last node) from the equation, inf where it has none.
+    In the u variable the block-free solution is exactly linear, so the
+    x -> 0 derivative singularity disappears; on the seed region [0, x_seed]
+    u and u' come from the series of v at 0 (:func:`_seed`).  As grid_step
+    divides delta_block, the delayed value v(x - delta_block) at a node is
+    the node value L = delta_block/grid_step places back, and at a step
+    midpoint it is the cubic Hermite midpoint of u on the cell L places
+    back, from the slopes u' at its two nodes, clamped to the cell's two
+    values.  v' comes from the first slope evaluation of each step; at the
+    nodes never marched from (the seed layer and the last node) it is the
+    equation's, inf where the equation has none.
 
     The delay makes this a method-of-steps march (Bellen and Zennaro,
     "Numerical Methods for Delay Differential Equations", 2003): L - 1
-    consecutive steps read only cells complete before the first of them, so
-    the march runs in segments of L - 1 steps and forms each segment's
-    delayed midpoints at once in NumPy, whose + * min max round as Python
-    floats do; the powers stay Python's, as NumPy's array pow differs from it
-    in the last bit.  Blocks of fewer than _PREPARED_CELLS cells are one
-    segment, each step forming its midpoint in place.  The block term's
-    factor b1*min(x, delta_block)**alpha is hoisted out of the steps.
+    consecutive steps read only cells that are complete before the first of
+    them, so the march runs in segments of L - 1 steps and forms each
+    segment's delayed midpoints at once in NumPy, whose + * min max round as
+    Python floats do; the powers stay Python's, as NumPy's array pow differs
+    from it in the last bit.  Blocks of fewer than _PREPARED_CELLS cells are
+    one segment, each step forming its midpoint in place.  The block term's
+    factor b1*min(x, delta_block)**alpha is formed once per node, step
+    midpoint and step end.
     """
-    a, r, dblk, h = params.alpha, params.r, params.delta_block, params.grid_step
-    p, aa = (a - 1.0) / a, power_constant(a)
+    a, r, dblk = params.alpha, params.r, params.delta_block
+    p = (a - 1.0) / a
+    aa = power_constant(a)
+    h = params.grid_step
     n_nodes = int(round(params.x_max / h)) + 1
     xs = h * np.arange(n_nodes)
     seed_idx = min(max(1, int(round(x_seed / h))), n_nodes - 1)
@@ -301,26 +314,41 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
         below = bisect_left(points, dblk)
         return [b1 * x ** a for x in points[:below]] + [b1 * dblk_a] * (len(points) - below)
 
-    if blocks:
-        f_node, f_mid, f_end = (block_factors(xs), block_factors(xs + hh),
-                                block_factors(xs + h))
+    f_node, f_mid, f_end = ((block_factors(xs), block_factors(xs + hh), block_factors(xs + h))
+                            if blocks else (None, None, None))
+
+    def rate(v_here, e, factors, i, at):
+        """v' = (b0/d)**(1/(alpha-1)) from the delay ODE, d = r*v minus the
+        block term factors[i]*(v - e)**(1-alpha), v(x - delta_block) = e, for
+        a stage of step i at x = at, which the two errors name."""
+        if blocks:
+            gap = v_here - e
+            if gap <= 0.0:
+                raise ArithmeticError(no_rise.format(at))
+            d = r * v_here - factors[i] * gap ** ma
+        else:
+            d = r * v_here
+        if d <= 0.0:
+            raise ArithmeticError(blow_up.format(at))
+        return (b0 / d) ** ia1
 
     def marginal(i):
-        """v' at node i from the delay ODE, (b0/d)**(1/(alpha-1)), inf where
-        the equation has none: for the nodes the march does not step from."""
-        gap = v[i] - (v[i - lag] if i >= lag else 0.0)
-        if blocks and gap <= 0.0:
-            return math.inf
+        """v' at node i, inf where the equation has none: for the nodes the
+        march does not step from."""
         try:
-            d = r * v[i] - f_node[i] * gap ** ma if blocks else r * v[i]
-            return math.inf if d <= 0.0 else (b0 / d) ** ia1
-        except OverflowError:
+            return rate(v[i], v[i - lag] if i >= lag else 0.0, f_node, i, None)
+        except ArithmeticError:  # overflow among them
             return math.inf
 
     def delayed_midpoints(j0, j1):
         """v at the step midpoints of cells j0..j1-1, all of them complete."""
-        cells, slopes = np.array(u[j0:j1 + 1]), np.array(du[j0:j1 + 1])
-        hermite = (slopes[:-1] - slopes[1:]) * h8 + (cells[:-1] + cells[1:]) * 0.5
+        cells = np.array(u[j0:j1 + 1])
+        um = cells[:-1] + cells[1:]
+        um *= 0.5
+        slopes = np.array(du[j0:j1 + 1])
+        hermite = slopes[:-1] - slopes[1:]
+        hermite *= h8
+        hermite += um
         np.maximum(hermite, cells[:-1], out=hermite)
         np.minimum(hermite, cells[1:], out=hermite)
         return [m ** p for m in hermite.tolist()]
@@ -336,22 +364,16 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
                 with np.errstate(all="ignore"):  # Python floats run on through inf and nan
                     mids = delayed_midpoints(j0, stop - lag)
             for i in range(start, stop):
-                x, ui, vi = x_list[i], u[i], v[i]
+                x, ui = x_list[i], u[i]
                 # the step reads v(x - delta_block) on cell j: its two nodes and
                 # its midpoint; ahead of the first knot, 0
                 j = i - lag
-                e0 = em = e1 = 0.0
-                if j >= 0:
+                if j < 0:
+                    e0 = em = e1 = 0.0
+                else:
                     e0, e1 = v[j], v[j + 1]
-                # each stage's rate is v' = (b0/d)**(1/(alpha-1)), d = r*v minus
-                # the block term; the first stage's is v' at the node
-                gap = vi - e0
-                if blocks and gap <= 0.0:
-                    raise ArithmeticError(no_rise.format(x))
-                d = r * vi - f_node[i] * gap ** ma if blocks else r * vi
-                if d <= 0.0:
-                    raise ArithmeticError(blow_up.format(x))
-                w1 = (b0 / d) ** ia1
+                # the first stage's rate is v' at the node
+                w1 = rate(v[i], e0, f_node, i, x)
                 k1 = ka * ui ** ia * w1
                 du.append(k1)  # the slope at node i, which lag = 1 reads below
                 if j >= 0:
@@ -361,32 +383,11 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
                         um = 0.5 * (u[j] + u[j + 1])
                         em = min(max(um + h8 * (du[j] - du[j + 1]), u[j]), u[j + 1]) ** p
                 u2 = ui + hh * k1
-                v2 = u2 ** p
-                gap = v2 - em
-                if blocks and gap <= 0.0:
-                    raise ArithmeticError(no_rise.format(x + hh))
-                d = r * v2 - f_mid[i] * gap ** ma if blocks else r * v2
-                if d <= 0.0:
-                    raise ArithmeticError(blow_up.format(x + hh))
-                k2 = ka * u2 ** ia * (b0 / d) ** ia1
+                k2 = ka * u2 ** ia * rate(u2 ** p, em, f_mid, i, x + hh)
                 u3 = ui + hh * k2
-                v3 = u3 ** p
-                gap = v3 - em
-                if blocks and gap <= 0.0:
-                    raise ArithmeticError(no_rise.format(x + hh))
-                d = r * v3 - f_mid[i] * gap ** ma if blocks else r * v3
-                if d <= 0.0:
-                    raise ArithmeticError(blow_up.format(x + hh))
-                k3 = ka * u3 ** ia * (b0 / d) ** ia1
+                k3 = ka * u3 ** ia * rate(u3 ** p, em, f_mid, i, x + hh)
                 u4 = ui + h * k3
-                v4 = u4 ** p
-                gap = v4 - e1
-                if blocks and gap <= 0.0:
-                    raise ArithmeticError(no_rise.format(x + h))
-                d = r * v4 - f_end[i] * gap ** ma if blocks else r * v4
-                if d <= 0.0:
-                    raise ArithmeticError(blow_up.format(x + h))
-                k4 = ka * u4 ** ia * (b0 / d) ** ia1
+                k4 = ka * u4 ** ia * rate(u4 ** p, e1, f_end, i, x + h)
                 ui = ui + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 u.append(ui)
                 v.append(ui ** p)
@@ -406,7 +407,7 @@ def two_exchange_patch(params: TwoExchangeParams) -> TwoExchangeSolution:
 
     The delay ODE is rearranged for v'(x) and marched once, a delay block at
     a time (:func:`_patch_integrate`), from its series at 0, where v'(0) is
-    infinite, over a seed that keeps the series' first dropped term within
+    infinite, over a seed that keeps the two terms the series drops within
     1e-6 of v (:func:`_seed_width`).  The continuous spread is
     alpha/(alpha-1) v' from the march, the block spread alpha/(alpha-1)
     (v(x) - v(x - delta_block))/min(x, delta_block) from the node values.

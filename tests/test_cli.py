@@ -286,8 +286,8 @@ class TestCliCommands:
         # alpha near 1 and a strong block venue: the block term comes so close
         # to r*v that v' = (b0/d)**(1/(alpha-1)) passes 1e308
         cfg = {
-            "exchanges": {"lambda0": 1.0, "lambda1": 71.4, "delta_block": 1.0,
-                          "alpha": 1.004, "r": 0.1, "x_max": 0.02, "grid_step": 1e-4},
+            "exchanges": {"lambda0": 1.0, "lambda1": 71.1, "delta_block": 1.0,
+                          "alpha": 1.004, "r": 0.1, "x_max": 0.02, "grid_step": 5e-5},
             "output": {"directory": str(tmp_path / "out")},
         }
         assert main(["exchanges", "--config", write_cfg(tmp_path, cfg)]) == 3
