@@ -418,9 +418,13 @@ def solve_exp_infinite(x_max: float, delta: float, lam: float, kappa: float,
         n = int((w > w_max).argmax())
         raise ArithmeticError(f"value {delta / kappa * w[n]} exceeded the asymptote "
                               f"{v_cap} at level {n}")
-    values = (delta / kappa) * w
-    spreads = np.full(levels + 1, math.nan)
-    spreads[1:] = 1.0 / kappa + np.diff(values) / delta
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        values = (delta / kappa) * w
+        spreads = np.full(levels + 1, math.nan)
+        spreads[1:] = 1.0 / kappa + np.diff(values) / delta
+    if not (np.isfinite(values).all() and np.isfinite(spreads[1:]).all()):
+        raise ArithmeticError(f"exponential-book values or spreads overflow at "
+                              f"delta = {delta!r}, kappa = {kappa!r}")
     return values, spreads
 
 

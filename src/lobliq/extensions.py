@@ -235,7 +235,8 @@ def _seed_width(params: TwoExchangeParams) -> float:
 def _seed(params: TwoExchangeParams, x_nodes: list) -> tuple[list, list]:
     """u = v**(1/p) and u' at the seed's nodes x from the series through
     z**2 (:func:`_series`): u = c**(1/p) x G(B x)**(1/p), G = 1 + g1 z +
-    g2 z**2, which is the line c**(1/p) x where lambda1 = 0."""
+    g2 z**2, which is the line c**(1/p) x where lambda1 = 0.  Raises
+    ArithmeticError where u overflows, or underflows to 0 past x = 0."""
     u_slope0, b, g1, g2, _, _ = _series(params)
     ip, u, du = params.alpha / (params.alpha - 1.0), [], []
     for x in x_nodes:
@@ -246,17 +247,10 @@ def _seed(params: TwoExchangeParams, x_nodes: list) -> tuple[list, list]:
             du.append(u_slope0 * g ** (ip - 1.0) * (g + ip * z * (g1 + 2.0 * g2 * z)))
         except OverflowError:
             raise ArithmeticError(f"seed u overflows at x = {x}") from None
+        if x > 0.0 and u[-1] == 0.0:
+            raise ArithmeticError(f"seed u underflows at x = {x}: alpha = {params.alpha!r}, "
+                                  f"lambda0 = {params.lambda0!r}, r = {params.r!r}")
     return u, du
-
-
-# A delay block of fewer cells than this is marched as one segment, each
-# step forming its delayed midpoint in place: a segment's NumPy preparation
-# costs about what 20 to 30 in-place midpoints do.  An `exchanges` job of
-# 5 001 nodes (delta_block 1, eps 0.1, timed through cli.main) took 2.5, 1.35
-# and 1.13 times as long prepared as in place at 2, 5 and 10 cells a block,
-# 1.00-1.04 at 20 and 25, 0.96-1.00 at 32 and 0.87-0.97 at 40 to 1 000 (2-CPU
-# container).  Not a setting: the values are the same either way.
-_PREPARED_CELLS = 32
 
 
 def _patch_integrate(params: TwoExchangeParams, x_seed: float):
@@ -274,15 +268,10 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
     equation's, inf where the equation has none.
 
     The delay makes this a method-of-steps march (Bellen and Zennaro,
-    "Numerical Methods for Delay Differential Equations", 2003): L - 1
-    consecutive steps read only cells that are complete before the first of
-    them, so the march runs in segments of L - 1 steps and forms each
-    segment's delayed midpoints at once in NumPy, whose + * min max round as
-    Python floats do; the powers stay Python's, as NumPy's array pow differs
-    from it in the last bit.  Blocks of fewer than _PREPARED_CELLS cells are
-    one segment, each step forming its midpoint in place.  The block term's
-    factor b1*min(x, delta_block)**alpha is formed once per node, step
-    midpoint and step end.
+    "Numerical Methods for Delay Differential Equations", 2003): a step reads
+    only a cell that is complete before it, and forms that cell's delayed
+    midpoint in place.  The block term's factor b1*min(x, delta_block)**alpha
+    is formed once per node, step midpoint and step end.
     """
     a, r, dblk = params.alpha, params.r, params.delta_block
     p = (a - 1.0) / a
@@ -340,58 +329,37 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
         except ArithmeticError:  # overflow among them
             return math.inf
 
-    def delayed_midpoints(j0, j1):
-        """v at the step midpoints of cells j0..j1-1, all of them complete."""
-        cells = np.array(u[j0:j1 + 1])
-        um = cells[:-1] + cells[1:]
-        um *= 0.5
-        slopes = np.array(du[j0:j1 + 1])
-        hermite = slopes[:-1] - slopes[1:]
-        hermite *= h8
-        hermite += um
-        np.maximum(hermite, cells[:-1], out=hermite)
-        np.minimum(hermite, cells[1:], out=hermite)
-        return [m ** p for m in hermite.tolist()]
-
     dv = [marginal(i) for i in range(seed_idx)]
-    prepared = lag >= _PREPARED_CELLS
-    span = lag - 1 if prepared else n_nodes
     try:
-        for start in range(seed_idx, n_nodes - 1, span):
-            stop = min(start + span, n_nodes - 1)
-            j0 = max(start - lag, 0)
-            if prepared and stop - lag > j0:
-                with np.errstate(all="ignore"):  # Python floats run on through inf and nan
-                    mids = delayed_midpoints(j0, stop - lag)
-            for i in range(start, stop):
-                x, ui = x_list[i], u[i]
-                # the step reads v(x - delta_block) on cell j: its two nodes and
-                # its midpoint; ahead of the first knot, 0
-                j = i - lag
-                if j < 0:
-                    e0 = em = e1 = 0.0
-                else:
-                    e0, e1 = v[j], v[j + 1]
-                # the first stage's rate is v' at the node
-                w1 = rate(v[i], e0, f_node, i, x)
-                k1 = ka * ui ** ia * w1
-                du.append(k1)  # the slope at node i, which lag = 1 reads below
-                if j >= 0:
-                    if prepared:
-                        em = mids[j - j0]
-                    else:
-                        um = 0.5 * (u[j] + u[j + 1])
-                        em = min(max(um + h8 * (du[j] - du[j + 1]), u[j]), u[j + 1]) ** p
-                u2 = ui + hh * k1
-                k2 = ka * u2 ** ia * rate(u2 ** p, em, f_mid, i, x + hh)
-                u3 = ui + hh * k2
-                k3 = ka * u3 ** ia * rate(u3 ** p, em, f_mid, i, x + hh)
-                u4 = ui + h * k3
-                k4 = ka * u4 ** ia * rate(u4 ** p, e1, f_end, i, x + h)
-                ui = ui + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                u.append(ui)
-                v.append(ui ** p)
-                dv.append(w1)
+        for i in range(seed_idx, n_nodes - 1):
+            x, ui = x_list[i], u[i]
+            # the step reads v(x - delta_block) on cell j: its two nodes and
+            # its midpoint; ahead of the first knot, 0
+            j = i - lag
+            if j < 0:
+                e0 = em = e1 = 0.0
+            else:
+                e0, e1 = v[j], v[j + 1]
+            # the first stage's rate is v' at the node
+            w1 = rate(v[i], e0, f_node, i, x)
+            k1 = ka * ui ** ia * w1
+            du.append(k1)  # the slope at node i, which lag = 1 reads below
+            if j >= 0:
+                lo, hi = u[j], u[j + 1]
+                m = 0.5 * (lo + hi) + h8 * (du[j] - du[j + 1])
+                # min(max(m, lo), hi), as u rises along the lattice, by one
+                # conditional rather than two builtin calls, which cost more
+                em = (lo if m < lo else hi if m > hi else m) ** p
+            u2 = ui + hh * k1
+            k2 = ka * u2 ** ia * rate(u2 ** p, em, f_mid, i, x + hh)
+            u3 = ui + hh * k2
+            k3 = ka * u3 ** ia * rate(u3 ** p, em, f_mid, i, x + hh)
+            u4 = ui + h * k3
+            k4 = ka * u4 ** ia * rate(u4 ** p, e1, f_end, i, x + h)
+            ui = ui + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            u.append(ui)
+            v.append(ui ** p)
+            dv.append(w1)
     except OverflowError:  # a Python float pow past 1e308, where NumPy's is inf
         raise ArithmeticError(f"delay ODE blow-up at x = {x}") from None
     bad = np.flatnonzero(~np.isfinite(v))

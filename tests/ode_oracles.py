@@ -414,10 +414,10 @@ def integrate_ode(problem: OdeProblem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def patch_march_by_step(params, x_seed: float):
-    """(x, v, v') of the two-exchange patching march as the package ran it
-    before it prepared each delay block's midpoints at once: node by node on
-    Python floats, each step forming its delayed Hermite midpoint and calling
-    the rate function once per RK4 stage.  Kept bit for bit as the oracle of
+    """(x, v, v') of the two-exchange patching march written plainly: node by
+    node on Python floats, each step forming its delayed Hermite midpoint,
+    clamped by min(max(...)), and calling one rate function once per RK4
+    stage, with no hoisted block factors.  Kept bit for bit as the oracle of
     ``lobliq.extensions._patch_integrate``, from the same series seed."""
     a, r, dblk = params.alpha, params.r, params.delta_block
     p = (a - 1.0) / a

@@ -282,6 +282,20 @@ class TestCliCommands:
         assert main(["converge", "--config", write_cfg(tmp_path, cfg)]) == 3
         assert "did not converge" in capsys.readouterr().err
 
+    def test_exp_value_overflow_exits_3(self, tmp_path, capsys):
+        # delta/kappa overflows: no table of inf and nan is written
+        out = tmp_path / "out"
+        cfg = {
+            "model": {"kind": "exp", "lam": 1.0, "kappa": 1e-300},
+            "market": {"r": 1.0, "horizon": "inf"},
+            "solve": {"n_max": 3, "delta": 1e12},
+            "output": {"directory": str(out)},
+        }
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 3
+        assert ("exponential-book values or spreads overflow at delta = 1000000000000.0, "
+                "kappa = 1e-300") in capsys.readouterr().err
+        assert not list(out.glob("solve.*"))
+
     def test_exchanges_blow_up_exits_3(self, tmp_path, capsys):
         # alpha near 1 and a strong block venue: the block term comes so close
         # to r*v that v' = (b0/d)**(1/(alpha-1)) passes 1e308
@@ -314,6 +328,18 @@ class TestCliCommands:
         assert main(["exchanges", "--config", write_cfg(tmp_path, cfg)]) == 3
         assert ("seed u-slope (lambda0/(alpha*r))**(1/(alpha-1)) overflows at "
                 "alpha = 1.002, lambda0 = 1000.0, r = 0.001") in capsys.readouterr().err
+
+    def test_exchanges_seed_underflow_exits_3(self, tmp_path, capsys):
+        # alpha near 1 and lambda0/(alpha*r) < 1: the seed u-slope
+        # (lambda0/(alpha*r))**(1/(alpha-1)) underflows to 0
+        cfg = {
+            "exchanges": {"lambda0": 0.5, "lambda1": 0.15, "delta_block": 0.1,
+                          "alpha": 1.0015, "r": 2.5, "x_max": 1.0, "grid_step": 0.001},
+            "output": {"directory": str(tmp_path / "out")},
+        }
+        assert main(["exchanges", "--config", write_cfg(tmp_path, cfg)]) == 3
+        assert ("seed u underflows at x = 0.001: alpha = 1.0015, lambda0 = 0.5, "
+                "r = 2.5") in capsys.readouterr().err
 
     def test_non_finite_curve_state_exits_3(self, tmp_path, capsys, monkeypatch):
         import lobliq.numerics

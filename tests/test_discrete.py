@@ -496,6 +496,18 @@ class TestExpInfinite:
         assert np.all(np.isfinite(values))
         assert values[-1] <= 1.0 / (0.1 * math.e) + 1e-12
 
+    @pytest.mark.parametrize("x_max, delta, kappa", [
+        # delta/kappa overflows, though every value lies below lam/(kappa*r*e)
+        (3e12, 1e12, 1e-300),
+        # the values are finite, but 1/kappa plus their rise over delta is not
+        (0.03, 0.01, 1e-308),
+    ])
+    def test_overflow_raises(self, x_max, delta, kappa):
+        # not inf and nan written out, nor a RuntimeWarning (an error here)
+        with pytest.raises(ArithmeticError, match=f"overflow at delta = {delta!r}, "
+                                                  f"kappa = {kappa!r}"):
+            solve_exp_infinite(x_max, delta, 1.0, kappa, 1.0)
+
     @given(j=st.integers(0, 14), log_r=st.floats(-6.0, 0.5),
            log_ratio=st.floats(-3.0, 6.0), log_kappa=st.floats(-2.0, 2.0),
            share=st.floats(0.0, 1.0))

@@ -555,7 +555,8 @@ def _assert_march_matches_oracle(params, x_seed):
         assert np.array_equal(got, ref)
 
 
-# both sides of the short-block rule (_PREPARED_CELLS = 32 cells a block)
+# from one cell a block, where a step reads the cell ending at its own node,
+# to a thousand
 @pytest.mark.parametrize("steps", [1, 2, 15, 31, 32, 33, 100, 1000])
 @pytest.mark.parametrize("alpha", [1.3, 2.0, 2.6])
 def test_march_matches_the_per_step_oracle(steps, alpha):
@@ -566,12 +567,11 @@ def test_march_matches_the_per_step_oracle(steps, alpha):
 
 
 @pytest.mark.parametrize("kw, x_seed", [
-    # no block venue, on both sides of the short-block rule
+    # no block venue, from one cell a block to a hundred
     (dict(lambda1=0.0, grid_step=1.0), 0.01),
     (dict(lambda1=0.0, grid_step=1.0 / 32.0), 0.01),
     (dict(lambda1=0.0, grid_step=0.01), 0.01),
-    # the seed past the first knot: the first steps read seeded cells, and
-    # the segments start off the block lattice
+    # the seed past the first knot: the first steps read seeded cells
     (dict(lambda1=0.5, grid_step=0.5), 1.3),
     (dict(lambda1=0.5, grid_step=0.025), 1.3),
     (dict(lambda1=0.5, grid_step=0.01), 1.3),
@@ -601,6 +601,15 @@ def test_march_matches_the_oracle_at(kw, x_seed):
     # the first seed node
     (dict(lambda1=3e-9, alpha=1.0 + 2 ** -52, r=1.0, x_max=2e-4, grid_step=1e-4),
      r"seed u overflows at x = 0\.0001"),
+    # alpha near 1 and lambda0/(alpha*r) < 1: the seed u-slope
+    # (lambda0/(alpha*r))**(1/(alpha-1)) underflows to 0, with a block venue
+    # and without one
+    (dict(lambda0=0.5, lambda1=0.15, delta_block=0.1, alpha=1.0015, r=2.5, x_max=1.0,
+          grid_step=0.001),
+     r"seed u underflows at x = 0\.001: alpha = 1\.0015, lambda0 = 0\.5, r = 2\.5"),
+    (dict(lambda0=0.5, lambda1=0.0, delta_block=0.1, alpha=1.0015, r=2.5, x_max=1.0,
+          grid_step=0.001),
+     r"seed u underflows at x = 0\.001: alpha = 1\.0015, lambda0 = 0\.5, r = 2\.5"),
 ])
 def test_patch_error_paths(kw, message):
     kw = dict(kw)
@@ -643,9 +652,15 @@ def test_patch_solves_or_raises_at_the_domain_edges(alpha, lambda1, steps, block
         # so that it still meets these edges
         x_seed = h
     try:
-        xs, v, _ = _patch_integrate(params, x_seed)
-    except ArithmeticError:
+        xs, v, dv = _patch_integrate(params, x_seed)
+    except ArithmeticError as raised:
+        # the per-step oracle stops at the same step with the same message
+        with pytest.raises(ArithmeticError) as oracle:
+            patch_march_by_step(params, x_seed)
+        assert str(raised) == str(oracle.value)
         return
+    for got, ref in zip((xs, v, dv), patch_march_by_step(params, x_seed)):
+        assert np.array_equal(got, ref)
     # near alpha = 1 the rise v' = (b0/d)**(1/(alpha-1)) over a step can fall
     # below an ulp of v, so equal neighbours are allowed
     assert np.all(np.isfinite(v)) and np.all(np.diff(v) >= 0.0)
@@ -659,8 +674,8 @@ def test_patch_solves_or_raises_at_the_domain_edges(alpha, lambda1, steps, block
     dict(delta_block=1.0 - 5e-12, grid_step=0.01),    # on the lattice within 1e-9
 ])
 def test_patch_knot_query_past_the_knot_reads_the_knot(kw, monkeypatch):
-    # x + h - delta_block rounds just past a knot whose segment is still being
-    # marched; the result must not depend on the unwritten node there
+    # x + h - delta_block rounds just past a knot not yet marched to; the
+    # result must not depend on the unwritten node there
     params = make_params(lambda1=0.5, **kw)
     v = two_exchange_patch(params).value
     real_empty = np.empty
