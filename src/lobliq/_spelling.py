@@ -22,10 +22,11 @@ keep the per-value spelling.
 from __future__ import annotations
 
 import math
+from json import dumps  # _cells has a parameter named json
 
 import numpy as np
 
-from .reports import _dumps, _jsonable, format_number
+from .reports import _jsonable, format_number
 
 # rows spelled at once, which bounds the temporaries
 _CHUNK_ROWS = 4096
@@ -261,7 +262,7 @@ def _cells(arr: np.ndarray, csv: bool, json: bool) -> tuple:
     if arr.dtype.type not in _VECTOR_FLOATS:
         values = arr.tolist()
         return (_per_value([format_number(v) for v in values]) if csv else None,
-                _per_value([_dumps(_jsonable(v)) for v in values]) if json else None)
+                _per_value([dumps(_jsonable(v)) for v in values]) if json else None)
     x = arr.astype(np.float64, copy=False)
     digits = _digits(x)
     return (_float_cells(x, digits, False) if csv else None,

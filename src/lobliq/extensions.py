@@ -348,7 +348,14 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
                 lo, hi = u[j], u[j + 1]
                 m = 0.5 * (lo + hi) + h8 * (du[j] - du[j + 1])
                 # min(max(m, lo), hi), as u rises along the lattice, by one
-                # conditional rather than two builtin calls, which cost more
+                # conditional rather than two builtin calls, which cost more.
+                # No config is known to reach hi: the cell rose by
+                # (h/6)(k1 + 2 k2 + 2 k3 + k4) from k1 = du[j], so m > hi
+                # needs du[j + 1] < du[j]/3 - (2/3)(2 k2 + 2 k3 + k4), while
+                # along a cell the block factor and the delayed value only
+                # grow, which raises u' at a given u.  The correction stayed
+                # within 0.32 of the cell's half-rise on 170 000 random and
+                # hill-climbed configs and on 1 800 at the edge of blow-up.
                 em = (lo if m < lo else hi if m > hi else m) ** p
             u2 = ui + hh * k1
             k2 = ka * u2 ** ia * rate(u2 ** p, em, f_mid, i, x + hh)

@@ -5,11 +5,13 @@ Numbers print with 17 significant digits in CSV (``'%.17g' % v``) and as
 for byte.  Every file is written to a temporary sibling, created with the
 umask's mode, and renamed into place.
 
-``write_table`` writes a table as CSV, JSON or both in one pass over its
-rows.  A table of at least ``_VECTOR_ROWS`` rows is spelled in NumPy vectors
+Every JSON document is ``json.dumps(body, indent=2, sort_keys=True)``.
+``write_table`` writes a table as CSV, JSON or both in one pass, on one path
+for every length: the rows in chunks streamed to disk as bytes, and each
+column's JSON items spliced into the document where a one-NUL string stood.
+A table of ``_VECTOR_ROWS`` rows or more is spelled in NumPy vectors
 (:mod:`lobliq._spelling`, imported on first use), each column once for both
-files, and streamed to disk as bytes; shorter tables keep the per-value
-spelling, which is faster there.
+files; a shorter one value by value, which is faster there.
 """
 
 from __future__ import annotations
@@ -27,15 +29,12 @@ SCHEMA_VERSION = 1
 __all__ = ["SCHEMA_VERSION", "atomic_write_text", "format_number", "write_json",
            "write_manifest", "write_schema_sidecar", "write_table"]
 
-# Tables shorter than this keep the per-value spelling.  The vector path
+# Tables shorter than this are spelled value by value.  The vector path
 # costs about 0.15 ms more a column at 64 rows and breaks even near 250 rows
 # for a 5-column CSV table and near 300 for a JSON float column (min of 30
 # timings a size on a shared 2-core x86 machine).  Not a setting: the bytes
 # are the same either way.
 _VECTOR_ROWS = 320
-# stands for a long table's column in its JSON document until the column's
-# items, each closed by _ITEM_END, are spliced in
-_COLUMN = object()
 _ITEM_END = b",\n      "  # the columns sit at depth 2, their items at 3
 
 
@@ -96,40 +95,50 @@ def write_table(columns: Mapping[str, Sequence], csv_path: str | None = None,
     for name, arr in zip(names, arrays):
         if len(arr) != length:
             raise ValueError(f"column {name!r} has length {len(arr)}, expected {length}")
-    header = ",".join(names)
     body = {"schema_version": SCHEMA_VERSION}
     body.update(_jsonable(extra_json or {}))
-    if length < _VECTOR_ROWS:
-        texts = {}
-        if csv_path is not None:
-            fields, cells = zip(*map(_field, arrays))
-            rows = map(",".join(fields).__mod__, zip(*cells))
-            texts[csv_path] = "\n".join([header, *rows]) + "\n"
-        if json_path is not None:
-            body["columns"] = _jsonable(dict(zip(names, arrays)))
-            texts[json_path] = _dumps(body) + "\n"
-        for path, text in texts.items():
-            atomic_write_text(path, text)
-        return
-    from ._spelling import spell_table
-    body["columns"] = dict.fromkeys(names, _COLUMN)
-    skeleton = (_dumps(body) + "\n").encode().split(b"\0")
+    body["columns"] = dict.fromkeys(names, "\0")
+    text = (json.dumps(body, indent=2, sort_keys=True) + "\n").encode()
+    # the columns object is split at its one-NUL strings; extra_json may hold
+    # such strings too, but outside it
+    start = text.index(b'\n  "columns": {')
+    end = text.index(b"\n  }", start)
+    head, *skeleton = text[start:end].split(b'"\\u0000"')
+    spell = _spell_values
+    if length >= _VECTOR_ROWS:
+        from ._spelling import spell_table as spell
     items = {name: [] for name in names}
     with _temporaries([p for p in (csv_path, json_path) if p is not None]) as files:
         if csv_path is not None:
-            files[0].write(header.encode() + b"\n")
-        chunks = spell_table(arrays, csv_path is not None,
-                             _ITEM_END if json_path is not None else None)
-        for rows, cells in chunks:
+            files[0].write(",".join(names).encode() + b"\n")
+        for rows, cells in spell(arrays, csv_path is not None,
+                                 _ITEM_END if json_path is not None else None):
             if rows is not None:
                 files[0].write(rows)
             for name, piece in zip(names, cells or ()):
                 items[name].append(piece)
         if json_path is not None:
-            files[-1].write(skeleton[0])
-            for name, rest in zip(sorted(names), skeleton[1:]):  # as _dumps sorts them
-                items[name][-1] = items[name][-1][:-len(_ITEM_END)]
-                files[-1].writelines(items[name] + [rest])
+            files[-1].write(text[:start] + head)
+            for name, rest in zip(sorted(names), skeleton):  # as json.dumps sorts them
+                *pieces, last = items[name]
+                column = [b"[\n      ", *pieces, last[:-len(_ITEM_END)], b"\n    ]"]
+                files[-1].writelines((column if length else [b"[]"]) + [rest])
+            files[-1].write(text[end:])
+
+
+def _spell_values(arrays: list, csv: bool, json_end: bytes | None):
+    """A short table as one chunk of ``_spelling.spell_table``'s form, spelled
+    value by value: each CSV row by one template, each column's JSON items by
+    one call to the C encoder."""
+    rows = items = None
+    if csv:
+        fields, cells = zip(*map(_field, arrays))
+        rows = "".join(map((",".join(fields) + "\n").__mod__, zip(*cells))).encode()
+    if json_end is not None:
+        end = json_end.decode()
+        items = [(json.dumps(_jsonable(arr), separators=(end, ": "))[1:-1] + end).encode()
+                 for arr in arrays]
+    yield rows, items
 
 
 def _field(arr: np.ndarray) -> tuple[str, list]:
@@ -151,10 +160,13 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         if obj.ndim == 0:
             return _jsonable(obj.item())
-        if obj.ndim == 1 and obj.dtype.kind in "biuf":
-            return obj  # a column: _dumps encodes it straight from the array
         if obj.dtype.kind in "biu":
             return obj.tolist()
+        if obj.ndim == 1 and obj.dtype.kind == "f":  # a column
+            values = obj.tolist()
+            for i in np.flatnonzero(~np.isfinite(obj)).tolist():
+                values[i] = format_number(values[i])
+            return values
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
@@ -166,48 +178,10 @@ def _jsonable(obj):
     return obj
 
 
-def _dumps(obj, pad: str = "") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, continued lines indented
-    by ``pad``.  The indenting encoder is pure Python; here each list of
-    scalars is one call to the C encoder, with the line break and indent
-    folded into its item separator.  A long table's column (_COLUMN) is laid
-    out around a NUL, which no JSON text contains, for its items."""
-    inner = pad + "  "
-    if obj is _COLUMN:
-        return "[\n" + inner + "\0\n" + pad + "]"
-    if isinstance(obj, np.ndarray):  # a 1-d column left by _jsonable
-        values = obj.tolist()
-        if obj.dtype.kind == "f":
-            for i in np.flatnonzero(~np.isfinite(obj)).tolist():
-                values[i] = format_number(values[i])
-        return _dumps_flat(values, pad)
-    if isinstance(obj, dict) and obj:
-        if not all(isinstance(k, str) for k in obj):
-            return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-        items = (json.dumps(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items()))
-    elif isinstance(obj, (list, tuple)) and obj:
-        if not any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in obj):
-            return _dumps_flat(obj, pad)
-        items = (_dumps(v, inner) for v in obj)
-    else:  # scalars and empty containers
-        return json.dumps(obj)
-    brackets = "{}" if isinstance(obj, dict) else "[]"
-    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
-
-
-def _dumps_flat(values: list, pad: str) -> str:
-    """A list of JSON scalars, one item a line, in one C-encoder call."""
-    if not values:
-        return "[]"
-    inner = pad + "  "
-    flat = json.dumps(values, separators=(",\n" + inner, ": "))
-    return "[\n" + inner + flat[1:-1] + "\n" + pad + "]"
-
-
 def write_json(path: str, payload: dict) -> None:
     body = {"schema_version": SCHEMA_VERSION}
     body.update(_jsonable(payload))
-    atomic_write_text(path, _dumps(body) + "\n")
+    atomic_write_text(path, json.dumps(body, indent=2, sort_keys=True) + "\n")
 
 
 def write_schema_sidecar(path: str, table_name: str,

@@ -6,7 +6,7 @@ import stat
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lobliq import reports
@@ -97,6 +97,50 @@ def test_json_layout_matches_indenting_encoder(tmp_path_factory, payload):
     body = {"schema_version": 1}
     body.update(_reference_jsonable(payload))
     assert path.read_text() == json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+
+_TABLE_COLUMNS = {
+    "f": lambda n: hnp.arrays(np.float64, n, elements=_FLOATS),
+    "i": lambda n: hnp.arrays(np.int64, n),
+    "b": lambda n: hnp.arrays(np.bool_, n),
+}
+
+
+@st.composite
+def _tables(draw):
+    """Float, int and bool columns of a length on either side of the vector
+    spelling's threshold, or empty."""
+    n = draw(st.sampled_from([0, 1, reports._VECTOR_ROWS - 1, reports._VECTOR_ROWS, 700]))
+    kinds = draw(st.lists(st.sampled_from("fib"), min_size=1, max_size=3))
+    names = draw(st.permutations(["x", "columns", "A", "b_1"]))
+    return {name: draw(_TABLE_COLUMNS[kind](n)) for name, kind in zip(names, kinds)}
+
+
+@given(_tables(), st.dictionaries(st.text(max_size=8), _VALUES, max_size=3))
+# one-NUL strings in extra_json, beside the columns' own
+@example({"x": np.array([1.5, math.nan]), "A": np.array([1, 2])},
+         {"a": "\0", "z": {"columns": "\0"}, "columns": "\0"})
+@settings(max_examples=100, deadline=None)
+def test_table_layout_matches_indenting_encoder(tmp_path_factory, columns, extra):
+    path = tmp_path_factory.mktemp("table")
+    write_table(columns, str(path / "t.csv"), str(path / "t.json"), extra)
+    assert (path / "t.csv").read_text() == _reference_csv(columns)
+    body = {"schema_version": 1}
+    body.update(_reference_jsonable(extra))
+    body["columns"] = _reference_jsonable(columns)
+    assert (path / "t.json").read_text() == json.dumps(body, indent=2, sort_keys=True) + "\n"
+
+
+def test_short_table_files_are_renamed_together(tmp_path):
+    # the JSON file cannot be made, so the CSV beside it is left as it was
+    csv_path = tmp_path / "t.csv"
+    write_table({"x": np.arange(5) * 0.5}, csv_path=str(csv_path))
+    (tmp_path / "plain").write_text("")
+    before, listing = csv_path.read_bytes(), sorted(os.listdir(tmp_path))
+    with pytest.raises(OSError):
+        write_table({"x": np.arange(5) * 0.25}, str(csv_path), str(tmp_path / "plain" / "t.json"))
+    assert csv_path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == listing
 
 
 # --------------------------------------------------------------------------
