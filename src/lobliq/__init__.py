@@ -7,10 +7,7 @@ the regime-switching / two-exchange extensions.
 """
 
 from .cases import resolve
-from .convergence import (
-    spread_convergence,
-    value_convergence,
-)
+from .convergence import value_convergence
 from .discrete import (
     DiscreteSolution,
     solve_exp_finite,

@@ -20,8 +20,8 @@ horizon)``, the :class:`FillClock` of its fills.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -213,10 +213,6 @@ class Case:
                                     for n, d in zip(levels, deltas)]).T
         return values, spreads
 
-    def liquidation_times(self, sol: DiscreteSolution) -> Optional[np.ndarray]:
-        """Expected time to sell each level optimally, where a closed form exists."""
-        return None
-
     def fluid_probe(self, x: float, deltas) -> tuple[float, float, np.ndarray]:
         """(fluid value, fluid spread, cell averages): at inventory x, with
         ``fluid_cell_spread(x, d)`` for each unit d in ``deltas``."""
@@ -241,7 +237,6 @@ class Case:
         return table, top * (table[-1] - table[-2])
 
 
-@dataclass(frozen=True)
 class PowerLaw(Case):
     """Power-law book, any r >= 0 and any horizon.
 
@@ -252,30 +247,28 @@ class PowerLaw(Case):
     (lam/d_n)**(1/(alpha-1)) times it.
     """
 
-    # the last (delta, n_max) -> (d, sigma) solved, so that liquidation_times
-    # and policy reuse the recursion solve has just run
-    _solved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
     def _levels(self, delta, n_max):
-        """d_0..d_n and sigma_1..sigma_n (nan at 0), read-only."""
-        key = (delta, n_max)
-        if key not in self._solved:
-            m = self.model
-            d = discrete.solve_power_zero_rate(m.lam, m.alpha, n_max, delta)
-            sigma = np.full(n_max + 1, math.nan)
-            sigma[1:] = (m.lam / d[1:]) ** (1.0 / (m.alpha - 1.0))
-            d.flags.writeable = sigma.flags.writeable = False
-            self._solved.clear()
-            self._solved[key] = d, sigma
-        return self._solved[key]
+        """d_0..d_n and sigma_1..sigma_n (nan at 0)."""
+        m = self.model
+        d = discrete.solve_power_zero_rate(m.lam, m.alpha, n_max, delta)
+        sigma = np.full(n_max + 1, math.nan)
+        sigma[1:] = (m.lam / d[1:]) ** (1.0 / (m.alpha - 1.0))
+        return d, sigma
 
     def solve(self, delta, n_max):
         d, sigma = self._levels(delta, n_max)
         m, mk = self.model, self.market
         factor = discrete.power_time_factor(mk.horizon, m.alpha, mk.r)
+        times = None
+        if mk.infinite_horizon:
+            # level n waits delta/rate(s_n) at its stationary spread s_n =
+            # sigma_n (alpha*r)**(-1/alpha): one pow of lam/d_n a level
+            waits = (delta / (m.alpha * mk.r * m.lam)
+                     * (m.lam / d[1:]) ** (m.alpha / (m.alpha - 1.0)))
+            times = np.concatenate(([0.0], np.cumsum(waits)))
         return DiscreteSolution(
             delta=delta, coefficients=d * discrete.power_coefficient_factor(m.alpha, mk.r),
-            values=d * factor, spreads=sigma * factor)
+            values=d * factor, spreads=sigma * factor, liquidation_times=times)
 
     def fluid(self):
         m, mk = self.model, self.market
@@ -309,17 +302,6 @@ class PowerLaw(Case):
         dn = d[levels] * (d1 / d[1])
         factor = discrete.power_time_factor(mk.horizon, m.alpha, mk.r)
         return dn * factor, (m.lam / dn) ** (1.0 / (m.alpha - 1.0)) * factor
-
-    def liquidation_times(self, sol):
-        # level n waits delta/rate(s_n) at its stationary spread s_n =
-        # sigma_n (alpha*r)**(-1/alpha): one pow of lam/d_n a level
-        if not self.market.infinite_horizon:
-            return None
-        lam, alpha = self.model.lam, self.model.alpha
-        d = self._levels(sol.delta, sol.n_max)[0]
-        waits = (sol.delta / (alpha * self.market.r * lam)
-                 * (lam / d[1:]) ** (alpha / (alpha - 1.0)))
-        return np.concatenate(([0.0], np.cumsum(waits)))
 
 
 class ExpZeroRate(Case):

@@ -2,8 +2,9 @@
 
 One command per process: parse a YAML config, dispatch to the owning
 module, and emit CSV/JSON artifacts plus a manifest.  Exit codes: 0 on
-success, 2 for configuration errors (an unsupported model/market pair among
-them), 3 for numerical failures and for problems too large to allocate.
+success, 2 for configuration errors (an unsupported model/market pair and an
+output path that cannot be written among them), 3 for numerical failures and
+for problems too large to allocate.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .cases import resolve
 from .config import COMMANDS, ConfigError, RunConfig, load_config
-from .convergence import spread_convergence, value_convergence
+from .convergence import value_convergence
 from .extensions import (
     RegimeParams,
     TwoExchangeParams,
@@ -40,14 +41,18 @@ from .simulate import (
 )
 
 
-def _emit_table(cfg: RunConfig, name: str, columns: dict, docs: dict,
-                artifacts: list, extra_json: dict | None = None) -> None:
+def _emit_table(cfg: RunConfig, name: str, columns: dict, artifacts: list,
+                extra_json: dict | None = None) -> None:
+    """Write ``columns``, {name: (values, doc)}: the values to the CSV/JSON
+    table, the docs to the CSV's schema sidecar."""
     base = os.path.join(cfg.out_dir, name)
     csv_path = base + ".csv" if cfg.formats in ("csv", "both") else None
     json_path = base + ".json" if cfg.formats in ("json", "both") else None
-    write_table(columns, csv_path, json_path, {"table": name, **(extra_json or {})})
+    write_table({k: values for k, (values, _) in columns.items()}, csv_path, json_path,
+                {"table": name, **(extra_json or {})})
     if csv_path is not None:
-        write_schema_sidecar(base + ".schema.json", name, docs)
+        write_schema_sidecar(base + ".schema.json", name,
+                             {k: doc for k, (_, doc) in columns.items()})
         artifacts += [csv_path, base + ".schema.json"]
     if json_path is not None:
         artifacts.append(json_path)
@@ -58,53 +63,40 @@ def _cmd_solve(cfg: RunConfig, artifacts: list) -> None:
     sol = case.solve(cfg.section["delta"], cfg.section["n_max"])
     n = np.arange(sol.n_max + 1)
     columns = {
-        "n": n,
-        "x": n * sol.delta,
-        "coefficient": sol.coefficients,
-        "value": sol.values,
-        "spread": sol.spreads,
+        "n": (n, "inventory level (units of delta)"),
+        "x": (n * sol.delta, "physical inventory n*delta"),
+        "coefficient": (sol.coefficients,
+                        "value coefficient (c_n, d_n, or stationary value)"),
+        "value": (sol.values, "value at the configured horizon"),
+        "spread": (sol.spreads, "optimal spread at the configured horizon"),
     }
-    docs = {
-        "n": "inventory level (units of delta)",
-        "x": "physical inventory n*delta",
-        "coefficient": "value coefficient (c_n, d_n, or stationary value)",
-        "value": "value at the configured horizon",
-        "spread": "optimal spread at the configured horizon",
-    }
-    times = case.liquidation_times(sol)
-    if times is not None:
-        columns["expected_liquidation_time"] = times
-        docs["expected_liquidation_time"] = "mean time to sell all n units optimally"
-    _emit_table(cfg, "solve", columns, docs, artifacts)
+    if sol.liquidation_times is not None:
+        columns["expected_liquidation_time"] = (sol.liquidation_times,
+                                                "mean time to sell all n units optimally")
+    _emit_table(cfg, "solve", columns, artifacts)
 
 
 def _cmd_fluid(cfg: RunConfig, artifacts: list) -> None:
     fl = fluid_solution(cfg.model, cfg.market)
     xs = cfg.section["x_grid"]
     values, spreads = np.array([fl.value_and_spread(x) for x in xs]).T
-    _emit_table(cfg, "fluid", {"x": xs, "value": values, "spread": spreads},
-                {"x": "inventory", "value": "fluid-limit value",
-                 "spread": "fluid-limit optimal spread"}, artifacts)
+    _emit_table(cfg, "fluid", {
+        "x": (xs, "inventory"),
+        "value": (values, "fluid-limit value"),
+        "spread": (spreads, "fluid-limit optimal spread"),
+    }, artifacts)
 
 
 def _cmd_converge(cfg: RunConfig, artifacts: list) -> None:
     sec = cfg.section
     report = value_convergence(cfg.model, cfg.market, sec["x_probe"],
                                sec["delta0"], sec["k_max"])
-    spread_table = spread_convergence(report)
     columns = {
-        "delta": report.deltas,
-        "value": report.values,
-        "ratio": report.ratios,
-        "spread": report.spreads,
-        "spread_err": spread_table.pointwise_err,
-    }
-    docs = {
-        "delta": "trading unit",
-        "value": "discrete value at the probe inventory",
-        "ratio": "discrete value / fluid value",
-        "spread": "discrete optimal spread at the probe",
-        "spread_err": "|discrete spread - fluid spread|",
+        "delta": (report.deltas, "trading unit"),
+        "value": (report.values, "discrete value at the probe inventory"),
+        "ratio": (report.ratios, "discrete value / fluid value"),
+        "spread": (report.spreads, "discrete optimal spread at the probe"),
+        "spread_err": (report.pointwise_err, "|discrete spread - fluid spread|"),
     }
     extra = {
         "x_probe": report.x_probe,
@@ -112,10 +104,10 @@ def _cmd_converge(cfg: RunConfig, artifacts: list) -> None:
         "fluid_spread": report.fluid_spread,
         "monotone_ok": report.monotone_ok,
         "rate_estimate": report.rate_estimate,
-        "cell_averaged_spread": spread_table.averaged,
-        "cell_averaged_err": spread_table.averaged_err,
+        "cell_averaged_spread": report.averaged,
+        "cell_averaged_err": report.averaged_err,
     }
-    _emit_table(cfg, "converge", columns, docs, artifacts, extra_json=extra)
+    _emit_table(cfg, "converge", columns, artifacts, extra_json=extra)
 
 
 def _build_policy(cfg: RunConfig):
@@ -157,28 +149,21 @@ def _cmd_simulate(cfg: RunConfig, artifacts: list) -> None:
 
     if curve_times is not None:
         _emit_table(cfg, "curve", {
-            "time": stats.curve_times,
-            "mean_inventory": stats.mean_inventory_curve,
-            "std_error": stats.curve_std_error,
-        }, {
-            "time": "observation time",
-            "mean_inventory": "ensemble mean of remaining inventory",
-            "std_error": "standard error of the mean inventory",
+            "time": (stats.curve_times, "observation time"),
+            "mean_inventory": (stats.mean_inventory_curve,
+                               "ensemble mean of remaining inventory"),
+            "std_error": (stats.curve_std_error, "standard error of the mean inventory"),
         }, artifacts)
 
     if fills is not None:
         _emit_table(cfg, "paths", {
-            "path_id": fills.path_id,
-            "fill_index": fills.fill_index,
-            "time": fills.time, "spread": fills.spread,
-            "discounted_cash":
+            "path_id": (fills.path_id, "simulation path index"),
+            "fill_index": (fills.fill_index, "fill counter within the path"),
+            "time": (fills.time, "fill time"),
+            "spread": (fills.spread, "spread earned at the fill"),
+            "discounted_cash": (
                 np.exp(-cfg.market.r * fills.time) * fills.spread * sec["delta"],
-        }, {
-            "path_id": "simulation path index",
-            "fill_index": "fill counter within the path",
-            "time": "fill time",
-            "spread": "spread earned at the fill",
-            "discounted_cash": "exp(-r t) * spread * delta",
+                "exp(-r t) * spread * delta"),
         }, artifacts)
 
 
@@ -193,17 +178,12 @@ def _cmd_curves(cfg: RunConfig, artifacts: list) -> None:
         baseline = x0 * (1.0 - times / cfg.market.horizon)
     fluid_curve = fluid_solution(cfg.model, cfg.market).trade_curve(times, x0)
     _emit_table(cfg, "curves", {
-        "time": times,
-        "mean_inventory": curve.inventory[curve.initial_units],
-        "trading_rate": curve.trading_rate,
-        "baseline_linear": baseline,
-        "fluid_curve": fluid_curve,
-    }, {
-        "time": "time since start",
-        "mean_inventory": "average remaining inventory E(x0, t)",
-        "trading_rate": "-dE/dt, the average fill rate",
-        "baseline_linear": "constant-rate reference x0*(1 - t/T)",
-        "fluid_curve": "deterministic fluid-limit inventory",
+        "time": (times, "time since start"),
+        "mean_inventory": (curve.inventory[curve.initial_units],
+                           "average remaining inventory E(x0, t)"),
+        "trading_rate": (curve.trading_rate, "-dE/dt, the average fill rate"),
+        "baseline_linear": (baseline, "constant-rate reference x0*(1 - t/T)"),
+        "fluid_curve": (fluid_curve, "deterministic fluid-limit inventory"),
     }, artifacts)
 
 
@@ -213,10 +193,10 @@ def _cmd_regimes(cfg: RunConfig, artifacts: list) -> None:
     c0, c1 = regime_fluid_fixed_point(RegimeParams(
         lambda0=sec["lambda0"], lambda1=sec["lambda1"], theta0=thetas, theta1=thetas,
         r=sec["r"], alpha=sec["alpha"]))
-    _emit_table(cfg, "regimes", {"theta": thetas, "c0": c0, "c1": c1}, {
-        "theta": "symmetric switching rate",
-        "c0": "active-regime value constant",
-        "c1": "slow-regime value constant",
+    _emit_table(cfg, "regimes", {
+        "theta": (thetas, "symmetric switching rate"),
+        "c0": (c0, "active-regime value constant"),
+        "c1": (c1, "slow-regime value constant"),
     }, artifacts)
 
 
@@ -230,43 +210,32 @@ def _cmd_exchanges(cfg: RunConfig, artifacts: list) -> None:
     params = base if eps is None else replace(base, lambda1=sec["lambda1"] * eps)
     sol = two_exchange_patch(params)
     columns = {
-        "x": sol.x_grid,
-        "value": sol.value,
-        "value_single": params.single_exchange_value(sol.x_grid),
-        "spread_continuous": sol.spread_continuous,
-        "spread_block": sol.spread_block,
-    }
-    docs = {
-        "x": "inventory",
-        "value": "two-exchange stationary value",
-        "value_single": "single-exchange reference value",
-        "spread_continuous": "optimal spread on the continuous venue",
-        "spread_block": "optimal spread on the block venue",
+        "x": (sol.x_grid, "inventory"),
+        "value": (sol.value, "two-exchange stationary value"),
+        "value_single": (params.single_exchange_value(sol.x_grid),
+                         "single-exchange reference value"),
+        "spread_continuous": (sol.spread_continuous,
+                              "optimal spread on the continuous venue"),
+        "spread_block": (sol.spread_block, "optimal spread on the block venue"),
     }
     if eps is not None:
-        expansion = two_exchange_expansion(base, eps)
-        columns["value_expansion"] = expansion.value(sol.x_grid)
-        docs["value_expansion"] = "first-order weak-block-venue expansion"
-    _emit_table(cfg, "exchanges", columns, docs, artifacts,
-                extra_json={"x_seed": sol.x_seed})
+        columns["value_expansion"] = (two_exchange_expansion(base, eps).value(sol.x_grid),
+                                      "first-order weak-block-venue expansion")
+    _emit_table(cfg, "exchanges", columns, artifacts, extra_json={"x_seed": sol.x_seed})
 
 
 def _cmd_figures(cfg: RunConfig, artifacts: list) -> None:
     # figure 1: fluid spreads for three depth models normalized to rate 1 at s = 1
     xs = cfg.section["x_grid"]
     r = 0.1
-    curves = {
-        "spread_power_alpha2": [power_fluid(x, math.inf, 1.0, 2.0, r)[1] for x in xs],
-        "spread_power_alpha3": [power_fluid(x, math.inf, 1.0, 3.0, r)[1] for x in xs],
-        "spread_exp": [exp_fluid_infinite(x, math.e, 1.0, r)[1] for x in xs],
-    }
-    columns = {"x": xs}
-    columns.update({k: np.asarray(v) for k, v in curves.items()})
-    _emit_table(cfg, "figure1", columns, {
-        "x": "inventory",
-        "spread_power_alpha2": "fluid spread, rate s**-2",
-        "spread_power_alpha3": "fluid spread, rate s**-3",
-        "spread_exp": "fluid spread, rate e**(1-s)",
+    _emit_table(cfg, "figure1", {
+        "x": (xs, "inventory"),
+        "spread_power_alpha2": ([power_fluid(x, math.inf, 1.0, 2.0, r)[1] for x in xs],
+                                "fluid spread, rate s**-2"),
+        "spread_power_alpha3": ([power_fluid(x, math.inf, 1.0, 3.0, r)[1] for x in xs],
+                                "fluid spread, rate s**-3"),
+        "spread_exp": ([exp_fluid_infinite(x, math.e, 1.0, r)[1] for x in xs],
+                       "fluid spread, rate e**(1-s)"),
     }, artifacts)
 
 
@@ -327,7 +296,10 @@ def main(argv=None) -> int:
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
         _HANDLERS[cfg.command](cfg, artifacts)
-    except (ConfigError, UnsupportedCaseError) as exc:
+        write_manifest(cfg.out_dir, cfg.command, cfg.raw, cfg.seed,
+                       time.monotonic() - started, artifacts)
+    except (ConfigError, UnsupportedCaseError, OSError) as exc:
+        # OSError: an output directory or artifact that cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, ValueError) as exc:
@@ -338,9 +310,6 @@ def main(argv=None) -> int:
         # convergence ladder of 5 * 2**40 levels
         print(f"out of memory in {cfg.command!r}: {exc}", file=sys.stderr)
         return 3
-
-    write_manifest(cfg.out_dir, cfg.command, cfg.raw, cfg.seed,
-                   time.monotonic() - started, artifacts)
     return 0
 
 

@@ -2,8 +2,9 @@
 
 The unit-size ladder Delta_k = delta * 2**(-k) produces values that increase
 monotonically toward the fluid value and spreads that decrease toward the
-fluid spread; these reports tabulate both, with an empirical (descriptive,
-not proven) convergence order.
+fluid spread; one report tabulates both, with an empirical (descriptive,
+not proven) convergence order and each rung's spread error against the
+fluid spread and against its cell average.
 """
 
 from __future__ import annotations
@@ -19,9 +20,7 @@ from .intensity import IntensityModel, MarketParams
 
 __all__ = [
     "ConvergenceReport",
-    "SpreadConvergence",
     "value_convergence",
-    "spread_convergence",
 ]
 
 
@@ -36,19 +35,9 @@ class ConvergenceReport:
     fluid_spread: float
     monotone_ok: bool
     rate_estimate: float
-    averaged: np.ndarray  # cell average of the fluid spread over [x-Delta, x]
-
-
-@dataclass(frozen=True)
-class SpreadConvergence:
-    x_probe: float
-    deltas: np.ndarray
-    spreads: np.ndarray
-    fluid_spread: float
-    pointwise_err: np.ndarray
-    averaged: np.ndarray      # cell average of the fluid spread over [x-Delta, x]
-    averaged_err: np.ndarray  # |discrete - averaged|
-    averaged_wins: bool       # cell average closer than the pointwise value everywhere
+    averaged: np.ndarray       # cell average of the fluid spread over [x-Delta, x]
+    pointwise_err: np.ndarray  # |discrete spread - fluid spread|
+    averaged_err: np.ndarray   # |discrete spread - averaged|
 
 
 def _probe(case: Case, x: float, deltas) -> tuple[np.ndarray, np.ndarray]:
@@ -73,8 +62,13 @@ def value_convergence(model: IntensityModel, market: MarketParams, x_probe: floa
     The probe inventory must lie on every rung's grid (pick delta0 dividing
     x_probe).  Values are asserted monotone nondecreasing and bounded by the
     fluid value; the rate estimate averages log2 of the last few successive
-    error quotients.  The report also carries each rung's cell average of
-    the fluid spread, from the fluid probe's own solve (``Case.fluid_probe``).
+    error quotients.
+
+    The discrete spread prices the whole cell [x-Delta, x), so the honest
+    fluid comparator is the cell average of the marginal fluid spread, from
+    the fluid probe's own solve (``Case.fluid_probe``); the report carries
+    both the pointwise gap and the cell-averaged gap (the latter is the
+    smaller one).
     """
     case = resolve(model, market)
     deltas = _ladder(delta0, k_max)
@@ -98,23 +92,7 @@ def value_convergence(model: IntensityModel, market: MarketParams, x_probe: floa
     return ConvergenceReport(x_probe=x_probe, deltas=deltas, values=values,
                              fluid_value=fluid_value, ratios=ratios, spreads=spreads,
                              fluid_spread=fluid_spread, monotone_ok=monotone_ok,
-                             rate_estimate=rate, averaged=averaged)
+                             rate_estimate=rate, averaged=averaged,
+                             pointwise_err=np.abs(spreads - fluid_spread),
+                             averaged_err=np.abs(spreads - averaged))
 
-
-def spread_convergence(report: ConvergenceReport) -> SpreadConvergence:
-    """Compare the discrete optimal spreads of a value-convergence ladder with
-    the fluid spread.
-
-    The discrete spread prices the whole cell [x-Delta, x), so the honest
-    fluid comparator is the cell average of the marginal fluid spread; the
-    table carries both the pointwise gap and the cell-averaged gap (the
-    latter is the smaller one).  Everything is read from ``report``: nothing
-    is solved again.
-    """
-    pointwise_err = np.abs(report.spreads - report.fluid_spread)
-    averaged_err = np.abs(report.spreads - report.averaged)
-    return SpreadConvergence(x_probe=report.x_probe, deltas=report.deltas,
-                             spreads=report.spreads, fluid_spread=report.fluid_spread,
-                             pointwise_err=pointwise_err,
-                             averaged=report.averaged, averaged_err=averaged_err,
-                             averaged_wins=bool(np.all(averaged_err <= pointwise_err)))

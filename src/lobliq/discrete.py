@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -436,13 +437,16 @@ class DiscreteSolution:
     ``power_coefficient_factor``: the stationary value for r > 0, d_n itself
     for r = 0; for an exponential book, the values themselves.  Level 0 is
     always 0 (exhaustion).  ``values`` and ``spreads`` are evaluated at the
-    market horizon (spread is nan at level 0).
+    market horizon (spread is nan at level 0).  ``liquidation_times`` is the
+    expected time to sell each level optimally where a closed form exists
+    (the power law on the infinite horizon), else None.
     """
 
     delta: float
     coefficients: np.ndarray
     values: np.ndarray
     spreads: np.ndarray
+    liquidation_times: Optional[np.ndarray] = None
 
     @property
     def n_max(self) -> int:

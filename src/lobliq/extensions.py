@@ -213,19 +213,19 @@ def _series(params: TwoExchangeParams) -> tuple[float, ...]:
 
 
 def _seed_width(params: TwoExchangeParams) -> float:
-    """min(delta_block, x_max)/100, which the march rounds to the lattice,
-    or, where the two terms the seed drops from the series, |g3| z**3 +
-    |g4| z**4 at z = B x, pass 1e-6 of v there, the widest lattice multiple
-    at which they do not.  Both count: g3 is 0 near alpha = 1.675, and g4
-    outgrows it as alpha nears 1."""
-    h, x_seed = params.grid_step, min(params.delta_block, params.x_max) / 100.0
+    """The seed's width on the lattice: min(delta_block, x_max)/100 rounded
+    to a multiple of grid_step (one step at least), or, where the two terms
+    the seed drops from the series, |g3| z**3 + |g4| z**4 at z = B x, pass
+    1e-6 of v there, the widest multiple at which they do not.  Both count:
+    g3 is 0 near alpha = 1.675, and g4 outgrows it as alpha nears 1."""
+    h = params.grid_step
     _, b, _, _, g3, g4 = _series(params)
-    steps = rounded = max(1, round(x_seed / h))
+    steps = max(1, round(min(params.delta_block, params.x_max) / 100.0 / h))
     while True:
         z = steps * b * h
         dropped = z * z * z * (abs(g3) + abs(g4) * z)  # inf, not OverflowError, past 1e308
         if dropped <= 1e-6:
-            return x_seed if steps == rounded else steps * h
+            return steps * h
         if steps == 1:
             raise ArithmeticError(f"grid_step = {h} is too wide for the series seed: the terms "
                                   f"it drops are {dropped:.3e} of v at one step")

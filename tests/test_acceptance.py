@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lobliq.cases import resolve
-from lobliq.convergence import spread_convergence, value_convergence
+from lobliq.convergence import value_convergence
 from lobliq.discrete import (
     power_constant,
     solve_exp_finite,
@@ -79,7 +79,7 @@ def test_criterion_03_monotone_fluid_convergence():
 
 
 def test_criterion_04_control_convergence():
-    table = spread_convergence(value_convergence(POWER, MARKET_INF, 5.0, 1.0, 9))
+    table = value_convergence(POWER, MARKET_INF, 5.0, 1.0, 9)
     assert np.all(np.diff(table.pointwise_err) < 0.0)
     assert np.all(table.averaged_err <= table.pointwise_err)
     report(4, "control convergence with cell-averaged comparator winning")

@@ -122,6 +122,24 @@ class TestCliCommands:
         header, _ = read_csv(tmp_path / "out" / "solve.csv")
         assert "expected_liquidation_time" in header
 
+    @pytest.mark.parametrize("model, market", [
+        (BASE["model"], {"r": 0.1, "horizon": 1.0}),
+        (BASE["model"], {"r": 0.0, "horizon": 1.0}),
+        ({"kind": "exp", "lam": 1.0, "kappa": 1.0}, {"r": 0.0, "horizon": 1.0}),
+        ({"kind": "exp", "lam": 1.0, "kappa": 1.0}, {"r": 0.1, "horizon": "inf"}),
+    ], ids=["power_T", "power_r0", "exp_r0", "exp_inf"])
+    def test_solve_without_closed_form_times_has_no_time_column(self, tmp_path, model,
+                                                                 market):
+        # only the power law on the infinite horizon has liquidation times
+        cfg = dict(BASE, model=model, market=market,
+                   output={"directory": str(tmp_path / "out"), "formats": "csv"})
+        path = write_cfg(tmp_path, cfg)
+        assert main(["solve", "--config", path]) == 0
+        header, _ = read_csv(tmp_path / "out" / "solve.csv")
+        assert "expected_liquidation_time" not in header
+        run = load_config(path, "solve")
+        assert resolve(run.model, run.market).solve(1.0, 10).liquidation_times is None
+
     def test_fluid_solves_each_grid_point_once(self, tmp_path, monkeypatch):
         # the value and the spread at a point come from one E1 root
         calls = []
@@ -153,6 +171,8 @@ class TestCliCommands:
         spreads = np.array(payload["columns"]["spread"])
         assert payload["columns"]["spread_err"] == list(
             np.abs(spreads - payload["fluid_spread"]))
+        assert payload["cell_averaged_err"] == list(
+            np.abs(spreads - np.array(payload["cell_averaged_spread"])))
 
     def test_converge_solves_one_root_per_rung(self, tmp_path, monkeypatch):
         # the probe's E1 root serves the fluid value, the fluid spread and the
@@ -222,6 +242,27 @@ class TestCliCommands:
         path = tmp_path / "empty.yaml"
         path.write_text("")
         assert main(["solve", "--config", str(path)]) == 2
+
+    def test_unwritable_output_directory_exits_2(self, tmp_path, capsys):
+        # the output directory would lie under a regular file
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out"
+        cfg = dict(BASE, output={"directory": str(out)})
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(out) in err
+
+    @pytest.mark.parametrize("artifact", ["solve.csv", "manifest.json"])
+    def test_unwritable_artifact_exits_2(self, tmp_path, capsys, artifact):
+        # a directory stands where the artifact would go
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        cfg = dict(BASE, output={"directory": str(out)})
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(out) in err
 
     def test_numerical_failure_exits_3(self, tmp_path):
         cfg = {

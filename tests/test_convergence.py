@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from lobliq.cases import resolve
-from lobliq.convergence import spread_convergence, value_convergence
+from lobliq.convergence import value_convergence
 from lobliq.fluid import exp_fluid_infinite, fluid_solution
 from lobliq.intensity import ExpDecayIntensity, MarketParams, PowerLawIntensity
 
@@ -83,14 +83,14 @@ class TestValueConvergence:
 
 class TestControlConvergence:
     def test_power_spreads_decrease_to_fluid(self):
-        table = spread_convergence(value_convergence(POWER, MARKET, 5.0, 1.0, 6))
+        table = value_convergence(POWER, MARKET, 5.0, 1.0, 6)
         assert abs(table.fluid_spread - 1.0) < 1e-12  # sqrt(5)/sqrt(5)
         assert np.all(np.diff(table.pointwise_err) < 0.0)
         # observed (not proven) ordering: discrete spread sits above the fluid one
         assert np.all(table.spreads >= table.fluid_spread)
 
     def test_cell_average_beats_pointwise(self):
-        table = spread_convergence(value_convergence(POWER, MARKET, 5.0, 1.0, 6))
+        table = value_convergence(POWER, MARKET, 5.0, 1.0, 6)
         assert np.all(table.averaged_err <= table.pointwise_err)
 
     @pytest.mark.parametrize("model, market", [
@@ -114,12 +114,12 @@ class TestControlConvergence:
                               limit=200)[0] / d
                 assert math.isclose(case.fluid_cell_spread(x, d), oracle,
                                     rel_tol=1e-12), (x, d)
-        table = spread_convergence(value_convergence(model, market, 2.0, 1.0, 2))
+        table = value_convergence(model, market, 2.0, 1.0, 2)
         assert np.array_equal(table.averaged[[0, 2]], [case.fluid_cell_spread(2.0, 1.0),
                                                        case.fluid_cell_spread(2.0, 0.25)])
 
     def test_coarse_consistency(self):
-        table = spread_convergence(value_convergence(POWER, MARKET, 2.0, 2.0, 0))
+        table = value_convergence(POWER, MARKET, 2.0, 2.0, 0)
         sol = resolve(POWER, MARKET).solve(2.0, 1)
         assert abs(table.spreads[0] - sol.spreads[1]) < 1e-14
 

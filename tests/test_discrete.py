@@ -309,7 +309,7 @@ class TestZeroRate:
 class TestExpectedLiquidationTime:
     def test_values(self):
         case = resolve(POWER, STATIONARY)
-        s = case.liquidation_times(case.solve(1.0, 10))
+        s = case.solve(1.0, 10).liquidation_times
         assert s[0] == 0.0
         assert abs(s[1] - 10.0) < 1e-9  # 1/rate(3.16227766) with rate s**-2
 
@@ -317,7 +317,7 @@ class TestExpectedLiquidationTime:
         model = PowerLawIntensity(lam=1.4, alpha=2.5)
         case = resolve(model, MarketParams(r=0.07))
         sol = case.solve(1.0, 30)
-        increments = np.diff(case.liquidation_times(sol))
+        increments = np.diff(sol.liquidation_times)
         for n in range(1, 31):
             assert abs(increments[n - 1] - 1.0 / model.rate(sol.spreads[n])) < 1e-12
         assert np.all(np.diff(increments) < 0.0)  # later units sell faster
@@ -330,10 +330,10 @@ class TestExpectedLiquidationTime:
         model = PowerLawIntensity(lam=lam, alpha=alpha)
         case = resolve(model, MarketParams(r=r))
         sol = case.solve(delta, 30)
-        s = case.liquidation_times(sol)
+        s = sol.liquidation_times
         unit = resolve(PowerLawIntensity(lam=lam * delta ** (alpha - 1.0), alpha=alpha),
                        MarketParams(r=r))
-        s_unit = unit.liquidation_times(unit.solve(1.0, 30))
+        s_unit = unit.solve(1.0, 30).liquidation_times
         for n in range(1, 31):
             assert math.isclose(s[n] - s[n - 1], delta / model.rate(sol.spreads[n]),
                                 rel_tol=1e-12)
@@ -349,7 +349,7 @@ class TestExpectedLiquidationTime:
         # partial sum of positive terms adds k-1 eps.
         lam, r, delta, n = 1.3, 0.4, 0.25, 40
         case = resolve(PowerLawIntensity(lam=lam, alpha=alpha), MarketParams(r=r))
-        times = case.liquidation_times(case.solve(delta, n))
+        times = case.solve(delta, n).liquidation_times
         d = solve_power_zero_rate(lam, alpha, n, delta)
         with mpmath.workdps(40):
             a = mpmath.mpf(alpha)

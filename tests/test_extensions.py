@@ -467,6 +467,15 @@ def test_series_seed_against_mpmath(alpha):
     assert err[-1] >= 0.5 * bound[-1]
 
 
+@pytest.mark.parametrize("grid_step, delta_block", [(0.1, 1.0), (0.04, 1.0), (0.025, 0.3)])
+def test_seed_width_is_the_lattice_width_the_march_seeds(grid_step, delta_block):
+    # min(delta_block, x_max)/100 is narrower than one step here, and the
+    # march seeds over one step: the reported width is that step
+    sol = two_exchange_patch(make_params(grid_step=grid_step, delta_block=delta_block,
+                                         x_max=1.2))
+    assert sol.x_seed == sol.x_grid[1]
+
+
 def test_seed_width_counts_the_fourth_order_term():
     # g3 is 0 near alpha = 1.675, so there the seed's error is g4 z**4: with
     # B = 80 the default width, z = 0.8, keeps |g3| z**3 below 1e-6 but is
