@@ -44,7 +44,9 @@ from .simulate import (
 def _emit_table(cfg: RunConfig, name: str, columns: dict, artifacts: list,
                 extra_json: dict | None = None) -> None:
     """Write ``columns``, {name: (values, doc)}: the values to the CSV/JSON
-    table, the docs to the CSV's schema sidecar."""
+    table, the docs to the CSV's schema sidecar, and the scalars
+    ``extra_json`` to the JSON table and the sidecar both, so that either
+    format carries them."""
     base = os.path.join(cfg.out_dir, name)
     csv_path = base + ".csv" if cfg.formats in ("csv", "both") else None
     json_path = base + ".json" if cfg.formats in ("json", "both") else None
@@ -52,7 +54,7 @@ def _emit_table(cfg: RunConfig, name: str, columns: dict, artifacts: list,
                 {"table": name, **(extra_json or {})})
     if csv_path is not None:
         write_schema_sidecar(base + ".schema.json", name,
-                             {k: doc for k, (_, doc) in columns.items()})
+                             {k: doc for k, (_, doc) in columns.items()}, extra_json)
         artifacts += [csv_path, base + ".schema.json"]
     if json_path is not None:
         artifacts.append(json_path)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .discrete import power_constant
+from .discrete import _bidiagonal_solve, power_constant
 from .numerics import GAUSS_NODES, GAUSS_WEIGHTS
 
 __all__ = [
@@ -253,6 +253,28 @@ def _seed(params: TwoExchangeParams, x_nodes: list) -> tuple[list, list]:
     return u, du
 
 
+# Delay blocks of this many cells or more are solved by Newton's method as
+# one chain (:func:`_patch_integrate`), shorter ones by the loop.  On a
+# 5 001-node march (lambda1 0.5, alpha 1.5, 2 and 2.6) the two break even
+# near 300 cells a block: the chain takes 1.8-2.0 times the loop's time at
+# 100 cells, 1.1-1.3 at 200, 0.86-1.00 at 300, 0.75-0.83 at 400 and 0.47 at
+# 1 000 (min of 15 timings a size on a shared 2-core x86 machine).  Not a
+# setting: the two agree within 8 ulps in v.
+_NEWTON_CELLS = 300
+# Evaluations of a block's chain (each but the last followed by a Newton
+# step) before the loop marches it instead.  Eight take 0.64 of the loop's
+# time on a 1 000-cell block, where the benchmark's blocks take six.  Of 577
+# blocks of 256-2 000 cells (300 random configs: alpha 1.002-12, lambda1 0
+# or 1e-3 to 1e2), 377 were solved within 8, 63 in 9 to 32, and 137, most
+# under a strong block venue, went non-finite within two or missed 60.
+_BLOCK_STEPS = 8
+# a block's chain is solved once its summed relative residual
+# |Phi_i(u_i) - u_{i+1}|/u_{i+1} is at most four ulps, and the slopes Phi_i'
+# are formed anew while it passes 1e-9: nearer the root the last ones serve
+_BLOCK_RTOL = 2.0 ** -50
+_SLOPE_RTOL = 1e-9
+
+
 def _patch_integrate(params: TwoExchangeParams, x_seed: float):
     """March the value in u = v**(alpha/(alpha-1)): (x, v, v').
 
@@ -270,8 +292,21 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
     The delay makes this a method-of-steps march (Bellen and Zennaro,
     "Numerical Methods for Delay Differential Equations", 2003): a step reads
     only a cell that is complete before it, and forms that cell's delayed
-    midpoint in place.  The block term's factor b1*min(x, delta_block)**alpha
-    is formed once per node, step midpoint and step end.
+    midpoint in place.  The loop forms the block term's factor
+    b1*min(x, delta_block)**alpha once per node, step midpoint and step end.
+
+    So inside one delay block every step is u_{i+1} = Phi_i(u_i), Phi_i the
+    RK4 step with its delayed values known.  A block of _NEWTON_CELLS cells
+    or more is solved as one chain G_i = u_{i+1} - Phi_i(u_i) = 0 by Newton's
+    method from the block-free line through its first node (DEER: Lim et al.,
+    "Parallelizing non-linear sequential models over the sequence length",
+    ICLR 2024); the Jacobian is lower bidiagonal with Phi_i' in (0, 1], the
+    chain rule through the four stages, and a step is one prefix scan
+    (``discrete._bidiagonal_solve``).  The result agrees with the loop within
+    8 ulps in v and 1e-13 relative in v'.  A shorter block, and a block whose
+    iterate goes non-finite, misses _BLOCK_STEPS or fails the gap > 0 or
+    d > 0 check once solved, is marched by the loop, which raises the
+    march's own errors.
     """
     a, r, dblk = params.alpha, params.r, params.delta_block
     p = (a - 1.0) / a
@@ -303,78 +338,175 @@ def _patch_integrate(params: TwoExchangeParams, x_seed: float):
         below = bisect_left(points, dblk)
         return [b1 * x ** a for x in points[:below]] + [b1 * dblk_a] * (len(points) - below)
 
-    f_node, f_mid, f_end = ((block_factors(xs), block_factors(xs + hh), block_factors(xs + h))
-                            if blocks else (None, None, None))
-
-    def rate(v_here, e, factors, i, at):
+    def rate(v_here, e, factor, at):
         """v' = (b0/d)**(1/(alpha-1)) from the delay ODE, d = r*v minus the
-        block term factors[i]*(v - e)**(1-alpha), v(x - delta_block) = e, for
-        a stage of step i at x = at, which the two errors name."""
+        block term factor*(v - e)**(1-alpha), v(x - delta_block) = e, for a
+        stage at x = at, which the two errors name."""
         if blocks:
             gap = v_here - e
             if gap <= 0.0:
                 raise ArithmeticError(no_rise.format(at))
-            d = r * v_here - factors[i] * gap ** ma
+            d = r * v_here - factor * gap ** ma
         else:
             d = r * v_here
         if d <= 0.0:
             raise ArithmeticError(blow_up.format(at))
         return (b0 / d) ** ia1
 
+    def node_rate(i):
+        """v' at node i from the stored values, raising as :func:`rate`."""
+        x = x_list[i]
+        return rate(v[i], v[i - lag] if i >= lag else 0.0,
+                    b1 * (x ** a if x < dblk else dblk_a), x)
+
     def marginal(i):
         """v' at node i, inf where the equation has none: for the nodes the
         march does not step from."""
         try:
-            return rate(v[i], v[i - lag] if i >= lag else 0.0, f_node, i, None)
+            return node_rate(i)
         except ArithmeticError:  # overflow among them
             return math.inf
 
+    def stage(us, e, f, derive):
+        """u' = k and v' = w at the stage points u of a block (arrays), dk/du
+        where ``derive``, and the gaps and d, which must be positive.  k is
+        alpha/(alpha-1) u**(1/alpha) w, as the loop forms it (the equal
+        w u/v drifts from the loop by ulps that add up along a block), and
+        dk/du = w/(alpha-1) t (e - alpha v)/(v gap d), with v = u**p and
+        t = f*gap**(1-alpha) the block term."""
+        vs = us ** p
+        d = r * vs
+        if not blocks:
+            w = (b0 / d) ** ia1
+            return ka * us ** ia * w, np.zeros_like(us) if derive else None, w, (d,)
+        gap = vs - e
+        term = f * gap ** ma
+        d -= term
+        w = (b0 / d) ** ia1
+        dk = ia1 * w * term * (e - a * vs) / (vs * gap * d) if derive else None
+        return ka * us ** ia * w, dk, w, (gap, d)
+
+    u_line = _series(params)[0]  # the block-free u'
     dv = [marginal(i) for i in range(seed_idx)]
-    try:
-        for i in range(seed_idx, n_nodes - 1):
-            x, ui = x_list[i], u[i]
-            # the step reads v(x - delta_block) on cell j: its two nodes and
-            # its midpoint; ahead of the first knot, 0
-            j = i - lag
-            if j < 0:
-                e0 = em = e1 = 0.0
+    lists = (u, du, v, dv)
+    # the lists' values as arrays, as far as a Newton block has read them
+    arrays = [np.empty(0)] * 4
+
+    def as_array(q):
+        """lists[q] as an array, converting only the values added since."""
+        if len(arrays[q]) < len(lists[q]):
+            arrays[q] = np.concatenate((arrays[q], lists[q][len(arrays[q]):]))
+        return arrays[q]
+
+    def newton_block(s, t):
+        """Solve the cells from node s to node t, in one delay block, as one
+        Newton chain and store their nodes; False, with nothing stored,
+        where the loop must march them instead."""
+        try:
+            w_s = node_rate(s)
+            k_s = ka * u[s] ** ia * w_s  # the last cell's midpoint reads it
+        except ArithmeticError:
+            return False
+        with np.errstate(all="ignore"):  # inf and nan fall back to the loop
+            if s >= lag:
+                lo_hi, ends = as_array(0)[s - lag:t - lag + 1], as_array(2)[s - lag:t - lag + 1]
+                slopes = np.append(as_array(1)[s - lag:s], k_s)[:t - s + 1]
+                lo, hi = lo_hi[:-1], lo_hi[1:]
+                mid = 0.5 * (lo + hi) + h8 * (slopes[:-1] - slopes[1:])
+                e0, em, e1 = ends[:-1], np.clip(mid, lo, hi) ** p, ends[1:]
             else:
-                e0, e1 = v[j], v[j + 1]
-            # the first stage's rate is v' at the node
-            w1 = rate(v[i], e0, f_node, i, x)
-            k1 = ka * ui ** ia * w1
-            du.append(k1)  # the slope at node i, which lag = 1 reads below
-            if j >= 0:
-                lo, hi = u[j], u[j + 1]
-                m = 0.5 * (lo + hi) + h8 * (du[j] - du[j + 1])
-                # min(max(m, lo), hi), as u rises along the lattice, by one
-                # conditional rather than two builtin calls, which cost more.
-                # No config is known to reach hi: the cell rose by
-                # (h/6)(k1 + 2 k2 + 2 k3 + k4) from k1 = du[j], so m > hi
-                # needs du[j + 1] < du[j]/3 - (2/3)(2 k2 + 2 k3 + k4), while
-                # along a cell the block factor and the delayed value only
-                # grow, which raises u' at a given u.  The correction stayed
-                # within 0.32 of the cell's half-rise on 170 000 random and
-                # hill-climbed configs and on 1 800 at the edge of blow-up.
-                em = (lo if m < lo else hi if m > hi else m) ** p
-            u2 = ui + hh * k1
-            k2 = ka * u2 ** ia * rate(u2 ** p, em, f_mid, i, x + hh)
-            u3 = ui + hh * k2
-            k3 = ka * u3 ** ia * rate(u3 ** p, em, f_mid, i, x + hh)
-            u4 = ui + h * k3
-            k4 = ka * u4 ** ia * rate(u4 ** p, e1, f_end, i, x + h)
-            ui = ui + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            u.append(ui)
-            v.append(ui ** p)
-            dv.append(w1)
-    except OverflowError:  # a Python float pow past 1e308, where NumPy's is inf
-        raise ArithmeticError(f"delay ODE blow-up at x = {x}") from None
-    bad = np.flatnonzero(~np.isfinite(v))
+                e0 = em = e1 = 0.0
+            x = xs[s:t]
+            fn, fm, fe = (b1 * np.minimum(pts, dblk) ** a for pts in (x, x + hh, x + h))
+            chain = u[s] + u_line * (xs[s:t + 1] - xs[s])
+            size = math.inf
+            for _ in range(_BLOCK_STEPS):
+                derive = size > _SLOPE_RTOL
+                un = chain[:-1]
+                k1, j1, w1, c1 = stage(un, e0, fn, derive)
+                k2, j2, _, c2 = stage(un + hh * k1, em, fm, derive)
+                k3, j3, _, c3 = stage(un + hh * k2, em, fm, derive)
+                k4, j4, _, c4 = stage(un + h * k3, e1, fe, derive)
+                resid = un + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4) - chain[1:]
+                # as no Phi_i' passes 1 and u rises, a node strays from the
+                # loop's by about the summed relative residual before it
+                size = np.sum(np.abs(resid) / chain[1:])
+                if not size < math.inf:
+                    return False
+                if size <= _BLOCK_RTOL:
+                    if min(c.min() for c in c1 + c2 + c3 + c4) <= 0.0:
+                        return False  # the gap > 0 or d > 0 check fails
+                    k1[0], w1[0] = k_s, w_s  # node s's, as the loop forms them
+                    for q, new in enumerate((chain[1:], k1, chain[1:] ** p, w1)):
+                        arrays[q] = np.concatenate((as_array(q), new))
+                        lists[q].extend(new.tolist())
+                    return True
+                if derive:  # Phi_i' by the chain rule through the stages
+                    j2 *= 1.0 + hh * j1
+                    j3 *= 1.0 + hh * j2
+                    j4 *= 1.0 + h * j3
+                    slope = 1.0 + h6 * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
+                chain[1:] += _bidiagonal_solve(slope, resid)
+        return False
+
+    # the march's segments: the whole lattice where blocks are short, else
+    # one segment a delay block; a segment inside one block with
+    # _NEWTON_CELLS cells or more is tried as a chain first
+    cuts = range((seed_idx // lag + 1) * lag, n_nodes - 1, lag) if lag >= _NEWTON_CELLS else ()
+    bounds = [seed_idx, *cuts, n_nodes - 1]
+    f_node = None  # the loop's block factors, formed when it first runs
+    for start, end in zip(bounds, bounds[1:]):
+        if _NEWTON_CELLS <= end - start <= lag and newton_block(start, end):
+            continue
+        if f_node is None:  # without a block venue rate() reads no factor
+            f_node, f_mid, f_end = ((block_factors(xs), block_factors(xs + hh),
+                                     block_factors(xs + h)) if blocks else ([0.0] * n_nodes,) * 3)
+        try:
+            for i in range(start, end):
+                x, ui = x_list[i], u[i]
+                # the step reads v(x - delta_block) on cell j: its two nodes and
+                # its midpoint; ahead of the first knot, 0
+                j = i - lag
+                if j < 0:
+                    e0 = em = e1 = 0.0
+                else:
+                    e0, e1 = v[j], v[j + 1]
+                # the first stage's rate is v' at the node
+                w1 = rate(v[i], e0, f_node[i], x)
+                k1 = ka * ui ** ia * w1
+                du.append(k1)  # the slope at node i, which lag = 1 reads below
+                if j >= 0:
+                    lo, hi = u[j], u[j + 1]
+                    m = 0.5 * (lo + hi) + h8 * (du[j] - du[j + 1])
+                    # min(max(m, lo), hi), as u rises along the lattice, by one
+                    # conditional rather than two builtin calls, which cost more.
+                    # No config is known to reach hi: the cell rose by
+                    # (h/6)(k1 + 2 k2 + 2 k3 + k4) from k1 = du[j], so m > hi
+                    # needs du[j + 1] < du[j]/3 - (2/3)(2 k2 + 2 k3 + k4), while
+                    # along a cell the block factor and the delayed value only
+                    # grow, which raises u' at a given u.  The correction stayed
+                    # within 0.32 of the cell's half-rise on 170 000 random and
+                    # hill-climbed configs and on 1 800 at the edge of blow-up.
+                    em = (lo if m < lo else hi if m > hi else m) ** p
+                u2 = ui + hh * k1
+                k2 = ka * u2 ** ia * rate(u2 ** p, em, f_mid[i], x + hh)
+                u3 = ui + hh * k2
+                k3 = ka * u3 ** ia * rate(u3 ** p, em, f_mid[i], x + hh)
+                u4 = ui + h * k3
+                k4 = ka * u4 ** ia * rate(u4 ** p, e1, f_end[i], x + h)
+                ui = ui + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                u.append(ui)
+                v.append(ui ** p)
+                dv.append(w1)
+        except OverflowError:  # a Python float pow past 1e308, where NumPy's is inf
+            raise ArithmeticError(f"delay ODE blow-up at x = {x}") from None
+    dv.append(marginal(n_nodes - 1))
+    v_out = as_array(2)
+    bad = np.flatnonzero(~np.isfinite(v_out))
     if bad.size:
         # the march runs on through inf and nan without raising
         raise ArithmeticError(f"delay ODE blow-up at x = {x_list[bad[0]]}")
-    dv.append(marginal(n_nodes - 1))
-    return xs, np.array(v), np.array(dv)
+    return xs, v_out, as_array(3)
 
 
 def two_exchange_patch(params: TwoExchangeParams) -> TwoExchangeSolution:
@@ -465,7 +597,9 @@ class ExpansionSolution:
         out = np.where(flat > 0.0, self.c1_constant * np.maximum(flat, 0.0) ** (2.0 - 1.0 / a),
                        0.0)
         tail = np.flatnonzero(flat > dblk)
-        if len(tail):
+        # with lambda1 = 0 the correction is 0, where the tail integrand
+        # would form 0*inf once gap**(1-alpha) overflows
+        if len(tail) and k:
             def integrand(y):
                 gap = y ** p - (y - dblk) ** p
                 return k * dblk ** a * gap ** (1.0 - a) * y ** (1.0 / a - 1.0) / (a * r)

@@ -184,9 +184,11 @@ def write_json(path: str, payload: dict) -> None:
     atomic_write_text(path, json.dumps(body, indent=2, sort_keys=True) + "\n")
 
 
-def write_schema_sidecar(path: str, table_name: str,
-                         column_docs: Mapping[str, str]) -> None:
-    write_json(path, {"table": table_name, "columns": dict(column_docs)})
+def write_schema_sidecar(path: str, table_name: str, column_docs: Mapping[str, str],
+                         extra_json: dict | None = None) -> None:
+    """The CSV table's schema: its column docs, and the scalars that the
+    JSON table carries beside its columns (``extra_json``)."""
+    write_json(path, {"table": table_name, "columns": dict(column_docs), **(extra_json or {})})
 
 
 def write_manifest(out_dir: str, command: str, config_echo: dict, seed: int,

@@ -671,6 +671,46 @@ class TestCliCommands:
         mid = rows[len(rows) // 2]
         assert abs(float(mid[iv]) - float(mid[ie])) < 5e-3
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [2000.0, 10000.0])
+    def test_exchanges_without_block_venue_expands_to_the_single_venue(self, tmp_path, alpha):
+        # lambda1 = 0: the first-order correction is 0 at every x, also above
+        # one block, where its integrand's gap**(1-alpha) overflows
+        out = tmp_path / "out"
+        cfg = {
+            "exchanges": {"lambda0": 1000.0, "lambda1": 0.0, "delta_block": 0.1,
+                          "alpha": alpha, "r": 0.1, "x_max": 0.25, "grid_step": 0.05,
+                          "eps": 0.1},
+            "output": {"directory": str(out), "formats": "json"},
+        }
+        assert main(["exchanges", "--config", write_cfg(tmp_path, cfg)]) == 0
+        columns = json.loads((out / "exchanges.json").read_text())["columns"]
+        assert columns["value_expansion"] == columns["value_single"]
+
+    @pytest.mark.parametrize("command, section", [
+        ("converge", {"model": {"kind": "power", "lam": 1.0, "alpha": 2.0},
+                      "market": {"r": 0.1, "horizon": "inf"},
+                      "converge": {"x_probe": 2.0, "k_max": 2}}),
+        ("exchanges", {"exchanges": {"lambda0": 1.0, "lambda1": 1.0, "delta_block": 1.0,
+                                     "alpha": 2.0, "r": 0.1, "x_max": 2.0,
+                                     "grid_step": 0.01}}),
+    ])
+    def test_csv_schema_carries_the_json_tables_scalars(self, tmp_path, command, section):
+        # with formats: csv, the schema sidecar carries what the JSON table
+        # holds beside its columns
+        tables = {}
+        for formats in ("csv", "json"):
+            out = tmp_path / formats
+            cfg = {**section, "output": {"directory": str(out), "formats": formats}}
+            assert main([command, "--config",
+                         write_cfg(tmp_path, cfg, name=f"{formats}.yaml")]) == 0
+            name = f"{command}.schema.json" if formats == "csv" else f"{command}.json"
+            tables[formats] = json.loads((out / name).read_text())
+        scalars = {k: v for k, v in tables["json"].items() if k != "columns"}
+        assert len(scalars) > 2  # schema_version, table and the command's own
+        assert {k: tables["csv"][k] for k in scalars} == scalars
+        assert sorted(tables["csv"]["columns"]) == sorted(tables["json"]["columns"])
+
     @pytest.mark.parametrize("command, change, field", [
         ("exchanges", {"x_max": 2.0005}, "exchanges.x_max"),
         ("exchanges", {"grid_step": 0.3}, "exchanges.grid_step"),

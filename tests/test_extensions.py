@@ -7,9 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lobliq import extensions
 from lobliq.cases import resolve
 from lobliq.discrete import power_constant
 from lobliq.extensions import (
+    _NEWTON_CELLS,
     ExpansionSolution,
     RegimeParams,
     TwoExchangeParams,
@@ -557,22 +559,67 @@ def test_patch_matches_per_step_reference(kw, x_seed):
     assert np.max(np.abs(value - truth)) <= np.max(np.abs(_reference_patch(params, x_seed) - truth))
 
 
+def _assert_within_block_bound(got, want):
+    # the Newton blocks' bound on (x, v, v'): x the same, v within 8 ulps, v'
+    # within 1e-13 relative, and inf where the oracle has it
+    xs, v, dv = got
+    assert np.array_equal(xs, want[0])
+    assert np.all(np.abs(v - want[1]) <= 8.0 * np.spacing(want[1]))
+    finite = np.isfinite(want[2])
+    assert np.array_equal(dv[~finite], want[2][~finite])
+    assert np.all(np.abs(dv[finite] - want[2][finite]) <= 1e-13 * want[2][finite])
+
+
+def _count_block_solves(monkeypatch):
+    """A list that gains one entry, the chain's length, per Newton step the
+    march takes."""
+    steps = []
+    solve = extensions._bidiagonal_solve
+
+    def counted(k, g):
+        steps.append(len(g))
+        return solve(k, g)
+
+    monkeypatch.setattr(extensions, "_bidiagonal_solve", counted)
+    return steps
+
+
 def _assert_march_matches_oracle(params, x_seed):
-    xs, v, dv = _patch_integrate(params, x_seed)
+    # bit for bit where the blocks are shorter than _NEWTON_CELLS cells, and
+    # within the Newton blocks' bound where they are not
+    got = _patch_integrate(params, x_seed)
     want = patch_march_by_step(params, x_seed)
-    for got, ref in zip((xs, v, dv), want):
-        assert np.array_equal(got, ref)
+    if round(params.delta_block / params.grid_step) < _NEWTON_CELLS:
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    else:
+        _assert_within_block_bound(got, want)
 
 
 # from one cell a block, where a step reads the cell ending at its own node,
-# to a thousand
-@pytest.mark.parametrize("steps", [1, 2, 15, 31, 32, 33, 100, 1000])
+# to a thousand, through both sides of the Newton blocks' threshold
+@pytest.mark.parametrize("steps", [1, 2, 15, 31, 32, 33, 100, _NEWTON_CELLS - 1,
+                                   _NEWTON_CELLS, _NEWTON_CELLS + 1, 1000])
 @pytest.mark.parametrize("alpha", [1.3, 2.0, 2.6])
-def test_march_matches_the_per_step_oracle(steps, alpha):
+def test_march_matches_the_per_step_oracle(steps, alpha, monkeypatch):
     # three blocks and one step past the third knot
     h = 1.0 / steps
     params = make_params(lambda1=0.5, alpha=alpha, grid_step=h, x_max=h * (3 * steps + 1))
+    solves = _count_block_solves(monkeypatch)
     _assert_march_matches_oracle(params, 0.01)
+    # the blocks past the first knot are solved as chains from the threshold on
+    assert bool(solves) == (steps >= _NEWTON_CELLS)
+
+
+@pytest.mark.parametrize("kw", [dict(lambda1=0.5), dict(lambda1=0.0),
+                                dict(lambda1=5.0, delta_block=0.5, x_max=2.0, grid_step=0.001)])
+def test_blocks_past_the_step_cap_take_the_loop_bit_for_bit(kw, monkeypatch):
+    # a block whose chain misses the step cap is marched by the loop, which is
+    # the per-step oracle bit for bit
+    monkeypatch.setattr(extensions, "_BLOCK_STEPS", 0)
+    params = make_params(**{"grid_step": 1.0 / 500.0, **kw})
+    for got, want in zip(_patch_integrate(params, 0.01), patch_march_by_step(params, 0.01)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("kw, x_seed", [
@@ -681,6 +728,8 @@ def test_patch_solves_or_raises_at_the_domain_edges(alpha, lambda1, steps, block
 @pytest.mark.parametrize("kw", [
     dict(delta_block=0.3, grid_step=0.02, x_max=2.1),  # 15 * 0.02 > 0.3
     dict(delta_block=1.0 - 5e-12, grid_step=0.01),    # on the lattice within 1e-9
+    # blocks of 700 cells, solved as Newton chains: 700 * 0.001 > 0.7
+    dict(delta_block=0.7, grid_step=0.001, x_max=2.1),
 ])
 def test_patch_knot_query_past_the_knot_reads_the_knot(kw, monkeypatch):
     # x + h - delta_block rounds just past a knot not yet marched to; the
@@ -696,6 +745,36 @@ def test_patch_knot_query_past_the_knot_reads_the_knot(kw, monkeypatch):
 
     monkeypatch.setattr(np, "empty", poisoned)
     np.testing.assert_array_equal(two_exchange_patch(params).value, v)
+
+
+# lambda1 log-uniform: above about 1.5 most chains fall back to the loop
+@given(alpha=st.floats(1.002, 12.0),
+       lambda1=st.one_of(st.just(0.0), st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e)),
+       cells=st.integers(_NEWTON_CELLS, 2000), blocks=st.integers(1, 3))
+# a strong block venue: from the block-free line every block's chain goes
+# non-finite within two evaluations, and the loop marches them all
+@example(alpha=2.0, lambda1=5.0, cells=500, blocks=3)
+@example(alpha=12.0, lambda1=1e2, cells=_NEWTON_CELLS, blocks=3)
+@settings(max_examples=40, deadline=None)
+def test_newton_blocks_agree_with_the_per_step_oracle(alpha, lambda1, cells, blocks):
+    # delta_block 0.5 in `cells` steps; the lattice runs `blocks` delay blocks
+    # and one step past the last knot
+    h = 0.5 / cells
+    params = make_params(alpha=alpha, lambda1=lambda1, delta_block=0.5, grid_step=h,
+                         x_max=h * (blocks * cells + 1))
+    try:
+        x_seed = _seed_width(params)
+    except ArithmeticError:
+        x_seed = h  # the solve refuses the lattice; the march still runs
+    try:
+        got = _patch_integrate(params, x_seed)
+    except ArithmeticError as raised:
+        # the loop raises the march's own errors, and the oracle the same
+        with pytest.raises(ArithmeticError) as oracle:
+            patch_march_by_step(params, x_seed)
+        assert str(raised) == str(oracle.value)
+        return
+    _assert_within_block_bound(got, patch_march_by_step(params, x_seed))
 
 
 class TestTwoExchangeExpansion:

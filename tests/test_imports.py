@@ -85,6 +85,14 @@ def test_no_scipy_import_in_the_package():
     assert not stray, "\n".join(stray)
 
 
+@pytest.mark.parametrize("path", SOURCES + sorted(Path(__file__).parent.glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_source_parses_with_the_python_3_10_grammar(path):
+    # requires-python is >=3.10; this catches newer syntax where no 3.10
+    # interpreter with NumPy is at hand to import the file
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_exported_name_exists(path):
     # a deleted function must not stay behind in its module's __all__
@@ -262,7 +270,8 @@ def defined_functions(path: Path) -> dict:
 def _reach_runs():
     """One small config per command, model/market case and simulate policy;
     the 401-row solve is long enough for the writers' vector spelling, and
-    its level-0 row takes the per-value spelling."""
+    its level-0 row takes the per-value spelling, and the second exchanges
+    run's delay blocks are long enough for the march's Newton chains."""
     power = {"kind": "power", "lam": 1.0, "alpha": 2.0}
     exp = {"kind": "exp", "lam": 1.0, "kappa": 1.0}
     grid = {"start": 0.5, "stop": 2.0, "count": 3}
@@ -285,6 +294,10 @@ def _reach_runs():
     yield "exchanges", {"exchanges": {"lambda0": 1.0, "lambda1": 1.0, "delta_block": 1.0,
                                       "alpha": 2.0, "r": 0.1, "x_max": 2.0,
                                       "grid_step": 0.01, "eps": 0.05}}
+    # 500 cells a block: the march solves its blocks as Newton chains
+    yield "exchanges", {"exchanges": {"lambda0": 1.0, "lambda1": 0.5, "delta_block": 1.0,
+                                      "alpha": 2.0, "r": 0.1, "x_max": 2.0,
+                                      "grid_step": 0.002}}
     yield "figures", {"figures": {"figure": 1, "x_grid": grid}}
 
 
