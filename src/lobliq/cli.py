@@ -22,13 +22,7 @@ import numpy as np
 from .cases import resolve
 from .config import COMMANDS, ConfigError, RunConfig, load_config
 from .convergence import value_convergence
-from .extensions import (
-    RegimeParams,
-    TwoExchangeParams,
-    regime_fluid_fixed_point,
-    two_exchange_expansion,
-    two_exchange_patch,
-)
+from .extensions import regime_fluid_fixed_point, two_exchange_expansion, two_exchange_patch
 from .fluid import exp_fluid_infinite, fluid_solution, power_fluid
 from .intensity import UnsupportedCaseError
 from .reports import write_json, write_manifest, write_schema_sidecar, write_table
@@ -190,26 +184,18 @@ def _cmd_curves(cfg: RunConfig, artifacts: list) -> None:
 
 
 def _cmd_regimes(cfg: RunConfig, artifacts: list) -> None:
-    sec = cfg.section
-    thetas = sec["theta_grid"]
-    c0, c1 = regime_fluid_fixed_point(RegimeParams(
-        lambda0=sec["lambda0"], lambda1=sec["lambda1"], theta0=thetas, theta1=thetas,
-        r=sec["r"], alpha=sec["alpha"]))
+    c0, c1 = regime_fluid_fixed_point(cfg.section["params"])
     _emit_table(cfg, "regimes", {
-        "theta": (thetas, "symmetric switching rate"),
+        "theta": (cfg.section["theta_grid"], "symmetric switching rate"),
         "c0": (c0, "active-regime value constant"),
         "c1": (c1, "slow-regime value constant"),
     }, artifacts)
 
 
 def _cmd_exchanges(cfg: RunConfig, artifacts: list) -> None:
-    sec = cfg.section
-    eps = sec.get("eps")
-    base = TwoExchangeParams(lambda0=sec["lambda0"], lambda1=sec["lambda1"],
-                             delta_block=sec["delta_block"], alpha=sec["alpha"],
-                             r=sec["r"], x_max=sec["x_max"], grid_step=sec["grid_step"])
+    base, eps = cfg.section["params"], cfg.section.get("eps")
     # eps scales the block venue's intensity; lambda1 is then its O(1) base
-    params = base if eps is None else replace(base, lambda1=sec["lambda1"] * eps)
+    params = base if eps is None else replace(base, lambda1=base.lambda1 * eps)
     sol = two_exchange_patch(params)
     columns = {
         "x": (sol.x_grid, "inventory"),
@@ -276,6 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.monotonic()
+    artifacts: list[str] = []
     try:
         cfg = load_config(args.config, args.command)
         if args.out is not None:
@@ -290,12 +277,6 @@ def main(argv=None) -> int:
             cfg.threads = args.threads
         if args.format is not None:
             cfg.formats = args.format
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    artifacts: list[str] = []
-    try:
         os.makedirs(cfg.out_dir, exist_ok=True)
         _HANDLERS[cfg.command](cfg, artifacts)
         write_manifest(cfg.out_dir, cfg.command, cfg.raw, cfg.seed,
@@ -305,12 +286,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ArithmeticError, ValueError) as exc:
-        print(f"numerical failure in {cfg.command!r}: {exc}", file=sys.stderr)
+        print(f"numerical failure in {args.command!r}: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
-        # a level count whose arrays cannot be allocated, such as a
+        # a level count or grid whose arrays cannot be allocated, such as a
         # convergence ladder of 5 * 2**40 levels
-        print(f"out of memory in {cfg.command!r}: {exc}", file=sys.stderr)
+        print(f"out of memory in {args.command!r}: {exc}", file=sys.stderr)
         return 3
     return 0
 

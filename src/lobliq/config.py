@@ -8,20 +8,17 @@ running defaults.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import yaml
 
+from .extensions import RegimeParams, TwoExchangeParams
 from .intensity import ExpDecayIntensity, IntensityModel, MarketParams, PowerLawIntensity
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "COMMANDS"]
-
-COMMANDS = ("solve", "fluid", "converge", "simulate", "curves", "regimes",
-            "exchanges", "figures")
-
-_TOP_KEYS = set(COMMANDS) | {"command", "model", "market", "output", "seed", "threads"}
 
 
 class ConfigError(ValueError):
@@ -33,7 +30,7 @@ def _require_keys(section: dict, allowed: set[str], required: set[str], path: st
         raise ConfigError(f"{path}: expected a mapping, got {type(section).__name__}")
     unknown = set(section) - allowed
     if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown, key=str)}")
     missing = required - set(section)
     if missing:
         raise ConfigError(f"{path}: missing required key(s) {sorted(missing)}")
@@ -50,7 +47,11 @@ def _number(section, key, path, *, default=None, minimum=None, exclusive=False,
         raw = math.inf
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {raw!r}")
-    val = float(raw)
+    try:
+        val = float(raw)
+    except OverflowError:
+        raise ConfigError(f"{path}.{key}: expected a number, got an integer beyond "
+                          "the float range") from None
     if math.isinf(val) and not allow_inf:
         raise ConfigError(f"{path}.{key}: must be finite")
     if minimum is not None:
@@ -62,11 +63,7 @@ def _number(section, key, path, *, default=None, minimum=None, exclusive=False,
 
 
 def _integer(section, key, path, *, default=None, minimum=None):
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    raw = section[key]
+    raw = section.get(key, default)  # a required key is checked by _require_keys
     if isinstance(raw, bool) or not isinstance(raw, int):
         raise ConfigError(f"{path}.{key}: expected an integer, got {raw!r}")
     if minimum is not None and raw < minimum:
@@ -91,12 +88,9 @@ def _boolean(section, key, path, *, default):
 
 
 def _grid(section, key, path, *, default=None):
-    """{start, stop, count, spacing: linear|log} -> numpy array."""
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    spec = section[key]
+    """{start, stop, count, spacing: linear|log} -> numpy array; a default
+    is such a spec too, so that each parse makes its own array."""
+    spec = section.get(key, default)  # a required key is checked by _require_keys
     p = f"{path}.{key}"
     _require_keys(spec, {"start", "stop", "count", "spacing"}, {"start", "stop", "count"}, p)
     # every grid holds inventories, times or rates
@@ -152,101 +146,87 @@ class RunConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
 
-_SECTION_SCHEMAS: dict[str, tuple[set[str], set[str]]] = {
-    # command: (allowed keys, required keys)
-    "solve": ({"n_max", "delta"}, {"n_max"}),
-    "fluid": ({"x_grid"}, {"x_grid"}),
-    "converge": ({"x_probe", "delta0", "k_max"}, {"x_probe"}),
-    "simulate": ({"n_units", "delta", "n_paths", "policy", "constant_spread",
-                  "curve_points", "dump_paths"}, {"n_units", "n_paths"}),
-    "curves": ({"n_units", "t_grid"}, {"n_units", "t_grid"}),
-    "regimes": ({"lambda0", "lambda1", "alpha", "r", "theta_grid"},
-                {"lambda0", "lambda1", "alpha", "r", "theta_grid"}),
-    "exchanges": ({"lambda0", "lambda1", "delta_block", "alpha", "r", "x_max",
-                   "grid_step", "eps"},
-                  {"lambda0", "lambda1", "delta_block", "alpha", "r", "x_max"}),
-    "figures": ({"figure", "x_grid"}, {"figure"}),
+_POSITIVE = {"minimum": 0.0, "exclusive": True}
+_UNIT = {"default": 1.0, **_POSITIVE}
+_ALPHA = {"minimum": 1.0, "exclusive": True}
+
+# Each command's section, {field: (parser, keywords)}, in the order its
+# fields are parsed.  A field without a default is required; one whose
+# default is None is optional, and is parsed where present once the
+# section's cross-field rules (_check_rules) have allowed it.
+_SECTIONS = {
+    "solve": {"n_max": (_integer, {"minimum": 1}), "delta": (_number, _UNIT)},
+    "fluid": {"x_grid": (_grid, {})},
+    "converge": {"x_probe": (_number, _POSITIVE), "delta0": (_number, _UNIT),
+                 "k_max": (_integer, {"default": 9, "minimum": 0})},
+    "simulate": {"n_units": (_integer, {"minimum": 1}), "delta": (_number, _UNIT),
+                 "n_paths": (_integer, {"minimum": 1}),
+                 "policy": (_choice, {"choices": ("optimal", "fluid", "constant"),
+                                      "default": "optimal"}),
+                 "constant_spread": (_number, {"default": None, **_POSITIVE}),
+                 "curve_points": (_integer, {"default": 0, "minimum": 0}),
+                 "dump_paths": (_boolean, {"default": False})},
+    "curves": {"n_units": (_integer, {"minimum": 1}), "t_grid": (_grid, {})},
+    "regimes": {"lambda0": (_number, _POSITIVE), "lambda1": (_number, _POSITIVE),
+                "alpha": (_number, _ALPHA), "r": (_number, _POSITIVE),
+                "theta_grid": (_grid, {})},
+    "exchanges": {"lambda0": (_number, _POSITIVE), "lambda1": (_number, {"minimum": 0.0}),
+                  "delta_block": (_number, _POSITIVE), "alpha": (_number, _ALPHA),
+                  "r": (_number, _POSITIVE), "x_max": (_number, _POSITIVE),
+                  "grid_step": (_number, {"default": 0.001, **_POSITIVE}),
+                  "eps": (_number, {"default": None, "minimum": 0.0})},
+    "figures": {"figure": (_integer, {"minimum": 1}),
+                "x_grid": (_grid, {"default": {"start": 0.05, "stop": 10.0,
+                                                "count": 200, "spacing": "log"}})},
 }
 
+COMMANDS = tuple(_SECTIONS)
+_TOP_KEYS = {*COMMANDS, "command", "model", "market", "output", "seed", "threads"}
 _NEEDS_MODEL = {"solve", "fluid", "converge", "simulate", "curves"}
 
 
-def _validate_section(command: str, section: dict) -> dict:
-    allowed, required = _SECTION_SCHEMAS[command]
-    _require_keys(section, allowed, required, command)
-    out = dict(section)
-    if command == "solve":
-        out["n_max"] = _integer(section, "n_max", command, minimum=1)
-        out["delta"] = _number(section, "delta", command, default=1.0,
-                               minimum=0.0, exclusive=True)
-    elif command == "fluid":
-        out["x_grid"] = _grid(section, "x_grid", command)
-    elif command == "converge":
-        out["x_probe"] = _number(section, "x_probe", command, minimum=0.0, exclusive=True)
-        out["delta0"] = _number(section, "delta0", command, default=1.0,
-                                minimum=0.0, exclusive=True)
-        out["k_max"] = _integer(section, "k_max", command, default=9, minimum=0)
-        # the ladder halves delta0, so rung k holds the probe at level q * 2**k
+def _check_rules(command: str, section: dict, out: dict) -> None:
+    """The rules that tie a section's fields together, each raising ValueError
+    that names its field first; the extensions' parameter types check their
+    own, and are kept in ``out["params"]`` for the command."""
+    if command == "converge":
+        # the ladder halves delta0, so rung k holds the probe at level q * 2**k;
+        # a q past the float range is no level at all
         q = out["x_probe"] / out["delta0"]
-        if round(q) < 1 or abs(q - round(q)) > 1e-9 * 0.5 ** out["k_max"]:
-            raise ConfigError(f"{command}.x_probe: {out['x_probe']} is not a positive "
-                              f"multiple of delta0 = {out['delta0']}")
+        if (not q < math.inf or round(q) < 1
+                or abs(q - round(q)) > math.ldexp(1e-9, -out["k_max"])):
+            raise ValueError(f"x_probe: {out['x_probe']} is not a positive "
+                             f"multiple of delta0 = {out['delta0']}")
     elif command == "simulate":
-        out["n_units"] = _integer(section, "n_units", command, minimum=1)
-        out["delta"] = _number(section, "delta", command, default=1.0,
-                               minimum=0.0, exclusive=True)
-        out["n_paths"] = _integer(section, "n_paths", command, minimum=1)
-        out["policy"] = _choice(section, "policy", command,
-                                ("optimal", "fluid", "constant"), default="optimal")
-        if out["policy"] == "constant":
-            out["constant_spread"] = _number(section, "constant_spread", command,
-                                             minimum=0.0, exclusive=True)
-        elif "constant_spread" in section:
-            raise ConfigError(f"{command}.constant_spread: only valid for policy: constant")
-        out["curve_points"] = _integer(section, "curve_points", command,
-                                       default=0, minimum=0)
-        out["dump_paths"] = _boolean(section, "dump_paths", command, default=False)
-    elif command == "curves":
-        out["n_units"] = _integer(section, "n_units", command, minimum=1)
-        out["t_grid"] = _grid(section, "t_grid", command)
+        constant = out["policy"] == "constant"
+        if constant != ("constant_spread" in section):
+            raise ValueError("constant_spread: required" if constant else
+                             "constant_spread: only valid for policy: constant")
     elif command == "regimes":
-        out["lambda0"] = _number(section, "lambda0", command, minimum=0.0, exclusive=True)
-        out["lambda1"] = _number(section, "lambda1", command, minimum=0.0, exclusive=True)
-        if not out["lambda0"] > out["lambda1"]:
-            raise ConfigError(f"{command}.lambda1: the slow regime's {out['lambda1']} "
-                              f"must be below lambda0 = {out['lambda0']}")
-        out["alpha"] = _number(section, "alpha", command, minimum=1.0, exclusive=True)
-        out["r"] = _number(section, "r", command, minimum=0.0, exclusive=True)
-        out["theta_grid"] = _grid(section, "theta_grid", command)
+        out["params"] = RegimeParams(
+            lambda0=out["lambda0"], lambda1=out["lambda1"], theta0=out["theta_grid"],
+            theta1=out["theta_grid"], r=out["r"], alpha=out["alpha"])
     elif command == "exchanges":
-        out["lambda0"] = _number(section, "lambda0", command, minimum=0.0, exclusive=True)
-        out["lambda1"] = _number(section, "lambda1", command, minimum=0.0)
-        out["delta_block"] = _number(section, "delta_block", command,
-                                     minimum=0.0, exclusive=True)
-        out["alpha"] = _number(section, "alpha", command, minimum=1.0, exclusive=True)
-        out["r"] = _number(section, "r", command, minimum=0.0, exclusive=True)
-        out["x_max"] = _number(section, "x_max", command, minimum=0.0, exclusive=True)
-        out["grid_step"] = _number(section, "grid_step", command, default=0.001,
-                                   minimum=0.0, exclusive=True)
-        # the patching solver marches a lattice of grid_step that must hold
-        # every block-size knot and x_max itself
-        h, x_max = out["grid_step"], out["x_max"]
-        ratio = out["delta_block"] / h
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ConfigError(f"{command}.grid_step: {h} does not divide "
-                              f"delta_block = {out['delta_block']}")
-        if abs(h * round(x_max / h) - x_max) > 1e-9 * max(1.0, x_max):
-            raise ConfigError(f"{command}.x_max: {x_max} is not on the "
-                              f"grid_step = {h} lattice")
-        if "eps" in section:
-            out["eps"] = _number(section, "eps", command, minimum=0.0)
-    elif command == "figures":
-        fig = _integer(section, "figure", command, minimum=1)
-        if fig != 1:
-            raise ConfigError("figures.figure: only figure 1 is available")
-        out["figure"] = fig
-        out["x_grid"] = _grid(section, "x_grid", command,
-                              default=np.geomspace(0.05, 10.0, 200))
+        # every field but eps, which is parsed after the rules
+        out["params"] = TwoExchangeParams(**out)
+    elif command == "figures" and out["figure"] != 1:
+        raise ValueError("figure: only figure 1 is available")
+
+
+def _validate_section(command: str, section: dict) -> dict:
+    fields = _SECTIONS[command]
+    _require_keys(section, set(fields),
+                  {k for k, (_, kw) in fields.items() if "default" not in kw}, command)
+    optional = {k for k, (_, kw) in fields.items() if kw.get("default", 0) is None}
+    out = {k: parse(section, k, command, **kw)
+           for k, (parse, kw) in fields.items() if k not in optional}
+    try:
+        _check_rules(command, section, out)
+    except ValueError as exc:
+        raise ConfigError(f"{command}.{exc}") from exc
+    for k in optional & section.keys():
+        parse, kw = fields[k]
+        out[k] = parse(section, k, command, **kw)
     return out
 
 
@@ -256,7 +236,7 @@ def parse_config(data: dict, command: str) -> RunConfig:
         raise ConfigError("top level: expected a mapping")
     unknown = set(data) - _TOP_KEYS
     if unknown:
-        raise ConfigError(f"top level: unknown key(s) {sorted(unknown)}")
+        raise ConfigError(f"top level: unknown key(s) {sorted(unknown, key=str)}")
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     if "command" in data and data["command"] != command:
@@ -267,10 +247,9 @@ def parse_config(data: dict, command: str) -> RunConfig:
 
     model = market = None
     if command in _NEEDS_MODEL:
-        if "model" not in data:
-            raise ConfigError("missing section 'model'")
-        if "market" not in data:
-            raise ConfigError("missing section 'market'")
+        for name in ("model", "market"):
+            if name not in data:
+                raise ConfigError(f"missing section {name!r}")
         model = _parse_model(data["model"])
         market = _parse_market(data["market"])
 
@@ -281,8 +260,7 @@ def parse_config(data: dict, command: str) -> RunConfig:
     out_dir = out_spec.get("directory", "out")
     if not isinstance(out_dir, str):
         raise ConfigError("output.directory: expected a string")
-    formats = _choice(out_spec, "formats", "output", ("csv", "json", "both"),
-                      default="both")
+    formats = _choice(out_spec, "formats", "output", ("csv", "json", "both"), default="both")
 
     seed = _integer(data, "seed", "top level", default=0, minimum=0)
     threads = _integer(data, "threads", "top level", default=1, minimum=1)
@@ -291,18 +269,23 @@ def parse_config(data: dict, command: str) -> RunConfig:
                      raw=data)
 
 
-# libyaml's C parser where PyYAML was built with it: the same safe
-# constructor and resolver as yaml.SafeLoader, so the same data
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's C parser where PyYAML has it, yaml.SafeLoader's constructor and
+    resolver, and YAML 1.2's floats that YAML 1.1 reads as strings, such as 1e4 and 1.0e4."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
 
 
 def load_config(path: str, command: str) -> RunConfig:
     try:
         with open(path) as fh:
-            data = yaml.load(fh, Loader=_LOADER)
+            data = yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: a scalar PyYAML cannot build, such as the date 2020-13-45
         raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
     if data is None:
         raise ConfigError(f"empty config file {path}")

@@ -47,8 +47,9 @@ class RegimeParams:
     alpha: float
 
     def __post_init__(self):
-        if not self.lambda0 > self.lambda1 > 0.0:
-            raise ValueError("requires lambda0 > lambda1 > 0")
+        if not self.lambda0 > self.lambda1:
+            raise ValueError(f"lambda1: the slow regime's {self.lambda1} must be below "
+                             f"lambda0 = {self.lambda0}")
         shape = np.shape(self.theta0)
         if len(shape) > 1 or np.shape(self.theta1) != shape:
             raise ValueError("theta0 and theta1 must be two floats or two 1-D arrays "
@@ -60,8 +61,8 @@ class RegimeParams:
             raise ValueError("transition rates must be nonnegative")
         if self.alpha <= 1.0:
             raise ValueError("alpha must exceed 1")
-        if self.r <= 0.0:
-            raise ValueError("r must be positive")
+        if self.r <= 0.0 or self.lambda1 <= 0.0:
+            raise ValueError("r and lambda1 must be positive")
 
     def single_regime_constant(self, which: int) -> float:
         lam = self.lambda0 if which == 0 else self.lambda1
@@ -168,12 +169,13 @@ class TwoExchangeParams:
             raise ValueError("r and delta_block must be positive")
         if self.x_max <= 0.0 or self.grid_step <= 0.0:
             raise ValueError("x_max and grid_step must be positive")
+        # the march's lattice must hold every block-size knot and x_max itself
         h, x_max = self.grid_step, self.x_max
-        ratio = self.delta_block / h
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("grid_step must divide delta_block so knots land on the grid")
-        if abs(h * round(x_max / h) - x_max) > 1e-9 * max(1.0, x_max):
-            raise ValueError("x_max must sit on the grid_step lattice")
+        ratio, steps = self.delta_block / h, x_max / h
+        if not (ratio < math.inf and abs(ratio - round(ratio)) <= 1e-9):
+            raise ValueError(f"grid_step: {h} does not divide delta_block = {self.delta_block}")
+        if not (steps < math.inf and abs(h * round(steps) - x_max) <= 1e-9 * max(1.0, x_max)):
+            raise ValueError(f"x_max: {x_max} is not on the grid_step = {h} lattice")
 
     def single_exchange_value(self, x) -> np.ndarray | float:
         """v0(x): the block venue switched off."""
@@ -270,7 +272,9 @@ _NEWTON_CELLS = 300
 _BLOCK_STEPS = 8
 # a block's chain is solved once its summed relative residual
 # |Phi_i(u_i) - u_{i+1}|/u_{i+1} is at most four ulps, and the slopes Phi_i'
-# are formed anew while it passes 1e-9: nearer the root the last ones serve
+# are formed anew while it passes 1e-9: nearer the root the last ones serve.
+# Forming them at every evaluation keeps every bit but took 1.04-1.11 times
+# the march's time (five 5 001-node configs, 41 interleaved calls, 2-core x86).
 _BLOCK_RTOL = 2.0 ** -50
 _SLOPE_RTOL = 1e-9
 

@@ -252,7 +252,9 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
 
     mean = float(np.mean(revenues))
     if n_paths > 1:
-        se = float(np.std(revenues, ddof=1) / math.sqrt(n_paths))
+        # scaled by a power of two, exactly: squares overflow past about 1e154
+        k = int(np.frexp(np.max(np.abs(revenues)))[1])
+        se = float(np.ldexp(np.std(np.ldexp(revenues, -k), ddof=1), k) / math.sqrt(n_paths))
     else:
         se = math.nan
     stats_kwargs = dict(n_paths=n_paths, mean_revenue=mean, std_error=se,

@@ -8,11 +8,14 @@ import mpmath
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lobliq
+from lobliq import config
 from lobliq.cases import resolve
 from lobliq.cli import main
-from lobliq.config import ConfigError, load_config, parse_config
+from lobliq.config import COMMANDS, ConfigError, _Loader, load_config, parse_config
 from lobliq.intensity import ExpDecayIntensity, MarketParams, PowerLawIntensity
 from lobliq.reports import format_number
 from lobliq.simulate import StationarySpreadPolicy, simulate_policy
@@ -94,6 +97,91 @@ class TestConfigParsing:
         bad["market"] = {"r": 0.0, "horizon": "inf"}
         with pytest.raises(ConfigError, match="market"):
             parse_config(bad, "solve")
+
+    def test_exponent_floats_without_a_dot_or_sign(self, tmp_path):
+        # YAML 1.2 reads these as floats; YAML 1.1, and so yaml.safe_load, as strings
+        for text, value in {"2e0": 2.0, "1e4": 1e4, "-2E-3": -2e-3, "1e+4": 1e4,
+                            "1.0e4": 1e4, ".5e3": 500.0}.items():
+            parsed = yaml.load(f"v: {text}\nn: 10\n", Loader=_Loader)
+            assert parsed == {"v": value, "n": 10} and type(parsed["v"]) is float
+            assert yaml.safe_load(f"v: {text}") == {"v": text}
+        path = tmp_path / "run.yaml"
+        path.write_text("model: {kind: power, lam: 1e+4, alpha: 2e0}\n"
+                        "market: {r: 1E-1}\nsolve: {n_max: 10}\n")
+        cfg = load_config(str(path), "solve")
+        assert cfg.model == PowerLawIntensity(lam=1e4, alpha=2.0) and cfg.market.r == 0.1
+
+    @pytest.mark.parametrize("field, text, message", [
+        ("alpha", "'1e4'", "model.alpha: expected a number, got '1e4'"),
+        ("n_max", "1e3", "solve.n_max: expected an integer, got 1000.0"),
+    ])
+    def test_exponent_floats_are_not_coerced(self, tmp_path, field, text, message):
+        fields = {"alpha": "2.0", "n_max": "10", field: text}
+        path = tmp_path / "run.yaml"
+        path.write_text(f"model: {{kind: power, alpha: {fields['alpha']}}}\n"
+                        f"market: {{r: 0.1}}\nsolve: {{n_max: {fields['n_max']}}}\n")
+        with pytest.raises(ConfigError) as raised:
+            load_config(str(path), "solve")
+        assert str(raised.value) == message
+
+
+_WILD = st.one_of(
+    st.integers(-10 ** 400, 10 ** 400), st.floats(),
+    st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan, "inf", "x", None]),
+    st.booleans(), st.lists(st.none(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.none(), max_size=2))
+_NUMBERS = st.floats(1.001, 10.0)  # past every field's lower bound
+_KINDS = {config._integer: st.integers(1, 50), config._number: _NUMBERS,
+          config._boolean: st.booleans(),
+          config._grid: st.fixed_dictionaries(
+              {"start": st.floats(0.0, 1.0), "stop": _NUMBERS, "count": st.integers(2, 50)},
+              optional={"spacing": st.just("linear")})}
+
+
+@st.composite
+def _configs(draw):
+    """A command and a config of fields that each pass their own checks,
+    with up to three faults: a field of any value at all, a field dropped,
+    or an unknown key."""
+    command = draw(st.sampled_from(COMMANDS))
+    kind = draw(st.sampled_from(["power", "exp"]))
+    number = (config._number, {})
+    tables = {command: config._SECTIONS[command],
+              "model": {"lam": number, {"power": "alpha", "exp": "kappa"}[kind]: number},
+              "market": {"r": number, "horizon": number}}
+    data = {name: {key: draw(st.sampled_from(kw["choices"]) if parse is config._choice
+                             else _KINDS[parse])
+                   for key, (parse, kw) in fields.items()}
+            for name, fields in tables.items()}
+    data["model"]["kind"] = kind
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(sorted(tables)))
+        key = draw(st.one_of(st.sampled_from(sorted(tables[name])), st.text(max_size=3)))
+        if draw(st.booleans()):
+            data[name][key] = draw(_WILD)
+        else:
+            data[name].pop(key, None)
+    return command, data
+
+
+_GOOD_MODEL = {"model": {"kind": "power", "alpha": 2.0}, "market": {"r": 0.1}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configs())
+@example(("solve", {"solve": {"n_max": 3}, **_GOOD_MODEL, "market": {"r": 10 ** 400}}))
+@example(("converge", {"converge": {"x_probe": 1e300, "delta0": 1e-300, "k_max": 10 ** 400},
+                       **_GOOD_MODEL}))
+@example(("exchanges", {"exchanges": {"lambda0": 1.0, "lambda1": 1.0, "delta_block": 1e300,
+                                      "alpha": 2.0, "r": 0.1, "x_max": 1.0,
+                                      "grid_step": 1e-300}}))
+@example(("solve", {"solve": {"n_max": 3, 1: 0, "x": 0}, **_GOOD_MODEL}))
+def test_parse_config_raises_only_config_errors(case):
+    command, data = case
+    try:
+        parse_config(data, command)
+    except ConfigError:
+        pass
 
 
 class TestCliCommands:
@@ -307,6 +395,40 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"out of memory in {command!r}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_unbuildable_yaml_scalar_exits_2(self, tmp_path, capsys):
+        # PyYAML raises ValueError, not YAMLError, on a date it cannot build
+        # not *.yaml, which the autouse loader check reads, and would raise on
+        path = tmp_path / "run.yml"
+        path.write_text("model: {kind: power, alpha: 2.0}\nmarket: {r: 0.1}\n"
+                        "solve: {n_max: 3}\nseed: 2020-13-45\n")
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed YAML in ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cfg, code, message", [
+        ({"market": {"r": 10 ** 400}, "solve": {"n_max": 3}}, 2,
+         "config error: market.r: expected a number, got an integer beyond the float range"),
+        # 800 TB of float64, refused at once
+        ({"market": {"r": 0.1},
+          "fluid": {"x_grid": {"start": 0.1, "stop": 1.0, "count": 10 ** 14}}}, 3,
+         "out of memory in 'fluid': "),
+        ({"market": {"r": 0.1},
+          "fluid": {"x_grid": {"start": 0.1, "stop": 1.0, "count": 10 ** 400}}}, 3,
+         "numerical failure in 'fluid': "),
+    ], ids=["r-past-the-float-range", "grid-count-1e14", "grid-count-1e400"])
+    def test_config_phase_failures_exit_with_one_line(self, tmp_path, capsys, cfg, code,
+                                                      message):
+        out = tmp_path / "out"
+        cfg = {"model": {"kind": "power", "lam": 1.0, "alpha": 2.0}, **cfg,
+               "output": {"directory": str(out)}}
+        command = next(c for c in cfg if c in COMMANDS)
+        assert main([command, "--config", write_cfg(tmp_path, cfg)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
     def test_exp_value_step_cap_exits_3(self, tmp_path, capsys, monkeypatch):
         import lobliq.discrete

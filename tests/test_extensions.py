@@ -822,7 +822,7 @@ class TestTwoExchangeExpansion:
             make_params(grid_step=0.3)
 
     def test_x_max_must_sit_on_the_lattice(self):
-        with pytest.raises(ValueError, match="x_max must sit on the grid_step lattice"):
+        with pytest.raises(ValueError, match="x_max: 2.0005 is not on the grid_step = 0.002 lattice"):
             make_params(x_max=2.0005)
 
 

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -299,6 +300,28 @@ class TestSimulatePolicy:
         assert math.isclose(value, solve_exp_finite(n, 1.0, [1.0], model.lam, kappa)[0][n, 0],
                             rel_tol=1e-14)
         assert abs(stats.mean_revenue - value) <= 4.0 * stats.std_error
+
+    @pytest.mark.parametrize("model, market", [
+        (ExpDecayIntensity(lam=1.0, kappa=2.3e-189), INF),  # revenues near 1e189
+        (POWER, FINITE),
+    ], ids=["revenues-past-1e154", "ordinary"])
+    def test_std_error_of_huge_revenues(self, model, market):
+        # pytest turns RuntimeWarning into an error, so an overflowing square fails
+        n_paths = 50
+        pol = optimal_policy(model, market, 1.0, 3)
+        stats, fills = simulate_policy(model, market, 3, 1.0, pol, n_paths, seed=0,
+                                       keep_paths=True)
+        revenues = fills.discounted_revenue
+        # the variance in exact rationals, of revenues scaled to below 1
+        k = math.frexp(max(abs(revenues)))[1]
+        exact = [Fraction(math.ldexp(x, -k)) for x in revenues]
+        mean = sum(exact) / n_paths
+        var = sum((x - mean) ** 2 for x in exact) / (n_paths - 1)
+        assert math.isclose(stats.std_error, math.ldexp(math.sqrt(var / n_paths), k),
+                            rel_tol=1e-14)
+        if model is POWER:
+            # a power of two scales exactly: the plain formula's bits
+            assert stats.std_error == float(np.std(revenues, ddof=1) / math.sqrt(n_paths))
 
 
 @dataclass(frozen=True)
