@@ -72,12 +72,12 @@ class FactorClock(FillClock):
     """A fill clock whose rate at level k and time t (from the start) factors
     as ``rate(k) * profile(t)``.
 
-    ``profile`` takes a scalar time; ``tau(t)``, the integral of the profile
-    from 0, works elementwise on arrays.
+    ``profile(t)`` and ``tau(t)``, the integral of the profile from 0, each
+    take a time or an array of times and work elementwise.
     """
 
     rate: Callable[[int], float]
-    profile: Callable[[float], float]
+    profile: Callable[[np.ndarray], np.ndarray]
     tau: Callable[[np.ndarray], np.ndarray]
 
 
@@ -95,8 +95,8 @@ class StationarySpreadPolicy:
         """The :class:`FillClock` of this policy's fills of size ``delta``
         on ``model``: a constant rate per level."""
         rate = lambda k: model.rate(float(self.spreads[k])) / delta
-        return FactorClock(rate=rate, profile=lambda t: 1.0, tau=lambda t: t,
-                           advance=lambda k, t0, e: t0 + e / rate(k))
+        return FactorClock(rate=rate, profile=lambda t: np.ones(np.shape(t)),
+                           tau=lambda t: t, advance=lambda k, t0, e: t0 + e / rate(k))
 
 
 @dataclass(frozen=True)
@@ -169,16 +169,6 @@ class ExpZeroRatePolicy:
 # cases
 
 
-def _each_time(curve: Callable[[float, float], float]):
-    """A trade curve (t, x0) -> inventory at one time t, made to take an
-    array of times as well, point by point."""
-    def at(t, x0):
-        if np.ndim(t) == 0:
-            return curve(t, x0)
-        return np.array([curve(u, x0) for u in np.ravel(t).tolist()])
-    return at
-
-
 @dataclass(frozen=True)
 class Case:
     """One solvable model/market pair.
@@ -232,7 +222,7 @@ class Case:
         -dE(n, t)/dt."""
         clock, base = self._clock(n_units)
         table = numerics.pure_death_mean(base, clock.tau(times))
-        top = base[-1] * np.array([clock.profile(t) for t in times.tolist()])
+        top = base[-1] * clock.profile(times)
         # -dE(n, t)/dt = b_n g(t) (E(n, t) - E(n-1, t)) when the rates factor
         return table, top * (table[-1] - table[-2])
 
@@ -262,10 +252,17 @@ class PowerLaw(Case):
         times = None
         if mk.infinite_horizon:
             # level n waits delta/rate(s_n) at its stationary spread s_n =
-            # sigma_n (alpha*r)**(-1/alpha): one pow of lam/d_n a level
-            waits = (delta / (m.alpha * mk.r * m.lam)
-                     * (m.lam / d[1:]) ** (m.alpha / (m.alpha - 1.0)))
-            times = np.concatenate(([0.0], np.cumsum(waits)))
+            # sigma_n (alpha*r)**(-1/alpha): one pow of lam/d_n a level, in
+            # logs where the product is not finite
+            p, scale = m.alpha / (m.alpha - 1.0), m.alpha * mk.r * m.lam
+            log_scale = math.log(delta) - math.log(m.alpha * mk.r) - math.log(m.lam)
+            with np.errstate(over="ignore", invalid="ignore"):
+                waits = (delta / scale if scale > 0.0 else math.inf) * (m.lam / d[1:]) ** p
+                bad = ~np.isfinite(waits)
+                waits[bad] = np.exp(log_scale + p * (math.log(m.lam) - np.log(d[1:][bad])))
+                times = np.concatenate(([0.0], np.cumsum(waits)))
+            if not times[-1] < math.inf:
+                raise ArithmeticError(f"expected liquidation time overflows at r = {mk.r!r}")
         return DiscreteSolution(
             delta=delta, coefficients=d * discrete.power_coefficient_factor(m.alpha, mk.r),
             values=d * factor, spreads=sigma * factor, liquidation_times=times)
@@ -274,8 +271,7 @@ class PowerLaw(Case):
         m, mk = self.model, self.market
         return FluidSolution(
             lambda x: fluid.power_fluid(x, mk.horizon, m.lam, m.alpha, mk.r),
-            _each_time(lambda t, x0: fluid.power_trade_curve(t, x0, mk.horizon,
-                                                             m.alpha, mk.r)))
+            lambda t, x0: fluid.power_trade_curve(t, x0, mk.horizon, m.alpha, mk.r))
 
     def fluid_cell_spread(self, x, delta):
         # the fluid value is proportional to x**p, p = (alpha-1)/alpha, and the
@@ -317,7 +313,7 @@ class ExpZeroRate(Case):
         m, T = self.model, self.market.horizon
         return FluidSolution(
             lambda x: fluid.exp_fluid_finite(x, T, m.lam, m.kappa)[:2],
-            _each_time(lambda t, x0: fluid.exp_fluid_finite(x0, T, m.lam, m.kappa)[2](t)))
+            lambda t, x0: fluid.exp_fluid_finite(x0, T, m.lam, m.kappa)[2](t))
 
     def fluid_cell_spread(self, x, delta):
         m = self.model

@@ -124,8 +124,7 @@ def _cmd_simulate(cfg: RunConfig, artifacts: list) -> None:
         if cfg.market.infinite_horizon:
             raise ConfigError("simulate.curve_points: inventory curves need a "
                               "finite horizon")
-        cp = sec["curve_points"]
-        curve_times = np.linspace(0.0, cfg.market.horizon, cp + 2)[1:-1]
+        curve_times = np.linspace(0.0, cfg.market.horizon, sec["curve_points"] + 2)[1:-1]
     result = simulate_policy(cfg.model, cfg.market, sec["n_units"], sec["delta"],
                              policy, sec["n_paths"], cfg.seed,
                              threads=cfg.threads, curve_times=curve_times,
@@ -157,9 +156,7 @@ def _cmd_simulate(cfg: RunConfig, artifacts: list) -> None:
             "fill_index": (fills.fill_index, "fill counter within the path"),
             "time": (fills.time, "fill time"),
             "spread": (fills.spread, "spread earned at the fill"),
-            "discounted_cash": (
-                np.exp(-cfg.market.r * fills.time) * fills.spread * sec["delta"],
-                "exp(-r t) * spread * delta"),
+            "discounted_cash": (fills.cash, "exp(-r t) * spread * delta"),
         }, artifacts)
 
 
@@ -168,10 +165,8 @@ def _cmd_curves(cfg: RunConfig, artifacts: list) -> None:
     curve = execution_curve_ode(cfg.model, cfg.market, sec["n_units"], sec["t_grid"])
     x0 = float(sec["n_units"])
     times = curve.times
-    if cfg.market.infinite_horizon:
-        baseline = np.full_like(times, math.nan)
-    else:
-        baseline = x0 * (1.0 - times / cfg.market.horizon)
+    baseline = (np.full_like(times, math.nan) if cfg.market.infinite_horizon
+                else x0 * (1.0 - times / cfg.market.horizon))
     fluid_curve = fluid_solution(cfg.model, cfg.market).trade_curve(times, x0)
     _emit_table(cfg, "curves", {
         "time": (times, "time since start"),
@@ -277,7 +272,6 @@ def main(argv=None) -> int:
             cfg.threads = args.threads
         if args.format is not None:
             cfg.formats = args.format
-        os.makedirs(cfg.out_dir, exist_ok=True)
         _HANDLERS[cfg.command](cfg, artifacts)
         write_manifest(cfg.out_dir, cfg.command, cfg.raw, cfg.seed,
                        time.monotonic() - started, artifacts)

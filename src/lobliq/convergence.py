@@ -83,11 +83,7 @@ def value_convergence(model: IntensityModel, market: MarketParams, x_probe: floa
     with np.errstate(divide="ignore", invalid="ignore"):
         quotients = errors[:-1] / errors[1:]
     quotients = quotients[np.isfinite(quotients) & (quotients > 0.0)]
-    if len(quotients) == 0:
-        rate = math.nan
-    else:
-        tail = quotients[-3:] if len(quotients) >= 3 else quotients
-        rate = float(np.mean(np.log2(tail)))
+    rate = float(np.mean(np.log2(quotients[-3:]))) if len(quotients) else math.nan
 
     return ConvergenceReport(x_probe=x_probe, deltas=deltas, values=values,
                              fluid_value=fluid_value, ratios=ratios, spreads=spreads,

@@ -379,20 +379,25 @@ def solve_exp_infinite(x_max: float, delta: float, lam: float, kappa: float,
     u = (w_cap - w_n)/w_cap, and G_n = u + log(1 - u) <= 0.  So every step is
     nonnegative, and the iterates rise monotonically to the root and never
     leave w > 0, in at most six steps for lam/r from 1e-3 to 1e6 and delta
-    down to 2**-14.  Raises ArithmeticError if the iteration does not
-    converge, if a level ends with a relative residual above _RESIDUAL_RTOL,
-    or if a level passes the asymptote.  Values increase toward
-    lam/(kappa*r*e); within rounding of it a level can round below the
-    previous one, and then keeps the previous value, so every spread stays
-    >= 1/kappa: no order is ever posted at the bid.
+    down to 2**-14.  Raises ArithmeticError if w_cap is not a normal float,
+    if the iteration does not converge, if a level ends with a relative
+    residual above _RESIDUAL_RTOL, or if a level passes the asymptote.
+    Values increase toward lam/(kappa*r*e); within rounding of it a level
+    can round below the previous one, and then keeps the previous value, so
+    every spread stays >= 1/kappa: no order is ever posted at the bid.
     """
     if r <= 0.0:
         raise ValueError("stationary exponential solution requires r > 0")
     if min(lam, kappa, delta) <= 0.0:
         raise ValueError("lam, kappa, delta must be positive")
     levels = level_of(x_max, delta)
-    v_cap = lam / (kappa * r * math.e)
-    log_cap = math.log(lam / (r * delta)) - 1.0
+    # the cap from logs first, as r*delta can underflow where the cap does not
+    log_cap = math.log(lam) - math.log(r) - math.log(delta) - 1.0
+    if not _LOG_NORMAL < log_cap < _LOG_HUGE:
+        raise ArithmeticError(f"the value cap lam/(r*delta*e) = exp({log_cap:.6g}) is not "
+                              f"a normal float at r = {float(r)!r}, delta = {float(delta)!r}")
+    if r * delta > 0.0:  # then the quotient, bit for bit as it always was
+        log_cap = math.log(lam / (r * delta)) - 1.0
     w_cap = math.exp(log_cap)
     w = np.arange(0.0, levels + 1.0)
     w *= -math.log1p(1.0 / w_cap)
@@ -418,7 +423,7 @@ def solve_exp_infinite(x_max: float, delta: float, lam: float, kappa: float,
     if w[-1] > w_max:
         n = int((w > w_max).argmax())
         raise ArithmeticError(f"value {delta / kappa * w[n]} exceeded the asymptote "
-                              f"{v_cap} at level {n}")
+                              f"{delta / kappa * w_cap} at level {n}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         values = (delta / kappa) * w
         spreads = np.full(levels + 1, math.nan)

@@ -56,36 +56,38 @@ def power_fluid(x: float, t_remaining: float, lam: float, alpha: float,
     return scale * x ** ((alpha - 1.0) / alpha), scale * x ** (-1.0 / alpha)
 
 
-def power_trade_curve(t: float, x: float, t_horizon: float, alpha: float,
-                      r: float) -> float:
-    """Optimally-controlled fluid inventory at time t, starting from x, any r >= 0.
+def power_trade_curve(t, x: float, t_horizon: float, alpha: float, r: float):
+    """Optimally-controlled fluid inventory at time t, starting from x, any r >= 0;
+    t is a time or an array of times, and the curve has t's shape.
 
     The exponential of the accumulated optimal trading rate integrates in
     closed form to X(t) = x * exp(-a*t) * h(T-t) / h(T), a = alpha*r, h as
     in ``discrete.discount_integral``; it decreases strictly and reaches zero
     smoothly at a finite T.
     """
-    if not 0.0 <= t < t_horizon:
+    times = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= times) & (times < t_horizon)):
         raise ValueError(f"requires 0 <= t < horizon, got t = {t}, horizon = {t_horizon}")
     a = alpha * r
-    return float(x * math.exp(-a * t) * discount_integral(t_horizon - t, a)
-                 / discount_integral(t_horizon, a))
+    return (x * np.exp(-a * times) * discount_integral(t_horizon - times, a)
+            / discount_integral(t_horizon, a))
 
 
 def exp_fluid_finite(x: float, t_horizon: float, lam: float,
-                     kappa: float) -> tuple[float, float, Callable[[float], float]]:
+                     kappa: float) -> tuple[float, float, Callable]:
     """Zero-rate fluid solution for an exponential book: (value, spread, curve).
 
     Two regimes split at lam*T/x = e.  When inventory is small enough to
     finish (lam*T/x >= e) the spread is (1/kappa)*log(lam*T/x), the value
     x*spread, and the inventory declines linearly to zero.  Otherwise the
     book's capped fill rate lam/e binds: spread 1/kappa, value lam*T/(kappa*e)
-    independent of x, and the curve x - lam*t/e stays positive at T.
+    independent of x, and the curve x - lam*t/e stays positive at T.  The
+    curve takes a time or an array of times, elementwise.
     """
     if x < 0.0 or t_horizon <= 0.0 or lam <= 0.0 or kappa <= 0.0:
         raise ValueError("requires x >= 0, T > 0, lam > 0, kappa > 0")
     if x == 0.0:
-        return 0.0, math.inf, lambda t: 0.0
+        return 0.0, math.inf, lambda t: np.zeros_like(t, dtype=float)
     ratio = lam * t_horizon / x
     if ratio >= math.e:
         s0 = math.log(ratio) / kappa
@@ -273,7 +275,11 @@ def exp_fluid_infinite(x: float, lam: float, kappa: float, r: float,
     if x == 0.0:
         return 0.0, math.inf
     w = math.exp(exp_infinite_log_w(x, lam, r) if log_w is None else log_w)
-    return lam / (kappa * r * math.e) * math.exp(-w), (1.0 + w) / kappa
+    # in logs where the cap overflows, as the value need not
+    cap = lam / (kappa * r * math.e) if kappa * r > 0.0 else math.inf
+    value = (cap * math.exp(-w) if cap < math.inf
+             else math.exp(math.log(lam) - math.log(kappa) - math.log(r) - 1.0 - w))
+    return value, (1.0 + w) / kappa
 
 
 def exp_infinite_cell_spread(x: float, delta: float, lam: float, kappa: float,
@@ -339,7 +345,9 @@ class FluidSolution:
     """Evaluable fluid value, spread, and trade curve for one model/market."""
 
     value_and_spread: Callable[[float], tuple[float, float]]  # one solve for both
-    trade_curve: Callable  # (t, x0) -> inventory, t a time or an array of times
+    # (t, x0) -> inventory at t from x0 at time 0, of t's shape: each case's
+    # curve maps over an array of times itself, with one solve for them all
+    trade_curve: Callable
 
     def value(self, x: float) -> float:
         return self.value_and_spread(x)[0]

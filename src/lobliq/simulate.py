@@ -75,11 +75,9 @@ def fluid_spread_policy(model: IntensityModel, market: MarketParams, delta: floa
     if not market.infinite_horizon:
         raise UnsupportedCaseError("the fluid spread policy is stationary; use an "
                                    "infinite horizon")
-    fl = fluid_solution(model, market)
-    spreads = np.full(n_max + 1, math.nan)
-    for n in range(1, n_max + 1):
-        spreads[n] = fl.spread(n * delta)
-    return StationarySpreadPolicy(spreads=spreads)
+    spread = fluid_solution(model, market).spread
+    return StationarySpreadPolicy(
+        np.array([math.nan] + [spread(n * delta) for n in range(1, n_max + 1)]))
 
 
 # --------------------------------------------------------------------------
@@ -99,12 +97,14 @@ class SimPath:
 @dataclass(frozen=True, eq=False)
 class FillTable(Sequence):
     """Every fill of an ensemble, one row each, in path order and then fill
-    order.  As a sequence it holds one :class:`SimPath` per path, built when
-    it is read."""
+    order.  ``cash`` is each fill's discounted cash exp(-r t) * spread *
+    delta, as the march added it to its path's revenue, bit for bit.  As a
+    sequence it holds one :class:`SimPath` per path, built when it is read."""
     path_id: np.ndarray
     fill_index: np.ndarray
     time: np.ndarray
     spread: np.ndarray
+    cash: np.ndarray
     discounted_revenue: np.ndarray  # one entry per path
     n_units: int
     delta: float
@@ -150,20 +150,17 @@ def _stream(seed: int, key: int) -> np.random.Generator:
 
 def _march(model, market, n_units, delta, policy, n_paths, seed, ct, keep_paths):
     """Every path's fills, block by block: (discounted revenues, fill counts,
-    done, fill times, fill spreads), where done[j, c] counts the paths with
-    fill j at or before ct[c] (None without curve times) and the fill tables
-    hold fill j of path i at [i, j], unset past a path's last fill (None
-    unless ``keep_paths``)."""
+    done, fills), where done[j, c] counts the paths with fill j at or before
+    ct[c] (None without curve times) and fills, the tables of fill times,
+    spreads and discounted cash, hold fill j of path i at [i, j], unset past
+    a path's last fill (None unless ``keep_paths``)."""
     horizon, r = market.horizon, market.r
     last = min(horizon, np.finfo(float).max)  # a fill at t = inf is no fill
     advance = policy.clock(model, delta, horizon).advance
     revenues = np.zeros(n_paths)
     fill_counts = np.zeros(n_paths, dtype=np.int64)
     done = None if ct is None else np.zeros((n_units, len(ct)), dtype=np.int64)
-    fill_times = fill_spreads = None
-    if keep_paths:
-        fill_times = np.empty((n_paths, n_units))
-        fill_spreads = np.empty((n_paths, n_units))
+    fills_kept = np.empty((3, n_paths, n_units)) if keep_paths else None
 
     for block in range(-(-n_paths // _BLOCK_PATHS)):
         lo = block * _BLOCK_PATHS
@@ -175,7 +172,7 @@ def _march(model, market, n_units, delta, policy, n_paths, seed, ct, keep_paths)
         # views: the block writes its rows of the run's arrays in place
         revenue, fills = revenues[lo:lo + m], fill_counts[lo:lo + m]
         if keep_paths:
-            times, spreads = fill_times[lo:lo + m], fill_spreads[lo:lo + m]
+            times, spreads, cashes = fills_kept[:, lo:lo + m]
         # t holds the live paths' times, packed; live selects their rows: a
         # basic slice while every path fills, their indices once one stops
         t = np.zeros(m)
@@ -212,7 +209,8 @@ def _march(model, market, n_units, delta, policy, n_paths, seed, ct, keep_paths)
             if keep_paths:
                 times[live, j] = t
                 spreads[live, j] = s
-    return revenues, fill_counts, done, fill_times, fill_spreads
+                cashes[live, j] = cash
+    return revenues, fill_counts, done, fills_kept
 
 
 def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
@@ -247,7 +245,7 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
         if not np.all(np.isfinite(policy.spreads_at(level, full_horizon))):
             raise ArithmeticError(f"non-finite spread at level {level}")
     ct = None if curve_times is None else np.asarray(curve_times, dtype=float)
-    revenues, fill_counts, done, fill_times, fill_spreads = _march(
+    revenues, fill_counts, done, fills_kept = _march(
         model, market, n_units, delta, policy, n_paths, seed, ct, keep_paths)
 
     mean = float(np.mean(revenues))
@@ -282,7 +280,7 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
         return stats
     # row-major: path order, then fill order
     rows, cols = np.nonzero(np.arange(n_units) < fill_counts[:, None])
-    return stats, FillTable(rows, cols, fill_times[rows, cols], fill_spreads[rows, cols],
+    return stats, FillTable(rows, cols, *fills_kept[:, rows, cols],
                             discounted_revenue=revenues, n_units=n_units, delta=delta)
 
 

@@ -130,10 +130,8 @@ def reference_march(model, market, n_units, delta, policy, n_paths, seed, ct, ke
     revenues = np.zeros(n_paths)
     fill_counts = np.zeros(n_paths, dtype=np.int64)
     done = None if ct is None else np.zeros((n_units, len(ct)), dtype=np.int64)
-    fill_times = fill_spreads = None
-    if keep_paths:
-        fill_times = np.empty((n_paths, n_units))
-        fill_spreads = np.empty((n_paths, n_units))
+    # fill times, spreads and discounted cash
+    kept = np.empty((3, n_paths, n_units)) if keep_paths else None
     for block in range(-(-n_paths // simulate._BLOCK_PATHS)):
         lo = block * simulate._BLOCK_PATHS
         m = min(n_paths - lo, simulate._BLOCK_PATHS)
@@ -141,7 +139,7 @@ def reference_march(model, market, n_units, delta, policy, n_paths, seed, ct, ke
         t = np.zeros(m)
         revenue, fills = revenues[lo:lo + m], fill_counts[lo:lo + m]
         if keep_paths:
-            times, spreads = fill_times[lo:lo + m], fill_spreads[lo:lo + m]
+            times, spreads, cashes = kept[:, lo:lo + m]
         live = np.arange(m)
         for j, level in enumerate(range(n_units, 0, -1)):
             if live.size == 0:
@@ -154,11 +152,13 @@ def reference_march(model, market, n_units, delta, policy, n_paths, seed, ct, ke
             t_next = np.clip(t_next[hit], np.nextafter(t0, math.inf), horizon)
             s = policy.spreads_at(level, horizon - t_next)
             t[live] = t_next
-            revenue[live] += np.exp(-r * t_next) * s * delta
+            cash = np.exp(-r * t_next) * s * delta
+            revenue[live] += cash
             fills[live] += 1
             if done is not None:
                 done[j] += np.searchsorted(np.sort(t_next), ct, side="right")
             if keep_paths:
                 times[live, j] = t_next
                 spreads[live, j] = s
-    return revenues, fill_counts, done, fill_times, fill_spreads
+                cashes[live, j] = cash
+    return revenues, fill_counts, done, kept

@@ -100,6 +100,8 @@ def _assert_clock_rates(model, policy, clock, delta, T, levels):
         for t in times:
             rate = model.rate(float(policy.spreads_at(k, np.array([T - t]))[0])) / delta
             assert math.isclose(clock.rate(k) * clock.profile(t), rate, rel_tol=1e-12)
+    # the profile maps over an array of times, as tau does
+    assert clock.profile(np.array(times)).tolist() == [clock.profile(t) for t in times]
 
 
 def _assert_advance_inverts_tau(clock, k, t0, e, T):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -430,6 +431,82 @@ class TestCliCommands:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    def test_failure_before_the_first_artifact_makes_no_directory(self, tmp_path, capsys):
+        # a 49-digit k_max passes config and is refused when the ladder is built
+        out = tmp_path / "deep" / "out"
+        cfg = {"model": {"kind": "power", "lam": 1.0, "alpha": 2.0},
+               "market": {"r": 0.1, "horizon": "inf"},
+               "converge": {"x_probe": 5.0, "k_max": 10 ** 48},
+               "output": {"directory": str(out)}}
+        assert main(["converge", "--config", write_cfg(tmp_path, cfg)]) == 3
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "deep").exists()
+
+    def test_exp_cap_underflow_exits_3(self, tmp_path, capsys):
+        # r*delta underflows to 0 on every rung: the cap lam/(r*delta*e) is
+        # about exp(885), and no Newton step runs on it
+        out = tmp_path / "out"
+        cfg = {"model": {"kind": "exp", "lam": 1.0, "kappa": 1.0},
+               "market": {"r": 1.2e-142, "horizon": "inf"},
+               "converge": {"x_probe": 1.1e-243, "delta0": 1.1e-243},
+               "output": {"directory": str(out)}}
+        assert main(["converge", "--config", write_cfg(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure in 'converge': the value cap ")
+        assert "r = 1.2e-142, delta = 1.1e-243" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_exp_fluid_value_past_its_cap(self, tmp_path):
+        # lam/(kappa*r*e) overflows, but the fluid value is about 2.4e176
+        out = tmp_path / "out"
+        lam, kappa, r = 1.0, 1.4e-174, 1e-146
+        cfg = {"model": {"kind": "exp", "lam": lam, "kappa": kappa},
+               "market": {"r": r, "horizon": "inf"},
+               "converge": {"x_probe": 1.0, "delta0": 1.0, "k_max": 3},
+               "output": {"directory": str(out), "formats": "json"}}
+        assert main(["converge", "--config", write_cfg(tmp_path, cfg)]) == 0
+        report = json.loads((out / "converge.json").read_text())
+        with mpmath.workdps(40):
+            w = mpmath.findroot(lambda w: mpmath.e1(w) - mpmath.e * r / lam, 329)
+            exact = lam / (mpmath.mpf(kappa) * r * mpmath.e) * mpmath.exp(-w)
+        assert math.isclose(report["fluid_value"], float(exact), rel_tol=1e-12)
+        ratios = report["columns"]["ratio"]
+        assert ratios == sorted(ratios) and 0.99 < ratios[0] and ratios[-1] < 1.0
+        assert report["monotone_ok"] is True and math.isfinite(report["rate_estimate"])
+
+    def test_power_liquidation_times_past_their_scale(self, tmp_path):
+        # delta/(alpha*r*lam) overflows, but every level's time is finite
+        out = tmp_path / "out"
+        lam, alpha, r = 8e-257, 7.1, 1.2e-61
+        cfg = {"model": {"kind": "power", "lam": lam, "alpha": alpha},
+               "market": {"r": r, "horizon": "inf"},
+               "solve": {"n_max": 231},
+               "output": {"directory": str(out), "formats": "json"}}
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 0
+        times = json.loads((out / "solve.json").read_text())["columns"][
+            "expected_liquidation_time"]
+        assert times[0] == 0.0 and all(math.isfinite(t) for t in times)
+        assert np.all(np.diff(times) > 0.0)
+        assert 1.3e60 < times[1] and times[-1] < 7.5e60
+        # level 1 waits 1/rate(s_1), s_1 = (lam/d_1)**(1/(alpha-1)) (alpha r)**(-1/alpha)
+        with mpmath.workdps(40):
+            lam_, alpha_, r_ = map(mpmath.mpf, (lam, alpha, r))
+            d1 = (((alpha_ - 1) / alpha_) ** (alpha_ - 1) * lam_) ** (1 / alpha_)
+            spread = (lam_ / d1) ** (1 / (alpha_ - 1)) * (alpha_ * r_) ** (-1 / alpha_)
+            wait = 1 / (lam_ * spread ** -alpha_)
+        assert math.isclose(times[1], float(wait), rel_tol=1e-12)
+
+    def test_power_liquidation_time_overflow_exits_3(self, tmp_path, capsys):
+        # each level waits about 1/r = 1e308: the sum passes the float range
+        out = tmp_path / "out"
+        cfg = {"model": {"kind": "power", "lam": 1.0, "alpha": 2.0},
+               "market": {"r": 1e-308, "horizon": "inf"},
+               "solve": {"n_max": 10}, "output": {"directory": str(out)}}
+        assert main(["solve", "--config", write_cfg(tmp_path, cfg)]) == 3
+        assert capsys.readouterr().err == ("numerical failure in 'solve': expected "
+                                           "liquidation time overflows at r = 1e-308\n")
+        assert not out.exists()
+
     def test_exp_value_step_cap_exits_3(self, tmp_path, capsys, monkeypatch):
         import lobliq.discrete
         from lobliq.discrete import solve_exp_infinite
@@ -759,7 +836,7 @@ class TestCliCommands:
         assert main([command, "--config", write_cfg(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert "exponential book with r > 0 and a finite horizon" in err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()  # only the writer makes directories
 
     @pytest.mark.parametrize("model, x_probe", [
         ({"kind": "power", "lam": 1.0, "alpha": 2.0}, 5.0),
@@ -937,6 +1014,25 @@ class TestCliCommands:
             finest = case.solve(0.5 ** k_max, 5 * 2 ** k_max).values
             assert edge["columns"]["value"][-1] == finest[-1]
             assert edge["monotone_ok"]
+
+
+def test_readme_example_config_runs(tmp_path):
+    """The README's example config parses for each command section it holds,
+    and each of those commands runs on it."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        (text,) = re.findall(r"```yaml\n(.*?)```", fh.read(), re.S)
+    data = yaml.load(text, Loader=_Loader)
+    commands = [c for c in COMMANDS if c in data]
+    assert commands == ["solve", "converge", "simulate", "curves"]
+    path = tmp_path / "example.yaml"
+    path.write_text(text)
+    for command in commands:
+        section = parse_config(data, command).section
+        assert set(data[command]) <= set(section)
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "manifest.json").exists()
 
 
 class TestModuleEntryPoint:

@@ -182,6 +182,20 @@ class TestSimulatePolicy:
         # the second block has a stream of its own
         assert not np.array_equal(long[0].fill_times, long[_BLOCK_PATHS].fill_times)
 
+    @pytest.mark.parametrize("policy", [
+        optimal_policy(POWER, FINITE, 0.5, 4),
+        StationarySpreadPolicy(spreads=np.array([math.nan] + [3.0] * 4)),
+    ], ids=["optimal", "partial-liquidation"])
+    def test_fill_cash_is_what_the_march_added(self, policy):
+        _, fills = simulate_policy(POWER, FINITE, 4, 0.5, policy, 300, seed=5,
+                                   keep_paths=True)
+        assert np.array_equal(fills.cash,
+                              np.exp(-FINITE.r * fills.time) * fills.spread * 0.5)
+        # a path's revenue is its fills' cash added in fill order, from 0
+        bounds = np.searchsorted(fills.path_id, np.arange(301)).tolist()
+        revenue = [sum(fills.cash[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
+        assert revenue == fills.discounted_revenue.tolist()
+
     @pytest.mark.parametrize("policy_fn, n_paths", [
         (lambda: optimal_policy(POWER, FINITE, 0.5, 4), _BLOCK_PATHS + 500),
         (lambda: StationarySpreadPolicy(spreads=np.array([math.nan] + [3.0] * 4)), 700),
@@ -376,19 +390,18 @@ class TestPackedMarch:
                 for keep_paths in (False, True):
                     args = (model, market, n_units, 0.5, policy, n_paths, 41, ct,
                             keep_paths)
-                    rev, fills, done, times, spreads = simulate._march(*args)
-                    ref_rev, ref_fills, ref_done, ref_times, ref_spreads = (
-                        reference_march(*args))
+                    rev, fills, done, kept = simulate._march(*args)
+                    ref_rev, ref_fills, ref_done, ref_kept = reference_march(*args)
                     assert np.array_equal(rev, ref_rev)
                     assert np.array_equal(fills, ref_fills)
                     assert (done is None if ct is None
                             else np.array_equal(done, ref_done))
                     if keep_paths:
                         reached = np.arange(n_units) < fills[:, None]
-                        assert np.array_equal(times[reached], ref_times[reached])
-                        assert np.array_equal(spreads[reached], ref_spreads[reached])
+                        # fill times, spreads and discounted cash
+                        assert np.array_equal(kept[:, reached], ref_kept[:, reached])
                     else:
-                        assert times is spreads is None
+                        assert kept is None
         if name == "rate-underflow":
             assert fills.max() <= 3  # no path fills at level 3
         elif name in ("stationary", "exp-r0", "roundoff") and n_paths > 1:
