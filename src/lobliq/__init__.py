@@ -39,7 +39,6 @@ from .simulate import (
     EnsembleStats,
     FillTable,
     OptimalPowerPolicy,
-    SimPath,
     StationarySpreadPolicy,
     execution_curve_ode,
     fluid_spread_policy,

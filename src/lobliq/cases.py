@@ -148,8 +148,16 @@ class ExpZeroRatePolicy:
     delta: float
 
     def spreads_at(self, n_units, t_to_go):
-        return discrete.solve_exp_finite(n_units, self.delta, t_to_go, self.lam,
-                                         self.kappa)[1][n_units]
+        # L_{k-1} and L_k by the running logaddexp of the series terms
+        # log(y**j/j!), each formed as ``discrete.solve_exp_finite`` forms
+        # it, so the spread is that table's row k bit for bit (nan at k = 0)
+        y = self.lam * np.asarray(t_to_go, dtype=float) / (self.delta * math.e)
+        with np.errstate(divide="ignore"):
+            log_y = np.log(y)
+        below, log_sum = np.full(y.shape, math.nan), np.zeros(y.shape)
+        for j in range(1, n_units + 1):
+            below, log_sum = log_sum, np.logaddexp(log_sum, j * log_y - math.lgamma(j + 1))
+        return (1.0 + log_sum - below) / self.kappa
 
     def clock(self, model, delta, horizon):
         T, units = horizon, delta / self.delta
@@ -177,10 +185,11 @@ class Case:
     optimal spreads as a :class:`DiscreteSolution`; ``fluid()``, the
     continuous-selling limit as a :class:`FluidSolution`; ``policy(delta,
     n_max)``, the optimal policy; ``execution_curve``, the exact mean
-    inventory under the optimal policy; ``fluid_cell_spread(x, delta)``, the
-    fluid spread averaged over the cell [x - delta, x], from the drop of the
-    fluid value across it; and ``fluid_probe``, the fluid value and spread at
-    x with those cell averages along a ladder of units.
+    inventory from n units under the optimal policy and its trading rate;
+    ``fluid_cell_spread(x, delta)``, the fluid spread averaged over the cell
+    [x - delta, x], from the drop of the fluid value across it; and
+    ``fluid_probe``, the fluid value and spread at x with those cell averages
+    along a ladder of units.
 
     Every case but the exponential book with r = 0 has an optimal policy
     whose fill rates factor as b_k * g(t) (its :class:`FactorClock`), so the
@@ -217,14 +226,12 @@ class Case:
 
     def execution_curve(self, n_units: int,
                         times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(E, trading rate): E[x, j] is the mean inventory at ``times[j]``
-        starting from x = 0..n units at time 0, and the trading rate is
-        -dE(n, t)/dt."""
+        """(E, trading rate): E[j] is the mean inventory at ``times[j]``
+        starting from n units at time 0, and the trading rate is -dE/dt."""
         clock, base = self._clock(n_units)
-        table = numerics.pure_death_mean(base, clock.tau(times))
-        top = base[-1] * clock.profile(times)
+        below, top = numerics.pure_death_mean(base, clock.tau(times))
         # -dE(n, t)/dt = b_n g(t) (E(n, t) - E(n-1, t)) when the rates factor
-        return table, top * (table[-1] - table[-2])
+        return top, base[-1] * clock.profile(times) * (top - below)
 
 
 class PowerLaw(Case):
@@ -324,16 +331,15 @@ class ExpZeroRate(Case):
 
     def execution_curve(self, n_units, times):
         # The rates do not factor, but with y = lam (T-t)/e and S_k the
-        # truncated exponential series, P(X_t = j | x) = (lam t/e)^(x-j)/(x-j)!
-        # * S_j(y_t)/S_x(y_0), so the expected fill rate stays at h_x(0) =
-        # (lam/e) S_{x-1}(y_0)/S_x(y_0) and every row is the line x - t h_x(0).
+        # truncated exponential series, P(X_t = j | n) = (lam t/e)^(n-j)/(n-j)!
+        # * S_j(y_t)/S_n(y_0), so the expected fill rate stays at h_n(0) =
+        # (lam/e) S_{n-1}(y_0)/S_n(y_0) and E is the line n - t h_n(0).
         # With delta = kappa = 1 the values are log S_k at y_0.
         lam = self.model.lam
         log_sums = discrete.solve_exp_finite(n_units, 1.0, [self.market.horizon],
-                                             lam, 1.0)[0][:, 0]
-        h0 = np.concatenate(([0.0], (lam / math.e) * np.exp(log_sums[:-1] - log_sums[1:])))
-        table = np.arange(n_units + 1.0)[:, None] - h0[:, None] * times
-        return table, np.full(len(times), h0[-1])
+                                             lam, 1.0)[0][-2:, 0]
+        h0 = (lam / math.e) * np.exp(log_sums[:1] - log_sums[1:])
+        return n_units - h0 * times, np.repeat(h0, len(times))
 
 
 class ExpStationary(Case):

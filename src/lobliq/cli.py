@@ -125,11 +125,10 @@ def _cmd_simulate(cfg: RunConfig, artifacts: list) -> None:
             raise ConfigError("simulate.curve_points: inventory curves need a "
                               "finite horizon")
         curve_times = np.linspace(0.0, cfg.market.horizon, sec["curve_points"] + 2)[1:-1]
-    result = simulate_policy(cfg.model, cfg.market, sec["n_units"], sec["delta"],
-                             policy, sec["n_paths"], cfg.seed,
-                             threads=cfg.threads, curve_times=curve_times,
-                             keep_paths=sec["dump_paths"])
-    stats, fills = result if sec["dump_paths"] else (result, None)
+    stats = simulate_policy(cfg.model, cfg.market, sec["n_units"], sec["delta"],
+                            policy, sec["n_paths"], cfg.seed,
+                            threads=cfg.threads, curve_times=curve_times,
+                            keep_paths=sec["dump_paths"])
 
     payload = {
         "n_paths": stats.n_paths,
@@ -150,6 +149,7 @@ def _cmd_simulate(cfg: RunConfig, artifacts: list) -> None:
             "std_error": (stats.curve_std_error, "standard error of the mean inventory"),
         }, artifacts)
 
+    fills = stats.fills
     if fills is not None:
         _emit_table(cfg, "paths", {
             "path_id": (fills.path_id, "simulation path index"),
@@ -170,8 +170,7 @@ def _cmd_curves(cfg: RunConfig, artifacts: list) -> None:
     fluid_curve = fluid_solution(cfg.model, cfg.market).trade_curve(times, x0)
     _emit_table(cfg, "curves", {
         "time": (times, "time since start"),
-        "mean_inventory": (curve.inventory[curve.initial_units],
-                           "average remaining inventory E(x0, t)"),
+        "mean_inventory": (curve.inventory, "average remaining inventory E(x0, t)"),
         "trading_rate": (curve.trading_rate, "-dE/dt, the average fill rate"),
         "baseline_linear": (baseline, "constant-rate reference x0*(1 - t/T)"),
         "fluid_curve": (fluid_curve, "deterministic fluid-limit inventory"),

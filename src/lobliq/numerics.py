@@ -89,19 +89,22 @@ def _poisson_stop(mu: float) -> int:
 
 
 def pure_death_mean(rates, taus) -> np.ndarray:
-    """Mean level of a pure-death chain, by uniformization (Jensen 1953).
+    """Mean level of a pure-death chain from its top two starts, by
+    uniformization (Jensen 1953).
 
-    The chain leaves level k for k - 1 at rate ``rates[k-1]`` (k = 1..n).
-    Returns the (n+1, len(taus)) table whose entry (x, j) is E[X | X_0 = x]
-    after time ``taus[j]``, i.e. ``expm(tau Q) @ (0, 1, ..., n)`` for the
-    bidiagonal generator Q.  With L = max rate and K = I + Q/L, which is
-    nonnegative, the table is sum_m Poisson(m; L tau) K^m x: every term is
-    nonnegative, so nothing cancels.  K^m x falls in m and rises in x, so the
-    sum stops once the Poisson tail of the largest L tau, or the top entry of
-    K^m x, drops below 1e-16 * n: either way the dropped terms add up to no
-    more than that, and the truncated sums keep E monotone in x and tau.
-    Terms are formed one O(n) step at a time and folded in blocks, so memory
-    stays O(n * len(taus)).  A column with tau = 0 is x exactly.
+    The chain leaves level k for k - 1 at rate ``rates[k-1]`` (k = 1..n, n >=
+    1).  Returns the (2, len(taus)) array whose rows are E[X | X_0 = n - 1]
+    and E[X | X_0 = n] after time ``taus[j]``: rows n - 1 and n of
+    ``expm(tau Q) @ (0, 1, ..., n)`` for the bidiagonal generator Q.  With L
+    = max rate and K = I + Q/L, which is nonnegative, these are sum_m
+    Poisson(m; L tau) (K^m x)[n-1:], every term nonnegative, so nothing
+    cancels.  K^m x falls in m and rises in x, so the sum stops once the
+    Poisson tail of the largest L tau, or the top entry of K^m x, drops below
+    1e-16 * n: either way the dropped terms add up to no more than that, and
+    the truncated sums keep E monotone in tau.  Each term K^m x is one O(n)
+    step from the last, and only its top two entries are folded with the
+    weights, in blocks, so memory stays O(n + len(taus)).  A column with tau
+    = 0 is (n - 1, n) exactly.
     """
     b = np.concatenate(([0.0], np.asarray(rates, dtype=float)))
     taus = np.asarray(taus, dtype=float)
@@ -109,29 +112,36 @@ def pure_death_mean(rates, taus) -> np.ndarray:
         raise NonFiniteStateError("non-finite state: death rates or times are not finite")
     if np.any(b < 0.0) or np.any(taus < 0.0):
         raise ValueError("death rates and times must be nonnegative")
-    x = v = np.arange(len(b), dtype=float)
+    if len(b) < 2:
+        raise ValueError("the chain needs at least one death rate")
+    v = np.arange(len(b), dtype=float)
+    x = v[-2:, None].copy()  # the steps reuse v's buffer
     lam = float(b.max())
     if lam == 0.0 or len(taus) == 0:
-        return np.repeat(v[:, None], len(taus), axis=1)
-    p = b / lam
-    q = 1.0 - p
+        return np.repeat(x, len(taus), axis=1)
+    p = b[1:] / lam
+    q = 1.0 - b / lam
     mu = lam * taus
-    mu_max = float(mu.max())
-    m_end = _poisson_stop(mu_max)
+    m_end = _poisson_stop(float(mu.max()))
     cut = _POISSON_TAIL * v[-1]
-    out = np.zeros((len(b), len(taus)))
-    terms = np.empty((_TERM_BLOCK, len(b)))
+    out = np.zeros((2, len(taus)))
+    top = np.empty((_TERM_BLOCK, 2))
+    # K v = q v + p v shifted up one level, formed in two buffers: at 20 000
+    # levels a new array each step takes twice as long
+    nxt, moved = np.empty_like(v), np.empty(len(v) - 1)
     for start in range(0, m_end, _TERM_BLOCK):
         m = np.arange(start, min(start + _TERM_BLOCK, m_end))
         for i in range(len(m)):
-            terms[i] = v
-            v = q * v
-            v[1:] += p[1:] * terms[i, :-1]
+            top[i] = v[-2:]
+            np.multiply(p, v[:-1], out=moved)
+            np.multiply(q, v, out=nxt)
+            nxt[1:] += moved
+            v, nxt = nxt, v
         weights = _poisson_pmf(m, mu)
         weights[weights < _FLUSH] = 0.0
-        terms[terms < _FLUSH] = 0.0
-        out += terms[:len(m)].T @ weights
+        top[top < _FLUSH] = 0.0
+        out += top[:len(m)].T @ weights
         if v[-1] <= cut:
             break
     # the weights sum to at most 1, but the products can round past x near tau = 0
-    return np.minimum(out, x[:, None])
+    return np.minimum(out, x)

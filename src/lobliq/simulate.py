@@ -28,7 +28,6 @@ and otherwise ignored, so it changes neither the results nor the speed.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,7 +44,6 @@ from .intensity import IntensityModel, MarketParams, UnsupportedCaseError
 from .numerics import NonFiniteStateError
 
 __all__ = [
-    "SimPath",
     "FillTable",
     "EnsembleStats",
     "ExecutionCurve",
@@ -84,52 +82,16 @@ def fluid_spread_policy(model: IntensityModel, market: MarketParams, delta: floa
 # ensemble simulation
 
 
-@dataclass(frozen=True)
-class SimPath:
-    path_id: int
-    fill_times: np.ndarray
-    fill_spreads: np.ndarray
-    discounted_revenue: float
-    fully_liquidated: bool
-    terminal_inventory: float
-
-
 @dataclass(frozen=True, eq=False)
-class FillTable(Sequence):
+class FillTable:
     """Every fill of an ensemble, one row each, in path order and then fill
     order.  ``cash`` is each fill's discounted cash exp(-r t) * spread *
-    delta, as the march added it to its path's revenue, bit for bit.  As a
-    sequence it holds one :class:`SimPath` per path, built when it is read."""
+    delta, as the march added it to its path's revenue, bit for bit."""
     path_id: np.ndarray
     fill_index: np.ndarray
     time: np.ndarray
     spread: np.ndarray
     cash: np.ndarray
-    discounted_revenue: np.ndarray  # one entry per path
-    n_units: int
-    delta: float
-
-    def __len__(self) -> int:
-        return len(self.discounted_revenue)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(len(self))[i]]
-        i = range(len(self))[i]  # a list's index rules: negatives, bounds, types
-        lo, hi = np.searchsorted(self.path_id, (i, i + 1)).tolist()
-        return self._path(i, lo, hi)
-
-    def __iter__(self):
-        bounds = np.searchsorted(self.path_id, np.arange(len(self) + 1)).tolist()
-        return map(self._path, range(len(self)), bounds[:-1], bounds[1:])
-
-    def _path(self, i: int, lo: int, hi: int) -> SimPath:
-        k = hi - lo
-        return SimPath(path_id=i, fill_times=self.time[lo:hi],
-                       fill_spreads=self.spread[lo:hi],
-                       discounted_revenue=float(self.discounted_revenue[i]),
-                       fully_liquidated=k == self.n_units,
-                       terminal_inventory=self.delta * (self.n_units - k))
 
 
 @dataclass(frozen=True)
@@ -141,6 +103,7 @@ class EnsembleStats:
     curve_times: Optional[np.ndarray] = None
     mean_inventory_curve: Optional[np.ndarray] = None
     curve_std_error: Optional[np.ndarray] = None
+    fills: Optional[FillTable] = None  # every fill, under ``keep_paths``
 
 
 def _stream(seed: int, key: int) -> np.random.Generator:
@@ -227,12 +190,12 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
     ArithmeticError names the highest bad level: every policy's spread is
     nondecreasing in the time to go, so these are the largest the run posts.
 
-    Returns :class:`EnsembleStats` (and, when ``keep_paths``, every fill as a
-    :class:`FillTable`).  The sample mean of discounted revenue is an unbiased
-    estimate of the policy's value; one unit ``delta`` is sold per fill at
-    the spread posted at that instant.  ``threads`` must be at least 1 and
-    has no other effect: the blocks run in order and the results are the
-    same for any value.
+    Returns :class:`EnsembleStats`, whose ``fills`` holds every fill as a
+    :class:`FillTable` when ``keep_paths``.  The sample mean of discounted
+    revenue is an unbiased estimate of the policy's value; one unit ``delta``
+    is sold per fill at the spread posted at that instant.  ``threads`` must
+    be at least 1 and has no other effect: the blocks run in order and the
+    results are the same for any value.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -275,13 +238,11 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
         stats_kwargs.update(curve_times=ct,
                             mean_inventory_curve=delta * np.array(s1, dtype=float) / n_paths,
                             curve_std_error=curve_se)
-    stats = EnsembleStats(**stats_kwargs)
-    if not keep_paths:
-        return stats
-    # row-major: path order, then fill order
-    rows, cols = np.nonzero(np.arange(n_units) < fill_counts[:, None])
-    return stats, FillTable(rows, cols, *fills_kept[:, rows, cols],
-                            discounted_revenue=revenues, n_units=n_units, delta=delta)
+    if keep_paths:
+        # row-major: path order, then fill order
+        rows, cols = np.nonzero(np.arange(n_units) < fill_counts[:, None])
+        stats_kwargs.update(fills=FillTable(rows, cols, *fills_kept[:, rows, cols]))
+    return EnsembleStats(**stats_kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -291,24 +252,24 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
 @dataclass(frozen=True)
 class ExecutionCurve:
     times: np.ndarray
-    inventory: np.ndarray      # shape (n_units+1, len(times)); row x is E(x, t)
-    trading_rate: np.ndarray   # -dE(x0, t)/dt along the top row
-    initial_units: int
+    inventory: np.ndarray      # E(n, t) at each time
+    trading_rate: np.ndarray   # -dE(n, t)/dt at each time
 
 
 def execution_curve_ode(model: IntensityModel, market: MarketParams, n_units: int,
                         time_grid) -> ExecutionCurve:
-    """Average inventory E(x, t) under the optimal policy, unit trading size.
+    """Average inventory E(n, t) under the optimal policy, unit trading size.
 
-    E(x, t) is the mean inventory at time t of the controlled death process
-    started from x units at time 0, and the trading rate is -dE(n, t)/dt.
-    Both are exact (``Case.execution_curve``): where the optimal policy's
-    fill clock factors the level rates as b_k * g(t), E(., t) =
-    expm(tau(t) Q) (0, 1, ..., n) with tau the integral of g and Q the death
-    generator with rates b_k, summed by uniformization; for the exponential
-    book with r = 0 every row is the line x - t * h_x(0).  Every grid time
-    must lie before a finite horizon, where the power law's rates blow up.
-    Raises NonFiniteStateError if a level rate or a result is not finite.
+    E(n, t) is the mean inventory at time t of the controlled death process
+    started from n = ``n_units`` units at time 0, and the trading rate is
+    -dE(n, t)/dt.  Both are exact (``Case.execution_curve``): where the
+    optimal policy's fill clock factors the level rates as b_k * g(t), E(n,
+    t) is row n of expm(tau(t) Q) (0, 1, ..., n) with tau the integral of g
+    and Q the death generator with rates b_k, summed by uniformization; for
+    the exponential book with r = 0 it is the line n - t * h_n(0).  Every
+    grid time must lie before a finite horizon, where the power law's rates
+    blow up.  Raises NonFiniteStateError if a level rate or a result is not
+    finite.
     """
     times = np.asarray(time_grid, dtype=float)
     if times.ndim != 1 or len(times) == 0 or np.any(np.diff(times) <= 0.0):
@@ -321,8 +282,7 @@ def execution_curve_ode(model: IntensityModel, market: MarketParams, n_units: in
     if n_units < 1:
         raise ValueError("n_units must be >= 1")
 
-    table, trading_rate = resolve(model, market).execution_curve(n_units, times)
-    if not (np.all(np.isfinite(table)) and np.all(np.isfinite(trading_rate))):
+    inventory, trading_rate = resolve(model, market).execution_curve(n_units, times)
+    if not (np.all(np.isfinite(inventory)) and np.all(np.isfinite(trading_rate))):
         raise NonFiniteStateError("non-finite state in the execution curve")
-    return ExecutionCurve(times=times, inventory=table,
-                          trading_rate=trading_rate, initial_units=n_units)
+    return ExecutionCurve(times=times, inventory=inventory, trading_rate=trading_rate)

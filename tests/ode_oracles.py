@@ -12,8 +12,10 @@ recursion by a bracketed root per level (``bracketed_power_recursion``), and
 both recursions by the warm-started Newton solve per level that the package
 used before (``power_recursion_by_level``, ``exp_recursion_by_level``), the
 E1 root on SciPy's ``exp1`` by ``brentq`` that the package used before
-(``brentq_log_w``), and the stationary recursion of any decreasing depth
-model by a scalar maximization per level (``stationary_by_level``).
+(``brentq_log_w``), the stationary recursion of any decreasing depth model
+by a scalar maximization per level (``stationary_by_level``), and the
+pure-death chain's mean from every start as one backward table
+(``pure_death_table``).
 """
 
 import math
@@ -27,6 +29,7 @@ from scipy.special import exp1
 
 from lobliq.discrete import level_of, power_constant, power_first_coefficient
 from lobliq.extensions import _seed
+from lobliq import numerics
 from lobliq.numerics import NonFiniteStateError
 
 _INV_E = math.exp(-1.0)
@@ -411,6 +414,43 @@ def integrate_ode(problem: OdeProblem) -> tuple[np.ndarray, np.ndarray]:
                 f"non-finite state at t = {ts[i + 1]} (step {i + 1} of {n})")
         ys[i + 1] = y
     return ts, ys
+
+
+def pure_death_table(rates, taus) -> np.ndarray:
+    """The pure-death chain's mean from every start, by backward
+    uniformization: the (n+1, len(taus)) table whose entry (x, j) is E[X |
+    X_0 = x] after time ``taus[j]``, i.e. ``expm(tau Q) @ (0, 1, ..., n)``.
+
+    This is the table ``numerics.pure_death_mean`` folded before it kept only
+    rows n - 1 and n: the same terms K^m x, Poisson weights, flush floor and
+    stops, with every row folded by one matrix product per block of terms.
+    """
+    b = np.concatenate(([0.0], np.asarray(rates, dtype=float)))
+    taus = np.asarray(taus, dtype=float)
+    x = v = np.arange(len(b), dtype=float)
+    lam = float(b.max())
+    if lam == 0.0 or len(taus) == 0:
+        return np.repeat(v[:, None], len(taus), axis=1)
+    p = b / lam
+    q = 1.0 - p
+    mu = lam * taus
+    m_end = numerics._poisson_stop(float(mu.max()))
+    cut = numerics._POISSON_TAIL * v[-1]
+    out = np.zeros((len(b), len(taus)))
+    terms = np.empty((numerics._TERM_BLOCK, len(b)))
+    for start in range(0, m_end, numerics._TERM_BLOCK):
+        m = np.arange(start, min(start + numerics._TERM_BLOCK, m_end))
+        for i in range(len(m)):
+            terms[i] = v
+            v = q * v
+            v[1:] += p[1:] * terms[i, :-1]
+        weights = numerics._poisson_pmf(m, mu)
+        weights[weights < numerics._FLUSH] = 0.0
+        terms[terms < numerics._FLUSH] = 0.0
+        out += terms[:len(m)].T @ weights
+        if v[-1] <= cut:
+            break
+    return np.minimum(out, x[:, None])
 
 
 def patch_march_by_step(params, x_seed: float):

@@ -1,8 +1,9 @@
 """Numerical fill-time samplers, kept as independent oracles for the fill clocks.
 
-``inversion`` integrates a policy's hazard with ``quad`` and finds where it
-reaches the path's exponential draw with ``brentq``; ``thinning`` samples
-under a piecewise-constant hazard bound from a generator of its own.
+``inversion`` integrates a policy's hazard with ``quad``, piece by piece
+from the points already integrated, and finds where it reaches the path's
+exponential draw with ``brentq``; ``thinning`` samples under a
+piecewise-constant hazard bound from a generator of its own.
 :class:`OraclePolicy` runs either one through ``simulate_policy`` in place of
 the wrapped policy's clock, so the package's ensemble loop, draws and
 statistics are unchanged and only the fill times come from the oracle.
@@ -12,6 +13,7 @@ gathering the live paths' times and draws at every level and scattering the
 fills back, as the reference for the packed march in ``simulate``.
 """
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -34,19 +36,30 @@ def _hazard(model, policy, delta, horizon, level):
 
 
 def inversion(model, policy, delta, horizon):
-    """Exact inversion of a numerically integrated hazard."""
+    """Exact inversion of a numerically integrated hazard.
+
+    The integral from t0 is kept at every point one fill has integrated to,
+    so each new point integrates only the piece from the nearest kept point
+    below it and adds that piece's integral to the kept one.
+    """
     def fill_time(level, t0, e):
         hazard = _hazard(model, policy, delta, horizon, level)
+        knots, integrals = [t0], [0.0]  # sorted points and the integral to each
 
         def cumulative(t):
             if t <= t0:
                 return 0.0
+            i = bisect.bisect_right(knots, t) - 1
+            if knots[i] == t:
+                return integrals[i]
             # the hazard may be near-singular at maturity; quad complains but
             # still resolves the root to sampling accuracy
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", IntegrationWarning)
-                val, _ = quad(hazard, t0, t, epsabs=1e-12, epsrel=1e-10, limit=200)
-            return val
+                piece, _ = quad(hazard, knots[i], t, epsabs=1e-12, epsrel=1e-10, limit=200)
+            knots.insert(i + 1, t)
+            integrals.insert(i + 1, integrals[i] + piece)
+            return integrals[i + 1]
 
         t_hi = horizon - max(1e-12 * horizon, 1e-15)
         if t_hi <= t0 or cumulative(t_hi) < e:

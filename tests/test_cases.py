@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from lobliq import discrete
 from lobliq.cases import (
     ExpStationary,
     ExpZeroRate,
@@ -161,10 +162,22 @@ def test_exp_zero_rate_clock_matches_inversion_oracle(lam, delta):
     model, n = ExpDecayIntensity(lam=lam, kappa=1.0), 4
     market = MarketParams(r=0.0, horizon=1.0)
     policy = resolve(model, market).policy(delta, n)
-    _, fast = simulate_policy(model, market, n, delta, policy, 12, seed=5,
-                              keep_paths=True)
-    _, slow = simulate_policy(model, market, n, delta, OraclePolicy(policy, inversion),
-                              12, seed=5, keep_paths=True)
-    for a, b in zip(fast, slow):
-        assert len(a.fill_times) == len(b.fill_times)
-        assert np.max(np.abs(a.fill_times - b.fill_times), initial=0.0) <= 1e-10
+    fast = simulate_policy(model, market, n, delta, policy, 12, seed=5,
+                           keep_paths=True).fills
+    slow = simulate_policy(model, market, n, delta, OraclePolicy(policy, inversion),
+                           12, seed=5, keep_paths=True).fills
+    assert np.array_equal(fast.path_id, slow.path_id)
+    assert np.array_equal(fast.fill_index, slow.fill_index)
+    assert np.max(np.abs(fast.time - slow.time), initial=0.0) <= 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 6, 60, 150, 300])
+def test_exp_zero_rate_spreads_are_the_table_row(k):
+    # the running logaddexp of the series terms gives row k of the
+    # solve_exp_finite table bit for bit, at t_to_go = 0 and tiny times too
+    lam, kappa, delta = 4.0, 1.3, 0.02
+    policy = resolve(ExpDecayIntensity(lam=lam, kappa=kappa), R0_T1).policy(delta, k)
+    t_to_go = np.concatenate(([0.0, 5e-324, 1e-300, 1e-12, 1.0],
+                              np.random.default_rng(k).uniform(0.0, 1.0, 500)))
+    table = discrete.solve_exp_finite(k, delta, t_to_go, lam, kappa)[1]
+    assert np.array_equal(policy.spreads_at(k, t_to_go), table[k])

@@ -19,8 +19,9 @@ from lobliq.cli import main
 from lobliq.config import COMMANDS, ConfigError, _Loader, load_config, parse_config
 from lobliq.intensity import ExpDecayIntensity, MarketParams, PowerLawIntensity
 from lobliq.reports import format_number
-from lobliq.simulate import StationarySpreadPolicy, simulate_policy
+from lobliq.simulate import StationarySpreadPolicy
 from ode_oracles import bracketed_power_recursion
+from sampling_oracles import reference_march
 
 BASE = {
     "model": {"kind": "power", "lam": 1.0, "alpha": 2.0},
@@ -584,7 +585,7 @@ class TestCliCommands:
     def test_non_finite_curve_state_exits_3(self, tmp_path, capsys, monkeypatch):
         import lobliq.numerics
         monkeypatch.setattr(lobliq.numerics, "pure_death_mean",
-                            lambda rates, taus: np.full((len(rates) + 1, len(taus)), np.nan))
+                            lambda rates, taus: np.full((2, len(taus)), np.nan))
         cfg = {
             "model": {"kind": "power", "lam": 1.0, "alpha": 2.0},
             "market": {"r": 0.1, "horizon": 1.0},
@@ -753,20 +754,16 @@ class TestCliCommands:
             "seed": 11,
         }
         assert main(["simulate", "--config", write_cfg(tmp_path, cfg)]) == 0
-        _, paths = simulate_policy(PowerLawIntensity(lam=1.0, alpha=2.0),
-                                   MarketParams(r=0.1, horizon=1.0), 4, 0.5,
-                                   StationarySpreadPolicy(np.full(5, 1.0)), 300, seed=11,
-                                   keep_paths=True)
-        assert len(paths) == 300
-        assert paths[7].path_id == 7 and paths[-1].path_id == 299
-        assert [p.path_id for p in paths[10:13]] == [10, 11, 12]
-        records = list(paths)
-        assert 0 < sum(p.fully_liquidated for p in records) < 300
-        counts = [len(p.fill_times) for p in records]
-        times = np.concatenate([p.fill_times for p in records])
-        spreads = np.concatenate([p.fill_spreads for p in records])
+        # the per-path gather and scatter march keeps fill j of path i at [i, j]
+        _, counts, _, (fill_times, fill_spreads, _) = reference_march(
+            PowerLawIntensity(lam=1.0, alpha=2.0), MarketParams(r=0.1, horizon=1.0), 4,
+            0.5, StationarySpreadPolicy(np.full(5, 1.0)), 300, 11, None, True)
+        counts = counts.tolist()
+        assert 0 < counts.count(4) < 300
+        times = np.concatenate([fill_times[i, :k] for i, k in enumerate(counts)])
+        spreads = np.concatenate([fill_spreads[i, :k] for i, k in enumerate(counts)])
         columns = {
-            "path_id": [p.path_id for p, k in zip(records, counts) for _ in range(k)],
+            "path_id": [i for i, k in enumerate(counts) for _ in range(k)],
             "fill_index": [j for k in counts for j in range(k)],
             "time": times.tolist(),
             "spread": spreads.tolist(),

@@ -238,14 +238,6 @@ print(json.dumps(sorted({(os.path.basename(c.co_filename), c.co_firstlineno)
                          for c in codes if os.path.dirname(c.co_filename) == package})))
 """
 
-# Functions no command reaches: FillTable's sequence view, which the
-# benchmark's tracer iterates.
-UNREACHED = {
-    "simulate.FillTable.__getitem__", "simulate.FillTable.__iter__",
-    "simulate.FillTable.__len__", "simulate.FillTable._path",
-}
-
-
 def defined_functions(path: Path) -> dict:
     """(file name, first line) -> module.qualname of each def in a source
     file, methods and nested functions included; a decorated function's
@@ -302,7 +294,7 @@ def _reach_runs():
 
 
 def test_every_function_is_reached_by_a_command(tmp_path):
-    # code that no command reaches is either named above or retired
+    # every function of the package runs under some command, or is retired
     argv = []
     for i, (command, cfg) in enumerate(_reach_runs()):
         cfg["output"] = {"directory": str(tmp_path / f"out{i}"), "formats": "both"}
@@ -314,5 +306,4 @@ def test_every_function_is_reached_by_a_command(tmp_path):
     for path in SOURCES:
         defined.update(defined_functions(path))
     unreached = {name for key, name in defined.items() if key not in reached}
-    assert not unreached - UNREACHED, f"no command reaches {sorted(unreached - UNREACHED)}"
-    assert not UNREACHED - unreached, f"listed but reached or gone: {sorted(UNREACHED - unreached)}"
+    assert not unreached, f"no command reaches {sorted(unreached)}"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
@@ -15,7 +15,14 @@ from lobliq.numerics import (
     _poisson_stop,
     pure_death_mean,
 )
-from ode_oracles import OdeProblem, integrate_ode, lambert_w0, lambert_w0_exparg, log_integral
+from ode_oracles import (
+    OdeProblem,
+    integrate_ode,
+    lambert_w0,
+    lambert_w0_exparg,
+    log_integral,
+    pure_death_table,
+)
 
 
 def bisect_lambert(y, tol=1e-12):
@@ -154,21 +161,42 @@ class TestPureDeathMean:
         list(np.linspace(0.5, 12.0, 12)),
     ], ids=["one", "equal", "stiff", "rising"])
     def test_against_expm(self, rates):
+        # rows x - 1 and x of expm(tau Q) (0..n), from the chain of the first
+        # x rates, for each start x
         b = np.array(rates)
         gen = np.diag(np.concatenate(([0.0], -b))) + np.diag(b, -1)
-        x = np.arange(len(b) + 1.0)
         taus = np.array([0.0, 1e-9, 0.3, 2.0, 25.0])
-        table = pure_death_mean(b, taus)
-        assert table.shape == (len(b) + 1, len(taus))
-        assert np.array_equal(table[:, 0], x)
-        for j, tau in enumerate(taus):
-            assert np.max(np.abs(table[:, j] - expm(tau * gen) @ x)) <= 1e-12
+        exact = np.array([expm(tau * gen) @ np.arange(len(b) + 1.0) for tau in taus]).T
+        for x in range(1, len(b) + 1):
+            rows = pure_death_mean(b[:x], taus)
+            assert rows.shape == (2, len(taus))
+            assert np.array_equal(rows[:, 0], [x - 1.0, x])
+            assert np.max(np.abs(rows - exact[x - 1:x + 1])) <= 1e-12
+
+    @given(st.integers(min_value=1, max_value=2000), st.integers(0, 2**32 - 1),
+           st.floats(min_value=0.0, max_value=12.0),
+           st.floats(min_value=1e-6, max_value=2000.0),
+           st.integers(min_value=1, max_value=8))
+    @example(n=2000, seed=1, stiffness=12.0, span=2000.0, n_taus=8)
+    @example(n=1500, seed=2, stiffness=3.0, span=300.0, n_taus=1)
+    @settings(max_examples=40, deadline=None)
+    def test_top_rows_of_backward_table(self, n, seed, stiffness, span, n_taus):
+        # rates spread over up to 24 e-folds, largest rate 1: the fold of the
+        # top two entries against the whole backward table, whose product
+        # differs only in the BLAS kernel that sums each block of terms
+        rng = np.random.default_rng(seed)
+        rates = np.exp(rng.uniform(-2.0 * stiffness, 0.0, n))
+        rates /= rates.max()
+        taus = np.sort(rng.uniform(0.0, span, n_taus))
+        rows = pure_death_mean(rates, taus)
+        table = pure_death_table(rates, taus)
+        np.testing.assert_allclose(rows, table[-2:], rtol=1e-13, atol=0.0)
 
     def test_drained_chain_stops_early(self):
         # 1e6 uniformized steps would be needed without the early stop
-        table = pure_death_mean([1.0, 1e3], [0.0, 1e3])
-        assert np.array_equal(table[:, 0], [0.0, 1.0, 2.0])
-        assert np.all(table[:, 1] <= 2e-16)
+        rows = pure_death_mean([1.0, 1e3], [0.0, 1e3])
+        assert np.array_equal(rows[:, 0], [1.0, 2.0])
+        assert np.all(rows[:, 1] <= 2e-16)
 
     def test_poisson_pmf_matches_gammaln_form(self):
         # the exact Stirling error for m < 16 is tabulated with math.lgamma in
@@ -197,3 +225,5 @@ class TestPureDeathMean:
             pure_death_mean([1.0], [math.inf])
         with pytest.raises(ValueError):
             pure_death_mean([1.0, -1.0], [0.5])
+        with pytest.raises(ValueError, match="at least one"):
+            pure_death_mean([], [0.5])

@@ -66,6 +66,12 @@ class CountingPolicy:
         return self.inner.clock(model, delta, horizon)
 
 
+def fills_by(fills, n_paths, times, compare):
+    """[i, c]: the fills of path i whose time compares true with times[c]."""
+    return np.array([np.bincount(fills.path_id[compare(fills.time, t)], minlength=n_paths)
+                     for t in times]).T
+
+
 def fluid_policy_values(n, delta):
     return policy_values(fluid_spread_policy(POWER, INF, delta, n).spreads[1:], delta)
 
@@ -92,8 +98,8 @@ class TestSimulatePolicy:
         # median first fill is log(2)/rate ~ 0.69
         market, n_paths = MarketParams(r=0.1, horizon=horizon), 20_000
         pol = optimal_policy(POWER, market, 1.0, 6)
-        stats, fills = simulate_policy(POWER, market, 6, 1.0, pol, n_paths, seed=5,
-                                       keep_paths=True)
+        stats = simulate_policy(POWER, market, 6, 1.0, pol, n_paths, seed=5,
+                                keep_paths=True)
         target = resolve(POWER, market).solve(1.0, 6).values[6]
         assert abs(stats.mean_revenue - target) <= 4.0 * stats.std_error
         assert stats.liquidation_fraction == 1.0
@@ -102,21 +108,22 @@ class TestSimulatePolicy:
         median = math.log(2.0) / rate
         assert abs(median - 0.69) < 0.01
         # the sample median of n exponentials has standard error 1/(rate sqrt(n))
-        first = fills.time[fills.fill_index == 0]
+        first = stats.fills.time[stats.fills.fill_index == 0]
         assert abs(np.median(first) - median) <= 4.0 / (rate * math.sqrt(n_paths))
 
     def test_path_records(self):
         pol = optimal_policy(POWER, FINITE, 1.0, 4)
-        stats, paths = simulate_policy(POWER, FINITE, 4, 1.0, pol, 50, seed=9,
-                                       keep_paths=True)
-        for p in paths:
-            assert np.all(np.diff(p.fill_times) > 0.0)
-            assert np.all(p.fill_times <= 1.0)
-            assert p.terminal_inventory == 4.0 - len(p.fill_times)
-            assert p.fully_liquidated == (len(p.fill_times) == 4)
-            recomputed = sum(math.exp(-0.1 * t) * s
-                             for t, s in zip(p.fill_times, p.fill_spreads))
-            assert abs(recomputed - p.discounted_revenue) < 1e-12
+        stats = simulate_policy(POWER, FINITE, 4, 1.0, pol, 50, seed=9, keep_paths=True)
+        fills = stats.fills
+        revenues, counts = reference_march(POWER, FINITE, 4, 1.0, pol, 50, 9, None, False)[:2]
+        assert np.array_equal(np.bincount(fills.path_id, minlength=50), counts)
+        assert stats.liquidation_fraction == np.mean(counts == 4)
+        for p in range(50):
+            times, spreads = fills.time[fills.path_id == p], fills.spread[fills.path_id == p]
+            assert np.all(np.diff(times) > 0.0)
+            assert np.all(times <= 1.0)
+            recomputed = sum(math.exp(-0.1 * t) * s for t, s in zip(times, spreads))
+            assert abs(recomputed - revenues[p]) < 1e-12
 
     def test_seed_reproducibility(self):
         pol = optimal_policy(POWER, FINITE, 1.0, 4)
@@ -159,42 +166,48 @@ class TestSimulatePolicy:
     def test_inversion_reproduces_closed_form_fill_times(self, market):
         # both read the same exponential draws, so they must agree path by path
         pol = optimal_policy(POWER, market, 1.0, 3)
-        _, fast = simulate_policy(POWER, market, 3, 1.0, pol, 40, seed=19,
-                                  keep_paths=True)
-        _, slow = simulate_policy(POWER, market, 3, 1.0, OraclePolicy(pol, inversion),
-                                  40, seed=19, keep_paths=True)
-        for a, b in zip(fast, slow):
-            assert len(a.fill_times) == len(b.fill_times) == 3
-            assert np.max(np.abs(a.fill_times - b.fill_times)) <= 1e-10
+        fast = simulate_policy(POWER, market, 3, 1.0, pol, 40, seed=19,
+                               keep_paths=True).fills
+        slow = simulate_policy(POWER, market, 3, 1.0, OraclePolicy(pol, inversion),
+                               40, seed=19, keep_paths=True).fills
+        assert np.array_equal(np.bincount(fast.path_id), np.full(40, 3))
+        assert np.array_equal(np.bincount(slow.path_id), np.full(40, 3))
+        assert np.max(np.abs(fast.time - slow.time)) <= 1e-10
 
     def test_paths_do_not_depend_on_ensemble_size(self):
         # the longer run crosses a block boundary; a path's draws depend only
         # on the seed and its index
         pol = optimal_policy(POWER, FINITE, 1.0, 3)
-        _, short = simulate_policy(POWER, FINITE, 3, 1.0, pol, 100, seed=4,
-                                   keep_paths=True)
-        _, long = simulate_policy(POWER, FINITE, 3, 1.0, pol, _BLOCK_PATHS + 100,
-                                  seed=4, keep_paths=True)
-        for a, b in zip(short, long[:100]):
-            assert np.array_equal(a.fill_times, b.fill_times)
-            assert np.array_equal(a.fill_spreads, b.fill_spreads)
-            assert a.discounted_revenue == b.discounted_revenue
+        short = simulate_policy(POWER, FINITE, 3, 1.0, pol, 100, seed=4, keep_paths=True)
+        long = simulate_policy(POWER, FINITE, 3, 1.0, pol, _BLOCK_PATHS + 100, seed=4,
+                               keep_paths=True)
+        head = long.fills.path_id < 100
+        for name in ("path_id", "fill_index", "time", "spread", "cash"):
+            assert np.array_equal(getattr(short.fills, name),
+                                  getattr(long.fills, name)[head])
+        short_revenue = simulate._march(POWER, FINITE, 3, 1.0, pol, 100, 4, None, False)[0]
+        long_revenue = simulate._march(POWER, FINITE, 3, 1.0, pol, _BLOCK_PATHS + 100, 4,
+                                       None, False)[0]
+        assert np.array_equal(short_revenue, long_revenue[:100])
         # the second block has a stream of its own
-        assert not np.array_equal(long[0].fill_times, long[_BLOCK_PATHS].fill_times)
+        times = long.fills.time
+        assert not np.array_equal(times[long.fills.path_id == 0],
+                                  times[long.fills.path_id == _BLOCK_PATHS])
 
     @pytest.mark.parametrize("policy", [
         optimal_policy(POWER, FINITE, 0.5, 4),
         StationarySpreadPolicy(spreads=np.array([math.nan] + [3.0] * 4)),
     ], ids=["optimal", "partial-liquidation"])
     def test_fill_cash_is_what_the_march_added(self, policy):
-        _, fills = simulate_policy(POWER, FINITE, 4, 0.5, policy, 300, seed=5,
-                                   keep_paths=True)
+        fills = simulate_policy(POWER, FINITE, 4, 0.5, policy, 300, seed=5,
+                                keep_paths=True).fills
         assert np.array_equal(fills.cash,
                               np.exp(-FINITE.r * fills.time) * fills.spread * 0.5)
         # a path's revenue is its fills' cash added in fill order, from 0
         bounds = np.searchsorted(fills.path_id, np.arange(301)).tolist()
         revenue = [sum(fills.cash[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
-        assert revenue == fills.discounted_revenue.tolist()
+        march = simulate._march(POWER, FINITE, 4, 0.5, policy, 300, 5, None, False)
+        assert revenue == march[0].tolist()
 
     @pytest.mark.parametrize("policy_fn, n_paths", [
         (lambda: optimal_policy(POWER, FINITE, 0.5, 4), _BLOCK_PATHS + 500),
@@ -204,10 +217,9 @@ class TestSimulatePolicy:
         # mean and standard error from per-block integer sums agree with
         # np.mean / np.std over the full table of remaining inventories
         ct = np.linspace(0.0, 1.0, 10)[1:-1]
-        stats, paths = simulate_policy(POWER, FINITE, 4, 0.5, policy_fn(), n_paths,
-                                       seed=23, curve_times=ct, keep_paths=True)
-        left = np.array([[4 - np.count_nonzero(p.fill_times <= t) for t in ct]
-                         for p in paths])
+        stats = simulate_policy(POWER, FINITE, 4, 0.5, policy_fn(), n_paths,
+                                seed=23, curve_times=ct, keep_paths=True)
+        left = 4 - fills_by(stats.fills, n_paths, ct, np.less_equal)
         phys = left.astype(float) * 0.5
         mean = np.mean(phys, axis=0)
         se = np.std(phys, axis=0, ddof=1) / math.sqrt(n_paths)
@@ -225,16 +237,14 @@ class TestSimulatePolicy:
         if ties:
             # curve times equal to fill times of the same draws, unsorted and
             # with a repeat: a fill at exactly t counts at t
-            _, first = simulate_policy(POWER, FINITE, 4, 0.5, policy, n_paths, seed=31,
-                                       keep_paths=True)
+            first = simulate_policy(POWER, FINITE, 4, 0.5, policy, n_paths, seed=31,
+                                    keep_paths=True).fills
             ct = first.time[[5, 0, 17, 9, 0, 40]]
-        stats, paths = simulate_policy(POWER, FINITE, 4, 0.5, policy, n_paths, seed=31,
-                                       curve_times=ct, keep_paths=True)
-        left = np.array([[4 - np.count_nonzero(p.fill_times <= t) for t in ct]
-                         for p in paths])
+        stats = simulate_policy(POWER, FINITE, 4, 0.5, policy, n_paths, seed=31,
+                                curve_times=ct, keep_paths=True)
+        left = 4 - fills_by(stats.fills, n_paths, ct, np.less_equal)
         if ties:
-            strict = np.array([[4 - np.count_nonzero(p.fill_times < t) for t in ct]
-                               for p in paths])
+            strict = 4 - fills_by(stats.fills, n_paths, ct, np.less)
             assert np.any(left != strict)
         assert np.array_equal(stats.mean_inventory_curve,
                               0.5 * left.sum(axis=0).astype(float) / n_paths)
@@ -273,12 +283,13 @@ class TestSimulatePolicy:
 
     def test_stationary_policy_stops_at_horizon(self):
         policy = StationarySpreadPolicy(spreads=np.array([math.nan, 3.0, 3.0, 3.0]))
-        stats, paths = simulate_policy(POWER, FINITE, 3, 1.0, policy, 2000, seed=8,
-                                       keep_paths=True)
+        stats = simulate_policy(POWER, FINITE, 3, 1.0, policy, 2000, seed=8,
+                                keep_paths=True)
         assert 0.0 < stats.liquidation_fraction < 1.0
-        for p in paths:
-            assert np.all(p.fill_times <= 1.0)
-            assert np.all(np.diff(p.fill_times) > 0.0)
+        fills = stats.fills
+        assert np.all(fills.time <= 1.0)
+        # within a path, in fill order
+        assert np.all(np.diff(fills.time)[np.diff(fills.path_id) == 0] > 0.0)
 
     def test_thinning_agrees_on_bounded_hazard(self):
         # the exp book's closed-form clock against the thinning oracle
@@ -323,9 +334,8 @@ class TestSimulatePolicy:
         # pytest turns RuntimeWarning into an error, so an overflowing square fails
         n_paths = 50
         pol = optimal_policy(model, market, 1.0, 3)
-        stats, fills = simulate_policy(model, market, 3, 1.0, pol, n_paths, seed=0,
-                                       keep_paths=True)
-        revenues = fills.discounted_revenue
+        stats = simulate_policy(model, market, 3, 1.0, pol, n_paths, seed=0)
+        revenues = simulate._march(model, market, 3, 1.0, pol, n_paths, 0, None, False)[0]
         # the variance in exact rationals, of revenues scaled to below 1
         k = math.frexp(max(abs(revenues)))[1]
         exact = [Fraction(math.ldexp(x, -k)) for x in revenues]
@@ -516,13 +526,14 @@ class TestFluidPolicyEvaluation:
 
 class TestExecutionCurve:
     def test_initial_condition(self):
-        curve = execution_curve_ode(POWER, FINITE, 5, [0.0, 0.5])
-        assert np.array_equal(curve.inventory[:, 0], np.arange(6))
+        for n in range(1, 6):
+            curve = execution_curve_ode(POWER, FINITE, n, [0.0, 0.5])
+            assert curve.inventory[0] == n
 
     def test_monotone_decreasing_and_positive(self):
         grid = np.linspace(0.05, 0.95, 19)
         curve = execution_curve_ode(POWER, FINITE, 6, grid)
-        top = curve.inventory[6]
+        top = curve.inventory
         assert np.all(np.diff(top) < 0.0)
         assert np.all(top > 0.0)  # strictly positive before maturity, unlike the fluid curve
 
@@ -532,14 +543,14 @@ class TestExecutionCurve:
         stats = simulate_policy(POWER, FINITE, 4, 1.0, pol, 20_000, seed=23,
                                 curve_times=grid)
         curve = execution_curve_ode(POWER, FINITE, 4, grid)
-        z = np.abs(curve.inventory[4] - stats.mean_inventory_curve) / stats.curve_std_error
+        z = np.abs(curve.inventory - stats.mean_inventory_curve) / stats.curve_std_error
         assert np.max(z) <= 3.0
 
     def test_terminal_drain(self):
         vals = []
         for eps in [0.1, 0.03, 0.01]:
             curve = execution_curve_ode(POWER, FINITE, 6, [1.0 - eps])
-            vals.append(curve.inventory[6][0])
+            vals.append(curve.inventory[0])
         assert vals[0] > vals[1] > vals[2] > 0.0
         assert vals[2] < 0.6
 
@@ -555,7 +566,7 @@ class TestExecutionCurve:
         grid = np.linspace(0.05, 0.9, 18)
         curve = execution_curve_ode(POWER, FINITE, 6, grid)
         baseline = 6.0 * (1.0 - grid / 1.0)
-        assert np.all(curve.inventory[6] > baseline)
+        assert np.all(curve.inventory > baseline)
 
     def test_exp_rate_kappa_independent(self):
         market = MarketParams(r=0.0, horizon=1.0)
@@ -573,7 +584,7 @@ class TestExecutionCurve:
         grid = np.linspace(0.05, 0.95, 30)
         curve = execution_curve_ode(ExpDecayIntensity(lam=4.0, kappa=1.0),
                                     market, 4, grid)
-        second = np.diff(curve.inventory[4], 2)
+        second = np.diff(curve.inventory, 2)
         assert np.all(second > -1e-9)
 
     def test_rejects_grid_at_maturity(self):
@@ -585,7 +596,7 @@ class TestExecutionCurve:
         fl = fluid_solution(POWER, FINITE)
         assert fl.trade_curve(0.999999, 6.0) < 1e-4
         curve = execution_curve_ode(POWER, FINITE, 6, [0.99])
-        assert curve.inventory[6][0] > 0.0
+        assert curve.inventory[0] > 0.0
 
 
 def _time_change(alpha, market):
@@ -622,12 +633,13 @@ class TestExactExecutionCurve:
                          for k in range(1, n + 1)]) / g(0.0)
         gen = np.diag(np.concatenate(([0.0], -base))) + np.diag(base, -1)
         x = np.arange(n + 1.0)
-        curve = execution_curve_ode(model, market, n, grid)
-        for j, t in enumerate(grid):
-            exact = expm(tau(t) * gen) @ x
-            assert np.max(np.abs(curve.inventory[:, j] - exact)) <= 1e-12
-            rate = -g(t) * (gen @ exact)[n]
-            assert abs(curve.trading_rate[j] - rate) <= 1e-12 * max(1.0, rate)
+        exact = [expm(tau(t) * gen) @ x for t in grid]
+        for start in range(1, n + 1):
+            curve = execution_curve_ode(model, market, start, grid)
+            for j, t in enumerate(grid):
+                assert abs(curve.inventory[j] - exact[j][start]) <= 1e-12
+                rate = -g(t) * (gen @ exact[j])[start]
+                assert abs(curve.trading_rate[j] - rate) <= 1e-12 * max(1.0, rate)
 
     @pytest.mark.parametrize("lam", [1.0, 4.0, 30.0])
     def test_exp_zero_rate_rows_are_straight_lines(self, lam):
@@ -651,15 +663,16 @@ class TestExactExecutionCurve:
         ts, ps = integrate_ode(OdeProblem((n + 1) ** 2, forward, (0.0, 0.99),
                                           np.eye(n + 1).ravel(), step_count=9900))
         grid = ts[::990]
-        curve = execution_curve_ode(model, ZERO_RATE, n, grid)
         h0 = np.concatenate(([0.0], rates(0.0)))
-        for j, t in enumerate(grid):
-            p = ps[990 * j].reshape(n + 1, n + 1)
-            assert np.max(np.abs(curve.inventory[:, j] - p @ np.arange(n + 1.0))) <= 1e-9
-            assert np.array_equal(curve.inventory[:, j], np.arange(n + 1.0) - t * h0)
-            fill_rate = p[n] @ np.concatenate(([0.0], rates(t)))
-            assert abs(curve.trading_rate[j] - fill_rate) <= 1e-9
-        assert np.all(curve.trading_rate == h0[n])
+        for start in range(1, n + 1):
+            curve = execution_curve_ode(model, ZERO_RATE, start, grid)
+            for j, t in enumerate(grid):
+                p = ps[990 * j].reshape(n + 1, n + 1)
+                assert abs(curve.inventory[j] - p[start] @ np.arange(n + 1.0)) <= 1e-9
+                assert curve.inventory[j] == start - t * h0[start]
+                fill_rate = p[start] @ np.concatenate(([0.0], rates(t)))
+                assert abs(curve.trading_rate[j] - fill_rate) <= 1e-9
+            assert np.all(curve.trading_rate == h0[start])
 
     @given(st.floats(min_value=1.001, max_value=30.0),
            st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.1, 2.0]),
@@ -674,9 +687,11 @@ class TestExactExecutionCurve:
         market = MarketParams(r=r, horizon=horizon)
         grid = np.unique(np.concatenate(([0.0, 1.0 - 1e-9], fractions))) * horizon
         grid = grid[np.concatenate(([True], np.diff(grid) > 0.0))]
-        curve = execution_curve_ode(model, market, n, grid)
-        e = curve.inventory
-        x = np.arange(n + 1.0)
+        # the starts read: 1, the middle and the top two
+        starts = sorted({1, (n + 1) // 2, max(n - 1, 1), n})
+        curves = [execution_curve_ode(model, market, x, grid) for x in starts]
+        e = np.array([curve.inventory for curve in curves])
+        x = np.array(starts, dtype=float)
         assert np.array_equal(e[:, 0], x)
         assert np.all(e >= 0.0) and np.all(e <= x[:, None])
         # monotone up to the rounding of the sums: grid times may be one ulp
@@ -684,5 +699,6 @@ class TestExactExecutionCurve:
         slack = 64.0 * np.finfo(float).eps * n
         assert np.all(np.diff(e, axis=1) <= slack)
         assert np.all(np.diff(e, axis=0) >= -slack)
-        assert np.all(np.isfinite(curve.trading_rate))
-        assert np.all(curve.trading_rate >= 0.0)
+        for curve in curves:
+            assert np.all(np.isfinite(curve.trading_rate))
+            assert np.all(curve.trading_rate >= 0.0)
