@@ -6,7 +6,11 @@ reports, Monte Carlo simulation of the optimally controlled inventory, and
 the regime-switching / two-exchange extensions.
 """
 
-from .cases import resolve
+from .cases import (
+    OptimalPowerPolicy,
+    StationarySpreadPolicy,
+    resolve,
+)
 from .convergence import value_convergence
 from .discrete import (
     DiscreteSolution,
@@ -22,10 +26,8 @@ from .extensions import (
     two_exchange_patch,
 )
 from .fluid import (
-    FluidSolution,
     exp_fluid_finite,
     exp_fluid_infinite,
-    fluid_solution,
     power_fluid,
     power_trade_curve,
 )
@@ -38,11 +40,7 @@ from .intensity import (
 from .simulate import (
     EnsembleStats,
     FillTable,
-    OptimalPowerPolicy,
-    StationarySpreadPolicy,
     execution_curve_ode,
-    fluid_spread_policy,
-    optimal_policy,
     simulate_policy,
 )
 

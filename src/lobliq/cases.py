@@ -27,7 +27,6 @@ import numpy as np
 
 from . import discrete, fluid, numerics
 from .discrete import DiscreteSolution
-from .fluid import FluidSolution
 from .intensity import (
     ExpDecayIntensity,
     IntensityModel,
@@ -182,14 +181,16 @@ class Case:
     """One solvable model/market pair.
 
     Each case provides ``solve(delta, n_max)``, the per-level values and
-    optimal spreads as a :class:`DiscreteSolution`; ``fluid()``, the
-    continuous-selling limit as a :class:`FluidSolution`; ``policy(delta,
-    n_max)``, the optimal policy; ``execution_curve``, the exact mean
-    inventory from n units under the optimal policy and its trading rate;
-    ``fluid_cell_spread(x, delta)``, the fluid spread averaged over the cell
-    [x - delta, x], from the drop of the fluid value across it; and
-    ``fluid_probe``, the fluid value and spread at x with those cell averages
-    along a ladder of units.
+    optimal spreads as a :class:`DiscreteSolution`; the fluid limit as
+    ``fluid_value_and_spread(x)``, from one evaluation, and
+    ``fluid_trade_curve(t, x0)``, the inventory at t (a time or an array of
+    times, of t's shape) from x0 at time 0; ``policy(delta, n_max)``, the
+    optimal policy, and ``fluid_policy``, the stationary one posting the
+    fluid spread; ``execution_curve``, the exact mean inventory from n units
+    under the optimal policy and its trading rate; ``fluid_cell_spread(x,
+    delta)``, the fluid spread averaged over the cell [x - delta, x], from
+    the drop of the fluid value across it; and ``fluid_probe``, the fluid
+    value and spread at x with those cell averages along a ladder of units.
 
     Every case but the exponential book with r = 0 has an optimal policy
     whose fill rates factor as b_k * g(t) (its :class:`FactorClock`), so the
@@ -200,22 +201,26 @@ class Case:
     model: IntensityModel
     market: MarketParams
 
-    def value_and_spread_at(self, n: int, delta: float) -> tuple[float, float]:
-        """(value, optimal spread) at level n >= 1 of the delta-unit problem."""
-        sol = self.solve(delta, n)
-        return float(sol.values[n]), float(sol.spreads[n])
-
     def ladder(self, levels, deltas) -> tuple[np.ndarray, np.ndarray]:
         """(values, optimal spreads): at ``levels[i]`` of the
         ``deltas[i]``-unit problem for each rung i, one solve a rung."""
-        values, spreads = np.array([self.value_and_spread_at(n, d)
-                                    for n, d in zip(levels, deltas)]).T
+        values, spreads = np.array([(sol.values[n], sol.spreads[n]) for n, sol in
+                                    zip(levels, map(self.solve, deltas, levels))]).T
         return values, spreads
+
+    def fluid_policy(self, delta: float, n_max: int) -> StationarySpreadPolicy:
+        """The stationary policy that posts the fluid spread at x = n*delta."""
+        if not self.market.infinite_horizon:
+            raise UnsupportedCaseError("the fluid spread policy is stationary; use an "
+                                       "infinite horizon")
+        return StationarySpreadPolicy(np.array(
+            [math.nan] + [self.fluid_value_and_spread(n * delta)[1]
+                          for n in range(1, n_max + 1)]))
 
     def fluid_probe(self, x: float, deltas) -> tuple[float, float, np.ndarray]:
         """(fluid value, fluid spread, cell averages): at inventory x, with
         ``fluid_cell_spread(x, d)`` for each unit d in ``deltas``."""
-        value, spread = self.fluid().value_and_spread(x)
+        value, spread = self.fluid_value_and_spread(x)
         return value, spread, np.array([self.fluid_cell_spread(x, float(d))
                                         for d in deltas])
 
@@ -274,18 +279,20 @@ class PowerLaw(Case):
             delta=delta, coefficients=d * discrete.power_coefficient_factor(m.alpha, mk.r),
             values=d * factor, spreads=sigma * factor, liquidation_times=times)
 
-    def fluid(self):
+    def fluid_value_and_spread(self, x):
         m, mk = self.model, self.market
-        return FluidSolution(
-            lambda x: fluid.power_fluid(x, mk.horizon, m.lam, m.alpha, mk.r),
-            lambda t, x0: fluid.power_trade_curve(t, x0, mk.horizon, m.alpha, mk.r))
+        return fluid.power_fluid(x, mk.horizon, m.lam, m.alpha, mk.r)
+
+    def fluid_trade_curve(self, t, x0):
+        mk = self.market
+        return fluid.power_trade_curve(t, x0, mk.horizon, self.model.alpha, mk.r)
 
     def fluid_cell_spread(self, x, delta):
         # the fluid value is proportional to x**p, p = (alpha-1)/alpha, and the
         # spread is v'(x)/p, so the cell average is (v(x) - v(x-delta))/(p*delta)
         p = (self.model.alpha - 1.0) / self.model.alpha
         drop = 1.0 if delta >= x else -math.expm1(p * math.log1p(-delta / x))
-        return self.fluid().value(x) * drop / (p * delta)
+        return self.fluid_value_and_spread(x)[0] * drop / (p * delta)
 
     def policy(self, delta, n_max):
         return OptimalPowerPolicy(lam=self.model.lam, alpha=self.model.alpha,
@@ -316,11 +323,13 @@ class ExpZeroRate(Case):
         return DiscreteSolution(delta=delta, coefficients=values[:, 0],
                                 values=values[:, 0], spreads=spreads[:, 0])
 
-    def fluid(self):
-        m, T = self.model, self.market.horizon
-        return FluidSolution(
-            lambda x: fluid.exp_fluid_finite(x, T, m.lam, m.kappa)[:2],
-            lambda t, x0: fluid.exp_fluid_finite(x0, T, m.lam, m.kappa)[2](t))
+    def fluid_value_and_spread(self, x):
+        m = self.model
+        return fluid.exp_fluid_finite(x, self.market.horizon, m.lam, m.kappa)[:2]
+
+    def fluid_trade_curve(self, t, x0):
+        m = self.model
+        return fluid.exp_fluid_finite(x0, self.market.horizon, m.lam, m.kappa)[2](t)
 
     def fluid_cell_spread(self, x, delta):
         m = self.model
@@ -355,10 +364,13 @@ class ExpStationary(Case):
         return DiscreteSolution(delta=delta, coefficients=values, values=values,
                                 spreads=spreads)
 
-    def fluid(self):
-        m, r = self.model, self.market.r
-        return FluidSolution(lambda x: fluid.exp_fluid_infinite(x, m.lam, m.kappa, r),
-                             lambda t, x0: fluid.exp_trade_curve(t, x0, m.lam, m.kappa, r))
+    def fluid_value_and_spread(self, x):
+        m = self.model
+        return fluid.exp_fluid_infinite(x, m.lam, m.kappa, self.market.r)
+
+    def fluid_trade_curve(self, t, x0):
+        m = self.model
+        return fluid.exp_trade_curve(t, x0, m.lam, m.kappa, self.market.r)
 
     def fluid_cell_spread(self, x, delta, log_w=None):
         m = self.model

@@ -19,20 +19,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .cases import resolve
+from .cases import StationarySpreadPolicy, resolve
 from .config import COMMANDS, ConfigError, RunConfig, load_config
 from .convergence import value_convergence
 from .extensions import regime_fluid_fixed_point, two_exchange_expansion, two_exchange_patch
-from .fluid import exp_fluid_infinite, fluid_solution, power_fluid
+from .fluid import exp_fluid_infinite, power_fluid
 from .intensity import UnsupportedCaseError
 from .reports import write_json, write_manifest, write_schema_sidecar, write_table
-from .simulate import (
-    StationarySpreadPolicy,
-    execution_curve_ode,
-    fluid_spread_policy,
-    optimal_policy,
-    simulate_policy,
-)
+from .simulate import execution_curve_ode, simulate_policy
 
 
 def _emit_table(cfg: RunConfig, name: str, columns: dict, artifacts: list,
@@ -73,9 +67,9 @@ def _cmd_solve(cfg: RunConfig, artifacts: list) -> None:
 
 
 def _cmd_fluid(cfg: RunConfig, artifacts: list) -> None:
-    fl = fluid_solution(cfg.model, cfg.market)
+    case = resolve(cfg.model, cfg.market)
     xs = cfg.section["x_grid"]
-    values, spreads = np.array([fl.value_and_spread(x) for x in xs]).T
+    values, spreads = np.array([case.fluid_value_and_spread(x) for x in xs]).T
     _emit_table(cfg, "fluid", {
         "x": (xs, "inventory"),
         "value": (values, "fluid-limit value"),
@@ -110,9 +104,9 @@ def _build_policy(cfg: RunConfig):
     sec = cfg.section
     kind = sec["policy"]
     if kind == "optimal":
-        return optimal_policy(cfg.model, cfg.market, sec["delta"], sec["n_units"])
+        return resolve(cfg.model, cfg.market).policy(sec["delta"], sec["n_units"])
     if kind == "fluid":
-        return fluid_spread_policy(cfg.model, cfg.market, sec["delta"], sec["n_units"])
+        return resolve(cfg.model, cfg.market).fluid_policy(sec["delta"], sec["n_units"])
     return StationarySpreadPolicy(np.full(sec["n_units"] + 1, sec["constant_spread"]))
 
 
@@ -162,12 +156,14 @@ def _cmd_simulate(cfg: RunConfig, artifacts: list) -> None:
 
 def _cmd_curves(cfg: RunConfig, artifacts: list) -> None:
     sec = cfg.section
+    if sec["t_grid"][-1] >= cfg.market.horizon:
+        raise ConfigError("curves.t_grid: stop must stay below the horizon")
     curve = execution_curve_ode(cfg.model, cfg.market, sec["n_units"], sec["t_grid"])
     x0 = float(sec["n_units"])
     times = curve.times
     baseline = (np.full_like(times, math.nan) if cfg.market.infinite_horizon
                 else x0 * (1.0 - times / cfg.market.horizon))
-    fluid_curve = fluid_solution(cfg.model, cfg.market).trade_curve(times, x0)
+    fluid_curve = resolve(cfg.model, cfg.market).fluid_trade_curve(times, x0)
     _emit_table(cfg, "curves", {
         "time": (times, "time since start"),
         "mean_inventory": (curve.inventory, "average remaining inventory E(x0, t)"),

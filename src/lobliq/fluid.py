@@ -10,17 +10,14 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .discrete import discount_integral, power_time_factor
-from .intensity import IntensityModel, MarketParams
 from .numerics import GAUSS_NODES, GAUSS_WEIGHTS
 
 __all__ = [
-    "FluidSolution",
     "power_fluid",
     "power_trade_curve",
     "exp_fluid_finite",
@@ -29,7 +26,6 @@ __all__ = [
     "exp_fluid_infinite",
     "exp_infinite_cell_spread",
     "exp_trade_curve",
-    "fluid_solution",
 ]
 
 _EULER_GAMMA = 0.5772156649015329
@@ -338,25 +334,3 @@ def exp_trade_curve(t, x0: float, lam: float, kappa: float, r: float):
         curve = [scale * _e1_of_log(s0 + r * u) if u else x0
                  for u in times.ravel().tolist()]
     return curve[0] if times.ndim == 0 else np.reshape(curve, times.shape)
-
-
-@dataclass(frozen=True)
-class FluidSolution:
-    """Evaluable fluid value, spread, and trade curve for one model/market."""
-
-    value_and_spread: Callable[[float], tuple[float, float]]  # one solve for both
-    # (t, x0) -> inventory at t from x0 at time 0, of t's shape: each case's
-    # curve maps over an array of times itself, with one solve for them all
-    trade_curve: Callable
-
-    def value(self, x: float) -> float:
-        return self.value_and_spread(x)[0]
-
-    def spread(self, x: float) -> float:
-        return self.value_and_spread(x)[1]
-
-
-def fluid_solution(model: IntensityModel, market: MarketParams) -> FluidSolution:
-    """Bundle the closed-form fluid solution for a supported model/market."""
-    from .cases import resolve  # cases builds on this module
-    return resolve(model, market).fluid()

@@ -68,10 +68,11 @@ def _poisson_pmf(m: np.ndarray, mu: np.ndarray) -> np.ndarray:
     mup = np.where(mu > 0.0, mu, 1.0)
     with np.errstate(over="ignore"):  # m/mu overflows only where Poisson(m) is 0
         d = (ms - mup) / mup
-        near = np.abs(d) < 0.1
-        dn = np.where(near, d, 0.0)
-        bd0 = np.where(near, mup * dn * dn * np.polyval(_PHI_SERIES, dn),
-                       ms * np.log(ms / mup) + mup - ms)
+        bd0 = ms * np.log(ms / mup) + mup - ms
+    # the series only near the mode, where it replaces the cancelling form
+    near = np.abs(d) < 0.1
+    dn = d[near]
+    bd0[near] = np.broadcast_to(mup, d.shape)[near] * dn * dn * np.polyval(_PHI_SERIES, dn)
     w = np.exp(-stirlerr - bd0) / np.sqrt(2.0 * math.pi * ms)
     w = np.where(m == 0.0, np.exp(-mu), w)
     return np.where(mu == 0.0, np.where(m == 0.0, 1.0, 0.0), w)

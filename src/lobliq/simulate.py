@@ -33,25 +33,14 @@ from typing import Optional
 
 import numpy as np
 
-from .cases import (
-    ExpZeroRatePolicy,
-    OptimalPowerPolicy,
-    StationarySpreadPolicy,
-    resolve,
-)
-from .fluid import fluid_solution
-from .intensity import IntensityModel, MarketParams, UnsupportedCaseError
+from .cases import resolve
+from .intensity import IntensityModel, MarketParams
 from .numerics import NonFiniteStateError
 
 __all__ = [
     "FillTable",
     "EnsembleStats",
     "ExecutionCurve",
-    "StationarySpreadPolicy",
-    "OptimalPowerPolicy",
-    "ExpZeroRatePolicy",
-    "optimal_policy",
-    "fluid_spread_policy",
     "simulate_policy",
     "execution_curve_ode",
 ]
@@ -59,23 +48,6 @@ __all__ = [
 # paths per random-stream block; results never depend on it beyond the
 # stream layout, so it is not a setting
 _BLOCK_PATHS = 8192
-
-
-def optimal_policy(model: IntensityModel, market: MarketParams, delta: float,
-                   n_max: int):
-    """The optimal feedback policy for any closed-form model/market pair."""
-    return resolve(model, market).policy(delta, n_max)
-
-
-def fluid_spread_policy(model: IntensityModel, market: MarketParams, delta: float,
-                        n_max: int) -> StationarySpreadPolicy:
-    """Stationary policy that posts the fluid-limit spread at x = n*delta."""
-    if not market.infinite_horizon:
-        raise UnsupportedCaseError("the fluid spread policy is stationary; use an "
-                                   "infinite horizon")
-    spread = fluid_solution(model, market).spread
-    return StationarySpreadPolicy(
-        np.array([math.nan] + [spread(n * delta) for n in range(1, n_max + 1)]))
 
 
 # --------------------------------------------------------------------------
@@ -181,8 +153,8 @@ def simulate_policy(model: IntensityModel, market: MarketParams, n_units: int,
                     *, threads: int = 1, curve_times=None, keep_paths: bool = False):
     """Simulate the controlled death process under ``policy``.
 
-    ``policy`` is a :class:`StationarySpreadPolicy`, an
-    :class:`OptimalPowerPolicy` or an :class:`ExpZeroRatePolicy`; each defines
+    ``policy`` is a policy of :mod:`lobliq.cases`: a case's ``policy`` or
+    ``fluid_policy``, or any :class:`StationarySpreadPolicy`.  Each defines
     exactly ``spreads_at(level, t_to_go)``, the spreads posted at one level
     for an array of times to go, and ``clock(model, delta, horizon)``, its
     fill clock.  Before the first block the spreads with the whole horizon to

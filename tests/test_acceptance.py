@@ -26,7 +26,7 @@ from lobliq.extensions import (
 )
 from lobliq.fluid import exp_fluid_finite, exp_fluid_infinite
 from lobliq.intensity import ExpDecayIntensity, MarketParams, PowerLawIntensity
-from lobliq.simulate import execution_curve_ode, optimal_policy, simulate_policy
+from lobliq.simulate import execution_curve_ode, simulate_policy
 from ode_oracles import OdeProblem, integrate_ode, regime_residuals, stationary_by_level
 
 POWER = PowerLawIntensity(lam=1.0, alpha=2.0)
@@ -148,7 +148,7 @@ def test_criterion_07_li_equation_solution():
 
 def test_criterion_08_simulation_consistency():
     started = time.perf_counter()
-    policy = optimal_policy(POWER, MARKET_T1, 1.0, 6)
+    policy = resolve(POWER, MARKET_T1).policy(1.0, 6)
     stats = simulate_policy(POWER, MARKET_T1, 6, 1.0, policy, 100_000, seed=42)
     target = resolve(POWER, MARKET_T1).solve(1.0, 6).values[6]
     z = abs(stats.mean_revenue - target) / stats.std_error
@@ -162,7 +162,7 @@ def test_criterion_08_simulation_consistency():
 
 def test_criterion_09_execution_curve_cross_check():
     grid = np.linspace(0.045, 0.95, 20)
-    policy = optimal_policy(POWER, MARKET_T1, 1.0, 6)
+    policy = resolve(POWER, MARKET_T1).policy(1.0, 6)
     stats = simulate_policy(POWER, MARKET_T1, 6, 1.0, policy, 100_000, seed=42,
                             curve_times=grid)
     curve = execution_curve_ode(POWER, MARKET_T1, 6, grid)
@@ -228,7 +228,7 @@ def test_criterion_11_two_exchange():
 
 
 def test_criterion_12_determinism_across_threads():
-    policy = optimal_policy(POWER, MARKET_T1, 1.0, 6)
+    policy = resolve(POWER, MARKET_T1).policy(1.0, 6)
     grid = np.linspace(0.045, 0.95, 20)
     runs = [simulate_policy(POWER, MARKET_T1, 6, 1.0, policy, 100_000, seed=42,
                             threads=k, curve_times=grid) for k in (1, 4)]

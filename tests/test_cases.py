@@ -64,7 +64,7 @@ def test_unsupported_case_is_a_value_error():
 def test_single_level_matches_full_solve(model, market):
     case = resolve(model, market)
     sol = case.solve(0.25, 12)
-    value, spread = case.value_and_spread_at(12, 0.25)
+    (value,), (spread,) = case.ladder([12], [0.25])
     assert value == sol.values[12] and spread == sol.spreads[12]
     assert np.isnan(sol.spreads[0]) and sol.values[0] == 0.0
 

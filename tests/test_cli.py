@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 
 import lobliq
 from lobliq import config
-from lobliq.cases import resolve
+from lobliq.cases import StationarySpreadPolicy, resolve
 from lobliq.cli import main
 from lobliq.config import COMMANDS, ConfigError, _Loader, load_config, parse_config
 from lobliq.intensity import ExpDecayIntensity, MarketParams, PowerLawIntensity
 from lobliq.reports import format_number
-from lobliq.simulate import StationarySpreadPolicy
 from ode_oracles import bracketed_power_recursion
 from sampling_oracles import reference_march
 
@@ -354,16 +353,27 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and str(out) in err
 
-    def test_numerical_failure_exits_3(self, tmp_path):
+    @pytest.mark.parametrize("model, r, stop", [
+        ({"kind": "power", "lam": 1.0, "alpha": 2.0}, 0.1, 1.0),
+        ({"kind": "power", "lam": 1.0, "alpha": 2.0}, 0.1, 1.5),
+        ({"kind": "exp", "lam": 1.0, "kappa": 1.0}, 0.0, 1.0),
+        ({"kind": "exp", "lam": 1.0, "kappa": 1.0}, 0.0, 2.0),
+    ], ids=["power-at", "power-past", "exp_r0-at", "exp_r0-past"])
+    def test_curves_grid_reaching_the_horizon_exits_2(self, tmp_path, capsys, model, r,
+                                                      stop):
+        # the power law's fill rate diverges at maturity: a grid that reaches
+        # the horizon is a config error, named, with nothing written
+        out = tmp_path / "out"
         cfg = {
-            "model": {"kind": "power", "lam": 1.0, "alpha": 2.0},
-            "market": {"r": 0.1, "horizon": 1.0},
+            "model": model,
+            "market": {"r": r, "horizon": 1.0},
             "curves": {"n_units": 3,
-                       "t_grid": {"start": 0.1, "stop": 1.0, "count": 5}},
-            "output": {"directory": str(tmp_path / "out")},
+                       "t_grid": {"start": 0.1, "stop": stop, "count": 5}},
+            "output": {"directory": str(out)},
         }
-        rc = main(["curves", "--config", write_cfg(tmp_path, cfg)])
-        assert rc == 3  # grid touches maturity where the fill rate diverges
+        assert main(["curves", "--config", write_cfg(tmp_path, cfg)]) == 2
+        assert "curves.t_grid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_increment_step_cap_exits_3(self, tmp_path, capsys, monkeypatch):
         # one Newton step over the chain does not converge; with one unknown
@@ -1013,12 +1023,15 @@ class TestCliCommands:
             assert edge["monotone_ok"]
 
 
+def _readme():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        return fh.read()
+
+
 def test_readme_example_config_runs(tmp_path):
     """The README's example config parses for each command section it holds,
     and each of those commands runs on it."""
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme) as fh:
-        (text,) = re.findall(r"```yaml\n(.*?)```", fh.read(), re.S)
+    (text,) = re.findall(r"```yaml\n(.*?)```", _readme(), re.S)
     data = yaml.load(text, Loader=_Loader)
     commands = [c for c in COMMANDS if c in data]
     assert commands == ["solve", "converge", "simulate", "curves"]
@@ -1030,6 +1043,17 @@ def test_readme_example_config_runs(tmp_path):
         out = tmp_path / command
         assert main([command, "--config", str(path), "--out", str(out)]) == 0
         assert (out / "manifest.json").exists()
+
+
+def test_readme_quick_tour_runs():
+    """The README's library quick tour runs as written, and what its
+    comments promise holds."""
+    (code,) = re.findall(r"## Library quick tour\n\n```python\n(.*?)```", _readme(), re.S)
+    names = {}
+    exec(code, names)
+    ratios = names["report"].ratios
+    assert np.all(np.diff(ratios) > 0.0) and ratios[-1] <= 1.0
+    assert names["stats"].liquidation_fraction == 1.0
 
 
 class TestModuleEntryPoint:

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import lobliq.fluid
+from lobliq.cases import resolve
 from lobliq.fluid import (
     _e1_of_log,
     _log_w,
     exp_fluid_finite,
     exp_fluid_infinite,
     exp_trade_curve,
-    fluid_solution,
     power_fluid,
     power_trade_curve,
 )
@@ -319,28 +319,29 @@ class TestExpFluidInfinite:
 class TestFluidSolutionBundle:
     def test_power_finite(self):
         model = PowerLawIntensity(lam=1.0, alpha=2.0)
-        fl = fluid_solution(model, MarketParams(r=0.1, horizon=1.0))
+        case = resolve(model, MarketParams(r=0.1, horizon=1.0))
         v, s = power_fluid(3.0, 1.0, 1.0, 2.0, 0.1)
-        assert fl.value(3.0) == v and fl.spread(3.0) == s
-        assert abs(fl.trade_curve(0.5, 6.0)
+        assert case.fluid_value_and_spread(3.0) == (v, s)
+        assert abs(case.fluid_trade_curve(0.5, 6.0)
                    - power_trade_curve(0.5, 6.0, 1.0, 2.0, 0.1)) < 1e-15
 
     def test_power_infinite_curve(self):
         model = PowerLawIntensity(lam=1.0, alpha=2.0)
-        fl = fluid_solution(model, MarketParams(r=0.1))
-        assert abs(fl.trade_curve(1.0, 4.0) - 4.0 * math.exp(-0.2)) < 1e-14
+        case = resolve(model, MarketParams(r=0.1))
+        assert abs(case.fluid_trade_curve(1.0, 4.0) - 4.0 * math.exp(-0.2)) < 1e-14
 
     def test_exp_infinite_curve_consistency(self):
         model = ExpDecayIntensity(lam=1.0, kappa=1.0)
-        fl = fluid_solution(model, MarketParams(r=0.1))
+        case = resolve(model, MarketParams(r=0.1))
         x0 = 3.0
         t = 1.0
-        x_t = fl.trade_curve(t, x0)
+        x_t = case.fluid_trade_curve(t, x0)
         assert 0.0 < x_t < x0
         # derivative matches -kappa*r*v(x) to integrator accuracy
         h = 1e-3
-        lhs = (fl.trade_curve(t + h, x0) - fl.trade_curve(t - h, x0)) / (2.0 * h)
-        assert abs(lhs + 0.1 * fl.value(x_t)) < 1e-5
+        lhs = (case.fluid_trade_curve(t + h, x0)
+               - case.fluid_trade_curve(t - h, x0)) / (2.0 * h)
+        assert abs(lhs + 0.1 * case.fluid_value_and_spread(x_t)[0]) < 1e-5
 
     @pytest.mark.parametrize("x0, r", [(6.0, 0.1), (200.0, 0.1), (13.0, 1.0)])
     def test_exp_infinite_curve_closed_form_against_rk4(self, x0, r):
@@ -348,7 +349,7 @@ class TestFluidSolutionBundle:
         # at every stage.  Past e*r*x0/lam ~ 34 (the last two cases),
         # e*kappa*r*v(x0)/lam rounds to 1 in double precision.
         lam, kappa = 1.0, 1.0
-        fl = fluid_solution(ExpDecayIntensity(lam=lam, kappa=kappa), MarketParams(r=r))
+        case = resolve(ExpDecayIntensity(lam=lam, kappa=kappa), MarketParams(r=r))
 
         def rhs(_t, y):
             return np.array([-kappa * r * exp_fluid_infinite(y[0], lam, kappa, r)[0]])
@@ -357,11 +358,11 @@ class TestFluidSolutionBundle:
         for t in (0.5, 2.0):
             i = int(np.argmin(np.abs(ts - t)))
             assert ts[i] == t
-            assert abs(fl.trade_curve(t, x0) - ys[i, 0]) <= 1e-10 * ys[i, 0]
-        assert fl.trade_curve(0.0, x0) == x0
-        assert fl.trade_curve(2.0, 0.0) == 0.0
+            assert abs(case.fluid_trade_curve(t, x0) - ys[i, 0]) <= 1e-10 * ys[i, 0]
+        assert case.fluid_trade_curve(0.0, x0) == x0
+        assert case.fluid_trade_curve(2.0, 0.0) == 0.0
         # E1 underflows long before t = 1000/r: the curve reads +0.0
-        x_late = fl.trade_curve(1000.0 / r, x0)
+        x_late = case.fluid_trade_curve(1000.0 / r, x0)
         assert x_late == 0.0 and math.copysign(1.0, x_late) == 1.0
 
     @pytest.mark.parametrize("model, market", [
@@ -371,15 +372,16 @@ class TestFluidSolutionBundle:
         (ExpDecayIntensity(lam=1.0, kappa=1.0), MarketParams(r=0.1)),
     ], ids=["power_T", "power_inf", "exp_r0", "exp_inf"])
     def test_trade_curve_on_an_array_is_pointwise(self, model, market):
-        fl = fluid_solution(model, market)
+        case = resolve(model, market)
         times = np.linspace(0.0, 0.9, 7)
         for x0 in (0.0, 6.0):
-            curve = fl.trade_curve(times, x0)
+            curve = case.fluid_trade_curve(times, x0)
             assert isinstance(curve, np.ndarray)
-            assert curve.tolist() == [fl.trade_curve(t, x0) for t in times]
+            assert curve.tolist() == [case.fluid_trade_curve(t, x0) for t in times]
 
     def test_zero_rate_power(self):
         model = PowerLawIntensity(lam=1.0, alpha=2.0)
-        fl = fluid_solution(model, MarketParams(r=0.0, horizon=2.0))
-        assert abs(fl.value(3.0) - math.sqrt(2.0) * math.sqrt(3.0)) < 1e-12
-        assert fl.trade_curve(1.0, 3.0) == 1.5
+        case = resolve(model, MarketParams(r=0.0, horizon=2.0))
+        value = case.fluid_value_and_spread(3.0)[0]
+        assert abs(value - math.sqrt(2.0) * math.sqrt(3.0)) < 1e-12
+        assert case.fluid_trade_curve(1.0, 3.0) == 1.5

@@ -11,24 +11,20 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from lobliq import simulate
-from lobliq.cases import FillClock, resolve
+from lobliq.cases import (
+    ExpZeroRatePolicy,
+    FillClock,
+    OptimalPowerPolicy,
+    StationarySpreadPolicy,
+    resolve,
+)
 from lobliq.discrete import solve_exp_finite
-from lobliq.fluid import fluid_solution
 from lobliq.intensity import (
     ExpDecayIntensity,
     MarketParams,
     PowerLawIntensity,
 )
-from lobliq.simulate import (
-    _BLOCK_PATHS,
-    ExpZeroRatePolicy,
-    OptimalPowerPolicy,
-    StationarySpreadPolicy,
-    execution_curve_ode,
-    fluid_spread_policy,
-    optimal_policy,
-    simulate_policy,
-)
+from lobliq.simulate import _BLOCK_PATHS, execution_curve_ode, simulate_policy
 from ode_oracles import OdeProblem, integrate_ode
 from sampling_oracles import OraclePolicy, inversion, reference_march, thinning
 
@@ -73,18 +69,18 @@ def fills_by(fills, n_paths, times, compare):
 
 
 def fluid_policy_values(n, delta):
-    return policy_values(fluid_spread_policy(POWER, INF, delta, n).spreads[1:], delta)
+    return policy_values(resolve(POWER, INF).fluid_policy(delta, n).spreads[1:], delta)
 
 
 class TestSimulatePolicy:
     def test_zero_inventory(self):
-        pol = optimal_policy(POWER, FINITE, 1.0, 1)
+        pol = resolve(POWER, FINITE).policy(1.0, 1)
         stats = simulate_policy(POWER, FINITE, 0, 1.0, pol, 50, seed=1)
         assert stats.mean_revenue == 0.0
         assert stats.liquidation_fraction == 1.0
 
     def test_optimal_power_unbiased(self):
-        pol = optimal_policy(POWER, FINITE, 1.0, 6)
+        pol = resolve(POWER, FINITE).policy(1.0, 6)
         stats = simulate_policy(POWER, FINITE, 6, 1.0, pol, 20_000, seed=5)
         target = resolve(POWER, FINITE).solve(1.0, 6).values[6]
         assert abs(stats.mean_revenue - target) <= 3.0 * stats.std_error
@@ -97,7 +93,7 @@ class TestSimulatePolicy:
         # precision: the top level fills at rate ~1 from the start, so the
         # median first fill is log(2)/rate ~ 0.69
         market, n_paths = MarketParams(r=0.1, horizon=horizon), 20_000
-        pol = optimal_policy(POWER, market, 1.0, 6)
+        pol = resolve(POWER, market).policy(1.0, 6)
         stats = simulate_policy(POWER, market, 6, 1.0, pol, n_paths, seed=5,
                                 keep_paths=True)
         target = resolve(POWER, market).solve(1.0, 6).values[6]
@@ -112,7 +108,7 @@ class TestSimulatePolicy:
         assert abs(np.median(first) - median) <= 4.0 / (rate * math.sqrt(n_paths))
 
     def test_path_records(self):
-        pol = optimal_policy(POWER, FINITE, 1.0, 4)
+        pol = resolve(POWER, FINITE).policy(1.0, 4)
         stats = simulate_policy(POWER, FINITE, 4, 1.0, pol, 50, seed=9, keep_paths=True)
         fills = stats.fills
         revenues, counts = reference_march(POWER, FINITE, 4, 1.0, pol, 50, 9, None, False)[:2]
@@ -126,7 +122,7 @@ class TestSimulatePolicy:
             assert abs(recomputed - revenues[p]) < 1e-12
 
     def test_seed_reproducibility(self):
-        pol = optimal_policy(POWER, FINITE, 1.0, 4)
+        pol = resolve(POWER, FINITE).policy(1.0, 4)
         a = simulate_policy(POWER, FINITE, 4, 1.0, pol, 500, seed=13)
         b = simulate_policy(POWER, FINITE, 4, 1.0, pol, 500, seed=13)
         c = simulate_policy(POWER, FINITE, 4, 1.0, pol, 500, seed=14)
@@ -134,7 +130,7 @@ class TestSimulatePolicy:
         assert a.mean_revenue != c.mean_revenue
 
     def test_thread_count_invariance(self):
-        pol = optimal_policy(POWER, FINITE, 1.0, 5)
+        pol = resolve(POWER, FINITE).policy(1.0, 5)
         grid = np.linspace(0.1, 0.9, 5)
         runs = [simulate_policy(POWER, FINITE, 5, 1.0, pol, 4000, seed=21,
                                 threads=k, curve_times=grid) for k in (1, 2, 7, 10**6)]
@@ -154,7 +150,7 @@ class TestSimulatePolicy:
 
     def test_inversion_sampler_agrees_with_analytic(self):
         # the quadrature-and-root oracle must reproduce the closed form
-        pol = optimal_policy(POWER, FINITE, 1.0, 3)
+        pol = resolve(POWER, FINITE).policy(1.0, 3)
         fast = simulate_policy(POWER, FINITE, 3, 1.0, pol, 4000, seed=17)
         slow = simulate_policy(POWER, FINITE, 3, 1.0, OraclePolicy(pol, inversion),
                                300, seed=17)
@@ -165,7 +161,7 @@ class TestSimulatePolicy:
     @pytest.mark.parametrize("market", [FINITE, ZERO_RATE], ids=["r=0.1", "r=0"])
     def test_inversion_reproduces_closed_form_fill_times(self, market):
         # both read the same exponential draws, so they must agree path by path
-        pol = optimal_policy(POWER, market, 1.0, 3)
+        pol = resolve(POWER, market).policy(1.0, 3)
         fast = simulate_policy(POWER, market, 3, 1.0, pol, 40, seed=19,
                                keep_paths=True).fills
         slow = simulate_policy(POWER, market, 3, 1.0, OraclePolicy(pol, inversion),
@@ -177,7 +173,7 @@ class TestSimulatePolicy:
     def test_paths_do_not_depend_on_ensemble_size(self):
         # the longer run crosses a block boundary; a path's draws depend only
         # on the seed and its index
-        pol = optimal_policy(POWER, FINITE, 1.0, 3)
+        pol = resolve(POWER, FINITE).policy(1.0, 3)
         short = simulate_policy(POWER, FINITE, 3, 1.0, pol, 100, seed=4, keep_paths=True)
         long = simulate_policy(POWER, FINITE, 3, 1.0, pol, _BLOCK_PATHS + 100, seed=4,
                                keep_paths=True)
@@ -195,7 +191,7 @@ class TestSimulatePolicy:
                                   times[long.fills.path_id == _BLOCK_PATHS])
 
     @pytest.mark.parametrize("policy", [
-        optimal_policy(POWER, FINITE, 0.5, 4),
+        resolve(POWER, FINITE).policy(0.5, 4),
         StationarySpreadPolicy(spreads=np.array([math.nan] + [3.0] * 4)),
     ], ids=["optimal", "partial-liquidation"])
     def test_fill_cash_is_what_the_march_added(self, policy):
@@ -210,7 +206,7 @@ class TestSimulatePolicy:
         assert revenue == march[0].tolist()
 
     @pytest.mark.parametrize("policy_fn, n_paths", [
-        (lambda: optimal_policy(POWER, FINITE, 0.5, 4), _BLOCK_PATHS + 500),
+        (lambda: resolve(POWER, FINITE).policy(0.5, 4), _BLOCK_PATHS + 500),
         (lambda: StationarySpreadPolicy(spreads=np.array([math.nan] + [3.0] * 4)), 700),
     ], ids=["optimal-two-blocks", "partial-liquidation"])
     def test_curve_statistics_match_path_table(self, policy_fn, n_paths):
@@ -270,12 +266,12 @@ class TestSimulatePolicy:
         # one finiteness check per level before the first block, then one
         # read per level and block; the power optimum sells every path, so
         # both blocks reach every level
-        policy = CountingPolicy(optimal_policy(POWER, FINITE, 0.5, 4))
+        policy = CountingPolicy(resolve(POWER, FINITE).policy(0.5, 4))
         simulate_policy(POWER, FINITE, 4, 0.5, policy, _BLOCK_PATHS + 5, seed=3)
         assert Counter(policy.levels) == {k: 1 + 2 for k in range(1, 5)}
 
     def test_curve_standard_error_undefined_for_one_path(self):
-        pol = optimal_policy(POWER, FINITE, 1.0, 3)
+        pol = resolve(POWER, FINITE).policy(1.0, 3)
         stats = simulate_policy(POWER, FINITE, 3, 1.0, pol, 1, seed=2,
                                 curve_times=[0.25, 0.5])
         assert np.all(np.isnan(stats.curve_std_error))
@@ -295,7 +291,7 @@ class TestSimulatePolicy:
         # the exp book's closed-form clock against the thinning oracle
         model = ExpDecayIntensity(lam=1.0, kappa=1.0)
         market = MarketParams(r=0.0, horizon=4.0)
-        pol = optimal_policy(model, market, 1.0, 3)
+        pol = resolve(model, market).policy(1.0, 3)
         a = simulate_policy(model, market, 3, 1.0, pol, 1500, seed=29)
         b = simulate_policy(model, market, 3, 1.0, OraclePolicy(pol, thinning(31)),
                             1500, seed=31)
@@ -303,7 +299,7 @@ class TestSimulatePolicy:
         assert abs(a.mean_revenue - b.mean_revenue) <= 3.5 * se
 
     def test_thinning_refuses_unbounded_hazard(self):
-        pol = optimal_policy(POWER, FINITE, 1.0, 2)
+        pol = resolve(POWER, FINITE).policy(1.0, 2)
         with pytest.raises(ArithmeticError):
             simulate_policy(POWER, FINITE, 2, 1.0, OraclePolicy(pol, thinning(1)), 5,
                             seed=1)
@@ -315,7 +311,7 @@ class TestSimulatePolicy:
         # the discrete value; both exact, whatever sampled the fills
         n, y0, kappa, n_paths = 3, 3.0, 1.3, 1500
         model = ExpDecayIntensity(lam=y0 * math.e, kappa=kappa)
-        pol = optimal_policy(model, ZERO_RATE, 1.0, n)
+        pol = resolve(model, ZERO_RATE).policy(1.0, n)
         stats = simulate_policy(model, ZERO_RATE, n, 1.0, pol, n_paths, seed=29)
         terms = [y0 ** j / math.factorial(j) for j in range(n + 1)]
         p_full = terms[n] / sum(terms)
@@ -333,7 +329,7 @@ class TestSimulatePolicy:
     def test_std_error_of_huge_revenues(self, model, market):
         # pytest turns RuntimeWarning into an error, so an overflowing square fails
         n_paths = 50
-        pol = optimal_policy(model, market, 1.0, 3)
+        pol = resolve(model, market).policy(1.0, 3)
         stats = simulate_policy(model, market, 3, 1.0, pol, n_paths, seed=0)
         revenues = simulate._march(model, market, 3, 1.0, pol, n_paths, 0, None, False)[0]
         # the variance in exact rationals, of revenues scaled to below 1
@@ -376,11 +372,11 @@ def _march_policies():
     rich = ExpDecayIntensity(lam=8.0, kappa=1.0)
     return {
         "stationary": (POWER, FINITE, StationarySpreadPolicy(flat)),
-        "fluid": (POWER, INF, fluid_spread_policy(POWER, INF, 0.5, 6)),
-        "power-T1": (POWER, FINITE, optimal_policy(POWER, FINITE, 0.5, 6)),
-        "power-r0": (POWER, ZERO_RATE, optimal_policy(POWER, ZERO_RATE, 0.5, 6)),
-        "power-inf": (POWER, INF, optimal_policy(POWER, INF, 0.5, 6)),
-        "exp-r0": (rich, ZERO_RATE, optimal_policy(rich, ZERO_RATE, 0.5, 6)),
+        "fluid": (POWER, INF, resolve(POWER, INF).fluid_policy(0.5, 6)),
+        "power-T1": (POWER, FINITE, resolve(POWER, FINITE).policy(0.5, 6)),
+        "power-r0": (POWER, ZERO_RATE, resolve(POWER, ZERO_RATE).policy(0.5, 6)),
+        "power-inf": (POWER, INF, resolve(POWER, INF).policy(0.5, 6)),
+        "exp-r0": (rich, ZERO_RATE, resolve(rich, ZERO_RATE).policy(0.5, 6)),
         "rate-underflow": (POWER, FINITE, StationarySpreadPolicy(underflow)),
         "roundoff": (POWER, FINITE, RoundoffPolicy(StationarySpreadPolicy(flat))),
     }
@@ -421,7 +417,7 @@ class TestPackedMarch:
 
 class TestPolicies:
     def test_zero_rate_optimum_is_recognised(self):
-        pol = optimal_policy(POWER, ZERO_RATE, 1.0, 4)
+        pol = resolve(POWER, ZERO_RATE).policy(1.0, 4)
         assert isinstance(pol, OptimalPowerPolicy)
         # fill rate k_n / (T - t)
         clock = pol.clock(POWER, 1.0, ZERO_RATE.horizon)
@@ -431,10 +427,10 @@ class TestPolicies:
                 assert math.isclose(POWER.rate(s) * tau, clock.rate(n), rel_tol=1e-12)
 
     @pytest.mark.parametrize("policy, solved", [
-        (optimal_policy(POWER, FINITE, 1.0, 4), lambda tau: _solved(POWER, 0.1, tau)),
-        (optimal_policy(POWER, ZERO_RATE, 1.0, 4), lambda tau: _solved(POWER, 0.0, tau)),
-        (optimal_policy(POWER, INF, 1.0, 4), lambda tau: _solved(POWER, 0.1, tau)),
-        (optimal_policy(EXP, ZERO_RATE, 1.0, 4), lambda tau: _solved(EXP, 0.0, tau)),
+        (resolve(POWER, FINITE).policy(1.0, 4), lambda tau: _solved(POWER, 0.1, tau)),
+        (resolve(POWER, ZERO_RATE).policy(1.0, 4), lambda tau: _solved(POWER, 0.0, tau)),
+        (resolve(POWER, INF).policy(1.0, 4), lambda tau: _solved(POWER, 0.1, tau)),
+        (resolve(EXP, ZERO_RATE).policy(1.0, 4), lambda tau: _solved(EXP, 0.0, tau)),
         (StationarySpreadPolicy(np.full(5, 2.0)), lambda tau: np.full(5, 2.0)),
     ], ids=["power", "power-r0", "power-inf", "exp-r0", "constant"])
     def test_vector_spreads_match_scalar(self, policy, solved):
@@ -518,7 +514,7 @@ class TestFluidPolicyEvaluation:
         assert np.all(values <= c + 1e-12)
 
     def test_monte_carlo_agreement(self):
-        pol = fluid_spread_policy(POWER, INF, 1.0, 5)
+        pol = resolve(POWER, INF).fluid_policy(1.0, 5)
         exact = fluid_policy_values(5, 1.0)[5]
         stats = simulate_policy(POWER, INF, 5, 1.0, pol, 20_000, seed=11)
         assert abs(stats.mean_revenue - exact) <= 3.0 * stats.std_error
@@ -539,7 +535,7 @@ class TestExecutionCurve:
 
     def test_matches_monte_carlo(self):
         grid = np.linspace(0.1, 0.9, 9)
-        pol = optimal_policy(POWER, FINITE, 1.0, 4)
+        pol = resolve(POWER, FINITE).policy(1.0, 4)
         stats = simulate_policy(POWER, FINITE, 4, 1.0, pol, 20_000, seed=23,
                                 curve_times=grid)
         curve = execution_curve_ode(POWER, FINITE, 4, grid)
@@ -593,8 +589,8 @@ class TestExecutionCurve:
 
     def test_fluid_dichotomy(self):
         # the fluid curve drains smoothly by T while E(x, t) stays positive
-        fl = fluid_solution(POWER, FINITE)
-        assert fl.trade_curve(0.999999, 6.0) < 1e-4
+        case = resolve(POWER, FINITE)
+        assert case.fluid_trade_curve(0.999999, 6.0) < 1e-4
         curve = execution_curve_ode(POWER, FINITE, 6, [0.99])
         assert curve.inventory[0] > 0.0
 
